@@ -43,11 +43,9 @@ pub struct ExecCtx<'a> {
     /// value, filled by the skip-decode deref in the `Attr` evaluator.
     /// Same lifetime/staleness argument as `deref_cache`.
     attr_cache: RefCell<HashMap<(exodus_storage::Oid, usize), Value>>,
-    /// Snapshot timestamp every storage read evaluates against.
-    /// Defaults to [`exodus_storage::TS_LATEST`] (see-everything), which
-    /// is only correct when no concurrent writer exists; sessions thread
-    /// the statement's real snapshot (or the write transaction's own
-    /// timestamp) through [`ExecCtx::with_snapshot`].
+    /// Snapshot timestamp every storage read evaluates against: the
+    /// statement's registered snapshot, or the write transaction's own
+    /// timestamp.
     pub snapshot: u64,
     /// Per-operator profiler (EXPLAIN ANALYZE). `None` — the default —
     /// keeps the batch path counter-free and untimed.
@@ -61,12 +59,14 @@ pub struct ExecCtx<'a> {
 const DEREF_CACHE_CAP: usize = 4096;
 
 impl<'a> ExecCtx<'a> {
-    /// New context with the default batch size.
+    /// New context with the default batch size, every storage read
+    /// pinned to the version state visible at `snapshot`.
     pub fn new(
         store: &'a ObjectStore,
         types: &'a TypeRegistry,
         adts: &'a AdtRegistry,
         catalog: &'a (dyn CatalogLookup + Sync),
+        snapshot: u64,
     ) -> Self {
         ExecCtx {
             store,
@@ -79,17 +79,10 @@ impl<'a> ExecCtx<'a> {
             agg_cache: RefCell::new(HashMap::new()),
             deref_cache: RefCell::new(HashMap::new()),
             attr_cache: RefCell::new(HashMap::new()),
-            snapshot: exodus_storage::TS_LATEST,
+            snapshot,
             profiler: None,
             metrics: None,
         }
-    }
-
-    /// Pin every storage read this context performs to the version
-    /// state visible at `snap` (snapshot isolation).
-    pub fn with_snapshot(mut self, snap: u64) -> Self {
-        self.snapshot = snap;
-        self
     }
 
     /// Override the execution batch size (clamped to at least 1).
@@ -157,12 +150,6 @@ pub fn deref(ctx: &ExecCtx<'_>, mut v: Value) -> ModelResult<Value> {
         }
     }
     Ok(v)
-}
-
-/// Alias for [`deref()`] (kept for call-site clarity where at most one level
-/// is expected).
-pub fn deref_shallow(ctx: &ExecCtx<'_>, v: Value) -> ModelResult<Value> {
-    deref(ctx, v)
 }
 
 /// Truthiness of a qualification value.

@@ -278,9 +278,8 @@ where
             let wprof = slot.take();
             let wmetrics = metrics.clone();
             s.spawn(move || {
-                let mut wctx = ExecCtx::new(store, types, adts, catalog)
+                let mut wctx = ExecCtx::new(store, types, adts, catalog, snapshot)
                     .with_batch_size(batch_size)
-                    .with_snapshot(snapshot)
                     .with_metrics(wmetrics);
                 if let Some(p) = wprof {
                     wctx = wctx.with_profiler(p);

@@ -477,5 +477,5 @@ pub fn walk_path(ctx: &ExecCtx<'_>, mut v: Value, path: &[usize]) -> ModelResult
             }
         }
     }
-    crate::eval::deref_shallow(ctx, v)
+    crate::eval::deref(ctx, v)
 }

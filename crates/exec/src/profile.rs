@@ -508,21 +508,6 @@ impl fmt::Display for QueryProfile {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl QueryProfile {
     /// Render the profile as a JSON object (no external dependencies —
     /// the workspace is offline).
@@ -547,7 +532,7 @@ impl QueryProfile {
             s.push_str(&format!(
                 "{{\"depth\":{},\"op\":\"{}\"",
                 n.depth,
-                json_escape(&n.label)
+                exodus_obs::json_escape(&n.label)
             ));
             if let Some(est) = n.est_rows {
                 s.push_str(&format!(",\"est_rows\":{est:.1}"));

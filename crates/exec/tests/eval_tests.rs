@@ -43,13 +43,23 @@ impl Harness {
         Compiler::new(&ctx, &env, &counter).compile(&expr).unwrap()
     }
 
+    fn ctx(&self) -> ExecCtx<'_> {
+        ExecCtx::new(
+            &self.store,
+            &self.types,
+            &self.adts,
+            &self.catalog,
+            exodus_storage::TS_LATEST,
+        )
+    }
+
     fn eval(&self, e: &CExpr, env: &Env) -> Value {
-        let ctx = ExecCtx::new(&self.store, &self.types, &self.adts, &self.catalog);
+        let ctx = self.ctx();
         eval(e, &ctx, env).unwrap()
     }
 
     fn eval_err(&self, e: &CExpr, env: &Env) -> String {
-        let ctx = ExecCtx::new(&self.store, &self.types, &self.adts, &self.catalog);
+        let ctx = self.ctx();
         eval(e, &ctx, env).unwrap_err().to_string()
     }
 

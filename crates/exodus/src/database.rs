@@ -6,7 +6,6 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use excess_algebra::PlannerConfig;
 use excess_exec::{QueryProfile, QueryResult};
 use excess_lang::ops::OpAssoc;
 use excess_lang::{parse_program, AttrDecl, InheritClause, OperatorTable, Param, Privilege, Stmt};
@@ -125,7 +124,6 @@ pub struct Database {
     pub(crate) store: ObjectStore,
     pub(crate) catalog: RwLock<Catalog>,
     pub(crate) ops: RwLock<OperatorTable>,
-    pub(crate) planner: RwLock<PlannerConfig>,
     pub(crate) batch_size: std::sync::atomic::AtomicUsize,
     pub(crate) worker_threads: std::sync::atomic::AtomicUsize,
     pub(crate) profiling: std::sync::atomic::AtomicBool,
@@ -162,7 +160,6 @@ pub struct DatabaseBuilder {
     pool_pages: Option<usize>,
     batch_size: Option<usize>,
     worker_threads: Option<usize>,
-    planner: Option<PlannerConfig>,
     profiling: bool,
     metrics: Option<bool>,
     trace: Option<TraceConfig>,
@@ -228,12 +225,6 @@ impl DatabaseBuilder {
     /// parallelism (the old setter silently treated it as 1).
     pub fn worker_threads(mut self, n: usize) -> Self {
         self.worker_threads = Some(n);
-        self
-    }
-
-    /// Planner configuration (experiment E8 ablations).
-    pub fn planner(mut self, config: PlannerConfig) -> Self {
-        self.planner = Some(config);
         self
     }
 
@@ -308,9 +299,6 @@ impl DatabaseBuilder {
             }
         };
         let db = Database::assemble(sm, recovery, self.metrics.unwrap_or(true), self.trace);
-        if let Some(config) = self.planner {
-            *db.planner.write() = config;
-        }
         if let Some(n) = self.batch_size {
             db.batch_size
                 .store(n.max(1), std::sync::atomic::Ordering::Relaxed);
@@ -336,17 +324,7 @@ impl Database {
 
     /// An in-memory database with the built-in ADTs registered.
     pub fn in_memory() -> Arc<Database> {
-        Self::with_storage(StorageManager::in_memory(4096))
-    }
-
-    /// A database over an explicit storage manager (e.g. file-backed, or
-    /// with a specific buffer-pool size).
-    pub fn with_storage(sm: StorageManager) -> Arc<Database> {
-        Self::with_storage_report(sm, None)
-    }
-
-    fn with_storage_report(sm: StorageManager, recovery: Option<RecoveryReport>) -> Arc<Database> {
-        Self::assemble(sm, recovery, true, None)
+        Self::assemble(StorageManager::in_memory(4096), None, true, None)
     }
 
     fn assemble(
@@ -426,7 +404,6 @@ impl Database {
             store,
             catalog: RwLock::new(catalog),
             ops: RwLock::new(ops),
-            planner: RwLock::new(PlannerConfig::default()),
             batch_size: std::sync::atomic::AtomicUsize::new(excess_exec::DEFAULT_BATCH_SIZE),
             worker_threads: std::sync::atomic::AtomicUsize::new(1),
             profiling: std::sync::atomic::AtomicBool::new(false),
@@ -1255,7 +1232,9 @@ pub(crate) fn exec_statement(
             Ok(Response::Done(format!("range of {var} declared")))
         }
         Stmt::Retrieve { into: None, .. } => {
-            dml::retrieve(db, cat, ranges, user, stmt, params, db.profiling()).map(Response::Rows)
+            let snap = db.store.current_snap();
+            dml::retrieve_at(db, cat, ranges, user, stmt, params, db.profiling(), snap)
+                .map(Response::Rows)
         }
         Stmt::Retrieve { into: Some(_), .. } => {
             dml::retrieve_into(db, cat, ranges, user, stmt, params, db.profiling())
@@ -1355,7 +1334,8 @@ fn explain_stmt(
                 let result = if into.is_some() {
                     dml::retrieve_into(db, cat, ranges, user, inner, params, true)?
                 } else {
-                    dml::retrieve(db, cat, ranges, user, inner, params, true)?
+                    let snap = db.store.current_snap();
+                    dml::retrieve_at(db, cat, ranges, user, inner, params, true, snap)?
                 };
                 result.profile
             } else {
@@ -1749,19 +1729,24 @@ fn define_index(
     let pos = ctx.attr_pos(&elem, attr)?;
     let tree = BTree::create(db.store.storage().pool())?;
     // Populate from the current members.
-    let members: Vec<_> = db
+    let mut scan = db
         .store
-        .scan_members(obj.oid)?
-        .collect::<Result<Vec<_>, _>>()?;
-    for (rid, member) in members {
-        if let Some(key) = dml::member_attr_key(db, &member, pos, &cat.adts)? {
-            tree.insert(db.store.storage().pool(), &key, rid.pack(), unique)
-                .map_err(|e| match e {
-                    exodus_storage::StorageError::DuplicateKey => DbError::Catalog(format!(
-                        "cannot build unique index: duplicate {attr} values in {collection}"
-                    )),
-                    other => other.into(),
-                })?;
+        .scan_members_batch_at(obj.oid, db.store.current_snap())?;
+    loop {
+        let batch = scan.next_batch(1024)?;
+        if batch.is_empty() {
+            break;
+        }
+        for (rid, member) in batch {
+            if let Some(key) = dml::member_attr_key(db, &member, pos, &cat.adts)? {
+                tree.insert(db.store.storage().pool(), &key, rid.pack(), unique)
+                    .map_err(|e| match e {
+                        exodus_storage::StorageError::DuplicateKey => DbError::Catalog(format!(
+                            "cannot build unique index: duplicate {attr} values in {collection}"
+                        )),
+                        other => other.into(),
+                    })?;
+            }
         }
     }
     cat.indexes.push(IndexInfo {
@@ -1861,7 +1846,8 @@ fn analyze_collection(db: &Database, cat: &mut Catalog, collection: &str) -> DbR
             })
         })
         .collect();
-    let mut scan = db.store.scan_members_batch(obj.oid)?;
+    let snap = db.store.current_snap();
+    let mut scan = db.store.scan_members_batch_at(obj.oid, snap)?;
     let mut row_count = 0u64;
     loop {
         let batch = scan.next_batch(1024)?;
@@ -1874,7 +1860,7 @@ fn analyze_collection(db: &Database, cat: &mut Catalog, collection: &str) -> DbR
             // them to the tuple the statistics describe.
             let mut member = member.clone();
             while let Value::Ref(oid) = member {
-                member = db.store.value_of(oid)?;
+                member = db.store.value_of_at(oid, snap)?;
             }
             let fields = match &member {
                 Value::Tuple(fs) => fs.as_slice(),

@@ -105,7 +105,7 @@ fn plan_query(
             stmt,
             &checked,
             &ctx,
-            *db.planner.read(),
+            excess_algebra::PlannerConfig::default(),
             db.worker_threads(),
         )?;
         let node = prepare(&plan, &ctx, &local)?;
@@ -263,38 +263,13 @@ pub(crate) fn explain_plan(
     Ok(phys.to_string())
 }
 
-/// The snapshot a statement executing under the session's write
-/// transaction evaluates at: the writer's own timestamp. The writer
-/// gate is held by the calling session for the whole statement, so the
-/// storage layer's current write timestamp is unambiguously ours.
-/// `TS_LATEST` outside a transaction (single-session read paths).
-fn write_snap(db: &Database) -> u64 {
-    db.store
-        .storage()
-        .txn()
-        .current_write_ts()
-        .unwrap_or(exodus_storage::TS_LATEST)
-}
-
 /// Execute a retrieve (no `into`; read-only — runs under a shared
-/// catalog lock). With `profile`, per-operator metrics land on the
-/// result's `profile` field. Reads at the calling transaction's own
-/// timestamp; autocommit readers use [`retrieve_at`] with a registered
-/// snapshot instead.
-pub fn retrieve(
-    db: &Database,
-    cat: &Catalog,
-    ranges: &RangeEnv,
-    user: &str,
-    stmt: &Stmt,
-    params: &Params,
-    profile: bool,
-) -> DbResult<QueryResult> {
-    retrieve_at(db, cat, ranges, user, stmt, params, profile, write_snap(db))
-}
-
-/// [`retrieve`] pinned to an explicit snapshot timestamp: every storage
-/// read resolves the record version visible at `snap`.
+/// catalog lock) with every storage read resolving the record version
+/// visible at `snap`: an autocommit reader's registered snapshot, or
+/// the calling transaction's own timestamp
+/// ([`ObjectStore::current_snap`](extra_model::ObjectStore::current_snap)).
+/// With `profile`, per-operator metrics land on the result's `profile`
+/// field.
 #[allow(clippy::too_many_arguments)]
 pub fn retrieve_at(
     db: &Database,
@@ -313,10 +288,9 @@ pub fn retrieve_at(
         store: &db.store,
         db: Some(db),
     };
-    let mut ctx = ExecCtx::new(&db.store, &cat.types, &cat.adts, &view)
+    let mut ctx = ExecCtx::new(&db.store, &cat.types, &cat.adts, &view, snap)
         .with_batch_size(db.batch_size())
         .with_workers(db.worker_threads())
-        .with_snapshot(snap)
         .with_metrics(db.exec_metrics());
     let before = profile.then(|| db.store.storage().pool().stats());
     if profile {
@@ -359,10 +333,10 @@ pub fn retrieve_into(
         store: &db.store,
         db: Some(db),
     };
-    let mut ctx = ExecCtx::new(&db.store, &cat.types, &cat.adts, &view)
+    let snap = db.store.current_snap();
+    let mut ctx = ExecCtx::new(&db.store, &cat.types, &cat.adts, &view, snap)
         .with_batch_size(db.batch_size())
         .with_workers(db.worker_threads())
-        .with_snapshot(write_snap(db))
         .with_metrics(db.exec_metrics());
     let before = profile.then(|| db.store.storage().pool().stats());
     if profile {
@@ -491,10 +465,10 @@ fn collect_bindings(
         store: &db.store,
         db: Some(db),
     };
-    let mut ctx = ExecCtx::new(&db.store, &cat.types, &cat.adts, &view)
+    let snap = db.store.current_snap();
+    let mut ctx = ExecCtx::new(&db.store, &cat.types, &cat.adts, &view, snap)
         .with_batch_size(db.batch_size())
         .with_workers(db.worker_threads())
-        .with_snapshot(write_snap(db))
         .with_metrics(db.exec_metrics());
     let before = profiling
         .as_ref()
@@ -540,7 +514,7 @@ pub fn member_attr_key(
 ) -> DbResult<Option<Vec<u8>>> {
     let mut v = member.clone();
     while let Value::Ref(oid) = v {
-        v = db.store.value_of(oid)?;
+        v = db.store.value_of_at(oid, db.store.current_snap())?;
     }
     let field = match v {
         Value::Tuple(mut fields) if pos < fields.len() => fields.swap_remove(pos),
@@ -699,7 +673,7 @@ fn insert_member(
             // Value semantics: copy through references.
             let mut v = value;
             while let Value::Ref(oid) = v {
-                v = db.store.value_of(oid)?;
+                v = db.store.value_of_at(oid, db.store.current_snap())?;
             }
             v.conforms(&elem, &cat.types, &cat.adts)?;
             v
@@ -783,10 +757,10 @@ pub(crate) fn append(
                 store: &db.store,
                 db: Some(db),
             };
-            let ctx = ExecCtx::new(&db.store, &cat.types, &cat.adts, &view)
+            let snap = db.store.current_snap();
+            let ctx = ExecCtx::new(&db.store, &cat.types, &cat.adts, &view, snap)
                 .with_batch_size(db.batch_size())
                 .with_workers(db.worker_threads())
-                .with_snapshot(write_snap(db))
                 .with_metrics(db.exec_metrics());
             let mut staged: Vec<Value> = Vec::new();
             for env in bindings.iter() {
@@ -840,10 +814,10 @@ pub(crate) fn append(
                 store: &db.store,
                 db: Some(db),
             };
-            let ctx = ExecCtx::new(&db.store, &cat.types, &cat.adts, &view)
+            let snap = db.store.current_snap();
+            let ctx = ExecCtx::new(&db.store, &cat.types, &cat.adts, &view, snap)
                 .with_batch_size(db.batch_size())
                 .with_workers(db.worker_threads())
-                .with_snapshot(write_snap(db))
                 .with_metrics(db.exec_metrics());
             let mut staged: Vec<Value> = Vec::new();
             for env in bindings.iter() {
@@ -853,7 +827,7 @@ pub(crate) fn append(
             let n = staged.len();
             for v in staged {
                 v.conforms(&elem, &cat.types, &cat.adts)?;
-                let mut arr = db.store.value_of(obj.oid)?;
+                let mut arr = db.store.value_of_at(obj.oid, snap)?;
                 match &mut arr {
                     Value::Array(items) => items.push(v),
                     other => {
@@ -912,10 +886,10 @@ pub(crate) fn append(
                 store: &db.store,
                 db: Some(db),
             };
-            let ctx = ExecCtx::new(&db.store, &cat.types, &cat.adts, &view)
+            let snap = db.store.current_snap();
+            let ctx = ExecCtx::new(&db.store, &cat.types, &cat.adts, &view, snap)
                 .with_batch_size(db.batch_size())
                 .with_workers(db.worker_threads())
-                .with_snapshot(write_snap(db))
                 .with_metrics(db.exec_metrics());
             let mut staged: Vec<(i64, Value)> = Vec::new();
             for env in bindings.iter() {
@@ -925,7 +899,7 @@ pub(crate) fn append(
             }
             drop(ctx);
             for (i, v) in staged {
-                let mut arr = db.store.value_of(obj.oid)?;
+                let mut arr = db.store.value_of_at(obj.oid, snap)?;
                 match &mut arr {
                     Value::Array(items) => {
                         if i < 1 || i as usize > items.len() {
@@ -983,10 +957,10 @@ pub(crate) fn append(
                 store: &db.store,
                 db: Some(db),
             };
-            let ctx = ExecCtx::new(&db.store, &cat.types, &cat.adts, &view)
+            let snap = db.store.current_snap();
+            let ctx = ExecCtx::new(&db.store, &cat.types, &cat.adts, &view, snap)
                 .with_batch_size(db.batch_size())
                 .with_workers(db.worker_threads())
-                .with_snapshot(write_snap(db))
                 .with_metrics(db.exec_metrics());
             let mut staged: Vec<(UpdateSite, Value)> = Vec::new();
             for env in bindings.iter() {
@@ -1178,6 +1152,7 @@ fn resolve_site(
         db: Some(db),
     };
     let ctx = SemaCtx::new(&cat.types, &cat.adts, &view);
+    let snap = db.store.current_snap();
     // Starting point: the root variable's value + identity, or a named
     // object.
     let (mut owner, mut value, mut qty): (OwnerId, Value, QualType) = if let Some(v) =
@@ -1190,7 +1165,7 @@ fn resolve_site(
             .map(|b| b.elem.clone())
             .ok_or_else(|| DbError::Catalog(format!("untyped update root '{root_var}'")))?;
         match env.ident(root_var) {
-            MemberId::Object(oid) => (OwnerId::Object(oid), db.store.value_of(oid)?, qty),
+            MemberId::Object(oid) => (OwnerId::Object(oid), db.store.value_of_at(oid, snap)?, qty),
             MemberId::Record { anchor, rid } => (OwnerId::Member { anchor, rid }, v.clone(), qty),
             MemberId::Nested { .. } | MemberId::None => {
                 return Err(DbError::Catalog(format!(
@@ -1201,7 +1176,7 @@ fn resolve_site(
     } else if let Some(obj) = cat.named.get(root_var) {
         (
             OwnerId::Object(obj.oid),
-            db.store.value_of(obj.oid)?,
+            db.store.value_of_at(obj.oid, snap)?,
             obj.qty.clone(),
         )
     } else {
@@ -1217,7 +1192,7 @@ fn resolve_site(
         while let Value::Ref(oid) = value {
             owner = OwnerId::Object(oid);
             path.clear();
-            value = db.store.value_of(oid)?;
+            value = db.store.value_of_at(oid, snap)?;
         }
         let pos = ctx.attr_pos(&qty, s)?;
         qty = ctx.attr_type(&qty, s)?;
@@ -1243,7 +1218,7 @@ fn resolve_site(
 /// Load an owner's current value.
 fn owner_value(db: &Database, owner: &OwnerId) -> DbResult<Value> {
     match owner {
-        OwnerId::Object(oid) => Ok(db.store.value_of(*oid)?),
+        OwnerId::Object(oid) => Ok(db.store.value_of_at(*oid, db.store.current_snap())?),
         OwnerId::Member { rid, .. } => {
             let bytes = db.store.storage().read(*rid)?;
             Ok(extra_model::valueio::from_bytes(&bytes)?)
@@ -1398,7 +1373,7 @@ pub(crate) fn delete(
     // Objects: full deletion (cascade + null-out) after removing index
     // entries that point at them.
     for oid in objects {
-        if db.store.exists(oid)? {
+        if db.store.exists_at(oid, db.store.current_snap())? {
             unindex_object(db, cat, oid)?;
             db.store.delete_object(&cat.types, oid)?;
         }
@@ -1574,10 +1549,10 @@ pub(crate) fn replace(
         store: &db.store,
         db: Some(db),
     };
-    let ctx = ExecCtx::new(&db.store, &cat.types, &cat.adts, &view)
+    let snap = db.store.current_snap();
+    let ctx = ExecCtx::new(&db.store, &cat.types, &cat.adts, &view, snap)
         .with_batch_size(db.batch_size())
         .with_workers(db.worker_threads())
-        .with_snapshot(write_snap(db))
         .with_metrics(db.exec_metrics());
     let mut staged: Vec<Staged> = Vec::new();
     for env in bindings.iter() {
@@ -1621,7 +1596,7 @@ pub(crate) fn replace(
                 // (a Ref) is unchanged, but indexed attribute values live
                 // in the object. Probe unique keys against the prospective
                 // value before mutating anything.
-                let mut new_value = db.store.value_of(oid)?;
+                let mut new_value = db.store.value_of_at(oid, snap)?;
                 apply_updates(&mut new_value, &updates)?;
                 let old = Value::Ref(oid);
                 let memberships = db.store.memberships(oid)?;
@@ -1769,10 +1744,10 @@ pub(crate) fn execute_procedure(
             store: &db.store,
             db: Some(db),
         };
-        let ctx = ExecCtx::new(&db.store, &cat.types, &cat.adts, &view)
+        let snap = db.store.current_snap();
+        let ctx = ExecCtx::new(&db.store, &cat.types, &cat.adts, &view, snap)
             .with_batch_size(db.batch_size())
             .with_workers(db.worker_threads())
-            .with_snapshot(write_snap(db))
             .with_metrics(db.exec_metrics());
         for env in bindings.iter() {
             let vals: Vec<Value> = args

@@ -94,7 +94,17 @@ fn path_query_uses_hash_join_after_analyze() {
         !before.contains("HashJoin") && !before.contains("IndexJoin"),
         "unanalyzed plan must keep row-at-a-time dereferences:\n{before}"
     );
-    let rows_before = s.query(q).unwrap().rows;
+    // Buffer pins (pool hits + misses) one execution of `q` pays.
+    let pinned = |s: &mut exodus_db::Session| {
+        let pins = |snap: exodus_db::MetricsSnapshot| {
+            snap.counter("storage_pool_hits_total").unwrap()
+                + snap.counter("storage_pool_misses_total").unwrap()
+        };
+        let before = pins(db.metrics_snapshot().unwrap());
+        let rows = s.query(q).unwrap().rows;
+        (rows, pins(db.metrics_snapshot().unwrap()) - before)
+    };
+    let (rows_before, deref_pins) = pinned(&mut s);
     assert_eq!(rows_before.len(), 50);
 
     s.run("analyze Departments").unwrap();
@@ -103,8 +113,13 @@ fn path_query_uses_hash_join_after_analyze() {
         after.contains("HashJoin $E__dept over Departments on ref"),
         "analyzed plan must hoist the dereference:\n{after}"
     );
-    let rows_after = s.query(q).unwrap().rows;
+    let (rows_after, join_pins) = pinned(&mut s);
     assert_eq!(sorted(rows_before), sorted(rows_after));
+    // The batched probe pins each page once per batch, not per row.
+    assert!(
+        deref_pins >= 2 * join_pins,
+        "hash join saved too few buffer pins: {deref_pins} row-at-a-time vs {join_pins} joined"
+    );
 }
 
 #[test]

@@ -244,11 +244,13 @@ impl ObjectStore {
         self.sm.txn().current_write_ts()
     }
 
-    /// The snapshot implicit reads evaluate against: the writer's own
-    /// timestamp inside a write transaction (it sees its own mutations),
-    /// [`TS_LATEST`] otherwise. Reader sessions pass explicit snapshots
-    /// through the `_at` read variants instead.
-    fn current_snap(&self) -> u64 {
+    /// The snapshot a mutating caller reads at: the writer's own
+    /// timestamp inside a write transaction (it sees its own mutations;
+    /// the writer gate is held for the whole statement, so the timestamp
+    /// is unambiguously the caller's), [`TS_LATEST`] otherwise. Reader
+    /// sessions pass their registered snapshot to the `_at` reads
+    /// instead.
+    pub fn current_snap(&self) -> u64 {
         self.write_ts().unwrap_or(TS_LATEST)
     }
 
@@ -336,12 +338,6 @@ impl ObjectStore {
         Ok(oid)
     }
 
-    /// Whether an OID names a live object (at the implicit snapshot —
-    /// the writer's own timestamp inside a transaction, latest otherwise).
-    pub fn exists(&self, oid: Oid) -> ModelResult<bool> {
-        self.exists_at(oid, self.current_snap())
-    }
-
     /// Whether an OID names an object with a version visible at `snap`.
     pub fn exists_at(&self, oid: Oid, snap: u64) -> ModelResult<bool> {
         if !self.table.exists(self.pool(), oid)? {
@@ -381,12 +377,8 @@ impl ObjectStore {
         })
     }
 
-    /// Fetch `(declared type, owner, value)` of an object.
-    pub fn get(&self, oid: Oid) -> ModelResult<(QualType, Oid, Value)> {
-        self.get_at(oid, self.current_snap())
-    }
-
-    /// Like [`ObjectStore::get`], reading the version visible at `snap`.
+    /// Fetch `(declared type, owner, value)` of the version of an object
+    /// visible at `snap`.
     pub fn get_at(&self, oid: Oid, snap: u64) -> ModelResult<(QualType, Oid, Value)> {
         let entry = self.table.get(self.pool(), oid)?;
         let rec = self.version_bytes_or_missing(oid, snap)?;
@@ -394,12 +386,7 @@ impl ObjectStore {
         Ok((self.qtype(entry.type_id), owner, value))
     }
 
-    /// Fetch just the value of an object.
-    pub fn value_of(&self, oid: Oid) -> ModelResult<Value> {
-        Ok(self.get(oid)?.2)
-    }
-
-    /// Like [`ObjectStore::value_of`], reading the version visible at `snap`.
+    /// Fetch just the value of the version of an object visible at `snap`.
     pub fn value_of_at(&self, oid: Oid, snap: u64) -> ModelResult<Value> {
         Ok(self.get_at(oid, snap)?.2)
     }
@@ -441,15 +428,11 @@ impl ObjectStore {
         Ok(out)
     }
 
-    /// Decode only field `pos` of a tuple-valued object, skipping the
-    /// other fields (no allocation for them). Returns `None` when the
-    /// stored value is not a tuple or `pos` is out of range; callers fall
-    /// back to [`ObjectStore::value_of`] for those cases.
-    pub fn field_of(&self, oid: Oid, pos: usize) -> ModelResult<Option<Value>> {
-        self.field_of_at(oid, pos, self.current_snap())
-    }
-
-    /// Like [`ObjectStore::field_of`], reading the version visible at `snap`.
+    /// Decode only field `pos` of the version of a tuple-valued object
+    /// visible at `snap`, skipping the other fields (no allocation for
+    /// them). Returns `None` when the stored value is not a tuple or
+    /// `pos` is out of range; callers fall back to
+    /// [`ObjectStore::value_of_at`] for those cases.
     pub fn field_of_at(&self, oid: Oid, pos: usize, snap: u64) -> ModelResult<Option<Value>> {
         let rec = self.version_bytes_or_missing(oid, snap)?;
         if rec.len() < 9 {
@@ -465,11 +448,6 @@ impl ObjectStore {
             }
             other => Err(ModelError::Semantic(format!("bad record tag {other}"))),
         }
-    }
-
-    /// The owner of an object (`Oid::NULL` if unowned).
-    pub fn owner_of(&self, oid: Oid) -> ModelResult<Oid> {
-        Ok(self.get(oid)?.1)
     }
 
     fn rewrite_record(&self, oid: Oid, owner: Oid, value: &Value) -> ModelResult<()> {
@@ -511,7 +489,7 @@ impl ObjectStore {
     /// `own ref` components are deleted (they are exclusively owned),
     /// added ones are adopted, and `ref` back-references are re-indexed.
     pub fn set_value(&self, reg: &TypeRegistry, oid: Oid, value: Value) -> ModelResult<()> {
-        let (qty, owner, old) = self.get(oid)?;
+        let (qty, owner, old) = self.get_at(oid, self.current_snap())?;
         let old_edges: HashSet<Edge> = self.collect_edges(reg, &qty, &old)?.into_iter().collect();
         let new_edges: HashSet<Edge> = self.collect_edges(reg, &qty, &value)?.into_iter().collect();
         // Validate/adopt additions *before* the destructive removals.
@@ -545,10 +523,11 @@ impl ObjectStore {
         if !visited.insert(oid) {
             return Ok(());
         }
-        if !self.exists(oid)? {
+        let snap = self.current_snap();
+        if !self.exists_at(oid, snap)? {
             return Ok(()); // already cascaded away
         }
-        let (qty, owner, value) = self.get(oid)?;
+        let (qty, owner, value) = self.get_at(oid, snap)?;
 
         // 0. If this object is an own-ref component deleted directly,
         //    detach it from its owner's value first (unless the owner is
@@ -556,8 +535,8 @@ impl ObjectStore {
         if !owner.is_null() && !visited.contains(&owner) {
             self.children
                 .delete(self.pool(), &child_key(owner, oid), oid.0)?;
-            if self.exists(owner)? {
-                let (_, oowner, ovalue) = self.get(owner)?;
+            if self.exists_at(owner, snap)? {
+                let (_, oowner, ovalue) = self.get_at(owner, snap)?;
                 let cleaned = null_out(&ovalue, oid);
                 self.rewrite_record(owner, oowner, &cleaned)?;
             }
@@ -600,8 +579,8 @@ impl ObjectStore {
             }
             match kind {
                 BK_OBJECT => {
-                    if self.exists(holder)? {
-                        let (_, howner, hvalue) = self.get(holder)?;
+                    if self.exists_at(holder, snap)? {
+                        let (_, howner, hvalue) = self.get_at(holder, snap)?;
                         let nulled = null_out(&hvalue, oid);
                         self.rewrite_record(holder, howner, &nulled)?;
                     }
@@ -687,7 +666,7 @@ impl ObjectStore {
 
     /// Make `owner` the exclusive owner of `child`.
     pub fn adopt(&self, child: Oid, owner: Oid) -> ModelResult<()> {
-        let (_, current, value) = self.get(child)?;
+        let (_, current, value) = self.get_at(child, self.current_snap())?;
         if current == owner {
             return Ok(());
         }
@@ -705,7 +684,7 @@ impl ObjectStore {
 
     /// Release `child` from `owner` without deleting it.
     pub fn orphan(&self, child: Oid, owner: Oid) -> ModelResult<()> {
-        let (_, current, value) = self.get(child)?;
+        let (_, current, value) = self.get_at(child, self.current_snap())?;
         if current != owner {
             return Err(ModelError::Integrity(format!(
                 "object {child} is not owned by {owner}"
@@ -799,7 +778,7 @@ impl ObjectStore {
     /// Validate that `target` is a live instance of (a subtype of)
     /// `declared`.
     fn check_target(&self, reg: &TypeRegistry, target: Oid, declared: TypeId) -> ModelResult<()> {
-        let (qty, _, _) = self.get(target).map_err(|_| {
+        let (qty, _, _) = self.get_at(target, self.current_snap()).map_err(|_| {
             ModelError::Integrity(format!(
                 "reference target {target} does not exist (referenced objects \
                  must exist elsewhere in the database)"
@@ -954,30 +933,9 @@ impl ObjectStore {
         }
     }
 
-    /// Iterate over `(rid, value)` members of a collection.
-    pub fn scan_members(
-        &self,
-        anchor: Oid,
-    ) -> ModelResult<impl Iterator<Item = ModelResult<(RecordId, Value)>>> {
-        let info = self.collection_info(anchor)?;
-        let snap = self.current_snap();
-        Ok(HeapFile::open(info.file)
-            .scan(self.pool().clone())
-            .with_snapshot(snap)
-            .map(|r| {
-                let (rid, bytes) = r?;
-                Ok((rid, valueio::from_bytes(&bytes)?))
-            }))
-    }
-
-    /// Batched member scan: decodes records a batch at a time on top of
-    /// the heap file's page-at-a-time [`HeapScan::next_batch`](exodus_storage::heap::HeapScan::next_batch).
-    pub fn scan_members_batch(&self, anchor: Oid) -> ModelResult<MemberScan> {
-        self.scan_members_batch_at(anchor, self.current_snap())
-    }
-
-    /// Like [`ObjectStore::scan_members_batch`], but visiting only the
-    /// member versions visible at `snap`.
+    /// Batched member scan over the member versions visible at `snap`:
+    /// decodes records a batch at a time on top of the heap file's
+    /// page-at-a-time [`HeapScan::next_batch`](exodus_storage::heap::HeapScan::next_batch).
     pub fn scan_members_batch_at(&self, anchor: Oid, snap: u64) -> ModelResult<MemberScan> {
         let info = self.collection_info(anchor)?;
         Ok(MemberScan::new(
@@ -989,15 +947,10 @@ impl ObjectStore {
 
     /// Split a collection's member scan into at most `k` partitioned
     /// scans over contiguous heap-page runs — the morsel sources for
-    /// parallel query execution. Concatenating the partitions in order
-    /// reproduces [`ObjectStore::scan_members_batch`]'s member order; an
-    /// empty collection yields no partitions.
-    pub fn scan_members_partitions(&self, anchor: Oid, k: usize) -> ModelResult<Vec<MemberScan>> {
-        self.scan_members_partitions_at(anchor, k, self.current_snap())
-    }
-
-    /// Like [`ObjectStore::scan_members_partitions`], but each partition
-    /// visits only the member versions visible at `snap`.
+    /// parallel query execution — each visiting only the member versions
+    /// visible at `snap`. Concatenating the partitions in order
+    /// reproduces [`ObjectStore::scan_members_batch_at`]'s member order;
+    /// an empty collection yields no partitions.
     pub fn scan_members_partitions_at(
         &self,
         anchor: Oid,
@@ -1048,7 +1001,7 @@ impl ObjectStore {
                     .delete(self.pool(), &child_key(anchor, target), target.0)?;
                 // Rewrite owner so delete_object's cascade bookkeeping stays
                 // consistent, then delete the exclusively-owned component.
-                let (_, _, v) = self.get(target)?;
+                let (_, _, v) = self.get_at(target, self.current_snap())?;
                 self.rewrite_record(target, Oid::NULL, &v)?;
                 self.delete_object(reg, target)?;
             }
@@ -1159,17 +1112,18 @@ impl ObjectStore {
     // -- equality -------------------------------------------------------------
 
     /// Recursive value equality in the sense of \[Banc86\]: references are
-    /// chased and compared by content. (`is` — identity — is plain `==`
-    /// on `Value::Ref`.)
-    pub fn deep_eq(&self, a: &Value, b: &Value) -> ModelResult<bool> {
+    /// chased — reading the versions visible at `snap` — and compared
+    /// by content. (`is` — identity — is plain `==` on `Value::Ref`.)
+    pub fn deep_eq(&self, a: &Value, b: &Value, snap: u64) -> ModelResult<bool> {
         let mut seen = HashSet::new();
-        self.deep_eq_rec(a, b, &mut seen)
+        self.deep_eq_rec(a, b, snap, &mut seen)
     }
 
     fn deep_eq_rec(
         &self,
         a: &Value,
         b: &Value,
+        snap: u64,
         seen: &mut HashSet<(Oid, Oid)>,
     ) -> ModelResult<bool> {
         match (a, b) {
@@ -1177,20 +1131,20 @@ impl ObjectStore {
                 if x == y || !seen.insert((*x, *y)) {
                     return Ok(true);
                 }
-                let va = self.value_of(*x)?;
-                let vb = self.value_of(*y)?;
-                self.deep_eq_rec(&va, &vb, seen)
+                let va = self.value_of_at(*x, snap)?;
+                let vb = self.value_of_at(*y, snap)?;
+                self.deep_eq_rec(&va, &vb, snap, seen)
             }
             (Value::Ref(x), other) | (other, Value::Ref(x)) => {
-                let v = self.value_of(*x)?;
-                self.deep_eq_rec(&v, other, seen)
+                let v = self.value_of_at(*x, snap)?;
+                self.deep_eq_rec(&v, other, snap, seen)
             }
             (Value::Tuple(xs), Value::Tuple(ys)) | (Value::Array(xs), Value::Array(ys)) => {
                 if xs.len() != ys.len() {
                     return Ok(false);
                 }
                 for (x, y) in xs.iter().zip(ys) {
-                    if !self.deep_eq_rec(x, y, seen)? {
+                    if !self.deep_eq_rec(x, y, snap, seen)? {
                         return Ok(false);
                     }
                 }
@@ -1204,7 +1158,7 @@ impl ObjectStore {
                 let mut used = vec![false; ys.len()];
                 'outer: for x in xs {
                     for (i, y) in ys.iter().enumerate() {
-                        if !used[i] && self.deep_eq_rec(x, y, seen)? {
+                        if !used[i] && self.deep_eq_rec(x, y, snap, seen)? {
                             used[i] = true;
                             continue 'outer;
                         }
@@ -1220,7 +1174,7 @@ impl ObjectStore {
 
 /// Replace every `Ref(target)` in `v` with `Null` (GEM null-out).
 /// A batched collection-member scan (see
-/// [`ObjectStore::scan_members_batch`]).
+/// [`ObjectStore::scan_members_batch_at`]).
 pub struct MemberScan {
     scan: exodus_storage::heap::HeapScan,
     /// Reused record arena: one allocation per batch refill instead of
@@ -1345,11 +1299,11 @@ mod tests {
             .store
             .create_object(&f.reg, &qty, person_v("ann", 30))
             .unwrap();
-        let (got_qty, owner, v) = f.store.get(oid).unwrap();
+        let (got_qty, owner, v) = f.store.get_at(oid, TS_LATEST).unwrap();
         assert_eq!(got_qty, qty);
         assert!(owner.is_null());
         assert_eq!(v, person_v("ann", 30));
-        assert!(f.store.exists(oid).unwrap());
+        assert!(f.store.exists_at(oid, TS_LATEST).unwrap());
     }
 
     #[test]
@@ -1424,8 +1378,8 @@ mod tests {
             )
             .unwrap();
         f.store.delete_object(&f.reg, d).unwrap();
-        assert!(!f.store.exists(d).unwrap());
-        let (_, _, v) = f.store.get(e).unwrap();
+        assert!(!f.store.exists_at(d, TS_LATEST).unwrap());
+        let (_, _, v) = f.store.get_at(e, TS_LATEST).unwrap();
         assert_eq!(v, employee_v("bob", 40, 50e3, Value::Null, vec![]));
     }
 
@@ -1463,10 +1417,10 @@ mod tests {
                 ),
             )
             .unwrap();
-        assert_eq!(f.store.owner_of(kid1).unwrap(), e);
+        assert_eq!(f.store.get_at(kid1, TS_LATEST).unwrap().1, e);
         f.store.delete_object(&f.reg, e).unwrap();
-        assert!(!f.store.exists(kid1).unwrap());
-        assert!(!f.store.exists(kid2).unwrap());
+        assert!(!f.store.exists_at(kid1, TS_LATEST).unwrap());
+        assert!(!f.store.exists_at(kid2, TS_LATEST).unwrap());
     }
 
     #[test]
@@ -1533,7 +1487,7 @@ mod tests {
             .set_value(&f.reg, e, employee_v("a", 40, 1e3, Value::Null, vec![]))
             .unwrap();
         assert!(
-            !f.store.exists(kid).unwrap(),
+            !f.store.exists_at(kid, TS_LATEST).unwrap(),
             "removed own-ref component dies"
         );
     }
@@ -1575,12 +1529,12 @@ mod tests {
         // Deleting d1 must not touch e; deleting d2 nulls e's dept.
         f.store.delete_object(&f.reg, d1).unwrap();
         assert_eq!(
-            f.store.get(e).unwrap().2,
+            f.store.get_at(e, TS_LATEST).unwrap().2,
             employee_v("bob", 40, 50e3, Value::Ref(d2), vec![])
         );
         f.store.delete_object(&f.reg, d2).unwrap();
         assert_eq!(
-            f.store.get(e).unwrap().2,
+            f.store.get_at(e, TS_LATEST).unwrap().2,
             employee_v("bob", 40, 50e3, Value::Null, vec![])
         );
     }
@@ -1600,9 +1554,12 @@ mod tests {
         assert_eq!(f.store.member_count(anchor).unwrap(), 10);
         let members: Vec<Value> = f
             .store
-            .scan_members(anchor)
+            .scan_members_batch_at(anchor, TS_LATEST)
             .unwrap()
-            .map(|r| r.unwrap().1)
+            .next_batch(64)
+            .unwrap()
+            .into_iter()
+            .map(|(_, v)| v)
             .collect();
         assert_eq!(members.len(), 10);
         assert_eq!(members[0], person_v("p0", 20));
@@ -1669,7 +1626,7 @@ mod tests {
         f.store
             .append_member(&f.reg, anchor, Value::Ref(e2))
             .unwrap();
-        assert_eq!(f.store.owner_of(e1).unwrap(), anchor);
+        assert_eq!(f.store.get_at(e1, TS_LATEST).unwrap().1, anchor);
         // Exclusivity across collections too.
         let other = f
             .store
@@ -1682,17 +1639,16 @@ mod tests {
         // Removing a member deletes the owned object.
         let rid = f
             .store
-            .scan_members(anchor)
+            .scan_members_batch_at(anchor, TS_LATEST)
             .unwrap()
-            .next()
-            .unwrap()
-            .unwrap()
+            .next_batch(1)
+            .unwrap()[0]
             .0;
         f.store.remove_member(&f.reg, anchor, rid).unwrap();
-        assert!(!f.store.exists(e1).unwrap());
+        assert!(!f.store.exists_at(e1, TS_LATEST).unwrap());
         // Destroying the collection cascades to remaining members.
         f.store.delete_object(&f.reg, anchor).unwrap();
-        assert!(!f.store.exists(e2).unwrap());
+        assert!(!f.store.exists_at(e2, TS_LATEST).unwrap());
     }
 
     #[test]
@@ -1710,15 +1666,22 @@ mod tests {
         // is: different objects.
         assert_ne!(Value::Ref(a), Value::Ref(b));
         // deep equality in the sense of [Banc86]: equal contents.
-        assert!(f.store.deep_eq(&Value::Ref(a), &Value::Ref(b)).unwrap());
+        assert!(f
+            .store
+            .deep_eq(&Value::Ref(a), &Value::Ref(b), TS_LATEST)
+            .unwrap());
         f.store.set_value(&f.reg, b, person_v("ann", 31)).unwrap();
-        assert!(!f.store.deep_eq(&Value::Ref(a), &Value::Ref(b)).unwrap());
+        assert!(!f
+            .store
+            .deep_eq(&Value::Ref(a), &Value::Ref(b), TS_LATEST)
+            .unwrap());
         // Sets compare order-insensitively.
         assert!(f
             .store
             .deep_eq(
                 &Value::Set(vec![Value::Int(1), Value::Int(2)]),
                 &Value::Set(vec![Value::Int(2), Value::Int(1)]),
+                TS_LATEST,
             )
             .unwrap());
     }
@@ -1729,9 +1692,15 @@ mod tests {
         let q = QualType::own(Type::varchar());
         let big = "x".repeat(50_000);
         let oid = f.store.create_object(&f.reg, &q, Value::str(&big)).unwrap();
-        assert_eq!(f.store.value_of(oid).unwrap(), Value::str(&big));
+        assert_eq!(
+            f.store.value_of_at(oid, TS_LATEST).unwrap(),
+            Value::str(&big)
+        );
         // Update back to small and re-read.
         f.store.set_value(&f.reg, oid, Value::str("small")).unwrap();
-        assert_eq!(f.store.value_of(oid).unwrap(), Value::str("small"));
+        assert_eq!(
+            f.store.value_of_at(oid, TS_LATEST).unwrap(),
+            Value::str("small")
+        );
     }
 }

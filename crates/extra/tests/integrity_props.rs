@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use exodus_storage::{Oid, StorageManager};
+use exodus_storage::{Oid, StorageManager, TS_LATEST};
 use extra_model::schema::InheritSpec;
 use extra_model::{Attribute, ModelError, ObjectStore, QualType, Type, TypeRegistry, Value};
 
@@ -85,7 +85,7 @@ impl World {
                 }
                 let a = self.live[a % self.live.len()];
                 let b = self.live[b % self.live.len()];
-                let (_, _, mut v) = self.store.get(a).unwrap();
+                let (_, _, mut v) = self.store.get_at(a, TS_LATEST).unwrap();
                 if let Value::Tuple(fields) = &mut v {
                     fields[1] = Value::Ref(b);
                 }
@@ -100,8 +100,8 @@ impl World {
                 if a == b {
                     return;
                 }
-                let (_, owner, _) = self.store.get(b).unwrap();
-                let (_, _, mut v) = self.store.get(a).unwrap();
+                let (_, owner, _) = self.store.get_at(b, TS_LATEST).unwrap();
+                let (_, _, mut v) = self.store.get_at(a, TS_LATEST).unwrap();
                 if let Value::Tuple(fields) = &mut v {
                     if matches!(fields[2], Value::Ref(_)) {
                         return; // already holds a part; replacing would kill it
@@ -129,17 +129,18 @@ impl World {
                 // Cascades may have taken others with it; recompute below.
             }
         }
-        self.live.retain(|o| self.store.exists(*o).unwrap());
+        self.live
+            .retain(|o| self.store.exists_at(*o, TS_LATEST).unwrap());
     }
 
     /// Invariants: every live object's `link` is live or null; every
     /// `part` is live, owned by exactly this object; owners are live.
     fn check(&self) {
         for &oid in &self.live {
-            let (_, owner, v) = self.store.get(oid).unwrap();
+            let (_, owner, v) = self.store.get_at(oid, TS_LATEST).unwrap();
             if !owner.is_null() {
                 assert!(
-                    self.store.exists(owner).unwrap(),
+                    self.store.exists_at(owner, TS_LATEST).unwrap(),
                     "{oid} has a dead owner {owner}"
                 );
             }
@@ -149,7 +150,7 @@ impl World {
             match &fields[1] {
                 Value::Null => {}
                 Value::Ref(t) => assert!(
-                    self.store.exists(*t).unwrap(),
+                    self.store.exists_at(*t, TS_LATEST).unwrap(),
                     "{oid} has a dangling ref {t}"
                 ),
                 other => panic!("bad link: {other:?}"),
@@ -157,8 +158,11 @@ impl World {
             match &fields[2] {
                 Value::Null => {}
                 Value::Ref(t) => {
-                    assert!(self.store.exists(*t).unwrap(), "{oid} owns a dead part {t}");
-                    let part_owner = self.store.owner_of(*t).unwrap();
+                    assert!(
+                        self.store.exists_at(*t, TS_LATEST).unwrap(),
+                        "{oid} owns a dead part {t}"
+                    );
+                    let part_owner = self.store.get_at(*t, TS_LATEST).unwrap().1;
                     assert_eq!(part_owner, oid, "exclusive ownership violated");
                 }
                 other => panic!("bad part: {other:?}"),
@@ -191,7 +195,7 @@ fn delete_cycle_of_refs_terminates() {
     w.check();
     assert_eq!(w.live.len(), 1);
     // Survivor's link was nulled.
-    let (_, _, v) = w.store.get(w.live[0]).unwrap();
+    let (_, _, v) = w.store.get_at(w.live[0], TS_LATEST).unwrap();
     match v {
         Value::Tuple(fields) => assert_eq!(fields[1], Value::Null),
         other => panic!("{other:?}"),

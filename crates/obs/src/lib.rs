@@ -33,7 +33,7 @@ pub mod metrics;
 pub mod trace;
 
 pub use metrics::{
-    validate_exposition, Counter, Gauge, Histogram, MetricSample, MetricsRegistry, MetricsSnapshot,
-    SampleValue, COUNT_BUCKETS, LATENCY_BUCKETS_NS,
+    json_escape, validate_exposition, Counter, Gauge, Histogram, MetricSample, MetricsRegistry,
+    MetricsSnapshot, SampleValue, COUNT_BUCKETS, LATENCY_BUCKETS_NS,
 };
 pub use trace::{RingTracer, SlowQuery, SlowQueryLog, Span, SpanGuard, TraceConfig, Tracer};

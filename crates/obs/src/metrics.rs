@@ -190,9 +190,15 @@ struct Entry {
     source: Source,
 }
 
-/// A set of named instruments. Registration happens once at subsystem
-/// wiring time (duplicate names panic — they are programming errors);
-/// after that the registry is only touched by [`MetricsRegistry::snapshot`].
+/// A set of named instruments. Registration happens at subsystem
+/// wiring time; after that the registry is only touched by
+/// [`MetricsRegistry::snapshot`]. Duplicate names panic — they are
+/// programming errors — with one exception: asking again for an owned
+/// instrument ([`MetricsRegistry::counter`], [`MetricsRegistry::gauge`],
+/// [`MetricsRegistry::histogram`]) under the same name, kind and help
+/// hands back the instrument already registered, so a subsystem wired a
+/// second time over one registry (a server re-spawned on its database)
+/// keeps counting into the same families.
 #[derive(Default)]
 pub struct MetricsRegistry {
     entries: Mutex<Vec<Entry>>,
@@ -210,6 +216,10 @@ impl MetricsRegistry {
             !entries.iter().any(|e| e.name == name),
             "duplicate metric name '{name}'"
         );
+        Self::push(&mut entries, name, help, source);
+    }
+
+    fn push(entries: &mut Vec<Entry>, name: &str, help: &str, source: Source) {
         assert!(!help.is_empty(), "metric '{name}' needs a help string");
         entries.push(Entry {
             name: name.to_string(),
@@ -218,11 +228,36 @@ impl MetricsRegistry {
         });
     }
 
-    /// Register and return a new owned counter.
+    /// The owned instrument registered as `name`, registering `fresh`
+    /// (as the `wrap` kind of source) when the name is new. `owned`
+    /// picks the instrument out of an existing entry when it has the
+    /// kind the caller asks for.
+    fn owned<T>(
+        &self,
+        name: &str,
+        help: &str,
+        fresh: T,
+        wrap: fn(Arc<T>) -> Source,
+        owned: impl Fn(&Source) -> Option<&Arc<T>>,
+    ) -> Arc<T> {
+        let mut entries = self.entries.lock().expect("metrics registry lock");
+        if let Some(e) = entries.iter().find(|e| e.name == name) {
+            return owned(&e.source)
+                .filter(|_| e.help == help)
+                .unwrap_or_else(|| panic!("duplicate metric name '{name}'"))
+                .clone();
+        }
+        let instrument = Arc::new(fresh);
+        Self::push(&mut entries, name, help, wrap(instrument.clone()));
+        instrument
+    }
+
+    /// Register and return an owned counter.
     pub fn counter(&self, name: &str, help: &str) -> Arc<Counter> {
-        let c = Arc::new(Counter::new());
-        self.register(name, help, Source::Counter(c.clone()));
-        c
+        self.owned(name, help, Counter::new(), Source::Counter, |s| match s {
+            Source::Counter(c) => Some(c),
+            _ => None,
+        })
     }
 
     /// Register a counter whose value is computed by `f` at snapshot
@@ -232,11 +267,12 @@ impl MetricsRegistry {
         self.register(name, help, Source::CounterFn(Box::new(f)));
     }
 
-    /// Register and return a new owned gauge.
+    /// Register and return an owned gauge.
     pub fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
-        let g = Arc::new(Gauge::new());
-        self.register(name, help, Source::Gauge(g.clone()));
-        g
+        self.owned(name, help, Gauge::new(), Source::Gauge, |s| match s {
+            Source::Gauge(g) => Some(g),
+            _ => None,
+        })
     }
 
     /// Register a gauge whose value is computed by `f` at snapshot time.
@@ -244,11 +280,13 @@ impl MetricsRegistry {
         self.register(name, help, Source::GaugeFn(Box::new(f)));
     }
 
-    /// Register and return a new owned histogram over `bounds`.
+    /// Register and return an owned histogram over `bounds`.
     pub fn histogram(&self, name: &str, help: &str, bounds: &'static [u64]) -> Arc<Histogram> {
-        let h = Arc::new(Histogram::new(bounds));
-        self.register(name, help, Source::Histogram(h.clone()));
-        h
+        let fresh = Histogram::new(bounds);
+        self.owned(name, help, fresh, Source::Histogram, |s| match s {
+            Source::Histogram(h) if h.bounds == bounds => Some(h),
+            _ => None,
+        })
     }
 
     /// Register a histogram the caller already owns (a subsystem that
@@ -529,7 +567,10 @@ pub struct MetricsSnapshot {
     pub metrics: Vec<MetricSample>,
 }
 
-fn json_escape(s: &str) -> String {
+/// Escape `s` for embedding between the quotes of a JSON string
+/// literal — the one escaper every hand-rolled JSON encoder in the
+/// workspace shares.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -962,6 +1003,14 @@ mod tests {
             MetricsSnapshot::counter_deltas(&before, &after),
             vec![("demo_events_total".to_string(), 5)]
         );
+    }
+
+    #[test]
+    fn re_registering_an_owned_instrument_shares_it() {
+        let reg = MetricsRegistry::new();
+        reg.counter("x_total", "X.").add(2);
+        reg.counter("x_total", "X.").add(3);
+        assert_eq!(reg.snapshot().counter("x_total"), Some(5));
     }
 
     #[test]

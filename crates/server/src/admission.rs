@@ -153,8 +153,7 @@ pub struct Admission {
 /// start of the current window, so quantiles can be computed over the
 /// difference (= observations made during the window alone).
 struct GovernorWindow {
-    /// Cumulative `(bound, count)` pairs at the window start; empty
-    /// means "all zeros" (the initial window).
+    /// Cumulative `(bound, count)` pairs at the window start.
     base: Vec<(u64, u64)>,
     started: Instant,
 }
@@ -183,15 +182,19 @@ impl std::fmt::Debug for StatementSlot {
 
 impl Admission {
     /// Build admission state over `config`, registering metric
-    /// families in `registry`.
+    /// families in `registry` — or, when an earlier server on the same
+    /// registry already did, counting on into those.
     pub fn new(config: AdmissionConfig, registry: Arc<MetricsRegistry>) -> Arc<Admission> {
+        let metrics = ServerMetrics::register(registry);
+        // An earlier server's observations are not this governor's.
+        let base = metrics.statement_ns.cumulative();
         Arc::new(Admission {
             config,
-            metrics: ServerMetrics::register(registry),
+            metrics,
             active_connections: AtomicU64::new(0),
             inflight: AtomicU64::new(0),
             governor: Mutex::new(GovernorWindow {
-                base: Vec::new(),
+                base,
                 started: Instant::now(),
             }),
         })

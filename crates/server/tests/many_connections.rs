@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use exodus_db::{validate_exposition, Client, Database, DbError};
 use exodus_server::{AdmissionConfig, RemoteSession, Server, TcpTransport};
 
-fn serve(config: AdmissionConfig) -> Server {
+fn log_db() -> Arc<Database> {
     let db = Database::in_memory();
     db.session()
         .run(
@@ -18,7 +18,15 @@ fn serve(config: AdmissionConfig) -> Server {
         "#,
         )
         .unwrap();
+    db
+}
+
+fn serve_db(db: Arc<Database>, config: AdmissionConfig) -> Server {
     Server::spawn(db, TcpTransport::bind("127.0.0.1:0").unwrap(), config).unwrap()
+}
+
+fn serve(config: AdmissionConfig) -> Server {
+    serve_db(log_db(), config)
 }
 
 /// Poll until `probe` is true or the deadline passes (worker threads
@@ -175,6 +183,7 @@ fn http_scrape_returns_valid_exposition_with_server_families() {
     for family in [
         "server_connections_total",
         "server_active_connections",
+        "server_shed_connections_total",
         "server_statements_total",
         "server_shed_statements_total",
         "server_statement_ns",
@@ -242,6 +251,41 @@ fn http_scrape_serves_json_by_path_and_accept_header() {
     let (head, body) = fetch(b"GET /metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
     assert!(head.contains("text/plain; version=0.0.4"), "{head}");
     validate_exposition(&body).expect("a valid Prometheus exposition");
+}
+
+/// One database can be served again after its server is gone: the
+/// second `spawn` finds the `server_*` families already in the
+/// database's registry and counts on into them.
+#[test]
+fn a_server_can_be_respawned_on_the_same_database() {
+    use std::io::{Read, Write};
+
+    let db = log_db();
+    let first = serve_db(Arc::clone(&db), AdmissionConfig::default());
+    RemoteSession::connect(first.addr(), "admin")
+        .unwrap()
+        .run(r#"append to Log (tag = "first", n = 1)"#)
+        .unwrap();
+    drop(first);
+
+    let second = serve_db(db, AdmissionConfig::default());
+    RemoteSession::connect(second.addr(), "admin")
+        .unwrap()
+        .run(r#"append to Log (tag = "second", n = 2)"#)
+        .unwrap();
+
+    let mut http = std::net::TcpStream::connect(second.addr()).unwrap();
+    http.write_all(b"GET /metrics HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let mut response = String::new();
+    http.read_to_string(&mut response).unwrap();
+    let (head, body) = response.split_once("\r\n\r\n").expect("HTTP head/body");
+    assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+    validate_exposition(body).expect("a valid Prometheus exposition");
+    assert!(
+        body.lines().any(|l| l == "server_statements_total 2"),
+        "both servers' statements land in one family:\n{body}"
+    );
 }
 
 #[test]

@@ -288,12 +288,12 @@ impl<'a> SlottedPage<'a> {
         HEADER_SIZE + self.slot_count() as usize * SLOT_SIZE
     }
 
-    /// Bytes of contiguous free space available for one more record plus its
-    /// slot entry.
+    /// Bytes of contiguous free space between the slot directory and the
+    /// lowest record. A new record needs its length **plus** the 4 bytes
+    /// of its slot entry; callers add those to what they ask for, so a
+    /// gap narrower than a slot entry shows up as the deficit it is.
     pub fn free_space(&self) -> usize {
-        (self.free_ptr() as usize)
-            .saturating_sub(self.slot_dir_end())
-            .saturating_sub(SLOT_SIZE)
+        (self.free_ptr() as usize).saturating_sub(self.slot_dir_end())
     }
 
     /// Total reclaimable bytes (contiguous free space plus dead-record
@@ -328,8 +328,9 @@ impl<'a> SlottedPage<'a> {
         if data.len() > Self::MAX_RECORD {
             return Err(StorageError::RecordTooLarge(data.len()));
         }
-        if self.free_space() < data.len() {
-            if self.reclaimable_space() >= data.len() {
+        let need = data.len() + SLOT_SIZE;
+        if self.free_space() < need {
+            if self.reclaimable_space() >= need {
                 self.compact();
             } else {
                 return Err(StorageError::RecordTooLarge(data.len()));
@@ -347,7 +348,7 @@ impl<'a> SlottedPage<'a> {
     /// Whether an insert of `len` bytes would succeed.
     pub fn can_fit(&self, len: usize) -> bool {
         len <= Self::MAX_RECORD
-            && self.reclaimable_space() >= len
+            && self.reclaimable_space() >= len + SLOT_SIZE
             && self.slot_count() < u16::MAX - 1
     }
 
@@ -409,18 +410,14 @@ impl<'a> SlottedPage<'a> {
         // Need more room: logically delete, then try to re-insert reusing
         // the same slot id.
         self.set_slot(slot, DEAD_SLOT, len);
-        if self.free_space() + SLOT_SIZE < data.len() {
-            if self.reclaimable_space() + SLOT_SIZE >= data.len() {
+        if self.free_space() < data.len() {
+            if self.reclaimable_space() >= data.len() {
                 self.compact();
             } else {
                 // Restore and report no-fit.
                 self.set_slot(slot, off, len);
                 return Ok(false);
             }
-        }
-        if self.free_space() + SLOT_SIZE < data.len() {
-            self.set_slot(slot, off, len);
-            return Ok(false);
         }
         let new_free = self.free_ptr() as usize - data.len();
         self.buf[new_free..new_free + data.len()].copy_from_slice(data);
@@ -552,6 +549,38 @@ mod tests {
         }
     }
 
+    /// A page whose contiguous gap is narrower than a slot entry (0–3
+    /// bytes) but whose dead space covers the record: the insert must
+    /// either be refused or leave every live record and the new one
+    /// byte-intact — never lay the new slot entry over the record.
+    #[test]
+    fn insert_into_a_gap_narrower_than_a_slot_entry() {
+        for gap in 0..SLOT_SIZE {
+            let mut buf = fresh();
+            let mut p = SlottedPage::format(&mut buf[..], PageKind::Heap);
+            let victim = p.insert(&[0xEE; 100]).unwrap();
+            let mut live: Vec<(u16, Vec<u8>)> = Vec::new();
+            for i in 0..77u8 {
+                let rec = vec![i; 100];
+                live.push((p.insert(&rec).unwrap(), rec));
+            }
+            // The last record leaves exactly `gap` contiguous bytes.
+            let contiguous = p.free_ptr() as usize - p.slot_dir_end();
+            let last = vec![0x77; contiguous - SLOT_SIZE - gap];
+            live.push((p.insert(&last).unwrap(), last));
+            assert_eq!(p.free_ptr() as usize - p.slot_dir_end(), gap);
+            p.delete(0, victim).unwrap();
+
+            let new = [0xAB; 100];
+            if let Ok(slot) = p.insert(&new) {
+                assert_eq!(p.read(0, slot).unwrap(), &new[..], "gap {gap}");
+            }
+            for (slot, rec) in &live {
+                assert_eq!(p.read(0, *slot).unwrap(), &rec[..], "gap {gap}");
+            }
+        }
+    }
+
     #[test]
     fn update_grow_and_shrink() {
         let mut buf = fresh();
@@ -608,59 +637,87 @@ mod proptests {
     #[derive(Debug, Clone)]
     enum Op {
         Insert(Vec<u8>),
+        /// Insert a record that leaves exactly this many contiguous
+        /// free bytes (when the page has room for one).
+        FillTo(usize),
+        /// Insert a record as long as an earlier deleted one — the size
+        /// a compaction frees exactly.
+        InsertFreed(usize),
         Delete(usize),
         Update(usize, Vec<u8>),
+        Compact,
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
         prop_oneof![
             proptest::collection::vec(any::<u8>(), 0..300).prop_map(Op::Insert),
+            (0usize..8).prop_map(Op::FillTo),
+            (0usize..64).prop_map(Op::InsertFreed),
             (0usize..64).prop_map(Op::Delete),
             ((0usize..64), proptest::collection::vec(any::<u8>(), 0..300))
                 .prop_map(|(s, d)| Op::Update(s, d)),
+            Just(Op::Compact),
         ]
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Random insert/delete/update sequences agree with a Vec model,
-        /// and all live records survive compaction.
+        /// Random insert/delete/update/compact sequences, steered at
+        /// nearly-full pages, agree with a Vec model: `can_fit` and
+        /// `insert` agree, and every live record reads back unchanged
+        /// after every step.
         #[test]
         fn page_matches_model(ops in proptest::collection::vec(op_strategy(), 1..80)) {
             let mut buf = Box::new([0u8; PAGE_SIZE]);
             let mut page = SlottedPage::format(&mut buf[..], PageKind::Heap);
             // model[slot] = Some(bytes) while live.
             let mut model: Vec<Option<Vec<u8>>> = Vec::new();
+            // Lengths of the records deleted so far.
+            let mut freed: Vec<usize> = Vec::new();
             for op in ops {
-                match op {
-                    Op::Insert(data) => {
-                        if page.can_fit(data.len()) {
-                            let slot = page.insert(&data).unwrap();
+                let insert = match op {
+                    Op::Insert(data) => Some(data),
+                    Op::FillTo(gap) => (page.free_ptr() as usize - page.slot_dir_end())
+                        .checked_sub(SLOT_SIZE + gap)
+                        .map(|len| vec![0x5A; len]),
+                    Op::InsertFreed(i) => {
+                        (!freed.is_empty()).then(|| vec![0xA5; freed[i % freed.len()]])
+                    }
+                    Op::Delete(i) if !model.is_empty() => {
+                        let slot = i % model.len();
+                        let got = page.delete(0, slot as u16).is_ok();
+                        prop_assert_eq!(got, model[slot].is_some());
+                        freed.extend(model[slot].take().map(|data| data.len()));
+                        None
+                    }
+                    Op::Update(i, data) if !model.is_empty() => {
+                        let slot = i % model.len();
+                        match (page.update(0, slot as u16, &data), &model[slot]) {
+                            (Ok(true), Some(_)) => model[slot] = Some(data),
+                            (Ok(false), Some(_)) => { /* no room; record unchanged */ }
+                            (Err(_), None) => {}
+                            (got, _) => {
+                                return Err(TestCaseError::fail(format!("slot {slot}: {got:?}")))
+                            }
+                        }
+                        None
+                    }
+                    Op::Delete(_) | Op::Update(..) => None,
+                    Op::Compact => {
+                        page.compact();
+                        None
+                    }
+                };
+                if let Some(data) = insert {
+                    let fits = page.can_fit(data.len());
+                    match page.insert(&data) {
+                        Ok(slot) => {
+                            prop_assert!(fits, "insert succeeded where can_fit said no");
                             prop_assert_eq!(slot as usize, model.len());
                             model.push(Some(data));
                         }
-                    }
-                    Op::Delete(i) => {
-                        if model.is_empty() { continue; }
-                        let slot = i % model.len();
-                        let expect_ok = model[slot].is_some();
-                        let got = page.delete(0, slot as u16).is_ok();
-                        prop_assert_eq!(got, expect_ok);
-                        model[slot] = None;
-                    }
-                    Op::Update(i, data) => {
-                        if model.is_empty() { continue; }
-                        let slot = i % model.len();
-                        if model[slot].is_none() {
-                            prop_assert!(page.update(0, slot as u16, &data).is_err());
-                            continue;
-                        }
-                        match page.update(0, slot as u16, &data) {
-                            Ok(true) => { model[slot] = Some(data); }
-                            Ok(false) => { /* no room; record unchanged */ }
-                            Err(e) => return Err(TestCaseError::fail(format!("{e}"))),
-                        }
+                        Err(_) => prop_assert!(!fits, "insert failed where can_fit said yes"),
                     }
                 }
                 // Full-state check.
@@ -669,13 +726,6 @@ mod proptests {
                         Some(data) => prop_assert_eq!(page.read(0, slot as u16).unwrap(), &data[..]),
                         None => prop_assert!(page.read(0, slot as u16).is_err()),
                     }
-                }
-            }
-            // Compaction preserves every live record.
-            page.compact();
-            for (slot, expect) in model.iter().enumerate() {
-                if let Some(data) = expect {
-                    prop_assert_eq!(page.read(0, slot as u16).unwrap(), &data[..]);
                 }
             }
         }

@@ -7,7 +7,7 @@
 //! error codes and retryability, same rendered plans. This is the
 //! contract that keeps local and remote behavior from drifting.
 
-use exodus_db::{Client, Database, DbError, Response};
+use exodus_db::{Client, Database, DbError, Response, Value};
 use exodus_server::{AdmissionConfig, RemoteSession, Server, TcpTransport};
 
 /// Schema and data shared by every scenario.
@@ -223,6 +223,7 @@ fn observe_reports_the_statement_and_its_effects() {
             "observation should count the rows the statement produced: {:?}",
             obs.counters
         );
+        assert!(obs.elapsed_ns > 0, "observation lost its timing");
         vec![Outcome::Ran(vec![render_response(&obs.response)])]
     });
 }
@@ -341,6 +342,31 @@ fn remote_sessions_appear_as_wire_sessions() {
     );
     assert_eq!(rows[0][2].to_string(), "\"admitted\"");
     assert_eq!(rows[0][3].to_string(), "\"admin\"");
+
+    // The row is live — it counts the statements this connection was
+    // served (SETUP's five and the retrieve above) — and the server's
+    // own families reach `sys.metrics` through the shared registry.
+    let served = remote
+        .query("retrieve (s.statements) from s in sys.sessions")
+        .unwrap()
+        .rows;
+    assert!(
+        matches!(served[0][0], Value::Int(n) if n > 5),
+        "{:?}",
+        served[0]
+    );
+    let counted = remote
+        .query(
+            r#"retrieve (m.count) from m in sys.metrics where m.name = "server_statements_total""#,
+        )
+        .unwrap()
+        .rows;
+    assert_eq!(counted.len(), 1, "server families reach sys.metrics");
+    assert!(
+        matches!(counted[0][0], Value::Int(n) if n > 0),
+        "{:?}",
+        counted[0]
+    );
 }
 
 #[test]

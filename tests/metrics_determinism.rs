@@ -14,8 +14,69 @@
 //! whose pin pattern legitimately depends on which worker claims which
 //! morsel.
 
-use exodus_bench::{university_with, DeptMode};
-use exodus_db::MetricsSnapshot;
+use std::sync::Arc;
+
+use extra_excess::storage::StorageManager;
+use extra_excess::{Database, MetricsSnapshot, Value};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// `n_emps` employees (no kids, `dept: ref Department`) over `n_depts`
+/// departments in a 64Ki-page in-memory pool, at `workers` worker
+/// threads. Seeded, so every call at one scale loads identical data —
+/// the counter values pinned below depend on this exact draw order.
+fn university(n_depts: usize, n_emps: usize, workers: usize) -> Arc<Database> {
+    let db = Database::builder()
+        .storage(StorageManager::in_memory(65_536))
+        .worker_threads(workers)
+        .build()
+        .unwrap();
+    db.run(
+        r#"
+        define type Department (dname: varchar, floor: int4, budget: float8);
+        define type Person (name: varchar, age: int4, kids: { own Person });
+        define type Employee inherits Person (dept: ref Department, salary: float8, hired: Date);
+        create { own ref Department } Departments;
+        create { own ref Employee } Employees;
+        "#,
+    )
+    .unwrap();
+    let depts = (0..n_depts)
+        .map(|i| {
+            Value::Tuple(vec![
+                Value::Str(format!("dept{i:04}")),
+                Value::Int((i % 10) as i64 + 1),
+                Value::Float(50_000.0 + (i as f64) * 1000.0),
+            ])
+        })
+        .collect();
+    let dept_oids = db.bulk_append("Departments", depts).unwrap();
+
+    let mut rng = StdRng::seed_from_u64(0x0EC0DE5);
+    let adts = extra_excess::model::AdtRegistry::with_builtins();
+    let date_id = adts.lookup("Date").unwrap();
+    let emps = (0..n_emps)
+        .map(|i| {
+            let dept = dept_oids[rng.gen_range(0..n_depts)];
+            let year = 1950 + rng.gen_range(0..45u32);
+            let month = rng.gen_range(1..13u32);
+            let day = rng.gen_range(1..29u32);
+            let hired = adts
+                .parse(date_id, &format!("{month}/{day}/{year}"))
+                .unwrap();
+            Value::Tuple(vec![
+                Value::Str(format!("emp{i:06}")),
+                Value::Int(rng.gen_range(20..65)),
+                Value::Set(vec![]),
+                Value::Ref(dept),
+                Value::Float(20_000.0 + rng.gen_range(0..80_000) as f64),
+                hired,
+            ])
+        })
+        .collect();
+    db.bulk_append("Employees", emps).unwrap();
+    db
+}
 
 /// Deref-free selection over the 10k-member snapshot (~1.4%
 /// selectivity).
@@ -28,20 +89,18 @@ const ROWS: usize = 140;
 /// warm-up execution (the warm-up lets DOP > 1 build the partition
 /// chain cache, whose one-time page walk is a real, documented cost).
 fn workload_deltas(dop: usize) -> Vec<(String, u64)> {
-    let u = university_with(20, 10_000, 0, DeptMode::Ref, 65_536, |b| {
-        b.worker_threads(dop)
-    });
-    let mut s = u.db.session();
+    let db = university(20, 10_000, dop);
+    let mut s = db.session();
     s.run("range of E is Employees").unwrap();
     s.run("retrieve into Snap (sal = E.salary) from E in Employees")
         .unwrap();
     s.run("range of S is Snap").unwrap();
     s.query(Q).unwrap();
-    let before = u.db.metrics_snapshot().unwrap();
+    let before = db.metrics_snapshot().unwrap();
     for _ in 0..3 {
         assert_eq!(s.query(Q).unwrap().rows.len(), ROWS);
     }
-    let after = u.db.metrics_snapshot().unwrap();
+    let after = db.metrics_snapshot().unwrap();
     after
         .check_monotonic_since(&before)
         .expect("counters moved backwards");
@@ -166,12 +225,12 @@ fn deref_cache_counters_pinned() {
             .unwrap_or(0)
     };
     let deltas = |n_depts: usize, n_emps: usize, q: &str, rows: usize| {
-        let u = university_with(n_depts, n_emps, 0, DeptMode::Ref, 65_536, |b| b);
-        let mut s = u.db.session();
+        let db = university(n_depts, n_emps, 1);
+        let mut s = db.session();
         s.run("range of E is Employees").unwrap();
-        let before = u.db.metrics_snapshot().unwrap();
+        let before = db.metrics_snapshot().unwrap();
         assert_eq!(s.query(q).unwrap().rows.len(), rows);
-        let after = u.db.metrics_snapshot().unwrap();
+        let after = db.metrics_snapshot().unwrap();
         MetricsSnapshot::counter_deltas(&before, &after)
     };
 
@@ -194,4 +253,32 @@ fn deref_cache_counters_pinned() {
     assert_eq!(counter(&d, "exec_deref_cache_hits_total"), 1_394);
     assert_eq!(counter(&d, "exec_deref_cache_misses_total"), 8_606);
     assert_eq!(counter(&d, "exec_deref_cache_full_total"), 4_510);
+}
+
+/// The ref-chasing path aggregate — worker-local deref caches and all —
+/// returns the same answer at DOP 1 and DOP 4, the DOP-4 run really
+/// went through the morsel queue, and further work only moves the
+/// whole-database snapshot forward.
+#[test]
+fn path_aggregate_agrees_at_dop_1_and_4() {
+    let q = "retrieve (sum(E.dept.budget over E))";
+    let serial = university(20, 10_000, 1);
+    let parallel = university(20, 10_000, 4);
+    let mut s1 = serial.session();
+    let mut s4 = parallel.session();
+    s1.run("range of E is Employees").unwrap();
+    s4.run("range of E is Employees").unwrap();
+    assert_eq!(s1.query(q).unwrap().rows, s4.query(q).unwrap().rows);
+
+    let snap = parallel.metrics_snapshot().unwrap();
+    assert!(
+        snap.counter("exec_morsels_total").unwrap() > 0,
+        "the DOP-4 run claimed no morsels"
+    );
+    s4.query(q).unwrap();
+    parallel
+        .metrics_snapshot()
+        .unwrap()
+        .check_monotonic_since(&snap)
+        .expect("counters moved backwards");
 }

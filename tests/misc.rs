@@ -260,3 +260,63 @@ fn unknown_user_has_no_rights() {
     let err = ghost.query("retrieve (V.x) from V in Ts").unwrap_err();
     assert!(matches!(err, extra_excess::DbError::Auth(_)), "{err}");
 }
+
+/// Path expressions read the same through an embedded (`own`) copy and
+/// through a chain of references three hops deep.
+#[test]
+fn paths_cross_embedded_copies_and_reference_chains() {
+    let db = Database::in_memory();
+    let mut s = db.session();
+    s.run(
+        r#"
+        define type Department (dname: varchar, budget: float8);
+        define type Employee (name: varchar, dept: Department);
+        create { own ref Employee } Employees;
+
+        define type L3 (tag: int4);
+        define type L2 (tag: int4, next: ref L3);
+        define type L1 (tag: int4, next: ref L2);
+        define type L0 (tag: int4, next: ref L1);
+        create { own ref L3 } C3;
+        create { own ref L2 } C2;
+        create { own ref L1 } C1;
+        create { own ref L0 } C0;
+    "#,
+    )
+    .unwrap();
+    let employee = |name: &str, dname: &str, budget: f64| {
+        let dept = Value::Tuple(vec![Value::str(dname), Value::Float(budget)]);
+        Value::Tuple(vec![Value::str(name), dept])
+    };
+    db.bulk_append(
+        "Employees",
+        vec![
+            employee("ann", "toys", 100.0),
+            employee("bob", "shoes", 300.0),
+        ],
+    )
+    .unwrap();
+    let r = s
+        .query("retrieve (avg(E.dept.budget over E)) from E in Employees")
+        .unwrap();
+    assert_eq!(r.rows, vec![vec![Value::Float(200.0)]]);
+
+    // Load the chain bottom-up, wiring level i's object k to level
+    // i+1's object k.
+    let mut next: Vec<Value> = Vec::new();
+    for level in (0..=3).rev() {
+        let rows = (0..50)
+            .map(|k| {
+                let mut fields = vec![Value::Int(k)];
+                fields.extend(next.get(k as usize).cloned());
+                Value::Tuple(fields)
+            })
+            .collect();
+        let oids = db.bulk_append(&format!("C{level}"), rows).unwrap();
+        next = oids.into_iter().map(Value::Ref).collect();
+    }
+    let r = s
+        .query("retrieve (X.next.next.next.tag) from X in C0 where X.tag = 7")
+        .unwrap();
+    assert_eq!(r.rows, vec![vec![Value::Int(7)]]);
+}

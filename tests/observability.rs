@@ -98,6 +98,32 @@ fn recovery_counters_match_the_report() {
     assert!(snap.counter("storage_wal_fsyncs_total").unwrap() > 0);
     assert!(snap.counter("storage_pool_hits_total").unwrap() > 0);
     drop(s);
+
+    // Concurrent durable commits batch, never multiply, fsyncs: each
+    // commit flushes once and followers ride the leader's fsync, so the
+    // fsync count is at most the commit count (equality = no overlap,
+    // legal on an idle host).
+    std::thread::scope(|scope| {
+        for w in 0..4 {
+            let db = &db;
+            scope.spawn(move || {
+                let mut s = db.session();
+                for _ in 0..20 {
+                    s.run(&format!(r#"append to Crews (name = "w{w}")"#))
+                        .unwrap();
+                }
+            });
+        }
+    });
+    let after = db.metrics_snapshot().unwrap();
+    let delta = |name: &str| after.counter(name).unwrap() - snap.counter(name).unwrap();
+    let committed = delta("storage_txn_committed_total");
+    let fsyncs = delta("storage_wal_fsyncs_total");
+    assert!(committed >= 80, "80 appends committed only {committed}");
+    assert!(
+        fsyncs <= committed,
+        "group commit regressed: {fsyncs} fsyncs for {committed} commits"
+    );
     drop(db);
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -372,7 +398,8 @@ fn observe_and_explain_refuse_transaction_control() {
 fn metrics_catalogue_matches_design_doc() {
     use std::collections::BTreeSet;
 
-    let design = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/DESIGN.md")).unwrap();
+    let design =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/DESIGN.md")).unwrap();
     let block = design
         .split("```metric-catalogue")
         .nth(1)
