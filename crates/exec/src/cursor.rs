@@ -747,7 +747,9 @@ enum ScanKind<'p> {
     /// system-view provider. Members load once per cursor open — that
     /// single `load_members` call *is* the consistent snapshot a sys
     /// scan guarantees (replayed unchanged for every input row).
-    System { view: &'p str },
+    System {
+        view: &'p str,
+    },
 }
 
 /// A collection scan joined against its input rows. Members are fetched
@@ -817,9 +819,10 @@ impl ScanCursor<'_> {
                 }
             }
             ScanKind::System { view } => {
-                let rows = ctx.catalog.system_view_rows(view).ok_or_else(|| {
-                    ModelError::Semantic(format!("no system view 'sys.{view}'"))
-                })?;
+                let rows = ctx
+                    .catalog
+                    .system_view_rows(view)
+                    .ok_or_else(|| ModelError::Semantic(format!("no system view 'sys.{view}'")))?;
                 out.extend(rows.into_iter().map(|v| (v, MemberId::None)));
             }
         }

@@ -352,9 +352,7 @@ impl CatalogLookup for CatalogView<'_> {
     }
 
     fn system_views(&self) -> Vec<SystemViewDef> {
-        self.db
-            .map(|db| db.system_view_defs())
-            .unwrap_or_default()
+        self.db.map(|db| db.system_view_defs()).unwrap_or_default()
     }
 }
 

@@ -344,18 +344,18 @@ impl SystemView for CollectionsView {
                 let members = cx.db.store.member_count(obj.oid).unwrap_or(0) as i64;
                 let stats = cx.cat.stats.get(name);
                 let (analyzed, rows, attrs) = match stats {
-                    Some(e) => (
-                        true,
-                        e.stats.row_count as i64,
-                        e.stats.attrs.len() as i64,
-                    ),
+                    Some(e) => (true, e.stats.row_count as i64, e.stats.attrs.len() as i64),
                     None => (false, 0, 0),
                 };
                 Value::Tuple(vec![
                     Value::str(name),
                     Value::Int(members),
                     Value::Bool(analyzed),
-                    if analyzed { Value::Int(rows) } else { Value::Null },
+                    if analyzed {
+                        Value::Int(rows)
+                    } else {
+                        Value::Null
+                    },
                     Value::Int(attrs),
                     Value::Bool(analyzed && rows == members),
                 ])
@@ -429,7 +429,9 @@ impl SystemView for TraceSpansView {
             .map(|s| {
                 Value::Tuple(vec![
                     Value::Int(s.id as i64),
-                    s.parent.map(|p| Value::Int(p as i64)).unwrap_or(Value::Null),
+                    s.parent
+                        .map(|p| Value::Int(p as i64))
+                        .unwrap_or(Value::Null),
                     Value::str(s.name),
                     Value::str(&s.detail),
                     Value::Int(s.start_ns as i64),
@@ -484,11 +486,7 @@ impl SystemView for ReplicationView {
         // Primary side: peek at the source without blocking. A held
         // lock (a replication poll in flight) or no live source both
         // report a bare primary row.
-        let source = cx
-            .db
-            .repl
-            .try_lock()
-            .and_then(|slot| slot.source.upgrade());
+        let source = cx.db.repl.try_lock().and_then(|slot| slot.source.upgrade());
         match source {
             Some(src) => vec![Value::Tuple(vec![
                 Value::str("primary"),
@@ -596,7 +594,10 @@ impl Database {
             arities.insert(v.name(), v.fields().len());
         }
         for v in &views {
-            let cx = SysCtx { db: self, cat: &cat };
+            let cx = SysCtx {
+                db: self,
+                cat: &cat,
+            };
             for row in v.rows(&cx) {
                 match row {
                     Value::Tuple(fields) if fields.len() == arities[v.name()] => {}

@@ -631,14 +631,20 @@ fn serve_http_scrape(conn: &mut dyn Conn, admission: &Arc<Admission>) {
             l.starts_with("accept:") && l.contains("application/json")
         });
     let is_metrics = |p: &str| {
-        p == "/metrics" || p.starts_with("/metrics?") || p == "/metrics.json"
+        p == "/metrics"
+            || p.starts_with("/metrics?")
+            || p == "/metrics.json"
             || p.starts_with("/metrics.json?")
     };
     let (status, content_type, body) = if is_metrics(path) {
         admission.metrics().metrics_scrapes_total.inc();
         let snapshot = admission.metrics().registry.snapshot();
         if wants_json {
-            ("200 OK", "application/json; charset=utf-8", snapshot.to_json())
+            (
+                "200 OK",
+                "application/json; charset=utf-8",
+                snapshot.to_json(),
+            )
         } else {
             (
                 "200 OK",

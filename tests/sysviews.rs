@@ -70,7 +70,9 @@ fn views_compose_with_the_query_surface() {
 
     // Aggregate over a system scan.
     let r = s
-        .query(r#"retrieve (count(m.name over m)) from m in sys.metrics where m.kind = "histogram""#)
+        .query(
+            r#"retrieve (count(m.name over m)) from m in sys.metrics where m.kind = "histogram""#,
+        )
         .unwrap();
     let Value::Int(histograms) = r.rows[0][0] else {
         panic!("count did not produce an int");
@@ -99,7 +101,8 @@ fn views_compose_with_the_query_surface() {
         r.rows,
         vec![vec![Value::Bool(true), Value::Int(3), Value::Bool(true)]]
     );
-    s.run(r#"append to People (name = "dot", age = 63)"#).unwrap();
+    s.run(r#"append to People (name = "dot", age = 63)"#)
+        .unwrap();
     let r = s
         .query("retrieve (c.members, c.fresh) from c in sys.collections")
         .unwrap();
@@ -200,7 +203,9 @@ fn sessions_and_slow_queries_are_attributable() {
 
     // sys.trace_spans surfaces the ring, filterable by span name.
     let r = admin
-        .query(r#"retrieve (count(t.id over t)) from t in sys.trace_spans where t.name = "statement""#)
+        .query(
+            r#"retrieve (count(t.id over t)) from t in sys.trace_spans where t.name = "statement""#,
+        )
         .unwrap();
     let Value::Int(statements) = r.rows[0][0] else {
         panic!("span count is not an int")
