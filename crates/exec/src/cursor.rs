@@ -610,8 +610,6 @@ fn coerce_key(v: &Value, ty: &extra_model::Type) -> Value {
 
 impl IndexJoinCursor<'_> {
     fn next(&mut self, ctx: &ExecCtx<'_>) -> ModelResult<Option<RowBatch>> {
-        let cap = ctx.batch_size.max(1);
-        let tree = BTree::open(self.root);
         loop {
             let Some(batch) = self.input.next(ctx)? else {
                 return Ok(None);
@@ -630,34 +628,15 @@ impl IndexJoinCursor<'_> {
                 let Some(kb) = kv.key_encode(ctx.adts) else {
                     continue;
                 };
-                let pool = ctx.store.storage().pool().clone();
-                let mut scan = tree.scan(
-                    pool,
-                    std::ops::Bound::Included(kb.clone()),
-                    std::ops::Bound::Included(kb),
-                );
-                loop {
-                    let chunk = scan.next_batch(cap)?;
-                    if chunk.is_empty() {
-                        break;
-                    }
-                    for (_, packed) in chunk {
-                        let rid = RecordId::unpack(packed);
-                        // Index entries may reference versions outside
-                        // this snapshot; the visibility check skips them.
-                        let Some(bytes) = exodus_storage::heap::read_record_visible(
-                            ctx.store.storage().pool(),
-                            rid,
-                            ctx.snapshot,
-                        )?
-                        else {
-                            continue;
-                        };
-                        let value = extra_model::valueio::from_bytes(&bytes)?;
-                        let (value, id) = member_binding(self.anchor, rid, value);
-                        out.push_extended(&batch, r, self.var, value, id);
-                    }
-                }
+                let key = std::ops::Bound::Included(kb);
+                index_members(
+                    ctx,
+                    self.anchor,
+                    self.root,
+                    key.clone(),
+                    key,
+                    |value, id| out.push_extended(&batch, r, self.var, value, id),
+                )?;
             }
             if !out.is_empty() {
                 return Ok(Some(out));
@@ -791,32 +770,10 @@ impl ScanCursor<'_> {
                 lower,
                 upper,
             } => {
-                let tree = BTree::open(*root);
-                let pool = ctx.store.storage().pool().clone();
-                let mut scan = tree.scan(pool, (*lower).clone(), (*upper).clone());
-                loop {
-                    let chunk = scan.next_batch(cap)?;
-                    if chunk.is_empty() {
-                        break;
-                    }
-                    for (_, packed) in chunk {
-                        let rid = RecordId::unpack(packed);
-                        // Index entries are maintained synchronously by the
-                        // writer, so they can point at versions outside this
-                        // snapshot (uncommitted inserts, deleted members);
-                        // the visibility check filters those out.
-                        let Some(bytes) = exodus_storage::heap::read_record_visible(
-                            ctx.store.storage().pool(),
-                            rid,
-                            ctx.snapshot,
-                        )?
-                        else {
-                            continue;
-                        };
-                        let value = extra_model::valueio::from_bytes(&bytes)?;
-                        out.push(member_binding(*anchor, rid, value));
-                    }
-                }
+                let (lower, upper) = ((*lower).clone(), (*upper).clone());
+                index_members(ctx, *anchor, *root, lower, upper, |value, id| {
+                    out.push((value, id))
+                })?;
             }
             ScanKind::System { view } => {
                 let rows = ctx
@@ -868,6 +825,39 @@ impl ScanCursor<'_> {
             if out_batch.len() == cap {
                 return Ok(out);
             }
+        }
+    }
+}
+
+/// Walk a B+-tree key range and hand `emit` the binding of every entry's
+/// member this snapshot can see. Index entries are maintained
+/// synchronously by the writer, so they can point at versions outside
+/// the snapshot (uncommitted inserts, deleted members); the visibility
+/// check skips those.
+fn index_members(
+    ctx: &ExecCtx<'_>,
+    anchor: exodus_storage::Oid,
+    root: u64,
+    lower: std::ops::Bound<Vec<u8>>,
+    upper: std::ops::Bound<Vec<u8>>,
+    mut emit: impl FnMut(Value, MemberId),
+) -> ModelResult<()> {
+    let pool = ctx.store.storage().pool();
+    let mut scan = BTree::open(root).scan(pool.clone(), lower, upper);
+    loop {
+        let chunk = scan.next_batch(ctx.batch_size.max(1))?;
+        if chunk.is_empty() {
+            return Ok(());
+        }
+        for (_, packed) in chunk {
+            let rid = RecordId::unpack(packed);
+            let Some(bytes) = exodus_storage::heap::read_record_visible(pool, rid, ctx.snapshot)?
+            else {
+                continue;
+            };
+            let value = extra_model::valueio::from_bytes(&bytes)?;
+            let (value, id) = member_binding(anchor, rid, value);
+            emit(value, id);
         }
     }
 }

@@ -8,7 +8,9 @@ use excess_sema::{
     CatalogLookup, CollectionStats, FunctionDef, IndexInfo, NamedObject, ProcedureDef,
     SystemViewDef,
 };
-use extra_model::{AdtRegistry, ObjectStore, TypeRegistry, Value};
+use extra_model::{AdtRegistry, TypeRegistry, Value};
+
+use crate::database::Database;
 
 /// The built-in group every user belongs to (paper: "a special
 /// 'all-users' group").
@@ -283,17 +285,20 @@ impl Default for Catalog {
     }
 }
 
-/// The catalog joined with the store (for statistics), implementing the
-/// analyzer's lookup interface.
+/// The catalog joined with its database, implementing the analyzer's
+/// lookup interface.
 pub struct CatalogView<'a> {
     /// The catalog.
     pub cat: &'a Catalog,
-    /// The object store (member counts).
-    pub store: &'a ObjectStore,
-    /// The owning database, when known — resolves and materializes the
-    /// `sys.*` virtual collections. `None` (tools constructing a bare
-    /// view) simply has no system views.
-    pub db: Option<&'a crate::database::Database>,
+    /// The owning database: its store answers member counts, and it
+    /// resolves and materializes the `sys.*` virtual collections.
+    pub db: &'a Database,
+}
+
+impl<'a> CatalogView<'a> {
+    pub(crate) fn new(db: &'a Database, cat: &'a Catalog) -> Self {
+        CatalogView { cat, db }
+    }
 }
 
 impl CatalogLookup for CatalogView<'_> {
@@ -327,7 +332,7 @@ impl CatalogLookup for CatalogView<'_> {
         if !obj.is_collection {
             return None;
         }
-        self.store.member_count(obj.oid).ok()
+        self.db.store.member_count(obj.oid).ok()
     }
 
     fn stats_for(&self, collection: &str) -> Option<CollectionStats> {
@@ -344,15 +349,15 @@ impl CatalogLookup for CatalogView<'_> {
     }
 
     fn system_view(&self, name: &str) -> Option<SystemViewDef> {
-        self.db?.system_view_def(name)
+        self.db.system_view_def(name)
     }
 
     fn system_view_rows(&self, name: &str) -> Option<Vec<Value>> {
-        self.db?.system_view_rows_with(self.cat, name)
+        self.db.system_view_rows_with(self.cat, name)
     }
 
     fn system_views(&self) -> Vec<SystemViewDef> {
-        self.db.map(|db| db.system_view_defs()).unwrap_or_default()
+        self.db.system_view_defs()
     }
 }
 

@@ -26,7 +26,7 @@ use extra_model::schema::InheritSpec;
 use extra_model::{AdtType, Attribute, ObjectStore, Ownership, QualType, Type, Value};
 
 use crate::catalog::{Catalog, CatalogView, ADMIN};
-use crate::dml::{self, Params};
+use crate::dml::{self, ExplainSink, Params, Scope};
 use crate::error::{DbError, DbResult};
 use crate::observe::{verb_index, DbMetrics};
 
@@ -124,9 +124,9 @@ pub struct Database {
     pub(crate) store: ObjectStore,
     pub(crate) catalog: RwLock<Catalog>,
     pub(crate) ops: RwLock<OperatorTable>,
-    pub(crate) batch_size: std::sync::atomic::AtomicUsize,
-    pub(crate) worker_threads: std::sync::atomic::AtomicUsize,
-    pub(crate) profiling: std::sync::atomic::AtomicBool,
+    pub(crate) batch_size: usize,
+    pub(crate) worker_threads: usize,
+    pub(crate) profiling: bool,
     pub(crate) recovery: Option<RecoveryReport>,
     pub(crate) metrics: Option<DbMetrics>,
     pub(crate) tracer: Option<Arc<RingTracer>>,
@@ -298,21 +298,17 @@ impl DatabaseBuilder {
                 (sm, None)
             }
         };
-        let db = Database::assemble(sm, recovery, self.metrics.unwrap_or(true), self.trace);
+        let mut db = Database::assemble(sm, recovery, self.metrics.unwrap_or(true), self.trace);
         if let Some(n) = self.batch_size {
-            db.batch_size
-                .store(n.max(1), std::sync::atomic::Ordering::Relaxed);
+            db.batch_size = n.max(1);
         }
         if let Some(n) = self.worker_threads {
-            db.worker_threads
-                .store(n, std::sync::atomic::Ordering::Relaxed);
+            db.worker_threads = n;
         }
         // Tracing implies profiling: the slow-query log keeps each
         // over-threshold statement's QueryProfile.
-        let profiling = self.profiling || db.tracer.is_some();
-        db.profiling
-            .store(profiling, std::sync::atomic::Ordering::Relaxed);
-        Ok(db)
+        db.profiling = self.profiling || db.tracer.is_some();
+        Ok(Arc::new(db))
     }
 }
 
@@ -324,7 +320,12 @@ impl Database {
 
     /// An in-memory database with the built-in ADTs registered.
     pub fn in_memory() -> Arc<Database> {
-        Self::assemble(StorageManager::in_memory(4096), None, true, None)
+        Arc::new(Self::assemble(
+            StorageManager::in_memory(4096),
+            None,
+            true,
+            None,
+        ))
     }
 
     fn assemble(
@@ -332,7 +333,7 @@ impl Database {
         recovery: Option<RecoveryReport>,
         metrics_on: bool,
         trace: Option<TraceConfig>,
-    ) -> Arc<Database> {
+    ) -> Database {
         // Genesis runs inside a logged unit so the store's root pages
         // appear in the WAL from LSN 1: a replica bootstrapping by
         // replaying the whole log reproduces them (a no-op without a
@@ -354,7 +355,14 @@ impl Database {
         metrics_on: bool,
         trace: Option<TraceConfig>,
     ) -> Arc<Database> {
-        Self::assemble_with(store, catalog, recovery, Some(state), metrics_on, trace)
+        Arc::new(Self::assemble_with(
+            store,
+            catalog,
+            recovery,
+            Some(state),
+            metrics_on,
+            trace,
+        ))
     }
 
     fn assemble_with(
@@ -364,7 +372,7 @@ impl Database {
         replica: Option<Arc<crate::replication::ReplicaState>>,
         metrics_on: bool,
         trace: Option<TraceConfig>,
-    ) -> Arc<Database> {
+    ) -> Database {
         let sm = store.storage().clone();
         let metrics = metrics_on.then(|| {
             let registry = Arc::new(MetricsRegistry::new());
@@ -400,13 +408,13 @@ impl Database {
         };
         let mut ops = OperatorTable::new();
         sync_operators(&mut ops, &catalog.adts);
-        Arc::new(Database {
+        Database {
             store,
             catalog: RwLock::new(catalog),
             ops: RwLock::new(ops),
-            batch_size: std::sync::atomic::AtomicUsize::new(excess_exec::DEFAULT_BATCH_SIZE),
-            worker_threads: std::sync::atomic::AtomicUsize::new(1),
-            profiling: std::sync::atomic::AtomicBool::new(false),
+            batch_size: excess_exec::DEFAULT_BATCH_SIZE,
+            worker_threads: 1,
+            profiling: false,
             recovery,
             metrics,
             tracer,
@@ -416,7 +424,7 @@ impl Database {
             replica,
             sysviews: RwLock::new(crate::sysview::builtin_views()),
             sessions: crate::sysview::SessionRegistry::default(),
-        })
+        }
     }
 
     /// The crash-recovery report from opening a file-backed database via
@@ -457,9 +465,11 @@ impl Database {
         self.catalog.read()
     }
 
-    /// Bulk-append members to a named collection, bypassing the SQL layer
-    /// (used by benchmark loaders; maintains integrity edges but not
-    /// secondary indexes — build indexes after loading).
+    /// Bulk-append members to a named collection, bypassing the EXCESS
+    /// layer (used by benchmark loaders). Members go through the same
+    /// write as `append`, so integrity edges and the collection's
+    /// indexes (keys included) are maintained; loading before
+    /// `define index` still skips the per-member index work.
     pub fn bulk_append(&self, collection: &str, members: Vec<Value>) -> DbResult<Vec<Oid>> {
         if self.replica.is_some() {
             return Err(DbError::ReadOnly(
@@ -481,27 +491,23 @@ impl Database {
             .cloned()
             .ok_or_else(|| DbError::Catalog(format!("no collection '{collection}'")))?;
         let elem = self.store.collection_elem(obj.oid)?;
+        let (ranges, frame) = (RangeEnv::default(), Params::default());
+        let snap = self.store.current_snap();
+        let scope = Scope::new(self, &cat, &ranges, ADMIN, &frame, snap);
+        // Resolved once, not per member: an unindexed load does no
+        // index work at all.
+        let indexes = scope.indexes_on(obj.oid)?;
         let mut oids = Vec::with_capacity(members.len());
-        for m in members {
-            match elem.mode {
-                Ownership::Own => {
-                    self.store.append_member(&cat.types, obj.oid, m)?;
-                }
-                _ => {
-                    let v = match m {
-                        v @ Value::Ref(_) => v,
-                        tuple => Value::Ref(self.store.create_object(
-                            &cat.types,
-                            &QualType::own(elem.ty.clone()),
-                            tuple,
-                        )?),
-                    };
-                    if let Value::Ref(oid) = &v {
-                        oids.push(*oid);
-                    }
-                    self.store.append_member(&cat.types, obj.oid, v)?;
+        for mut m in members {
+            // `own` members are stored as given (the loader vouches for
+            // them); reference-mode members become objects.
+            if elem.mode != Ownership::Own {
+                m = scope.as_member(&elem, m)?;
+                if let Value::Ref(oid) = &m {
+                    oids.push(*oid);
                 }
             }
+            scope.insert_member(&indexes, obj.oid, m)?;
         }
         drop(cat);
         txn.commit()?;
@@ -512,19 +518,18 @@ impl Database {
     /// iteration (useful for comparisons); the default is
     /// [`excess_exec::DEFAULT_BATCH_SIZE`].
     pub fn batch_size(&self) -> usize {
-        self.batch_size.load(std::sync::atomic::Ordering::Relaxed)
+        self.batch_size
     }
 
     /// Worker threads available to each query (degree of parallelism).
     pub fn worker_threads(&self) -> usize {
         self.worker_threads
-            .load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// Whether every statement is profiled (set via
     /// [`DatabaseBuilder::profiling`]).
     pub fn profiling(&self) -> bool {
-        self.profiling.load(std::sync::atomic::Ordering::Relaxed)
+        self.profiling
     }
 
     /// The registry every layer registers its instruments into, for
@@ -682,8 +687,6 @@ impl Drop for Session {
 }
 
 impl Session {
-    /// Bound how long write statements may wait on the storage writer
-    /// gate before failing with the retryable [`DbError::Busy`]
     /// This session's process-unique id — the `id` attribute of its
     /// `sys.sessions` row and the attribution key in `sys.slow_queries`.
     pub fn session_id(&self) -> u64 {
@@ -876,6 +879,15 @@ impl Session {
     ///   then catalog), so a session blocked on the gate never holds a
     ///   lock a reader needs.
     fn execute_inner(&mut self, db: &Arc<Database>, stmt: &Stmt) -> DbResult<Response> {
+        // A range declaration is pure session state: it reads no data
+        // and writes no pages, so it needs neither the writer gate nor
+        // a snapshot — on a primary or a replica. Routing it through
+        // the implicit write transaction would make a reader session's
+        // `range of R is C; retrieve ...` block on a concurrent writer
+        // — exactly what snapshot reads promise not to do.
+        if let Stmt::RangeOf { .. } = stmt {
+            return Ok(declare_range(&mut self.ranges, stmt));
+        }
         // A replica session routes through the read-only path before
         // any write machinery: even `begin` would append to the local
         // log and diverge it from the primary's stream.
@@ -886,74 +898,24 @@ impl Session {
             Stmt::Begin => return self.begin_txn(db),
             Stmt::Commit => return self.commit_txn(db),
             Stmt::Abort => return self.abort_txn(db),
-            // A range declaration is pure session state: it reads no
-            // data and writes no pages, so it needs neither the writer
-            // gate nor a snapshot. Routing it through the implicit
-            // write transaction would make a reader session's
-            // `range of R is C; retrieve ...` block on a concurrent
-            // writer — exactly what snapshot reads promise not to do.
-            Stmt::RangeOf {
-                var,
-                universal,
-                path,
-            } => {
-                self.ranges.declare(var, *universal, path.clone());
-                return Ok(Response::Done(format!("range of {var} declared")));
-            }
             _ => {}
         }
+        let read_only = matches!(stmt, Stmt::Retrieve { into: None, .. });
         if let Some(txn) = &self.txn {
             if let Err(m) = txn_permits(stmt) {
                 return Err(DbError::Txn(m));
             }
-            let snap = txn.ts();
-            if let Stmt::Retrieve { into: None, .. } = stmt {
-                let cat = db.catalog.read();
-                return dml::retrieve_at(
-                    db,
-                    &cat,
-                    &self.ranges,
-                    &self.user,
-                    stmt,
-                    &Params::default(),
-                    db.profiling(),
-                    snap,
-                )
-                .map(Response::Rows);
+            if read_only {
+                return self.read(db, stmt, txn.ts());
             }
-            let mut cat = db.catalog.write();
-            let response = exec_statement(
-                db,
-                &mut cat,
-                &mut self.ranges,
-                &self.user,
-                stmt,
-                &Params::default(),
-                0,
-            );
-            if response.is_ok() && stmt_bumps_epoch(stmt) {
-                db.catalog_epoch
-                    .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            }
-            return response;
+            return self.write(db, stmt);
         }
-        if let Stmt::Retrieve { into: None, .. } = stmt {
+        if read_only {
             // Autocommit read: a registered snapshot (not `TS_LATEST`) so
             // a concurrent writer's in-flight rows stay invisible and
             // vacuum cannot reclaim versions this statement still needs.
             let snap = db.store.storage().begin_snapshot();
-            let cat = db.catalog.read();
-            return dml::retrieve_at(
-                db,
-                &cat,
-                &self.ranges,
-                &self.user,
-                stmt,
-                &Params::default(),
-                db.profiling(),
-                snap.ts(),
-            )
-            .map(Response::Rows);
+            return self.read(db, stmt, snap.ts());
         }
         // Implicit single-statement transaction: acquire the writer slot
         // first, then the catalog lock. Commit happens even when the
@@ -961,6 +923,25 @@ impl Session {
         // statement were already applied and logged, exactly as the old
         // per-statement unit behaved — so error semantics are unchanged.
         let txn = self.acquire_write_txn(db)?;
+        let response = self.write(db, stmt);
+        let _commit_span = db.span("wal_commit", "");
+        txn.commit()?;
+        let _ = db.store.vacuum();
+        response
+    }
+
+    /// A plain retrieve under the shared catalog lock, every storage
+    /// read resolving the record version visible at `snap`.
+    fn read(&self, db: &Database, stmt: &Stmt, snap: u64) -> DbResult<Response> {
+        let cat = db.catalog.read();
+        let frame = Params::default();
+        let scope = Scope::new(db, &cat, &self.ranges, &self.user, &frame, snap);
+        Ok(Response::Rows(dml::retrieve(&scope, stmt, None)?.0))
+    }
+
+    /// Any other statement, under the exclusive catalog lock; the
+    /// caller holds the writer gate.
+    fn write(&mut self, db: &Database, stmt: &Stmt) -> DbResult<Response> {
         let mut cat = db.catalog.write();
         let response = exec_statement(
             db,
@@ -969,7 +950,6 @@ impl Session {
             &self.user,
             stmt,
             &Params::default(),
-            0,
         );
         // The epoch bumps while the exclusive catalog lock is still
         // held, so a replication poll can never capture the new
@@ -978,20 +958,16 @@ impl Session {
             db.catalog_epoch
                 .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         }
-        drop(cat);
-        let _commit_span = db.span("wal_commit", "");
-        txn.commit()?;
-        let _ = db.store.vacuum();
         response
     }
 
-    /// The replica statement path: `range of` is pure session state,
-    /// `retrieve` (without `into`) runs against a snapshot pinned at
-    /// the replay horizon under the replay latch, and everything else
-    /// — anything that would append to the local log — is refused with
-    /// the stable [`DbError::ReadOnly`] code. When the replica trails
-    /// the primary past its configured lag bound, reads are shed with
-    /// the retryable [`DbError::Lagging`] code instead.
+    /// The replica statement path: `retrieve` (without `into`) runs
+    /// against a snapshot pinned at the replay horizon under the replay
+    /// latch, and everything else — anything that would append to the
+    /// local log — is refused with the stable [`DbError::ReadOnly`]
+    /// code (`range of`, pure session state, never gets here). When the
+    /// replica trails the primary past its configured lag bound, reads
+    /// are shed with the retryable [`DbError::Lagging`] code instead.
     fn replica_execute(
         &mut self,
         db: &Arc<Database>,
@@ -999,14 +975,6 @@ impl Session {
         stmt: &Stmt,
     ) -> DbResult<Response> {
         match stmt {
-            Stmt::RangeOf {
-                var,
-                universal,
-                path,
-            } => {
-                self.ranges.declare(var, *universal, path.clone());
-                Ok(Response::Done(format!("range of {var} declared")))
-            }
             Stmt::Retrieve { into: None, .. } => {
                 if let Some(max) = state.max_lag {
                     let lag = state.lag.load(std::sync::atomic::Ordering::Relaxed);
@@ -1023,18 +991,7 @@ impl Session {
                 // half-applied page mutation.
                 let _replay = state.latch.read();
                 let snap = db.store.storage().begin_snapshot();
-                let cat = db.catalog.read();
-                dml::retrieve_at(
-                    db,
-                    &cat,
-                    &self.ranges,
-                    &self.user,
-                    stmt,
-                    &Params::default(),
-                    db.profiling(),
-                    snap.ts(),
-                )
-                .map(Response::Rows)
+                self.read(db, stmt, snap.ts())
             }
             Stmt::Retrieve { into: Some(_), .. } => Err(DbError::ReadOnly(
                 "retrieve ... into creates a named object; run it on the primary".into(),
@@ -1173,7 +1130,23 @@ fn response_profile(r: &Response) -> Option<QueryProfile> {
     }
 }
 
-/// The statement interpreter (shared by sessions and procedure bodies).
+/// `range of <var> is [all] <path>`: the one place a range declaration
+/// lands, for sessions and procedure bodies alike.
+fn declare_range(ranges: &mut RangeEnv, stmt: &Stmt) -> Response {
+    let Stmt::RangeOf {
+        var,
+        universal,
+        path,
+    } = stmt
+    else {
+        unreachable!("dispatch");
+    };
+    ranges.declare(var, *universal, path.clone());
+    Response::Done(format!("range of {var} declared"))
+}
+
+/// The statement interpreter (shared by sessions and procedure bodies,
+/// whose frame is `params`).
 pub(crate) fn exec_statement(
     db: &Database,
     cat: &mut Catalog,
@@ -1181,7 +1154,6 @@ pub(crate) fn exec_statement(
     user: &str,
     stmt: &Stmt,
     params: &Params,
-    depth: u32,
 ) -> DbResult<Response> {
     match stmt {
         Stmt::DefineType {
@@ -1223,33 +1195,30 @@ pub(crate) fn exec_statement(
             attr,
             unique,
         } => define_index(db, cat, name, collection, attr, *unique),
-        Stmt::RangeOf {
-            var,
-            universal,
-            path,
-        } => {
-            ranges.declare(var, *universal, path.clone());
-            Ok(Response::Done(format!("range of {var} declared")))
-        }
-        Stmt::Retrieve { into: None, .. } => {
-            let snap = db.store.current_snap();
-            dml::retrieve_at(db, cat, ranges, user, stmt, params, db.profiling(), snap)
-                .map(Response::Rows)
-        }
-        Stmt::Retrieve { into: Some(_), .. } => {
-            dml::retrieve_into(db, cat, ranges, user, stmt, params, db.profiling())
-                .map(Response::Rows)
-        }
-        Stmt::Append { .. } => dml::append(db, cat, ranges, user, stmt, params, None),
-        Stmt::Delete { .. } => dml::delete(db, cat, ranges, user, stmt, params, None),
-        Stmt::Replace { .. } => dml::replace(db, cat, ranges, user, stmt, params, None),
-        Stmt::Execute { .. } => {
-            dml::execute_procedure(db, cat, ranges, user, stmt, params, depth, None)
-        }
+        Stmt::RangeOf { .. } => Ok(declare_range(ranges, stmt)),
+        Stmt::Retrieve { .. }
+        | Stmt::Append { .. }
+        | Stmt::Delete { .. }
+        | Stmt::Replace { .. }
+        | Stmt::Execute { .. } => dml::run(db, cat, ranges, user, stmt, params, None),
+        // `explain [analyze] <stmt>`: render the physical plan; under
+        // `analyze`, also execute the statement — exactly once — with
+        // per-operator profiling. A plan-only explain mutates nothing
+        // (the statement's query is planned but never run).
         Stmt::Explain { analyze, stmt } => {
-            explain_stmt(db, cat, ranges, user, stmt, params, depth, *analyze)
+            let mut sink = ExplainSink {
+                analyze: *analyze,
+                ..Default::default()
+            };
+            dml::run(db, cat, ranges, user, stmt, params, Some(&mut sink))?;
+            Ok(Response::Explained(Explanation {
+                plan: sink
+                    .plan
+                    .ok_or_else(|| DbError::Catalog("statement produced no plan".into()))?,
+                profile: sink.profile,
+            }))
         }
-        Stmt::Observe { stmt } => observe_stmt(db, cat, ranges, user, stmt, params, depth),
+        Stmt::Observe { stmt } => observe_stmt(db, cat, ranges, user, stmt, params),
         Stmt::Analyze { collection } => analyze_collection(db, cat, collection),
         Stmt::Grant {
             privileges,
@@ -1312,82 +1281,6 @@ pub(crate) fn exec_statement(
     }
 }
 
-/// `explain [analyze] <stmt>`: render the physical plan; under
-/// `analyze`, also execute the statement — exactly once — with
-/// per-operator profiling. Plan-only explain of an update statement
-/// mutates nothing (the bindings query is planned but never run).
-#[allow(clippy::too_many_arguments)]
-fn explain_stmt(
-    db: &Database,
-    cat: &mut Catalog,
-    ranges: &mut RangeEnv,
-    user: &str,
-    inner: &Stmt,
-    params: &Params,
-    depth: u32,
-    analyze: bool,
-) -> DbResult<Response> {
-    let explanation = match inner {
-        Stmt::Retrieve { into, .. } => {
-            let plan = dml::explain_plan(db, cat, ranges, user, inner, params)?;
-            let profile = if analyze {
-                let result = if into.is_some() {
-                    dml::retrieve_into(db, cat, ranges, user, inner, params, true)?
-                } else {
-                    let snap = db.store.current_snap();
-                    dml::retrieve_at(db, cat, ranges, user, inner, params, true, snap)?
-                };
-                result.profile
-            } else {
-                None
-            };
-            Explanation { plan, profile }
-        }
-        Stmt::Append { .. } | Stmt::Delete { .. } | Stmt::Replace { .. } | Stmt::Execute { .. } => {
-            let mut sink = dml::ExplainSink {
-                analyze,
-                ..Default::default()
-            };
-            match inner {
-                Stmt::Append { .. } => {
-                    dml::append(db, cat, ranges, user, inner, params, Some(&mut sink))?;
-                }
-                Stmt::Delete { .. } => {
-                    dml::delete(db, cat, ranges, user, inner, params, Some(&mut sink))?;
-                }
-                Stmt::Replace { .. } => {
-                    dml::replace(db, cat, ranges, user, inner, params, Some(&mut sink))?;
-                }
-                Stmt::Execute { .. } => {
-                    dml::execute_procedure(
-                        db,
-                        cat,
-                        ranges,
-                        user,
-                        inner,
-                        params,
-                        depth,
-                        Some(&mut sink),
-                    )?;
-                }
-                _ => unreachable!("matched above"),
-            }
-            Explanation {
-                plan: sink
-                    .plan
-                    .ok_or_else(|| DbError::Catalog("statement produced no plan".into()))?,
-                profile: sink.profile,
-            }
-        }
-        _ => {
-            return Err(DbError::Catalog(
-                "explain supports retrieve and update statements".into(),
-            ))
-        }
-    };
-    Ok(Response::Explained(explanation))
-}
-
 /// `observe <stmt>`: execute the statement — exactly once — and report
 /// the metric activity it caused: wall-clock time plus every counter
 /// delta (zeros dropped). With metrics disabled the statement still
@@ -1399,11 +1292,10 @@ fn observe_stmt(
     user: &str,
     inner: &Stmt,
     params: &Params,
-    depth: u32,
 ) -> DbResult<Response> {
     let before = db.metrics_snapshot();
     let t0 = std::time::Instant::now();
-    let response = exec_statement(db, cat, ranges, user, inner, params, depth)?;
+    let response = exec_statement(db, cat, ranges, user, inner, params)?;
     let elapsed_ns = t0.elapsed().as_nanos() as u64;
     let counters = match (before, db.metrics_snapshot()) {
         (Some(b), Some(a)) => MetricsSnapshot::counter_deltas(&b, &a),
@@ -1616,11 +1508,7 @@ fn define_function(
     }
     // Validate the body with the parameters in scope. Parameters of
     // schema type are reference-valued at runtime.
-    let view = CatalogView {
-        cat,
-        store: &db.store,
-        db: Some(db),
-    };
+    let view = CatalogView::new(db, cat);
     let mut ctx = SemaCtx::new(&cat.types, &cat.adts, &view);
     for (p, q) in &lowered_params {
         ctx.vars.insert(p.clone(), runtime_param_type(q));
@@ -1707,11 +1595,7 @@ fn define_index(
         return Err(DbError::Catalog(format!("'{collection}' is not a set")));
     }
     let elem = db.store.collection_elem(obj.oid)?;
-    let view = CatalogView {
-        cat,
-        store: &db.store,
-        db: Some(db),
-    };
+    let view = CatalogView::new(db, cat);
     let ctx = SemaCtx::new(&cat.types, &cat.adts, &view);
     let attr_qty = ctx.attr_type(&elem, attr)?;
     // The access-method applicability check: orderable attribute types

@@ -1,31 +1,38 @@
-//! DML execution: retrieve, append, delete, replace, and procedure
-//! invocation — with the paper's update semantics (own/ref/own-ref
-//! integrity, set-oriented updates over all satisfying bindings) and
-//! index maintenance.
+//! DML execution: the statement scope, the shared run-and-profile
+//! routine, and the one update pipeline behind `append`, `delete`,
+//! `replace` and `execute` — with the paper's update semantics
+//! (own/ref/own-ref integrity, set-oriented updates over all satisfying
+//! bindings) and index maintenance.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::time::Instant;
 
 use excess_algebra::Physical;
+use excess_exec::eval::eval;
 use excess_exec::{
-    prepare, run_plan, Bindings, BufferDelta, Env, ExecCtx, ExecNode, MemberId, PlanIndex,
-    PlanProfiler, QueryProfile, QueryResult, RowBatch,
+    prepare, run_plan, BatchRow, Bindings, BufferDelta, CExpr, Env, ExecCtx, ExecNode, MemberId,
+    PlanIndex, PlanProfiler, QueryProfile, QueryResult, RowBatch,
 };
 use excess_lang::{AppendValue, Expr, FromBinding, Privilege, Stmt, Target};
 use excess_sema::resolve::Resolver;
-use excess_sema::{CheckedRetrieve, RangeEnv, SemaCtx};
+use excess_sema::{CheckedRetrieve, IndexInfo, RangeEnv, RootSource, SemaCtx};
 use exodus_storage::btree::BTree;
-use exodus_storage::{Oid, RecordId};
+use exodus_storage::{Oid, RecordId, StorageError};
 use extra_model::{AdtRegistry, ModelError, Ownership, QualType, Type, Value};
 
-use crate::catalog::{Catalog, CatalogView};
-use crate::database::{default_value, Database};
+use crate::catalog::{Catalog, CatalogView, ADMIN};
+use crate::database::{default_value, exec_statement, Database, Response};
 use crate::error::{DbError, DbResult};
 
-/// Pre-bound variables (function/procedure parameters).
+/// The frame a statement runs in: the enclosing procedure's (or
+/// function's) pre-bound parameters and its nesting depth. Top-level
+/// statements run in the default, empty frame.
 #[derive(Debug, Clone, Default)]
-pub struct Params {
+pub(crate) struct Params {
     /// name → (static type, runtime value).
     pub vars: HashMap<String, (QualType, Value)>,
+    /// How many `execute`s deep this frame is.
+    pub depth: u32,
 }
 
 /// Maximum procedure nesting depth.
@@ -43,89 +50,198 @@ fn base_env(params: &Params) -> Env {
     env
 }
 
-/// EXPLAIN plumbing for update statements: captures the bindings-query
-/// plan and, under `analyze`, its execution profile. Without `analyze`
-/// the statement is only planned — [`collect_bindings`] returns an empty
-/// batch, so the update applies to nothing and mutates no state.
+/// EXPLAIN plumbing: captures the plan of a statement's query (for an
+/// update, its bindings query) and, under `analyze`, its execution
+/// profile. Without `analyze` the statement is only planned — nothing
+/// runs, so an update applies to nothing and mutates no state.
 #[derive(Default)]
 pub(crate) struct ExplainSink {
     /// Execute the statement (`explain analyze`) or only plan it.
     pub analyze: bool,
-    /// The rendered physical plan of the bindings query.
+    /// The rendered physical plan.
     pub plan: Option<String>,
     /// Execution profile (`analyze` only).
     pub profile: Option<QueryProfile>,
 }
 
-/// Build a profiler for a compiled plan, annotated with the physical
-/// plan's labels and row estimates.
-fn make_profiler(db: &Database, cat: &Catalog, node: &ExecNode, phys: &Physical) -> PlanProfiler {
-    let view = CatalogView {
-        cat,
-        store: &db.store,
-        db: Some(db),
-    };
-    let annot = excess_algebra::cost::annotate_preorder(phys, &view);
-    PlanProfiler::new(PlanIndex::new(node, Some(&annot)))
+/// Hand the plan to the sink, if there is one; whether the statement
+/// should go on to run (always, unless this is a plan-only `explain`).
+fn explain_planned(explain: &mut Option<&mut ExplainSink>, phys: &Physical) -> bool {
+    match explain {
+        Some(sink) => {
+            sink.plan = Some(phys.to_string());
+            sink.analyze
+        }
+        None => true,
+    }
 }
 
-/// Check, plan and compile a retrieve-shaped statement.
-fn plan_query(
-    db: &Database,
-    cat: &Catalog,
-    ranges: &RangeEnv,
-    params: &Params,
-    stmt: &Stmt,
-) -> DbResult<(ExecNode, CheckedRetrieve, Physical)> {
-    let view = CatalogView {
-        cat,
-        store: &db.store,
-        db: Some(db),
-    };
-    let mut ctx = SemaCtx::new(&cat.types, &cat.adts, &view);
-    for (name, (qty, _)) in &params.vars {
-        ctx.vars.insert(name.clone(), qty.clone());
-    }
-    // Statement-local ranges: session declarations plus this statement's
-    // from clauses (aggregate `over` resolution must see both).
-    let mut local = ranges.clone();
-    if let Stmt::Retrieve { from, .. } = stmt {
-        for fb in from {
-            local.declare(&fb.var, false, fb.path.clone());
+/// One statement's scope: everything its planning, evaluation and
+/// writes resolve against. It alone builds the statement's [`SemaCtx`]
+/// and [`ExecCtx`], so every piece of the statement sees the same
+/// catalog view, parameters and snapshot.
+pub(crate) struct Scope<'a> {
+    db: &'a Database,
+    cat: &'a Catalog,
+    ranges: &'a RangeEnv,
+    user: &'a str,
+    params: &'a Params,
+    /// Every storage read of the statement resolves the record version
+    /// visible here: a reader's registered snapshot, or the writing
+    /// transaction's own timestamp
+    /// ([`ObjectStore::current_snap`](extra_model::ObjectStore::current_snap)).
+    snap: u64,
+    view: CatalogView<'a>,
+}
+
+/// A checked, planned and compiled retrieve-shaped statement.
+struct Planned {
+    node: ExecNode,
+    checked: CheckedRetrieve,
+    phys: Physical,
+}
+
+impl<'a> Scope<'a> {
+    pub fn new(
+        db: &'a Database,
+        cat: &'a Catalog,
+        ranges: &'a RangeEnv,
+        user: &'a str,
+        params: &'a Params,
+        snap: u64,
+    ) -> Self {
+        Scope {
+            db,
+            cat,
+            ranges,
+            user,
+            params,
+            snap,
+            view: CatalogView::new(db, cat),
         }
     }
-    let resolver = Resolver::new(&ctx, &local);
-    let checked = {
-        let _span = db.span("sema", "");
-        resolver.check_retrieve(stmt)?
-    };
-    let (plan, node) = {
+
+    /// The analyzer context, with the frame's parameters in scope.
+    fn sema(&self) -> SemaCtx<'_> {
+        let mut ctx = SemaCtx::new(&self.cat.types, &self.cat.adts, &self.view);
+        for (name, (qty, _)) in &self.params.vars {
+            ctx.vars.insert(name.clone(), qty.clone());
+        }
+        ctx
+    }
+
+    /// A fresh executor context (with its own aggregate and deref
+    /// caches) reading at the statement's snapshot.
+    fn exec(&self) -> ExecCtx<'_> {
+        let db = self.db;
+        ExecCtx::new(
+            &db.store,
+            &self.cat.types,
+            &self.cat.adts,
+            &self.view,
+            self.snap,
+        )
+        .with_batch_size(db.batch_size())
+        .with_workers(db.worker_threads())
+        .with_metrics(db.exec_metrics())
+    }
+
+    fn allow(&self, object: &str, privilege: Privilege, verb: &str) -> DbResult<()> {
+        if self.cat.auth.allowed(self.user, object, privilege) {
+            Ok(())
+        } else {
+            Err(DbError::Auth(format!(
+                "{} may not {verb} {object}",
+                self.user
+            )))
+        }
+    }
+
+    /// Check, plan and compile a retrieve-shaped statement. Every
+    /// expression of the statement is compiled here, once, under the
+    /// plan's single aggregate-id counter.
+    fn plan(&self, stmt: &Stmt) -> DbResult<Planned> {
+        let db = self.db;
+        let ctx = self.sema();
+        // Statement-local ranges: session declarations plus this statement's
+        // from clauses (aggregate `over` resolution must see both).
+        let mut local = self.ranges.clone();
+        if let Stmt::Retrieve { from, .. } = stmt {
+            for fb in from {
+                local.declare(&fb.var, false, fb.path.clone());
+            }
+        }
+        let checked = {
+            let _span = db.span("sema", "");
+            Resolver::new(&ctx, &local).check_retrieve(stmt)?
+        };
         let _span = db.span("plan", "");
-        let plan = excess_algebra::plan_retrieve_dop(
+        let phys = excess_algebra::plan_retrieve_dop(
             stmt,
             &checked,
             &ctx,
             excess_algebra::PlannerConfig::default(),
             db.worker_threads(),
         )?;
-        let node = prepare(&plan, &ctx, &local)?;
-        (plan, node)
-    };
-    Ok((node, checked, plan))
+        let node = prepare(&phys, &ctx, &local)?;
+        Ok(Planned {
+            node,
+            checked,
+            phys,
+        })
+    }
+
+    /// Run a planned query: `pull` drains it under one fresh executor
+    /// context and reports its row count. With `profile`, the context
+    /// carries a per-operator profiler (annotated with the physical
+    /// plan's labels and row estimates) and the finished profile comes
+    /// back beside the result.
+    fn run_query<T>(
+        &self,
+        q: &Planned,
+        profile: bool,
+        pull: impl FnOnce(&ExecCtx<'_>, &Env) -> DbResult<(T, usize)>,
+    ) -> DbResult<(T, Option<QueryProfile>)> {
+        let db = self.db;
+        let pool = db.store.storage().pool();
+        let mut ctx = self.exec();
+        let before = profile.then(|| pool.stats());
+        if profile {
+            let annot = excess_algebra::cost::annotate_preorder(&q.phys, &self.view);
+            ctx = ctx.with_profiler(PlanProfiler::new(PlanIndex::new(&q.node, Some(&annot))));
+        }
+        let env = base_env(self.params);
+        let t0 = Instant::now();
+        let (out, rows) = {
+            let _span = db.span("execute", "");
+            pull(&ctx, &env)?
+        };
+        let profile = ctx.profiler.take().map(|p| {
+            p.finish(
+                t0.elapsed().as_nanos() as u64,
+                rows as u64,
+                db.worker_threads(),
+                before.map(|b| BufferDelta::between(&b, &pool.stats())),
+            )
+        });
+        Ok((out, profile))
+    }
 }
 
 /// Read-authorization: the user needs `read` on every named object a
-/// query touches directly.
-fn check_read(cat: &Catalog, user: &str, checked: &CheckedRetrieve, stmt: &Stmt) -> DbResult<()> {
+/// query touches directly, and `execute` on every EXCESS function it
+/// calls (§4.2.3: schema types can be made abstract by granting access
+/// only through their functions).
+fn check_read(scope: &Scope<'_>, checked: &CheckedRetrieve, stmt: &Stmt) -> DbResult<()> {
+    let cat = scope.cat;
     let mut names: Vec<String> = Vec::new();
+    let mut fns: Vec<String> = Vec::new();
     for b in &checked.bindings {
         match &b.root {
-            excess_sema::RootSource::Collection(o) | excess_sema::RootSource::Object(o) => {
-                names.push(o.name.clone())
-            }
+            RootSource::Collection(o) | RootSource::Object(o) => names.push(o.name.clone()),
             // System views surface operational state, not stored data:
             // introspection needs no object privilege.
-            excess_sema::RootSource::Var(_) | excess_sema::RootSource::System(_) => {}
+            RootSource::Var(_) | RootSource::System(_) => {}
         }
     }
     if let Stmt::Retrieve {
@@ -135,55 +251,29 @@ fn check_read(cat: &Catalog, user: &str, checked: &CheckedRetrieve, stmt: &Stmt)
         ..
     } = stmt
     {
-        let mut exprs: Vec<&Expr> = targets.iter().map(|t| &t.expr).collect();
-        if let Some(q) = qual {
-            exprs.push(q);
-        }
-        if let Some((e, _)) = order_by {
-            exprs.push(e);
-        }
+        let exprs = targets
+            .iter()
+            .map(|t| &t.expr)
+            .chain(qual)
+            .chain(order_by.as_ref().map(|(e, _)| e));
         for e in exprs {
-            for v in excess_algebra::rules::free_vars(e) {
-                if cat.named.contains_key(&v) {
-                    names.push(v);
-                }
-            }
+            names.extend(
+                excess_algebra::rules::free_vars(e)
+                    .into_iter()
+                    .filter(|v| cat.named.contains_key(v)),
+            );
+            collect_function_names(cat, e, &mut fns);
         }
     }
     names.sort();
     names.dedup();
     for n in names {
-        if !cat.auth.allowed(user, &n, Privilege::Read) {
-            return Err(DbError::Auth(format!("{user} may not read {n}")));
-        }
+        scope.allow(&n, Privilege::Read, "read")?;
     }
-    // EXCESS function calls need execute (§4.2.3: schema types can be made
-    // abstract by granting access only through their functions).
-    if let Stmt::Retrieve {
-        targets,
-        qual,
-        order_by,
-        ..
-    } = stmt
-    {
-        let mut fns: Vec<String> = Vec::new();
-        let mut visit = |e: &Expr| collect_function_names(cat, e, &mut fns);
-        for t in targets {
-            visit(&t.expr);
-        }
-        if let Some(q) = qual {
-            visit(q);
-        }
-        if let Some((e, _)) = order_by {
-            visit(e);
-        }
-        fns.sort();
-        fns.dedup();
-        for f in fns {
-            if !cat.auth.allowed(user, &f, Privilege::Execute) {
-                return Err(DbError::Auth(format!("{user} may not execute {f}")));
-            }
-        }
+    fns.sort();
+    fns.dedup();
+    for f in fns {
+        scope.allow(&f, Privilege::Execute, "execute")?;
     }
     Ok(())
 }
@@ -248,265 +338,303 @@ fn collect_function_names(cat: &Catalog, e: &Expr, out: &mut Vec<String>) {
     }
 }
 
-/// Render the physical plan of a retrieve-shaped statement without
-/// executing it.
-pub(crate) fn explain_plan(
-    db: &Database,
-    cat: &Catalog,
-    ranges: &RangeEnv,
-    user: &str,
-    stmt: &Stmt,
-    params: &Params,
-) -> DbResult<String> {
-    let (_, checked, phys) = plan_query(db, cat, ranges, params, stmt)?;
-    check_read(cat, user, &checked, stmt)?;
-    Ok(phys.to_string())
-}
-
-/// Execute a retrieve (no `into`; read-only — runs under a shared
-/// catalog lock) with every storage read resolving the record version
-/// visible at `snap`: an autocommit reader's registered snapshot, or
-/// the calling transaction's own timestamp
-/// ([`ObjectStore::current_snap`](extra_model::ObjectStore::current_snap)).
-/// With `profile`, per-operator metrics land on the result's `profile`
-/// field.
-#[allow(clippy::too_many_arguments)]
-pub fn retrieve_at(
-    db: &Database,
-    cat: &Catalog,
-    ranges: &RangeEnv,
-    user: &str,
-    stmt: &Stmt,
-    params: &Params,
-    profile: bool,
-    snap: u64,
-) -> DbResult<QueryResult> {
-    let (node, checked, phys) = plan_query(db, cat, ranges, params, stmt)?;
-    check_read(cat, user, &checked, stmt)?;
-    let view = CatalogView {
-        cat,
-        store: &db.store,
-        db: Some(db),
-    };
-    let mut ctx = ExecCtx::new(&db.store, &cat.types, &cat.adts, &view, snap)
-        .with_batch_size(db.batch_size())
-        .with_workers(db.worker_threads())
-        .with_metrics(db.exec_metrics());
-    let before = profile.then(|| db.store.storage().pool().stats());
-    if profile {
-        ctx = ctx.with_profiler(make_profiler(db, cat, &node, &phys));
-    }
-    let env = base_env(params);
-    let t0 = std::time::Instant::now();
-    let mut result = {
-        let _span = db.span("execute", "");
-        run_plan(&node, &ctx, &env)?
-    };
-    if let Some(p) = ctx.profiler.take() {
-        let delta = before.map(|b| BufferDelta::between(&b, &db.store.storage().pool().stats()));
-        result.profile = Some(p.finish(
-            t0.elapsed().as_nanos() as u64,
-            result.len() as u64,
-            db.worker_threads(),
-            delta,
-        ));
-    }
-    drop(ctx);
-    Ok(result)
-}
-
-/// Execute `retrieve into`: run the query, then materialize a new named
-/// snapshot set (needs the catalog write lock).
-pub fn retrieve_into(
+/// Run one DML statement (`retrieve [into]`, `append`, `delete`,
+/// `replace`, `execute`) at the writer's own timestamp, feeding
+/// `explain` when the statement is being explained. The statement's
+/// reads and staged writes go through one [`Scope`]; what then mutates
+/// the catalog itself — the set `retrieve into` names, a procedure
+/// body's statements — runs after the scope is done.
+pub(crate) fn run(
     db: &Database,
     cat: &mut Catalog,
     ranges: &RangeEnv,
     user: &str,
     stmt: &Stmt,
     params: &Params,
-    profile: bool,
-) -> DbResult<QueryResult> {
-    let (node, checked, phys) = plan_query(db, cat, ranges, params, stmt)?;
-    check_read(cat, user, &checked, stmt)?;
-    let view = CatalogView {
-        cat,
-        store: &db.store,
-        db: Some(db),
-    };
-    let snap = db.store.current_snap();
-    let mut ctx = ExecCtx::new(&db.store, &cat.types, &cat.adts, &view, snap)
-        .with_batch_size(db.batch_size())
-        .with_workers(db.worker_threads())
-        .with_metrics(db.exec_metrics());
-    let before = profile.then(|| db.store.storage().pool().stats());
-    if profile {
-        ctx = ctx.with_profiler(make_profiler(db, cat, &node, &phys));
-    }
-    let env = base_env(params);
-    let t0 = std::time::Instant::now();
-    let mut result = {
-        let _span = db.span("execute", "");
-        run_plan(&node, &ctx, &env)?
-    };
-    if let Some(p) = ctx.profiler.take() {
-        let delta = before.map(|b| BufferDelta::between(&b, &db.store.storage().pool().stats()));
-        result.profile = Some(p.finish(
-            t0.elapsed().as_nanos() as u64,
-            result.len() as u64,
-            db.worker_threads(),
-            delta,
-        ));
-    }
-    drop(ctx);
-
-    if let Stmt::Retrieve {
-        into: Some(name), ..
-    } = stmt
-    {
-        if cat.named.contains_key(name.as_str()) {
-            return Err(DbError::Catalog(format!(
-                "the name '{name}' is already in use"
-            )));
+    explain: Option<&mut ExplainSink>,
+) -> DbResult<Response> {
+    let scope = Scope::new(db, cat, ranges, user, params, db.store.current_snap());
+    match stmt {
+        Stmt::Retrieve { into: None, .. } => Ok(Response::Rows(retrieve(&scope, stmt, explain)?.0)),
+        Stmt::Retrieve {
+            into: Some(name), ..
+        } => {
+            // A plan-only explain runs nothing, so it names nothing.
+            let plan_only = explain.as_ref().is_some_and(|sink| !sink.analyze);
+            let (result, checked) = retrieve(&scope, stmt, explain)?;
+            if !plan_only {
+                materialize(db, cat, name, &checked, &result)?;
+            }
+            Ok(Response::Rows(result))
         }
-        // Snapshot semantics: own-mode tuples; reference-valued outputs
-        // are stored as plain refs (not integrity-tracked).
-        let attrs: Vec<extra_model::Attribute> = checked
-            .output
-            .iter()
-            .map(|(n, q)| {
-                let mode = match q.mode {
-                    Ownership::Own => Ownership::Own,
-                    _ => Ownership::Ref,
+        Stmt::Append { .. } => append(&scope, stmt, explain),
+        Stmt::Delete { .. } => delete(&scope, stmt, explain),
+        Stmt::Replace { .. } => replace(&scope, stmt, explain),
+        Stmt::Execute { .. } => {
+            let (def, calls) = procedure_calls(&scope, stmt, explain)?;
+            // The body runs with definer rights (data abstraction through
+            // procedures, §4.2.3) and its own range scope (range statements
+            // in the body do not leak into the caller's session).
+            let n = calls.len();
+            for vals in calls {
+                let mut frame = Params {
+                    vars: HashMap::new(),
+                    depth: params.depth + 1,
                 };
-                extra_model::Attribute {
-                    name: n.clone(),
-                    qty: QualType {
-                        mode,
-                        ty: q.ty.clone(),
-                    },
+                for ((pname, pqty), v) in def.params.iter().zip(vals) {
+                    v.conforms(pqty, &cat.types, &cat.adts)?;
+                    frame.vars.insert(pname.clone(), (pqty.clone(), v));
                 }
-            })
-            .collect();
-        let elem = QualType::own(Type::Tuple(attrs));
-        let anchor = db.store.create_collection(&elem)?;
-        for row in &result.rows {
-            db.store
-                .append_member(&cat.types, anchor, Value::Tuple(row.clone()))?;
+                let mut body_ranges = ranges.clone();
+                for body_stmt in &def.body {
+                    exec_statement(db, cat, &mut body_ranges, ADMIN, body_stmt, &frame)?;
+                }
+            }
+            Ok(Response::Done(format!(
+                "{} executed for {n} bindings",
+                def.name
+            )))
         }
-        cat.named.insert(
-            name.clone(),
-            excess_sema::NamedObject {
-                name: name.clone(),
-                oid: anchor,
-                qty: QualType::own(Type::Set(Box::new(elem))),
-                is_collection: true,
-            },
-        );
+        // The interpreter dispatches only the verbs above; `explain`
+        // hands over whatever statement it wraps.
+        _ => Err(DbError::Catalog(
+            "explain supports retrieve and update statements".into(),
+        )),
     }
-    Ok(result)
 }
 
-/// Collect the satisfying bindings for an update statement as one
-/// materialized [`RowBatch`] — every satisfying binding (values plus
-/// update identities) is computed *before* any mutation, preserving the
-/// paper's set-oriented update semantics. `exprs` are all expressions
-/// whose variables must be bound; `extra_from` forces a binding for an
-/// update-target collection.
-#[allow(clippy::too_many_arguments)]
-fn collect_bindings(
+/// Execute a retrieve: plan, authorize, run. Per-operator metrics land
+/// on the result's `profile` field when the database profiles every
+/// statement or the statement is being explained; a plan-only `explain`
+/// stops after authorization, with an empty result.
+pub(crate) fn retrieve(
+    scope: &Scope<'_>,
+    stmt: &Stmt,
+    mut explain: Option<&mut ExplainSink>,
+) -> DbResult<(QueryResult, CheckedRetrieve)> {
+    let q = scope.plan(stmt)?;
+    check_read(scope, &q.checked, stmt)?;
+    if !explain_planned(&mut explain, &q.phys) {
+        return Ok((QueryResult::default(), q.checked));
+    }
+    let profile = explain.is_some() || scope.db.profiling();
+    let (mut result, profile) = scope.run_query(&q, profile, |ctx, env| {
+        let result = run_plan(&q.node, ctx, env)?;
+        let rows = result.len();
+        Ok((result, rows))
+    })?;
+    if let Some(sink) = explain {
+        sink.profile = profile.clone();
+    }
+    result.profile = profile;
+    Ok((result, q.checked))
+}
+
+/// `retrieve into`: materialize the result as a new named snapshot set.
+fn materialize(
     db: &Database,
-    cat: &Catalog,
-    ranges: &RangeEnv,
-    params: &Params,
-    exprs: Vec<Expr>,
-    extra_from: Vec<FromBinding>,
-    qual: Option<Expr>,
-    explain: Option<&mut ExplainSink>,
-) -> DbResult<(RowBatch, CheckedRetrieve)> {
-    let targets: Vec<Target> = exprs
-        .into_iter()
-        .map(|e| Target {
-            name: None,
-            expr: e,
+    cat: &mut Catalog,
+    name: &str,
+    checked: &CheckedRetrieve,
+    result: &QueryResult,
+) -> DbResult<()> {
+    if cat.named.contains_key(name) {
+        return Err(DbError::Catalog(format!(
+            "the name '{name}' is already in use"
+        )));
+    }
+    // Snapshot semantics: own-mode tuples; reference-valued outputs
+    // are stored as plain refs (not integrity-tracked).
+    let attrs: Vec<extra_model::Attribute> = checked
+        .output
+        .iter()
+        .map(|(n, q)| {
+            let mode = match q.mode {
+                Ownership::Own => Ownership::Own,
+                _ => Ownership::Ref,
+            };
+            extra_model::Attribute {
+                name: n.clone(),
+                qty: QualType {
+                    mode,
+                    ty: q.ty.clone(),
+                },
+            }
         })
         .collect();
-    let stmt = Stmt::Retrieve {
-        into: None,
-        targets: if targets.is_empty() {
-            vec![Target {
+    let elem = QualType::own(Type::Tuple(attrs));
+    let anchor = db.store.create_collection(&elem)?;
+    for row in &result.rows {
+        db.store
+            .append_member(&cat.types, anchor, Value::Tuple(row.clone()))?;
+    }
+    cat.named.insert(
+        name.to_string(),
+        excess_sema::NamedObject {
+            name: name.to_string(),
+            oid: anchor,
+            qty: QualType::own(Type::Set(Box::new(elem))),
+            is_collection: true,
+        },
+    );
+    Ok(())
+}
+
+// ---------------------------------------------------------------------------
+// The update pipeline: bind → stage → resolve → write
+// ---------------------------------------------------------------------------
+
+/// The satisfying bindings of an update statement, materialized *before*
+/// any mutation (the paper's set-oriented update semantics), with the
+/// statement's expressions compiled beside them.
+struct Bound {
+    rows: RowBatch,
+    checked: CheckedRetrieve,
+    /// The statement's expressions in the order they were handed to
+    /// [`Scope::bind`], compiled once as the bindings query's
+    /// projection targets.
+    exprs: Vec<CExpr>,
+}
+
+impl Scope<'_> {
+    /// Plan and run an update's bindings query: a retrieve whose
+    /// targets are `exprs` — every expression whose variables must be
+    /// bound — over `from` (which forces a binding for an update-target
+    /// collection) filtered by `qual`. A plan-only `explain` binds
+    /// nothing, so the update applies to nothing.
+    fn bind(
+        &self,
+        exprs: Vec<Expr>,
+        from: Vec<FromBinding>,
+        qual: Option<&Expr>,
+        mut explain: Option<&mut ExplainSink>,
+    ) -> DbResult<Bound> {
+        let mut targets: Vec<Target> = exprs
+            .into_iter()
+            .map(|expr| Target { name: None, expr })
+            .collect();
+        if targets.is_empty() {
+            targets.push(Target {
                 name: None,
                 expr: Expr::Lit(excess_lang::Lit::Int(1)),
-            }]
-        } else {
-            targets
-        },
-        from: extra_from,
-        qual,
-        order_by: None,
-    };
-    let (node, checked, phys) = plan_query(db, cat, ranges, params, &stmt)?;
-    let profiling = match explain {
-        Some(sink) => {
-            sink.plan = Some(phys.to_string());
-            if !sink.analyze {
-                // Plan-only EXPLAIN: no bindings means every update
-                // applies to nothing and mutates no state.
-                return Ok((RowBatch::new(), checked));
+            });
+        }
+        let q = self.plan(&Stmt::Retrieve {
+            into: None,
+            targets,
+            from,
+            qual: qual.cloned(),
+            order_by: None,
+        })?;
+        if !explain_planned(&mut explain, &q.phys) {
+            return Ok(Bound {
+                rows: RowBatch::new(),
+                checked: q.checked,
+                exprs: Vec::new(),
+            });
+        }
+        let ExecNode::Project { input, .. } = &q.node else {
+            return Err(DbError::Catalog("update plan has no projection".into()));
+        };
+        // Pull the projection's input, not the projection: the update
+        // needs the bindings (values plus update identities), and
+        // evaluates the targets itself while staging.
+        let (rows, profile) = self.run_query(&q, explain.is_some(), |ctx, env| {
+            let index = ctx.profiler.as_ref().map(|p| p.index());
+            let slot = index.and_then(|ix| ix.slot_of(&q.node));
+            let t0 = Instant::now();
+            let mut all = RowBatch::new();
+            let mut cur = input.cursor_profiled(RowBatch::single(env), index);
+            while let Some(batch) = cur.next(ctx)? {
+                ctx.prof_in(slot, batch.len());
+                all.append(batch);
             }
-            Some(sink)
+            if let (Some(p), Some(slot)) = (&ctx.profiler, slot) {
+                p.record_ns(slot, t0.elapsed().as_nanos() as u64);
+                p.record_out(slot, all.len());
+            }
+            let rows = all.len();
+            Ok((all, rows))
+        })?;
+        if let Some(sink) = explain {
+            sink.profile = profile;
         }
-        None => None,
-    };
-    let ExecNode::Project { input, .. } = &node else {
-        return Err(DbError::Catalog("update plan has no projection".into()));
-    };
-    let view = CatalogView {
-        cat,
-        store: &db.store,
-        db: Some(db),
-    };
-    let snap = db.store.current_snap();
-    let mut ctx = ExecCtx::new(&db.store, &cat.types, &cat.adts, &view, snap)
-        .with_batch_size(db.batch_size())
-        .with_workers(db.worker_threads())
-        .with_metrics(db.exec_metrics());
-    let before = profiling
-        .as_ref()
-        .map(|_| db.store.storage().pool().stats());
-    if profiling.is_some() {
-        ctx = ctx.with_profiler(make_profiler(db, cat, &node, &phys));
+        let ExecNode::Project { targets, .. } = q.node else {
+            unreachable!("matched above")
+        };
+        Ok(Bound {
+            rows,
+            checked: q.checked,
+            exprs: targets.into_iter().map(|(_, e)| e).collect(),
+        })
     }
-    let env = base_env(params);
-    let t0 = std::time::Instant::now();
-    let index = ctx.profiler.as_ref().map(|p| p.index());
-    let proj_slot = index.and_then(|ix| ix.slot_of(&node));
-    let mut all = RowBatch::new();
-    let exec_span = db.span("execute", "");
-    let mut cur = input.cursor_profiled(RowBatch::single(&env), index);
-    while let Some(batch) = cur.next(&ctx)? {
-        ctx.prof_in(proj_slot, batch.len());
-        all.append(batch);
+}
+
+impl Bound {
+    /// Stage the update: call `f` once per binding with an evaluator
+    /// for the statement's `i`-th expression. Everything evaluates
+    /// against the pre-state, under one executor context, before the
+    /// caller writes anything.
+    fn stage<T>(
+        &self,
+        scope: &Scope<'_>,
+        mut f: impl FnMut(&BatchRow<'_>, &dyn Fn(usize) -> DbResult<Value>) -> DbResult<T>,
+    ) -> DbResult<Vec<T>> {
+        let ctx = scope.exec();
+        self.rows
+            .iter()
+            .map(|env| f(&env, &|i| Ok(eval(&self.exprs[i], &ctx, &env)?)))
+            .collect()
     }
-    drop(exec_span);
-    if let (Some(sink), Some(p)) = (profiling, ctx.profiler.take()) {
-        if let Some(slot) = proj_slot {
-            p.record_ns(slot, t0.elapsed().as_nanos() as u64);
-            p.record_out(slot, all.len());
+}
+
+/// The stored thing an update rewrites: an object, or an `own`-mode
+/// member record of a collection.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Owner {
+    Object(Oid),
+    Member { anchor: Oid, rid: RecordId },
+}
+
+/// The identity every update resolves its target to: a position inside
+/// the stored value of `owner` — tuple field positions and, for an item
+/// of a nested set or array, its index there. An empty path is the
+/// owner itself (an object, or a collection member).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct Site {
+    owner: Owner,
+    path: Vec<usize>,
+}
+
+impl Site {
+    fn object(oid: Oid) -> Site {
+        Site {
+            owner: Owner::Object(oid),
+            path: Vec::new(),
         }
-        let delta = before.map(|b| BufferDelta::between(&b, &db.store.storage().pool().stats()));
-        sink.profile = Some(p.finish(
-            t0.elapsed().as_nanos() as u64,
-            all.len() as u64,
-            db.worker_threads(),
-            delta,
-        ));
     }
-    Ok((all, checked))
+}
+
+/// One index entry of a member: the index and the member's key in it.
+type IndexEntry<'a> = (&'a IndexInfo, Vec<u8>);
+
+/// A collection record's index entries before and after a write.
+/// `rid` is absent for a record the write creates.
+struct IndexMove<'a> {
+    rid: Option<RecordId>,
+    old: Vec<IndexEntry<'a>>,
+    new: Vec<IndexEntry<'a>>,
+}
+
+fn key_violation(attr: &str) -> DbError {
+    DbError::Model(ModelError::Integrity(format!(
+        "key violation: a member with this '{attr}' already exists"
+    )))
 }
 
 /// Key bytes for a member's indexed attribute (dereferencing ref-mode
 /// members). `None` for nulls — indexes do not cover null keys.
-pub fn member_attr_key(
+pub(crate) fn member_attr_key(
     db: &Database,
     member: &Value,
     pos: usize,
@@ -526,96 +654,345 @@ pub fn member_attr_key(
     Ok(field.key_encode(adts))
 }
 
-fn attr_pos_of(cat: &Catalog, db: &Database, elem: &QualType, attr: &str) -> DbResult<usize> {
-    let view = CatalogView {
-        cat,
-        store: &db.store,
-        db: Some(db),
-    };
-    let ctx = SemaCtx::new(&cat.types, &cat.adts, &view);
-    Ok(ctx.attr_pos(elem, attr)?)
-}
+impl<'a> Scope<'a> {
+    /// The indexes over the collection anchored at `anchor`, each with
+    /// its attribute's position in the element tuple. Resolved once per
+    /// collection, not per member.
+    pub fn indexes_on(&self, anchor: Oid) -> DbResult<Vec<(&'a IndexInfo, usize)>> {
+        let cat: &'a Catalog = self.cat;
+        let Some(coll) = cat
+            .named
+            .values()
+            .find(|o| o.is_collection && o.oid == anchor)
+        else {
+            return Ok(Vec::new());
+        };
+        let mut indexes = cat
+            .indexes
+            .iter()
+            .filter(|i| i.collection == coll.name)
+            .peekable();
+        if indexes.peek().is_none() {
+            return Ok(Vec::new());
+        }
+        let elem = self.db.store.collection_elem(anchor)?;
+        let ctx = self.sema();
+        indexes
+            .map(|i| Ok((i, ctx.attr_pos(&elem, &i.attr)?)))
+            .collect()
+    }
 
-/// One index maintenance entry: `(root page, key bytes, unique, attr)`.
-type IndexEntry = (u64, Vec<u8>, bool, String);
+    fn index_entries(
+        &self,
+        indexes: &[(&'a IndexInfo, usize)],
+        member: &Value,
+    ) -> DbResult<Vec<IndexEntry<'a>>> {
+        let mut out = Vec::new();
+        for &(idx, pos) in indexes {
+            if let Some(key) = member_attr_key(self.db, member, pos, &self.cat.adts)? {
+                out.push((idx, key));
+            }
+        }
+        Ok(out)
+    }
 
-fn index_entries_for(
-    db: &Database,
-    cat: &Catalog,
-    collection: &str,
-    anchor: Oid,
-    member: &Value,
-) -> DbResult<Vec<IndexEntry>> {
-    let mut out = Vec::new();
-    let elem = db.store.collection_elem(anchor)?;
-    for idx in cat.indexes.iter().filter(|i| i.collection == collection) {
-        let pos = attr_pos_of(cat, db, &elem, &idx.attr)?;
-        if let Some(key) = member_attr_key(db, member, pos, &cat.adts)? {
-            out.push((idx.root, key, idx.unique, idx.attr.clone()));
+    /// The one index-maintaining write. In order: remove the old
+    /// entries; probe the unique keys among the new ones, putting the
+    /// old entries back on a violation so a rejected write leaves no
+    /// trace; `write` the store (it reports the record id when it
+    /// places or moves the record); insert the new entries.
+    fn write_indexed(
+        &self,
+        moves: &[IndexMove<'_>],
+        write: impl FnOnce() -> DbResult<Option<RecordId>>,
+    ) -> DbResult<()> {
+        let pool = self.db.store.storage().pool();
+        let old = || {
+            moves
+                .iter()
+                .filter_map(|m| Some((m.rid?.pack(), &m.old)))
+                .flat_map(|(at, entries)| entries.iter().map(move |e| (at, e)))
+        };
+        for (at, (idx, key)) in old() {
+            BTree::open(idx.root).delete(pool, key, at)?;
+        }
+        for (idx, key) in moves.iter().flat_map(|m| &m.new) {
+            if idx.unique && !BTree::open(idx.root).lookup(pool, key)?.is_empty() {
+                for (at, (idx, key)) in old() {
+                    BTree::open(idx.root).insert(pool, key, at, false)?;
+                }
+                return Err(key_violation(&idx.attr));
+            }
+        }
+        let placed = write()?;
+        for m in moves {
+            for (idx, key) in &m.new {
+                let at = placed
+                    .or(m.rid)
+                    .expect("a write that creates a record reports its id");
+                BTree::open(idx.root)
+                    .insert(pool, key, at.pack(), idx.unique)
+                    .map_err(|e| match e {
+                        StorageError::DuplicateKey => key_violation(&idx.attr),
+                        other => other.into(),
+                    })?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Coerce an appended value to a member of a collection of `elem`:
+    /// `own` elements copy through references (value semantics); for
+    /// reference-mode elements a constructed tuple becomes a new object.
+    pub fn as_member(&self, elem: &QualType, value: Value) -> DbResult<Value> {
+        let (db, cat) = (self.db, self.cat);
+        match (elem.mode, value) {
+            (Ownership::Own, mut v) => {
+                while let Value::Ref(oid) = v {
+                    v = db.store.value_of_at(oid, self.snap)?;
+                }
+                v.conforms(elem, &cat.types, &cat.adts)?;
+                Ok(v)
+            }
+            (_, v @ Value::Ref(_)) => Ok(v),
+            (_, v @ Value::Tuple(_)) => {
+                let obj_q = QualType::own(elem.ty.clone());
+                Ok(Value::Ref(db.store.create_object(&cat.types, &obj_q, v)?))
+            }
+            (_, other) => Err(DbError::Model(ModelError::TypeMismatch {
+                expected: "a reference or tuple".into(),
+                got: other.kind().into(),
+            })),
         }
     }
-    Ok(out)
-}
 
-/// Reject a prospective member whose unique-key values already exist.
-/// Call *before* mutating, so violations leave no partial state.
-fn probe_unique(db: &Database, entries: &[IndexEntry]) -> DbResult<()> {
-    for (root, key, unique, attr) in entries {
-        if *unique
-            && !BTree::open(*root)
-                .lookup(db.store.storage().pool(), key)?
-                .is_empty()
-        {
-            return Err(DbError::Model(ModelError::Integrity(format!(
-                "key violation: a member with this '{attr}' already exists"
-            ))));
-        }
+    /// Insert one member into a collection whose indexes are `indexes`.
+    pub fn insert_member(
+        &self,
+        indexes: &[(&'a IndexInfo, usize)],
+        anchor: Oid,
+        member: Value,
+    ) -> DbResult<()> {
+        let mv = IndexMove {
+            rid: None,
+            old: Vec::new(),
+            new: self.index_entries(indexes, &member)?,
+        };
+        self.write_indexed(&[mv], || {
+            let store = &self.db.store;
+            Ok(Some(store.append_member(
+                &self.cat.types,
+                anchor,
+                member,
+            )?))
+        })
     }
-    Ok(())
-}
 
-fn index_insert(db: &Database, entries: &[IndexEntry], rid: RecordId) -> DbResult<()> {
-    // Defensive re-check (the statement-level probe should have run).
-    for (root, key, unique, attr) in entries {
-        if *unique {
-            let existing = BTree::open(*root).lookup(db.store.storage().pool(), key)?;
-            if existing.iter().any(|v| *v != rid.pack()) {
-                return Err(DbError::Model(ModelError::Integrity(format!(
-                    "key violation: a member with this '{attr}' already exists"
-                ))));
+    /// Load an owner's current value.
+    fn owner_value(&self, owner: &Owner) -> DbResult<Value> {
+        match owner {
+            Owner::Object(oid) => Ok(self.db.store.value_of_at(*oid, self.snap)?),
+            Owner::Member { rid, .. } => {
+                let bytes = self.db.store.storage().read(*rid)?;
+                Ok(extra_model::valueio::from_bytes(&bytes)?)
             }
         }
     }
-    for (root, key, _, _) in entries {
-        BTree::open(*root).insert(db.store.storage().pool(), key, rid.pack(), false)?;
+
+    /// Write an owner's new value back — or, for `None`, delete the
+    /// owner — maintaining integrity edges and the indexes of every
+    /// collection the owner is a member of. A reference-mode member's
+    /// record (a `Ref`) never changes, but its indexed attribute values
+    /// live in the object, so an object write moves the entries of all
+    /// its memberships.
+    fn write_owner(&self, owner: &Owner, new: Option<Value>) -> DbResult<()> {
+        let (store, types) = (&self.db.store, &self.cat.types);
+        let mut moves = Vec::new();
+        let slots = match owner {
+            Owner::Object(oid) => store.memberships(*oid)?,
+            Owner::Member { anchor, rid } => vec![(*anchor, *rid)],
+        };
+        for (anchor, rid) in slots {
+            let indexes = self.indexes_on(anchor)?;
+            if indexes.is_empty() {
+                continue;
+            }
+            let old = match owner {
+                Owner::Object(oid) => Value::Ref(*oid),
+                Owner::Member { .. } => self.owner_value(owner)?,
+            };
+            moves.push(IndexMove {
+                rid: Some(rid),
+                old: self.index_entries(&indexes, &old)?,
+                new: match &new {
+                    Some(v) => self.index_entries(&indexes, v)?,
+                    None => Vec::new(),
+                },
+            });
+        }
+        self.write_indexed(&moves, || {
+            match (owner, new) {
+                (Owner::Object(oid), Some(v)) => store.set_value(types, *oid, v)?,
+                (Owner::Object(oid), None) => store.delete_object(types, *oid)?,
+                (Owner::Member { anchor, rid }, Some(v)) => {
+                    return Ok(Some(store.update_member(*anchor, *rid, &v)?))
+                }
+                (Owner::Member { anchor, rid }, None) => {
+                    store.remove_member(types, *anchor, *rid)?
+                }
+            }
+            Ok(None)
+        })
     }
-    Ok(())
-}
 
-fn index_remove(db: &Database, entries: &[IndexEntry], rid: RecordId) -> DbResult<()> {
-    for (root, key, _, _) in entries {
-        BTree::open(*root).delete(db.store.storage().pool(), key, rid.pack())?;
+    /// Rewrite the value at `site` in place and write its owner back.
+    fn edit(&self, site: &Site, edit: impl FnOnce(&mut Value) -> DbResult<()>) -> DbResult<()> {
+        let mut value = self.owner_value(&site.owner)?;
+        edit(navigate_mut(&mut value, &site.path)?)?;
+        self.write_owner(&site.owner, Some(value))
     }
-    Ok(())
-}
 
-fn collection_name_of(cat: &Catalog, anchor: Oid) -> Option<String> {
-    cat.named
-        .values()
-        .find(|o| o.is_collection && o.oid == anchor)
-        .map(|o| o.name.clone())
-}
+    /// The site of the update target bound to `var` in one binding;
+    /// `None` when the binding carries no stable identity.
+    fn site_of(
+        &self,
+        env: &dyn Bindings,
+        var: &str,
+        checked: &CheckedRetrieve,
+    ) -> DbResult<Option<Site>> {
+        let owner = match env.ident(var) {
+            MemberId::Object(oid) => Owner::Object(oid),
+            MemberId::Record { anchor, rid } => Owner::Member { anchor, rid },
+            MemberId::Nested {
+                parent,
+                steps,
+                index,
+            } => {
+                let mut site = self.resolve_site(env, &parent, &steps, checked)?;
+                site.path.push(index);
+                return Ok(Some(site));
+            }
+            MemberId::None => return Ok(None),
+        };
+        Ok(Some(Site {
+            owner,
+            path: Vec::new(),
+        }))
+    }
 
-/// Remove every index entry pointing at an object (via its memberships).
-fn unindex_object(db: &Database, cat: &Catalog, oid: Oid) -> DbResult<()> {
-    let member = Value::Ref(oid);
-    for (anchor, rid) in db.store.memberships(oid)? {
-        if let Some(name) = collection_name_of(cat, anchor) {
-            let entries = index_entries_for(db, cat, &name, anchor, &member)?;
-            index_remove(db, &entries, rid)?;
+    /// Resolve the owner object/record and in-value path of the
+    /// container `root_var.steps` in one binding.
+    fn resolve_site(
+        &self,
+        env: &dyn Bindings,
+        root_var: &str,
+        steps: &[String],
+        checked: &CheckedRetrieve,
+    ) -> DbResult<Site> {
+        let (db, cat, snap) = (self.db, self.cat, self.snap);
+        let ctx = self.sema();
+        // Starting point: the root variable's value + identity, or a named
+        // object.
+        let (mut owner, mut value, mut qty): (Owner, Value, QualType) = if let Some(v) =
+            env.value(root_var)
+        {
+            let qty = checked
+                .bindings
+                .iter()
+                .find(|b| b.var == root_var)
+                .map(|b| b.elem.clone())
+                .ok_or_else(|| DbError::Catalog(format!("untyped update root '{root_var}'")))?;
+            match env.ident(root_var) {
+                MemberId::Object(oid) => {
+                    (Owner::Object(oid), db.store.value_of_at(oid, snap)?, qty)
+                }
+                MemberId::Record { anchor, rid } => (Owner::Member { anchor, rid }, v.clone(), qty),
+                MemberId::Nested { .. } | MemberId::None => {
+                    return Err(DbError::Catalog(format!(
+                        "cannot update through '{root_var}' (no stable identity)"
+                    )))
+                }
+            }
+        } else if let Some(obj) = cat.named.get(root_var) {
+            (
+                Owner::Object(obj.oid),
+                db.store.value_of_at(obj.oid, snap)?,
+                obj.qty.clone(),
+            )
+        } else {
+            return Err(DbError::Catalog(format!(
+                "unknown update root '{root_var}'"
+            )));
+        };
+
+        // Walk the steps; crossing a reference moves the owner.
+        let mut path: Vec<usize> = Vec::new();
+        for s in steps {
+            while let Value::Ref(oid) = value {
+                owner = Owner::Object(oid);
+                path.clear();
+                value = db.store.value_of_at(oid, snap)?;
+            }
+            let pos = ctx.attr_pos(&qty, s)?;
+            qty = ctx.attr_type(&qty, s)?;
+            path.push(pos);
+            value = match value {
+                Value::Tuple(mut fields) if pos < fields.len() => fields.swap_remove(pos),
+                Value::Null => {
+                    return Err(DbError::Model(ModelError::Semantic(format!(
+                        "null encountered at '{s}' while updating"
+                    ))))
+                }
+                other => {
+                    return Err(DbError::Model(ModelError::TypeMismatch {
+                        expected: "a tuple".into(),
+                        got: other.kind().into(),
+                    }))
+                }
+            };
+        }
+        Ok(Site { owner, path })
+    }
+
+    /// Static type of the update target `var`: a bound range variable,
+    /// a parameter, or a named object.
+    fn target_type(&self, checked: &CheckedRetrieve, var: &str) -> Option<QualType> {
+        if let Some(b) = checked.bindings.iter().find(|b| b.var == var) {
+            Some(b.elem.clone())
+        } else if let Some((q, _)) = self.params.vars.get(var) {
+            Some(q.clone())
+        } else {
+            self.cat.named.get(var).map(|obj| obj.qty.clone())
         }
     }
-    Ok(())
+}
+
+/// Step to the value at `path` inside `value`: tuple field positions
+/// and set/array item indexes.
+fn navigate_mut<'v>(value: &'v mut Value, path: &[usize]) -> DbResult<&'v mut Value> {
+    let mut cur = value;
+    for &pos in path {
+        let kind = cur.kind();
+        match cur {
+            Value::Tuple(items) | Value::Set(items) | Value::Array(items) if pos < items.len() => {
+                cur = &mut items[pos]
+            }
+            _ => {
+                return Err(DbError::Model(ModelError::TypeMismatch {
+                    expected: "a tuple".into(),
+                    got: kind.into(),
+                }))
+            }
+        }
+    }
+    Ok(cur)
+}
+
+fn not_a_container(got: &Value) -> DbError {
+    DbError::Model(ModelError::TypeMismatch {
+        expected: "a set or array".into(),
+        got: got.kind().into(),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -627,7 +1004,7 @@ fn unindex_object(db: &Database, cat: &Catalog, oid: Oid) -> DbResult<()> {
 fn member_from_assignments(
     cat: &Catalog,
     elem: &QualType,
-    assignments: &[(String, Value)],
+    assignments: &[(&String, Value)],
 ) -> DbResult<Value> {
     let Type::Schema(tid) = elem.ty else {
         return Err(DbError::Catalog(
@@ -639,7 +1016,7 @@ fn member_from_assignments(
         if st.attribute(name).is_none() {
             return Err(DbError::Model(ModelError::UnknownAttribute {
                 ty: st.name.clone(),
-                attr: name.clone(),
+                attr: (*name).clone(),
             }));
         }
     }
@@ -648,7 +1025,7 @@ fn member_from_assignments(
         .map(|a| {
             assignments
                 .iter()
-                .find(|(n, _)| *n == a.name)
+                .find(|(n, _)| **n == a.name)
                 .map(|(_, v)| v.clone())
                 .unwrap_or_else(|| default_value(&a.qty, &cat.types))
         })
@@ -658,61 +1035,21 @@ fn member_from_assignments(
     Ok(tuple)
 }
 
-/// Insert one member into a collection, creating the object for
-/// reference-mode elements; maintains indexes.
-fn insert_member(
-    db: &Database,
-    cat: &Catalog,
-    name: &str,
-    anchor: Oid,
-    value: Value,
-) -> DbResult<()> {
-    let elem = db.store.collection_elem(anchor)?;
-    let member = match elem.mode {
-        Ownership::Own => {
-            // Value semantics: copy through references.
-            let mut v = value;
-            while let Value::Ref(oid) = v {
-                v = db.store.value_of_at(oid, db.store.current_snap())?;
-            }
-            v.conforms(&elem, &cat.types, &cat.adts)?;
-            v
+/// Insert `member` into the set or array at `slot`.
+fn insert_into(slot: &mut Value, member: Value) -> DbResult<()> {
+    match slot {
+        Value::Set(_) => {
+            slot.set_insert(member)?;
         }
-        Ownership::Ref | Ownership::OwnRef => match value {
-            v @ Value::Ref(_) => v,
-            Value::Tuple(fields) => {
-                // A constructed tuple becomes a new object.
-                let obj_q = QualType::own(elem.ty.clone());
-                Value::Ref(
-                    db.store
-                        .create_object(&cat.types, &obj_q, Value::Tuple(fields))?,
-                )
-            }
-            other => {
-                return Err(DbError::Model(ModelError::TypeMismatch {
-                    expected: "a reference or tuple".into(),
-                    got: other.kind().into(),
-                }))
-            }
-        },
-    };
-    let entries = index_entries_for(db, cat, name, anchor, &member)?;
-    probe_unique(db, &entries)?;
-    let rid = db.store.append_member(&cat.types, anchor, member)?;
-    index_insert(db, &entries, rid)?;
+        Value::Array(items) => items.push(member),
+        Value::Null => *slot = Value::Set(vec![member]),
+        other => return Err(not_a_container(other)),
+    }
     Ok(())
 }
 
 /// `append [to] target (...) [where q]`.
-pub(crate) fn append(
-    db: &Database,
-    cat: &mut Catalog,
-    ranges: &RangeEnv,
-    user: &str,
-    stmt: &Stmt,
-    params: &Params,
-    explain: Option<&mut ExplainSink>,
-) -> DbResult<crate::database::Response> {
+fn append(scope: &Scope<'_>, stmt: &Stmt, explain: Option<&mut ExplainSink>) -> DbResult<Response> {
     let Stmt::Append {
         target,
         value,
@@ -721,137 +1058,65 @@ pub(crate) fn append(
     else {
         unreachable!("dispatch");
     };
-    // Expressions that must be resolvable.
-    let mut exprs: Vec<Expr> = Vec::new();
-    match value {
-        AppendValue::Assignments(assigns) => exprs.extend(assigns.iter().map(|(_, e)| e.clone())),
-        AppendValue::Expr(e) => exprs.push(e.clone()),
-    }
-
-    match target {
+    let (db, cat) = (scope.db, scope.cat);
+    // The value's expressions lead the bindings query, so the staged
+    // evaluator finds assignment `i` (or the one value expression) at `i`.
+    let mut exprs: Vec<Expr> = match value {
+        AppendValue::Assignments(assigns) => assigns.iter().map(|(_, e)| e.clone()).collect(),
+        AppendValue::Expr(e) => vec![e.clone()],
+    };
+    let member_of = |elem: &QualType, eval: &dyn Fn(usize) -> DbResult<Value>| match value {
+        AppendValue::Assignments(assigns) => {
+            let vals = assigns
+                .iter()
+                .enumerate()
+                .map(|(i, (n, _))| Ok((n, eval(i)?)))
+                .collect::<DbResult<Vec<_>>>()?;
+            member_from_assignments(cat, elem, &vals)
+        }
+        AppendValue::Expr(_) => eval(0),
+    };
+    let named = match target {
+        Expr::Var(name) => cat.named.get(name),
+        _ => None,
+    };
+    match (target, named) {
         // append to <NamedCollection> ...
-        Expr::Var(name)
-            if cat
-                .named
-                .get(name)
-                .map(|o| o.is_collection)
-                .unwrap_or(false) =>
-        {
-            if !cat.auth.allowed(user, name, Privilege::Append) {
-                return Err(DbError::Auth(format!("{user} may not append to {name}")));
-            }
-            let anchor = cat.named[name].oid;
-            let (bindings, checked) = collect_bindings(
-                db,
-                cat,
-                ranges,
-                params,
-                exprs,
-                Vec::new(),
-                qual.clone(),
-                explain,
-            )?;
-            let vars = update_vars(params, &checked);
-            let view = CatalogView {
-                cat,
-                store: &db.store,
-                db: Some(db),
-            };
-            let snap = db.store.current_snap();
-            let ctx = ExecCtx::new(&db.store, &cat.types, &cat.adts, &view, snap)
-                .with_batch_size(db.batch_size())
-                .with_workers(db.worker_threads())
-                .with_metrics(db.exec_metrics());
-            let mut staged: Vec<Value> = Vec::new();
-            for env in bindings.iter() {
-                staged.push(eval_member_value(
-                    db, cat, &ctx, &env, ranges, &vars, anchor, value,
-                )?);
-            }
-            drop(ctx);
+        (Expr::Var(name), Some(obj)) if obj.is_collection => {
+            scope.allow(name, Privilege::Append, "append to")?;
+            let bound = scope.bind(exprs, Vec::new(), qual.as_ref(), explain)?;
+            let elem = db.store.collection_elem(obj.oid)?;
+            let staged = bound.stage(scope, |_, eval| member_of(&elem, eval))?;
+            let indexes = scope.indexes_on(obj.oid)?;
             let n = staged.len();
             for v in staged {
-                insert_member(db, cat, name, anchor, v)?;
+                scope.insert_member(&indexes, obj.oid, scope.as_member(&elem, v)?)?;
             }
-            Ok(crate::database::Response::Done(format!(
-                "appended {n} to {name}"
-            )))
+            Ok(Response::Done(format!("appended {n} to {name}")))
         }
         // append to <var-array object> <expr> — push.
-        Expr::Var(name)
-            if cat
-                .named
-                .get(name)
-                .map(|o| !o.is_collection && matches!(o.qty.ty, Type::Array(None, _)))
-                .unwrap_or(false) =>
-        {
-            let AppendValue::Expr(vexpr) = value else {
+        (Expr::Var(name), Some(obj)) if matches!(obj.qty.ty, Type::Array(None, _)) => {
+            let (AppendValue::Expr(_), Type::Array(_, elem)) = (value, &obj.qty.ty) else {
                 return Err(DbError::Catalog(
                     "arrays take a value expression, not assignments".into(),
                 ));
             };
-            if !cat.auth.allowed(user, name, Privilege::Append) {
-                return Err(DbError::Auth(format!("{user} may not append to {name}")));
-            }
-            let obj = cat.named[name].clone();
-            let Type::Array(None, elem) = &obj.qty.ty else {
-                unreachable!()
-            };
-            let elem = (**elem).clone();
-            let (bindings, checked) = collect_bindings(
-                db,
-                cat,
-                ranges,
-                params,
-                exprs,
-                Vec::new(),
-                qual.clone(),
-                explain,
-            )?;
-            let vars = update_vars(params, &checked);
-            let view = CatalogView {
-                cat,
-                store: &db.store,
-                db: Some(db),
-            };
-            let snap = db.store.current_snap();
-            let ctx = ExecCtx::new(&db.store, &cat.types, &cat.adts, &view, snap)
-                .with_batch_size(db.batch_size())
-                .with_workers(db.worker_threads())
-                .with_metrics(db.exec_metrics());
-            let mut staged: Vec<Value> = Vec::new();
-            for env in bindings.iter() {
-                staged.push(eval_expr(db, cat, &ctx, &env, ranges, &vars, vexpr)?);
-            }
-            drop(ctx);
+            scope.allow(name, Privilege::Append, "append to")?;
+            let bound = scope.bind(exprs, Vec::new(), qual.as_ref(), explain)?;
+            let staged = bound.stage(scope, |_, eval| eval(0))?;
             let n = staged.len();
             for v in staged {
-                v.conforms(&elem, &cat.types, &cat.adts)?;
-                let mut arr = db.store.value_of_at(obj.oid, snap)?;
-                match &mut arr {
-                    Value::Array(items) => items.push(v),
-                    other => {
-                        return Err(DbError::Model(ModelError::TypeMismatch {
-                            expected: "an array".into(),
-                            got: other.kind().into(),
-                        }))
-                    }
-                }
-                db.store.set_value(&cat.types, obj.oid, arr)?;
+                v.conforms(elem, &cat.types, &cat.adts)?;
+                scope.edit(&Site::object(obj.oid), |slot| insert_into(slot, v))?;
             }
-            Ok(crate::database::Response::Done(format!(
-                "appended {n} to {name}"
-            )))
+            Ok(Response::Done(format!("appended {n} to {name}")))
         }
         // append to <array>[i] <expr> — slot assignment.
-        Expr::Index(_, _) => {
+        (Expr::Index(base, idx), _) => {
             let AppendValue::Expr(vexpr) = value else {
                 return Err(DbError::Catalog(
                     "array slots take a value expression, not assignments".into(),
                 ));
-            };
-            let Expr::Index(base, idx) = target else {
-                unreachable!()
             };
             let Expr::Var(obj_name) = &**base else {
                 return Err(DbError::Catalog(
@@ -861,46 +1126,16 @@ pub(crate) fn append(
             let obj = cat
                 .named
                 .get(obj_name)
-                .cloned()
                 .ok_or_else(|| DbError::Catalog(format!("no named object '{obj_name}'")))?;
-            if !cat.auth.allowed(user, obj_name, Privilege::Replace) {
-                return Err(DbError::Auth(format!("{user} may not update {obj_name}")));
-            }
+            scope.allow(obj_name, Privilege::Replace, "update")?;
             let Type::Array(_, elem) = &obj.qty.ty else {
                 return Err(DbError::Catalog(format!("'{obj_name}' is not an array")));
             };
-            let elem = (**elem).clone();
-            let (bindings, checked) = collect_bindings(
-                db,
-                cat,
-                ranges,
-                params,
-                vec![(**idx).clone(), vexpr.clone()],
-                Vec::new(),
-                qual.clone(),
-                explain,
-            )?;
-            let vars = update_vars(params, &checked);
-            let view = CatalogView {
-                cat,
-                store: &db.store,
-                db: Some(db),
-            };
-            let snap = db.store.current_snap();
-            let ctx = ExecCtx::new(&db.store, &cat.types, &cat.adts, &view, snap)
-                .with_batch_size(db.batch_size())
-                .with_workers(db.worker_threads())
-                .with_metrics(db.exec_metrics());
-            let mut staged: Vec<(i64, Value)> = Vec::new();
-            for env in bindings.iter() {
-                let i = eval_expr(db, cat, &ctx, &env, ranges, &vars, idx)?.as_i64()?;
-                let v = eval_expr(db, cat, &ctx, &env, ranges, &vars, vexpr)?;
-                staged.push((i, v));
-            }
-            drop(ctx);
+            let exprs = vec![(**idx).clone(), vexpr.clone()];
+            let bound = scope.bind(exprs, Vec::new(), qual.as_ref(), explain)?;
+            let staged = bound.stage(scope, |_, eval| Ok((eval(0)?.as_i64()?, eval(1)?)))?;
             for (i, v) in staged {
-                let mut arr = db.store.value_of_at(obj.oid, snap)?;
-                match &mut arr {
+                scope.edit(&Site::object(obj.oid), |slot| match slot {
                     Value::Array(items) => {
                         if i < 1 || i as usize > items.len() {
                             return Err(DbError::Model(ModelError::IndexOutOfRange {
@@ -908,160 +1143,66 @@ pub(crate) fn append(
                                 len: items.len(),
                             }));
                         }
-                        v.conforms(&elem, &cat.types, &cat.adts)?;
+                        v.conforms(elem, &cat.types, &cat.adts)?;
                         items[i as usize - 1] = v;
+                        Ok(())
                     }
-                    other => {
-                        return Err(DbError::Model(ModelError::TypeMismatch {
-                            expected: "an array".into(),
-                            got: other.kind().into(),
-                        }))
-                    }
-                }
-                db.store.set_value(&cat.types, obj.oid, arr)?;
+                    other => Err(DbError::Model(ModelError::TypeMismatch {
+                        expected: "an array".into(),
+                        got: other.kind().into(),
+                    })),
+                })?;
             }
-            Ok(crate::database::Response::Done(format!(
-                "{obj_name} updated"
-            )))
+            Ok(Response::Done(format!("{obj_name} updated")))
         }
         // append to <path>.<set attr> ... — nested set append.
-        Expr::Path(_, _) => {
+        (Expr::Path(_, _), _) => {
             let (root_var, steps) = flatten(target)?;
-            let mut exprs2 = exprs.clone();
-            exprs2.push(target.clone());
-            let (bindings, checked) = collect_bindings(
-                db,
-                cat,
-                ranges,
-                params,
-                exprs2,
-                Vec::new(),
-                qual.clone(),
-                explain,
-            )?;
+            exprs.push(target.clone());
+            let bound = scope.bind(exprs, Vec::new(), qual.as_ref(), explain)?;
             // Authorization: appending inside members of a collection.
-            for b in &checked.bindings {
-                if let excess_sema::RootSource::Collection(o) = &b.root {
-                    if !cat.auth.allowed(user, &o.name, Privilege::Append) {
-                        return Err(DbError::Auth(format!(
-                            "{user} may not append into {}",
-                            o.name
-                        )));
-                    }
+            for b in &bound.checked.bindings {
+                if let RootSource::Collection(o) = &b.root {
+                    scope.allow(&o.name, Privilege::Append, "append into")?;
                 }
             }
-            let elem = container_elem(db, cat, params, &checked, &root_var, &steps)?;
-            let vars = update_vars(params, &checked);
-            let view = CatalogView {
-                cat,
-                store: &db.store,
-                db: Some(db),
+            // Static element type of the container `root.steps`.
+            let ctx = scope.sema();
+            let mut container = scope
+                .target_type(&bound.checked, &root_var)
+                .ok_or_else(|| DbError::Catalog(format!("unknown update root '{root_var}'")))?;
+            for s in &steps {
+                container = ctx.attr_type(&container, s)?;
+            }
+            let Some(elem) = container.ty.element() else {
+                return Err(DbError::Catalog(format!(
+                    "'{root_var}.{}' is not a set or array",
+                    steps.join(".")
+                )));
             };
-            let snap = db.store.current_snap();
-            let ctx = ExecCtx::new(&db.store, &cat.types, &cat.adts, &view, snap)
-                .with_batch_size(db.batch_size())
-                .with_workers(db.worker_threads())
-                .with_metrics(db.exec_metrics());
-            let mut staged: Vec<(UpdateSite, Value)> = Vec::new();
-            for env in bindings.iter() {
-                let member = match value {
-                    AppendValue::Assignments(assigns) => {
-                        let vals: Vec<(String, Value)> = assigns
-                            .iter()
-                            .map(|(n, e)| {
-                                Ok((n.clone(), eval_expr(db, cat, &ctx, &env, ranges, &vars, e)?))
-                            })
-                            .collect::<DbResult<_>>()?;
-                        let tuple = member_from_assignments(cat, &elem, &vals)?;
-                        match elem.mode {
-                            Ownership::Own => tuple,
-                            _ => Value::Ref(db.store.create_object(
-                                &cat.types,
-                                &QualType::own(elem.ty.clone()),
-                                tuple,
-                            )?),
-                        }
-                    }
-                    AppendValue::Expr(e) => eval_expr(db, cat, &ctx, &env, ranges, &vars, e)?,
-                };
-                let site = resolve_site(db, cat, &env, &root_var, &steps, &checked)?;
-                staged.push((site, member));
-            }
-            drop(ctx);
+            let staged = bound.stage(scope, |env, eval| {
+                let member = member_of(elem, eval)?;
+                let site = scope.resolve_site(env, &root_var, &steps, &bound.checked)?;
+                Ok((site, member))
+            })?;
             let n = staged.len();
-            for (site, member) in staged {
-                apply_container_edit(db, cat, site, ContainerEdit::Insert(member))?;
+            for (site, v) in staged {
+                // Assigned tuples become members (objects, for reference-mode
+                // elements); a value expression is inserted as evaluated.
+                let member = match value {
+                    AppendValue::Assignments(_) => scope.as_member(elem, v)?,
+                    AppendValue::Expr(_) => v,
+                };
+                scope.edit(&site, |slot| insert_into(slot, member))?;
             }
-            Ok(crate::database::Response::Done(format!("appended {n}")))
+            Ok(Response::Done(format!("appended {n}")))
         }
-        other => Err(DbError::Catalog(format!("cannot append to {other}"))),
+        (other, _) => Err(DbError::Catalog(format!("cannot append to {other}"))),
     }
-}
-
-/// Evaluate the member value of a collection-level append for one env.
-#[allow(clippy::too_many_arguments)]
-fn eval_member_value(
-    db: &Database,
-    cat: &Catalog,
-    ctx: &ExecCtx<'_>,
-    env: &dyn Bindings,
-    ranges: &RangeEnv,
-    vars: &HashMap<String, QualType>,
-    anchor: Oid,
-    value: &AppendValue,
-) -> DbResult<Value> {
-    match value {
-        AppendValue::Assignments(assigns) => {
-            let elem = db.store.collection_elem(anchor)?;
-            let vals: Vec<(String, Value)> = assigns
-                .iter()
-                .map(|(n, e)| Ok((n.clone(), eval_expr(db, cat, ctx, env, ranges, vars, e)?)))
-                .collect::<DbResult<_>>()?;
-            member_from_assignments(cat, &elem, &vals)
-        }
-        AppendValue::Expr(e) => eval_expr(db, cat, ctx, env, ranges, vars, e),
-    }
-}
-
-/// Static types for the variables an update's expressions may mention:
-/// parameters plus the checked bindings.
-fn update_vars(params: &Params, checked: &CheckedRetrieve) -> HashMap<String, QualType> {
-    let mut vars: HashMap<String, QualType> = params
-        .vars
-        .iter()
-        .map(|(n, (q, _))| (n.clone(), q.clone()))
-        .collect();
-    for b in &checked.bindings {
-        vars.insert(b.var.clone(), b.elem.clone());
-    }
-    vars
-}
-
-/// Compile and evaluate one expression in an environment.
-fn eval_expr(
-    db: &Database,
-    cat: &Catalog,
-    ctx: &ExecCtx<'_>,
-    env: &dyn Bindings,
-    ranges: &RangeEnv,
-    vars: &HashMap<String, QualType>,
-    e: &Expr,
-) -> DbResult<Value> {
-    let view = CatalogView {
-        cat,
-        store: &db.store,
-        db: Some(db),
-    };
-    let mut sctx = SemaCtx::new(&cat.types, &cat.adts, &view);
-    sctx.vars = vars.clone();
-    let counter = std::cell::Cell::new(10_000);
-    let compiler = excess_exec::Compiler::new(&sctx, ranges, &counter);
-    let compiled = compiler.compile(e)?;
-    Ok(excess_exec::eval::eval(&compiled, ctx, env)?)
 }
 
 // ---------------------------------------------------------------------------
-// Delete / Replace plumbing
+// Delete / Replace
 // ---------------------------------------------------------------------------
 
 fn flatten(e: &Expr) -> DbResult<(String, Vec<String>)> {
@@ -1078,364 +1219,10 @@ fn flatten(e: &Expr) -> DbResult<(String, Vec<String>)> {
     }
 }
 
-/// Where an update lands: a container inside an owner, or a member/object
-/// directly.
-#[derive(Debug)]
-enum UpdateSite {
-    /// Edit a set/array at `path` inside the value of `owner`.
-    Container { owner: OwnerId, path: Vec<usize> },
-}
-
-/// The owner that must be rewritten.
-#[derive(Debug, Clone, PartialEq)]
-enum OwnerId {
-    Object(Oid),
-    Member { anchor: Oid, rid: RecordId },
-}
-
-#[derive(Debug)]
-enum ContainerEdit {
-    Insert(Value),
-}
-
-/// Static element type of the container `root.steps`.
-fn container_elem(
-    db: &Database,
-    cat: &Catalog,
-    params: &Params,
-    checked: &CheckedRetrieve,
-    root_var: &str,
-    steps: &[String],
-) -> DbResult<QualType> {
-    let view = CatalogView {
-        cat,
-        store: &db.store,
-        db: Some(db),
-    };
-    let ctx = SemaCtx::new(&cat.types, &cat.adts, &view);
-    let mut cur = if let Some(b) = checked.bindings.iter().find(|b| b.var == root_var) {
-        b.elem.clone()
-    } else if let Some((q, _)) = params.vars.get(root_var) {
-        q.clone()
-    } else if let Some(obj) = cat.named.get(root_var) {
-        obj.qty.clone()
-    } else {
-        return Err(DbError::Catalog(format!(
-            "unknown update root '{root_var}'"
-        )));
-    };
-    for s in steps {
-        cur = ctx.attr_type(&cur, s)?;
-    }
-    match cur.ty.element() {
-        Some(e) => Ok(e.clone()),
-        None => Err(DbError::Catalog(format!(
-            "'{root_var}.{}' is not a set or array",
-            steps.join(".")
-        ))),
-    }
-}
-
-/// Resolve the owner object/record and in-value path for a nested update
-/// target in one environment.
-fn resolve_site(
-    db: &Database,
-    cat: &Catalog,
-    env: &dyn Bindings,
-    root_var: &str,
-    steps: &[String],
-    checked: &CheckedRetrieve,
-) -> DbResult<UpdateSite> {
-    let view = CatalogView {
-        cat,
-        store: &db.store,
-        db: Some(db),
-    };
-    let ctx = SemaCtx::new(&cat.types, &cat.adts, &view);
-    let snap = db.store.current_snap();
-    // Starting point: the root variable's value + identity, or a named
-    // object.
-    let (mut owner, mut value, mut qty): (OwnerId, Value, QualType) = if let Some(v) =
-        env.value(root_var)
-    {
-        let qty = checked
-            .bindings
-            .iter()
-            .find(|b| b.var == root_var)
-            .map(|b| b.elem.clone())
-            .ok_or_else(|| DbError::Catalog(format!("untyped update root '{root_var}'")))?;
-        match env.ident(root_var) {
-            MemberId::Object(oid) => (OwnerId::Object(oid), db.store.value_of_at(oid, snap)?, qty),
-            MemberId::Record { anchor, rid } => (OwnerId::Member { anchor, rid }, v.clone(), qty),
-            MemberId::Nested { .. } | MemberId::None => {
-                return Err(DbError::Catalog(format!(
-                    "cannot update through '{root_var}' (no stable identity)"
-                )))
-            }
-        }
-    } else if let Some(obj) = cat.named.get(root_var) {
-        (
-            OwnerId::Object(obj.oid),
-            db.store.value_of_at(obj.oid, snap)?,
-            obj.qty.clone(),
-        )
-    } else {
-        return Err(DbError::Catalog(format!(
-            "unknown update root '{root_var}'"
-        )));
-    };
-
-    // Walk the steps; crossing a reference moves the owner.
-    let mut path: Vec<usize> = Vec::new();
-    for s in steps {
-        // Dereference the current value if it is a ref.
-        while let Value::Ref(oid) = value {
-            owner = OwnerId::Object(oid);
-            path.clear();
-            value = db.store.value_of_at(oid, snap)?;
-        }
-        let pos = ctx.attr_pos(&qty, s)?;
-        qty = ctx.attr_type(&qty, s)?;
-        path.push(pos);
-        value = match value {
-            Value::Tuple(mut fields) if pos < fields.len() => fields.swap_remove(pos),
-            Value::Null => {
-                return Err(DbError::Model(ModelError::Semantic(format!(
-                    "null encountered at '{s}' while updating"
-                ))))
-            }
-            other => {
-                return Err(DbError::Model(ModelError::TypeMismatch {
-                    expected: "a tuple".into(),
-                    got: other.kind().into(),
-                }))
-            }
-        };
-    }
-    Ok(UpdateSite::Container { owner, path })
-}
-
-/// Load an owner's current value.
-fn owner_value(db: &Database, owner: &OwnerId) -> DbResult<Value> {
-    match owner {
-        OwnerId::Object(oid) => Ok(db.store.value_of_at(*oid, db.store.current_snap())?),
-        OwnerId::Member { rid, .. } => {
-            let bytes = db.store.storage().read(*rid)?;
-            Ok(extra_model::valueio::from_bytes(&bytes)?)
-        }
-    }
-}
-
-/// Write an owner's value back (maintaining integrity edges / indexes).
-fn write_owner(db: &Database, cat: &Catalog, owner: OwnerId, value: Value) -> DbResult<()> {
-    match owner {
-        OwnerId::Object(oid) => {
-            db.store.set_value(&cat.types, oid, value)?;
-            Ok(())
-        }
-        OwnerId::Member { anchor, rid } => {
-            let name = collection_name_of(cat, anchor);
-            let old = owner_value(db, &OwnerId::Member { anchor, rid })?;
-            if let Some(name) = &name {
-                let old_entries = index_entries_for(db, cat, name, anchor, &old)?;
-                let new_entries = index_entries_for(db, cat, name, anchor, &value)?;
-                index_remove(db, &old_entries, rid)?;
-                // Probe uniqueness before mutating; restore on violation.
-                if let Err(e) = probe_unique(db, &new_entries) {
-                    index_insert(db, &old_entries, rid)?;
-                    return Err(e);
-                }
-                let new_rid = db.store.update_member(anchor, rid, &value)?;
-                index_insert(db, &new_entries, new_rid)?;
-            } else {
-                db.store.update_member(anchor, rid, &value)?;
-            }
-            Ok(())
-        }
-    }
-}
-
-fn apply_container_edit(
-    db: &Database,
-    cat: &Catalog,
-    site: UpdateSite,
-    edit: ContainerEdit,
-) -> DbResult<()> {
-    let UpdateSite::Container { owner, path } = site;
-    let mut value = owner_value(db, &owner)?;
-    {
-        let slot = navigate_mut(&mut value, &path)?;
-        match edit {
-            ContainerEdit::Insert(member) => match slot {
-                Value::Set(_) => {
-                    slot.set_insert(member)?;
-                }
-                Value::Array(items) => items.push(member),
-                Value::Null => *slot = Value::Set(vec![member]),
-                other => {
-                    return Err(DbError::Model(ModelError::TypeMismatch {
-                        expected: "a set or array".into(),
-                        got: other.kind().into(),
-                    }))
-                }
-            },
-        }
-    }
-    write_owner(db, cat, owner, value)
-}
-
-fn navigate_mut<'v>(value: &'v mut Value, path: &[usize]) -> DbResult<&'v mut Value> {
-    let mut cur = value;
-    for &pos in path {
-        let kind = cur.kind();
-        match cur {
-            Value::Tuple(fields) if pos < fields.len() => cur = &mut fields[pos],
-            _ => {
-                return Err(DbError::Model(ModelError::TypeMismatch {
-                    expected: "a tuple".into(),
-                    got: kind.into(),
-                }))
-            }
-        }
-    }
-    Ok(cur)
-}
-
-// ---------------------------------------------------------------------------
-// Delete
-// ---------------------------------------------------------------------------
-
-/// `delete <var> [where q]`.
-pub(crate) fn delete(
-    db: &Database,
-    cat: &mut Catalog,
-    ranges: &RangeEnv,
-    user: &str,
-    stmt: &Stmt,
-    params: &Params,
-    explain: Option<&mut ExplainSink>,
-) -> DbResult<crate::database::Response> {
-    let Stmt::Delete { target, qual } = stmt else {
-        unreachable!("dispatch");
-    };
-    let Expr::Var(var) = target else {
-        return Err(DbError::Catalog(
-            "delete targets a range variable or collection name".into(),
-        ));
-    };
-    // Force a binding when the target is a bare collection name.
-    let extra_from = synth_from(cat, ranges, var);
-    let (bindings, checked) = collect_bindings(
-        db,
-        cat,
-        ranges,
-        params,
-        vec![target.clone()],
-        extra_from,
-        qual.clone(),
-        explain,
-    )?;
-    check_update_auth(cat, user, &checked, Privilege::Delete)?;
-
-    // Collect distinct identities.
-    let mut objects: Vec<Oid> = Vec::new();
-    let mut records: Vec<(Oid, RecordId)> = Vec::new();
-    let mut nested: Vec<(UpdateSite, usize)> = Vec::new();
-    for env in bindings.iter() {
-        match env.ident(var) {
-            MemberId::Object(oid) => {
-                if !objects.contains(&oid) {
-                    objects.push(oid);
-                }
-            }
-            MemberId::Record { anchor, rid } => {
-                if !records.contains(&(anchor, rid)) {
-                    records.push((anchor, rid));
-                }
-            }
-            MemberId::Nested {
-                parent,
-                steps,
-                index,
-            } => {
-                let site = resolve_site(db, cat, &env, &parent, &steps, &checked)?;
-                nested.push((site, index));
-            }
-            MemberId::None => {
-                return Err(DbError::Catalog(format!(
-                    "'{var}' has no stable identity to delete"
-                )))
-            }
-        }
-    }
-
-    let n = objects.len() + records.len() + nested.len();
-    // Objects: full deletion (cascade + null-out) after removing index
-    // entries that point at them.
-    for oid in objects {
-        if db.store.exists_at(oid, db.store.current_snap())? {
-            unindex_object(db, cat, oid)?;
-            db.store.delete_object(&cat.types, oid)?;
-        }
-    }
-    // Own members: drop records (plus index entries).
-    for (anchor, rid) in records {
-        let name = collection_name_of(cat, anchor);
-        if let Some(name) = &name {
-            let old = owner_value(db, &OwnerId::Member { anchor, rid })?;
-            let entries = index_entries_for(db, cat, name, anchor, &old)?;
-            index_remove(db, &entries, rid)?;
-        }
-        db.store.remove_member(&cat.types, anchor, rid)?;
-    }
-    // Nested members: group by owner, remove indices descending.
-    let mut grouped: Vec<(OwnerId, Vec<usize>, Vec<usize>)> = Vec::new();
-    for (UpdateSite::Container { owner, path }, index) in nested {
-        match grouped
-            .iter_mut()
-            .find(|(o, p, _)| *o == owner && *p == path)
-        {
-            Some((_, _, idxs)) => idxs.push(index),
-            None => grouped.push((owner, path, vec![index])),
-        }
-    }
-    for (owner, path, mut idxs) in grouped {
-        idxs.sort_unstable();
-        idxs.dedup();
-        let mut value = owner_value(db, &owner)?;
-        {
-            let slot = navigate_mut(&mut value, &path)?;
-            match slot {
-                Value::Set(ms) => {
-                    for i in idxs.iter().rev() {
-                        if *i < ms.len() {
-                            ms.remove(*i);
-                        }
-                    }
-                }
-                Value::Array(items) => {
-                    for i in idxs.iter().rev() {
-                        if *i < items.len() {
-                            items[*i] = Value::Null;
-                        }
-                    }
-                }
-                other => {
-                    return Err(DbError::Model(ModelError::TypeMismatch {
-                        expected: "a set or array".into(),
-                        got: other.kind().into(),
-                    }))
-                }
-            }
-        }
-        write_owner(db, cat, owner, value)?;
-    }
-    Ok(crate::database::Response::Done(format!("deleted {n}")))
-}
-
-fn synth_from(cat: &Catalog, ranges: &RangeEnv, var: &str) -> Vec<FromBinding> {
-    let declared = ranges.get(var).is_some();
-    let is_collection = cat.named.get(var).map(|o| o.is_collection).unwrap_or(false);
+/// Force a binding when an update's target is a bare collection name.
+fn synth_from(scope: &Scope<'_>, var: &str) -> Vec<FromBinding> {
+    let declared = scope.ranges.get(var).is_some();
+    let is_collection = scope.cat.named.get(var).is_some_and(|o| o.is_collection);
     if !declared && is_collection {
         vec![FromBinding {
             var: var.to_string(),
@@ -1447,17 +1234,16 @@ fn synth_from(cat: &Catalog, ranges: &RangeEnv, var: &str) -> Vec<FromBinding> {
 }
 
 fn check_update_auth(
-    cat: &Catalog,
-    user: &str,
+    scope: &Scope<'_>,
     checked: &CheckedRetrieve,
     privilege: Privilege,
 ) -> DbResult<()> {
     for b in &checked.bindings {
-        if let excess_sema::RootSource::Collection(o) = &b.root {
-            if !cat.auth.allowed(user, &o.name, privilege) {
+        if let RootSource::Collection(o) = &b.root {
+            if !scope.cat.auth.allowed(scope.user, &o.name, privilege) {
                 return Err(DbError::Auth(format!(
-                    "{user} lacks {privilege} on {}",
-                    o.name
+                    "{} lacks {privilege} on {}",
+                    scope.user, o.name
                 )));
             }
         }
@@ -1465,20 +1251,86 @@ fn check_update_auth(
     Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// Replace
-// ---------------------------------------------------------------------------
+/// `delete <var> [where q]`.
+fn delete(scope: &Scope<'_>, stmt: &Stmt, explain: Option<&mut ExplainSink>) -> DbResult<Response> {
+    let Stmt::Delete { target, qual } = stmt else {
+        unreachable!("dispatch");
+    };
+    let Expr::Var(var) = target else {
+        return Err(DbError::Catalog(
+            "delete targets a range variable or collection name".into(),
+        ));
+    };
+    let from = synth_from(scope, var);
+    let bound = scope.bind(vec![target.clone()], from, qual.as_ref(), explain)?;
+    check_update_auth(scope, &bound.checked, Privilege::Delete)?;
+
+    // Distinct targets, in binding order.
+    let mut seen = HashSet::new();
+    let mut sites = bound.stage(scope, |env, _| {
+        scope
+            .site_of(env, var, &bound.checked)?
+            .ok_or_else(|| DbError::Catalog(format!("'{var}' has no stable identity to delete")))
+    })?;
+    sites.retain(|s| seen.insert(s.clone()));
+    let n = sites.len();
+
+    // Whole owners go at once — objects by full deletion (cascade +
+    // null-out), own members by dropping their record. Items of nested
+    // sets and arrays are grouped by container, so each container is
+    // rewritten once, its indexes removed in descending order.
+    let mut containers: Vec<(Site, Vec<usize>)> = Vec::new();
+    let mut group_of: HashMap<Site, usize> = HashMap::new();
+    for mut site in sites {
+        match site.path.pop() {
+            None => {
+                if let Owner::Object(oid) = site.owner {
+                    if !scope.db.store.exists_at(oid, scope.snap)? {
+                        continue;
+                    }
+                }
+                scope.write_owner(&site.owner, None)?;
+            }
+            Some(index) => {
+                let g = *group_of.entry(site.clone()).or_insert(containers.len());
+                if g == containers.len() {
+                    containers.push((site, Vec::new()));
+                }
+                containers[g].1.push(index);
+            }
+        }
+    }
+    for (site, mut idxs) in containers {
+        idxs.sort_unstable();
+        scope.edit(&site, |slot| match slot {
+            Value::Set(ms) => {
+                for &i in idxs.iter().rev() {
+                    if i < ms.len() {
+                        ms.remove(i);
+                    }
+                }
+                Ok(())
+            }
+            Value::Array(items) => {
+                for &i in &idxs {
+                    if let Some(item) = items.get_mut(i) {
+                        *item = Value::Null;
+                    }
+                }
+                Ok(())
+            }
+            other => Err(not_a_container(other)),
+        })?;
+    }
+    Ok(Response::Done(format!("deleted {n}")))
+}
 
 /// `replace <var> (attr = e, ...) [where q]`.
-pub(crate) fn replace(
-    db: &Database,
-    cat: &mut Catalog,
-    ranges: &RangeEnv,
-    user: &str,
+fn replace(
+    scope: &Scope<'_>,
     stmt: &Stmt,
-    params: &Params,
     explain: Option<&mut ExplainSink>,
-) -> DbResult<crate::database::Response> {
+) -> DbResult<Response> {
     let Stmt::Replace {
         target,
         assignments,
@@ -1492,197 +1344,76 @@ pub(crate) fn replace(
             "replace targets a range variable, collection name or named object".into(),
         ));
     };
-    let extra_from = synth_from(cat, ranges, var);
+    let cat = scope.cat;
+    let from = synth_from(scope, var);
     let mut exprs: Vec<Expr> = vec![target.clone()];
     exprs.extend(assignments.iter().map(|(_, e)| e.clone()));
-    let (bindings, checked) = collect_bindings(
-        db,
-        cat,
-        ranges,
-        params,
-        exprs,
-        extra_from,
-        qual.clone(),
-        explain,
-    )?;
-    check_update_auth(cat, user, &checked, Privilege::Replace)?;
-    if let Some(obj) = cat.named.get(var) {
-        if !obj.is_collection && !cat.auth.allowed(user, var, Privilege::Replace) {
-            return Err(DbError::Auth(format!("{user} may not replace {var}")));
-        }
+    let bound = scope.bind(exprs, from, qual.as_ref(), explain)?;
+    check_update_auth(scope, &bound.checked, Privilege::Replace)?;
+    let named = cat.named.get(var).filter(|o| !o.is_collection);
+    if named.is_some() {
+        scope.allow(var, Privilege::Replace, "replace")?;
     }
 
     // The target's tuple type (for attribute positions + conformance).
-    let target_qty = if let Some(b) = checked.bindings.iter().find(|b| &b.var == var) {
-        b.elem.clone()
-    } else if let Some(obj) = cat.named.get(var) {
-        obj.qty.clone()
-    } else if let Some((q, _)) = params.vars.get(var) {
-        q.clone()
-    } else {
-        return Err(DbError::Catalog(format!("unknown replace target '{var}'")));
-    };
-    let view = CatalogView {
-        cat,
-        store: &db.store,
-        db: Some(db),
-    };
-    let sctx = SemaCtx::new(&cat.types, &cat.adts, &view);
-    let mut positions = Vec::with_capacity(assignments.len());
-    for (attr, _) in assignments {
-        positions.push((
-            sctx.attr_pos(&target_qty, attr)?,
-            sctx.attr_type(&target_qty, attr)?,
-        ));
-    }
-    drop(sctx);
+    let target_qty = scope
+        .target_type(&bound.checked, var)
+        .ok_or_else(|| DbError::Catalog(format!("unknown replace target '{var}'")))?;
+    let ctx = scope.sema();
+    let fields = assignments
+        .iter()
+        .map(|(attr, _)| {
+            Ok((
+                ctx.attr_pos(&target_qty, attr)?,
+                ctx.attr_type(&target_qty, attr)?,
+            ))
+        })
+        .collect::<DbResult<Vec<_>>>()?;
 
-    // Stage: evaluate new field values per env against the pre-state.
-    enum Staged {
-        Object(Oid, Vec<(usize, Value)>),
-        Record(Oid, RecordId, Vec<(usize, Value)>),
-        Nested(OwnerId, Vec<usize>, usize, Vec<(usize, Value)>),
-    }
-    let vars = update_vars(params, &checked);
-    let view = CatalogView {
-        cat,
-        store: &db.store,
-        db: Some(db),
-    };
-    let snap = db.store.current_snap();
-    let ctx = ExecCtx::new(&db.store, &cat.types, &cat.adts, &view, snap)
-        .with_batch_size(db.batch_size())
-        .with_workers(db.worker_threads())
-        .with_metrics(db.exec_metrics());
-    let mut staged: Vec<Staged> = Vec::new();
-    for env in bindings.iter() {
-        let mut updates = Vec::with_capacity(assignments.len());
-        for ((_, e), (pos, qty)) in assignments.iter().zip(&positions) {
-            let v = eval_expr(db, cat, &ctx, &env, ranges, &vars, e)?;
+    let staged = bound.stage(scope, |env, eval| {
+        let mut updates = Vec::with_capacity(fields.len());
+        for (i, (pos, qty)) in fields.iter().enumerate() {
+            // Expression 0 is the target itself.
+            let v = eval(i + 1)?;
             v.conforms(qty, &cat.types, &cat.adts)?;
             updates.push((*pos, v));
         }
-        match env.ident(var) {
-            MemberId::Object(oid) => staged.push(Staged::Object(oid, updates)),
-            MemberId::Record { anchor, rid } => staged.push(Staged::Record(anchor, rid, updates)),
-            MemberId::Nested {
-                parent,
-                steps,
-                index,
-            } => {
-                let UpdateSite::Container { owner, path } =
-                    resolve_site(db, cat, &env, &parent, &steps, &checked)?;
-                staged.push(Staged::Nested(owner, path, index, updates));
-            }
-            MemberId::None => {
-                // A named object without iteration.
-                if let Some(obj) = cat.named.get(var) {
-                    staged.push(Staged::Object(obj.oid, updates));
-                } else {
-                    return Err(DbError::Catalog(format!(
-                        "'{var}' has no stable identity to replace"
-                    )));
-                }
-            }
-        }
-    }
-    drop(ctx);
+        let site = match scope.site_of(env, var, &bound.checked)? {
+            Some(site) => site,
+            // A named object without iteration.
+            None => Site::object(
+                named
+                    .ok_or_else(|| {
+                        DbError::Catalog(format!("'{var}' has no stable identity to replace"))
+                    })?
+                    .oid,
+            ),
+        };
+        Ok((site, updates))
+    })?;
 
     let n = staged.len();
-    for s in staged {
-        match s {
-            Staged::Object(oid, updates) => {
-                // Index maintenance on ref-mode members: the member record
-                // (a Ref) is unchanged, but indexed attribute values live
-                // in the object. Probe unique keys against the prospective
-                // value before mutating anything.
-                let mut new_value = db.store.value_of_at(oid, snap)?;
-                apply_updates(&mut new_value, &updates)?;
-                let old = Value::Ref(oid);
-                let memberships = db.store.memberships(oid)?;
-                let mut removed: Vec<(Oid, RecordId, Vec<IndexEntry>)> = Vec::new();
-                let mut violation: Option<DbError> = None;
-                for (anchor, rid) in &memberships {
-                    if let Some(name) = collection_name_of(cat, *anchor) {
-                        let old_entries = index_entries_for(db, cat, &name, *anchor, &old)?;
-                        let elem = db.store.collection_elem(*anchor)?;
-                        let mut new_entries = Vec::new();
-                        for idx in cat.indexes.iter().filter(|i| i.collection == name) {
-                            let pos = attr_pos_of(cat, db, &elem, &idx.attr)?;
-                            if let Some(key) = member_attr_key(db, &new_value, pos, &cat.adts)? {
-                                new_entries.push((idx.root, key, idx.unique, idx.attr.clone()));
-                            }
-                        }
-                        index_remove(db, &old_entries, *rid)?;
-                        removed.push((*anchor, *rid, old_entries));
-                        if let Err(e) = probe_unique(db, &new_entries) {
-                            violation = Some(e);
-                            break;
-                        }
+    for (site, updates) in staged {
+        scope.edit(&site, |target| match target {
+            Value::Tuple(fields) => {
+                for (pos, v) in updates {
+                    if pos >= fields.len() {
+                        return Err(DbError::Model(ModelError::Semantic(format!(
+                            "tuple has {} fields, wanted {pos}",
+                            fields.len()
+                        ))));
                     }
+                    fields[pos] = v;
                 }
-                if let Some(e) = violation {
-                    // Restore the removed entries; the object is untouched.
-                    for (_, rid, entries) in removed {
-                        index_insert(db, &entries, rid)?;
-                    }
-                    return Err(e);
-                }
-                db.store.set_value(&cat.types, oid, new_value)?;
-                for (anchor, rid, _) in removed {
-                    if let Some(name) = collection_name_of(cat, anchor) {
-                        let entries = index_entries_for(db, cat, &name, anchor, &Value::Ref(oid))?;
-                        index_insert(db, &entries, rid)?;
-                    }
-                }
+                Ok(())
             }
-            Staged::Record(anchor, rid, updates) => {
-                let mut value = owner_value(db, &OwnerId::Member { anchor, rid })?;
-                apply_updates(&mut value, &updates)?;
-                write_owner(db, cat, OwnerId::Member { anchor, rid }, value)?;
-            }
-            Staged::Nested(owner, path, index, updates) => {
-                let mut value = owner_value(db, &owner)?;
-                {
-                    let slot = navigate_mut(&mut value, &path)?;
-                    let item = match slot {
-                        Value::Set(ms) if index < ms.len() => &mut ms[index],
-                        Value::Array(items) if index < items.len() => &mut items[index],
-                        other => {
-                            return Err(DbError::Model(ModelError::TypeMismatch {
-                                expected: "a set or array".into(),
-                                got: other.kind().into(),
-                            }))
-                        }
-                    };
-                    apply_updates(item, &updates)?;
-                }
-                write_owner(db, cat, owner, value)?;
-            }
-        }
+            other => Err(DbError::Model(ModelError::TypeMismatch {
+                expected: "a tuple".into(),
+                got: other.kind().into(),
+            })),
+        })?;
     }
-    Ok(crate::database::Response::Done(format!("replaced {n}")))
-}
-
-fn apply_updates(value: &mut Value, updates: &[(usize, Value)]) -> DbResult<()> {
-    match value {
-        Value::Tuple(fields) => {
-            for (pos, v) in updates {
-                if *pos >= fields.len() {
-                    return Err(DbError::Model(ModelError::Semantic(format!(
-                        "tuple has {} fields, wanted {pos}",
-                        fields.len()
-                    ))));
-                }
-                fields[*pos] = v.clone();
-            }
-            Ok(())
-        }
-        other => Err(DbError::Model(ModelError::TypeMismatch {
-            expected: "a tuple".into(),
-            got: other.kind().into(),
-        })),
-    }
+    Ok(Response::Done(format!("replaced {n}")))
 }
 
 // ---------------------------------------------------------------------------
@@ -1690,34 +1421,29 @@ fn apply_updates(value: &mut Value, updates: &[(usize, Value)]) -> DbResult<()> 
 // ---------------------------------------------------------------------------
 
 /// `execute P(args) [where q]` — invoked once per satisfying binding of
-/// the `where` clause (the paper's generalization of IDM stored commands).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_procedure(
-    db: &Database,
-    cat: &mut Catalog,
-    ranges: &mut RangeEnv,
-    user: &str,
+/// the `where` clause (the paper's generalization of IDM stored
+/// commands). Stages the calls: the procedure and one argument tuple
+/// per binding, all evaluated before any body runs.
+fn procedure_calls(
+    scope: &Scope<'_>,
     stmt: &Stmt,
-    params: &Params,
-    depth: u32,
     explain: Option<&mut ExplainSink>,
-) -> DbResult<crate::database::Response> {
+) -> DbResult<(excess_sema::ProcedureDef, Vec<Vec<Value>>)> {
     let Stmt::Execute { proc, args, qual } = stmt else {
         unreachable!("dispatch");
     };
-    if depth >= MAX_PROC_DEPTH {
+    if scope.params.depth >= MAX_PROC_DEPTH {
         return Err(DbError::Catalog(format!(
             "procedure nesting deeper than {MAX_PROC_DEPTH} (in '{proc}')"
         )));
     }
-    let def = cat
+    let def = scope
+        .cat
         .procedures
         .get(proc)
         .cloned()
         .ok_or_else(|| DbError::Catalog(format!("no procedure '{proc}'")))?;
-    if !cat.auth.allowed(user, proc, Privilege::Execute) {
-        return Err(DbError::Auth(format!("{user} may not execute {proc}")));
-    }
+    scope.allow(proc, Privilege::Execute, "execute")?;
     if args.len() != def.params.len() {
         return Err(DbError::Catalog(format!(
             "'{proc}' takes {} arguments, got {}",
@@ -1725,62 +1451,7 @@ pub(crate) fn execute_procedure(
             args.len()
         )));
     }
-    let (bindings, checked) = collect_bindings(
-        db,
-        cat,
-        ranges,
-        params,
-        args.clone(),
-        Vec::new(),
-        qual.clone(),
-        explain,
-    )?;
-    // Evaluate argument tuples per binding.
-    let vars = update_vars(params, &checked);
-    let mut calls: Vec<Vec<Value>> = Vec::with_capacity(bindings.len());
-    {
-        let view = CatalogView {
-            cat,
-            store: &db.store,
-            db: Some(db),
-        };
-        let snap = db.store.current_snap();
-        let ctx = ExecCtx::new(&db.store, &cat.types, &cat.adts, &view, snap)
-            .with_batch_size(db.batch_size())
-            .with_workers(db.worker_threads())
-            .with_metrics(db.exec_metrics());
-        for env in bindings.iter() {
-            let vals: Vec<Value> = args
-                .iter()
-                .map(|a| eval_expr(db, cat, &ctx, &env, ranges, &vars, a))
-                .collect::<DbResult<_>>()?;
-            calls.push(vals);
-        }
-    }
-    let n = calls.len();
-    // The body runs with definer rights (data abstraction through
-    // procedures, §4.2.3) and its own range scope (range statements in
-    // the body do not leak into the caller's session).
-    for vals in calls {
-        let mut proc_params = Params::default();
-        for ((pname, pqty), v) in def.params.iter().zip(vals) {
-            v.conforms(pqty, &cat.types, &cat.adts)?;
-            proc_params.vars.insert(pname.clone(), (pqty.clone(), v));
-        }
-        let mut body_ranges = ranges.clone();
-        for body_stmt in &def.body {
-            crate::database::exec_statement(
-                db,
-                cat,
-                &mut body_ranges,
-                crate::catalog::ADMIN,
-                body_stmt,
-                &proc_params,
-                depth + 1,
-            )?;
-        }
-    }
-    Ok(crate::database::Response::Done(format!(
-        "{proc} executed for {n} bindings"
-    )))
+    let bound = scope.bind(args.clone(), Vec::new(), qual.as_ref(), explain)?;
+    let calls = bound.stage(scope, |_, eval| (0..args.len()).map(eval).collect())?;
+    Ok((def, calls))
 }

@@ -40,7 +40,7 @@
 pub mod catalog;
 pub mod client;
 pub mod database;
-pub mod dml;
+mod dml;
 pub mod error;
 mod observe;
 pub mod replication;

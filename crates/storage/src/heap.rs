@@ -489,9 +489,8 @@ pub fn delete_record(pool: &Arc<BufferPool>, rid: RecordId) -> StorageResult<()>
 pub struct RecordBatch {
     /// Concatenated record payload bytes (version headers stripped).
     bytes: Vec<u8>,
-    /// Per-record `(rid, begin_ts, end_ts, start, end)` — version stamps
-    /// plus payload offsets into `bytes`.
-    index: Vec<(RecordId, u64, u64, u32, u32)>,
+    /// Per-record `(rid, start, end)` — payload offsets into `bytes`.
+    index: Vec<(RecordId, u32, u32)>,
 }
 
 impl RecordBatch {
@@ -516,25 +515,17 @@ impl RecordBatch {
         self.index.is_empty()
     }
 
-    fn push(&mut self, rid: RecordId, begin: u64, end: u64, data: &[u8]) {
+    fn push(&mut self, rid: RecordId, data: &[u8]) {
         let start = self.bytes.len() as u32;
         self.bytes.extend_from_slice(data);
-        self.index
-            .push((rid, begin, end, start, self.bytes.len() as u32));
+        self.index.push((rid, start, self.bytes.len() as u32));
     }
 
     /// Iterate over `(rid, record bytes)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (RecordId, &[u8])> {
         self.index
             .iter()
-            .map(|&(rid, _, _, s, e)| (rid, &self.bytes[s as usize..e as usize]))
-    }
-
-    /// Iterate over `(rid, begin_ts, end_ts, record bytes)` tuples.
-    pub fn iter_versioned(&self) -> impl Iterator<Item = (RecordId, u64, u64, &[u8])> {
-        self.index
-            .iter()
-            .map(|&(rid, b, en, s, e)| (rid, b, en, &self.bytes[s as usize..e as usize]))
+            .map(|&(rid, s, e)| (rid, &self.bytes[s as usize..e as usize]))
     }
 }
 
@@ -650,8 +641,6 @@ impl HeapScan {
                                     page: page_no,
                                     slot: s,
                                 },
-                                begin,
-                                end,
                                 data,
                             );
                         }

@@ -250,11 +250,6 @@ impl<'a> SlottedPage<'a> {
         PageKind::from_u16(get_u16(self.buf, H_KIND))
     }
 
-    /// Set the page kind tag.
-    pub fn set_kind(&mut self, kind: PageKind) {
-        put_u16(self.buf, H_KIND, kind as u16);
-    }
-
     /// Next page in this page's chain.
     pub fn next(&self) -> u64 {
         get_u64(self.buf, H_NEXT)
@@ -477,11 +472,6 @@ impl<'a> SlottedPage<'a> {
     /// The page LSN (see [`page_lsn`]).
     pub fn lsn(&self) -> u64 {
         page_lsn(self.buf)
-    }
-
-    /// Stamp the page LSN (see [`set_page_lsn`]).
-    pub fn set_lsn(&mut self, lsn: u64) {
-        set_page_lsn(self.buf, lsn);
     }
 }
 

@@ -152,6 +152,57 @@ fn key_violation_leaves_no_partial_state() {
         .query("retrieve (P.name) from P in People where P.ssnum = 200")
         .unwrap();
     assert_eq!(r.rows, vec![vec![Value::str("bob")]]);
+
+    // A set-oriented replace applies binding by binding: ann moves to
+    // 150, then bob's 300 collides with cy. The rejected member's removed
+    // index entries are restored, so every member stays findable by key.
+    s.run(r#"append to People (name = "cy", ssnum = 300)"#)
+        .unwrap();
+    let err = s
+        .run("range of P is People; replace P (ssnum = P.ssnum * 3 / 2) where P.ssnum < 300")
+        .unwrap_err();
+    assert!(err.to_string().contains("key violation"), "{err}");
+    for (key, name) in [
+        (150, Some("ann")),
+        (100, None),
+        (200, Some("bob")),
+        (300, Some("cy")),
+    ] {
+        let query = format!("retrieve (P.name) from P in People where P.ssnum = {key}");
+        let plan = s.explain(&query).unwrap().plan;
+        assert!(plan.contains("IndexScan"), "{plan}");
+        let expected: Vec<Vec<Value>> = name.iter().map(|n| vec![Value::str(n)]).collect();
+        assert_eq!(s.query(&query).unwrap().rows, expected, "key {key}");
+    }
+}
+
+#[test]
+fn bulk_append_maintains_existing_indexes() {
+    // Loading into a collection that already has a key goes through the
+    // same member write as `append`: the index finds the loaded members
+    // and a duplicate key is rejected.
+    for mode in ["own", "own ref"] {
+        let db = Database::in_memory();
+        let mut s = db.session();
+        s.run(&format!(
+            "define type Account (id: int4, owner: varchar); \
+             create {{ {mode} Account }} Accounts key (id)"
+        ))
+        .unwrap();
+        let account = |id: i64| Value::Tuple(vec![Value::Int(id), Value::str("x")]);
+        db.bulk_append("Accounts", vec![account(1), account(2)])
+            .unwrap();
+        let by_key = "retrieve (A.owner) from A in Accounts where A.id = 2";
+        let plan = s.explain(by_key).unwrap().plan;
+        assert!(plan.contains("IndexScan"), "{plan}");
+        assert_eq!(s.query(by_key).unwrap().rows, vec![vec![Value::str("x")]]);
+        let err = db.bulk_append("Accounts", vec![account(2)]).unwrap_err();
+        assert!(err.to_string().contains("key violation"), "{mode}: {err}");
+        let r = s
+            .query("retrieve (count(A over A)) from A in Accounts")
+            .unwrap();
+        assert_eq!(r.rows, vec![vec![Value::Int(2)]], "{mode}");
+    }
 }
 
 #[test]

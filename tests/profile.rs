@@ -173,6 +173,48 @@ fn explain_of_dml_mutates_zero_times_analyze_once() {
         .query("retrieve (count(R over R)) from R in Rows")
         .unwrap();
     assert_eq!(r.rows[0][0], Value::Int(6), "delete applied exactly once");
+
+    // The same contract for every update verb: one pipeline binds,
+    // stages and applies them all.
+    s.run(
+        "define procedure Bump (key: int4, d: float8) as \
+         range of X is Rows; replace X (v = X.v + d) where X.k = key end",
+    )
+    .unwrap();
+    let state = |s: &mut extra_excess::Session| {
+        s.query("retrieve (R.k, R.v) from R in Rows order by R.k asc")
+            .unwrap()
+            .rows
+    };
+    let before = state(&mut s);
+    for stmt in [
+        "append to Rows (k = 100, v = 1.0)",
+        "replace R (v = -1.0)",
+        "execute Bump(R.k, 1.0)",
+        "retrieve into Copy (R.k) from R in Rows",
+    ] {
+        let e = s.explain(stmt).unwrap();
+        assert!(e.plan.contains("Project"), "{stmt}: {}", e.plan);
+        assert!(
+            e.profile.is_none(),
+            "{stmt}: plain explain must not execute"
+        );
+        assert_eq!(state(&mut s), before, "{stmt}: plain explain mutated");
+    }
+    s.run("retrieve (C.k) from C in Copy")
+        .expect_err("plain explain of retrieve into created the set");
+
+    let appended = vec![Value::Int(100), Value::Float(1.0)];
+    let e = s.explain_analyze("append to Rows (k = 100, v = 1.0)");
+    assert_eq!(e.unwrap().profile.expect("profiled").result_rows, 1);
+    let mut after = before.clone();
+    after.push(appended);
+    assert_eq!(state(&mut s), after, "append applied exactly once");
+
+    let e = s.explain_analyze("execute Bump(R.k, 1.0) where R.k = 100");
+    assert_eq!(e.unwrap().profile.expect("profiled").result_rows, 1);
+    after[6][1] = Value::Float(2.0);
+    assert_eq!(state(&mut s), after, "procedure body ran exactly once");
 }
 
 /// The builder rejects a zero worker count instead of letting queries

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use extra_excess::{Database, Value};
+use extra_excess::{Database, Response, Value};
 
 #[test]
 fn ten_thousand_members_scan_filter_aggregate() {
@@ -56,6 +56,54 @@ fn ten_thousand_members_scan_filter_aggregate() {
             .unwrap();
         assert_eq!(baseline, r, "batch size {batch_size} diverged at scale");
     }
+}
+
+#[test]
+fn whole_collection_updates_over_thousands_of_references() {
+    // Set-oriented updates over every member of a keyed reference-mode
+    // collection: each binding resolves to a distinct object, and each
+    // write moves that object's index entries.
+    const N: i64 = 4_000;
+    let db = Database::in_memory();
+    let mut s = db.session();
+    s.run(
+        r#"
+        define type Row (k: int4, v: float8);
+        create { own ref Row } Rows key (k);
+        range of R is Rows;
+    "#,
+    )
+    .unwrap();
+    let rows: Vec<Value> = (0..N)
+        .map(|i| Value::Tuple(vec![Value::Int(i), Value::Float(0.5)]))
+        .collect();
+    db.bulk_append("Rows", rows).unwrap();
+
+    let done = s.run("replace R (k = R.k + 10000, v = 2.0)").unwrap();
+    assert!(matches!(&done[0], Response::Done(m) if *m == format!("replaced {N}")));
+    let r = s
+        .query("retrieve (count(R over R), sum(R.v over R), min(R.k over R))")
+        .unwrap();
+    let moved = vec![
+        Value::Int(N),
+        Value::Float(2.0 * N as f64),
+        Value::Int(10_000),
+    ];
+    assert_eq!(r.rows, vec![moved]);
+    let by_key = "retrieve (R.v) where R.k = 13999";
+    assert!(s.explain(by_key).unwrap().plan.contains("IndexScan"));
+    assert_eq!(s.query(by_key).unwrap().rows, vec![vec![Value::Float(2.0)]]);
+    assert!(s
+        .query("retrieve (R.v) where R.k = 3999")
+        .unwrap()
+        .is_empty());
+
+    let done = s.run("delete R").unwrap();
+    assert!(matches!(&done[0], Response::Done(m) if *m == format!("deleted {N}")));
+    assert!(s.query("retrieve (R.k)").unwrap().is_empty());
+    assert!(s.query(by_key).unwrap().is_empty());
+    // Every key is free again.
+    s.run("append to Rows (k = 13999, v = 1.0)").unwrap();
 }
 
 #[test]

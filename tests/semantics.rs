@@ -525,3 +525,48 @@ fn runtime_faults() {
         .unwrap_err();
     assert!(err.to_string().contains("zero"), "{err}");
 }
+
+#[test]
+fn each_aggregate_of_an_update_keeps_its_own_value() {
+    // Every expression of an update statement is compiled once, under
+    // one aggregate-id counter: two uncorrelated `over` aggregates in
+    // one assignment list must not share a cached group table.
+    let db = Database::in_memory();
+    let mut s = db.session();
+    s.run(
+        r#"
+        define type Dept (budget: int4);
+        define type Summary (n: int4, total: int4);
+        create { own ref Dept } Depts;
+        create { own ref Summary } Summaries;
+        append to Depts (budget = 10);
+        append to Depts (budget = 20);
+        append to Depts (budget = 30);
+        range of D is Depts;
+        range of S is Summaries;
+        define procedure Record (cnt: int4, amount: int4) as
+            append to Summaries (n = cnt, total = amount)
+        end
+    "#,
+    )
+    .unwrap();
+    let summaries = |s: &mut extra_excess::Session| {
+        s.query("retrieve (S.n, S.total) from S in Summaries")
+            .unwrap()
+            .rows
+    };
+    let three_sixty = vec![Value::Int(3), Value::Int(60)];
+
+    s.run("append to Summaries (n = count(D over D), total = sum(D.budget over D))")
+        .unwrap();
+    assert_eq!(summaries(&mut s), vec![three_sixty.clone()]);
+
+    s.run("replace S (n = 0, total = 0)").unwrap();
+    s.run("replace S (n = count(D over D), total = sum(D.budget over D))")
+        .unwrap();
+    assert_eq!(summaries(&mut s), vec![three_sixty.clone()]);
+
+    s.run("execute Record(count(D over D), sum(D.budget over D))")
+        .unwrap();
+    assert_eq!(summaries(&mut s), vec![three_sixty.clone(), three_sixty]);
+}
