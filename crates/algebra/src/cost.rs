@@ -38,10 +38,6 @@ pub const BATCH_ROWS: f64 = 1024.0;
 /// Fixed cost of pushing one batch through an operator (cursor dispatch,
 /// column bookkeeping) — small relative to one row's worth of work.
 pub const COST_PER_BATCH: f64 = 0.1;
-/// Modeled cost of one row-at-a-time reference dereference during
-/// expression evaluation (a buffer-pool visit plus record decode) — what
-/// the deref-hoisting hash-join rewrite competes against.
-pub const DEREF_COST: f64 = 4.0;
 
 /// Amortized per-batch dispatch overhead for a stream of `rows` rows: at
 /// least one batch, then one more per [`BATCH_ROWS`] rows.
@@ -310,14 +306,8 @@ pub fn cardinality(plan: &Physical, catalog: &dyn CatalogLookup) -> f64 {
             input, binding, on, ..
         } => {
             let n = cardinality(input, catalog);
-            match on {
-                // Deref hoist is 1:1 with its input.
-                None => n,
-                Some(attr) => {
-                    let t = binding_cardinality(binding, catalog);
-                    (n * t * eq_join_selectivity(binding, attr, catalog)).max(1.0)
-                }
-            }
+            let t = binding_cardinality(binding, catalog);
+            (n * t * eq_join_selectivity(binding, on, catalog)).max(1.0)
         }
         Physical::IndexJoin {
             input,

@@ -1,44 +1,26 @@
-//! Statistics-gated join rewrites.
+//! The statistics-gated join rewrite.
 //!
-//! Two rules run over every assembled physical plan, both strictly
-//! gated on `analyze` statistics for the build-side collection — a plan
-//! over unanalyzed collections is returned byte-identical, so enabling
-//! the rewrites never perturbs existing plan shapes or rankings.
+//! **Equi-join selection** runs over every assembled physical plan,
+//! strictly gated on `analyze` statistics for the build-side collection
+//! — a plan over unanalyzed collections is returned byte-identical, so
+//! enabling the rewrite never perturbs existing plan shapes or rankings.
+//! A cross-chain equality conjunct `<outer expr> = W.attr` gating a
+//! [`Physical::NestedLoop`] whose inner side is a bare collection scan
+//! becomes a [`Physical::HashJoin`] (build once, probe with whole
+//! batches) or a [`Physical::IndexJoin`] (index nested loop on a
+//! secondary index over `attr`) — whichever the cost model ranks
+//! cheapest, with the original nested loop kept when it wins.
 //!
-//! 1. **Equi-join selection** (`rewrite_equi_joins`): a cross-chain
-//!    equality conjunct `<outer expr> = W.attr` gating a
-//!    [`Physical::NestedLoop`] whose inner side is a bare collection
-//!    scan becomes a [`Physical::HashJoin`] (build once, probe with
-//!    whole batches) or a [`Physical::IndexJoin`] (index nested loop on
-//!    a secondary index over `attr`) — whichever the cost model ranks
-//!    cheapest, with the original nested loop kept when it wins.
-//!
-//! 2. **Dereference hoisting** (`hoist_derefs`): an implicit path
-//!    query stepping through a reference attribute (`E.dept.floor`)
-//!    normally dereferences the target object row by row during
-//!    expression evaluation. When the target collection has statistics
-//!    and the cost model expects the build to pay off, a reference-mode
-//!    [`Physical::HashJoin`] is inserted directly above the binder of
-//!    the path's root variable, binding a hidden variable (`$E__dept`)
-//!    to the dereferenced target tuple; every `E.dept.<rest>` path in
-//!    the plan is rewritten to `$E__dept.<rest>`. Probe misses fall
-//!    back to an ordinary dereference, so results are unchanged.
-
-use std::collections::HashMap;
+//! Implicit joins — paths through reference attributes such as
+//! `E.dept.floor` — need no rewrite: the executor resolves them a batch
+//! at a time whether or not `analyze` ran.
 
 use excess_lang::{BinOp, Expr};
-use excess_sema::{NamedObject, ResolvedRange, RootSource, SemaCtx};
-use extra_model::{Ownership, QualType, Type, TypeId};
+use excess_sema::SemaCtx;
 
-use crate::cost::{binding_cardinality, cost, DEREF_COST};
+use crate::cost::cost;
 use crate::plan::Physical;
 use crate::rules::{conjoin, conjuncts, free_vars};
-
-/// Run both statistics-gated join rewrites over an assembled plan.
-pub fn apply_join_rewrites(plan: Physical, ctx: &SemaCtx<'_>) -> Physical {
-    let plan = rewrite_equi_joins(plan, ctx);
-    hoist_derefs(plan, ctx)
-}
 
 /// Rebuild a node around transformed children.
 fn map_inputs(plan: Physical, f: &mut dyn FnMut(Physical) -> Physical) -> Physical {
@@ -106,13 +88,9 @@ fn map_inputs(plan: Physical, f: &mut dyn FnMut(Physical) -> Physical) -> Physic
     }
 }
 
-// ---------------------------------------------------------------------
-// Rule 1: equi-join selection.
-// ---------------------------------------------------------------------
-
 /// Rewrite qualifying `Filter` + `NestedLoop` shapes into batch joins,
 /// recursing through the whole plan.
-fn rewrite_equi_joins(plan: Physical, ctx: &SemaCtx<'_>) -> Physical {
+pub fn rewrite_equi_joins(plan: Physical, ctx: &SemaCtx<'_>) -> Physical {
     let plan = map_inputs(plan, &mut |c| rewrite_equi_joins(c, ctx));
     if let Physical::Filter { input, pred } = plan {
         if let Physical::NestedLoop { outer, inner } = *input {
@@ -193,7 +171,7 @@ fn try_equi_join(outer: Physical, inner: Physical, pred: Expr, ctx: &SemaCtx<'_>
         input: Box::new(outer.clone()),
         binding: binding.clone(),
         key: key.clone(),
-        on: Some(attr.clone()),
+        on: attr.clone(),
     }));
     if let Some(index) = ctx.catalog.index_on(collection, &attr) {
         candidates.push(wrap(Physical::IndexJoin {
@@ -209,358 +187,4 @@ fn try_equi_join(outer: Physical, inner: Physical, pred: Expr, ctx: &SemaCtx<'_>
         .min_by(|(a, _), (b, _)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
         .expect("nonempty candidate set")
         .1
-}
-
-// ---------------------------------------------------------------------
-// Rule 2: dereference hoisting.
-// ---------------------------------------------------------------------
-
-/// One accepted hoist: paths `var.attr.<rest>` become
-/// `hidden.<rest>` and a reference-mode hash join binding `hidden` is
-/// inserted above `var`'s binder.
-pub struct Hoist {
-    /// Root range variable of the hoisted paths.
-    pub var: String,
-    /// Reference attribute stepped through.
-    pub attr: String,
-    /// Hidden binding (`$var__attr`) over the analyzed target
-    /// collection; its element is the dereferenced (owned) tuple.
-    pub binding: ResolvedRange,
-}
-
-/// Hoist row-at-a-time reference dereferences into build-once hash
-/// joins where statistics say the build pays off.
-fn hoist_derefs(plan: Physical, ctx: &SemaCtx<'_>) -> Physical {
-    let mut binders: HashMap<String, ResolvedRange> = HashMap::new();
-    collect_binders(&plan, &mut binders);
-    let mut uses: HashMap<(String, String), usize> = HashMap::new();
-    count_plan_uses(&plan, &binders, &mut uses);
-    let hoists = accept_hoists(&binders, uses, ctx);
-    if hoists.is_empty() {
-        return plan;
-    }
-    let renames: HashMap<(String, String), String> = hoists
-        .iter()
-        .map(|h| ((h.var.clone(), h.attr.clone()), h.binding.var.clone()))
-        .collect();
-    let plan = insert_hoists(plan, &hoists);
-    rewrite_plan_paths(plan, &renames)
-}
-
-/// Apply the statistics and cost gates to counted dereference uses,
-/// producing the accepted hoists in deterministic order.
-fn accept_hoists(
-    binders: &HashMap<String, ResolvedRange>,
-    uses: HashMap<(String, String), usize>,
-    ctx: &SemaCtx<'_>,
-) -> Vec<Hoist> {
-    // Deterministic candidate order (the map iterates in hash order).
-    let mut candidates: Vec<((String, String), usize)> = uses.into_iter().collect();
-    candidates.sort();
-    let mut hoists: Vec<Hoist> = Vec::new();
-    for ((var, attr), n_uses) in candidates {
-        let root_binding = &binders[&var];
-        // The attribute must be a reference to a schema-typed object.
-        let Ok(aqty) = ctx.attr_type(&root_binding.elem, &attr) else {
-            continue;
-        };
-        if aqty.mode == Ownership::Own {
-            continue;
-        }
-        let Type::Schema(tid) = aqty.ty else { continue };
-        // Find an analyzed collection holding the target type.
-        let Some((target, build_rows)) = target_collection(ctx, tid) else {
-            continue;
-        };
-        // Cost gate: one build scan + dereference of every build member
-        // must beat `n_uses` row-at-a-time dereferences per probe row.
-        let probe_rows = binding_cardinality(root_binding, ctx.catalog);
-        if 2.0 * build_rows + probe_rows >= n_uses as f64 * probe_rows * DEREF_COST {
-            continue;
-        }
-        let hidden = format!("${var}__{attr}");
-        hoists.push(Hoist {
-            var,
-            attr,
-            binding: ResolvedRange {
-                var: hidden,
-                universal: false,
-                root: RootSource::Collection(target),
-                steps: Vec::new(),
-                elem: QualType::own(Type::Schema(tid)),
-            },
-        });
-    }
-    hoists
-}
-
-/// Dereference hoists for an aggregate's `over` plan. The executor
-/// builds those plans itself (they never pass through the planner), so
-/// it calls this with the aggregate's resolved range bindings and inner
-/// expressions, inserts a reference-mode hash join per hoist above the
-/// prepared plan, and rewrites the expressions with
-/// [`rewrite_expr_paths`]. Gating is identical to the top-level rule.
-pub fn agg_hoists(bindings: &[ResolvedRange], exprs: &[&Expr], ctx: &SemaCtx<'_>) -> Vec<Hoist> {
-    let mut binders: HashMap<String, ResolvedRange> = HashMap::new();
-    for b in bindings {
-        if crate::cost::binding_collection(b).is_some() {
-            binders.insert(b.var.clone(), b.clone());
-        }
-    }
-    let mut uses: HashMap<(String, String), usize> = HashMap::new();
-    for e in exprs {
-        count_expr_uses(e, &binders, &mut uses);
-    }
-    accept_hoists(&binders, uses, ctx)
-}
-
-/// Map every range variable bound by a plan node to its binding, for
-/// bare collection bindings (the shapes statistics and the hash build
-/// understand).
-fn collect_binders(plan: &Physical, out: &mut HashMap<String, ResolvedRange>) {
-    let mut add = |b: &ResolvedRange| {
-        if crate::cost::binding_collection(b).is_some() {
-            out.insert(b.var.clone(), b.clone());
-        }
-    };
-    match plan {
-        Physical::Unit | Physical::SystemScan { .. } => {}
-        Physical::SeqScan { binding } | Physical::IndexScan { binding, .. } => add(binding),
-        Physical::Unnest { input, binding }
-        | Physical::HashJoin { input, binding, .. }
-        | Physical::IndexJoin { input, binding, .. } => {
-            add(binding);
-            collect_binders(input, out);
-        }
-        Physical::NestedLoop { outer, inner } => {
-            collect_binders(outer, out);
-            collect_binders(inner, out);
-        }
-        Physical::Filter { input, .. }
-        | Physical::UniversalFilter { input, .. }
-        | Physical::Project { input, .. }
-        | Physical::Sort { input, .. }
-        | Physical::Parallel { input, .. } => collect_binders(input, out),
-    }
-}
-
-/// The analyzed collection whose members have schema type `tid`,
-/// preferring the largest (ties broken by name for determinism).
-/// `None` when no analyzed collection matches — which disables the
-/// hoist.
-fn target_collection(ctx: &SemaCtx<'_>, tid: TypeId) -> Option<(NamedObject, f64)> {
-    let mut best: Option<(u64, NamedObject)> = None;
-    let mut objs = ctx.catalog.collections();
-    objs.sort_by(|a, b| a.name.cmp(&b.name));
-    for obj in objs {
-        if !obj.is_collection {
-            continue;
-        }
-        let Type::Set(elem) = &obj.qty.ty else {
-            continue;
-        };
-        if elem.ty != Type::Schema(tid) {
-            continue;
-        }
-        let Some(stats) = ctx.catalog.stats_for(&obj.name) else {
-            continue;
-        };
-        if best
-            .as_ref()
-            .map(|(r, _)| stats.row_count > *r)
-            .unwrap_or(true)
-        {
-            best = Some((stats.row_count, obj));
-        }
-    }
-    best.map(|(rows, obj)| (obj, rows as f64))
-}
-
-/// Count `var.attr.<rest>` path-prefix uses across every expression of
-/// the plan (aggregates excluded — the executor hoists inside aggregate
-/// `over` plans itself, under its own environment).
-fn count_plan_uses(
-    plan: &Physical,
-    binders: &HashMap<String, ResolvedRange>,
-    out: &mut HashMap<(String, String), usize>,
-) {
-    let mut each = |e: &Expr| count_expr_uses(e, binders, out);
-    match plan {
-        Physical::Filter { pred, .. } | Physical::UniversalFilter { pred, .. } => each(pred),
-        Physical::Project { targets, .. } => {
-            for (_, e) in targets {
-                each(e);
-            }
-        }
-        Physical::Sort { key, .. } => each(key),
-        Physical::HashJoin { key, .. } | Physical::IndexJoin { key, .. } => each(key),
-        _ => {}
-    }
-    match plan {
-        Physical::Unit
-        | Physical::SeqScan { .. }
-        | Physical::SystemScan { .. }
-        | Physical::IndexScan { .. } => {}
-        Physical::NestedLoop { outer, inner } => {
-            count_plan_uses(outer, binders, out);
-            count_plan_uses(inner, binders, out);
-        }
-        Physical::Unnest { input, .. }
-        | Physical::Filter { input, .. }
-        | Physical::UniversalFilter { input, .. }
-        | Physical::Project { input, .. }
-        | Physical::Sort { input, .. }
-        | Physical::HashJoin { input, .. }
-        | Physical::IndexJoin { input, .. }
-        | Physical::Parallel { input, .. } => count_plan_uses(input, binders, out),
-    }
-}
-
-/// Count multi-step path prefixes `Var(v).a.<rest>` rooted at known
-/// binders. Stops at aggregates.
-pub fn count_expr_uses(
-    e: &Expr,
-    binders: &HashMap<String, ResolvedRange>,
-    out: &mut HashMap<(String, String), usize>,
-) {
-    match e {
-        Expr::Path(base, _) => {
-            if let Expr::Path(inner, a) = &**base {
-                if let Expr::Var(v) = &**inner {
-                    if binders.contains_key(v) {
-                        *out.entry((v.clone(), a.clone())).or_insert(0) += 1;
-                        return;
-                    }
-                }
-            }
-            count_expr_uses(base, binders, out);
-        }
-        Expr::Lit(_) | Expr::Var(_) | Expr::Agg(_) => {}
-        Expr::Index(base, idx) => {
-            count_expr_uses(base, binders, out);
-            count_expr_uses(idx, binders, out);
-        }
-        Expr::Call { recv, args, .. } => {
-            if let Some(r) = recv {
-                count_expr_uses(r, binders, out);
-            }
-            for a in args {
-                count_expr_uses(a, binders, out);
-            }
-        }
-        Expr::Unary(_, a) => count_expr_uses(a, binders, out),
-        Expr::Binary(_, a, b) => {
-            count_expr_uses(a, binders, out);
-            count_expr_uses(b, binders, out);
-        }
-        Expr::UserOp(_, args) | Expr::SetLit(args) => {
-            for a in args {
-                count_expr_uses(a, binders, out);
-            }
-        }
-        Expr::TupleLit(fields) => {
-            for (_, a) in fields {
-                count_expr_uses(a, binders, out);
-            }
-        }
-    }
-}
-
-/// Insert each hoist's hash join directly above the node binding its
-/// root variable.
-fn insert_hoists(plan: Physical, hoists: &[Hoist]) -> Physical {
-    let plan = map_inputs(plan, &mut |c| insert_hoists(c, hoists));
-    let bound_here = match &plan {
-        Physical::SeqScan { binding }
-        | Physical::IndexScan { binding, .. }
-        | Physical::Unnest { binding, .. }
-        | Physical::HashJoin { binding, .. }
-        | Physical::IndexJoin { binding, .. } => Some(binding.var.clone()),
-        _ => None,
-    };
-    let Some(var) = bound_here else { return plan };
-    let mut plan = plan;
-    for h in hoists.iter().filter(|h| h.var == var) {
-        plan = Physical::HashJoin {
-            input: Box::new(plan),
-            binding: h.binding.clone(),
-            key: Expr::Path(Box::new(Expr::Var(h.var.clone())), h.attr.clone()),
-            on: None,
-        };
-    }
-    plan
-}
-
-/// Rewrite every hoisted path prefix in the plan's expressions.
-fn rewrite_plan_paths(plan: Physical, renames: &HashMap<(String, String), String>) -> Physical {
-    let mut plan = map_inputs(plan, &mut |c| rewrite_plan_paths(c, renames));
-    match &mut plan {
-        Physical::Filter { pred, .. } | Physical::UniversalFilter { pred, .. } => {
-            rewrite_expr_paths(pred, renames);
-        }
-        Physical::Project { targets, .. } => {
-            for (_, e) in targets {
-                rewrite_expr_paths(e, renames);
-            }
-        }
-        Physical::Sort { key, .. } => rewrite_expr_paths(key, renames),
-        // Reference-mode keys (`on: None`) are the hoisted prefixes
-        // themselves; rewriting one would probe with the hidden
-        // variable it defines. Equi keys are ordinary outer
-        // expressions.
-        Physical::HashJoin {
-            key, on: Some(_), ..
-        } => rewrite_expr_paths(key, renames),
-        Physical::IndexJoin { key, .. } => rewrite_expr_paths(key, renames),
-        _ => {}
-    }
-    plan
-}
-
-/// Rewrite `Var(v).a.<rest>` into `Var(hidden).<rest>` everywhere
-/// outside aggregates.
-pub fn rewrite_expr_paths(e: &mut Expr, renames: &HashMap<(String, String), String>) {
-    if let Expr::Path(base, _) = e {
-        let hidden = match &**base {
-            Expr::Path(inner, a) => match &**inner {
-                Expr::Var(v) => renames.get(&(v.clone(), a.clone())).cloned(),
-                _ => None,
-            },
-            _ => None,
-        };
-        if let Some(h) = hidden {
-            **base = Expr::Var(h);
-        }
-    }
-    match e {
-        Expr::Lit(_) | Expr::Var(_) | Expr::Agg(_) => {}
-        Expr::Path(base, _) => rewrite_expr_paths(base, renames),
-        Expr::Index(base, idx) => {
-            rewrite_expr_paths(base, renames);
-            rewrite_expr_paths(idx, renames);
-        }
-        Expr::Call { recv, args, .. } => {
-            if let Some(r) = recv {
-                rewrite_expr_paths(r, renames);
-            }
-            for a in args {
-                rewrite_expr_paths(a, renames);
-            }
-        }
-        Expr::Unary(_, a) => rewrite_expr_paths(a, renames),
-        Expr::Binary(_, a, b) => {
-            rewrite_expr_paths(a, renames);
-            rewrite_expr_paths(b, renames);
-        }
-        Expr::UserOp(_, args) | Expr::SetLit(args) => {
-            for a in args {
-                rewrite_expr_paths(a, renames);
-            }
-        }
-        Expr::TupleLit(fields) => {
-            for (_, a) in fields {
-                rewrite_expr_paths(a, renames);
-            }
-        }
-    }
 }

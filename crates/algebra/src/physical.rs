@@ -218,7 +218,7 @@ pub fn plan_retrieve_dop(
     // Statistics-gated join rewrites run over the assembled plan; with
     // no `analyze` statistics recorded they are no-ops, so plans over
     // unanalyzed collections keep their exact prior shapes.
-    Ok(crate::join::apply_join_rewrites(plan, ctx))
+    Ok(crate::join::rewrite_equi_joins(plan, ctx))
 }
 
 /// Wrap `plan` in a parallel exchange when (a) workers are available,

@@ -139,21 +139,13 @@ pub enum Physical {
         /// Ascending?
         asc: bool,
     },
-    /// Hash join: build a hash table over `binding`'s collection once,
-    /// then probe it with whole input batches, extending each input row
-    /// with one member binding.
-    ///
-    /// Two modes, distinguished by `on`:
-    /// - `on = None` (*deref hoist*): `key` evaluates to a reference
-    ///   into the build collection; the hidden `binding.var` is bound to
-    ///   the **dereferenced** member tuple (1:1 with the input). Probe
-    ///   misses fall back to an ordinary store dereference, so results
-    ///   match row-at-a-time evaluation exactly.
-    /// - `on = Some(attr)` (*equi join*): the table is keyed on member
-    ///   attribute `attr`; `binding.var` is bound to the **original**
-    ///   member value (a reference for `{ own ref T }` collections, so
-    ///   `is`-identity semantics are preserved). Null keys match
-    ///   nothing, exactly like the `NestedLoop` + `Filter` it replaces.
+    /// Hash equi join: build a hash table over `binding`'s collection
+    /// once, keyed on member attribute `on`, then probe it with whole
+    /// input batches, extending each input row with one binding per
+    /// matching member. `binding.var` is bound to the **original**
+    /// member value (a reference for `{ own ref T }` collections, so
+    /// `is`-identity semantics are preserved). Null keys match nothing,
+    /// exactly like the `NestedLoop` + `Filter` it replaces.
     HashJoin {
         /// Probe side (the existing pipeline).
         input: Box<Physical>,
@@ -161,9 +153,8 @@ pub enum Physical {
         binding: ResolvedRange,
         /// Probe key, evaluated against each input row.
         key: Expr,
-        /// Build-side member attribute for an equi join; `None` selects
-        /// reference (deref-hoist) mode.
-        on: Option<String>,
+        /// Build-side member attribute the table is keyed on.
+        on: String,
     },
     /// Index nested-loop join: for each input row, probe a secondary
     /// index on `index.attr` with the value of `key` (equality only) and
@@ -307,18 +298,11 @@ impl Physical {
             }
             Physical::HashJoin {
                 binding, key, on, ..
-            } => match on {
-                Some(attr) => format!(
-                    "HashJoin {} over {} on {attr} = {key}",
-                    binding.var,
-                    range_source(binding)
-                ),
-                None => format!(
-                    "HashJoin {} over {} on ref {key}",
-                    binding.var,
-                    range_source(binding)
-                ),
-            },
+            } => format!(
+                "HashJoin {} over {} on {on} = {key}",
+                binding.var,
+                range_source(binding)
+            ),
             Physical::IndexJoin {
                 binding,
                 index,

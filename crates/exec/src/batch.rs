@@ -30,6 +30,13 @@ pub trait Bindings {
     fn ident(&self, var: &str) -> MemberId;
     /// Names of all bound variables.
     fn bound_vars(&self) -> Vec<&str>;
+    /// Value of path slot `slot`, when the operator evaluating this row
+    /// resolved it for the whole batch (see [`crate::paths`]). `None` —
+    /// always, for bindings outside a batch — sends the evaluator down
+    /// the row-at-a-time path.
+    fn slot(&self, _slot: usize) -> Option<&Value> {
+        None
+    }
 }
 
 impl Bindings for Env {
@@ -148,45 +155,64 @@ impl RowBatch {
         (0..self.rows).map(move |row| BatchRow { batch: self, row })
     }
 
-    /// Append a copy of `src`'s row `row`, optionally binding `var` to
-    /// `(value, id)` on top (shadowing any existing column of that name).
+    /// The column of `var`, if bound.
+    pub fn column(&self, var: &str) -> Option<&[Value]> {
+        self.col_of(var).map(|c| self.cols[c].as_slice())
+    }
+
+    /// An empty batch laid out to bind `var` over input rows shaped like
+    /// `src` — `src`'s columns in order, then `var` unless it shadows one
+    /// of them — plus `var`'s column position for
+    /// [`RowBatch::push_extended`].
+    pub fn extending(src: &RowBatch, var: &str) -> (RowBatch, usize) {
+        let mut vars = src.vars.clone();
+        let vc = src.col_of(var).unwrap_or_else(|| {
+            vars.push(var.to_string());
+            vars.len() - 1
+        });
+        (RowBatch::with_vars(vars), vc)
+    }
+
+    /// Append a copy of `src`'s row `row` with column `vc` bound to
+    /// `(value, id)`. `self` must come from [`RowBatch::extending`] over
+    /// a batch laid out like `src`, so columns correspond by position
+    /// and nothing is looked up per row.
     pub fn push_extended(
         &mut self,
         src: &RowBatch,
         row: usize,
-        var: &str,
+        vc: usize,
         value: Value,
         id: MemberId,
     ) {
-        debug_assert!(self.compatible_extension(src, var));
-        for (c, name) in self.vars.iter().enumerate() {
-            if name != var {
-                let s = src.col_of(name).expect("schema mismatch");
-                self.cols[c].push(src.cols[s][row].clone());
-                self.ids[c].push(src.ids[s][row].clone());
-            }
+        debug_assert!(src.vars.iter().zip(&self.vars).all(|(a, b)| a == b));
+        for c in (0..src.cols.len()).filter(|&c| c != vc) {
+            self.cols[c].push(src.cols[c][row].clone());
+            self.ids[c].push(src.ids[c][row].clone());
         }
-        let vc = self.col_of(var).expect("bound variable has a column");
         self.cols[vc].push(value);
         self.ids[vc].push(id);
         self.rows += 1;
     }
 
-    /// The column layout a scan/unnest produces when binding `var` over
-    /// input rows shaped like `src`.
-    pub fn extended_vars(src: &RowBatch, var: &str) -> Vec<String> {
-        let mut vars = src.vars.clone();
-        if !vars.iter().any(|v| v == var) {
-            vars.push(var.to_string());
+    /// `src`'s row `row` repeated once per member, with `var` bound to
+    /// the members (their values and identities): what a scan emits for
+    /// one input row, built column by column with the members moved in.
+    pub fn broadcast(
+        src: &RowBatch,
+        row: usize,
+        var: &str,
+        members: (Vec<Value>, Vec<MemberId>),
+    ) -> RowBatch {
+        let (mut out, vc) = RowBatch::extending(src, var);
+        let n = members.0.len();
+        for c in (0..src.cols.len()).filter(|&c| c != vc) {
+            out.cols[c] = vec![src.cols[c][row].clone(); n];
+            out.ids[c] = vec![src.ids[c][row].clone(); n];
         }
-        vars
-    }
-
-    fn compatible_extension(&self, src: &RowBatch, var: &str) -> bool {
-        self.vars
-            .iter()
-            .all(|v| v == var || src.col_of(v).is_some())
-            && src.vars.iter().all(|v| self.col_of(v).is_some())
+        (out.cols[vc], out.ids[vc]) = members;
+        out.rows = n;
+        out
     }
 
     /// Copy the selected rows into a new batch (`sel` is a selection
@@ -306,11 +332,14 @@ mod tests {
     #[test]
     fn extend_gather_append() {
         let seed = RowBatch::single(&Env::new());
-        let mut b = RowBatch::with_vars(RowBatch::extended_vars(&seed, "v"));
+        let (mut b, vc) = RowBatch::extending(&seed, "v");
         for i in 0..5 {
-            b.push_extended(&seed, 0, "v", Value::Int(i), MemberId::None);
+            b.push_extended(&seed, 0, vc, Value::Int(i), MemberId::None);
         }
         assert_eq!(b.len(), 5);
+        let members = ((0..5).map(Value::Int).collect(), vec![MemberId::None; 5]);
+        let same = RowBatch::broadcast(&seed, 0, "v", members);
+        assert_eq!(same.column("v"), b.column("v"));
         let odd = b.gather(&[1, 3]);
         assert_eq!(odd.len(), 2);
         assert_eq!(odd.row(1).value("v"), Some(&Value::Int(3)));
@@ -330,10 +359,15 @@ mod tests {
         let mut env = Env::new();
         env.bind("v", Value::Int(7), MemberId::None);
         let seed = RowBatch::single(&env);
-        let vars = RowBatch::extended_vars(&seed, "v");
-        assert_eq!(vars.len(), 1, "shadowed var must not duplicate a column");
-        let mut b = RowBatch::with_vars(vars);
-        b.push_extended(&seed, 0, "v", Value::Int(9), MemberId::None);
+        let (mut b, vc) = RowBatch::extending(&seed, "v");
+        assert_eq!(
+            b.vars().len(),
+            1,
+            "shadowed var must not duplicate a column"
+        );
+        b.push_extended(&seed, 0, vc, Value::Int(9), MemberId::None);
         assert_eq!(b.row(0).value("v"), Some(&Value::Int(9)));
+        let again = RowBatch::broadcast(&seed, 0, "v", (vec![Value::Int(9)], vec![MemberId::None]));
+        assert_eq!(again.row(0).value("v"), Some(&Value::Int(9)));
     }
 }

@@ -17,6 +17,7 @@ use excess_sema::{RangeEnv, SemaCtx};
 use exodus_storage::Oid;
 use extra_model::{AdtId, ModelError, ModelResult, QualType, Type, Value};
 
+use crate::paths::{PathBase, Paths};
 use crate::plan::{prepare_bindings, prepare_with, ExecNode};
 
 /// Maximum EXCESS-function call depth at runtime.
@@ -89,6 +90,9 @@ pub struct CAgg {
     /// Whether the group table may be cached across outer rows
     /// (uncorrelated aggregates).
     pub cacheable: bool,
+    /// Path slots of `arg`, `by` and `qual`, resolved per batch of the
+    /// source plan's rows.
+    pub paths: Paths,
 }
 
 /// A compiled expression.
@@ -106,6 +110,11 @@ pub enum CExpr {
     NamedValue(Oid),
     /// Attribute access by position (dereferencing through refs).
     Attr(Box<CExpr>, usize),
+    /// An attribute access — the boxed [`CExpr::Attr`] — that is a path
+    /// rooted at a variable or named object: slot `.0` of its
+    /// operator's [`Paths`] holds its value when the operator resolved
+    /// the path for the whole batch (see [`crate::paths`]).
+    Path(usize, Box<CExpr>),
     /// 1-based array indexing.
     Idx(Box<CExpr>, Box<CExpr>),
     /// Logical not.
@@ -148,6 +157,8 @@ pub struct Compiler<'a> {
     pub range_env: &'a RangeEnv,
     agg_counter: &'a Cell<usize>,
     fn_stack: RefCell<Vec<String>>,
+    /// Path slots of the expressions compiled so far.
+    paths: RefCell<Paths>,
 }
 
 fn sem(e: excess_sema::SemaError) -> ModelError {
@@ -166,6 +177,30 @@ impl<'a> Compiler<'a> {
             range_env,
             agg_counter,
             fn_stack: RefCell::new(Vec::new()),
+            paths: RefCell::default(),
+        }
+    }
+
+    /// The path slots of everything compiled since the last call: the
+    /// table the operator evaluating those expressions resolves per
+    /// batch.
+    pub fn take_paths(&self) -> Paths {
+        self.paths.take()
+    }
+
+    /// Field `pos` of `base`. A step from a variable, a named object or
+    /// another such path gets a slot.
+    pub(crate) fn attr(&self, base: CExpr, pos: usize) -> CExpr {
+        let from = match &base {
+            CExpr::Var(n) => Some(PathBase::Var(n.clone())),
+            CExpr::NamedRef(oid) => Some(PathBase::Object(Value::Ref(*oid))),
+            CExpr::Path(slot, _) => Some(PathBase::Slot(*slot)),
+            _ => None,
+        };
+        let attr = CExpr::Attr(Box::new(base), pos);
+        match from {
+            Some(from) => CExpr::Path(self.paths.borrow_mut().slot(from, pos), Box::new(attr)),
+            None => attr,
         }
     }
 
@@ -197,7 +232,7 @@ impl<'a> Compiler<'a> {
             Expr::Path(base, attr) => {
                 let bq = self.ctx.infer(base).map_err(sem)?;
                 let pos = self.ctx.attr_pos(&bq, attr).map_err(sem)?;
-                Ok(CExpr::Attr(Box::new(self.compile(base)?), pos))
+                Ok(self.attr(self.compile(base)?, pos))
             }
             Expr::Index(base, idx) => Ok(CExpr::Idx(
                 Box::new(self.compile(base)?),
@@ -447,6 +482,7 @@ impl<'a> Compiler<'a> {
                 by: Vec::new(),
                 qual: None,
                 cacheable: false,
+                paths: Paths::default(),
             })));
         }
 
@@ -522,65 +558,24 @@ impl<'a> Compiler<'a> {
             }
         }
 
-        // Statistics-gated dereference hoisting, mirroring the planner's
-        // rule: aggregate `over` plans are assembled here rather than by
-        // the planner, so the rewrite runs here too. Hidden variables
-        // must be in scope before the inner compiler is built.
-        let hoists = excess_algebra::join::agg_hoists(&kept, &inner_exprs, &inner_ctx);
-        for h in &hoists {
-            inner_ctx
-                .vars
-                .insert(h.binding.var.clone(), h.binding.elem.clone());
-        }
-        let renames: std::collections::HashMap<(String, String), String> = hoists
-            .iter()
-            .map(|h| ((h.var.clone(), h.attr.clone()), h.binding.var.clone()))
-            .collect();
-        let rw = |e: &Expr| {
-            let mut e = e.clone();
-            excess_algebra::join::rewrite_expr_paths(&mut e, &renames);
-            e
-        };
         let inner = Compiler::new(&inner_ctx, self.range_env, self.agg_counter);
-
-        let mut source_plan =
-            prepare_bindings(&kept, &inner_ctx, self.range_env, self.agg_counter)?;
-        for h in &hoists {
-            let excess_sema::RootSource::Collection(obj) = &h.binding.root else {
-                continue;
-            };
-            let key = inner.compile(&Expr::Path(
-                Box::new(Expr::Var(h.var.clone())),
-                h.attr.clone(),
-            ))?;
-            source_plan = ExecNode::HashJoin {
-                input: Box::new(source_plan),
-                var: h.binding.var.clone(),
-                anchor: obj.oid,
-                key,
-                on: None,
-            };
-        }
+        let source_plan = prepare_bindings(&kept, &inner_ctx, self.range_env, self.agg_counter)?;
+        let arg = agg.arg.as_ref().map(|a| inner.compile(a)).transpose()?;
+        let by = agg
+            .by
+            .iter()
+            .map(|b| inner.compile(b))
+            .collect::<ModelResult<_>>()?;
+        let qual = agg.qual.as_ref().map(|q| inner.compile(q)).transpose()?;
         Ok(CExpr::Agg(Box::new(CAgg {
             id,
             func,
-            arg: agg
-                .arg
-                .as_ref()
-                .map(|a| inner.compile(&rw(a)))
-                .transpose()?,
+            arg,
             source: AggSource::Ranges(source_plan),
-            by: agg
-                .by
-                .iter()
-                .map(|b| inner.compile(&rw(b)))
-                .collect::<ModelResult<_>>()?,
-            qual: agg
-                .qual
-                .as_ref()
-                .map(|q| inner.compile(&rw(q)))
-                .transpose()?,
+            by,
+            qual,
             cacheable: !outer_refs,
+            paths: inner.take_paths(),
         })))
     }
 }

@@ -21,15 +21,16 @@
 use std::collections::VecDeque;
 use std::vec::IntoIter;
 
-use exodus_storage::btree::BTree;
-use exodus_storage::RecordId;
-use extra_model::{ModelError, ModelResult, Value};
+use exodus_storage::btree::{BTree, BTreeScan};
+use exodus_storage::{Oid, RecordId};
+use extra_model::{MemberScan, ModelError, ModelResult, Value};
 
-use crate::batch::{Bindings, RowBatch};
+use crate::batch::RowBatch;
 use crate::cexpr::CExpr;
 use crate::env::MemberId;
-use crate::eval::{eval, truthy, ExecCtx};
-use crate::plan::{walk_path, ExecNode, USource};
+use crate::eval::{deref, eval, truthy, ExecCtx};
+use crate::paths::{Paths, Resolved};
+use crate::plan::{ExecNode, USource};
 use crate::profile::PlanIndex;
 
 impl ExecNode {
@@ -61,6 +62,8 @@ pub enum Cursor<'p> {
         input: Box<Cursor<'p>>,
         /// Compiled predicate.
         pred: &'p CExpr,
+        /// Path slots of `pred`.
+        paths: &'p Paths,
         /// Metric slot when profiling.
         slot: Option<u32>,
     },
@@ -72,6 +75,8 @@ pub enum Cursor<'p> {
         universe: &'p ExecNode,
         /// Predicate that must hold for every universal binding.
         pred: &'p CExpr,
+        /// Path slots of `pred`.
+        paths: &'p Paths,
         /// Metric slot when profiling.
         slot: Option<u32>,
     },
@@ -81,6 +86,8 @@ pub enum Cursor<'p> {
         input: Box<Cursor<'p>>,
         /// Compiled key.
         key: &'p CExpr,
+        /// Path slots of `key`.
+        paths: &'p Paths,
         /// Ascending?
         asc: bool,
         /// Sorted output, re-batched (filled on first pull).
@@ -121,47 +128,27 @@ pub(crate) fn open_sub<'p>(
     let slot = index.and_then(|ix| ix.slot_of(node));
     match node {
         ExecNode::Unit => input,
-        ExecNode::SeqScan { var, anchor } => Cursor::Scan(ScanCursor {
-            input: Box::new(input),
-            var,
-            kind: ScanKind::Heap { anchor: *anchor },
-            members: None,
-            in_batch: None,
-            in_row: 0,
-            pos: 0,
-            slot,
-        }),
-        ExecNode::SystemScan { var, view } => Cursor::Scan(ScanCursor {
-            input: Box::new(input),
-            var,
-            kind: ScanKind::System { view },
-            members: None,
-            in_batch: None,
-            in_row: 0,
-            pos: 0,
-            slot,
-        }),
+        ExecNode::SeqScan { var, anchor } => {
+            ScanCursor::open(input, var, ScanKind::Heap { anchor: *anchor }, slot)
+        }
+        ExecNode::SystemScan { var, view } => {
+            ScanCursor::open(input, var, ScanKind::System { view }, slot)
+        }
         ExecNode::IndexScan {
             var,
             anchor,
             root,
             lower,
             upper,
-        } => Cursor::Scan(ScanCursor {
-            input: Box::new(input),
-            var,
-            kind: ScanKind::Index {
+        } => {
+            let kind = ScanKind::Index {
                 anchor: *anchor,
                 root: *root,
                 lower,
                 upper,
-            },
-            members: None,
-            in_batch: None,
-            in_row: 0,
-            pos: 0,
-            slot,
-        }),
+            };
+            ScanCursor::open(input, var, kind, slot)
+        }
         ExecNode::Unnest {
             input: child,
             var,
@@ -179,19 +166,26 @@ pub(crate) fn open_sub<'p>(
         ExecNode::NestedLoop { outer, inner } => {
             open_sub(inner, leaf, open_sub(outer, leaf, input, index), index)
         }
-        ExecNode::Filter { input: child, pred } => Cursor::Filter {
+        ExecNode::Filter {
+            input: child,
+            pred,
+            paths,
+        } => Cursor::Filter {
             input: Box::new(open_sub(child, leaf, input, index)),
             pred,
+            paths,
             slot,
         },
         ExecNode::UniversalFilter {
             input: child,
             universe,
             pred,
+            paths,
         } => Cursor::Universal {
             input: Box::new(open_sub(child, leaf, input, index)),
             universe,
             pred,
+            paths,
             slot,
         },
         // A mid-tree projection only narrows the output list, which is
@@ -200,10 +194,12 @@ pub(crate) fn open_sub<'p>(
         ExecNode::Sort {
             input: child,
             key,
+            paths,
             asc,
         } => Cursor::Sort {
             input: Box::new(open_sub(child, leaf, input, index)),
             key,
+            paths,
             asc: *asc,
             out: None,
             slot,
@@ -213,13 +209,17 @@ pub(crate) fn open_sub<'p>(
             var,
             anchor,
             key,
+            paths,
             on,
+            on_paths,
         } => Cursor::HashJoin(HashJoinCursor {
             input: Box::new(open_sub(child, leaf, input, index)),
             var,
             anchor: *anchor,
             key,
-            on: *on,
+            paths,
+            on,
+            on_paths,
             table: None,
             slot,
         }),
@@ -229,6 +229,7 @@ pub(crate) fn open_sub<'p>(
             anchor,
             root,
             key,
+            paths,
             key_ty,
         } => Cursor::IndexJoin(IndexJoinCursor {
             input: Box::new(open_sub(child, leaf, input, index)),
@@ -236,6 +237,7 @@ pub(crate) fn open_sub<'p>(
             anchor: *anchor,
             root: *root,
             key,
+            paths,
             key_ty,
             slot,
         }),
@@ -291,14 +293,20 @@ impl Cursor<'_> {
             Cursor::Seed(seed) => Ok(seed.take()),
             Cursor::Scan(scan) => scan.next(ctx),
             Cursor::Unnest(unnest) => unnest.next(ctx),
-            Cursor::Filter { input, pred, slot } => loop {
+            Cursor::Filter {
+                input,
+                pred,
+                paths,
+                slot,
+            } => loop {
                 let Some(batch) = input.next(ctx)? else {
                     return Ok(None);
                 };
                 ctx.prof_in(*slot, batch.len());
+                let resolved = paths.resolve(ctx, &batch)?;
                 let mut sel: Vec<usize> = Vec::new();
                 for r in 0..batch.len() {
-                    if truthy(&eval(pred, ctx, &batch.row(r))?)? {
+                    if truthy(&eval(pred, ctx, &resolved.row(&batch, r))?)? {
                         sel.push(r);
                     }
                 }
@@ -314,6 +322,7 @@ impl Cursor<'_> {
                 input,
                 universe,
                 pred,
+                paths,
                 slot,
             } => loop {
                 let Some(batch) = input.next(ctx)? else {
@@ -326,8 +335,9 @@ impl Cursor<'_> {
                     let mut ucur = universe.cursor(seed);
                     let mut holds = true; // vacuously true on empty universes
                     'univ: while let Some(ub) = ucur.next(ctx)? {
+                        let resolved = paths.resolve(ctx, &ub)?;
                         for u in 0..ub.len() {
-                            if !truthy(&eval(pred, ctx, &ub.row(u))?)? {
+                            if !truthy(&eval(pred, ctx, &resolved.row(&ub, u))?)? {
                                 holds = false;
                                 break 'univ; // stop pulling on first failure
                             }
@@ -348,6 +358,7 @@ impl Cursor<'_> {
             Cursor::Sort {
                 input,
                 key,
+                paths,
                 asc,
                 out,
                 slot,
@@ -358,10 +369,7 @@ impl Cursor<'_> {
                         ctx.prof_in(*slot, b.len());
                         all.append(b);
                     }
-                    let mut keys: Vec<Value> = Vec::with_capacity(all.len());
-                    for r in 0..all.len() {
-                        keys.push(eval(key, ctx, &all.row(r))?);
-                    }
+                    let keys = eval_column(key, paths, ctx, &all)?;
                     let mut idx: Vec<usize> = (0..all.len()).collect();
                     // Stable: ties keep input order.
                     idx.sort_by(|&a, &b| {
@@ -392,15 +400,6 @@ impl Cursor<'_> {
     }
 }
 
-/// The build side of a hash join.
-enum JoinTable {
-    /// Reference mode: member OID → dereferenced member tuple.
-    ByRef(std::collections::HashMap<exodus_storage::Oid, Value>),
-    /// Equi mode: normalized key bytes → matching members (original
-    /// member value plus identity, exactly as a scan would bind them).
-    ByKey(std::collections::HashMap<Vec<u8>, Vec<(Value, MemberId)>>),
-}
-
 /// Normalized hash key for equi-join matching: integral floats collapse
 /// to ints so `Int(2)` and `Float(2.0)` meet, mirroring `=` comparison
 /// semantics.
@@ -418,48 +417,24 @@ fn join_key(v: &Value) -> Vec<u8> {
     extra_model::valueio::to_bytes(&norm)
 }
 
-/// Join-key values for every row of a batch. The dominant probe shape —
-/// `Attr(base, pos)` where the bases evaluate to references (e.g.
-/// `E.dept` over a reference-binding scan) — fetches all fields through
-/// the storage layer's batched read, pinning each object-directory and
-/// heap page once per batch instead of three pages per row. Non-Attr
-/// keys, non-reference bases, and rows the batched read declines
-/// (version chains, LOB payloads) evaluate row by row, reproducing the
-/// scalar path's exact semantics.
-fn eval_keys(key: &CExpr, ctx: &ExecCtx<'_>, batch: &RowBatch) -> ModelResult<Vec<Value>> {
-    if let CExpr::Attr(base, pos) = key {
-        let mut bases = Vec::with_capacity(batch.len());
-        for r in 0..batch.len() {
-            bases.push(eval(base, ctx, &batch.row(r))?);
-        }
-        if bases.iter().any(|v| matches!(v, Value::Ref(_))) {
-            let mut idxs = Vec::with_capacity(batch.len());
-            let mut oids = Vec::with_capacity(batch.len());
-            for (r, v) in bases.iter().enumerate() {
-                if let Value::Ref(o) = v {
-                    idxs.push(r);
-                    oids.push(*o);
-                }
-            }
-            let fetched = ctx.store.fields_of_batch_at(&oids, *pos, ctx.snapshot)?;
-            let mut out: Vec<Option<Value>> = vec![None; batch.len()];
-            for (k, field) in fetched.into_iter().enumerate() {
-                out[idxs[k]] = field;
-            }
-            return out
-                .into_iter()
-                .enumerate()
-                .map(|(r, v)| match v {
-                    Some(v) => Ok(v),
-                    None => eval(key, ctx, &batch.row(r)),
-                })
-                .collect();
-        }
-    }
+/// `e` for every row of `batch`, its paths resolved for the whole batch
+/// first.
+fn eval_column(
+    e: &CExpr,
+    paths: &Paths,
+    ctx: &ExecCtx<'_>,
+    batch: &RowBatch,
+) -> ModelResult<Vec<Value>> {
+    let resolved = paths.resolve(ctx, batch)?;
     (0..batch.len())
-        .map(|r| eval(key, ctx, &batch.row(r)))
+        .map(|r| eval(e, ctx, &resolved.row(batch, r)))
         .collect()
 }
+
+/// A hash join's build side: normalized key bytes → matching members
+/// (original member value plus identity, exactly as a scan would bind
+/// them).
+type JoinTable = std::collections::HashMap<Vec<u8>, Vec<(Value, MemberId)>>;
 
 /// Hash join against a collection's members. The table is built lazily
 /// on the first input batch (one snapshot scan of the build collection),
@@ -467,10 +442,12 @@ fn eval_keys(key: &CExpr, ctx: &ExecCtx<'_>, batch: &RowBatch) -> ModelResult<Ve
 pub struct HashJoinCursor<'p> {
     input: Box<Cursor<'p>>,
     var: &'p str,
-    anchor: exodus_storage::Oid,
+    anchor: Oid,
     key: &'p CExpr,
-    /// Build attribute position for equi mode; `None` = reference mode.
-    on: Option<usize>,
+    paths: &'p Paths,
+    /// The build key, over `var`.
+    on: &'p CExpr,
+    on_paths: &'p Paths,
     table: Option<JoinTable>,
     /// Metric slot when profiling.
     slot: Option<u32>,
@@ -478,50 +455,23 @@ pub struct HashJoinCursor<'p> {
 
 impl HashJoinCursor<'_> {
     fn build(&self, ctx: &ExecCtx<'_>) -> ModelResult<JoinTable> {
-        let cap = ctx.batch_size.max(1);
-        let mut scan = ctx.store.scan_members_batch_at(self.anchor, ctx.snapshot)?;
-        match self.on {
-            None => {
-                let mut map = std::collections::HashMap::new();
-                loop {
-                    let chunk = scan.next_batch(cap)?;
-                    if chunk.is_empty() {
-                        break;
-                    }
-                    for (_, value) in chunk {
-                        if let Value::Ref(o) = &value {
-                            let o = *o;
-                            let tuple = crate::eval::deref(ctx, value)?;
-                            map.insert(o, tuple);
-                        }
-                    }
-                }
-                Ok(JoinTable::ByRef(map))
+        let mut map = JoinTable::new();
+        let mut members = MemberSource::heap(ctx, self.anchor)?;
+        let unit = RowBatch::single(&crate::env::Env::new());
+        loop {
+            let chunk = members.next_chunk(ctx, self.anchor)?;
+            if chunk.0.is_empty() {
+                return Ok(map);
             }
-            Some(pos) => {
-                let mut map: std::collections::HashMap<Vec<u8>, Vec<(Value, MemberId)>> =
-                    std::collections::HashMap::new();
-                loop {
-                    let chunk = scan.next_batch(cap)?;
-                    if chunk.is_empty() {
-                        break;
-                    }
-                    for (rid, value) in chunk {
-                        let tuple = crate::eval::deref(ctx, value.clone())?;
-                        let keyv = match &tuple {
-                            Value::Tuple(fields) => fields.get(pos).cloned().unwrap_or(Value::Null),
-                            _ => Value::Null,
-                        };
-                        // Null keys match nothing, as in the nested loop
-                        // this join replaces.
-                        if keyv.is_null() {
-                            continue;
-                        }
-                        let (value, id) = member_binding(self.anchor, rid, value);
-                        map.entry(join_key(&keyv)).or_default().push((value, id));
-                    }
+            // Build keys come off a batch binding only `var`.
+            let batch = RowBatch::broadcast(&unit, 0, self.var, chunk.clone());
+            let keys = eval_column(self.on, self.on_paths, ctx, &batch)?;
+            for ((value, id), keyv) in chunk.0.into_iter().zip(chunk.1).zip(keys) {
+                // Null keys match nothing, as in the nested loop this
+                // join replaces.
+                if !keyv.is_null() {
+                    map.entry(join_key(&keyv)).or_default().push((value, id));
                 }
-                Ok(JoinTable::ByKey(map))
             }
         }
     }
@@ -538,44 +488,21 @@ impl HashJoinCursor<'_> {
             if self.table.is_none() {
                 self.table = Some(self.build(ctx)?);
             }
-            let mut out = RowBatch::with_vars(RowBatch::extended_vars(&batch, self.var));
-            match self.table.as_ref().expect("just built") {
-                JoinTable::ByRef(map) => {
-                    // 1:1 with the input: every row is extended, with a
-                    // plain dereference as the probe-miss fallback (a
-                    // reference outside the build collection, an owned
-                    // tuple, or null).
-                    let keys = eval_keys(self.key, ctx, &batch)?;
-                    for (r, kv) in keys.into_iter().enumerate() {
-                        let (value, id) = match kv {
-                            Value::Ref(o) => match map.get(&o) {
-                                Some(t) => (t.clone(), MemberId::Object(o)),
-                                None => {
-                                    (crate::eval::deref(ctx, Value::Ref(o))?, MemberId::Object(o))
-                                }
-                            },
-                            other => (crate::eval::deref(ctx, other)?, MemberId::None),
-                        };
-                        out.push_extended(&batch, r, self.var, value, id);
-                    }
-                    return Ok(Some(out));
+            let map = self.table.as_ref().expect("just built");
+            let (mut out, vc) = RowBatch::extending(&batch, self.var);
+            let keys = eval_column(self.key, self.paths, ctx, &batch)?;
+            for (r, kv) in keys.into_iter().enumerate() {
+                if kv.is_null() {
+                    continue;
                 }
-                JoinTable::ByKey(map) => {
-                    let keys = eval_keys(self.key, ctx, &batch)?;
-                    for (r, kv) in keys.into_iter().enumerate() {
-                        if kv.is_null() {
-                            continue;
-                        }
-                        if let Some(matches) = map.get(&join_key(&kv)) {
-                            for (value, id) in matches {
-                                out.push_extended(&batch, r, self.var, value.clone(), id.clone());
-                            }
-                        }
-                    }
-                    if !out.is_empty() {
-                        return Ok(Some(out));
+                if let Some(matches) = map.get(&join_key(&kv)) {
+                    for (value, id) in matches {
+                        out.push_extended(&batch, r, vc, value.clone(), id.clone());
                     }
                 }
+            }
+            if !out.is_empty() {
+                return Ok(Some(out));
             }
         }
     }
@@ -586,9 +513,10 @@ impl HashJoinCursor<'_> {
 pub struct IndexJoinCursor<'p> {
     input: Box<Cursor<'p>>,
     var: &'p str,
-    anchor: exodus_storage::Oid,
+    anchor: Oid,
     root: u64,
     key: &'p CExpr,
+    paths: &'p Paths,
     key_ty: &'p extra_model::Type,
     /// Metric slot when profiling.
     slot: Option<u32>,
@@ -618,8 +546,8 @@ impl IndexJoinCursor<'_> {
                 continue;
             }
             ctx.prof_in(self.slot, batch.len());
-            let mut out = RowBatch::with_vars(RowBatch::extended_vars(&batch, self.var));
-            let keys = eval_keys(self.key, ctx, &batch)?;
+            let (mut out, vc) = RowBatch::extending(&batch, self.var);
+            let keys = eval_column(self.key, self.paths, ctx, &batch)?;
             for (r, kv) in keys.into_iter().enumerate() {
                 if kv.is_null() {
                     continue;
@@ -629,14 +557,16 @@ impl IndexJoinCursor<'_> {
                     continue;
                 };
                 let key = std::ops::Bound::Included(kb);
-                index_members(
-                    ctx,
-                    self.anchor,
-                    self.root,
-                    key.clone(),
-                    key,
-                    |value, id| out.push_extended(&batch, r, self.var, value, id),
-                )?;
+                let mut matches = MemberSource::index(ctx, self.root, key.clone(), key);
+                loop {
+                    let (values, ids) = matches.next_chunk(ctx, self.anchor)?;
+                    if values.is_empty() {
+                        break;
+                    }
+                    for (value, id) in values.into_iter().zip(ids) {
+                        out.push_extended(&batch, r, vc, value, id);
+                    }
+                }
             }
             if !out.is_empty() {
                 return Ok(Some(out));
@@ -714,56 +644,137 @@ impl<'p> ParallelCursor<'p> {
 /// How a scan fetches its members.
 enum ScanKind<'p> {
     Heap {
-        anchor: exodus_storage::Oid,
+        anchor: Oid,
     },
     Index {
-        anchor: exodus_storage::Oid,
+        anchor: Oid,
         root: u64,
         lower: &'p std::ops::Bound<Vec<u8>>,
         upper: &'p std::ops::Bound<Vec<u8>>,
     },
     /// A `sys.<view>` virtual collection, materialized by the catalog's
     /// system-view provider. Members load once per cursor open — that
-    /// single `load_members` call *is* the consistent snapshot a sys
-    /// scan guarantees (replayed unchanged for every input row).
+    /// single load *is* the consistent snapshot a sys scan guarantees
+    /// (replayed unchanged for every input row).
     System {
         view: &'p str,
     },
 }
 
-/// A collection scan joined against its input rows. Members are fetched
-/// once — batch-at-a-time from storage — and cached for replay when the
-/// scan sits on the inner side of a nested loop.
+/// A stream of a collection's visible members in storage order: the heap
+/// file itself, or a key range of one of its B+-tree indexes. The one
+/// member reader of serial scans, parallel morsels and index-join
+/// probes.
+pub(crate) enum MemberSource {
+    Heap(MemberScan),
+    Index(BTreeScan),
+}
+
+impl MemberSource {
+    pub(crate) fn heap(ctx: &ExecCtx<'_>, anchor: Oid) -> ModelResult<MemberSource> {
+        let scan = ctx.store.scan_members_batch_at(anchor, ctx.snapshot)?;
+        Ok(MemberSource::Heap(scan))
+    }
+
+    pub(crate) fn index(
+        ctx: &ExecCtx<'_>,
+        root: u64,
+        lower: std::ops::Bound<Vec<u8>>,
+        upper: std::ops::Bound<Vec<u8>>,
+    ) -> MemberSource {
+        let pool = ctx.store.storage().pool().clone();
+        MemberSource::Index(BTree::open(root).scan(pool, lower, upper))
+    }
+
+    /// The next members — up to a batch of them — as a column of values
+    /// and a column of the identities a scan of `anchor` binds them
+    /// under; empty once exhausted.
+    pub(crate) fn next_chunk(
+        &mut self,
+        ctx: &ExecCtx<'_>,
+        anchor: Oid,
+    ) -> ModelResult<(Vec<Value>, Vec<MemberId>)> {
+        let cap = ctx.batch_size.max(1);
+        let bind = |(rid, value): (RecordId, Value)| {
+            let id = match &value {
+                Value::Ref(o) => MemberId::Object(*o),
+                _ => MemberId::Record { anchor, rid },
+            };
+            (value, id)
+        };
+        match self {
+            MemberSource::Heap(scan) => Ok(scan.next_batch(cap)?.into_iter().map(bind).unzip()),
+            MemberSource::Index(scan) => loop {
+                let entries = scan.next_batch(cap)?;
+                if entries.is_empty() {
+                    return Ok(Default::default());
+                }
+                let mut out: (Vec<Value>, Vec<MemberId>) = Default::default();
+                for (_, packed) in entries {
+                    let rid = RecordId::unpack(packed);
+                    // Index entries are maintained synchronously by the
+                    // writer, so they can point at versions outside the
+                    // snapshot (uncommitted inserts, deleted members).
+                    let pool = ctx.store.storage().pool();
+                    if let Some(bytes) =
+                        exodus_storage::heap::read_record_visible(pool, rid, ctx.snapshot)?
+                    {
+                        let (value, id) = bind((rid, extra_model::valueio::from_bytes(&bytes)?));
+                        out.0.push(value);
+                        out.1.push(id);
+                    }
+                }
+                if !out.0.is_empty() {
+                    return Ok(out);
+                }
+            },
+        }
+    }
+}
+
+/// Where a scan's members come from once it has seen its first input.
+enum Members {
+    /// Streamed straight into output batches: the scan is outermost (one
+    /// input row in all), so nothing is ever replayed.
+    Stream(MemberSource, Oid),
+    /// Fetched once and replayed for every input row: the scan sits on
+    /// the inner side of a nested loop.
+    Loaded(Vec<(Value, MemberId)>),
+}
+
+/// A collection scan joined against its input rows.
 pub struct ScanCursor<'p> {
     input: Box<Cursor<'p>>,
     var: &'p str,
     kind: ScanKind<'p>,
-    members: Option<Vec<(Value, MemberId)>>,
+    members: Option<Members>,
     in_batch: Option<RowBatch>,
     in_row: usize,
-    /// Position within `members` for the current input row.
+    /// Position within the loaded members for the current input row.
     pos: usize,
     /// Metric slot when profiling.
     slot: Option<u32>,
 }
 
-impl ScanCursor<'_> {
-    fn load_members(&self, ctx: &ExecCtx<'_>) -> ModelResult<Vec<(Value, MemberId)>> {
-        let cap = ctx.batch_size.max(1);
-        let mut out: Vec<(Value, MemberId)> = Vec::new();
-        match &self.kind {
-            ScanKind::Heap { anchor } => {
-                let mut scan = ctx.store.scan_members_batch_at(*anchor, ctx.snapshot)?;
-                loop {
-                    let chunk = scan.next_batch(cap)?;
-                    if chunk.is_empty() {
-                        break;
-                    }
-                    for (rid, value) in chunk {
-                        out.push(member_binding(*anchor, rid, value));
-                    }
-                }
-            }
+impl<'p> ScanCursor<'p> {
+    fn open(input: Cursor<'p>, var: &'p str, kind: ScanKind<'p>, slot: Option<u32>) -> Cursor<'p> {
+        Cursor::Scan(ScanCursor {
+            input: Box::new(input),
+            var,
+            kind,
+            members: None,
+            in_batch: None,
+            in_row: 0,
+            pos: 0,
+            slot,
+        })
+    }
+
+    /// Open the member source; `stream` when one row is all the input
+    /// this scan will ever see.
+    fn members(&self, ctx: &ExecCtx<'_>, stream: bool) -> ModelResult<Members> {
+        let (mut source, anchor) = match &self.kind {
+            ScanKind::Heap { anchor } => (MemberSource::heap(ctx, *anchor)?, *anchor),
             ScanKind::Index {
                 anchor,
                 root,
@@ -771,24 +782,34 @@ impl ScanCursor<'_> {
                 upper,
             } => {
                 let (lower, upper) = ((*lower).clone(), (*upper).clone());
-                index_members(ctx, *anchor, *root, lower, upper, |value, id| {
-                    out.push((value, id))
-                })?;
+                (MemberSource::index(ctx, *root, lower, upper), *anchor)
             }
             ScanKind::System { view } => {
                 let rows = ctx
                     .catalog
                     .system_view_rows(view)
                     .ok_or_else(|| ModelError::Semantic(format!("no system view 'sys.{view}'")))?;
-                out.extend(rows.into_iter().map(|v| (v, MemberId::None)));
+                return Ok(Members::Loaded(
+                    rows.into_iter().map(|v| (v, MemberId::None)).collect(),
+                ));
             }
+        };
+        if stream {
+            return Ok(Members::Stream(source, anchor));
         }
-        Ok(out)
+        let mut all = Vec::new();
+        loop {
+            let (values, ids) = source.next_chunk(ctx, anchor)?;
+            if values.is_empty() {
+                return Ok(Members::Loaded(all));
+            }
+            all.extend(values.into_iter().zip(ids));
+        }
     }
 
     fn next(&mut self, ctx: &ExecCtx<'_>) -> ModelResult<Option<RowBatch>> {
         let cap = ctx.batch_size.max(1);
-        let mut out: Option<RowBatch> = None;
+        let mut out: Option<(RowBatch, usize)> = None;
         loop {
             if self.in_batch.is_none() {
                 match self.input.next(ctx)? {
@@ -799,79 +820,48 @@ impl ScanCursor<'_> {
                         self.in_row = 0;
                         self.pos = 0;
                     }
-                    None => return Ok(out.filter(|b| !b.is_empty())),
+                    None => return Ok(out.map(|(b, _)| b).filter(|b| !b.is_empty())),
                 }
             }
-            if self.in_row >= self.in_batch.as_ref().expect("checked").len() {
+            let src = self.in_batch.as_ref().expect("checked");
+            if self.in_row >= src.len() {
                 self.in_batch = None;
                 continue;
             }
             if self.members.is_none() {
-                self.members = Some(self.load_members(ctx)?);
+                // A seed cursor emits one batch; if that has one row,
+                // this scan is the outermost one.
+                let stream = src.len() == 1 && matches!(*self.input, Cursor::Seed(_));
+                self.members = Some(self.members(ctx, stream)?);
             }
-            let src = self.in_batch.as_ref().expect("checked");
-            let ms = self.members.as_ref().expect("just loaded");
-            let out_batch = out
-                .get_or_insert_with(|| RowBatch::with_vars(RowBatch::extended_vars(src, self.var)));
-            while self.pos < ms.len() && out_batch.len() < cap {
-                let (value, id) = &ms[self.pos];
-                out_batch.push_extended(src, self.in_row, self.var, value.clone(), id.clone());
-                self.pos += 1;
-            }
-            if self.pos >= ms.len() {
-                self.pos = 0;
-                self.in_row += 1;
-            }
-            if out_batch.len() == cap {
-                return Ok(out);
+            match self.members.as_mut().expect("just opened") {
+                Members::Stream(source, anchor) => {
+                    let chunk = source.next_chunk(ctx, *anchor)?;
+                    if chunk.0.is_empty() {
+                        self.in_batch = None;
+                        continue;
+                    }
+                    return Ok(Some(RowBatch::broadcast(src, 0, self.var, chunk)));
+                }
+                Members::Loaded(ms) => {
+                    let (out_batch, vc) =
+                        out.get_or_insert_with(|| RowBatch::extending(src, self.var));
+                    while self.pos < ms.len() && out_batch.len() < cap {
+                        let (value, id) = &ms[self.pos];
+                        out_batch.push_extended(src, self.in_row, *vc, value.clone(), id.clone());
+                        self.pos += 1;
+                    }
+                    if self.pos >= ms.len() {
+                        self.pos = 0;
+                        self.in_row += 1;
+                    }
+                    if out_batch.len() == cap {
+                        return Ok(out.map(|(b, _)| b));
+                    }
+                }
             }
         }
     }
-}
-
-/// Walk a B+-tree key range and hand `emit` the binding of every entry's
-/// member this snapshot can see. Index entries are maintained
-/// synchronously by the writer, so they can point at versions outside
-/// the snapshot (uncommitted inserts, deleted members); the visibility
-/// check skips those.
-fn index_members(
-    ctx: &ExecCtx<'_>,
-    anchor: exodus_storage::Oid,
-    root: u64,
-    lower: std::ops::Bound<Vec<u8>>,
-    upper: std::ops::Bound<Vec<u8>>,
-    mut emit: impl FnMut(Value, MemberId),
-) -> ModelResult<()> {
-    let pool = ctx.store.storage().pool();
-    let mut scan = BTree::open(root).scan(pool.clone(), lower, upper);
-    loop {
-        let chunk = scan.next_batch(ctx.batch_size.max(1))?;
-        if chunk.is_empty() {
-            return Ok(());
-        }
-        for (_, packed) in chunk {
-            let rid = RecordId::unpack(packed);
-            let Some(bytes) = exodus_storage::heap::read_record_visible(pool, rid, ctx.snapshot)?
-            else {
-                continue;
-            };
-            let value = extra_model::valueio::from_bytes(&bytes)?;
-            let (value, id) = member_binding(anchor, rid, value);
-            emit(value, id);
-        }
-    }
-}
-
-pub(crate) fn member_binding(
-    anchor: exodus_storage::Oid,
-    rid: RecordId,
-    value: Value,
-) -> (Value, MemberId) {
-    let id = match &value {
-        Value::Ref(o) => MemberId::Object(*o),
-        _ => MemberId::Record { anchor, rid },
-    };
-    (value, id)
 }
 
 /// Unnests a nested set/array per input row.
@@ -879,7 +869,8 @@ pub struct UnnestCursor<'p> {
     input: Box<Cursor<'p>>,
     var: &'p str,
     source: &'p USource,
-    in_batch: Option<RowBatch>,
+    /// The current input batch, with the source's paths resolved for it.
+    in_batch: Option<(RowBatch, Resolved)>,
     in_row: usize,
     /// Remaining `(original index, item)` pairs of the current row's
     /// collection (nulls — unfilled array slots — already dropped).
@@ -889,18 +880,14 @@ pub struct UnnestCursor<'p> {
 }
 
 impl UnnestCursor<'_> {
-    fn items_for(&self, ctx: &ExecCtx<'_>, src: &RowBatch) -> ModelResult<Vec<(usize, Value)>> {
-        let collection = match self.source {
-            USource::FromVar { parent, path, .. } => {
-                let base =
-                    src.row(self.in_row).value(parent).cloned().ok_or_else(|| {
-                        ModelError::Semantic(format!("unbound parent '{parent}'"))
-                    })?;
-                walk_path(ctx, base, path)?
-            }
-            USource::FromObject { oid, path, .. } => walk_path(ctx, Value::Ref(*oid), path)?,
-        };
-        let items: Vec<Value> = match collection {
+    fn items_for(
+        &self,
+        ctx: &ExecCtx<'_>,
+        src: &RowBatch,
+        resolved: &Resolved,
+    ) -> ModelResult<Vec<(usize, Value)>> {
+        let row = resolved.row(src, self.in_row);
+        let items: Vec<Value> = match deref(ctx, eval(&self.source.expr, ctx, &row)?)? {
             Value::Set(ms) => ms,
             Value::Array(items) => items,
             Value::Null => Vec::new(),
@@ -920,50 +907,46 @@ impl UnnestCursor<'_> {
 
     fn next(&mut self, ctx: &ExecCtx<'_>) -> ModelResult<Option<RowBatch>> {
         let cap = ctx.batch_size.max(1);
-        let (parent_desc, names) = match self.source {
-            USource::FromVar { parent, names, .. } => (parent.as_str(), names),
-            USource::FromObject { names, .. } => ("", names),
-        };
-        let mut out: Option<RowBatch> = None;
+        let container = &self.source.container;
+        let mut out: Option<(RowBatch, usize)> = None;
         loop {
             if self.in_batch.is_none() {
                 match self.input.next(ctx)? {
                     Some(b) if b.is_empty() => continue,
                     Some(b) => {
                         ctx.prof_in(self.slot, b.len());
-                        self.in_batch = Some(b);
+                        let resolved = self.source.paths.resolve(ctx, &b)?;
+                        self.in_batch = Some((b, resolved));
                         self.in_row = 0;
                         self.items = None;
                     }
-                    None => return Ok(out.filter(|b| !b.is_empty())),
+                    None => return Ok(out.map(|(b, _)| b).filter(|b| !b.is_empty())),
                 }
             }
-            if self.in_row >= self.in_batch.as_ref().expect("checked").len() {
+            let (src, resolved) = self.in_batch.as_ref().expect("checked");
+            if self.in_row >= src.len() {
                 self.in_batch = None;
                 continue;
             }
             if self.items.is_none() {
-                let src = self.in_batch.as_ref().expect("checked");
-                self.items = Some(self.items_for(ctx, src)?.into_iter());
+                self.items = Some(self.items_for(ctx, src, resolved)?.into_iter());
             }
-            let src = self.in_batch.as_ref().expect("checked");
-            let out_batch = out
-                .get_or_insert_with(|| RowBatch::with_vars(RowBatch::extended_vars(src, self.var)));
+            let (src, _) = self.in_batch.as_ref().expect("checked");
+            let (out_batch, vc) = out.get_or_insert_with(|| RowBatch::extending(src, self.var));
             let it = self.items.as_mut().expect("just filled");
             let mut row_done = false;
             while out_batch.len() < cap {
                 match it.next() {
                     Some((i, item)) => {
-                        let id = match &item {
-                            Value::Ref(o) => MemberId::Object(*o),
-                            _ if !parent_desc.is_empty() => MemberId::Nested {
-                                parent: parent_desc.to_string(),
-                                steps: names.clone(),
+                        let id = match (&item, container) {
+                            (Value::Ref(o), _) => MemberId::Object(*o),
+                            (_, Some(container)) => MemberId::Nested {
+                                container: container.clone(),
                                 index: i,
                             },
                             _ => MemberId::None,
                         };
-                        out_batch.push_extended(src, self.in_row, self.var, item, id);
+                        out_batch.push_extended(src, self.in_row, *vc, item, id);
                     }
                     None => {
                         row_done = true;
@@ -976,7 +959,7 @@ impl UnnestCursor<'_> {
                 self.in_row += 1;
             }
             if out_batch.len() == cap {
-                return Ok(out);
+                return Ok(out.map(|(b, _)| b));
             }
         }
     }

@@ -1,6 +1,7 @@
 //! Evaluation environments: variable bindings plus update identities.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use exodus_storage::{Oid, RecordId};
 use extra_model::Value;
@@ -20,10 +21,10 @@ pub enum MemberId {
     /// A member of a nested set/array inside another binding's value
     /// (e.g. `C` in `range of C is E.kids` when kids holds own values).
     Nested {
-        /// The parent variable.
-        parent: String,
-        /// Attribute steps from the parent to the collection.
-        steps: Vec<String>,
+        /// The parent variable and the attribute steps from it to the
+        /// collection — one allocation shared by every member an unnest
+        /// binds.
+        container: Arc<(String, Vec<String>)>,
         /// 0-based position within the collection.
         index: usize,
     },

@@ -5,11 +5,14 @@ use std::collections::HashMap;
 
 use excess_lang::BinOp;
 use excess_sema::CatalogLookup;
-use extra_model::{AdtRegistry, ModelError, ModelResult, ObjectStore, TypeRegistry, Value};
+use extra_model::{
+    AdtRegistry, ModelError, ModelResult, ObjectStore, SetBuilder, TypeRegistry, Value,
+};
 
 use crate::batch::{Bindings, RowBatch, DEFAULT_BATCH_SIZE};
 use crate::cexpr::{AggFunc, AggSource, CAgg, CExpr, MAX_CALL_DEPTH};
 use crate::env::{Env, MemberId};
+use crate::paths::Unslotted;
 use crate::profile::PlanProfiler;
 
 /// Shared execution context.
@@ -33,16 +36,6 @@ pub struct ExecCtx<'a> {
     pub depth: Cell<u32>,
     /// Group tables of cacheable aggregates, keyed by aggregate id.
     pub agg_cache: RefCell<HashMap<usize, HashMap<Vec<u8>, Value>>>,
-    /// Dereferenced-object cache. An `ExecCtx` lives for one statement,
-    /// and statements stage every expression evaluation before mutating
-    /// (set-oriented updates), so object values are stable for the
-    /// context's lifetime. Bounded to keep wide scans from pinning
-    /// arbitrary amounts of memory.
-    deref_cache: RefCell<HashMap<exodus_storage::Oid, Value>>,
-    /// Projected-attribute cache: `(object, field position)` → field
-    /// value, filled by the skip-decode deref in the `Attr` evaluator.
-    /// Same lifetime/staleness argument as `deref_cache`.
-    attr_cache: RefCell<HashMap<(exodus_storage::Oid, usize), Value>>,
     /// Snapshot timestamp every storage read evaluates against: the
     /// statement's registered snapshot, or the write transaction's own
     /// timestamp.
@@ -54,9 +47,6 @@ pub struct ExecCtx<'a> {
     /// `None` when the database was built with metrics disabled.
     pub metrics: Option<std::sync::Arc<crate::metrics::ExecMetrics>>,
 }
-
-/// Entry cap for [`ExecCtx::deref_cache`].
-const DEREF_CACHE_CAP: usize = 4096;
 
 impl<'a> ExecCtx<'a> {
     /// New context with the default batch size, every storage read
@@ -77,8 +67,6 @@ impl<'a> ExecCtx<'a> {
             workers: 1,
             depth: Cell::new(0),
             agg_cache: RefCell::new(HashMap::new()),
-            deref_cache: RefCell::new(HashMap::new()),
-            attr_cache: RefCell::new(HashMap::new()),
             snapshot,
             profiler: None,
             metrics: None,
@@ -125,31 +113,64 @@ impl<'a> ExecCtx<'a> {
     }
 }
 
-/// Chase references until a non-reference value is reached. Hot path for
-/// implicit joins (`E.dept.budget`): resolved objects are cached on the
-/// context, so a batch of rows referencing the same object pays one
-/// storage read.
+/// Chase references until a non-reference value is reached, one object
+/// read per step. Paths over batches do not come here — their operator
+/// resolves them a batch at a time (see [`crate::paths`]).
 pub fn deref(ctx: &ExecCtx<'_>, mut v: Value) -> ModelResult<Value> {
     while let Value::Ref(oid) = v {
-        if let Some(hit) = ctx.deref_cache.borrow().get(&oid) {
-            if let Some(m) = ctx.metrics.as_ref() {
-                m.deref_hits.inc();
-            }
-            v = hit.clone();
-            continue;
-        }
         v = ctx.store.value_of_at(oid, ctx.snapshot)?;
-        if let Some(m) = ctx.metrics.as_ref() {
-            m.deref_misses.inc();
-        }
-        let mut cache = ctx.deref_cache.borrow_mut();
-        if cache.len() < DEREF_CACHE_CAP {
-            cache.insert(oid, v.clone());
-        } else if let Some(m) = ctx.metrics.as_ref() {
-            m.deref_full.inc();
-        }
     }
     Ok(v)
+}
+
+/// Field `pos` of `v`, through references: the single-row form of what
+/// [`crate::paths`] does per batch, and its fallback for the objects and
+/// rows the batched read leaves alone.
+pub(crate) fn attr_of(ctx: &ExecCtx<'_>, v: Value, pos: usize) -> ModelResult<Value> {
+    let v = match v {
+        // Skip-decode just the wanted field off the stored record; a
+        // record that is not a plain tuple (ref chain, null) takes the
+        // full deref, which reproduces ordinary behavior.
+        Value::Ref(oid) => match ctx.store.field_of_at(oid, pos, ctx.snapshot)? {
+            Some(field) => return Ok(field),
+            None => deref(ctx, Value::Ref(oid))?,
+        },
+        other => other,
+    };
+    match v {
+        Value::Tuple(mut fields) => {
+            if pos >= fields.len() {
+                return Err(ModelError::Semantic(format!(
+                    "tuple has {} fields, wanted position {pos}",
+                    fields.len()
+                )));
+            }
+            Ok(fields.swap_remove(pos))
+        }
+        Value::Null => Ok(Value::Null),
+        other => Err(ModelError::TypeMismatch {
+            expected: "a tuple".into(),
+            got: other.kind().into(),
+        }),
+    }
+}
+
+pub(crate) static NULL: Value = Value::Null;
+
+/// Borrow the value of a variable, or of a path under one, when it can
+/// be had without a storage read: from a slot the operator resolved for
+/// the batch, or by stepping through bound tuples.
+fn peek<'a>(e: &CExpr, env: &'a dyn Bindings) -> Option<&'a Value> {
+    match e {
+        CExpr::Var(n) => env.value(n),
+        CExpr::Path(slot, attr) => env.slot(*slot).or_else(|| peek(attr, env)),
+        CExpr::Attr(base, pos) => match peek(base, env)? {
+            Value::Tuple(fields) => fields.get(*pos),
+            Value::Null => Some(&NULL),
+            _ => None,
+        },
+        _ => None,
+    }
 }
 
 /// Truthiness of a qualification value.
@@ -179,73 +200,14 @@ pub fn eval(e: &CExpr, ctx: &ExecCtx<'_>, env: &dyn Bindings) -> ModelResult<Val
         }
         CExpr::NamedRef(oid) => Ok(Value::Ref(*oid)),
         CExpr::NamedValue(oid) => ctx.store.value_of_at(*oid, ctx.snapshot),
-        CExpr::Attr(base, pos) => {
-            // Fast path: project straight out of a bound variable's tuple
-            // without cloning the whole row value first.
-            if let CExpr::Var(n) = &**base {
-                match env.value(n) {
-                    Some(Value::Tuple(fields)) => {
-                        return match fields.get(*pos) {
-                            Some(f) => Ok(f.clone()),
-                            None => Err(ModelError::Semantic(format!(
-                                "tuple has {} fields, wanted position {pos}",
-                                fields.len()
-                            ))),
-                        };
-                    }
-                    Some(Value::Null) => return Ok(Value::Null),
-                    _ => {} // refs and unbound fall through to the general path
-                }
-            }
-            let v = eval(base, ctx, env)?;
-            // Projected deref: when the base is a reference, skip-decode
-            // just the wanted field off the stored record instead of
-            // materializing the whole object value (the hot path of
-            // implicit joins such as `E.dept.budget`).
-            let v = if let Value::Ref(oid) = v {
-                if let Some(hit) = ctx.attr_cache.borrow().get(&(oid, *pos)) {
-                    if let Some(m) = ctx.metrics.as_ref() {
-                        m.deref_hits.inc();
-                    }
-                    return Ok(hit.clone());
-                }
-                if !ctx.deref_cache.borrow().contains_key(&oid) {
-                    if let Some(field) = ctx.store.field_of_at(oid, *pos, ctx.snapshot)? {
-                        if let Some(m) = ctx.metrics.as_ref() {
-                            m.deref_misses.inc();
-                        }
-                        let mut cache = ctx.attr_cache.borrow_mut();
-                        if cache.len() < DEREF_CACHE_CAP {
-                            cache.insert((oid, *pos), field.clone());
-                        } else if let Some(m) = ctx.metrics.as_ref() {
-                            m.deref_full.inc();
-                        }
-                        return Ok(field);
-                    }
-                }
-                // Not a plain tuple record (ref chain, null, out-of-range
-                // position): the full deref reproduces ordinary behavior.
-                deref(ctx, Value::Ref(oid))?
-            } else {
-                deref(ctx, v)?
-            };
-            match v {
-                Value::Tuple(mut fields) => {
-                    if *pos >= fields.len() {
-                        return Err(ModelError::Semantic(format!(
-                            "tuple has {} fields, wanted position {pos}",
-                            fields.len()
-                        )));
-                    }
-                    Ok(fields.swap_remove(*pos))
-                }
-                Value::Null => Ok(Value::Null),
-                other => Err(ModelError::TypeMismatch {
-                    expected: "a tuple".into(),
-                    got: other.kind().into(),
-                }),
-            }
-        }
+        CExpr::Path(_, attr) => match peek(e, env) {
+            Some(v) => Ok(v.clone()),
+            None => eval(attr, ctx, env),
+        },
+        CExpr::Attr(base, pos) => match peek(e, env) {
+            Some(v) => Ok(v.clone()),
+            None => attr_of(ctx, eval(base, ctx, env)?, *pos),
+        },
         CExpr::Idx(base, idx) => {
             let b = deref(ctx, eval(base, ctx, env)?)?;
             let i = eval(idx, ctx, env)?;
@@ -336,13 +298,13 @@ pub fn call_function(
         }
         let result = crate::run::run_plan(&func.plan, ctx, &env)?;
         if func.returns_set {
-            let mut set = Value::empty_set();
+            let mut set = SetBuilder::default();
             for row in result.rows {
                 if let Some(v) = row.into_iter().next() {
-                    set.set_insert(v)?;
+                    set.insert(v);
                 }
             }
-            Ok(set)
+            Ok(set.finish())
         } else {
             Ok(result
                 .rows
@@ -511,7 +473,12 @@ fn arith(op: BinOp, a: &Value, b: &Value) -> ModelResult<Value> {
 // Aggregates
 // ---------------------------------------------------------------------------
 
+/// Encoded `by` values of one row: the group it falls in. An aggregate
+/// without a `by` list has one group, whose key is empty.
 fn group_key(by: &[CExpr], ctx: &ExecCtx<'_>, env: &dyn Bindings) -> ModelResult<Vec<u8>> {
+    if by.is_empty() {
+        return Ok(Vec::new());
+    }
     let vals: Vec<Value> = by
         .iter()
         .map(|b| eval(b, ctx, env))
@@ -519,105 +486,155 @@ fn group_key(by: &[CExpr], ctx: &ExecCtx<'_>, env: &dyn Bindings) -> ModelResult
     Ok(extra_model::valueio::to_bytes(&Value::Tuple(vals)))
 }
 
-fn finalize(func: &AggFunc, vals: Vec<Value>, ctx: &ExecCtx<'_>) -> ModelResult<Value> {
-    match func {
-        AggFunc::Count => Ok(Value::Int(vals.len() as i64)),
-        AggFunc::Sum => {
-            let mut int_sum = 0i64;
-            let mut float_sum = 0f64;
-            let mut any_float = false;
-            let mut any = false;
-            for v in &vals {
-                match v {
-                    Value::Int(i) => {
-                        int_sum = int_sum.wrapping_add(*i);
-                        any = true;
-                    }
-                    Value::Float(f) => {
-                        float_sum += f;
-                        any_float = true;
-                        any = true;
-                    }
-                    Value::Null => {}
-                    other => {
-                        return Err(ModelError::TypeMismatch {
-                            expected: "numbers for sum".into(),
-                            got: other.kind().into(),
-                        })
-                    }
-                }
-            }
-            if !any {
-                Ok(Value::Null)
-            } else if any_float {
-                Ok(Value::Float(float_sum + int_sum as f64))
-            } else {
-                Ok(Value::Int(int_sum))
-            }
+/// The running state of one group of an aggregate: values fold in as
+/// they arrive, in arrival order, so nothing but `unique` and user set
+/// functions keeps what it has seen.
+enum Acc {
+    Count(i64),
+    /// Int and float parts are kept apart and combined once at the end.
+    Sum {
+        int: i64,
+        float: f64,
+        any_float: bool,
+        any: bool,
+    },
+    Avg {
+        sum: f64,
+        n: usize,
+    },
+    /// `min` / `max`.
+    Best(Option<Value>),
+    /// `unique` and user set functions.
+    Set(SetBuilder),
+}
+
+impl Acc {
+    fn new(func: &AggFunc) -> Acc {
+        match func {
+            AggFunc::Count => Acc::Count(0),
+            AggFunc::Sum => Acc::Sum {
+                int: 0,
+                float: 0.0,
+                any_float: false,
+                any: false,
+            },
+            AggFunc::Avg => Acc::Avg { sum: 0.0, n: 0 },
+            AggFunc::Min | AggFunc::Max => Acc::Best(None),
+            AggFunc::Unique | AggFunc::UserSet(_) => Acc::Set(SetBuilder::default()),
         }
-        AggFunc::Avg => {
-            let mut sum = 0f64;
-            let mut n = 0usize;
-            for v in &vals {
-                match v {
-                    Value::Int(i) => {
-                        sum += *i as f64;
-                        n += 1;
-                    }
-                    Value::Float(f) => {
-                        sum += f;
-                        n += 1;
-                    }
-                    Value::Null => {}
-                    other => {
-                        return Err(ModelError::TypeMismatch {
-                            expected: "numbers for avg".into(),
-                            got: other.kind().into(),
-                        })
-                    }
+    }
+
+    fn push(&mut self, func: &AggFunc, v: Value, ctx: &ExecCtx<'_>) -> ModelResult<()> {
+        let not_a_number = |what: &str, v: &Value| ModelError::TypeMismatch {
+            expected: what.into(),
+            got: v.kind().into(),
+        };
+        match self {
+            Acc::Count(n) => *n += 1,
+            Acc::Sum {
+                int,
+                float,
+                any_float,
+                any,
+            } => match v {
+                Value::Int(i) => {
+                    *int = int.wrapping_add(i);
+                    *any = true;
                 }
-            }
-            if n == 0 {
-                Ok(Value::Null)
-            } else {
-                Ok(Value::Float(sum / n as f64))
-            }
-        }
-        AggFunc::Min | AggFunc::Max => {
-            let want_min = matches!(func, AggFunc::Min);
-            let mut best: Option<Value> = None;
-            for v in vals {
+                Value::Float(f) => {
+                    *float += f;
+                    *any_float = true;
+                    *any = true;
+                }
+                Value::Null => {}
+                other => return Err(not_a_number("numbers for sum", &other)),
+            },
+            Acc::Avg { sum, n } => match v {
+                Value::Int(i) => {
+                    *sum += i as f64;
+                    *n += 1;
+                }
+                Value::Float(f) => {
+                    *sum += f;
+                    *n += 1;
+                }
+                Value::Null => {}
+                other => return Err(not_a_number("numbers for avg", &other)),
+            },
+            Acc::Best(best) => {
                 if v.is_null() {
-                    continue;
+                    return Ok(());
                 }
-                best = match best {
-                    None => Some(v),
-                    Some(b) => match v.compare(&b, ctx.adts) {
-                        Some(ord) if (want_min && ord.is_lt()) || (!want_min && ord.is_gt()) => {
-                            Some(v)
-                        }
-                        _ => Some(b),
-                    },
+                let better = match best.as_ref().map(|b| v.compare(b, ctx.adts)) {
+                    None => true,
+                    Some(Some(ord)) if matches!(func, AggFunc::Min) => ord.is_lt(),
+                    Some(Some(ord)) => ord.is_gt(),
+                    Some(None) => false,
                 };
-            }
-            Ok(best.unwrap_or(Value::Null))
-        }
-        AggFunc::Unique => {
-            let mut set = Value::empty_set();
-            for v in vals {
-                if !v.is_null() {
-                    set.set_insert(v)?;
+                if better {
+                    *best = Some(v);
                 }
             }
-            Ok(set)
-        }
-        AggFunc::UserSet(func) => {
-            let mut set = Value::empty_set();
-            for v in vals {
-                set.set_insert(v)?;
+            Acc::Set(set) => {
+                if !(v.is_null() && matches!(func, AggFunc::Unique)) {
+                    set.insert(v);
+                }
             }
-            call_function(func, &[set], ctx)
         }
+        Ok(())
+    }
+
+    fn finish(self, func: &AggFunc, ctx: &ExecCtx<'_>) -> ModelResult<Value> {
+        Ok(match self {
+            Acc::Count(n) => Value::Int(n),
+            Acc::Sum { any: false, .. } => Value::Null,
+            Acc::Sum {
+                int,
+                float,
+                any_float: true,
+                ..
+            } => Value::Float(float + int as f64),
+            Acc::Sum { int, .. } => Value::Int(int),
+            Acc::Avg { n: 0, .. } => Value::Null,
+            Acc::Avg { sum, n } => Value::Float(sum / n as f64),
+            Acc::Best(best) => best.unwrap_or(Value::Null),
+            Acc::Set(set) => match func {
+                AggFunc::UserSet(f) => call_function(f, &[set.finish()], ctx)?,
+                _ => set.finish(),
+            },
+        })
+    }
+}
+
+/// The group table of one aggregate while it is being computed.
+struct Groups<'f> {
+    func: &'f AggFunc,
+    /// The group of the empty key (no `by` list), folded in place.
+    whole: Option<Acc>,
+    keyed: HashMap<Vec<u8>, Acc>,
+}
+
+impl Groups<'_> {
+    /// Fold `(group key, value)` rows in, in order.
+    fn fold(&mut self, rows: Vec<(Vec<u8>, Value)>, ctx: &ExecCtx<'_>) -> ModelResult<()> {
+        for (key, val) in rows {
+            let acc = if key.is_empty() {
+                self.whole.get_or_insert_with(|| Acc::new(self.func))
+            } else {
+                self.keyed.entry(key).or_insert_with(|| Acc::new(self.func))
+            };
+            acc.push(self.func, val, ctx)?;
+        }
+        Ok(())
+    }
+
+    fn finish(self, ctx: &ExecCtx<'_>) -> ModelResult<HashMap<Vec<u8>, Value>> {
+        let whole = self.whole.map(|acc| (Vec::new(), acc));
+        self.keyed
+            .into_iter()
+            .chain(whole)
+            .map(|(key, acc)| Ok((key, acc.finish(self.func, ctx)?)))
+            .collect()
     }
 }
 
@@ -640,87 +657,77 @@ fn eval_agg(agg: &CAgg, ctx: &ExecCtx<'_>, env: &dyn Bindings) -> ModelResult<Va
                     })
                 }
             };
-            finalize(&agg.func, vals, ctx)
+            let mut acc = Acc::new(&agg.func);
+            for v in vals {
+                acc.push(&agg.func, v, ctx)?;
+            }
+            acc.finish(&agg.func, ctx)
         }
         AggSource::Ranges(plan) => {
             // Group table: either cached or computed now.
             let cached = agg.cacheable && ctx.agg_cache.borrow().contains_key(&agg.id);
             if !cached {
-                let mut groups: HashMap<Vec<u8>, Vec<Value>> = HashMap::new();
-                // Parallel path: aggregate `over` plans bypass the
-                // planner's exchange insertion, so the morsel driver is
-                // consulted here. Workers run the per-row qual/key/arg
-                // evaluation; the deterministic merge order makes the
-                // group value lists — and thus float sums — identical to
-                // serial execution.
+                // The qualifying rows of one batch of the `over` ranges,
+                // in batch order, as `(group key, argument value)`.
+                let rows_of = |wctx: &ExecCtx<'_>, batch: RowBatch| {
+                    let paths = agg.paths.resolve(wctx, &batch)?;
+                    let mut rows: Vec<(Vec<u8>, Value)> = Vec::with_capacity(batch.len());
+                    for r in 0..batch.len() {
+                        let row = paths.row(&batch, r);
+                        if let Some(q) = &agg.qual {
+                            if !truthy(&eval(q, wctx, &row)?)? {
+                                continue;
+                            }
+                        }
+                        let key = group_key(&agg.by, wctx, &row)?;
+                        let val = match &agg.arg {
+                            Some(a) => eval(a, wctx, &row)?,
+                            None => Value::Null,
+                        };
+                        rows.push((key, val));
+                    }
+                    Ok(rows)
+                };
+                // Aggregate `over` plans bypass the planner's exchange
+                // insertion, so the morsel driver is consulted here.
+                // Workers produce the rows; they are folded here in the
+                // driver's deterministic merge order, which is scan
+                // order — so float sums are bit-identical to the serial
+                // path's at every degree of parallelism.
                 let seed = RowBatch::single(env);
                 // The aggregate plan's root doubles as its "exchange"
                 // node in the profile: per-worker morsel stats attach
                 // there when the driver engages.
                 let agg_slot = ctx.profiler.as_ref().and_then(|p| p.index().slot_of(plan));
-                let parallel = crate::parallel::try_parallel_slotted(
-                    plan,
-                    ctx,
-                    &seed,
-                    agg_slot,
-                    &|wctx, batch| {
-                        let mut rows: Vec<(Vec<u8>, Value)> = Vec::with_capacity(batch.len());
-                        for r in 0..batch.len() {
-                            let row = batch.row(r);
-                            if let Some(q) = &agg.qual {
-                                if !truthy(&eval(q, wctx, &row)?)? {
-                                    continue;
-                                }
-                            }
-                            let key = group_key(&agg.by, wctx, &row)?;
-                            let val = match &agg.arg {
-                                Some(a) => eval(a, wctx, &row)?,
-                                None => Value::Null,
-                            };
-                            rows.push((key, val));
-                        }
-                        Ok(rows)
-                    },
-                )?;
-                match parallel {
+                let mut groups = Groups {
+                    func: &agg.func,
+                    whole: None,
+                    keyed: HashMap::new(),
+                };
+                match crate::parallel::try_parallel_slotted(plan, ctx, &seed, agg_slot, &rows_of)? {
                     Some(parts) => {
                         for part in parts {
-                            for (key, val) in part {
-                                groups.entry(key).or_default().push(val);
-                            }
+                            groups.fold(part, ctx)?;
                         }
                     }
                     None => {
                         // Serial path: iterate the `over` ranges
-                        // batch-at-a-time, seeded with the current bindings
-                        // (correlation through free outer variables).
+                        // batch-at-a-time, seeded with the current
+                        // bindings (correlation through free outer
+                        // variables).
                         let mut cur =
                             plan.cursor_profiled(seed, ctx.profiler.as_ref().map(|p| p.index()));
                         while let Some(batch) = cur.next(ctx)? {
-                            for r in 0..batch.len() {
-                                let row = batch.row(r);
-                                if let Some(q) = &agg.qual {
-                                    if !truthy(&eval(q, ctx, &row)?)? {
-                                        continue;
-                                    }
-                                }
-                                let key = group_key(&agg.by, ctx, &row)?;
-                                let val = match &agg.arg {
-                                    Some(a) => eval(a, ctx, &row)?,
-                                    None => Value::Null,
-                                };
-                                groups.entry(key).or_default().push(val);
-                            }
+                            groups.fold(rows_of(ctx, batch)?, ctx)?;
                         }
                     }
                 }
-                let mut finalized = HashMap::with_capacity(groups.len());
-                for (k, vals) in groups {
-                    finalized.insert(k, finalize(&agg.func, vals, ctx)?);
-                }
-                ctx.agg_cache.borrow_mut().insert(agg.id, finalized);
+                let table = groups.finish(ctx)?;
+                ctx.agg_cache.borrow_mut().insert(agg.id, table);
             }
-            let key = group_key(&agg.by, ctx, env)?;
+            // The outer row is not a row of the batches `by`'s slots
+            // were resolved for.
+            let key = group_key(&agg.by, ctx, &Unslotted(env))?;
             let cache = ctx.agg_cache.borrow();
             let table = cache.get(&agg.id).expect("just inserted");
             let result = table.get(&key).cloned().unwrap_or(match agg.func {

@@ -33,6 +33,7 @@ pub mod env;
 pub mod eval;
 pub mod metrics;
 mod parallel;
+pub mod paths;
 pub mod plan;
 pub mod profile;
 pub mod run;
@@ -43,6 +44,7 @@ pub use cursor::Cursor;
 pub use env::{Env, MemberId};
 pub use eval::ExecCtx;
 pub use metrics::ExecMetrics;
+pub use paths::Paths;
 pub use plan::{prepare, ExecNode};
 pub use profile::{
     BufferDelta, NodeAnnot, OpProfile, PlanIndex, PlanProfiler, QueryProfile, WorkerStats,

@@ -18,16 +18,6 @@ pub struct ExecMetrics {
     pub rows: Arc<Counter>,
     /// Morsels claimed by parallel scan workers.
     pub morsels: Arc<Counter>,
-    /// Dereference-cache hits: implicit-join dereferences satisfied
-    /// without a storage read (either object or projected-attribute
-    /// cache).
-    pub deref_hits: Arc<Counter>,
-    /// Dereference-cache misses: dereferences that read storage.
-    pub deref_misses: Arc<Counter>,
-    /// Cache inserts dropped because the dereference cache was at
-    /// capacity — previously silent saturation; a nonzero value means
-    /// the working set of referenced objects exceeds the cache.
-    pub deref_full: Arc<Counter>,
     /// Time the parallel coordinator spent blocked on worker output.
     pub merge_wait_ns: Arc<Histogram>,
 }
@@ -42,18 +32,6 @@ impl ExecMetrics {
             morsels: reg.counter(
                 "exec_morsels_total",
                 "Morsels claimed by parallel scan workers.",
-            ),
-            deref_hits: reg.counter(
-                "exec_deref_cache_hits_total",
-                "Dereferences satisfied from the per-statement cache.",
-            ),
-            deref_misses: reg.counter(
-                "exec_deref_cache_misses_total",
-                "Dereferences that read the referenced object from storage.",
-            ),
-            deref_full: reg.counter(
-                "exec_deref_cache_full_total",
-                "Cache inserts dropped because the dereference cache was full.",
             ),
             merge_wait_ns: reg.histogram(
                 "exec_merge_wait_ns",

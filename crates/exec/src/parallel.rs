@@ -17,7 +17,7 @@
 //! they are returned, so the merged output order — and therefore every
 //! downstream computation, including float summation order — is
 //! bit-identical to a serial scan. Workers run with `workers = 1` and
-//! fresh caches, so parallelism never nests and the `Cell`/`RefCell`
+//! their own aggregate tables, so parallelism never nests and the `Cell`/`RefCell`
 //! interior mutability of [`ExecCtx`] never crosses a thread.
 
 use std::collections::VecDeque;
@@ -25,12 +25,12 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::sync_channel;
 use std::sync::Mutex;
 
-use exodus_storage::btree::{BTree, BTreeScan};
-use exodus_storage::{Oid, RecordId};
-use extra_model::{MemberScan, ModelError, ModelResult, Value};
+use exodus_storage::btree::BTree;
+use exodus_storage::Oid;
+use extra_model::{ModelError, ModelResult};
 
 use crate::batch::RowBatch;
-use crate::cursor::{member_binding, open_sub, Cursor};
+use crate::cursor::{open_sub, Cursor, MemberSource};
 use crate::eval::ExecCtx;
 use crate::plan::ExecNode;
 use crate::profile::{PlanProfiler, WorkerStats};
@@ -73,43 +73,13 @@ fn leftmost_scan(node: &ExecNode) -> Option<&ExecNode> {
     }
 }
 
-/// A unit of scan work: one partition of the leaf's storage structure.
-enum Morsel {
-    Heap(MemberScan),
-    Index(BTreeScan),
-}
-
-impl Morsel {
-    /// Next chunk of decoded `(rid, member value)` pairs.
-    fn next_chunk(&mut self, ctx: &ExecCtx<'_>, cap: usize) -> ModelResult<Vec<(RecordId, Value)>> {
-        match self {
-            Morsel::Heap(scan) => scan.next_batch(cap),
-            Morsel::Index(scan) => {
-                let entries = scan.next_batch(cap)?;
-                let mut out = Vec::with_capacity(entries.len());
-                for (_, packed) in entries {
-                    let rid = RecordId::unpack(packed);
-                    // Index entries can reference versions outside the
-                    // snapshot (writer-synchronous maintenance); skip them.
-                    let Some(bytes) = exodus_storage::heap::read_record_visible(
-                        ctx.store.storage().pool(),
-                        rid,
-                        ctx.snapshot,
-                    )?
-                    else {
-                        continue;
-                    };
-                    out.push((rid, extra_model::valueio::from_bytes(&bytes)?));
-                }
-                Ok(out)
-            }
-        }
-    }
-}
-
 /// Build the morsel queue for the pipeline's leaf, or `None` when the
 /// leaf's collection is below [`PARALLEL_MIN_ROWS`].
-fn morsels_for(ctx: &ExecCtx<'_>, leaf: &ExecNode, k: usize) -> ModelResult<Option<Vec<Morsel>>> {
+fn morsels_for(
+    ctx: &ExecCtx<'_>,
+    leaf: &ExecNode,
+    k: usize,
+) -> ModelResult<Option<Vec<MemberSource>>> {
     match leaf {
         ExecNode::SeqScan { anchor, .. } => {
             if ctx.store.member_count(*anchor)? < PARALLEL_MIN_ROWS {
@@ -119,7 +89,7 @@ fn morsels_for(ctx: &ExecCtx<'_>, leaf: &ExecNode, k: usize) -> ModelResult<Opti
                 ctx.store
                     .scan_members_partitions_at(*anchor, k, ctx.snapshot)?
                     .into_iter()
-                    .map(Morsel::Heap)
+                    .map(MemberSource::Heap)
                     .collect(),
             ))
         }
@@ -139,7 +109,7 @@ fn morsels_for(ctx: &ExecCtx<'_>, leaf: &ExecNode, k: usize) -> ModelResult<Opti
                 lower.clone(),
                 upper.clone(),
             )?;
-            Ok(Some(scans.into_iter().map(Morsel::Index).collect()))
+            Ok(Some(scans.into_iter().map(MemberSource::Index).collect()))
         }
         _ => Ok(None),
     }
@@ -148,11 +118,11 @@ fn morsels_for(ctx: &ExecCtx<'_>, leaf: &ExecNode, k: usize) -> ModelResult<Opti
 /// Shared work queue: workers claim morsels with an atomic ticket.
 struct MorselQueue {
     next: AtomicUsize,
-    slots: Vec<Mutex<Option<Morsel>>>,
+    slots: Vec<Mutex<Option<MemberSource>>>,
 }
 
 impl MorselQueue {
-    fn claim(&self) -> Option<(usize, Morsel)> {
+    fn claim(&self) -> Option<(usize, MemberSource)> {
         loop {
             let i = self.next.fetch_add(1, Ordering::Relaxed);
             let slot = self.slots.get(i)?;
@@ -167,13 +137,12 @@ impl MorselQueue {
 /// member extends the single seed row with the scan variable's binding.
 fn morsel_batches(
     wctx: &ExecCtx<'_>,
-    morsel: &mut Morsel,
+    morsel: &mut MemberSource,
     seed: &RowBatch,
     var: &str,
     anchor: Oid,
     leaf_slot: Option<u32>,
 ) -> ModelResult<VecDeque<RowBatch>> {
-    let cap = wctx.batch_size.max(1);
     let mut out = VecDeque::new();
     // When profiling, the morsel drain stands in for the spliced-out scan
     // cursor: its rows/batches/time are attributed to the scan's slot so
@@ -182,18 +151,14 @@ fn morsel_batches(
         .filter(|_| wctx.profiler.is_some())
         .map(|_| std::time::Instant::now());
     loop {
-        let chunk = morsel.next_chunk(wctx, cap)?;
-        if chunk.is_empty() {
+        let chunk = morsel.next_chunk(wctx, anchor)?;
+        if chunk.0.is_empty() {
             if let (Some(t0), Some(slot), Some(p)) = (timer, leaf_slot, wctx.profiler.as_ref()) {
                 p.record_ns(slot, t0.elapsed().as_nanos() as u64);
             }
             return Ok(out);
         }
-        let mut batch = RowBatch::with_vars(RowBatch::extended_vars(seed, var));
-        for (rid, value) in chunk {
-            let (value, id) = member_binding(anchor, rid, value);
-            batch.push_extended(seed, 0, var, value, id);
-        }
+        let batch = RowBatch::broadcast(seed, 0, var, chunk);
         if let (Some(slot), Some(p)) = (leaf_slot, wctx.profiler.as_ref()) {
             p.record_out(slot, batch.len());
         }
@@ -401,7 +366,7 @@ mod tests {
         fn assert_sync<T: Sync>() {}
         assert_send::<crate::batch::RowBatch>();
         assert_send::<extra_model::Value>();
-        assert_send::<super::Morsel>();
+        assert_send::<crate::cursor::MemberSource>();
         assert_sync::<crate::plan::ExecNode>();
         assert_sync::<crate::cexpr::CExpr>();
         assert_sync::<extra_model::ObjectStore>();

@@ -4,36 +4,27 @@
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::ops::Bound;
+use std::sync::Arc;
 
 use excess_algebra::Physical;
 use excess_sema::{RangeEnv, ResolvedRange, RootSource, SemaCtx};
 use exodus_storage::Oid;
-use extra_model::{ModelError, ModelResult, QualType, Value};
+use extra_model::{ModelError, ModelResult, QualType};
 
 use crate::cexpr::{CExpr, Compiler};
-use crate::eval::ExecCtx;
+use crate::paths::Paths;
 
 /// Where an unnest's collection value comes from.
 #[derive(Debug)]
-pub enum USource {
-    /// From another variable's current binding.
-    FromVar {
-        /// The parent variable.
-        parent: String,
-        /// Attribute positions from the parent to the collection.
-        path: Vec<usize>,
-        /// Attribute names (kept for nested-member update identities).
-        names: Vec<String>,
-    },
-    /// From a named object.
-    FromObject {
-        /// The object's OID.
-        oid: Oid,
-        /// Attribute positions.
-        path: Vec<usize>,
-        /// Attribute names.
-        names: Vec<String>,
-    },
+pub struct USource {
+    /// The collection: a path from a bound variable or a named object.
+    pub expr: CExpr,
+    /// Path slots of `expr`.
+    pub paths: Paths,
+    /// The variable `expr` starts from and the attribute names from it
+    /// to the collection (kept for nested-member update identities);
+    /// `None` when `expr` starts from a named object.
+    pub container: Option<Arc<(String, Vec<String>)>>,
 }
 
 /// An executable plan node.
@@ -91,6 +82,8 @@ pub enum ExecNode {
         input: Box<ExecNode>,
         /// Compiled predicate.
         pred: CExpr,
+        /// Path slots of `pred`.
+        paths: Paths,
     },
     /// Universal-quantification filter.
     UniversalFilter {
@@ -100,6 +93,8 @@ pub enum ExecNode {
         universe: Box<ExecNode>,
         /// Predicate that must hold for every universal binding.
         pred: CExpr,
+        /// Path slots of `pred`.
+        paths: Paths,
     },
     /// Projection (consumed by [`crate::run::run_plan`]).
     Project {
@@ -107,6 +102,8 @@ pub enum ExecNode {
         input: Box<ExecNode>,
         /// Output columns.
         targets: Vec<(String, CExpr)>,
+        /// Path slots of `targets`.
+        paths: Paths,
     },
     /// Sort (materializes).
     Sort {
@@ -114,6 +111,8 @@ pub enum ExecNode {
         input: Box<ExecNode>,
         /// Compiled key.
         key: CExpr,
+        /// Path slots of `key`.
+        paths: Paths,
         /// Ascending?
         asc: bool,
     },
@@ -129,9 +128,12 @@ pub enum ExecNode {
         anchor: Oid,
         /// Compiled probe key.
         key: CExpr,
-        /// Build-side attribute position for an equi join; `None` keys
-        /// the table on member identity (reference/deref-hoist mode).
-        on: Option<usize>,
+        /// Path slots of `key`.
+        paths: Paths,
+        /// The build key: the joined attribute of `var`.
+        on: CExpr,
+        /// Path slots of `on`.
+        on_paths: Paths,
     },
     /// Index nested-loop join: per input row, equality-probe a
     /// secondary index and emit one row per match.
@@ -146,6 +148,8 @@ pub enum ExecNode {
         root: u64,
         /// Compiled probe key.
         key: CExpr,
+        /// Path slots of `key`.
+        paths: Paths,
         /// Declared type of the indexed attribute, for probe-value
         /// coercion before key encoding (`Int` vs `Float`).
         key_ty: extra_model::Type,
@@ -206,20 +210,7 @@ fn collect_vars(plan: &Physical, vars: &mut HashMap<String, QualType>) {
             collect_vars(input, vars);
             vars.insert(binding.var.clone(), binding.elem.clone());
         }
-        Physical::HashJoin {
-            input, binding, on, ..
-        } => {
-            collect_vars(input, vars);
-            // Reference mode binds the *dereferenced* target tuple;
-            // equi mode binds the original member value. Either way the
-            // element type types downstream attribute accesses.
-            let elem = match on {
-                None => QualType::own(binding.elem.ty.clone()),
-                Some(_) => binding.elem.clone(),
-            };
-            vars.insert(binding.var.clone(), elem);
-        }
-        Physical::IndexJoin { input, binding, .. } => {
+        Physical::HashJoin { input, binding, .. } | Physical::IndexJoin { input, binding, .. } => {
             collect_vars(input, vars);
             vars.insert(binding.var.clone(), binding.elem.clone());
         }
@@ -275,7 +266,7 @@ fn prepare_node(
         Physical::Unnest { input, binding } => ExecNode::Unnest {
             input: Box::new(prepare_node(input, ctx, range_env, agg_counter)?),
             var: binding.var.clone(),
-            source: unnest_source(binding, ctx)?,
+            source: unnest_source(binding, ctx, &compiler)?,
         },
         Physical::NestedLoop { outer, inner } => ExecNode::NestedLoop {
             outer: Box::new(prepare_node(outer, ctx, range_env, agg_counter)?),
@@ -284,6 +275,7 @@ fn prepare_node(
         Physical::Filter { input, pred } => ExecNode::Filter {
             input: Box::new(prepare_node(input, ctx, range_env, agg_counter)?),
             pred: compiler.compile(pred)?,
+            paths: compiler.take_paths(),
         },
         Physical::UniversalFilter {
             input,
@@ -293,6 +285,7 @@ fn prepare_node(
             input: Box::new(prepare_node(input, ctx, range_env, agg_counter)?),
             universe: Box::new(prepare_bindings(bindings, ctx, range_env, agg_counter)?),
             pred: compiler.compile(pred)?,
+            paths: compiler.take_paths(),
         },
         Physical::Project { input, targets } => ExecNode::Project {
             input: Box::new(prepare_node(input, ctx, range_env, agg_counter)?),
@@ -300,10 +293,12 @@ fn prepare_node(
                 .iter()
                 .map(|(n, e)| Ok((n.clone(), compiler.compile(e)?)))
                 .collect::<ModelResult<_>>()?,
+            paths: compiler.take_paths(),
         },
         Physical::Sort { input, key, asc } => ExecNode::Sort {
             input: Box::new(prepare_node(input, ctx, range_env, agg_counter)?),
             key: compiler.compile(key)?,
+            paths: compiler.take_paths(),
             asc: *asc,
         },
         Physical::HashJoin {
@@ -316,10 +311,12 @@ fn prepare_node(
             var: binding.var.clone(),
             anchor: collection_oid(binding)?,
             key: compiler.compile(key)?,
-            on: on
-                .as_ref()
-                .map(|attr| ctx.attr_pos(&binding.elem, attr).map_err(sem))
-                .transpose()?,
+            paths: compiler.take_paths(),
+            on: compiler.attr(
+                CExpr::Var(binding.var.clone()),
+                ctx.attr_pos(&binding.elem, on).map_err(sem)?,
+            ),
+            on_paths: compiler.take_paths(),
         },
         Physical::IndexJoin {
             input,
@@ -332,6 +329,7 @@ fn prepare_node(
             anchor: collection_oid(binding)?,
             root: index.root,
             key: compiler.compile(key)?,
+            paths: compiler.take_paths(),
             key_ty: ctx.attr_type(&binding.elem, &index.attr).map_err(sem)?.ty,
         },
         Physical::Parallel { input, dop } => ExecNode::Parallel {
@@ -347,8 +345,8 @@ fn prepare_node(
 pub fn prepare_bindings(
     bindings: &[ResolvedRange],
     ctx: &SemaCtx<'_>,
-    _range_env: &RangeEnv,
-    _agg_counter: &Cell<usize>,
+    range_env: &RangeEnv,
+    agg_counter: &Cell<usize>,
 ) -> ModelResult<ExecNode> {
     let mut vars = ctx.vars.clone();
     for b in bindings {
@@ -360,6 +358,7 @@ pub fn prepare_bindings(
         catalog: ctx.catalog,
         vars,
     };
+    let compiler = Compiler::new(&full_ctx, range_env, agg_counter);
     let mut node = ExecNode::Unit;
     for b in bindings {
         node = match (&b.root, b.steps.is_empty()) {
@@ -392,7 +391,7 @@ pub fn prepare_bindings(
             _ => ExecNode::Unnest {
                 input: Box::new(node),
                 var: b.var.clone(),
-                source: unnest_source(b, &full_ctx)?,
+                source: unnest_source(b, &full_ctx, &compiler)?,
             },
         };
     }
@@ -409,34 +408,23 @@ fn collection_oid(b: &ResolvedRange) -> ModelResult<Oid> {
     }
 }
 
-/// Resolve an unnest's attribute steps into positions.
-type MkSource = Box<dyn Fn(Vec<usize>, Vec<String>) -> USource>;
-
-fn unnest_source(b: &ResolvedRange, ctx: &SemaCtx<'_>) -> ModelResult<USource> {
-    let (start_qty, mk): (QualType, MkSource) = match &b.root {
+/// Compile an unnest's source — its root, then its attribute steps —
+/// into a path expression with its own slot table.
+fn unnest_source(
+    b: &ResolvedRange,
+    ctx: &SemaCtx<'_>,
+    compiler: &Compiler<'_>,
+) -> ModelResult<USource> {
+    let (mut expr, mut cur, parent) = match &b.root {
         RootSource::Var(parent) => {
             let qty = ctx
                 .vars
                 .get(parent)
                 .cloned()
                 .ok_or_else(|| ModelError::Semantic(format!("unbound parent '{parent}'")))?;
-            let parent = parent.clone();
-            (
-                qty,
-                Box::new(move |path, names| USource::FromVar {
-                    parent: parent.clone(),
-                    path,
-                    names,
-                }),
-            )
+            (CExpr::Var(parent.clone()), qty, Some(parent.clone()))
         }
-        RootSource::Object(obj) => {
-            let oid = obj.oid;
-            (
-                obj.qty.clone(),
-                Box::new(move |path, names| USource::FromObject { oid, path, names }),
-            )
-        }
+        RootSource::Object(obj) => (CExpr::NamedRef(obj.oid), obj.qty.clone(), None),
         RootSource::Collection(_) | RootSource::System(_) => {
             return Err(ModelError::Semantic(format!(
                 "binding '{}' should be a scan, not an unnest",
@@ -444,38 +432,13 @@ fn unnest_source(b: &ResolvedRange, ctx: &SemaCtx<'_>) -> ModelResult<USource> {
             )))
         }
     };
-    let mut cur = start_qty;
-    let mut path = Vec::with_capacity(b.steps.len());
     for s in &b.steps {
-        let pos = ctx.attr_pos(&cur, s).map_err(sem)?;
-        path.push(pos);
+        expr = compiler.attr(expr, ctx.attr_pos(&cur, s).map_err(sem)?);
         cur = ctx.attr_type(&cur, s).map_err(sem)?;
     }
-    Ok(mk(path, b.steps.clone()))
-}
-
-/// Walk attribute positions, dereferencing refs along the way.
-pub fn walk_path(ctx: &ExecCtx<'_>, mut v: Value, path: &[usize]) -> ModelResult<Value> {
-    for &pos in path {
-        v = crate::eval::deref(ctx, v)?;
-        match v {
-            Value::Tuple(mut fields) => {
-                if pos >= fields.len() {
-                    return Err(ModelError::Semantic(format!(
-                        "tuple has {} fields, wanted position {pos}",
-                        fields.len()
-                    )));
-                }
-                v = fields.swap_remove(pos);
-            }
-            Value::Null => return Ok(Value::Null),
-            other => {
-                return Err(ModelError::TypeMismatch {
-                    expected: "a tuple".into(),
-                    got: other.kind().into(),
-                })
-            }
-        }
-    }
-    crate::eval::deref(ctx, v)
+    Ok(USource {
+        expr,
+        paths: compiler.take_paths(),
+        container: parent.map(|p| Arc::new((p, b.steps.clone()))),
+    })
 }

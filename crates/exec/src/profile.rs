@@ -146,9 +146,10 @@ impl PlanIndex {
                     self.walk_expr(b, depth);
                 }
             }
-            CExpr::Attr(inner, _) | CExpr::Not(inner) | CExpr::Neg(inner) => {
-                self.walk_expr(inner, depth)
-            }
+            CExpr::Attr(inner, _)
+            | CExpr::Path(_, inner)
+            | CExpr::Not(inner)
+            | CExpr::Neg(inner) => self.walk_expr(inner, depth),
             CExpr::Idx(a, b) | CExpr::Bin(_, a, b) => {
                 self.walk_expr(a, depth);
                 self.walk_expr(b, depth);

@@ -201,7 +201,12 @@ pub fn run_plan(
     ctx: &ExecCtx<'_>,
     env: &dyn Bindings,
 ) -> ModelResult<QueryResult> {
-    let ExecNode::Project { input, targets } = plan else {
+    let ExecNode::Project {
+        input,
+        targets,
+        paths,
+    } = plan
+    else {
         return Err(ModelError::Semantic(
             "plan has no projection at the top".into(),
         ));
@@ -220,18 +225,22 @@ pub fn run_plan(
             m.batches.inc();
             m.rows.add(batch.len() as u64);
         }
+        let resolved = paths.resolve(ctx, &batch)?;
         for r in 0..batch.len() {
-            let row = batch.row(r);
+            let row = resolved.row(&batch, r);
             let out: Vec<Value> = targets
                 .iter()
                 .map(|(_, e)| eval(e, ctx, &row))
                 .collect::<ModelResult<_>>()?;
             rows.push(out);
         }
+        // The projection emits a batch per batch it pulls.
+        if let (Some(slot), Some(p)) = (proj_slot, ctx.profiler.as_ref()) {
+            p.record_out(slot, batch.len());
+        }
     }
     if let (Some(slot), Some(t0), Some(p)) = (proj_slot, t0, ctx.profiler.as_ref()) {
         p.record_ns(slot, t0.elapsed().as_nanos() as u64);
-        p.record_out(slot, rows.len());
     }
     Ok(QueryResult {
         columns,

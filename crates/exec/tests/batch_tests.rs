@@ -137,3 +137,319 @@ fn updates_identical_across_batch_sizes() {
         assert_eq!(r.rows[0][0], Value::Int(6), "batch size {n}");
     }
 }
+
+// ---------------------------------------------------------------------------
+// Differential test: paths resolved per batch vs a naive evaluator
+// ---------------------------------------------------------------------------
+
+/// A company whose references exercise every case the batched
+/// dereference declines or dedupes, loaded identically into every
+/// configuration:
+///
+/// * `Emp` inherits `Person` with `name` renamed to `ename` (inherited
+///   attributes come first, so `dept` sits at position 4);
+/// * employees 0‥1099 all reference department 0 — more than a whole
+///   default batch shares one object;
+/// * every 11th employee has a null `dept`; department 5 is deleted
+///   after the load, which nulls the references to it;
+/// * department 3's `blurb` is past the inline limit, so its record is
+///   a LOB payload;
+/// * `dept.site` and `mentor.dept` make two- and three-hop paths;
+/// * every 50th employee has two kids (the unnest source).
+const N_EMPS: usize = 4_200;
+const N_DEPTS: usize = 8;
+
+fn company(batch_size: usize, workers: usize) -> Arc<Database> {
+    let db = Database::builder()
+        .batch_size(batch_size)
+        .worker_threads(workers)
+        .build()
+        .unwrap();
+    let mut s = db.session();
+    s.run(
+        r#"
+        define type Site (city: varchar, rank: int4);
+        define type Dept (dname: varchar, floor: int4, budget: float8, site: ref Site, blurb: varchar);
+        define type Person (name: varchar, age: int4, kids: { own Person });
+        define type Emp inherits Person rename name to ename
+            (id: int4, dept: ref Dept, salary: float8, mentor: ref Emp);
+        create { own ref Site } Sites;
+        create { own ref Dept } Depts;
+        create { own ref Emp } Emps;
+    "#,
+    )
+    .unwrap();
+    let sites = db
+        .bulk_append(
+            "Sites",
+            (0..3)
+                .map(|i| Value::Tuple(vec![Value::Str(format!("city{i}")), Value::Int(i)]))
+                .collect(),
+        )
+        .unwrap();
+    let depts = db
+        .bulk_append(
+            "Depts",
+            (0..N_DEPTS)
+                .map(|i| {
+                    let blurb = if i == 3 {
+                        "x".repeat(9_000)
+                    } else {
+                        format!("b{i}")
+                    };
+                    Value::Tuple(vec![
+                        Value::Str(format!("dept{i}")),
+                        Value::Int(i as i64 % 3 + 1),
+                        Value::Float(1_000.5 + i as f64 * 0.1),
+                        if i == 6 {
+                            Value::Null
+                        } else {
+                            Value::Ref(sites[i % 3])
+                        },
+                        Value::Str(blurb),
+                    ])
+                })
+                .collect(),
+        )
+        .unwrap();
+    let emp = |i: usize, mentor: Value| {
+        let dept = match i {
+            _ if i % 11 == 10 => Value::Null,
+            0..=1099 => Value::Ref(depts[0]),
+            _ => Value::Ref(depts[(i * 7) % N_DEPTS]),
+        };
+        Value::Tuple(vec![
+            Value::Str(format!("emp{i:05}")),
+            Value::Int(20 + (i % 40) as i64),
+            Value::Set(Vec::new()),
+            Value::Int(i as i64),
+            dept,
+            Value::Float(100.25 + (i % 97) as f64 * 1.1),
+            mentor,
+        ])
+    };
+    // Mentors are earlier employees: load the first hundred, then the
+    // rest pointing at them.
+    let seniors = db
+        .bulk_append("Emps", (0..100).map(|i| emp(i, Value::Null)).collect())
+        .unwrap();
+    db.bulk_append(
+        "Emps",
+        (100..N_EMPS)
+            .map(|i| emp(i, Value::Ref(seniors[(i * 13) % 100])))
+            .collect(),
+    )
+    .unwrap();
+    s.run("range of E is Emps; range of D is Depts").unwrap();
+    for i in (0..N_EMPS).step_by(50) {
+        for k in 0..2 {
+            s.run(&format!(
+                r#"append to E.kids (name = "kid{i}_{k}", age = {k}) where E.id = {i}"#
+            ))
+            .unwrap();
+        }
+    }
+    s.run(r#"delete D where D.dname = "dept5""#).unwrap();
+    db
+}
+
+/// The naive evaluator: one `value_of_at` and a full decode per hop, no
+/// batching, no caching.
+struct Naive<'a> {
+    store: &'a extra_model::ObjectStore,
+    snap: u64,
+}
+
+// Attribute positions (declaration order, inherited attributes first).
+const ENAME: usize = 0;
+const KIDS: usize = 2;
+const DEPT: usize = 4;
+const SALARY: usize = 5;
+const MENTOR: usize = 6;
+const DNAME: usize = 0;
+const FLOOR: usize = 1;
+const BUDGET: usize = 2;
+const SITE: usize = 3;
+const CITY: usize = 0;
+
+impl Naive<'_> {
+    fn deref(&self, mut v: Value) -> Value {
+        while let Value::Ref(oid) = v {
+            v = self.store.value_of_at(oid, self.snap).unwrap();
+        }
+        v
+    }
+
+    /// `v.p1.p2…`, dereferencing before every step.
+    fn path(&self, v: &Value, steps: &[usize]) -> Value {
+        let mut v = v.clone();
+        for &pos in steps {
+            v = match self.deref(v) {
+                Value::Tuple(mut fields) => fields.swap_remove(pos),
+                Value::Null => return Value::Null,
+                other => panic!("path through {other:?}"),
+            };
+        }
+        v
+    }
+
+    /// The members of a collection, in scan order.
+    fn members(&self, db: &Database, name: &str) -> Vec<Value> {
+        let anchor = db.read_catalog().named[name].oid;
+        let mut scan = self.store.scan_members_batch_at(anchor, self.snap).unwrap();
+        let mut all = Vec::new();
+        loop {
+            let chunk = scan.next_batch(64).unwrap();
+            if chunk.is_empty() {
+                return all;
+            }
+            all.extend(chunk.into_iter().map(|(_, v)| v));
+        }
+    }
+}
+
+/// Rows as a multiset: sorted by their debug rendering (floats render
+/// exactly, so equal renderings are equal bits).
+fn multiset(mut rows: Vec<Vec<Value>>) -> Vec<String> {
+    let mut out: Vec<String> = rows.drain(..).map(|r| format!("{r:?}")).collect();
+    out.sort();
+    out
+}
+
+/// Every path shape, against the naive evaluator, at the engine's
+/// current snapshot.
+fn check_against_naive(db: &Arc<Database>, what: &str) {
+    let guard = db.store().storage().begin_snapshot();
+    let naive = Naive {
+        store: db.store(),
+        snap: guard.ts(),
+    };
+    let emps = naive.members(db, "Emps");
+    assert_eq!(emps.len(), N_EMPS);
+    let mut s = db.session();
+    s.run("range of E is Emps").unwrap();
+    let mut check = |q: &str, expect: Vec<Vec<Value>>| {
+        let got = s.query(q).unwrap_or_else(|e| panic!("{what}: {q}: {e}"));
+        assert_eq!(multiset(got.rows), multiset(expect), "{what}: {q}");
+    };
+    let per_emp = |f: &dyn Fn(&Value) -> Option<Vec<Value>>| -> Vec<Vec<Value>> {
+        emps.iter().filter_map(f).collect()
+    };
+
+    // E.a (inherited + renamed), E.r.a, E.r.r.a in targets.
+    check(
+        "retrieve (E.ename, E.dept.budget, E.dept.site.city, E.mentor.dept.floor)",
+        per_emp(&|e| {
+            Some(vec![
+                naive.path(e, &[ENAME]),
+                naive.path(e, &[DEPT, BUDGET]),
+                naive.path(e, &[DEPT, SITE, CITY]),
+                naive.path(e, &[MENTOR, DEPT, FLOOR]),
+            ])
+        }),
+    );
+    // Path in `where` (a null reference fails the comparison).
+    check(
+        "retrieve (E.ename) where E.dept.floor = 2 and E.salary > 120.0",
+        per_emp(&|e| {
+            let floor = naive.path(e, &[DEPT, FLOOR]);
+            let Value::Float(salary) = naive.path(e, &[SALARY]) else {
+                panic!()
+            };
+            (floor == Value::Int(2) && salary > 120.0).then(|| vec![naive.path(e, &[ENAME])])
+        }),
+    );
+    // Path as the sort key.
+    check(
+        "retrieve (E.ename, E.dept.dname) where E.mentor.dept.floor = 1 \
+         order by E.dept.budget asc",
+        per_emp(&|e| {
+            (naive.path(e, &[MENTOR, DEPT, FLOOR]) == Value::Int(1))
+                .then(|| vec![naive.path(e, &[ENAME]), naive.path(e, &[DEPT, DNAME])])
+        }),
+    );
+    // Paths in `over` / `by`: float folds in scan order, bit for bit.
+    let mut total = 0f64;
+    let mut any = false;
+    let mut by_floor: Vec<(Value, f64, usize)> = Vec::new();
+    let mut dnames: Vec<Value> = Vec::new();
+    for e in &emps {
+        if let Value::Float(b) = naive.path(e, &[DEPT, BUDGET]) {
+            total += b;
+            any = true;
+        }
+        let floor = naive.path(e, &[DEPT, FLOOR]);
+        let Value::Float(salary) = naive.path(e, &[SALARY]) else {
+            panic!()
+        };
+        match by_floor.iter_mut().find(|(f, _, _)| *f == floor) {
+            Some((_, sum, n)) => {
+                *sum += salary;
+                *n += 1;
+            }
+            None => by_floor.push((floor, salary, 1)),
+        }
+        let dname = naive.path(e, &[DEPT, DNAME]);
+        if !dname.is_null() && !dnames.contains(&dname) {
+            dnames.push(dname);
+        }
+    }
+    assert!(any);
+    check(
+        "retrieve (sum(E.dept.budget over E), unique(E.dept.dname over E))",
+        vec![vec![Value::Float(total), Value::Set(dnames)]],
+    );
+    check(
+        "retrieve (E.dept.floor, avg(E.salary over E by E.dept.floor))",
+        per_emp(&|e| {
+            let floor = naive.path(e, &[DEPT, FLOOR]);
+            let (_, sum, n) = by_floor.iter().find(|(f, _, _)| *f == floor).unwrap();
+            Some(vec![floor, Value::Float(sum / *n as f64)])
+        }),
+    );
+    // A path as the unnest source, and a path from the unnested row's
+    // parent beside it.
+    let mut kid_rows = Vec::new();
+    for e in &emps {
+        if let Value::Set(kids) = naive.path(e, &[KIDS]) {
+            for kid in kids {
+                kid_rows.push(vec![naive.path(&kid, &[0]), naive.path(e, &[DEPT, FLOOR])]);
+            }
+        }
+    }
+    assert_eq!(kid_rows.len(), 2 * N_EMPS.div_ceil(50));
+    check(
+        "retrieve (C.name, Emps.dept.floor) from C in Emps.kids",
+        kid_rows,
+    );
+}
+
+#[test]
+fn paths_match_a_naive_evaluator_at_every_batch_size_and_dop() {
+    for &batch_size in SIZES {
+        for workers in [1, 4] {
+            let what = format!("batch size {batch_size}, DOP {workers}");
+            let db = company(batch_size, workers);
+            check_against_naive(&db, &what);
+
+            // Replace two departments inside a transaction left open:
+            // every other reader — the engine's sessions and the naive
+            // evaluator alike — still sees the old versions, now one
+            // step down the version chain.
+            let mut writer = db.session();
+            writer
+                .run("begin; range of D is Depts; replace D (budget = D.budget * 2.0, floor = 9) where D.floor = 2")
+                .unwrap();
+            let before = db
+                .query("retrieve (sum(E.dept.budget over E)) from E in Emps")
+                .unwrap();
+            check_against_naive(&db, &format!("{what}, writer open"));
+            writer.run("commit").unwrap();
+            let after = db
+                .query("retrieve (sum(E.dept.budget over E)) from E in Emps")
+                .unwrap();
+            assert_ne!(before.rows, after.rows, "{what}: the commit must show");
+            check_against_naive(&db, &format!("{what}, writer committed"));
+        }
+    }
+}

@@ -192,3 +192,88 @@ fn array_indexing_is_one_based() {
     let e0 = h.compile("a[0]", &[("a", arr_q)]);
     assert!(h.eval_err(&e0, &env).contains("1-based"));
 }
+
+/// Values whose `==` and whose bytes disagree, or that merely look
+/// alike — the cases a hash dedupe gets wrong if it hashes what it
+/// should not — nested up to `depth` levels of sets, tuples and arrays.
+fn tricky_value(depth: u32) -> proptest::strategy::BoxedStrategy<Value> {
+    use proptest::prelude::*;
+    let leaf = prop_oneof![
+        Just(Value::Null),
+        Just(Value::Float(0.0)),
+        Just(Value::Float(-0.0)),
+        Just(Value::Float(f64::NAN)),
+        Just(Value::Float(2.0)),
+        Just(Value::Int(2)),
+        Just(Value::Int(0)),
+        (0u64..4).prop_map(|o| Value::Ref(exodus_storage::Oid(o))),
+        "[ab]{0,2}".prop_map(Value::Str),
+        (0u16..2, "[ab]").prop_map(|(o, s)| Value::Enum(o, s)),
+        any::<bool>().prop_map(Value::Bool),
+    ];
+    if depth == 0 {
+        return leaf.boxed();
+    }
+    let items = || prop::collection::vec(tricky_value(depth - 1), 0..3);
+    prop_oneof![
+        leaf,
+        items().prop_map(Value::Set),
+        items().prop_map(Value::Tuple),
+        items().prop_map(Value::Array),
+    ]
+    .boxed()
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+    /// `SetBuilder` — the hash dedupe behind `unique`, user set
+    /// functions and set-returning functions — keeps exactly the members
+    /// `Value::set_insert`'s scan with `==` keeps, in the same order.
+    #[test]
+    fn set_builder_agrees_with_set_insert(
+        values in proptest::collection::vec(tricky_value(2), 0..24),
+    ) {
+        let mut scanned = Value::empty_set();
+        let mut hashed = extra_model::SetBuilder::default();
+        for v in values {
+            let new = scanned.set_insert(v.clone()).unwrap();
+            proptest::prop_assert_eq!(hashed.insert(v), new);
+        }
+        let (Value::Set(a), Value::Set(b)) = (scanned, hashed.finish()) else {
+            unreachable!()
+        };
+        // NaN members are unequal to themselves: compare renderings.
+        proptest::prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+}
+
+#[test]
+fn set_builder_edge_cases() {
+    let mut set = extra_model::SetBuilder::default();
+    assert!(set.insert(Value::Float(0.0)));
+    assert!(!set.insert(Value::Float(-0.0)), "-0.0 == 0.0");
+    assert!(set.insert(Value::Int(2)));
+    assert!(
+        set.insert(Value::Float(2.0)),
+        "Int(2) != Float(2.0) structurally"
+    );
+    assert!(set.insert(Value::Float(f64::NAN)));
+    assert!(set.insert(Value::Float(f64::NAN)), "NaN equals nothing");
+    assert!(set.insert(Value::Ref(exodus_storage::Oid(7))));
+    assert!(
+        !set.insert(Value::Ref(exodus_storage::Oid(7))),
+        "refs dedupe by oid"
+    );
+    let nested = |z: f64| Value::Set(vec![Value::Tuple(vec![Value::Float(z)])]);
+    assert!(set.insert(nested(0.0)));
+    assert!(
+        !set.insert(nested(-0.0)),
+        "equality reaches into nested sets"
+    );
+    assert!(set.insert(Value::Set(vec![Value::Int(1), Value::Int(2)])));
+    assert!(
+        set.insert(Value::Set(vec![Value::Int(2), Value::Int(1)])),
+        "`==` on sets is order-sensitive, so the dedupe is too"
+    );
+}

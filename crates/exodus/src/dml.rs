@@ -130,8 +130,8 @@ impl<'a> Scope<'a> {
         ctx
     }
 
-    /// A fresh executor context (with its own aggregate and deref
-    /// caches) reading at the statement's snapshot.
+    /// A fresh executor context (with its own aggregate tables) reading
+    /// at the statement's snapshot.
     fn exec(&self) -> ExecCtx<'_> {
         let db = self.db;
         ExecCtx::new(
@@ -547,11 +547,13 @@ impl Scope<'_> {
             let mut cur = input.cursor_profiled(RowBatch::single(env), index);
             while let Some(batch) = cur.next(ctx)? {
                 ctx.prof_in(slot, batch.len());
+                if let (Some(p), Some(slot)) = (&ctx.profiler, slot) {
+                    p.record_out(slot, batch.len());
+                }
                 all.append(batch);
             }
             if let (Some(p), Some(slot)) = (&ctx.profiler, slot) {
                 p.record_ns(slot, t0.elapsed().as_nanos() as u64);
-                p.record_out(slot, all.len());
             }
             let rows = all.len();
             Ok((all, rows))
@@ -863,12 +865,9 @@ impl<'a> Scope<'a> {
         let owner = match env.ident(var) {
             MemberId::Object(oid) => Owner::Object(oid),
             MemberId::Record { anchor, rid } => Owner::Member { anchor, rid },
-            MemberId::Nested {
-                parent,
-                steps,
-                index,
-            } => {
-                let mut site = self.resolve_site(env, &parent, &steps, checked)?;
+            MemberId::Nested { container, index } => {
+                let (parent, steps) = &*container;
+                let mut site = self.resolve_site(env, parent, steps, checked)?;
                 site.path.push(index);
                 return Ok(Some(site));
             }

@@ -116,3 +116,55 @@ fn concurrent_sessions_mixed_queries_and_dml() {
         vec![vec![Value::Int((WRITERS * APPENDS_PER_WRITER) as i64)]]
     );
 }
+
+/// An index-range morsel must outlive a chunk of index entries that are
+/// all invisible to the reader (another session's uncommitted appends,
+/// indexed the moment they were written): "nothing visible in this
+/// chunk" is not "morsel exhausted". At batch size 1 every invisible
+/// entry is such a chunk.
+#[test]
+fn parallel_index_scan_steps_over_invisible_entries() {
+    let db = Database::builder()
+        .worker_threads(4)
+        .batch_size(1)
+        .build()
+        .unwrap();
+    db.run(
+        r#"
+        define type Row (k: int4, tag: varchar);
+        create { own ref Row } Rows;
+    "#,
+    )
+    .unwrap();
+    // Enough members that a third of them (the range estimate) still
+    // clears the parallelism threshold.
+    let scale = 20_000;
+    let rows = (0..scale)
+        .map(|i| Value::Tuple(vec![Value::Int(2 * i as i64), Value::str("old")]))
+        .collect();
+    db.bulk_append("Rows", rows).unwrap();
+    db.run("define index rows_k on Rows (k)").unwrap();
+
+    let mut reader = db.session();
+    let q = "retrieve (R.k) from R in Rows where R.k >= 0";
+    let plan = reader.explain(q).unwrap().plan;
+    assert!(
+        plan.contains("Parallel") && plan.contains("IndexScan"),
+        "the query must run as a parallel index scan:\n{plan}"
+    );
+
+    // Odd keys land between the committed ones all along the index, and
+    // stay uncommitted while the reader runs.
+    let mut writer = db.session();
+    writer.run("begin").unwrap();
+    for i in (0..scale).step_by(1_000) {
+        writer
+            .run(&format!(
+                r#"append to Rows (k = {}, tag = "new")"#,
+                2 * i + 1
+            ))
+            .unwrap();
+    }
+    assert_eq!(reader.query(q).unwrap().rows.len(), scale);
+    writer.run("abort").unwrap();
+}

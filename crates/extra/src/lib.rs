@@ -43,4 +43,4 @@ pub use error::{ModelError, ModelResult};
 pub use schema::{SchemaType, TypeId, TypeRegistry};
 pub use store::{MemberScan, ObjectStore, StoreRoots};
 pub use types::{Attribute, BaseType, Ownership, QualType, Type};
-pub use value::Value;
+pub use value::{SetBuilder, Value};

@@ -391,18 +391,22 @@ impl ObjectStore {
         Ok(self.get_at(oid, snap)?.2)
     }
 
-    /// Batched [`ObjectStore::field_of_at`]: decode field `pos` of many
-    /// objects at once, pinning each directory and heap page once per
-    /// batch instead of three pages per object — the probe path of hash
-    /// and index joins. `None` entries are the cases the single-object
-    /// call handles specially (unknown OID, head version invisible at
-    /// `snap`, LOB payload, non-tuple record, `pos` out of range);
-    /// callers fall back to the per-object path for those, reproducing
-    /// its exact semantics including version-chain walks and errors.
-    pub fn fields_of_batch_at(
+    /// Batched [`ObjectStore::field_of_at`]: decode the fields at
+    /// `positions` of many objects at once, pinning each directory and
+    /// heap page once per batch instead of three pages per object and
+    /// skip-decoding the wanted fields straight off the pinned page —
+    /// the one dereference path of batched execution. The result is
+    /// row-major: entry `i * positions.len() + j` is field
+    /// `positions[j]` of `oids[i]`. `None` entries are the cases the
+    /// single-object call handles specially (unknown OID, head version
+    /// invisible at `snap`, LOB payload, non-tuple record, position out
+    /// of range); callers fall back to the per-object path for those,
+    /// reproducing its exact semantics including version-chain walks
+    /// and errors.
+    pub fn fields_of_many_at(
         &self,
         oids: &[Oid],
-        pos: usize,
+        positions: &[usize],
         snap: u64,
     ) -> ModelResult<Vec<Option<Value>>> {
         let entries = self.table.get_many(self.pool(), oids)?;
@@ -414,18 +418,35 @@ impl ObjectStore {
                 rids.push(e.rid);
             }
         }
-        let recs = heap::read_records_versioned(self.pool(), &rids);
-        let mut out = vec![None; oids.len()];
-        for (k, rec) in recs.into_iter().enumerate() {
-            let Some((begin, end, rec)) = rec else {
-                continue;
-            };
-            if !visible(begin, end, snap) || rec.len() < 9 || rec[8] != TAG_INLINE {
-                continue;
+        let mut out = vec![None; oids.len() * positions.len()];
+        let mut failed = None;
+        heap::visit_records_versioned(self.pool(), &rids, |k, begin, end, rec| {
+            if failed.is_some()
+                || !visible(begin, end, snap)
+                || rec.len() < 9
+                || rec[8] != TAG_INLINE
+            {
+                return;
             }
-            out[idxs[k]] = valueio::tuple_field_from_bytes(&rec[9..], pos)?;
-        }
-        Ok(out)
+            let at = idxs[k] * positions.len();
+            for (j, &pos) in positions.iter().enumerate() {
+                match valueio::tuple_field_from_bytes(&rec[9..], pos) {
+                    Ok(field) => out[at + j] = field,
+                    Err(e) => failed = Some(e),
+                }
+            }
+        });
+        failed.map_or(Ok(out), Err)
+    }
+
+    /// [`ObjectStore::fields_of_many_at`] for one field position.
+    pub fn fields_of_batch_at(
+        &self,
+        oids: &[Oid],
+        pos: usize,
+        snap: u64,
+    ) -> ModelResult<Vec<Option<Value>>> {
+        self.fields_of_many_at(oids, &[pos], snap)
     }
 
     /// Decode only field `pos` of the version of a tuple-valued object
@@ -1194,10 +1215,11 @@ impl MemberScan {
     /// vector when the collection is exhausted.
     pub fn next_batch(&mut self, n: usize) -> ModelResult<Vec<(RecordId, Value)>> {
         self.scan.next_batch_into(n, &mut self.scratch)?;
-        self.scratch
-            .iter()
-            .map(|(rid, bytes)| Ok((rid, valueio::from_bytes(bytes)?)))
-            .collect()
+        let mut members = Vec::with_capacity(self.scratch.len());
+        for (rid, bytes) in self.scratch.iter() {
+            members.push((rid, valueio::from_bytes(bytes)?));
+        }
+        Ok(members)
     }
 }
 

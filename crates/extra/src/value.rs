@@ -14,7 +14,10 @@
 //! the store and lives in [`crate::store::ObjectStore::deep_eq`].
 
 use std::cmp::Ordering;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use exodus_storage::Oid;
 
@@ -413,6 +416,69 @@ impl Value {
     /// An empty set.
     pub fn empty_set() -> Value {
         Value::Set(Vec::new())
+    }
+}
+
+impl Value {
+    /// Feed `h` a hash consistent with `==`: values that compare equal
+    /// hash alike. Floats are the one case where bits and equality
+    /// disagree — `-0.0 == 0.0`, so both hash as `0.0` (NaN equals
+    /// nothing, so its hash is free).
+    fn hash_into(&self, h: &mut DefaultHasher) {
+        std::mem::discriminant(self).hash(h);
+        match self {
+            Value::Null => {}
+            Value::Int(i) => i.hash(h),
+            Value::Float(f) => (if *f == 0.0 { 0.0 } else { *f }).to_bits().hash(h),
+            Value::Bool(b) => b.hash(h),
+            Value::Str(s) => s.hash(h),
+            Value::Enum(ord, sym) => (ord, sym).hash(h),
+            Value::Adt(id, bytes) => (id, bytes).hash(h),
+            Value::Tuple(items) | Value::Set(items) | Value::Array(items) => {
+                items.len().hash(h);
+                items.iter().for_each(|i| i.hash_into(h));
+            }
+            Value::Ref(oid) => oid.0.hash(h),
+        }
+    }
+}
+
+/// Builds a [`Value::Set`] from a stream of values, keeping the first of
+/// every run of equal values in arrival order — what repeated
+/// [`Value::set_insert`] yields, without its scan of the members per
+/// insert: candidates are found through a hash consistent with `==` and
+/// confirmed with `==`, so the two agree by construction.
+#[derive(Debug, Default)]
+pub struct SetBuilder {
+    members: Vec<Value>,
+    /// Hash → index of the latest member with that hash.
+    heads: HashMap<u64, u32>,
+    /// Per member: the previous member with the same hash.
+    prev: Vec<Option<u32>>,
+}
+
+impl SetBuilder {
+    /// Insert `v` unless an equal member is present; whether it was new.
+    pub fn insert(&mut self, v: Value) -> bool {
+        let mut h = DefaultHasher::new();
+        v.hash_into(&mut h);
+        let hash = h.finish();
+        let mut at = self.heads.get(&hash).copied();
+        while let Some(i) = at {
+            if self.members[i as usize] == v {
+                return false;
+            }
+            at = self.prev[i as usize];
+        }
+        self.prev
+            .push(self.heads.insert(hash, self.members.len() as u32));
+        self.members.push(v);
+        true
+    }
+
+    /// The set built so far.
+    pub fn finish(self) -> Value {
+        Value::Set(self.members)
     }
 }
 

@@ -136,65 +136,73 @@ pub fn decode_value(r: &mut ByteReader<'_>) -> ModelResult<Value> {
     }
 }
 
-/// Advance `r` past one encoded value without materializing it.
-fn skip_value(r: &mut ByteReader<'_>) -> ModelResult<()> {
-    let corrupt = |m: &str| ModelError::Storage(StorageError::Corrupt(m.into()));
-    match r.get_u8()? {
-        T_NULL => {}
-        T_INT => {
-            r.get_i64()?;
+/// A varint at the head of `b`: its value and its width in bytes.
+fn varint_at(b: &[u8]) -> Option<(usize, usize)> {
+    let mut v = 0u64;
+    for (i, &byte) in b.iter().enumerate().take(10) {
+        v |= ((byte & 0x7F) as u64) << (7 * i);
+        if byte & 0x80 == 0 {
+            return Some((v as usize, i + 1));
         }
-        T_FLOAT => {
-            r.get_f64()?;
-        }
-        T_BOOL => {
-            r.get_u8()?;
-        }
+    }
+    None
+}
+
+/// Width in bytes of the encoded value at the head of `b`, found without
+/// materializing (or validating) anything in it. `None` when the bytes
+/// end early or the tag is unknown.
+fn encoded_len(b: &[u8]) -> Option<usize> {
+    let (&tag, rest) = b.split_first()?;
+    let body = match tag {
+        T_NULL => 0,
+        T_BOOL => 1,
+        T_INT | T_FLOAT | T_REF => 8,
         T_STR => {
-            r.get_str()?;
+            let (n, w) = varint_at(rest)?;
+            w.checked_add(n)?
         }
         T_ENUM => {
-            r.get_u16()?;
-            r.get_str()?;
+            let (n, w) = varint_at(rest.get(2..)?)?;
+            (2 + w).checked_add(n)?
         }
         T_ADT => {
-            r.get_u32()?;
-            r.get_bytes()?;
+            let (n, w) = varint_at(rest.get(4..)?)?;
+            (4 + w).checked_add(n)?
         }
         T_TUPLE | T_SET | T_ARRAY => {
-            let n = r.get_varint()? as usize;
+            let (n, mut at) = varint_at(rest)?;
             for _ in 0..n {
-                skip_value(r)?;
+                at += encoded_len(rest.get(at..)?)?;
             }
+            at
         }
-        T_REF => {
-            r.get_u64()?;
-        }
-        other => return Err(corrupt(&format!("unknown value tag {other}"))),
-    }
-    Ok(())
+        _ => return None,
+    };
+    (body < b.len()).then_some(1 + body)
 }
 
 /// Decode only field `pos` of a top-level tuple, skipping its siblings.
 ///
 /// The projected-attribute fast path (`E.dept.budget` derefs `E` for one
-/// field): fields before `pos` are skipped tag-by-tag instead of decoded,
-/// so the scan allocates nothing for them. Returns `None` when the bytes
-/// are not a tuple or `pos` is out of range — callers fall back to a full
-/// decode, which reproduces the ordinary error (or ref-chasing) behavior.
+/// field): fields before `pos` are stepped over tag-by-tag instead of
+/// decoded, so nothing is allocated or validated for them. Returns `None`
+/// when the bytes are not a tuple or `pos` is out of range — callers fall
+/// back to a full decode, which reproduces the ordinary error (or
+/// ref-chasing) behavior.
 pub fn tuple_field_from_bytes(bytes: &[u8], pos: usize) -> ModelResult<Option<Value>> {
-    let mut r = ByteReader::new(bytes);
-    if r.get_u8()? != T_TUPLE {
+    let truncated = || ModelError::Storage(StorageError::Corrupt("record truncated".into()));
+    let Some((&T_TUPLE, rest)) = bytes.split_first() else {
         return Ok(None);
-    }
-    let n = r.get_varint()? as usize;
+    };
+    let (n, mut at) = varint_at(rest).ok_or_else(truncated)?;
     if pos >= n {
         return Ok(None);
     }
     for _ in 0..pos {
-        skip_value(&mut r)?;
+        at += rest.get(at..).and_then(encoded_len).ok_or_else(truncated)?;
     }
-    Ok(Some(decode_value(&mut r)?))
+    let field = rest.get(at..).ok_or_else(truncated)?;
+    Ok(Some(decode_value(&mut ByteReader::new(field))?))
 }
 
 /// Deserialize a value from bytes.
@@ -268,6 +276,39 @@ mod tests {
             tuple_field_from_bytes(&to_bytes(&Value::Int(3)), 0).unwrap(),
             None
         );
+    }
+
+    #[test]
+    fn projection_steps_over_every_kind_of_sibling() {
+        let fields = vec![
+            Value::Null,
+            Value::Bool(true),
+            Value::Int(-7),
+            Value::Float(2.5),
+            Value::str(
+                "a longer string, well past one varint byte of length"
+                    .repeat(4)
+                    .as_str(),
+            ),
+            Value::Enum(3, "blue".into()),
+            Value::Adt(AdtId(2), vec![1, 2, 3]),
+            Value::Tuple(vec![Value::str("in"), Value::Set(vec![Value::Int(1)])]),
+            Value::Set(vec![Value::Tuple(vec![Value::str("kid"), Value::Int(4)])]),
+            Value::Array(vec![Value::Null, Value::Ref(Oid(9))]),
+            Value::Ref(Oid(7)),
+        ];
+        let bytes = to_bytes(&Value::Tuple(fields.clone()));
+        for (pos, f) in fields.iter().enumerate() {
+            assert_eq!(
+                tuple_field_from_bytes(&bytes, pos).unwrap().as_ref(),
+                Some(f)
+            );
+        }
+        // Cut short anywhere, the last field is an error, never a panic
+        // or a wrong value.
+        for cut in 1..bytes.len() {
+            assert!(tuple_field_from_bytes(&bytes[..cut], fields.len() - 1).is_err());
+        }
     }
 
     #[test]

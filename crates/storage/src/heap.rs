@@ -398,19 +398,21 @@ pub fn read_record_versioned(
     })
 }
 
-/// Read many records with their version stamps, pinning each distinct
-/// page once (records are grouped by page internally; input order is
-/// preserved in the output). Per-record failures — a stale id naming a
-/// freed slot or an unreadable page — yield `None` for that entry
-/// instead of failing the batch, mirroring the tolerant per-record
-/// probing of version-chain walks.
-pub fn read_records_versioned(
+/// Visit many records on their pinned pages: `visit(i, begin_ts, end_ts,
+/// bytes)` is called for `rids[i]` with the record's bytes borrowed from
+/// the page, so nothing is copied per record. Records are grouped by
+/// page and each distinct page is pinned once (visit order is page
+/// order, not input order). Per-record failures — a stale id naming a
+/// freed slot or an unreadable page — skip that entry instead of
+/// failing the batch, mirroring the tolerant per-record probing of
+/// version-chain walks.
+pub fn visit_records_versioned(
     pool: &Arc<BufferPool>,
     rids: &[RecordId],
-) -> Vec<Option<(u64, u64, Vec<u8>)>> {
+    mut visit: impl FnMut(usize, u64, u64, &[u8]),
+) {
     let mut order: Vec<usize> = (0..rids.len()).collect();
     order.sort_unstable_by_key(|&i| (rids[i].page, rids[i].slot));
-    let mut out: Vec<Option<(u64, u64, Vec<u8>)>> = vec![None; rids.len()];
     let mut i = 0;
     while i < order.len() {
         let page_no = rids[order[i]].page;
@@ -425,13 +427,24 @@ pub fn read_records_versioned(
                     if let Ok((b, e, d)) =
                         view.read(page_no, rids[idx].slot).and_then(split_version)
                     {
-                        out[idx] = Some((b, e, d.to_vec()));
+                        visit(idx, b, e, d);
                     }
                 }
             });
         }
         i = j;
     }
+}
+
+/// [`visit_records_versioned`] with every record copied out: `(begin_ts,
+/// end_ts, bytes)` per input id, in input order, `None` for the entries
+/// the visit skipped.
+pub fn read_records_versioned(
+    pool: &Arc<BufferPool>,
+    rids: &[RecordId],
+) -> Vec<Option<(u64, u64, Vec<u8>)>> {
+    let mut out: Vec<Option<(u64, u64, Vec<u8>)>> = vec![None; rids.len()];
+    visit_records_versioned(pool, rids, |i, b, e, d| out[i] = Some((b, e, d.to_vec())));
     out
 }
 

@@ -10,9 +10,8 @@
 //!
 //! The workload queries an own-mode snapshot collection (built with
 //! `retrieve into`), so scans decode inline values and never chase
-//! references: ref-chasing queries populate worker-local deref caches,
-//! whose pin pattern legitimately depends on which worker claims which
-//! morsel.
+//! references; the ref-chasing pin counts are pinned serially by
+//! [`path_pins_pinned`].
 
 use std::sync::Arc;
 
@@ -192,16 +191,6 @@ fn pool_counters_pinned_at_dop_1_and_4() {
         );
         assert_eq!(counter(d, "db_statements_total"), 3, "DOP-{dop}");
         assert_eq!(counter(d, "db_statements_retrieve_total"), 3, "DOP-{dop}");
-        // The workload is deref-free by construction (see the module
-        // doc), so the dereference-cache counters must not move at any
-        // DOP.
-        for c in [
-            "exec_deref_cache_hits_total",
-            "exec_deref_cache_misses_total",
-            "exec_deref_cache_full_total",
-        ] {
-            assert_eq!(counter(d, c), 0, "DOP-{dop} {c}: deref-free workload");
-        }
     }
     // The DOP-dependent executor counters, pinned per DOP: DOP 1 never
     // touches the morsel queue; DOP 4 splits the 39 pages into 13
@@ -213,50 +202,42 @@ fn pool_counters_pinned_at_dop_1_and_4() {
     assert_eq!(counter(&d4, "exec_batches_total"), 39);
 }
 
-/// Dereference-cache counters, pinned serially (ref-chasing workloads
-/// are only DOP-deterministic at DOP 1: worker-local caches make hit
-/// patterns depend on morsel claiming).
+/// Buffer pins of two ref-chasing scans, pinned serially: what one
+/// `retrieve (E.dept.budget)` costs the pool now that paths resolve per
+/// batch — `E.dept` for a batch's 1,024 employees, then `.budget` for
+/// the distinct departments among them, each a page-grouped visit that
+/// pins every object-directory and heap page once.
+///
+/// Before, every row went through two per-statement caches and then the
+/// per-object read (directory root + directory + heap page): the same
+/// queries pinned 30,106 and 25,841 pages, with 5,924 of 10,020 and
+/// 4,510 of 8,606 cache inserts dropped at the 4,096-entry cap.
 #[test]
-fn deref_cache_counters_pinned() {
-    let counter = |d: &[(String, u64)], name: &str| -> u64 {
-        d.iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    };
-    let deltas = |n_depts: usize, n_emps: usize, q: &str, rows: usize| {
+fn path_pins_pinned() {
+    let pins = |n_depts: usize, n_emps: usize, q: &str, rows: usize| {
         let db = university(n_depts, n_emps, 1);
         let mut s = db.session();
         s.run("range of E is Employees").unwrap();
         let before = db.metrics_snapshot().unwrap();
         assert_eq!(s.query(q).unwrap().rows.len(), rows);
         let after = db.metrics_snapshot().unwrap();
-        MetricsSnapshot::counter_deltas(&before, &after)
+        let d = MetricsSnapshot::counter_deltas(&before, &after);
+        let counter = |name: &str| d.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v);
+        assert_eq!(
+            counter("storage_pool_misses_total"),
+            0,
+            "the pool holds it all"
+        );
+        counter("storage_pool_hits_total")
     };
-
-    // 10k employees over 20 departments. Scan rows bind `E` as a
-    // reference, so `E.dept` skip-decodes per employee (10 000 misses,
-    // every object distinct), then `.budget` misses once per department
-    // and hits for the other 9 980 rows. The 10 020 cache inserts
-    // overflow the 4 096-entry cap; the 5 924 dropped inserts —
-    // previously silent — are counted.
-    let d = deltas(20, 10_000, "retrieve (E.dept.budget)", 10_000);
-    assert_eq!(counter(&d, "exec_deref_cache_hits_total"), 9_980);
-    assert_eq!(counter(&d, "exec_deref_cache_misses_total"), 10_020);
-    assert_eq!(counter(&d, "exec_deref_cache_full_total"), 5_924);
-
-    // 5k employees over 5k departments (seeded-random assignment hits
-    // 3 606 distinct ones): 5 000 `E.dept` misses + 3 606 first-touch
-    // budget misses = 8 606, the remaining 1 394 rows hit, and the
-    // 8 606 − 4 096 = 4 510 over-cap inserts are dropped and counted.
-    let d = deltas(5_000, 5_000, "retrieve (E.dept.budget)", 5_000);
-    assert_eq!(counter(&d, "exec_deref_cache_hits_total"), 1_394);
-    assert_eq!(counter(&d, "exec_deref_cache_misses_total"), 8_606);
-    assert_eq!(counter(&d, "exec_deref_cache_full_total"), 4_510);
+    // 10k employees over 20 departments: every batch shares the same 20.
+    assert_eq!(pins(20, 10_000, "retrieve (E.dept.budget)", 10_000), 344);
+    // 5k employees over 5k departments (3,606 distinct ones referenced).
+    assert_eq!(pins(5_000, 5_000, "retrieve (E.dept.budget)", 5_000), 623);
 }
 
-/// The ref-chasing path aggregate — worker-local deref caches and all —
-/// returns the same answer at DOP 1 and DOP 4, the DOP-4 run really
+/// The ref-chasing path aggregate returns the same answer at DOP 1 and
+/// DOP 4, the DOP-4 run really
 /// went through the morsel queue, and further work only moves the
 /// whole-database snapshot forward.
 #[test]

@@ -77,6 +77,67 @@ fn explain_analyze_exact_operator_counts() {
     assert!(shown.contains("-- total:"), "{shown}");
 }
 
+/// No operator hands on more than a batch at a time — the projection
+/// included, which once recorded its whole result as one "batch" (the
+/// 3,200-row `peak=` every unnest profile used to show).
+#[test]
+fn no_operator_exceeds_the_batch_size() {
+    let db = Database::builder().build().unwrap();
+    let mut s = db.session();
+    s.run(
+        r#"
+        define type Person (name: varchar, age: int4, kids: { own Person });
+        create { own ref Person } People;
+        range of P is People
+    "#,
+    )
+    .unwrap();
+    let kid = |i: usize| {
+        Value::Tuple(vec![
+            Value::Str(format!("k{i}")),
+            Value::Int(3),
+            Value::Set(vec![]),
+        ])
+    };
+    let people = (0..200)
+        .map(|p| {
+            let kids = (0..16).map(|k| kid(p * 16 + k)).collect();
+            Value::Tuple(vec![
+                Value::Str(format!("p{p}")),
+                Value::Int(40),
+                Value::Set(kids),
+            ])
+        })
+        .collect();
+    db.bulk_append("People", people).unwrap();
+
+    let e = s
+        .explain_analyze("retrieve (C.name, People.age) from C in People.kids")
+        .unwrap();
+    let p = e.profile.expect("analyze attaches a profile");
+    assert_eq!(p.result_rows, 3_200);
+    let batch = extra_excess::exec::DEFAULT_BATCH_SIZE as u64;
+    for n in &p.nodes {
+        assert!(
+            n.peak_batch <= batch,
+            "{} peaked at {} rows, over the {batch}-row batch size",
+            n.label,
+            n.peak_batch
+        );
+    }
+    let project = node(&p, "Project");
+    assert_eq!(project.rows_out, 3_200);
+    assert_eq!(project.batches_out, 4, "3,200 rows leave in four batches");
+
+    // An update's bindings query records per pulled batch as well.
+    s.run("range of C is People.kids").unwrap();
+    let e = s
+        .explain_analyze("replace C (age = 4) where C.age = 3")
+        .unwrap();
+    let p = e.profile.expect("analyze attaches a profile");
+    assert!(p.nodes.iter().all(|n| n.peak_batch <= batch), "{p}");
+}
+
 /// Aggregate `over` plans are embedded in expressions, not the operator
 /// tree; the profiler indexes them as children of their operator, so an
 /// aggregate-only query still reports what its hidden scan did.

@@ -58,6 +58,59 @@ fn ten_thousand_members_scan_filter_aggregate() {
     }
 }
 
+/// `unique` over a path: 20,000 employees across 5,000 departments.
+/// Deduping by a scan of the members per insert compares 20,000 × up to
+/// 5,000 strings — this test then visibly dominates the suite; the hash
+/// dedupe is linear, and the answer keeps first-seen order.
+#[test]
+fn unique_over_a_path_at_scale() {
+    let db = Database::in_memory();
+    let mut s = db.session();
+    s.run(
+        r#"
+        define type Department (dname: varchar, floor: int4);
+        define type Employee (name: varchar, dept: ref Department);
+        create { own ref Department } Departments;
+        create { own ref Employee } Employees;
+    "#,
+    )
+    .unwrap();
+    let n_depts = 5_000usize;
+    let depts = db
+        .bulk_append(
+            "Departments",
+            (0..n_depts)
+                .map(|i| Value::Tuple(vec![Value::Str(format!("dept{i:05}")), Value::Int(1)]))
+                .collect(),
+        )
+        .unwrap();
+    // A multiplier coprime to 5,000 visits every department once per
+    // 5,000 employees.
+    let dept_of = |i: usize| (i * 7) % n_depts;
+    db.bulk_append(
+        "Employees",
+        (0..20_000)
+            .map(|i| {
+                Value::Tuple(vec![
+                    Value::Str(format!("emp{i:05}")),
+                    Value::Ref(depts[dept_of(i)]),
+                ])
+            })
+            .collect(),
+    )
+    .unwrap();
+    let r = s
+        .query("retrieve (unique(E.dept.dname over E)) from E in Employees")
+        .unwrap();
+    let Value::Set(names) = &r.rows[0][0] else {
+        panic!("{:?}", r.rows[0][0])
+    };
+    let expect: Vec<Value> = (0..n_depts)
+        .map(|i| Value::Str(format!("dept{:05}", dept_of(i))))
+        .collect();
+    assert_eq!(names, &expect, "distinct names in first-seen order");
+}
+
 #[test]
 fn whole_collection_updates_over_thousands_of_references() {
     // Set-oriented updates over every member of a keyed reference-mode
