@@ -10,11 +10,10 @@
 //! dynamically), and functions/operators treated uniformly. This crate
 //! implements to those requirements:
 //!
-//! * [`plan`] — logical and physical operator trees, with `EXPLAIN`
-//!   rendering;
-//! * [`builder`] — translation of a checked `retrieve` into the logical
-//!   algebra (range bindings become scans/unnests; universal bindings
-//!   become a universal selection);
+//! * [`plan`] — the physical operator tree, with `EXPLAIN` rendering;
+//!   a checked `retrieve` is planned straight into it (range bindings
+//!   become scans/unnests; universal bindings become a universal
+//!   selection);
 //! * [`rules`] — rewrite rules: conjunct splitting and predicate pushdown;
 //! * [`cost`] — cardinality/cost estimation from catalog statistics and
 //!   `analyze` histograms;
@@ -26,13 +25,11 @@
 //!   assembly.
 
 #![deny(rustdoc::broken_intra_doc_links)]
-pub mod builder;
 pub mod cost;
 pub mod join;
 pub mod physical;
 pub mod plan;
 pub mod rules;
 
-pub use builder::build_logical;
-pub use physical::{optimize, plan_retrieve, plan_retrieve_dop, PlannerConfig};
-pub use plan::{Logical, Physical};
+pub use physical::{plan_retrieve, plan_retrieve_dop, PlannerConfig};
+pub use plan::Physical;

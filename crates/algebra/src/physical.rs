@@ -473,8 +473,3 @@ fn attach_filter(plan: Physical, pred: &Expr, vars: &[String]) -> Physical {
         },
     }
 }
-
-/// Convenience: a retrieve's *unoptimized* plan, for the E8 ablation.
-pub fn optimize(stmt: &Stmt, checked: &CheckedRetrieve, ctx: &SemaCtx<'_>) -> SemaResult<Physical> {
-    plan_retrieve(stmt, checked, ctx, PlannerConfig::default())
-}

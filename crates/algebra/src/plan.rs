@@ -1,60 +1,10 @@
-//! Logical and physical operator trees.
+//! The physical operator tree.
 
 use std::fmt;
 use std::ops::Bound;
 
 use excess_lang::Expr;
 use excess_sema::{IndexInfo, ResolvedRange};
-
-/// A logical plan node.
-#[derive(Debug, Clone)]
-pub enum Logical {
-    /// Produces a single empty environment (for constant queries like
-    /// `retrieve (Today)`).
-    Unit,
-    /// Extend each input environment with one range binding (iterating a
-    /// collection, or unnesting a set reached from a parent binding /
-    /// named object).
-    Range {
-        /// Input.
-        input: Box<Logical>,
-        /// The binding added.
-        binding: ResolvedRange,
-    },
-    /// Filter by a predicate.
-    Select {
-        /// Input.
-        input: Box<Logical>,
-        /// Boolean predicate.
-        pred: Expr,
-    },
-    /// Keep environments for which `pred` holds for *all* bindings of the
-    /// universal ranges (`range of V is all ...`).
-    UniversalSelect {
-        /// Input.
-        input: Box<Logical>,
-        /// The universally quantified bindings.
-        bindings: Vec<ResolvedRange>,
-        /// Predicate that must hold for every universal binding.
-        pred: Expr,
-    },
-    /// Compute the output columns.
-    Project {
-        /// Input.
-        input: Box<Logical>,
-        /// `(column name, expression)` pairs.
-        targets: Vec<(String, Expr)>,
-    },
-    /// Order the result.
-    Sort {
-        /// Input.
-        input: Box<Logical>,
-        /// Sort key.
-        key: Expr,
-        /// Ascending?
-        asc: bool,
-    },
-}
 
 /// A physical plan node, directly executable by `excess-exec`.
 #[derive(Debug, Clone)]
@@ -189,47 +139,6 @@ fn indent(f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
     Ok(())
 }
 
-impl Logical {
-    fn fmt_at(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
-        indent(f, depth)?;
-        match self {
-            Logical::Unit => writeln!(f, "Unit"),
-            Logical::Range { input, binding } => {
-                writeln!(
-                    f,
-                    "Range {} over {}{}",
-                    binding.var,
-                    range_source(binding),
-                    if binding.universal { " (all)" } else { "" }
-                )?;
-                input.fmt_at(f, depth + 1)
-            }
-            Logical::Select { input, pred } => {
-                writeln!(f, "Select {pred}")?;
-                input.fmt_at(f, depth + 1)
-            }
-            Logical::UniversalSelect {
-                input,
-                bindings,
-                pred,
-            } => {
-                let vars: Vec<&str> = bindings.iter().map(|b| b.var.as_str()).collect();
-                writeln!(f, "UniversalSelect forall {} : {pred}", vars.join(", "))?;
-                input.fmt_at(f, depth + 1)
-            }
-            Logical::Project { input, targets } => {
-                let cols: Vec<String> = targets.iter().map(|(n, e)| format!("{n} = {e}")).collect();
-                writeln!(f, "Project [{}]", cols.join(", "))?;
-                input.fmt_at(f, depth + 1)
-            }
-            Logical::Sort { input, key, asc } => {
-                writeln!(f, "Sort by {key} {}", if *asc { "asc" } else { "desc" })?;
-                input.fmt_at(f, depth + 1)
-            }
-        }
-    }
-}
-
 /// Human-readable description of where a binding iterates.
 pub fn range_source(b: &ResolvedRange) -> String {
     let root = match &b.root {
@@ -242,12 +151,6 @@ pub fn range_source(b: &ResolvedRange) -> String {
         root
     } else {
         format!("{root}.{}", b.steps.join("."))
-    }
-}
-
-impl fmt::Display for Logical {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.fmt_at(f, 0)
     }
 }
 

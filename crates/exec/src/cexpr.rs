@@ -301,18 +301,14 @@ impl<'a> Compiler<'a> {
                 }) = self.ctx.infer(side)
                 {
                     let sym = op.to_string();
+                    let adt = self.ctx.adts.get(id)?.name();
                     let cand = self
                         .ctx
                         .adts
                         .operator_candidates(&sym)
                         .iter()
                         .find(|(cid, o)| *cid == id && o.arity == 2)
-                        .ok_or_else(|| {
-                            ModelError::UnknownAdt(format!(
-                                "operator {sym} on {}",
-                                self.ctx.adts.get(id).name()
-                            ))
-                        })?
+                        .ok_or_else(|| ModelError::UnknownAdt(format!("operator {sym} on {adt}")))?
                         .1
                         .clone();
                     return Ok(CExpr::AdtCall {

@@ -16,15 +16,21 @@ struct Harness {
     adts: AdtRegistry,
     catalog: EmptyCatalog,
     store: ObjectStore,
+    /// Open for the whole test, as a statement's is in production;
+    /// reads at `TS_LATEST` see its writes.
+    _txn: exodus_storage::WriteTxn,
 }
 
 impl Harness {
     fn new() -> Harness {
+        let store = ObjectStore::new(StorageManager::in_memory(64)).unwrap();
+        let _txn = store.storage().begin_txn().unwrap();
         Harness {
             types: TypeRegistry::new(),
             adts: AdtRegistry::with_builtins(),
             catalog: EmptyCatalog,
-            store: ObjectStore::new(StorageManager::in_memory(64)).unwrap(),
+            store,
+            _txn,
         }
     }
 

@@ -1048,12 +1048,18 @@ impl Session {
 }
 
 /// Whether a statement may run inside an explicit transaction. Only DML
-/// — `retrieve` (including `into`), `append`, `delete`, `replace` — plus
-/// `range of` declarations and `explain`/`observe` wrappers of those
-/// qualify. DDL, grants and procedure execution are refused: they mutate
-/// in-memory catalog state the page-level rollback cannot restore.
+/// — `retrieve`, `append`, `delete`, `replace` — plus `range of`
+/// declarations and `explain`/`observe` wrappers of those qualify. DDL,
+/// grants, procedure execution and `retrieve … into` are refused: they
+/// mutate in-memory catalog state the page-level rollback cannot
+/// restore.
 fn txn_permits(stmt: &Stmt) -> Result<(), String> {
     match stmt {
+        Stmt::Retrieve { into: Some(_), .. } => Err(
+            "'retrieve into' cannot run inside an explicit transaction; it names a new set \
+             in the catalog, which an abort cannot take back (commit or abort first)"
+                .into(),
+        ),
         Stmt::Retrieve { .. }
         | Stmt::Append { .. }
         | Stmt::Delete { .. }

@@ -53,6 +53,11 @@ pub enum DbError {
     /// configured lag bound and reads are being shed. Nothing was
     /// executed; retry after the replica catches up.
     Lagging(String),
+    /// A catalog image names an ADT this node's registry lacks, or
+    /// binds to a different id. ADT values are stored under their id, so
+    /// importing the image would mis-decode them; not retryable — the
+    /// node needs the primary's ADTs registered, in the same order.
+    AdtMismatch(String),
     /// A wire-protocol or connection failure between a remote client
     /// and the server (framing violation, unexpected EOF, I/O error).
     Net(String),
@@ -89,6 +94,12 @@ pub const CODE_TABLE: &[CodeRow] = &[
         "read-only replica refuses writes and explicit transactions",
         false,
     ),
+    (
+        1008,
+        "AdtMismatch",
+        "catalog image names an ADT this node lacks or numbers differently",
+        false,
+    ),
     (2001, "Busy", "writer gate busy past the lock timeout", true),
     (2002, "Shed", "admission control shed the request", true),
     (
@@ -123,6 +134,7 @@ impl DbError {
             DbError::Model(ModelError::Storage(StorageError::IndeterminateCommit { .. })) => 2003,
             DbError::Model(_) => 1006,
             DbError::ReadOnly(_) => 1007,
+            DbError::AdtMismatch(_) => 1008,
             DbError::Busy(_) => 2001,
             DbError::Shed(_) => 2002,
             DbError::Indeterminate(_) => 2003,
@@ -154,6 +166,7 @@ impl fmt::Display for DbError {
             DbError::Catalog(m) => write!(f, "catalog error: {m}"),
             DbError::Txn(m) => write!(f, "transaction error: {m}"),
             DbError::ReadOnly(m) => write!(f, "read-only replica: {m}"),
+            DbError::AdtMismatch(m) => write!(f, "ADT registry mismatch: {m}"),
             DbError::Busy(m) => write!(f, "busy: {m}"),
             DbError::Shed(m) => write!(f, "shed: {m}"),
             DbError::Indeterminate(m) => write!(f, "indeterminate commit: {m}"),
@@ -221,6 +234,7 @@ mod tests {
             DbError::Catalog("x".into()),
             DbError::Txn("x".into()),
             DbError::ReadOnly("x".into()),
+            DbError::AdtMismatch("x".into()),
             DbError::Lagging("x".into()),
             DbError::Busy("x".into()),
             DbError::Shed("x".into()),

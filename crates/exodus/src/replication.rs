@@ -29,11 +29,12 @@
 //!
 //! Custom ADTs registered at runtime on the primary are **not**
 //! shipped (an ADT is executable code, not data); replicas resolve the
-//! built-in ADTs only. DDL visibility on a replica is eventually
-//! consistent: a catalog image can momentarily lead the replayed data
-//! (the epoch bumps before the DDL's commit record is durable), so a
-//! query against a just-created collection may transiently error until
-//! the next batch lands.
+//! built-in ADTs only, and refuse with [`DbError::AdtMismatch`] a
+//! catalog image whose ADT table names one they lack. DDL visibility
+//! on a replica is eventually consistent: a catalog image can
+//! momentarily lead the replayed data (the epoch bumps before the DDL's
+//! commit record is durable), so a query against a just-created
+//! collection may transiently error until the next batch lands.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,7 +50,7 @@ use exodus_storage::{
     Durability, FileId, Oid, RecordId, ReplicaApplier, ReplicationSource, StorageManager, WalEntry,
 };
 use extra_model::typeio::{read_qty, write_qty};
-use extra_model::{ObjectStore, QualType, StoreRoots, TypeId, TypeRegistry};
+use extra_model::{AdtId, ObjectStore, QualType, StoreRoots, TypeId, TypeRegistry};
 
 use crate::catalog::{Auth, Catalog, StatsEntry};
 use crate::database::{sync_operators, Database};
@@ -57,7 +58,7 @@ use crate::error::{DbError, DbResult};
 
 /// Serialization version of the catalog image (bump on layout change;
 /// primary and replica must agree).
-const IMAGE_VERSION: u32 = 1;
+const IMAGE_VERSION: u32 = 2;
 
 // ---------------------------------------------------------------------------
 // Byte helpers (little-endian, length-prefixed; the same dialect as the
@@ -391,6 +392,16 @@ pub(crate) fn encode_catalog_image(db: &Database) -> Vec<u8> {
     put_u64(&mut out, roots.children_root);
     put_u64(&mut out, roots.file);
     put_bytes(&mut out, &db.store.export_image());
+    // Types and stored values name ADTs by id: ship what each id means
+    // here so the importer can refuse a registry that disagrees.
+    let adts: Vec<&str> = (0..)
+        .map_while(|id| cat.adts.get(AdtId(id)).ok())
+        .map(|adt| adt.name())
+        .collect();
+    put_u32(&mut out, adts.len() as u32);
+    for name in adts {
+        put_str(&mut out, name);
+    }
     put_bytes(&mut out, &cat.types.to_bytes());
 
     let mut named: Vec<&NamedObject> = cat.named.values().collect();
@@ -470,7 +481,8 @@ pub(crate) fn encode_catalog_image(db: &Database) -> Vec<u8> {
 
 /// A decoded catalog image: the fixed store roots, the store's own
 /// type/collection tables (applied via [`ObjectStore::import_image`]),
-/// and a rebuilt [`Catalog`] (built-in ADTs only).
+/// and a rebuilt [`Catalog`] (built-in ADTs only — an image whose ADT
+/// table says otherwise is refused with [`DbError::AdtMismatch`]).
 pub(crate) struct CatalogImage {
     pub(crate) roots: StoreRoots,
     pub(crate) store_image: Vec<u8>,
@@ -497,6 +509,18 @@ pub(crate) fn decode_catalog_image(buf: &[u8]) -> DbResult<CatalogImage> {
     let store_image = get_bytes(buf, &mut pos)?.to_vec();
 
     let mut cat = Catalog::new();
+    for id in 0..get_u32(buf, &mut pos)? {
+        let name = get_str(buf, &mut pos)?;
+        let here = cat.adts.lookup(&name).ok();
+        if here != Some(AdtId(id)) {
+            let here = here.map_or("missing".into(), |h| h.to_string());
+            return Err(DbError::AdtMismatch(format!(
+                "ADT '{name}' is {} on the primary but {here} in this node's registry; a \
+                 replica resolves the built-in ADTs only",
+                AdtId(id)
+            )));
+        }
+    }
     cat.types = TypeRegistry::from_bytes(get_bytes(buf, &mut pos)?)?;
 
     for _ in 0..get_u32(buf, &mut pos)? {

@@ -218,3 +218,35 @@ fn transaction_misuse_is_refused() {
         .unwrap();
     assert_eq!(count(&mut session), 1);
 }
+
+/// `retrieve … into` names a new set in the in-memory catalog, which a
+/// page-level rollback cannot take back — so, like DDL, it is refused
+/// inside an explicit transaction (also under `explain` / `observe`)
+/// rather than left to survive an `abort` as a name over rolled-back
+/// pages.
+#[test]
+fn retrieve_into_is_refused_inside_a_transaction() {
+    let db = box_db(0, 1);
+    let mut session = db.session();
+    session
+        .run(r#"append to Box (tag = "t", n = 7); range of B is Box; begin"#)
+        .unwrap();
+    for src in [
+        "retrieve into Snap (B.n)",
+        "explain analyze retrieve into Snap (B.n)",
+        "observe retrieve into Snap (B.n)",
+    ] {
+        let err = session.run(src).expect_err(src);
+        assert!(
+            matches!(&err, DbError::Txn(m) if m.contains("retrieve into")),
+            "'{src}' raised {err}"
+        );
+    }
+    // A plain retrieve still runs, and the transaction is unharmed.
+    assert_eq!(count(&mut session), 1);
+    session.run("abort").unwrap();
+    // No trace of the name: it is free for the autocommit form.
+    session.run("retrieve into Snap (B.n)").unwrap();
+    let snap = session.query("range of S is Snap; retrieve (S.n)").unwrap();
+    assert_eq!(snap.rows, vec![vec![Value::Int(7)]]);
+}

@@ -218,39 +218,41 @@ impl AdtRegistry {
         self.by_name.contains_key(name)
     }
 
-    /// Get an ADT by id.
-    pub fn get(&self, id: AdtId) -> &Arc<dyn AdtType> {
-        &self.adts[id.0 as usize]
+    /// Get an ADT by id; an error, not a panic, for an id this registry
+    /// never issued (ids also arrive from stored records, the wire and
+    /// catalog images).
+    pub fn get(&self, id: AdtId) -> ModelResult<&Arc<dyn AdtType>> {
+        self.adts
+            .get(id.0 as usize)
+            .ok_or_else(|| ModelError::UnknownAdt(id.to_string()))
     }
 
     /// Parse a literal of the named ADT.
     pub fn parse(&self, id: AdtId, literal: &str) -> ModelResult<Value> {
-        Ok(Value::Adt(id, self.get(id).parse(literal)?))
+        Ok(Value::Adt(id, self.get(id)?.parse(literal)?))
     }
 
-    /// Render an ADT value.
+    /// Render an ADT value (the bare id and length when the ADT is not
+    /// registered here).
     pub fn display(&self, id: AdtId, bytes: &[u8]) -> String {
-        self.get(id).display(bytes)
+        match self.get(id) {
+            Ok(adt) => adt.display(bytes),
+            Err(_) => format!("<{id}: {} bytes>", bytes.len()),
+        }
     }
 
     /// Whether the ADT supports ordering (and thus indexes) — the
     /// access-method applicability lookup.
     pub fn indexable(&self, id: AdtId) -> bool {
-        self.get(id).ordered()
+        self.get(id).is_ok_and(|a| a.ordered())
     }
 
     /// Look up a function on a specific ADT.
     pub fn function(&self, id: AdtId, name: &str) -> ModelResult<&AdtFunction> {
+        let adt = self.get(id)?;
         self.functions
             .get(&(id, name.to_string()))
-            .ok_or_else(|| ModelError::UnknownAdt(format!("{}.{}", self.get(id).name(), name)))
-    }
-
-    /// Resolve a function by name across all ADTs given the receiver's ADT
-    /// id, supporting the symmetric call syntax `Add(x, y)`: the first
-    /// argument's type owns the function.
-    pub fn resolve_function(&self, name: &str, receiver: AdtId) -> ModelResult<&AdtFunction> {
-        self.function(receiver, name)
+            .ok_or_else(|| ModelError::UnknownAdt(format!("{}.{}", adt.name(), name)))
     }
 
     /// All registrations for an operator symbol.
@@ -280,6 +282,7 @@ impl AdtRegistry {
                 _ => None,
             })
             .ok_or_else(|| ModelError::UnknownAdt(format!("operator {symbol}")))?;
+        let adt = self.get(recv)?;
         let cands = self.operator_candidates(symbol);
         let (id, op) = cands
             .iter()
@@ -288,7 +291,7 @@ impl AdtRegistry {
                 ModelError::UnknownAdt(format!(
                     "operator {symbol}/{} on {}",
                     args.len(),
-                    self.get(recv).name()
+                    adt.name()
                 ))
             })?;
         let f = self.function(*id, &op.function)?;
@@ -297,9 +300,9 @@ impl AdtRegistry {
 
     /// Key-encode an ADT value for indexing/comparison.
     pub fn key_encode(&self, id: AdtId, bytes: &[u8]) -> ModelResult<Vec<u8>> {
-        self.get(id).key_encode(bytes).ok_or_else(|| {
-            ModelError::AdtError(format!("ADT '{}' is not ordered", self.get(id).name()))
-        })
+        let adt = self.get(id)?;
+        adt.key_encode(bytes)
+            .ok_or_else(|| ModelError::AdtError(format!("ADT '{}' is not ordered", adt.name())))
     }
 }
 
@@ -430,6 +433,27 @@ mod tests {
             reg.register(Arc::new(Broken)),
             Err(ModelError::AdtError(_))
         ));
+    }
+
+    #[test]
+    fn an_id_the_registry_never_issued_errs_instead_of_panicking() {
+        // Ids arrive from stored records, the wire and catalog images.
+        let reg = AdtRegistry::with_builtins();
+        let stray = Value::Adt(AdtId(99), vec![1, 2, 3]);
+        assert!(reg.get(AdtId(99)).is_err());
+        assert!(matches!(
+            reg.parse(AdtId(99), "x"),
+            Err(ModelError::UnknownAdt(_))
+        ));
+        assert!(reg.function(AdtId(99), "F").is_err());
+        assert!(reg.key_encode(AdtId(99), &[]).is_err());
+        assert!(reg
+            .apply_operator("+", std::slice::from_ref(&stray))
+            .is_err());
+        assert!(!reg.indexable(AdtId(99)));
+        assert_eq!(stray.render(&reg), "<adt#99: 3 bytes>");
+        assert_eq!(stray.key_encode(&reg), None);
+        assert_eq!(stray.compare(&stray, &reg), None);
     }
 
     #[test]

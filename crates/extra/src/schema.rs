@@ -135,11 +135,6 @@ impl TypeRegistry {
         &self.types[id.0 as usize]
     }
 
-    /// Get a type by name.
-    pub fn get_by_name(&self, name: &str) -> ModelResult<&SchemaType> {
-        Ok(self.get(self.lookup(name)?))
-    }
-
     /// All defined types.
     pub fn iter(&self) -> impl Iterator<Item = &SchemaType> {
         self.types.iter()

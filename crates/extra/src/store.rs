@@ -26,6 +26,7 @@
 //! Values longer than a page spill into a large object ([`crate::store`]
 //! uses [`exodus_storage::lob`]), transparently.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
 use std::sync::Arc;
@@ -69,13 +70,38 @@ pub struct StoreRoots {
     pub file: u64,
 }
 
-/// An integrity edge extracted from a value.
+/// Where a holder keeps a link to another object.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Site {
+    /// Inside the holder's own value.
+    Value,
+    /// As the member record `rid` of the collection the holder anchors.
+    Member(RecordId),
+}
+
+/// An integrity edge: one link from a holder to `target`, whichever of
+/// the two sites keeps it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum Edge {
-    /// A `ref`-mode reference to `target`, declared at `declared`.
-    Ref { target: Oid, declared: TypeId },
-    /// An `own ref` component `child`, declared at `declared`.
-    Own { child: Oid, declared: TypeId },
+struct Edge {
+    target: Oid,
+    /// The schema type the link is declared at.
+    declared: TypeId,
+    /// `own ref` (exclusive, cascading) rather than `ref` (null-out).
+    owned: bool,
+    site: Site,
+}
+
+impl Edge {
+    /// The back-reference entry through which a delete of `target`
+    /// finds this edge at `holder`. An owned link inside a value has
+    /// none: the component's record names its owner instead.
+    fn backref_key(&self, holder: Oid) -> Option<Vec<u8>> {
+        match self.site {
+            Site::Member(rid) => Some(backref_key(self.target, BK_MEMBER, holder, rid.pack())),
+            Site::Value if self.owned => None,
+            Site::Value => Some(backref_key(self.target, BK_OBJECT, holder, 0)),
+        }
+    }
 }
 
 /// A collection: a heap file of members plus its element type.
@@ -115,6 +141,12 @@ fn backref_key(target: Oid, kind: u8, holder: Oid, extra: u64) -> Vec<u8> {
     k
 }
 
+/// The `(holder kind, holder, extra)` a back-reference key ends in.
+fn backref_holder(key: &[u8]) -> (u8, Oid, u64) {
+    let word = |at: usize| u64::from_be_bytes(key[at..at + 8].try_into().expect("eight bytes"));
+    (key[8], Oid(word(9)), word(17))
+}
+
 fn child_key(owner: Oid, child: Oid) -> Vec<u8> {
     let mut k = Vec::with_capacity(16);
     k.extend_from_slice(&be(owner));
@@ -137,20 +169,13 @@ fn prefix_bounds(prefix: &[u8]) -> (Bound<Vec<u8>>, Bound<Vec<u8>>) {
 impl ObjectStore {
     /// Create a fresh object store over a storage manager.
     pub fn new(sm: StorageManager) -> ModelResult<ObjectStore> {
-        let pool = sm.pool().clone();
-        let table = ObjectTable::create(&pool)?;
-        let backrefs = BTree::create(&pool)?;
-        let children = BTree::create(&pool)?;
-        let file = sm.create_file()?;
-        Ok(ObjectStore {
-            sm,
-            table,
-            backrefs,
-            children,
-            file,
-            types: RwLock::new(Vec::new()),
-            collections: RwLock::new(HashMap::new()),
-        })
+        let roots = StoreRoots {
+            table_root: ObjectTable::create(sm.pool())?.root(),
+            backrefs_root: BTree::create(sm.pool())?.root(),
+            children_root: BTree::create(sm.pool())?.root(),
+            file: sm.create_file()?.0,
+        };
+        Ok(ObjectStore::attach(sm, &roots))
     }
 
     /// The store's physical anchors: enough to re-attach to the same
@@ -236,12 +261,16 @@ impl ObjectStore {
         self.sm.pool()
     }
 
-    /// The active write transaction's provisional timestamp, if the
-    /// caller runs inside one — mutations are then versioned (new
-    /// versions stamped with the timestamp, superseded versions
-    /// end-stamped instead of destroyed).
-    fn write_ts(&self) -> Option<u64> {
-        self.sm.txn().current_write_ts()
+    /// The write transaction's provisional timestamp. Every mutation is
+    /// versioned with it — new versions begin at it, superseded ones are
+    /// end-stamped with it — so a mutator called with no write
+    /// transaction open is refused rather than left to write a record
+    /// no snapshot rule covers.
+    fn write_ts(&self) -> ModelResult<u64> {
+        self.sm
+            .txn()
+            .current_write_ts()
+            .ok_or_else(|| ModelError::Semantic("mutation outside a write transaction".into()))
     }
 
     /// The snapshot a mutating caller reads at: the writer's own
@@ -251,16 +280,21 @@ impl ObjectStore {
     /// sessions pass their registered snapshot to the `_at` reads
     /// instead.
     pub fn current_snap(&self) -> u64 {
-        self.write_ts().unwrap_or(TS_LATEST)
+        self.sm.txn().current_write_ts().unwrap_or(TS_LATEST)
     }
 
-    /// Insert a record, versioned when inside a write transaction.
+    /// Insert a record version that begins at the writer's timestamp.
     fn insert_record(&self, file: FileId, rec: &[u8]) -> ModelResult<RecordId> {
-        let hf = HeapFile::open(file);
-        Ok(match self.write_ts() {
-            Some(ts) => hf.insert_at(self.pool(), rec, ts)?,
-            None => hf.insert(self.pool(), rec)?,
-        })
+        Ok(HeapFile::open(file).insert_at(self.pool(), rec, self.write_ts()?)?)
+    }
+
+    /// Retire the record version at `rid`: end-stamp it at the writer's
+    /// timestamp, so snapshots opened before it still read it, and leave
+    /// the bytes to vacuum once no live snapshot can.
+    fn retire(&self, file: FileId, rid: RecordId) -> ModelResult<()> {
+        HeapFile::open(file).delete_versioned(self.pool(), rid, self.write_ts()?)?;
+        self.sm.txn().defer_reclaim(ReclaimOp::Record { rid });
+        Ok(())
     }
 
     /// Intern a qualified type, returning its small id.
@@ -281,6 +315,7 @@ impl ObjectStore {
     // -- record payloads ---------------------------------------------------
 
     fn encode_payload(&self, owner: Oid, value: &Value) -> ModelResult<Vec<u8>> {
+        self.write_ts()?; // refuse before a large value spills into a LOB
         let body = valueio::to_bytes(value);
         let mut rec = Vec::with_capacity(9 + body.len().min(INLINE_LIMIT));
         rec.extend_from_slice(&owner.0.to_le_bytes());
@@ -296,24 +331,19 @@ impl ObjectStore {
         Ok(rec)
     }
 
-    fn decode_payload(&self, rec: &[u8]) -> ModelResult<(Oid, Value)> {
-        if rec.len() < 9 {
-            return Err(ModelError::Semantic("truncated object record".into()));
-        }
-        let mut a = [0u8; 8];
-        a.copy_from_slice(&rec[..8]);
-        let owner = Oid(u64::from_le_bytes(a));
-        let value = match rec[8] {
-            TAG_INLINE => valueio::from_bytes(&rec[9..])?,
+    /// The encoded value of an object record: inline after the owner
+    /// and tag, or in the large object the record names.
+    fn payload_body<'a>(&self, rec: &'a [u8]) -> ModelResult<Cow<'a, [u8]>> {
+        let truncated = || ModelError::Semantic("truncated object record".into());
+        match *rec.get(8).ok_or_else(truncated)? {
+            TAG_INLINE => Ok(Cow::Borrowed(&rec[9..])),
             TAG_LOB => {
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&rec[9..17]);
-                let lob = Lob::open(LobId(u64::from_le_bytes(b)));
-                valueio::from_bytes(&lob.read_all(self.pool())?)?
+                let id = rec.get(9..17).ok_or_else(truncated)?;
+                let id = u64::from_le_bytes(id.try_into().expect("eight bytes"));
+                Ok(Cow::Owned(Lob::open(LobId(id)).read_all(self.pool())?))
             }
-            other => return Err(ModelError::Semantic(format!("bad record tag {other}"))),
-        };
-        Ok((owner, value))
+            other => Err(ModelError::Semantic(format!("bad record tag {other}"))),
+        }
     }
 
     // -- objects ------------------------------------------------------------
@@ -327,15 +357,18 @@ impl ObjectStore {
         qty: &QualType,
         value: Value,
     ) -> ModelResult<Oid> {
-        let type_id = self.intern(qty);
-        let rec = self.encode_payload(Oid::NULL, &value)?;
-        let rid = self.insert_record(self.file, &rec)?;
-        let oid = self.table.allocate(self.pool(), rid, type_id)?;
-        let edges = self.collect_edges(reg, qty, &value)?;
-        for e in &edges {
-            self.add_edge(reg, oid, e)?;
+        let oid = self.allocate(qty, &value)?;
+        for e in self.collect_edges(reg, qty, &value, Site::Value)? {
+            self.add_edge(reg, oid, &e)?;
         }
         Ok(oid)
+    }
+
+    /// Store `value` as a new, unowned object of type `qty`.
+    fn allocate(&self, qty: &QualType, value: &Value) -> ModelResult<Oid> {
+        let rec = self.encode_payload(Oid::NULL, value)?;
+        let rid = self.insert_record(self.file, &rec)?;
+        Ok(self.table.allocate(self.pool(), rid, self.intern(qty))?)
     }
 
     /// Whether an OID names an object with a version visible at `snap`.
@@ -343,19 +376,20 @@ impl ObjectStore {
         if !self.table.exists(self.pool(), oid)? {
             return Ok(false);
         }
-        Ok(self.read_version_bytes(oid, snap)?.is_some())
+        Ok(self.read_version(oid, snap)?.is_some())
     }
 
-    /// Raw record bytes of the version of `oid` visible at `snap`, or
-    /// `None` when no version is visible (created after the snapshot,
-    /// deleted before it, or uncommitted by another transaction). The
-    /// head version is tried first; older versions are resolved through
-    /// the in-memory chain kept by the transaction manager.
-    fn read_version_bytes(&self, oid: Oid, snap: u64) -> ModelResult<Option<Vec<u8>>> {
+    /// Interned type and raw record bytes of the version of `oid` visible
+    /// at `snap`, or `None` when no version is visible (created after the
+    /// snapshot, deleted before it, or uncommitted by another
+    /// transaction). The head version is tried first; older versions are
+    /// resolved through the in-memory chain kept by the transaction
+    /// manager.
+    fn read_version(&self, oid: Oid, snap: u64) -> ModelResult<Option<(u32, Vec<u8>)>> {
         let entry = self.table.get(self.pool(), oid)?;
         if let Ok((begin, end, bytes)) = heap::read_record_versioned(self.pool(), entry.rid) {
             if visible(begin, end, snap) {
-                return Ok(Some(bytes));
+                return Ok(Some((entry.type_id, bytes)));
             }
         }
         for rid in self.sm.txn().chain_rids(oid).into_iter().rev() {
@@ -364,15 +398,15 @@ impl ObjectStore {
             }
             if let Ok((begin, end, bytes)) = heap::read_record_versioned(self.pool(), rid) {
                 if visible(begin, end, snap) {
-                    return Ok(Some(bytes));
+                    return Ok(Some((entry.type_id, bytes)));
                 }
             }
         }
         Ok(None)
     }
 
-    fn version_bytes_or_missing(&self, oid: Oid, snap: u64) -> ModelResult<Vec<u8>> {
-        self.read_version_bytes(oid, snap)?.ok_or_else(|| {
+    fn version_or_missing(&self, oid: Oid, snap: u64) -> ModelResult<(u32, Vec<u8>)> {
+        self.read_version(oid, snap)?.ok_or_else(|| {
             ModelError::Semantic(format!("object {oid} is not visible at this snapshot"))
         })
     }
@@ -380,10 +414,10 @@ impl ObjectStore {
     /// Fetch `(declared type, owner, value)` of the version of an object
     /// visible at `snap`.
     pub fn get_at(&self, oid: Oid, snap: u64) -> ModelResult<(QualType, Oid, Value)> {
-        let entry = self.table.get(self.pool(), oid)?;
-        let rec = self.version_bytes_or_missing(oid, snap)?;
-        let (owner, value) = self.decode_payload(&rec)?;
-        Ok((self.qtype(entry.type_id), owner, value))
+        let (type_id, rec) = self.version_or_missing(oid, snap)?;
+        let value = valueio::from_bytes(&self.payload_body(&rec)?)?;
+        let owner = u64::from_le_bytes(rec[..8].try_into().expect("eight bytes"));
+        Ok((self.qtype(type_id), Oid(owner), value))
     }
 
     /// Fetch just the value of the version of an object visible at `snap`.
@@ -455,54 +489,26 @@ impl ObjectStore {
     /// `pos` is out of range; callers fall back to
     /// [`ObjectStore::value_of_at`] for those cases.
     pub fn field_of_at(&self, oid: Oid, pos: usize, snap: u64) -> ModelResult<Option<Value>> {
-        let rec = self.version_bytes_or_missing(oid, snap)?;
-        if rec.len() < 9 {
-            return Err(ModelError::Semantic("truncated object record".into()));
-        }
-        match rec[8] {
-            TAG_INLINE => valueio::tuple_field_from_bytes(&rec[9..], pos),
-            TAG_LOB => {
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&rec[9..17]);
-                let lob = Lob::open(LobId(u64::from_le_bytes(b)));
-                valueio::tuple_field_from_bytes(&lob.read_all(self.pool())?, pos)
-            }
-            other => Err(ModelError::Semantic(format!("bad record tag {other}"))),
-        }
+        let (_, rec) = self.version_or_missing(oid, snap)?;
+        valueio::tuple_field_from_bytes(&self.payload_body(&rec)?, pos)
     }
 
+    /// Give `oid` a new version: insert it, retire the old one, repoint
+    /// the object table. The chain entry is published *before* the
+    /// relocate so a reader that resolves the new (invisible-to-it) head
+    /// can still find the old version.
     fn rewrite_record(&self, oid: Oid, owner: Oid, value: &Value) -> ModelResult<()> {
         let entry = self.table.get(self.pool(), oid)?;
         let rec = self.encode_payload(owner, value)?;
-        match self.write_ts() {
-            None => {
-                let new_rid = self.sm.update(self.file, entry.rid, &rec)?;
-                if new_rid != entry.rid {
-                    self.table.relocate(self.pool(), oid, new_rid)?;
-                }
-            }
-            Some(ts) => {
-                // Versioned rewrite: insert a new version stamped `ts`,
-                // end-stamp the old one, repoint the object table. The
-                // chain entry is published *before* the relocate so a
-                // reader that resolves the new (invisible-to-it) head can
-                // still find the old version.
-                let txn = self.sm.txn();
-                txn.note_chain(oid, entry.rid);
-                let hf = HeapFile::open(self.file);
-                let new_rid = hf.insert_at(self.pool(), &rec, ts)?;
-                hf.delete_versioned(self.pool(), entry.rid, ts)?;
-                self.table.relocate(self.pool(), oid, new_rid)?;
-                txn.defer_reclaim(ReclaimOp::Record {
-                    file: self.file.0,
-                    rid: entry.rid,
-                });
-                txn.defer_reclaim(ReclaimOp::ChainEntry {
-                    oid,
-                    rid: entry.rid,
-                });
-            }
-        }
+        let txn = self.sm.txn();
+        txn.note_chain(oid, entry.rid);
+        let new_rid = self.insert_record(self.file, &rec)?;
+        self.retire(self.file, entry.rid)?;
+        self.table.relocate(self.pool(), oid, new_rid)?;
+        txn.defer_reclaim(ReclaimOp::ChainEntry {
+            oid,
+            rid: entry.rid,
+        });
         Ok(())
     }
 
@@ -510,9 +516,10 @@ impl ObjectStore {
     /// `own ref` components are deleted (they are exclusively owned),
     /// added ones are adopted, and `ref` back-references are re-indexed.
     pub fn set_value(&self, reg: &TypeRegistry, oid: Oid, value: Value) -> ModelResult<()> {
-        let (qty, owner, old) = self.get_at(oid, self.current_snap())?;
-        let old_edges: HashSet<Edge> = self.collect_edges(reg, &qty, &old)?.into_iter().collect();
-        let new_edges: HashSet<Edge> = self.collect_edges(reg, &qty, &value)?.into_iter().collect();
+        let (qty, owner, old) = self.get_at(oid, self.write_ts()?)?;
+        let edges_of = |v| self.collect_edges(reg, &qty, v, Site::Value);
+        let old_edges: HashSet<Edge> = edges_of(&old)?.into_iter().collect();
+        let new_edges: HashSet<Edge> = edges_of(&value)?.into_iter().collect();
         // Validate/adopt additions *before* the destructive removals.
         for e in new_edges.difference(&old_edges) {
             self.add_edge(reg, oid, e)?;
@@ -520,9 +527,9 @@ impl ObjectStore {
         self.rewrite_record(oid, owner, &value)?;
         for e in old_edges.difference(&new_edges) {
             self.remove_edge(oid, e)?;
-            if let Edge::Own { child, .. } = e {
+            if e.owned {
                 // Exclusively owned and no longer held: the component dies.
-                self.delete_object(reg, *child)?;
+                self.delete_object(reg, e.target)?;
             }
         }
         Ok(())
@@ -544,7 +551,7 @@ impl ObjectStore {
         if !visited.insert(oid) {
             return Ok(());
         }
-        let snap = self.current_snap();
+        let snap = self.write_ts()?;
         if !self.exists_at(oid, snap)? {
             return Ok(()); // already cascaded away
         }
@@ -556,178 +563,91 @@ impl ObjectStore {
         if !owner.is_null() && !visited.contains(&owner) {
             self.children
                 .delete(self.pool(), &child_key(owner, oid), oid.0)?;
-            if self.exists_at(owner, snap)? {
-                let (_, oowner, ovalue) = self.get_at(owner, snap)?;
-                let cleaned = null_out(&ovalue, oid);
-                self.rewrite_record(owner, oowner, &cleaned)?;
-            }
+            self.null_out_in(owner, oid, snap)?;
         }
 
         // 1. Cascade to owned components.
-        let kids: Vec<Oid> = {
-            let (lo, hi) = prefix_bounds(&be(oid));
-            self.children
-                .scan(self.pool().clone(), lo, hi)
-                .map(|r| r.map(|(_, v)| Oid(v)))
-                .collect::<Result<_, _>>()?
-        };
-        for kid in kids {
-            self.delete_rec(reg, kid, visited)?;
+        for (_, kid) in self.scan_under(&self.children, &be(oid))? {
+            self.delete_rec(reg, Oid(kid), visited)?;
         }
 
         // 2. Null out / remove dangling references to this object.
-        let inbound: Vec<(u8, Oid, u64)> = {
-            let (lo, hi) = prefix_bounds(&be(oid));
-            self.backrefs
-                .scan(self.pool().clone(), lo, hi)
-                .map(|r| {
-                    r.map(|(k, _)| {
-                        let kind = k[8];
-                        let mut h = [0u8; 8];
-                        h.copy_from_slice(&k[9..17]);
-                        let mut x = [0u8; 8];
-                        x.copy_from_slice(&k[17..25]);
-                        (kind, Oid(u64::from_be_bytes(h)), u64::from_be_bytes(x))
-                    })
-                })
-                .collect::<Result<_, _>>()?
-        };
-        for (kind, holder, extra) in inbound {
-            self.backrefs
-                .delete(self.pool(), &backref_key(oid, kind, holder, extra), 0)?;
+        for (key, _) in self.scan_under(&self.backrefs, &be(oid))? {
+            self.backrefs.delete(self.pool(), &key, 0)?;
+            let (kind, holder, extra) = backref_holder(&key);
             if visited.contains(&holder) {
                 continue; // holder is being deleted anyway
             }
             match kind {
-                BK_OBJECT => {
-                    if self.exists_at(holder, snap)? {
-                        let (_, howner, hvalue) = self.get_at(holder, snap)?;
-                        let nulled = null_out(&hvalue, oid);
-                        self.rewrite_record(holder, howner, &nulled)?;
-                    }
-                }
+                BK_OBJECT => self.null_out_in(holder, oid, snap)?,
+                // holder is a collection anchor; extra is the member rid.
                 BK_MEMBER => {
-                    // holder is a collection anchor; extra is the member rid.
-                    let info = self.collections.read().get(&holder).copied();
-                    if let Some(info) = info {
-                        let rid = RecordId::unpack(extra);
-                        let hf = HeapFile::open(info.file);
-                        match self.write_ts() {
-                            None => {
-                                let _ = hf.delete(self.pool(), rid);
-                            }
-                            Some(ts) => {
-                                if hf.delete_versioned(self.pool(), rid, ts).is_ok() {
-                                    self.sm.txn().defer_reclaim(ReclaimOp::Record {
-                                        file: info.file.0,
-                                        rid,
-                                    });
-                                }
-                            }
-                        }
-                    }
+                    self.retire(self.collection_info(holder)?.file, RecordId::unpack(extra))?
                 }
                 other => return Err(ModelError::Semantic(format!("bad backref kind {other}"))),
             }
         }
 
         // 3. Drop this object's outgoing edges.
-        for e in self.collect_edges(reg, &qty, &value)? {
+        for e in self.collect_edges(reg, &qty, &value, Site::Value)? {
             self.remove_edge(oid, &e)?;
         }
 
-        // 4. If it anchors a collection, destroy the members.
+        // 4. If it anchors a collection, unlink the members that are
+        //    links (their file is abandoned with the anchor, so the
+        //    records stay as they are).
         let info = self.collections.write().remove(&oid);
-        if let Some(info) = info {
-            let members: Vec<(RecordId, Vec<u8>)> = HeapFile::open(info.file)
+        let links = info.map(|i| (i.file, self.qtype(i.elem)));
+        if let Some((file, elem)) = links.filter(|(_, elem)| elem.mode != Ownership::Own) {
+            let members: Vec<(RecordId, Vec<u8>)> = HeapFile::open(file)
                 .scan(self.pool().clone())
                 .collect::<Result<_, _>>()?;
-            let elem = self.qtype(info.elem);
             for (rid, bytes) in members {
-                let member = valueio::from_bytes(&bytes)?;
-                if let Value::Ref(m) = member {
-                    self.backrefs.delete(
-                        self.pool(),
-                        &backref_key(m, BK_MEMBER, oid, rid.pack()),
-                        0,
-                    )?;
-                    if elem.mode == Ownership::OwnRef {
-                        self.children.delete(self.pool(), &child_key(oid, m), m.0)?;
-                        self.delete_rec(reg, m, visited)?;
-                    }
-                }
+                self.unlink_member(reg, oid, &elem, rid, &valueio::from_bytes(&bytes)?, visited)?;
             }
         }
 
-        // 5. Remove record and identity.
+        // 5. Retire the record; vacuum frees it and the OID slot once no
+        //    live snapshot can need them.
         let entry = self.table.get(self.pool(), oid)?;
-        match self.write_ts() {
-            None => {
-                self.sm.delete(entry.rid)?;
-                self.table.free(self.pool(), oid)?;
-            }
-            Some(ts) => {
-                // Versioned delete: end-stamp the record so snapshots
-                // opened before `ts` still see it; the physical record
-                // and the OID slot are reclaimed by vacuum once no live
-                // snapshot can need them.
-                HeapFile::open(self.file).delete_versioned(self.pool(), entry.rid, ts)?;
-                let txn = self.sm.txn();
-                txn.defer_reclaim(ReclaimOp::Record {
-                    file: self.file.0,
-                    rid: entry.rid,
-                });
-                txn.defer_reclaim(ReclaimOp::ObjectSlot { oid });
+        self.retire(self.file, entry.rid)?;
+        self.sm.txn().defer_reclaim(ReclaimOp::ObjectSlot { oid });
+        Ok(())
+    }
+
+    /// GEM null-out: give `holder`, if it is still live, a version
+    /// without its references to `target`.
+    fn null_out_in(&self, holder: Oid, target: Oid, snap: u64) -> ModelResult<()> {
+        if self.exists_at(holder, snap)? {
+            let (_, owner, value) = self.get_at(holder, snap)?;
+            let cleaned = null_out(&value, target);
+            if cleaned != value {
+                self.rewrite_record(holder, owner, &cleaned)?;
             }
         }
         Ok(())
     }
 
-    // -- ownership ----------------------------------------------------------
-
-    /// Make `owner` the exclusive owner of `child`.
-    pub fn adopt(&self, child: Oid, owner: Oid) -> ModelResult<()> {
-        let (_, current, value) = self.get_at(child, self.current_snap())?;
-        if current == owner {
-            return Ok(());
-        }
-        if !current.is_null() {
-            return Err(ModelError::Integrity(format!(
-                "object {child} is already an own-ref component of {current}; \
-                 own-ref objects cannot be shared"
-            )));
-        }
-        self.rewrite_record(child, owner, &value)?;
-        self.children
-            .insert(self.pool(), &child_key(owner, child), child.0, false)?;
-        Ok(())
-    }
-
-    /// Release `child` from `owner` without deleting it.
-    pub fn orphan(&self, child: Oid, owner: Oid) -> ModelResult<()> {
-        let (_, current, value) = self.get_at(child, self.current_snap())?;
-        if current != owner {
-            return Err(ModelError::Integrity(format!(
-                "object {child} is not owned by {owner}"
-            )));
-        }
-        self.rewrite_record(child, Oid::NULL, &value)?;
-        self.children
-            .delete(self.pool(), &child_key(owner, child), child.0)?;
-        Ok(())
+    /// The entries of `tree` whose key starts with `prefix`.
+    fn scan_under(&self, tree: &BTree, prefix: &[u8]) -> ModelResult<Vec<(Vec<u8>, u64)>> {
+        let (lo, hi) = prefix_bounds(prefix);
+        let entries = tree.scan(self.pool().clone(), lo, hi);
+        Ok(entries.collect::<Result<_, _>>()?)
     }
 
     // -- integrity edges ----------------------------------------------------
 
-    /// Extract integrity edges from a value, guided by the declared type.
+    /// Extract the integrity edges a holder keeps at `site` from the
+    /// value stored there, guided by the declared type.
     fn collect_edges(
         &self,
         reg: &TypeRegistry,
         qty: &QualType,
         value: &Value,
+        site: Site,
     ) -> ModelResult<Vec<Edge>> {
         let mut edges = Vec::new();
-        self.walk_edges(reg, qty, value, &mut edges)?;
+        self.walk_edges(reg, qty, value, site, &mut edges)?;
         Ok(edges)
     }
 
@@ -736,6 +656,7 @@ impl ObjectStore {
         reg: &TypeRegistry,
         qty: &QualType,
         value: &Value,
+        site: Site,
         out: &mut Vec<Edge>,
     ) -> ModelResult<()> {
         match qty.mode {
@@ -746,16 +667,11 @@ impl ObjectStore {
                 match value {
                     Value::Null => Ok(()),
                     Value::Ref(oid) => {
-                        out.push(if qty.mode == Ownership::Ref {
-                            Edge::Ref {
-                                target: *oid,
-                                declared,
-                            }
-                        } else {
-                            Edge::Own {
-                                child: *oid,
-                                declared,
-                            }
+                        out.push(Edge {
+                            target: *oid,
+                            declared,
+                            owned: qty.mode == Ownership::OwnRef,
+                            site,
                         });
                         Ok(())
                     }
@@ -769,25 +685,25 @@ impl ObjectStore {
                 (Type::Schema(tid), Value::Tuple(fields)) => {
                     let st = reg.get(*tid);
                     for (f, a) in fields.iter().zip(st.attributes()) {
-                        self.walk_edges(reg, &a.qty, f, out)?;
+                        self.walk_edges(reg, &a.qty, f, site, out)?;
                     }
                     Ok(())
                 }
                 (Type::Tuple(attrs), Value::Tuple(fields)) => {
                     for (f, a) in fields.iter().zip(attrs.iter()) {
-                        self.walk_edges(reg, &a.qty, f, out)?;
+                        self.walk_edges(reg, &a.qty, f, site, out)?;
                     }
                     Ok(())
                 }
                 (Type::Set(elem), Value::Set(ms)) => {
                     for m in ms {
-                        self.walk_edges(reg, elem, m, out)?;
+                        self.walk_edges(reg, elem, m, site, out)?;
                     }
                     Ok(())
                 }
                 (Type::Array(_, elem), Value::Array(items)) => {
                     for i in items {
-                        self.walk_edges(reg, elem, i, out)?;
+                        self.walk_edges(reg, elem, i, site, out)?;
                     }
                     Ok(())
                 }
@@ -796,60 +712,72 @@ impl ObjectStore {
         }
     }
 
-    /// Validate that `target` is a live instance of (a subtype of)
-    /// `declared`.
-    fn check_target(&self, reg: &TypeRegistry, target: Oid, declared: TypeId) -> ModelResult<()> {
-        let (qty, _, _) = self.get_at(target, self.current_snap()).map_err(|_| {
+    /// Register `edge` at `holder`: the target must be a live instance
+    /// of (a subtype of) the declared type, an owned target becomes
+    /// `holder`'s exclusive component, and the back-reference index
+    /// learns of the link.
+    fn add_edge(&self, reg: &TypeRegistry, holder: Oid, edge: &Edge) -> ModelResult<()> {
+        let admitted = self.check_edge(reg, holder, edge)?;
+        self.link(holder, edge, admitted)
+    }
+
+    /// The validating half of [`ObjectStore::add_edge`], which writes
+    /// nothing: returns the target's current owner and value, or the
+    /// reason `holder` may not link to it.
+    fn check_edge(
+        &self,
+        reg: &TypeRegistry,
+        holder: Oid,
+        edge: &Edge,
+    ) -> ModelResult<(Oid, Value)> {
+        let target = edge.target;
+        let (qty, owner, value) = self.get_at(target, self.write_ts()?).map_err(|_| {
             ModelError::Integrity(format!(
                 "reference target {target} does not exist (referenced objects \
                  must exist elsewhere in the database)"
             ))
         })?;
-        match qty.ty {
-            Type::Schema(t) if reg.is_subtype(t, declared) => Ok(()),
-            other => Err(ModelError::TypeMismatch {
-                expected: reg.get(declared).name.clone(),
-                got: reg.display_type(&other),
-            }),
+        if !matches!(qty.ty, Type::Schema(t) if reg.is_subtype(t, edge.declared)) {
+            return Err(ModelError::TypeMismatch {
+                expected: reg.get(edge.declared).name.clone(),
+                got: reg.display_type(&qty.ty),
+            });
         }
+        if edge.owned && owner != holder && !owner.is_null() {
+            return Err(ModelError::Integrity(format!(
+                "object {target} is already an own-ref component of {owner}; \
+                 own-ref objects cannot be shared"
+            )));
+        }
+        Ok((owner, value))
     }
 
-    fn add_edge(&self, reg: &TypeRegistry, source: Oid, edge: &Edge) -> ModelResult<()> {
-        match edge {
-            Edge::Ref { target, declared } => {
-                self.check_target(reg, *target, *declared)?;
-                self.backrefs.insert(
-                    self.pool(),
-                    &backref_key(*target, BK_OBJECT, source, 0),
-                    0,
-                    false,
-                )?;
-                Ok(())
-            }
-            Edge::Own { child, declared } => {
-                self.check_target(reg, *child, *declared)?;
-                self.adopt(*child, source)?;
-                Ok(())
-            }
+    /// The writing half of [`ObjectStore::add_edge`], given what
+    /// [`ObjectStore::check_edge`] admitted.
+    fn link(&self, holder: Oid, edge: &Edge, (owner, value): (Oid, Value)) -> ModelResult<()> {
+        if edge.owned && owner != holder {
+            self.rewrite_record(edge.target, holder, &value)?;
+            let key = child_key(holder, edge.target);
+            self.children
+                .insert(self.pool(), &key, edge.target.0, false)?;
         }
+        if let Some(key) = edge.backref_key(holder) {
+            self.backrefs.insert(self.pool(), &key, 0, false)?;
+        }
+        Ok(())
     }
 
-    fn remove_edge(&self, source: Oid, edge: &Edge) -> ModelResult<()> {
-        match edge {
-            Edge::Ref { target, .. } => {
-                self.backrefs.delete(
-                    self.pool(),
-                    &backref_key(*target, BK_OBJECT, source, 0),
-                    0,
-                )?;
-                Ok(())
-            }
-            Edge::Own { child, .. } => {
-                self.children
-                    .delete(self.pool(), &child_key(source, *child), child.0)?;
-                Ok(())
-            }
+    /// The inverse of [`ObjectStore::add_edge`]'s index entries. An owned
+    /// target is left to the caller, which deletes it.
+    fn remove_edge(&self, holder: Oid, edge: &Edge) -> ModelResult<()> {
+        if let Some(key) = edge.backref_key(holder) {
+            self.backrefs.delete(self.pool(), &key, 0)?;
         }
+        if edge.owned {
+            let key = child_key(holder, edge.target);
+            self.children.delete(self.pool(), &key, edge.target.0)?;
+        }
+        Ok(())
     }
 
     // -- collections ----------------------------------------------------------
@@ -857,12 +785,10 @@ impl ObjectStore {
     /// Create a named collection (a top-level set object): returns its
     /// anchor OID.
     pub fn create_collection(&self, elem: &QualType) -> ModelResult<Oid> {
+        self.write_ts()?; // refuse before the member file is created
         let file = self.sm.create_file()?;
         let coll_ty = QualType::own(Type::Set(Box::new(elem.clone())));
-        let type_id = self.intern(&coll_ty);
-        let rec = self.encode_payload(Oid::NULL, &Value::Null)?;
-        let rid = self.sm.insert(self.file, &rec)?;
-        let anchor = self.table.allocate(self.pool(), rid, type_id)?;
+        let anchor = self.allocate(&coll_ty, &Value::Null)?;
         self.collections.write().insert(
             anchor,
             CollectionInfo {
@@ -903,55 +829,34 @@ impl ObjectStore {
     ) -> ModelResult<RecordId> {
         let info = self.collection_info(anchor)?;
         let elem = self.qtype(info.elem);
-        match elem.mode {
-            Ownership::Own => {
-                let rid = self.insert_record(info.file, &valueio::to_bytes(&value))?;
-                Ok(rid)
-            }
-            Ownership::Ref | Ownership::OwnRef => {
-                let Value::Ref(target) = value else {
-                    return Err(ModelError::TypeMismatch {
-                        expected: "a reference".into(),
-                        got: value.kind().into(),
-                    });
-                };
-                let Type::Schema(declared) = elem.ty else {
-                    return Err(ModelError::RefToValueType("collection element".into()));
-                };
-                self.check_target(reg, target, declared)?;
-                // Sets have no duplicates: an existing membership backref
-                // for this (target, anchor) means the member is present.
-                let (lo, hi) = {
-                    let mut p = Vec::with_capacity(17);
-                    p.extend_from_slice(&be(target));
-                    p.push(BK_MEMBER);
-                    p.extend_from_slice(&be(anchor));
-                    prefix_bounds(&p)
-                };
-                let dup = self
-                    .backrefs
-                    .scan(self.pool().clone(), lo, hi)
-                    .next()
-                    .transpose()?
-                    .is_some();
-                if dup {
-                    return Err(ModelError::Integrity(format!(
-                        "{target} is already a member of this set"
-                    )));
-                }
-                if elem.mode == Ownership::OwnRef {
-                    self.adopt(target, anchor)?;
-                }
-                let rid = self.insert_record(info.file, &valueio::to_bytes(&value))?;
-                self.backrefs.insert(
-                    self.pool(),
-                    &backref_key(target, BK_MEMBER, anchor, rid.pack()),
-                    0,
-                    false,
-                )?;
-                Ok(rid)
-            }
+        let bytes = valueio::to_bytes(&value);
+        if elem.mode == Ownership::Own {
+            return self.insert_record(info.file, &bytes);
         }
+        let Value::Ref(target) = value else {
+            return Err(ModelError::TypeMismatch {
+                expected: "a reference".into(),
+                got: value.kind().into(),
+            });
+        };
+        // Sets have no duplicates: an existing membership backref for
+        // this (target, anchor) means the member is present.
+        let held = [&be(target)[..], &[BK_MEMBER], &be(anchor)].concat();
+        if !self.scan_under(&self.backrefs, &held)?.is_empty() {
+            return Err(ModelError::Integrity(format!(
+                "{target} is already a member of this set"
+            )));
+        }
+        // The edge names the member record, so it is sited once the
+        // record is in — and the record goes in only once the target is
+        // admitted, so a refused append writes nothing.
+        let mut edges = self.collect_edges(reg, &elem, &value, Site::Value)?;
+        let mut edge = edges.pop().expect("a reference at a link mode is one edge");
+        let admitted = self.check_edge(reg, anchor, &edge)?;
+        let rid = self.insert_record(info.file, &bytes)?;
+        edge.site = Site::Member(rid);
+        self.link(anchor, &edge, admitted)?;
+        Ok(rid)
     }
 
     /// Batched member scan over the member versions visible at `snap`:
@@ -997,40 +902,40 @@ impl ObjectStore {
     /// set; `own` members vanish with their record.
     pub fn remove_member(&self, reg: &TypeRegistry, anchor: Oid, rid: RecordId) -> ModelResult<()> {
         let info = self.collection_info(anchor)?;
+        let member = valueio::from_bytes(&self.sm.read(rid)?)?;
+        self.retire(info.file, rid)?;
         let elem = self.qtype(info.elem);
-        let hf = HeapFile::open(info.file);
-        let bytes = self.sm.read(rid)?;
-        let member = valueio::from_bytes(&bytes)?;
-        match self.write_ts() {
-            None => hf.delete(self.pool(), rid)?,
-            Some(ts) => {
-                hf.delete_versioned(self.pool(), rid, ts)?;
-                self.sm.txn().defer_reclaim(ReclaimOp::Record {
-                    file: info.file.0,
-                    rid,
-                });
-            }
+        if elem.mode != Ownership::Own {
+            self.unlink_member(reg, anchor, &elem, rid, &member, &mut HashSet::new())?;
         }
-        if let Value::Ref(target) = member {
-            self.backrefs.delete(
-                self.pool(),
-                &backref_key(target, BK_MEMBER, anchor, rid.pack()),
-                0,
-            )?;
-            if elem.mode == Ownership::OwnRef {
-                self.children
-                    .delete(self.pool(), &child_key(anchor, target), target.0)?;
-                // Rewrite owner so delete_object's cascade bookkeeping stays
-                // consistent, then delete the exclusively-owned component.
-                let (_, _, v) = self.get_at(target, self.current_snap())?;
-                self.rewrite_record(target, Oid::NULL, &v)?;
-                self.delete_object(reg, target)?;
+        Ok(())
+    }
+
+    /// Take the `ref` / `own ref` member stored at `rid` out of `anchor`'s
+    /// integrity graph: drop its edge and, when the collection owns it,
+    /// delete it.
+    fn unlink_member(
+        &self,
+        reg: &TypeRegistry,
+        anchor: Oid,
+        elem: &QualType,
+        rid: RecordId,
+        member: &Value,
+        visited: &mut HashSet<Oid>,
+    ) -> ModelResult<()> {
+        for e in self.collect_edges(reg, elem, member, Site::Member(rid))? {
+            self.remove_edge(anchor, &e)?;
+            if e.owned {
+                self.delete_rec(reg, e.target, visited)?;
             }
         }
         Ok(())
     }
 
-    /// Update an `own`-mode member in place (the record may move).
+    /// Replace an `own`-mode member: members are scan-addressed (no
+    /// OID), so instead of chaining, the new version goes in beside the
+    /// old one and a snapshot scan picks exactly one of them. Returns
+    /// the new version's record id.
     pub fn update_member(
         &self,
         anchor: Oid,
@@ -1044,46 +949,22 @@ impl ObjectStore {
                 "update_member applies to own-mode members; update the object instead".into(),
             ));
         }
-        let hf = HeapFile::open(info.file);
-        let bytes = valueio::to_bytes(value);
-        match self.write_ts() {
-            None => Ok(hf.update(self.pool(), rid, &bytes)?),
-            Some(ts) => {
-                // Versioned update: members are scan-addressed (no OID), so
-                // instead of chaining we insert a new version and end-stamp
-                // the old record; snapshot scans pick exactly one of them.
-                let new_rid = hf.insert_at(self.pool(), &bytes, ts)?;
-                hf.delete_versioned(self.pool(), rid, ts)?;
-                self.sm.txn().defer_reclaim(ReclaimOp::Record {
-                    file: info.file.0,
-                    rid,
-                });
-                Ok(new_rid)
-            }
-        }
+        let new_rid = self.insert_record(info.file, &valueio::to_bytes(value))?;
+        self.retire(info.file, rid)?;
+        Ok(new_rid)
     }
 
     /// Collections an object is currently a member of:
     /// `(anchor, member record id)` pairs.
     pub fn memberships(&self, oid: Oid) -> ModelResult<Vec<(Oid, RecordId)>> {
-        let mut prefix = Vec::with_capacity(9);
-        prefix.extend_from_slice(&be(oid));
+        let mut prefix = be(oid).to_vec();
         prefix.push(BK_MEMBER);
-        let (lo, hi) = prefix_bounds(&prefix);
-        self.backrefs
-            .scan(self.pool().clone(), lo, hi)
-            .map(|r| {
-                let (k, _) = r?;
-                let mut h = [0u8; 8];
-                h.copy_from_slice(&k[9..17]);
-                let mut x = [0u8; 8];
-                x.copy_from_slice(&k[17..25]);
-                Ok((
-                    Oid(u64::from_be_bytes(h)),
-                    RecordId::unpack(u64::from_be_bytes(x)),
-                ))
-            })
-            .collect()
+        let held = self.scan_under(&self.backrefs, &prefix)?;
+        let member = |(key, _): &(Vec<u8>, u64)| {
+            let (_, anchor, rid) = backref_holder(key);
+            (anchor, RecordId::unpack(rid))
+        };
+        Ok(held.iter().map(member).collect())
     }
 
     // -- vacuum --------------------------------------------------------------
@@ -1115,7 +996,7 @@ impl ObjectStore {
                 // The record counter was already decremented when the
                 // version was end-stamped, so the count-free delete is
                 // the right one here.
-                ReclaimOp::Record { rid, .. } => {
+                ReclaimOp::Record { rid } => {
                     let _ = heap::delete_record(self.pool(), rid);
                 }
                 ReclaimOp::ObjectSlot { oid } => {
@@ -1193,7 +1074,6 @@ impl ObjectStore {
     }
 }
 
-/// Replace every `Ref(target)` in `v` with `Null` (GEM null-out).
 /// A batched collection-member scan (see
 /// [`ObjectStore::scan_members_batch_at`]).
 pub struct MemberScan {
@@ -1223,6 +1103,7 @@ impl MemberScan {
     }
 }
 
+/// Replace every `Ref(target)` in `v` with `Null` (GEM null-out).
 fn null_out(v: &Value, target: Oid) -> Value {
     match v {
         Value::Ref(o) if *o == target => Value::Null,
@@ -1246,6 +1127,9 @@ mod tests {
     struct Fixture {
         reg: TypeRegistry,
         store: ObjectStore,
+        /// Open for the whole test, as a statement's is in production;
+        /// reads at `TS_LATEST` see its writes.
+        _txn: exodus_storage::WriteTxn,
         person: TypeId,
         dept: TypeId,
         employee: TypeId,
@@ -1290,9 +1174,11 @@ mod tests {
             )
             .unwrap();
         let store = ObjectStore::new(StorageManager::in_memory(256)).unwrap();
+        let _txn = store.storage().begin_txn().unwrap();
         Fixture {
             reg,
             store,
+            _txn,
             person,
             dept,
             employee,
@@ -1326,6 +1212,53 @@ mod tests {
         assert!(owner.is_null());
         assert_eq!(v, person_v("ann", 30));
         assert!(f.store.exists_at(oid, TS_LATEST).unwrap());
+    }
+
+    #[test]
+    fn mutators_refuse_to_run_outside_a_write_transaction() {
+        let f = fixture();
+        let q = QualType::own(Type::Schema(f.person));
+        let oid = f
+            .store
+            .create_object(&f.reg, &q, person_v("ann", 30))
+            .unwrap();
+        let anchor = f.store.create_collection(&q).unwrap();
+        let rid = f
+            .store
+            .append_member(&f.reg, anchor, person_v("bob", 31))
+            .unwrap();
+        f._txn.commit().unwrap();
+        let pages = f.store.storage().pool().volume_pages();
+        let big = person_v(&"x".repeat(2 * INLINE_LIMIT), 1);
+        let refused = [
+            f.store
+                .create_object(&f.reg, &q, person_v("eve", 1))
+                .map(drop),
+            f.store.create_object(&f.reg, &q, big.clone()).map(drop),
+            f.store.set_value(&f.reg, oid, big),
+            f.store.set_value(&f.reg, oid, person_v("ann", 31)),
+            f.store.delete_object(&f.reg, oid),
+            f.store.create_collection(&q).map(drop),
+            f.store
+                .append_member(&f.reg, anchor, person_v("eve", 1))
+                .map(drop),
+            f.store
+                .update_member(anchor, rid, &person_v("bob", 32))
+                .map(drop),
+            f.store.remove_member(&f.reg, anchor, rid),
+        ];
+        for r in refused {
+            let err = r.unwrap_err().to_string();
+            assert!(err.contains("outside a write transaction"), "{err}");
+        }
+        // Nothing was written on the way to the refusal: no record, and
+        // no unversioned member file or large object either.
+        assert_eq!(f.store.storage().pool().volume_pages(), pages);
+        assert_eq!(
+            f.store.value_of_at(oid, TS_LATEST).unwrap(),
+            person_v("ann", 30)
+        );
+        assert_eq!(f.store.member_count(anchor).unwrap(), 1);
     }
 
     #[test]
@@ -1654,10 +1587,17 @@ mod tests {
             .store
             .create_collection(&QualType::own_ref(Type::Schema(f.employee)))
             .unwrap();
+        let pending = f.store.storage().txn().pending_reclaims();
         assert!(f
             .store
             .append_member(&f.reg, other, Value::Ref(e1))
             .is_err());
+        // ... and the refused append wrote nothing: no member, visible
+        // or end-stamped, and nothing for vacuum to reclaim.
+        assert_eq!(f.store.member_count(other).unwrap(), 0);
+        let mut members = f.store.scan_members_batch_at(other, TS_LATEST).unwrap();
+        assert!(members.next_batch(8).unwrap().is_empty());
+        assert_eq!(f.store.storage().txn().pending_reclaims(), pending);
         // Removing a member deletes the owned object.
         let rid = f
             .store

@@ -134,7 +134,7 @@ impl Value {
             (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
             (Value::Enum(a, _), Value::Enum(b, _)) => Some(a.cmp(b)),
             (Value::Adt(ia, ba), Value::Adt(ib, bb)) if ia == ib => {
-                let adt = adts.get(*ia);
+                let adt = adts.get(*ia).ok()?;
                 match (adt.key_encode(ba), adt.key_encode(bb)) {
                     (Some(ka), Some(kb)) => Some(ka.cmp(&kb)),
                     _ => None,
@@ -402,7 +402,7 @@ impl Value {
             Value::Bool(b) => k.put_bool(*b),
             Value::Str(s) => k.put_str(s),
             Value::Enum(ord, _) => k.put_i64(*ord as i64),
-            Value::Adt(id, bytes) => k.put_raw(&adts.get(*id).key_encode(bytes)?),
+            Value::Adt(id, bytes) => k.put_raw(&adts.get(*id).ok()?.key_encode(bytes)?),
             _ => return None,
         }
         Some(k.into_bytes())

@@ -1,9 +1,13 @@
 //! Property tests for the object store's integrity invariants: after any
 //! sequence of creates, link updates, and deletes, no live object holds a
-//! dangling reference, and ownership is exclusive.
+//! dangling reference, and ownership is exclusive. Every step commits
+//! its own write transaction, so the same sequences also check that a
+//! snapshot held across them keeps reading the graph it started with and
+//! that vacuum reclaims every version the steps retired.
 
 use proptest::prelude::*;
 
+use exodus_storage::object::ObjectTable;
 use exodus_storage::{Oid, StorageManager, TS_LATEST};
 use extra_model::schema::InheritSpec;
 use extra_model::{Attribute, ModelError, ObjectStore, QualType, Type, TypeRegistry, Value};
@@ -12,8 +16,16 @@ struct World {
     reg: TypeRegistry,
     store: ObjectStore,
     node: extra_model::TypeId,
+    /// A `{ ref Node }` collection the ops add members to.
+    set: Oid,
     live: Vec<Oid>,
+    /// Every object ever created.
+    created: Vec<Oid>,
 }
+
+/// The graph as one snapshot sees it: each object's `(owner, value)` and
+/// the ref-set's members.
+type Graph = (Vec<(Oid, Oid, Value)>, Vec<Value>);
 
 fn world() -> World {
     let mut reg = TypeRegistry::new();
@@ -30,11 +42,18 @@ fn world() -> World {
     )
     .unwrap();
     let store = ObjectStore::new(StorageManager::in_memory(512)).unwrap();
+    let txn = store.storage().begin_txn().unwrap();
+    let set = store
+        .create_collection(&QualType::reference(Type::Schema(node)))
+        .unwrap();
+    txn.commit().unwrap();
     World {
         reg,
         store,
         node,
+        set,
         live: Vec::new(),
+        created: Vec::new(),
     }
 }
 
@@ -46,6 +65,10 @@ enum Op {
     /// Adopt live[b] as live[a]'s own-ref part.
     Adopt(usize, usize),
     Delete(usize),
+    /// Add live[a] to the ref-set.
+    Join(usize),
+    /// Take live[a] out of the ref-set again.
+    Leave(usize),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -54,6 +77,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0usize..32, 0usize..32).prop_map(|(a, b)| Op::Link(a, b)),
         (0usize..32, 0usize..32).prop_map(|(a, b)| Op::Adopt(a, b)),
         (0usize..32).prop_map(Op::Delete),
+        (0usize..32).prop_map(Op::Join),
+        (0usize..32).prop_map(Op::Leave),
     ]
 }
 
@@ -66,7 +91,16 @@ impl World {
         QualType::own(Type::Schema(self.node))
     }
 
+    /// One step: a write transaction of its own, committed.
     fn apply(&mut self, op: &Op) {
+        let txn = self.store.storage().begin_txn().unwrap();
+        self.mutate(op);
+        txn.commit().unwrap();
+        self.live
+            .retain(|o| self.store.exists_at(*o, TS_LATEST).unwrap());
+    }
+
+    fn mutate(&mut self, op: &Op) {
         match op {
             Op::Create(tag) => {
                 let oid = self
@@ -78,6 +112,7 @@ impl World {
                     )
                     .unwrap();
                 self.live.push(oid);
+                self.created.push(oid);
             }
             Op::Link(a, b) => {
                 if self.live.is_empty() {
@@ -125,12 +160,59 @@ impl World {
                     return;
                 }
                 let oid = self.live[a % self.live.len()];
+                // Cascades may take others with it; `apply` recomputes.
                 self.store.delete_object(&self.reg, oid).unwrap();
-                // Cascades may have taken others with it; recompute below.
+            }
+            Op::Join(a) => {
+                if self.live.is_empty() {
+                    return;
+                }
+                let a = self.live[a % self.live.len()];
+                let already = !self.memberships(a).is_empty();
+                match self.store.append_member(&self.reg, self.set, Value::Ref(a)) {
+                    Ok(_) => assert!(!already, "sets dedupe by identity"),
+                    Err(ModelError::Integrity(_)) => assert!(already, "fresh member rejected?"),
+                    Err(other) => panic!("unexpected error: {other}"),
+                }
+            }
+            Op::Leave(a) => {
+                if self.live.is_empty() {
+                    return;
+                }
+                let a = self.live[a % self.live.len()];
+                for (anchor, rid) in self.memberships(a) {
+                    self.store.remove_member(&self.reg, anchor, rid).unwrap();
+                }
             }
         }
-        self.live
-            .retain(|o| self.store.exists_at(*o, TS_LATEST).unwrap());
+    }
+
+    fn memberships(&self, oid: Oid) -> Vec<(Oid, exodus_storage::RecordId)> {
+        self.store.memberships(oid).unwrap()
+    }
+
+    fn members_at(&self, snap: u64) -> Vec<Value> {
+        let mut scan = self.store.scan_members_batch_at(self.set, snap).unwrap();
+        let mut members = Vec::new();
+        loop {
+            let batch = scan.next_batch(7).unwrap();
+            if batch.is_empty() {
+                return members;
+            }
+            members.extend(batch.into_iter().map(|(_, v)| v));
+        }
+    }
+
+    /// What `oids` and the ref-set look like at `snap`.
+    fn graph_at(&self, oids: &[Oid], snap: u64) -> Graph {
+        let objects = oids
+            .iter()
+            .map(|&o| {
+                let (_, owner, v) = self.store.get_at(o, snap).unwrap();
+                (o, owner, v)
+            })
+            .collect();
+        (objects, self.members_at(snap))
     }
 
     /// Invariants: every live object's `link` is live or null; every
@@ -168,6 +250,19 @@ impl World {
                 other => panic!("bad part: {other:?}"),
             }
         }
+        // The ref-set holds exactly its live members, once each.
+        let members = self.members_at(TS_LATEST);
+        assert_eq!(
+            members.len() as u64,
+            self.store.member_count(self.set).unwrap()
+        );
+        for m in &members {
+            let Value::Ref(t) = m else {
+                panic!("bad member: {m:?}")
+            };
+            assert!(self.live.contains(t), "dangling member {t}");
+            assert_eq!(self.memberships(*t).len(), 1);
+        }
     }
 }
 
@@ -175,12 +270,40 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn integrity_invariants_hold(ops in prop::collection::vec(op_strategy(), 1..60)) {
+    fn integrity_invariants_hold(
+        ops in prop::collection::vec(op_strategy(), 1..60),
+        cut in 0usize..60,
+    ) {
         let mut w = world();
-        for op in &ops {
+        let (before, after) = ops.split_at(cut.min(ops.len()));
+        for op in before {
             w.apply(op);
             w.check();
         }
+        // A reader opens here and stays open while the rest commits.
+        let snap = w.store.storage().begin_snapshot();
+        let seen = w.live.clone();
+        let graph = w.graph_at(&seen, TS_LATEST);
+        for op in after {
+            w.apply(op);
+            w.check();
+            prop_assert!(w.store.vacuum().is_ok());
+        }
+        // Cascades, null-outs and member removals since then are all
+        // invisible to it, vacuum or no vacuum.
+        prop_assert_eq!(w.graph_at(&seen, snap.ts()), graph);
+        drop(snap);
+        // With no reader left, one vacuum frees everything retired:
+        // superseded versions, deleted records, and the deleted objects'
+        // OID slots.
+        w.store.vacuum().unwrap();
+        let sm = w.store.storage();
+        prop_assert_eq!(sm.txn().pending_reclaims(), 0);
+        let table = ObjectTable::open(w.store.roots().table_root);
+        for oid in &w.created {
+            prop_assert_eq!(table.exists(sm.pool(), *oid).unwrap(), w.live.contains(oid));
+        }
+        w.check();
     }
 }
 

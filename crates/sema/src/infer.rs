@@ -9,9 +9,6 @@ use extra_model::{AdtRegistry, BaseType, Ownership, QualType, Type, TypeRegistry
 use crate::catalog::{CatalogLookup, FunctionDef};
 use crate::error::{SemaError, SemaResult};
 
-/// Names of the built-in aggregate functions.
-pub const BUILTIN_AGGS: &[&str] = &["count", "sum", "avg", "min", "max", "unique"];
-
 /// The analysis context: registries, catalog, and the variables in scope.
 pub struct SemaCtx<'a> {
     /// Schema types.
@@ -311,16 +308,14 @@ impl<'a> SemaCtx<'a> {
                 let recv = recv.ok_or_else(|| {
                     SemaError::Function(format!("operator '{sym}' requires an ADT-typed operand"))
                 })?;
+                let adt = self.adts.get(recv)?.name();
                 let cand = self
                     .adts
                     .operator_candidates(sym)
                     .iter()
                     .find(|(id, op)| *id == recv && op.arity == args.len())
                     .ok_or_else(|| {
-                        SemaError::Function(format!(
-                            "operator '{sym}' is not defined for {}",
-                            self.adts.get(recv).name()
-                        ))
+                        SemaError::Function(format!("operator '{sym}' is not defined for {adt}"))
                     })?;
                 let f = self.adts.function(recv, &cand.1.function)?;
                 Ok(self.adt_result(f.returns, recv))
@@ -367,11 +362,9 @@ impl<'a> SemaCtx<'a> {
             ty: Type::Adt(id), ..
         }) = &first_ty
         {
+            let adt = self.adts.get(*id)?.name();
             let f = self.adts.function(*id, name).map_err(|_| {
-                SemaError::Function(format!(
-                    "ADT '{}' has no function '{name}'",
-                    self.adts.get(*id).name()
-                ))
+                SemaError::Function(format!("ADT '{adt}' has no function '{name}'"))
             })?;
             if f.arity != all.len() {
                 return Err(SemaError::Function(format!(
@@ -426,6 +419,7 @@ impl<'a> SemaCtx<'a> {
                 // ADT operator overload (e.g. Complex +).
                 for q in [&qa, &qb] {
                     if let Type::Adt(id) = q.ty {
+                        let adt = self.adts.get(id)?.name();
                         let cand = self
                             .adts
                             .operator_candidates(&opname)
@@ -437,8 +431,7 @@ impl<'a> SemaCtx<'a> {
                                 Ok(self.adt_result(f.returns, id))
                             }
                             None => Err(SemaError::Function(format!(
-                                "operator '{opname}' is not defined for {}",
-                                self.adts.get(id).name()
+                                "operator '{opname}' is not defined for {adt}"
                             ))),
                         };
                     }

@@ -14,7 +14,7 @@
 use std::collections::{HashMap, HashSet};
 
 use excess_lang::{Aggregate, Expr, FromBinding, Stmt};
-use extra_model::{Ownership, QualType, Type};
+use extra_model::{QualType, Type};
 
 use crate::catalog::NamedObject;
 use crate::error::{SemaError, SemaResult};
@@ -662,9 +662,4 @@ pub fn derive_name(e: &Expr, i: usize) -> String {
         Expr::Index(b, _) => derive_name(b, i),
         _ => format!("expr{}", i + 1),
     }
-}
-
-/// Element runtime mode of a binding: whether iteration yields references.
-pub fn binding_is_ref(elem: &QualType) -> bool {
-    elem.mode != Ownership::Own
 }

@@ -29,7 +29,7 @@ pub mod test_runner {
     }
 
     /// Why a generated case did not pass: a genuine failure, or a
-    /// `prop_assume!`/filter rejection (the case is skipped, not failed).
+    /// `prop_assume!` rejection (the case is skipped, not failed).
     #[derive(Debug, Clone)]
     pub enum TestCaseError {
         Fail(String),
@@ -86,11 +86,11 @@ pub mod test_runner {
         }
 
         /// Uniform draw in `[0, bound)`; `bound` must be non-zero.
-        pub fn below(&mut self, bound: u64) -> u64 {
+        pub(crate) fn below(&mut self, bound: u64) -> u64 {
             self.next_u64() % bound
         }
 
-        pub fn usize_in(&mut self, range: std::ops::Range<usize>) -> usize {
+        pub(crate) fn usize_in(&mut self, range: std::ops::Range<usize>) -> usize {
             assert!(range.start < range.end, "empty range");
             range.start + self.below((range.end - range.start) as u64) as usize
         }
@@ -114,14 +114,6 @@ pub mod strategy {
             F: Fn(Self::Value) -> U,
         {
             Map { inner: self, f }
-        }
-
-        fn prop_filter<F>(self, _whence: &'static str, f: F) -> Filter<Self, F>
-        where
-            Self: Sized,
-            F: Fn(&Self::Value) -> bool,
-        {
-            Filter { inner: self, f }
         }
 
         fn boxed(self) -> BoxedStrategy<Self::Value>
@@ -157,26 +149,6 @@ pub mod strategy {
         type Value = U;
         fn generate(&self, rng: &mut TestRng) -> U {
             (self.f)(self.inner.generate(rng))
-        }
-    }
-
-    pub struct Filter<S, F> {
-        inner: S,
-        f: F,
-    }
-
-    impl<S: Strategy, F: Fn(&S::Value) -> bool> Strategy for Filter<S, F> {
-        type Value = S::Value;
-        fn generate(&self, rng: &mut TestRng) -> S::Value {
-            // Bounded retry; falls through with the last draw rather than
-            // spinning forever on a hopeless filter.
-            for _ in 0..1000 {
-                let v = self.inner.generate(rng);
-                if (self.f)(&v) {
-                    return v;
-                }
-            }
-            panic!("prop_filter rejected 1000 consecutive draws");
         }
     }
 
@@ -235,14 +207,6 @@ pub mod strategy {
     }
 
     impl_int_range!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-    impl Strategy for std::ops::Range<f64> {
-        type Value = f64;
-        fn generate(&self, rng: &mut TestRng) -> f64 {
-            let unit = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-            self.start + unit * (self.end - self.start)
-        }
-    }
 
     /// `&str` acts as a generation pattern, supporting the regex subset the
     /// workspace uses: `.`, `[a-z0-9_]` classes, literal chars, and the
@@ -519,37 +483,15 @@ pub mod bool {
         crate::arbitrary::Any(std::marker::PhantomData);
 }
 
-pub mod num {
-    pub mod f64 {
-        use crate::strategy::Strategy;
-        use crate::test_runner::TestRng;
-
-        pub struct AnyFinite;
-        /// Finite, non-NaN doubles.
-        pub const ANY: AnyFinite = AnyFinite;
-
-        impl Strategy for AnyFinite {
-            type Value = f64;
-            fn generate(&self, rng: &mut TestRng) -> f64 {
-                let unit = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-                (unit - 0.5) * 2e12
-            }
-        }
-    }
-}
-
 pub mod prelude {
     pub use crate::arbitrary::{any, Arbitrary};
     pub use crate::strategy::{BoxedStrategy, Just, Strategy};
     pub use crate::test_runner::{ProptestConfig, TestCaseError, TestCaseResult};
-    pub use crate::{
-        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
-    };
+    pub use crate::{prop_assert, prop_assert_eq, prop_assume, prop_oneof, proptest};
 
     pub mod prop {
         pub use crate::bool;
         pub use crate::collection;
-        pub use crate::num;
         pub use crate::sample;
     }
 }
@@ -573,11 +515,6 @@ macro_rules! prop_assert {
 #[macro_export]
 macro_rules! prop_assert_eq {
     ($($args:tt)*) => { assert_eq!($($args)*) };
-}
-
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($($args:tt)*) => { assert_ne!($($args)*) };
 }
 
 #[macro_export]

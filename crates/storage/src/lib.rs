@@ -436,11 +436,6 @@ impl StorageManager {
         heap::HeapFile::open(file).update(&self.pool, rid, data)
     }
 
-    /// Delete a record.
-    pub fn delete(&self, rid: RecordId) -> StorageResult<()> {
-        heap::delete_record(&self.pool, rid)
-    }
-
     /// Scan every live record of a heap file.
     pub fn scan(&self, file: FileId) -> heap::HeapScan {
         heap::HeapFile::open(file).scan(self.pool.clone())
@@ -554,7 +549,7 @@ mod tests {
         let f = sm.create_file().unwrap();
         let keep = sm.insert(f, b"keep").unwrap();
         let kill = sm.insert(f, b"kill").unwrap();
-        sm.delete(kill).unwrap();
+        heap::HeapFile::open(f).delete(sm.pool(), kill).unwrap();
         let seen: Vec<_> = sm.scan(f).map(|r| r.unwrap()).collect();
         assert_eq!(seen.len(), 1);
         assert_eq!(seen[0].0, keep);

@@ -228,11 +228,6 @@ impl ReplicaApplier {
         self.sm.txn().clock()
     }
 
-    /// Total entries appended to the local log by this applier.
-    pub fn records_applied(&self) -> u64 {
-        self.records.load(Ordering::Relaxed)
-    }
-
     /// Total committed units replayed by this applier.
     pub fn units_applied(&self) -> u64 {
         self.units.load(Ordering::Relaxed)

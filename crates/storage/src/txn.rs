@@ -85,12 +85,8 @@ pub fn visible(begin: u64, end: u64, snap: u64) -> bool {
 /// list at commit (stamped with the commit timestamp), dropped at abort.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReclaimOp {
-    /// Physically delete a dead record version from its heap page. `file`
-    /// is the heap file header page when known (enables free-list reuse
-    /// bookkeeping); the page-level delete needs only the rid.
+    /// Physically delete a dead record version from its heap page.
     Record {
-        /// Heap file the record belongs to.
-        file: u64,
         /// The dead version's record id.
         rid: RecordId,
     },
@@ -204,8 +200,8 @@ impl TxnManager {
     }
 
     /// The in-flight writer's provisional timestamp, if a write
-    /// transaction is active *on this manager*. Heap code uses this to
-    /// decide whether mutations should be versioned.
+    /// transaction is active *on this manager*. The object store stamps
+    /// every mutation with it and refuses to mutate without one.
     pub fn current_write_ts(&self) -> Option<u64> {
         match self.write_ts.load(Ordering::Acquire) {
             0 => None,
@@ -704,7 +700,7 @@ mod tests {
         let ts = mgr.acquire_writer();
         let rid = RecordId { page: 9, slot: 3 };
         mgr.note_chain(Oid(7), rid);
-        mgr.defer_reclaim(ReclaimOp::Record { file: 1, rid });
+        mgr.defer_reclaim(ReclaimOp::Record { rid });
         assert_eq!(mgr.chain_rids(Oid(7)), vec![rid]);
         mgr.release_writer(ts, false);
         assert!(mgr.chain_rids(Oid(7)).is_empty());

@@ -14,6 +14,8 @@ use extra_excess::db::validate_exposition;
 use extra_excess::db::Client;
 use extra_excess::{Database, DbError, Durability, Value};
 
+mod common;
+
 fn temp_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("exodus-repl-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
@@ -546,4 +548,49 @@ fn refused_write_leaves_the_session_usable() {
             .len(),
         3
     );
+}
+
+/// ADT values are stored under their registry id, and a replica's
+/// registry holds the built-ins only: a catalog image from a primary
+/// that registered a custom ADT is refused with the stable
+/// `AdtMismatch` code — at bootstrap and at a later refresh alike —
+/// rather than imported over a registry that cannot decode its data.
+#[test]
+fn replica_refuses_a_catalog_image_naming_an_adt_it_lacks() {
+    let dir = temp_dir("adt");
+    let p = primary(&dir);
+    seed(&p);
+    // A replica that bootstrapped before the ADT existed fails at the
+    // refresh the registration triggers, and keeps serving what it has.
+    let mut early =
+        Replica::in_process(&p, dir.join("early.vol"), ReplicaOptions::default()).unwrap();
+    early.pump_until_caught_up().unwrap();
+    p.register_adt(Arc::new(common::Fraction)).unwrap();
+    p.session()
+        .run(
+            r#"
+            define type Recipe (title: varchar, scale: Fraction);
+            create { own ref Recipe } Recipes;
+            append to Recipes (title = "bread", scale = Fraction("3/4"));
+        "#,
+        )
+        .unwrap();
+    let refusals = [
+        early.pump().expect_err("refresh"),
+        Replica::in_process(&p, dir.join("late.vol"), ReplicaOptions::default())
+            .map(drop)
+            .expect_err("bootstrap"),
+    ];
+    for err in refusals {
+        assert!(matches!(err, DbError::AdtMismatch(_)), "{err}");
+        assert_eq!(err.code(), 1008);
+        assert!(!err.is_retryable());
+        assert!(err.to_string().contains("Fraction"), "{err}");
+    }
+    let r = early
+        .database()
+        .session()
+        .query("retrieve (P.name) from P in People where P.age > 35")
+        .unwrap();
+    assert_eq!(r.rows.len(), 2);
 }
