@@ -19,8 +19,7 @@ use excess_lang::{BinOp, Expr, Lit, UnOp};
 use excess_sema::{AttrStats, CatalogLookup, ResolvedRange, RootSource, StatOp};
 use extra_model::Value;
 
-use crate::plan::Physical;
-use crate::rules::conjuncts;
+use crate::plan::{join_attr, Physical};
 
 /// Default members per nested set when no statistics exist.
 pub const DEFAULT_FANOUT: f64 = 4.0;
@@ -72,15 +71,6 @@ pub fn parallel_cost(input_cost: f64, out_rows: f64, dop: usize) -> f64 {
         + d * PARALLEL_STARTUP_COST
         + out_rows * PARALLEL_MERGE_COST
         + batch_overhead(out_rows)
-}
-
-/// Estimated selectivity of a predicate from fixed factors alone (no
-/// statistics).
-pub fn selectivity(pred: &Expr) -> f64 {
-    conjuncts(pred)
-        .iter()
-        .map(fixed_conjunct_selectivity)
-        .product()
 }
 
 fn fixed_conjunct_selectivity(c: &Expr) -> f64 {
@@ -208,16 +198,18 @@ fn conjunct_selectivity(
 }
 
 /// Estimated selectivity of a predicate given the scan sources of the
-/// plan it filters (statistics-aware variant of [`selectivity`]).
+/// plan it filters: the product over its conjuncts.
 pub fn selectivity_with(
     pred: &Expr,
     sources: &HashMap<String, String>,
     catalog: &dyn CatalogLookup,
 ) -> f64 {
-    conjuncts(pred)
-        .iter()
-        .map(|c| conjunct_selectivity(c, sources, catalog))
-        .product()
+    match pred {
+        Expr::Binary(BinOp::And, a, b) => {
+            selectivity_with(a, sources, catalog) * selectivity_with(b, sources, catalog)
+        }
+        c => conjunct_selectivity(c, sources, catalog),
+    }
 }
 
 /// Collection a bare collection binding scans, if that is its shape.
@@ -300,14 +292,14 @@ pub fn cardinality(plan: &Physical, catalog: &dyn CatalogLookup) -> f64 {
         Physical::Filter { input, pred } => {
             let mut sources = HashMap::new();
             scan_collections(input, &mut sources);
-            (cardinality(input, catalog) * selectivity_with(pred, &sources, catalog)).max(1.0)
+            (cardinality(input, catalog) * selectivity_with(&pred.src, &sources, catalog)).max(1.0)
         }
         Physical::HashJoin {
             input, binding, on, ..
         } => {
             let n = cardinality(input, catalog);
             let t = binding_cardinality(binding, catalog);
-            (n * t * eq_join_selectivity(binding, on, catalog)).max(1.0)
+            (n * t * eq_join_selectivity(binding, join_attr(on), catalog)).max(1.0)
         }
         Physical::IndexJoin {
             input,

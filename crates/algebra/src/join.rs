@@ -16,11 +16,11 @@
 //! at a time whether or not `analyze` ran.
 
 use excess_lang::{BinOp, Expr};
-use excess_sema::SemaCtx;
+use excess_sema::resolve::free_names;
+use excess_sema::{Checked, Node, SemaCtx};
 
 use crate::cost::cost;
-use crate::plan::Physical;
-use crate::rules::{conjoin, conjuncts, free_vars};
+use crate::plan::{join_attr, Physical};
 
 /// Rebuild a node around transformed children.
 fn map_inputs(plan: Physical, f: &mut dyn FnMut(Physical) -> Physical) -> Physical {
@@ -75,11 +75,13 @@ fn map_inputs(plan: Physical, f: &mut dyn FnMut(Physical) -> Physical) -> Physic
             binding,
             index,
             key,
+            key_ty,
         } => Physical::IndexJoin {
             input: Box::new(f(*input)),
             binding,
             index,
             key,
+            key_ty,
         },
         Physical::Parallel { input, dop } => Physical::Parallel {
             input: Box::new(f(*input)),
@@ -103,8 +105,8 @@ pub fn rewrite_equi_joins(plan: Physical, ctx: &SemaCtx<'_>) -> Physical {
 
 /// Attempt the equi-join rewrite on one filtered nested loop, returning
 /// the cheapest of the original shape, a hash join, and an index join.
-fn try_equi_join(outer: Physical, inner: Physical, pred: Expr, ctx: &SemaCtx<'_>) -> Physical {
-    let original = |outer: Physical, inner: Physical, pred: Expr| Physical::Filter {
+fn try_equi_join(outer: Physical, inner: Physical, pred: Checked, ctx: &SemaCtx<'_>) -> Physical {
+    let original = |outer: Physical, inner: Physical, pred: Checked| Physical::Filter {
         input: Box::new(Physical::NestedLoop {
             outer: Box::new(outer),
             inner: Box::new(inner),
@@ -127,38 +129,40 @@ fn try_equi_join(outer: Physical, inner: Physical, pred: Expr, ctx: &SemaCtx<'_>
     // Find an equality conjunct `<outer expr> = W.attr` (either operand
     // order); every range variable the outer expression uses must be
     // bound by the outer side.
-    let cs = conjuncts(&pred);
-    let mut found: Option<(usize, String, Expr)> = None;
+    let mut cs = pred.clone().conjuncts();
+    let mut found: Option<(usize, Box<Checked>, Box<Checked>)> = None;
     'search: for (i, c) in cs.iter().enumerate() {
-        let Expr::Binary(BinOp::Eq, lhs, rhs) = c else {
+        let (Expr::Binary(BinOp::Eq, l, r), Node::Binary(_, tl, tr)) = (&c.src, &c.typed.node)
+        else {
             continue;
         };
-        for (attr_side, key_side) in [(lhs, rhs), (rhs, lhs)] {
-            let Expr::Path(base, attr) = &**attr_side else {
+        for ((attr_side, on), (key_side, key)) in [((l, tl), (r, tr)), ((r, tr), (l, tl))] {
+            let Expr::Path(base, _) = &**attr_side else {
                 continue;
             };
             let Expr::Var(v) = &**base else { continue };
             if *v != w {
                 continue;
             }
-            let key_vars = free_vars(key_side);
+            let key_vars = free_names(key_side);
             if key_vars.contains(&w) || !key_vars.iter().all(|kv| outer_bound.contains(kv)) {
                 continue;
             }
-            found = Some((i, attr.clone(), (**key_side).clone()));
+            let side = |src: &Expr, typed: &excess_sema::Typed| {
+                Box::new(Checked {
+                    src: src.clone(),
+                    typed: typed.clone(),
+                })
+            };
+            found = Some((i, side(attr_side, on), side(key_side, key)));
             break 'search;
         }
     }
-    let Some((ci, attr, key)) = found else {
+    let Some((ci, on, key)) = found else {
         return original(outer, inner, pred);
     };
-    let remaining = conjoin(
-        cs.iter()
-            .enumerate()
-            .filter(|(i, _)| *i != ci)
-            .map(|(_, c)| c.clone())
-            .collect(),
-    );
+    cs.remove(ci);
+    let remaining = Checked::conjoin(cs);
     let wrap = |joined: Physical| match &remaining {
         Some(p) => Physical::Filter {
             input: Box::new(joined),
@@ -167,18 +171,21 @@ fn try_equi_join(outer: Physical, inner: Physical, pred: Expr, ctx: &SemaCtx<'_>
         None => joined,
     };
     let mut candidates = vec![original(outer.clone(), inner.clone(), pred.clone())];
+    let index = ctx.catalog.index_on(collection, join_attr(&on));
+    let key_ty = on.typed.qty.ty.clone();
     candidates.push(wrap(Physical::HashJoin {
         input: Box::new(outer.clone()),
         binding: binding.clone(),
         key: key.clone(),
-        on: attr.clone(),
+        on,
     }));
-    if let Some(index) = ctx.catalog.index_on(collection, &attr) {
+    if let Some(index) = index {
         candidates.push(wrap(Physical::IndexJoin {
             input: Box::new(outer),
             binding: binding.clone(),
             index,
             key,
+            key_ty,
         }));
     }
     candidates

@@ -13,8 +13,10 @@
 //! * [`plan`] — the physical operator tree, with `EXPLAIN` rendering;
 //!   a checked `retrieve` is planned straight into it (range bindings
 //!   become scans/unnests; universal bindings become a universal
-//!   selection);
-//! * [`rules`] — rewrite rules: conjunct splitting and predicate pushdown;
+//!   selection). Its expressions are the checker's `Checked` pairs:
+//!   rules read their source, labels print it, and the executor compiles
+//!   their typed half;
+//! * [`rules`] — rewrite rules: constant folding and index predicates;
 //! * [`cost`] — cardinality/cost estimation from catalog statistics and
 //!   `analyze` histograms;
 //! * [`join`] — statistics-gated batch-join rewrites (hash / index

@@ -4,13 +4,14 @@
 use std::collections::HashMap;
 use std::ops::Bound;
 
-use excess_lang::{BinOp, Expr, Stmt};
-use excess_sema::{CheckedRetrieve, ResolvedRange, RootSource, SemaCtx, SemaError, SemaResult};
+use excess_lang::BinOp;
+use excess_sema::resolve::free_names;
+use excess_sema::{Checked, CheckedRetrieve, ResolvedRange, RootSource, SemaCtx, SemaResult};
 use extra_model::{Type, Value};
 
 use crate::cost::cardinality;
 use crate::plan::Physical;
-use crate::rules::{conjoin, conjuncts, free_vars, indexable_pred};
+use crate::rules::indexable_pred;
 
 /// Planner switches — each corresponds to an ablation in experiment E8.
 #[derive(Debug, Clone, Copy)]
@@ -47,12 +48,11 @@ impl PlannerConfig {
 
 /// Plan a checked retrieve into a physical plan (serial: DOP fixed at 1).
 pub fn plan_retrieve(
-    stmt: &Stmt,
     checked: &CheckedRetrieve,
     ctx: &SemaCtx<'_>,
     config: PlannerConfig,
 ) -> SemaResult<Physical> {
-    plan_retrieve_dop(stmt, checked, ctx, config, 1)
+    plan_retrieve_dop(checked, ctx, config, 1)
 }
 
 /// Plan a checked retrieve with up to `dop` worker threads available.
@@ -61,40 +61,24 @@ pub fn plan_retrieve(
 /// scan→unnest→filter pipeline in a [`Physical::Parallel`] exchange when
 /// the [`crate::cost::parallel_cost`] model says fan-out wins.
 pub fn plan_retrieve_dop(
-    stmt: &Stmt,
     checked: &CheckedRetrieve,
     ctx: &SemaCtx<'_>,
     config: PlannerConfig,
     dop: usize,
 ) -> SemaResult<Physical> {
-    let Stmt::Retrieve {
-        targets,
-        qual,
-        order_by,
-        ..
-    } = stmt
-    else {
-        return Err(SemaError::Other("plan_retrieve expects a retrieve".into()));
-    };
-
     let (universal, existential): (Vec<ResolvedRange>, Vec<ResolvedRange>) =
         checked.bindings.iter().cloned().partition(|b| b.universal);
     let universal_vars: Vec<&str> = universal.iter().map(|b| b.var.as_str()).collect();
     let binding_vars: Vec<String> = checked.bindings.iter().map(|b| b.var.clone()).collect();
 
-    // Partition conjuncts.
-    let mut existential_conjuncts: Vec<Expr> = Vec::new();
-    let mut universal_conjuncts: Vec<Expr> = Vec::new();
-    if let Some(q) = qual {
-        for c in conjuncts(q) {
-            let vars = free_vars(&c);
-            if vars.iter().any(|v| universal_vars.contains(&v.as_str())) {
-                universal_conjuncts.push(c);
-            } else {
-                existential_conjuncts.push(c);
-            }
-        }
-    }
+    // Partition conjuncts. Each is copied into the plan only where it
+    // lands; one an index scan absorbs is not copied at all.
+    let (universal_conjuncts, mut existential_conjuncts): (Vec<&Checked>, Vec<&Checked>) =
+        checked.conjuncts.iter().partition(|c| {
+            free_names(&c.src)
+                .iter()
+                .any(|v| universal_vars.contains(&v.as_str()))
+        });
 
     // Build chains: each root binding plus its transitive dependents.
     let children: HashMap<&str, Vec<&ResolvedRange>> = {
@@ -135,7 +119,7 @@ pub fn plan_retrieve_dop(
     // cardinality estimates see them.
     if config.pushdown {
         existential_conjuncts.retain(|c| {
-            let vars: Vec<String> = free_vars(c)
+            let vars: Vec<String> = free_names(&c.src)
                 .into_iter()
                 .filter(|v| binding_vars.contains(v))
                 .collect();
@@ -179,7 +163,7 @@ pub fn plan_retrieve_dop(
 
     // Remaining conjuncts (cross-chain, or everything when pushdown is
     // off) gate the joined stream.
-    if let Some(p) = conjoin(existential_conjuncts) {
+    if let Some(p) = Checked::conjoin(existential_conjuncts.into_iter().cloned().collect()) {
         plan = Physical::Filter {
             input: Box::new(plan),
             pred: p,
@@ -190,7 +174,7 @@ pub fn plan_retrieve_dop(
     // in the serial tail.
     plan = maybe_parallelize(plan, ctx, dop);
     if !universal.is_empty() {
-        if let Some(p) = conjoin(universal_conjuncts) {
+        if let Some(p) = Checked::conjoin(universal_conjuncts.into_iter().cloned().collect()) {
             plan = Physical::UniversalFilter {
                 input: Box::new(plan),
                 bindings: universal,
@@ -198,18 +182,18 @@ pub fn plan_retrieve_dop(
             };
         }
     }
-    if let Some((key, asc)) = order_by {
+    if let Some((key, asc)) = &checked.order_by {
         plan = Physical::Sort {
             input: Box::new(plan),
             key: key.clone(),
             asc: *asc,
         };
     }
-    let named: Vec<(String, Expr)> = checked
+    let named: Vec<(String, Checked)> = checked
         .output
         .iter()
-        .zip(targets.iter())
-        .map(|((name, _), t)| (name.clone(), t.expr.clone()))
+        .zip(&checked.targets)
+        .map(|((name, _), t)| (name.clone(), t.clone()))
         .collect();
     let plan = Physical::Project {
         input: Box::new(plan),
@@ -322,7 +306,7 @@ fn best_permutation(chains: Vec<Physical>, ctx: &SemaCtx<'_>) -> Vec<Physical> {
 /// index-usable conjunct.
 fn plan_root(
     root: &ResolvedRange,
-    remaining: &mut Vec<Expr>,
+    remaining: &mut Vec<&Checked>,
     ctx: &SemaCtx<'_>,
     config: PlannerConfig,
 ) -> SemaResult<Physical> {
@@ -344,7 +328,7 @@ fn plan_root(
     // Only a direct member iteration can use a member-attribute index.
     if config.use_indexes && root.steps.is_empty() {
         for (i, c) in remaining.iter().enumerate() {
-            let Some(p) = indexable_pred(c, &root.var, ctx.adts) else {
+            let Some(p) = indexable_pred(&c.src, &root.var, ctx.adts) else {
                 continue;
             };
             let Some(index) = ctx.catalog.index_on(&obj.name, &p.attr) else {
@@ -352,7 +336,7 @@ fn plan_root(
             };
             // Coerce the probe constant to the attribute's declared type
             // so its key encoding matches the index entries.
-            let attr_ty = ctx.attr_type(&root.elem, &p.attr)?;
+            let (_, attr_ty) = ctx.attr(&root.elem, &p.attr)?;
             let value = coerce(&p.value, &attr_ty.ty);
             let Some(key) = value.key_encode(ctx.adts) else {
                 continue;
@@ -388,6 +372,7 @@ fn plan_root(
             universal: false,
             root: root.root.clone(),
             steps: Vec::new(),
+            positions: Vec::new(),
             elem: root.elem.clone(),
         };
         let scan = Physical::SeqScan { binding: base };
@@ -411,7 +396,7 @@ fn coerce(v: &Value, ty: &Type) -> Value {
 }
 
 /// Attach a filter at the lowest point in `plan` where `vars` are bound.
-fn attach_filter(plan: Physical, pred: &Expr, vars: &[String]) -> Physical {
+fn attach_filter(plan: Physical, pred: &Checked, vars: &[String]) -> Physical {
     let covered = |p: &Physical| {
         let bound = p.bound_vars();
         vars.iter().all(|v| bound.contains(v))

@@ -4,7 +4,8 @@ use std::fmt;
 use std::ops::Bound;
 
 use excess_lang::Expr;
-use excess_sema::{IndexInfo, ResolvedRange};
+use excess_sema::{Checked, IndexInfo, ResolvedRange};
+use extra_model::Type;
 
 /// A physical plan node, directly executable by `excess-exec`.
 #[derive(Debug, Clone)]
@@ -61,7 +62,7 @@ pub enum Physical {
         /// Input.
         input: Box<Physical>,
         /// Predicate.
-        pred: Expr,
+        pred: Checked,
     },
     /// Universal-quantification filter: keep input environments for which
     /// `pred` holds under *every* joint binding of `bindings`.
@@ -71,27 +72,27 @@ pub enum Physical {
         /// Universal bindings (dependency order).
         bindings: Vec<ResolvedRange>,
         /// Predicate.
-        pred: Expr,
+        pred: Checked,
     },
     /// Projection.
     Project {
         /// Input.
         input: Box<Physical>,
         /// `(column name, expression)` pairs.
-        targets: Vec<(String, Expr)>,
+        targets: Vec<(String, Checked)>,
     },
     /// Sort.
     Sort {
         /// Input.
         input: Box<Physical>,
         /// Sort key.
-        key: Expr,
+        key: Checked,
         /// Ascending?
         asc: bool,
     },
     /// Hash equi join: build a hash table over `binding`'s collection
-    /// once, keyed on member attribute `on`, then probe it with whole
-    /// input batches, extending each input row with one binding per
+    /// once, keyed on the member attribute `on` names, then probe it with
+    /// whole input batches, extending each input row with one binding per
     /// matching member. `binding.var` is bound to the **original**
     /// member value (a reference for `{ own ref T }` collections, so
     /// `is`-identity semantics are preserved). Null keys match nothing,
@@ -102,9 +103,9 @@ pub enum Physical {
         /// The build-side binding (root must be a collection).
         binding: ResolvedRange,
         /// Probe key, evaluated against each input row.
-        key: Expr,
-        /// Build-side member attribute the table is keyed on.
-        on: String,
+        key: Box<Checked>,
+        /// The build side's `W.attr`, which the table is keyed on.
+        on: Box<Checked>,
     },
     /// Index nested-loop join: for each input row, probe a secondary
     /// index on `index.attr` with the value of `key` (equality only) and
@@ -118,7 +119,9 @@ pub enum Physical {
         /// The index probed.
         index: IndexInfo,
         /// Probe key, evaluated against each input row.
-        key: Expr,
+        key: Box<Checked>,
+        /// The type of `index.attr`, which probe keys take.
+        key_ty: Type,
     },
     /// Parallel exchange: partition the leftmost scan of `input` into
     /// morsels and fan the pipeline out to `dop` worker threads, merging
@@ -151,6 +154,14 @@ pub fn range_source(b: &ResolvedRange) -> String {
         root
     } else {
         format!("{root}.{}", b.steps.join("."))
+    }
+}
+
+/// The member attribute a join's build side (`W.attr`) names.
+pub(crate) fn join_attr(on: &Checked) -> &str {
+    match &on.src {
+        Expr::Path(_, attr) => attr,
+        _ => unreachable!("join rules build `on` from a member attribute"),
     }
 }
 
@@ -187,24 +198,30 @@ impl Physical {
                 format!("Unnest {} over {}", binding.var, range_source(binding))
             }
             Physical::NestedLoop { .. } => "NestedLoop".into(),
-            Physical::Filter { pred, .. } => format!("Filter {pred}"),
+            Physical::Filter { pred, .. } => format!("Filter {}", pred.src),
             Physical::UniversalFilter { bindings, pred, .. } => {
                 let vars: Vec<&str> = bindings.iter().map(|b| b.var.as_str()).collect();
-                format!("UniversalFilter forall {} : {pred}", vars.join(", "))
+                format!("UniversalFilter forall {} : {}", vars.join(", "), pred.src)
             }
             Physical::Project { targets, .. } => {
-                let cols: Vec<String> = targets.iter().map(|(n, e)| format!("{n} = {e}")).collect();
+                let cols: Vec<String> = targets
+                    .iter()
+                    .map(|(n, e)| format!("{n} = {}", e.src))
+                    .collect();
                 format!("Project [{}]", cols.join(", "))
             }
             Physical::Sort { key, asc, .. } => {
-                format!("Sort by {key} {}", if *asc { "asc" } else { "desc" })
+                let order = if *asc { "asc" } else { "desc" };
+                format!("Sort by {} {order}", key.src)
             }
             Physical::HashJoin {
                 binding, key, on, ..
             } => format!(
-                "HashJoin {} over {} on {on} = {key}",
+                "HashJoin {} over {} on {} = {}",
                 binding.var,
-                range_source(binding)
+                range_source(binding),
+                join_attr(on),
+                key.src
             ),
             Physical::IndexJoin {
                 binding,
@@ -212,11 +229,12 @@ impl Physical {
                 key,
                 ..
             } => format!(
-                "IndexJoin {} over {} using {} on {} = {key}",
+                "IndexJoin {} over {} using {} on {} = {}",
                 binding.var,
                 range_source(binding),
                 index.name,
-                index.attr
+                index.attr,
+                key.src
             ),
             Physical::Parallel { dop, .. } => format!("Parallel dop={dop}"),
         }

@@ -1,102 +1,12 @@
-//! Rewrite rules: conjunct splitting, free-variable analysis, and literal
-//! constant evaluation — the building blocks the physical planner applies.
+//! Rewrite rules: literal constant evaluation and index-predicate
+//! extraction — the building blocks the physical planner applies.
 //!
 //! The rule set follows the EXODUS optimizer-generator philosophy: each
 //! rule is a small syntactic transformation justified by algebraic
 //! equivalence; the planner composes them.
 
-use std::collections::HashSet;
-
-use excess_lang::{Aggregate, BinOp, Expr, Lit};
+use excess_lang::{BinOp, Expr, Lit};
 use extra_model::{AdtRegistry, Value};
-
-/// Split a predicate into its top-level conjuncts.
-pub fn conjuncts(e: &Expr) -> Vec<Expr> {
-    match e {
-        Expr::Binary(BinOp::And, a, b) => {
-            let mut out = conjuncts(a);
-            out.extend(conjuncts(b));
-            out
-        }
-        other => vec![other.clone()],
-    }
-}
-
-/// Conjoin a list of predicates (`None` for the empty list).
-pub fn conjoin(preds: Vec<Expr>) -> Option<Expr> {
-    preds
-        .into_iter()
-        .reduce(|a, b| Expr::Binary(BinOp::And, Box::new(a), Box::new(b)))
-}
-
-/// Free variable-position names in an expression (includes named-object
-/// uses; the planner intersects with actual binding names).
-pub fn free_vars(e: &Expr) -> HashSet<String> {
-    let mut out = HashSet::new();
-    collect_vars(e, &mut out);
-    out
-}
-
-fn collect_vars(e: &Expr, out: &mut HashSet<String>) {
-    match e {
-        Expr::Var(n) => {
-            out.insert(n.clone());
-        }
-        Expr::Lit(_) => {}
-        Expr::Path(b, _) => collect_vars(b, out),
-        Expr::Index(b, i) => {
-            collect_vars(b, out);
-            collect_vars(i, out);
-        }
-        Expr::Call { recv, args, .. } => {
-            if let Some(r) = recv {
-                collect_vars(r, out);
-            }
-            for a in args {
-                collect_vars(a, out);
-            }
-        }
-        Expr::Unary(_, a) => collect_vars(a, out),
-        Expr::Binary(_, a, b) => {
-            collect_vars(a, out);
-            collect_vars(b, out);
-        }
-        Expr::UserOp(_, args) | Expr::SetLit(args) => {
-            for a in args {
-                collect_vars(a, out);
-            }
-        }
-        Expr::Agg(Aggregate {
-            arg,
-            over,
-            by,
-            qual,
-            ..
-        }) => {
-            // `over` variables are consumed by the aggregate; they are not
-            // free in the enclosing query.
-            let mut inner = HashSet::new();
-            if let Some(a) = arg {
-                collect_vars(a, &mut inner);
-            }
-            for b in by {
-                collect_vars(b, &mut inner);
-            }
-            if let Some(q) = qual {
-                collect_vars(q, &mut inner);
-            }
-            for v in over {
-                inner.remove(v);
-            }
-            out.extend(inner);
-        }
-        Expr::TupleLit(fields) => {
-            for (_, v) in fields {
-                collect_vars(v, out);
-            }
-        }
-    }
-}
 
 /// Evaluate a literal-constant expression at plan time (literals and ADT
 /// literal constructors); `None` if not constant.
@@ -198,26 +108,6 @@ mod tests {
             Stmt::Retrieve { qual: Some(q), .. } => q,
             _ => unreachable!(),
         }
-    }
-
-    #[test]
-    fn conjunct_splitting() {
-        let q = qual("a = 1 and b = 2 and (c = 3 or d = 4)");
-        let cs = conjuncts(&q);
-        assert_eq!(cs.len(), 3);
-        // or is not split.
-        assert!(matches!(cs[2], Expr::Binary(BinOp::Or, _, _)));
-        let back = conjoin(cs).unwrap();
-        assert_eq!(conjuncts(&back).len(), 3);
-    }
-
-    #[test]
-    fn free_vars_sees_through_paths_not_over() {
-        let q = qual("E.dept.floor = 2 and count(C over C where C.age > K.age) > 0");
-        let vars = free_vars(&q);
-        assert!(vars.contains("E"));
-        assert!(vars.contains("K"), "free inside the aggregate");
-        assert!(!vars.contains("C"), "consumed by over");
     }
 
     #[test]

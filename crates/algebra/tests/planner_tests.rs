@@ -5,7 +5,6 @@ use std::collections::HashMap;
 
 use excess_algebra::{plan_retrieve, Physical, PlannerConfig};
 use excess_lang::{parse_statement, OperatorTable, Stmt};
-use excess_sema::resolve::Resolver;
 use excess_sema::{
     CatalogLookup, FunctionDef, IndexInfo, NamedObject, ProcedureDef, RangeEnv, SemaCtx,
 };
@@ -101,10 +100,9 @@ fn fixture() -> Fixture {
 
 fn plan_with(f: &Fixture, src: &str, cfg: PlannerConfig) -> Physical {
     let ctx = SemaCtx::new(&f.types, &f.adts, &f.catalog);
-    let env = RangeEnv::default();
     let stmt = parse_statement(src, &OperatorTable::new()).unwrap();
-    let checked = Resolver::new(&ctx, &env).check_retrieve(&stmt).unwrap();
-    plan_retrieve(&stmt, &checked, &ctx, cfg).unwrap()
+    let checked = ctx.check_retrieve(&stmt).unwrap();
+    plan_retrieve(&checked, &ctx, cfg).unwrap()
 }
 
 fn plan(f: &Fixture, src: &str) -> Physical {
@@ -262,7 +260,6 @@ fn selective_filter_shrinks_estimated_outer() {
 #[test]
 fn universal_bindings_become_universal_filter() {
     let f = fixture();
-    let ctx = SemaCtx::new(&f.types, &f.adts, &f.catalog);
     let mut env = RangeEnv::default();
     let range = parse_statement("range of X is all Employees", &OperatorTable::new()).unwrap();
     match range {
@@ -278,8 +275,10 @@ fn universal_bindings_become_universal_filter() {
         &OperatorTable::new(),
     )
     .unwrap();
-    let checked = Resolver::new(&ctx, &env).check_retrieve(&stmt).unwrap();
-    let p = plan_retrieve(&stmt, &checked, &ctx, PlannerConfig::default()).unwrap();
+    let mut ctx = SemaCtx::new(&f.types, &f.adts, &f.catalog);
+    ctx.ranges = &env;
+    let checked = ctx.check_retrieve(&stmt).unwrap();
+    let p = plan_retrieve(&checked, &ctx, PlannerConfig::default()).unwrap();
     let s = render(&p);
     assert!(s.contains("UniversalFilter forall X"), "{s}");
 }

@@ -1,24 +1,22 @@
 //! Compiled expressions: the executable form of EXCESS expressions.
 //!
-//! Compilation resolves what the analyzer inferred: attribute names become
-//! tuple positions, ADT calls bind to registry functions, EXCESS functions
-//! are pre-planned (their `retrieve` bodies become executable plans — the
-//! uniform function/operator optimization the paper calls for), ADT
-//! literals are parsed at compile time, and aggregate `over` clauses are
-//! resolved into binding sub-plans.
+//! Compilation translates the checker's resolved tree node for node —
+//! positions, parsed ADT literals, bound ADT functions and aggregate
+//! ranges all come resolved. What it adds: path slots, aggregate
+//! sub-plans over the ranges an aggregate iterates, and pre-planned
+//! EXCESS functions (their `retrieve` bodies become executable plans —
+//! the uniform function/operator optimization the paper calls for).
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashSet;
 use std::sync::Arc;
 
-use excess_lang::{Aggregate, BinOp, Expr, Lit, UnOp};
-use excess_sema::resolve::Resolver;
-use excess_sema::{RangeEnv, SemaCtx};
+use excess_lang::{BinOp, UnOp};
+use excess_sema::{AggFn, FunctionDef, Node, SemaCtx, Typed, TypedAgg};
 use exodus_storage::Oid;
-use extra_model::{AdtId, ModelError, ModelResult, QualType, Type, Value};
+use extra_model::{AdtId, ModelError, ModelResult, Type, TypeId, Value};
 
 use crate::paths::{PathBase, Paths};
-use crate::plan::{prepare_bindings, prepare_with, ExecNode};
+use crate::plan::{prepare_bindings, prepare_node, ExecNode};
 
 /// Maximum EXCESS-function call depth at runtime.
 pub const MAX_CALL_DEPTH: u32 = 64;
@@ -147,17 +145,20 @@ pub enum CExpr {
     TupleLit(Vec<CExpr>),
 }
 
-/// Compilation driver. Holds the analysis context (whose `vars` are the
-/// variables bound by the enclosing plan) and the session ranges (for
-/// aggregate `over` resolution).
+/// Compilation driver for one statement: every expression of its plan,
+/// and of the EXCESS function bodies those call, compiles through one
+/// compiler, so aggregate ids are unique per statement and a function
+/// that reaches itself is caught.
 pub struct Compiler<'a> {
-    /// Analysis context.
-    pub ctx: &'a SemaCtx<'a>,
-    /// Session ranges.
-    pub range_env: &'a RangeEnv,
-    agg_counter: &'a Cell<usize>,
-    fn_stack: RefCell<Vec<String>>,
-    /// Path slots of the expressions compiled so far.
+    /// The statement's analysis context, which function bodies are
+    /// planned against (each body is a statement of its own).
+    ctx: &'a SemaCtx<'a>,
+    next_agg: Cell<usize>,
+    /// The EXCESS functions whose bodies are being compiled, by name and
+    /// receiver type (same-named functions on other types are others).
+    fn_stack: RefCell<Vec<(String, Option<TypeId>)>>,
+    /// Path slots of the expressions compiled since the last
+    /// [`Compiler::take_paths`].
     paths: RefCell<Paths>,
 }
 
@@ -166,17 +167,12 @@ fn sem(e: excess_sema::SemaError) -> ModelError {
 }
 
 impl<'a> Compiler<'a> {
-    /// New compiler.
-    pub fn new(
-        ctx: &'a SemaCtx<'a>,
-        range_env: &'a RangeEnv,
-        agg_counter: &'a Cell<usize>,
-    ) -> Self {
+    /// New compiler for a statement checked under `ctx`.
+    pub fn new(ctx: &'a SemaCtx<'a>) -> Self {
         Compiler {
             ctx,
-            range_env,
-            agg_counter,
-            fn_stack: RefCell::new(Vec::new()),
+            next_agg: Cell::new(0),
+            fn_stack: RefCell::default(),
             paths: RefCell::default(),
         }
     }
@@ -184,7 +180,7 @@ impl<'a> Compiler<'a> {
     /// The path slots of everything compiled since the last call: the
     /// table the operator evaluating those expressions resolves per
     /// batch.
-    pub fn take_paths(&self) -> Paths {
+    pub(crate) fn take_paths(&self) -> Paths {
         self.paths.take()
     }
 
@@ -204,276 +200,95 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    /// Compile an expression.
-    pub fn compile(&self, e: &Expr) -> ModelResult<CExpr> {
-        match e {
-            Expr::Lit(l) => Ok(CExpr::Const(match l {
-                Lit::Int(i) => Value::Int(*i),
-                Lit::Float(f) => Value::Float(*f),
-                Lit::Str(s) => Value::Str(s.clone()),
-                Lit::Bool(b) => Value::Bool(*b),
-                Lit::Null => Value::Null,
-            })),
-            Expr::Var(n) => {
-                if self.ctx.vars.contains_key(n) {
-                    return Ok(CExpr::Var(n.clone()));
-                }
-                if let Some(obj) = self.ctx.catalog.named(n) {
-                    if obj.is_collection {
-                        return Ok(CExpr::NamedSet(obj.oid));
-                    }
-                    if matches!(obj.qty.ty, Type::Schema(_)) {
-                        return Ok(CExpr::NamedRef(obj.oid));
-                    }
-                    return Ok(CExpr::NamedValue(obj.oid));
-                }
-                Err(ModelError::Semantic(format!("unbound variable '{n}'")))
-            }
-            Expr::Path(base, attr) => {
-                let bq = self.ctx.infer(base).map_err(sem)?;
-                let pos = self.ctx.attr_pos(&bq, attr).map_err(sem)?;
-                Ok(self.attr(self.compile(base)?, pos))
-            }
-            Expr::Index(base, idx) => Ok(CExpr::Idx(
-                Box::new(self.compile(base)?),
-                Box::new(self.compile(idx)?),
-            )),
-            Expr::Unary(UnOp::Not, a) => Ok(CExpr::Not(Box::new(self.compile(a)?))),
-            Expr::Unary(UnOp::Neg, a) => Ok(CExpr::Neg(Box::new(self.compile(a)?))),
-            Expr::Binary(op, a, b) => self.compile_binary(*op, a, b),
-            Expr::UserOp(sym, args) => {
-                let mut recv = None;
-                for a in args {
-                    if let Type::Adt(id) = self.ctx.infer(a).map_err(sem)?.ty {
-                        recv = Some(id);
-                        break;
-                    }
-                }
-                let id = recv.ok_or_else(|| {
-                    ModelError::Semantic(format!("operator '{sym}' needs an ADT operand"))
-                })?;
-                let cand = self
-                    .ctx
-                    .adts
-                    .operator_candidates(sym)
-                    .iter()
-                    .find(|(cid, o)| *cid == id && o.arity == args.len())
-                    .ok_or_else(|| ModelError::UnknownAdt(format!("operator {sym}")))?
-                    .1
-                    .clone();
-                let cargs = args
-                    .iter()
-                    .map(|a| self.compile(a))
-                    .collect::<ModelResult<_>>()?;
-                Ok(CExpr::AdtCall {
-                    id,
-                    func: cand.function,
-                    args: cargs,
-                })
-            }
-            Expr::Call { recv, name, args } => self.compile_call(recv.as_deref(), name, args),
-            Expr::Agg(agg) => self.compile_agg(agg),
-            Expr::SetLit(items) => Ok(CExpr::SetLit(
-                items
-                    .iter()
-                    .map(|i| self.compile(i))
-                    .collect::<ModelResult<_>>()?,
-            )),
-            Expr::TupleLit(fields) => Ok(CExpr::TupleLit(
-                fields
-                    .iter()
-                    .map(|(_, v)| self.compile(v))
-                    .collect::<ModelResult<_>>()?,
-            )),
-        }
-    }
-
-    fn compile_binary(&self, op: BinOp, a: &Expr, b: &Expr) -> ModelResult<CExpr> {
-        // Arithmetic on an ADT operand routes through the registered
-        // operator (the Complex `+` overload).
-        if matches!(
-            op,
-            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod
-        ) {
-            for side in [a, b] {
-                if let Ok(QualType {
-                    ty: Type::Adt(id), ..
-                }) = self.ctx.infer(side)
-                {
-                    let sym = op.to_string();
-                    let adt = self.ctx.adts.get(id)?.name();
-                    let cand = self
-                        .ctx
-                        .adts
-                        .operator_candidates(&sym)
-                        .iter()
-                        .find(|(cid, o)| *cid == id && o.arity == 2)
-                        .ok_or_else(|| ModelError::UnknownAdt(format!("operator {sym} on {adt}")))?
-                        .1
-                        .clone();
-                    return Ok(CExpr::AdtCall {
-                        id,
-                        func: cand.function,
-                        args: vec![self.compile(a)?, self.compile(b)?],
-                    });
-                }
-            }
-        }
-        Ok(CExpr::Bin(
-            op,
-            Box::new(self.compile(a)?),
-            Box::new(self.compile(b)?),
-        ))
-    }
-
-    fn compile_call(&self, recv: Option<&Expr>, name: &str, args: &[Expr]) -> ModelResult<CExpr> {
-        // ADT literal constructor.
-        if recv.is_none() && self.ctx.adts.contains(name) && args.len() == 1 {
-            if let Expr::Lit(Lit::Str(s)) = &args[0] {
-                let id = self.ctx.adts.lookup(name)?;
-                return Ok(CExpr::Const(self.ctx.adts.parse(id, s)?));
-            }
-        }
-        let mut all: Vec<&Expr> = Vec::with_capacity(args.len() + 1);
-        if let Some(r) = recv {
-            all.push(r);
-        }
-        all.extend(args.iter());
-        let first_ty = all
-            .first()
-            .map(|e| self.ctx.infer(e))
-            .transpose()
-            .map_err(sem)?;
-        if let Some(QualType {
-            ty: Type::Adt(id), ..
-        }) = &first_ty
-        {
-            let cargs = all
-                .iter()
-                .map(|a| self.compile(a))
-                .collect::<ModelResult<_>>()?;
-            // Existence/arity were checked by sema; bind by name.
-            self.ctx.adts.function(*id, name)?;
-            return Ok(CExpr::AdtCall {
-                id: *id,
-                func: name.to_string(),
-                args: cargs,
-            });
-        }
-        let def = self
-            .ctx
-            .resolve_excess_function(name, first_ty.as_ref(), all.len())
-            .map_err(sem)?;
-        let func = self.compile_function(&def)?;
-        let cargs = all
-            .iter()
-            .map(|a| self.compile(a))
-            .collect::<ModelResult<_>>()?;
-        Ok(CExpr::FunCall { func, args: cargs })
+    /// Compile a checked expression.
+    pub fn compile(&self, t: &Typed) -> ModelResult<CExpr> {
+        let all = |ts: &[Typed]| {
+            ts.iter()
+                .map(|t| self.compile(t))
+                .collect::<ModelResult<_>>()
+        };
+        let boxed = |t: &Typed| self.compile(t).map(Box::new);
+        Ok(match &t.node {
+            Node::Const(v) => CExpr::Const(v.clone()),
+            Node::Var(n) => CExpr::Var(n.clone()),
+            Node::NamedSet(obj) => CExpr::NamedSet(obj.oid),
+            Node::NamedRef(obj) => CExpr::NamedRef(obj.oid),
+            Node::NamedValue(obj) => CExpr::NamedValue(obj.oid),
+            Node::Attr(base, pos) => self.attr(self.compile(base)?, *pos),
+            Node::Index(base, idx) => CExpr::Idx(boxed(base)?, boxed(idx)?),
+            Node::Unary(UnOp::Not, a) => CExpr::Not(boxed(a)?),
+            Node::Unary(UnOp::Neg, a) => CExpr::Neg(boxed(a)?),
+            Node::Binary(op, a, b) => CExpr::Bin(*op, boxed(a)?, boxed(b)?),
+            Node::AdtCall { adt, func, args } => CExpr::AdtCall {
+                id: *adt,
+                func: func.clone(),
+                args: all(args)?,
+            },
+            Node::Call { def, args } => CExpr::FunCall {
+                func: self.compile_function(def)?,
+                args: all(args)?,
+            },
+            Node::Agg(agg) => self.compile_agg(agg)?,
+            Node::SetLit(items) => CExpr::SetLit(all(items)?),
+            Node::TupleLit(fields) => CExpr::TupleLit(all(fields)?),
+        })
     }
 
     /// Pre-plan an EXCESS function body.
-    pub fn compile_function(
-        &self,
-        def: &excess_sema::FunctionDef,
-    ) -> ModelResult<Arc<CompiledFunction>> {
-        if self.fn_stack.borrow().iter().any(|n| n == &def.name) {
+    fn compile_function(&self, def: &FunctionDef) -> ModelResult<Arc<CompiledFunction>> {
+        let key = (def.name.clone(), def.attached_to);
+        if self.fn_stack.borrow().contains(&key) {
             return Err(ModelError::Semantic(format!(
                 "recursive EXCESS function '{}' is not supported",
                 def.name
             )));
         }
-        self.fn_stack.borrow_mut().push(def.name.clone());
-        let result = self.compile_function_inner(def);
+        self.fn_stack.borrow_mut().push(key);
+        // The body's operators take their own path slots; the caller's
+        // expression resumes with its own afterwards.
+        let outer = self.paths.take();
+        let result = self.plan_body(def);
+        self.paths.replace(outer);
         self.fn_stack.borrow_mut().pop();
         result
     }
 
-    fn compile_function_inner(
-        &self,
-        def: &excess_sema::FunctionDef,
-    ) -> ModelResult<Arc<CompiledFunction>> {
+    fn plan_body(&self, def: &FunctionDef) -> ModelResult<Arc<CompiledFunction>> {
+        // The body sees its parameters and the statement's ranges.
         let mut fctx = SemaCtx::new(self.ctx.types, self.ctx.adts, self.ctx.catalog);
-        for (p, qty) in &def.params {
-            fctx.vars.insert(p.clone(), qty.clone());
-        }
-        // The body's own from clauses join the range scope (aggregate
-        // `over` resolution inside the body must see them).
-        let mut local = self.range_env.clone();
-        if let excess_lang::Stmt::Retrieve { from, .. } = &def.body {
-            for fb in from {
-                local.declare(&fb.var, false, fb.path.clone());
-            }
-        }
-        let resolver = Resolver::new(&fctx, &local);
-        let checked = resolver.check_retrieve(&def.body).map_err(sem)?;
-        let plan = excess_algebra::plan_retrieve(
-            &def.body,
-            &checked,
-            &fctx,
-            excess_algebra::PlannerConfig::default(),
-        )
-        .map_err(sem)?;
-        let node = prepare_with(&plan, &fctx, &local, self.agg_counter)?;
+        fctx.vars.extend(def.params.iter().cloned());
+        fctx.ranges = self.ctx.ranges;
+        let checked = fctx.check_retrieve(&def.body).map_err(sem)?;
+        let config = excess_algebra::PlannerConfig::default();
+        let plan = excess_algebra::plan_retrieve(&checked, &fctx, config).map_err(sem)?;
         Ok(Arc::new(CompiledFunction {
             name: def.name.clone(),
             params: def.params.iter().map(|(p, _)| p.clone()).collect(),
-            plan: node,
+            plan: prepare_node(&plan, self)?,
             returns_set: matches!(def.returns.ty, Type::Set(_)),
         }))
     }
 
-    fn compile_agg(&self, agg: &Aggregate) -> ModelResult<CExpr> {
-        let id = self.agg_counter.get();
-        self.agg_counter.set(id + 1);
-
-        let func = match agg.func.as_str() {
-            "count" => AggFunc::Count,
-            "sum" => AggFunc::Sum,
-            "avg" => AggFunc::Avg,
-            "min" => AggFunc::Min,
-            "max" => AggFunc::Max,
-            "unique" => AggFunc::Unique,
-            other => {
-                // The argument may reference over-variables not yet in
-                // scope here; resolve the set function against Unknown in
-                // that case (the analyzer already type-checked the call).
-                let arg_ty = agg
-                    .arg
-                    .as_ref()
-                    .and_then(|a| self.ctx.infer(a).ok())
-                    .unwrap_or(QualType::own(Type::Unknown));
-                let set_of = QualType::own(Type::Set(Box::new(arg_ty)));
-                let def = self
-                    .ctx
-                    .resolve_excess_function(other, Some(&set_of), 1)
-                    .map_err(sem)?;
-                AggFunc::UserSet(self.compile_function(&def)?)
-            }
+    fn compile_agg(&self, agg: &TypedAgg) -> ModelResult<CExpr> {
+        let id = self.next_agg.get();
+        self.next_agg.set(id + 1);
+        let func = match &agg.func {
+            AggFn::Count => AggFunc::Count,
+            AggFn::Sum => AggFunc::Sum,
+            AggFn::Avg => AggFunc::Avg,
+            AggFn::Min => AggFunc::Min,
+            AggFn::Max => AggFunc::Max,
+            AggFn::Unique => AggFunc::Unique,
+            AggFn::Set(def) => AggFunc::UserSet(self.compile_function(def)?),
         };
-
+        let compile_opt = |t: &Option<Typed>| t.as_ref().map(|t| self.compile(t)).transpose();
         if agg.over.is_empty() {
-            // Aggregate directly over a set-valued argument.
-            let arg = agg.arg.as_ref().ok_or_else(|| {
-                ModelError::Semantic(format!("{}(...) needs an argument", agg.func))
-            })?;
-            let aq = self.ctx.infer(arg).map_err(sem)?;
-            if !matches!(aq.ty, Type::Set(_) | Type::Array(_, _) | Type::Unknown) {
-                return Err(ModelError::Semantic(format!(
-                    "aggregate '{}' without an 'over' clause needs a set-valued \
-                     argument (e.g. count(E.kids))",
-                    agg.func
-                )));
-            }
-            if !agg.by.is_empty() || agg.qual.is_some() {
-                return Err(ModelError::Semantic(
-                    "'by'/'where' inside an aggregate require an 'over' clause".into(),
-                ));
-            }
+            // Aggregate directly over the set-valued argument, whose
+            // path slots are the enclosing operator's.
             return Ok(CExpr::Agg(Box::new(CAgg {
                 id,
                 func,
-                arg: Some(self.compile(arg)?),
+                arg: compile_opt(&agg.arg)?,
                 source: AggSource::SetArg,
                 by: Vec::new(),
                 qual: None,
@@ -481,97 +296,26 @@ impl<'a> Compiler<'a> {
                 paths: Paths::default(),
             })));
         }
-
-        // Resolve the over ranges (plus dependencies not bound outside).
-        let mut inner_exprs: Vec<&Expr> = Vec::new();
-        if let Some(a) = &agg.arg {
-            inner_exprs.push(a);
-        }
-        for b in &agg.by {
-            inner_exprs.push(b);
-        }
-        if let Some(q) = &agg.qual {
-            inner_exprs.push(q);
-        }
-        // Over-variable paths need to be in scope for resolution: add the
-        // vars themselves as pseudo-expressions.
-        let over_paths: Vec<Expr> = agg.over.iter().map(|v| Expr::Var(v.clone())).collect();
-        let mut all_exprs = inner_exprs.clone();
-        for p in &over_paths {
-            all_exprs.push(p);
-        }
-        let resolver = Resolver::new(self.ctx, self.range_env);
-        let bindings = resolver.bindings_for(&all_exprs, &[]).map_err(sem)?;
-        // Keep over vars and their parents not bound in the outer scope;
-        // parents bound outside correlate instead.
-        let over_set: HashSet<&str> = agg.over.iter().map(String::as_str).collect();
-        let mut keep: HashSet<String> = agg.over.iter().cloned().collect();
-        loop {
-            let mut grew = false;
-            for b in &bindings {
-                if keep.contains(&b.var) {
-                    if let Some(p) = b.depends_on() {
-                        if !keep.contains(p)
-                            && (!self.ctx.vars.contains_key(p) || over_set.contains(p))
-                        {
-                            keep.insert(p.to_string());
-                            grew = true;
-                        }
-                    }
-                }
-            }
-            if !grew {
-                break;
-            }
-        }
-        let kept: Vec<excess_sema::ResolvedRange> = bindings
-            .into_iter()
-            .filter(|b| keep.contains(&b.var))
-            .collect();
-        for v in &agg.over {
-            if !kept.iter().any(|b| &b.var == v) {
-                return Err(ModelError::Semantic(format!(
-                    "'over {v}': no such range variable"
-                )));
-            }
-        }
-
-        // Inner expressions compile with the over vars in scope.
-        let mut inner_ctx = SemaCtx::new(self.ctx.types, self.ctx.adts, self.ctx.catalog);
-        inner_ctx.vars = self.ctx.vars.clone();
-        for b in &kept {
-            inner_ctx.vars.insert(b.var.clone(), b.elem.clone());
-        }
-
-        // Cacheable iff nothing inside references an outer-only variable.
-        let kept_vars: HashSet<&str> = kept.iter().map(|b| b.var.as_str()).collect();
-        let mut outer_refs = false;
-        for e in &inner_exprs {
-            for v in excess_algebra::rules::free_vars(e) {
-                if !kept_vars.contains(v.as_str()) && self.ctx.vars.contains_key(&v) {
-                    outer_refs = true;
-                }
-            }
-        }
-
-        let inner = Compiler::new(&inner_ctx, self.range_env, self.agg_counter);
-        let source_plan = prepare_bindings(&kept, &inner_ctx, self.range_env, self.agg_counter)?;
-        let arg = agg.arg.as_ref().map(|a| inner.compile(a)).transpose()?;
+        // The `over` ranges become a sub-plan; the inner expressions
+        // resolve their paths per batch of its rows.
+        let outer = self.paths.take();
+        let source = prepare_bindings(&agg.over, self)?;
+        let arg = compile_opt(&agg.arg)?;
         let by = agg
             .by
             .iter()
-            .map(|b| inner.compile(b))
+            .map(|b| self.compile(b))
             .collect::<ModelResult<_>>()?;
-        let qual = agg.qual.as_ref().map(|q| inner.compile(q)).transpose()?;
+        let qual = compile_opt(&agg.qual)?;
         Ok(CExpr::Agg(Box::new(CAgg {
             id,
             func,
             arg,
-            source: AggSource::Ranges(source_plan),
+            source: AggSource::Ranges(source),
             by,
             qual,
-            cacheable: !outer_refs,
-            paths: inner.take_paths(),
+            cacheable: !agg.correlated,
+            paths: self.paths.replace(outer),
         })))
     }
 }

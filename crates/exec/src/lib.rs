@@ -4,12 +4,12 @@
 //! evaluator, and a batched (vectorized) plan runner — operators exchange
 //! [`batch::RowBatch`]es of column vectors instead of one row at a time.
 //!
-//! The physical plans produced by `excess-algebra` carry raw AST
-//! expressions; [`plan::prepare`] compiles them into an
-//! executable form ([`cexpr::CExpr`]) with attribute positions resolved,
-//! ADT functions/operators bound, EXCESS functions pre-planned (the
-//! paper's "functions and operators treated uniformly"), and aggregate
-//! `over` ranges resolved into sub-plans.
+//! The physical plans produced by `excess-algebra` carry the checker's
+//! resolved expressions (attribute positions, bound ADT functions and
+//! operators, aggregate ranges); [`plan::prepare`] translates them into
+//! an executable form ([`cexpr::CExpr`]) with path slots, EXCESS
+//! functions pre-planned (the paper's "functions and operators treated
+//! uniformly"), and aggregate `over` ranges turned into sub-plans.
 //!
 //! Evaluation semantics follow the paper:
 //!

@@ -1,15 +1,13 @@
 //! Executable plans: compilation from physical plans. Iteration happens
 //! batch-at-a-time through [`crate::cursor`].
 
-use std::cell::Cell;
-use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::Arc;
 
 use excess_algebra::Physical;
-use excess_sema::{RangeEnv, ResolvedRange, RootSource, SemaCtx};
+use excess_sema::{ResolvedRange, RootSource, SemaCtx};
 use exodus_storage::Oid;
-use extra_model::{ModelError, ModelResult, QualType};
+use extra_model::{ModelError, ModelResult};
 
 use crate::cexpr::{CExpr, Compiler};
 use crate::paths::Paths;
@@ -167,79 +165,17 @@ pub enum ExecNode {
     },
 }
 
-fn sem(e: excess_sema::SemaError) -> ModelError {
-    ModelError::Semantic(e.to_string())
+/// Compile a physical plan into an executable one. `ctx` is the
+/// analysis context the plan's statement was checked under: the EXCESS
+/// function bodies its expressions call are planned against it.
+pub fn prepare(plan: &Physical, ctx: &SemaCtx<'_>) -> ModelResult<ExecNode> {
+    prepare_node(plan, &Compiler::new(ctx))
 }
 
-/// Compile a physical plan into an executable one.
-pub fn prepare(plan: &Physical, ctx: &SemaCtx<'_>, range_env: &RangeEnv) -> ModelResult<ExecNode> {
-    let counter = Cell::new(0);
-    prepare_with(plan, ctx, range_env, &counter)
-}
-
-/// Compile with an externally provided aggregate-id counter (used for
-/// nested compilations so ids stay unique per top-level plan).
-pub fn prepare_with(
-    plan: &Physical,
-    ctx: &SemaCtx<'_>,
-    range_env: &RangeEnv,
-    agg_counter: &Cell<usize>,
-) -> ModelResult<ExecNode> {
-    // Collect binding element types introduced by the plan so expression
-    // compilation sees every variable.
-    let mut vars = ctx.vars.clone();
-    collect_vars(plan, &mut vars);
-    let full_ctx = SemaCtx {
-        types: ctx.types,
-        adts: ctx.adts,
-        catalog: ctx.catalog,
-        vars,
-    };
-    prepare_node(plan, &full_ctx, range_env, agg_counter)
-}
-
-fn collect_vars(plan: &Physical, vars: &mut HashMap<String, QualType>) {
-    match plan {
-        Physical::Unit => {}
-        Physical::SeqScan { binding }
-        | Physical::SystemScan { binding, .. }
-        | Physical::IndexScan { binding, .. } => {
-            vars.insert(binding.var.clone(), binding.elem.clone());
-        }
-        Physical::Unnest { input, binding } => {
-            collect_vars(input, vars);
-            vars.insert(binding.var.clone(), binding.elem.clone());
-        }
-        Physical::HashJoin { input, binding, .. } | Physical::IndexJoin { input, binding, .. } => {
-            collect_vars(input, vars);
-            vars.insert(binding.var.clone(), binding.elem.clone());
-        }
-        Physical::NestedLoop { outer, inner } => {
-            collect_vars(outer, vars);
-            collect_vars(inner, vars);
-        }
-        Physical::Filter { input, .. }
-        | Physical::Project { input, .. }
-        | Physical::Sort { input, .. }
-        | Physical::Parallel { input, .. } => collect_vars(input, vars),
-        Physical::UniversalFilter {
-            input, bindings, ..
-        } => {
-            collect_vars(input, vars);
-            for b in bindings {
-                vars.insert(b.var.clone(), b.elem.clone());
-            }
-        }
-    }
-}
-
-fn prepare_node(
-    plan: &Physical,
-    ctx: &SemaCtx<'_>,
-    range_env: &RangeEnv,
-    agg_counter: &Cell<usize>,
-) -> ModelResult<ExecNode> {
-    let compiler = Compiler::new(ctx, range_env, agg_counter);
+/// Compile one plan node and its inputs. Each operator takes the path
+/// slots of its own expressions as it is built.
+pub(crate) fn prepare_node(plan: &Physical, c: &Compiler<'_>) -> ModelResult<ExecNode> {
+    let input = |p: &Physical| prepare_node(p, c).map(Box::new);
     Ok(match plan {
         Physical::Unit => ExecNode::Unit,
         Physical::SeqScan { binding } => ExecNode::SeqScan {
@@ -263,77 +199,75 @@ fn prepare_node(
             lower: lower.clone(),
             upper: upper.clone(),
         },
-        Physical::Unnest { input, binding } => ExecNode::Unnest {
-            input: Box::new(prepare_node(input, ctx, range_env, agg_counter)?),
+        Physical::Unnest { input: i, binding } => ExecNode::Unnest {
+            input: input(i)?,
             var: binding.var.clone(),
-            source: unnest_source(binding, ctx, &compiler)?,
+            source: unnest_source(binding, c)?,
         },
         Physical::NestedLoop { outer, inner } => ExecNode::NestedLoop {
-            outer: Box::new(prepare_node(outer, ctx, range_env, agg_counter)?),
-            inner: Box::new(prepare_node(inner, ctx, range_env, agg_counter)?),
+            outer: input(outer)?,
+            inner: input(inner)?,
         },
-        Physical::Filter { input, pred } => ExecNode::Filter {
-            input: Box::new(prepare_node(input, ctx, range_env, agg_counter)?),
-            pred: compiler.compile(pred)?,
-            paths: compiler.take_paths(),
+        Physical::Filter { input: i, pred } => ExecNode::Filter {
+            input: input(i)?,
+            pred: c.compile(&pred.typed)?,
+            paths: c.take_paths(),
         },
         Physical::UniversalFilter {
-            input,
+            input: i,
             bindings,
             pred,
         } => ExecNode::UniversalFilter {
-            input: Box::new(prepare_node(input, ctx, range_env, agg_counter)?),
-            universe: Box::new(prepare_bindings(bindings, ctx, range_env, agg_counter)?),
-            pred: compiler.compile(pred)?,
-            paths: compiler.take_paths(),
+            input: input(i)?,
+            universe: Box::new(prepare_bindings(bindings, c)?),
+            pred: c.compile(&pred.typed)?,
+            paths: c.take_paths(),
         },
-        Physical::Project { input, targets } => ExecNode::Project {
-            input: Box::new(prepare_node(input, ctx, range_env, agg_counter)?),
+        Physical::Project { input: i, targets } => ExecNode::Project {
+            input: input(i)?,
             targets: targets
                 .iter()
-                .map(|(n, e)| Ok((n.clone(), compiler.compile(e)?)))
+                .map(|(n, e)| Ok((n.clone(), c.compile(&e.typed)?)))
                 .collect::<ModelResult<_>>()?,
-            paths: compiler.take_paths(),
+            paths: c.take_paths(),
         },
-        Physical::Sort { input, key, asc } => ExecNode::Sort {
-            input: Box::new(prepare_node(input, ctx, range_env, agg_counter)?),
-            key: compiler.compile(key)?,
-            paths: compiler.take_paths(),
+        Physical::Sort { input: i, key, asc } => ExecNode::Sort {
+            input: input(i)?,
+            key: c.compile(&key.typed)?,
+            paths: c.take_paths(),
             asc: *asc,
         },
         Physical::HashJoin {
-            input,
+            input: i,
             binding,
             key,
             on,
         } => ExecNode::HashJoin {
-            input: Box::new(prepare_node(input, ctx, range_env, agg_counter)?),
+            input: input(i)?,
             var: binding.var.clone(),
             anchor: collection_oid(binding)?,
-            key: compiler.compile(key)?,
-            paths: compiler.take_paths(),
-            on: compiler.attr(
-                CExpr::Var(binding.var.clone()),
-                ctx.attr_pos(&binding.elem, on).map_err(sem)?,
-            ),
-            on_paths: compiler.take_paths(),
+            key: c.compile(&key.typed)?,
+            paths: c.take_paths(),
+            on: c.compile(&on.typed)?,
+            on_paths: c.take_paths(),
         },
         Physical::IndexJoin {
-            input,
+            input: i,
             binding,
             index,
             key,
+            key_ty,
         } => ExecNode::IndexJoin {
-            input: Box::new(prepare_node(input, ctx, range_env, agg_counter)?),
+            input: input(i)?,
             var: binding.var.clone(),
             anchor: collection_oid(binding)?,
             root: index.root,
-            key: compiler.compile(key)?,
-            paths: compiler.take_paths(),
-            key_ty: ctx.attr_type(&binding.elem, &index.attr).map_err(sem)?.ty,
+            key: c.compile(&key.typed)?,
+            paths: c.take_paths(),
+            key_ty: key_ty.clone(),
         },
-        Physical::Parallel { input, dop } => ExecNode::Parallel {
-            input: Box::new(prepare_node(input, ctx, range_env, agg_counter)?),
+        Physical::Parallel { input: i, dop } => ExecNode::Parallel {
+            input: input(i)?,
             dop: *dop,
         },
     })
@@ -342,56 +276,33 @@ fn prepare_node(
 /// Compile a chain of bindings (dependency-ordered) into a plan producing
 /// their joint environments — used for universal filters and aggregate
 /// `over` sources.
-pub fn prepare_bindings(
+pub(crate) fn prepare_bindings(
     bindings: &[ResolvedRange],
-    ctx: &SemaCtx<'_>,
-    range_env: &RangeEnv,
-    agg_counter: &Cell<usize>,
+    c: &Compiler<'_>,
 ) -> ModelResult<ExecNode> {
-    let mut vars = ctx.vars.clone();
-    for b in bindings {
-        vars.insert(b.var.clone(), b.elem.clone());
-    }
-    let full_ctx = SemaCtx {
-        types: ctx.types,
-        adts: ctx.adts,
-        catalog: ctx.catalog,
-        vars,
-    };
-    let compiler = Compiler::new(&full_ctx, range_env, agg_counter);
     let mut node = ExecNode::Unit;
     for b in bindings {
-        node = match (&b.root, b.steps.is_empty()) {
-            (RootSource::Collection(_), true) => {
-                let scan = ExecNode::SeqScan {
-                    var: b.var.clone(),
-                    anchor: collection_oid(b)?,
-                };
-                match node {
-                    ExecNode::Unit => scan,
-                    prev => ExecNode::NestedLoop {
-                        outer: Box::new(prev),
-                        inner: Box::new(scan),
-                    },
-                }
-            }
-            (RootSource::System(view), _) => {
-                let scan = ExecNode::SystemScan {
-                    var: b.var.clone(),
-                    view: view.clone(),
-                };
-                match node {
-                    ExecNode::Unit => scan,
-                    prev => ExecNode::NestedLoop {
-                        outer: Box::new(prev),
-                        inner: Box::new(scan),
-                    },
-                }
-            }
-            _ => ExecNode::Unnest {
-                input: Box::new(node),
+        let scan = match &b.root {
+            RootSource::Collection(_) if b.steps.is_empty() => Some(ExecNode::SeqScan {
                 var: b.var.clone(),
-                source: unnest_source(b, &full_ctx, &compiler)?,
+                anchor: collection_oid(b)?,
+            }),
+            RootSource::System(view) => Some(ExecNode::SystemScan {
+                var: b.var.clone(),
+                view: view.clone(),
+            }),
+            _ => None,
+        };
+        node = match (scan, node) {
+            (Some(scan), ExecNode::Unit) => scan,
+            (Some(scan), prev) => ExecNode::NestedLoop {
+                outer: Box::new(prev),
+                inner: Box::new(scan),
+            },
+            (None, prev) => ExecNode::Unnest {
+                input: Box::new(prev),
+                var: b.var.clone(),
+                source: unnest_source(b, c)?,
             },
         };
     }
@@ -410,21 +321,10 @@ fn collection_oid(b: &ResolvedRange) -> ModelResult<Oid> {
 
 /// Compile an unnest's source — its root, then its attribute steps —
 /// into a path expression with its own slot table.
-fn unnest_source(
-    b: &ResolvedRange,
-    ctx: &SemaCtx<'_>,
-    compiler: &Compiler<'_>,
-) -> ModelResult<USource> {
-    let (mut expr, mut cur, parent) = match &b.root {
-        RootSource::Var(parent) => {
-            let qty = ctx
-                .vars
-                .get(parent)
-                .cloned()
-                .ok_or_else(|| ModelError::Semantic(format!("unbound parent '{parent}'")))?;
-            (CExpr::Var(parent.clone()), qty, Some(parent.clone()))
-        }
-        RootSource::Object(obj) => (CExpr::NamedRef(obj.oid), obj.qty.clone(), None),
+fn unnest_source(b: &ResolvedRange, c: &Compiler<'_>) -> ModelResult<USource> {
+    let (root, parent) = match &b.root {
+        RootSource::Var(parent) => (CExpr::Var(parent.clone()), Some(parent.clone())),
+        RootSource::Object(obj) => (CExpr::NamedRef(obj.oid), None),
         RootSource::Collection(_) | RootSource::System(_) => {
             return Err(ModelError::Semantic(format!(
                 "binding '{}' should be a scan, not an unnest",
@@ -432,13 +332,10 @@ fn unnest_source(
             )))
         }
     };
-    for s in &b.steps {
-        expr = compiler.attr(expr, ctx.attr_pos(&cur, s).map_err(sem)?);
-        cur = ctx.attr_type(&cur, s).map_err(sem)?;
-    }
+    let expr = b.positions.iter().fold(root, |e, &pos| c.attr(e, pos));
     Ok(USource {
         expr,
-        paths: compiler.take_paths(),
+        paths: c.take_paths(),
         container: parent.map(|p| Arc::new((p, b.steps.clone()))),
     })
 }

@@ -1,13 +1,11 @@
 //! Evaluator unit tests: compile tiny expressions against an empty
 //! catalog and check value semantics directly.
 
-use std::cell::Cell;
-
 use excess_exec::eval::{eval, ExecCtx};
 use excess_exec::{CExpr, Compiler, Env, MemberId};
 use excess_lang::{parse_statement, OperatorTable, Stmt};
 use excess_sema::catalog::EmptyCatalog;
-use excess_sema::{RangeEnv, SemaCtx};
+use excess_sema::SemaCtx;
 use exodus_storage::StorageManager;
 use extra_model::{AdtRegistry, ObjectStore, QualType, Type, TypeRegistry, Value};
 
@@ -44,9 +42,8 @@ impl Harness {
         for (n, q) in vars {
             ctx.vars.insert((*n).to_string(), q.clone());
         }
-        let env = RangeEnv::default();
-        let counter = Cell::new(0);
-        Compiler::new(&ctx, &env, &counter).compile(&expr).unwrap()
+        let typed = ctx.check(&expr).unwrap();
+        Compiler::new(&ctx).compile(&typed).unwrap()
     }
 
     fn ctx(&self) -> ExecCtx<'_> {

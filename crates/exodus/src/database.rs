@@ -10,7 +10,6 @@ use excess_exec::{QueryProfile, QueryResult};
 use excess_lang::ops::OpAssoc;
 use excess_lang::{parse_program, AttrDecl, InheritClause, OperatorTable, Param, Privilege, Stmt};
 use excess_sema::lower::lower_qual;
-use excess_sema::resolve::Resolver;
 use excess_sema::{
     AttrStats, CollectionStats, FunctionDef, IndexInfo, NamedObject, ProcedureDef, RangeEnv,
     SemaCtx, HISTOGRAM_BUCKETS,
@@ -1519,9 +1518,7 @@ fn define_function(
     for (p, q) in &lowered_params {
         ctx.vars.insert(p.clone(), runtime_param_type(q));
     }
-    let env = RangeEnv::default();
-    let resolver = Resolver::new(&ctx, &env);
-    let checked = resolver.check_retrieve(body)?;
+    let checked = ctx.check_retrieve(body)?;
     if checked.output.len() != 1 {
         return Err(DbError::Catalog(
             "a function body must retrieve exactly one target".into(),
@@ -1603,7 +1600,7 @@ fn define_index(
     let elem = db.store.collection_elem(obj.oid)?;
     let view = CatalogView::new(db, cat);
     let ctx = SemaCtx::new(&cat.types, &cat.adts, &view);
-    let attr_qty = ctx.attr_type(&elem, attr)?;
+    let (pos, attr_qty) = ctx.attr(&elem, attr)?;
     // The access-method applicability check: orderable attribute types
     // only (for ADTs, the registry's table decides).
     let indexable = match &attr_qty.ty {
@@ -1616,7 +1613,6 @@ fn define_index(
             "attribute '{attr}' has no ordered key encoding; a B+-tree does not apply"
         )));
     }
-    let pos = ctx.attr_pos(&elem, attr)?;
     let tree = BTree::create(db.store.storage().pool())?;
     // Populate from the current members.
     let mut scan = db

@@ -14,8 +14,9 @@ use excess_exec::{
     PlanIndex, PlanProfiler, QueryProfile, QueryResult, RowBatch,
 };
 use excess_lang::{AppendValue, Expr, FromBinding, Privilege, Stmt, Target};
-use excess_sema::resolve::Resolver;
-use excess_sema::{CheckedRetrieve, IndexInfo, RangeEnv, RootSource, SemaCtx};
+use excess_sema::{
+    AggFn, CheckedRetrieve, IndexInfo, Node, RangeEnv, ResolvedRange, RootSource, SemaCtx,
+};
 use exodus_storage::btree::BTree;
 use exodus_storage::{Oid, RecordId, StorageError};
 use extra_model::{AdtRegistry, ModelError, Ownership, QualType, Type, Value};
@@ -121,9 +122,11 @@ impl<'a> Scope<'a> {
         }
     }
 
-    /// The analyzer context, with the frame's parameters in scope.
+    /// The analyzer context: the session's ranges, with the frame's
+    /// parameters in scope.
     fn sema(&self) -> SemaCtx<'_> {
         let mut ctx = SemaCtx::new(&self.cat.types, &self.cat.adts, &self.view);
+        ctx.ranges = self.ranges;
         for (name, (qty, _)) in &self.params.vars {
             ctx.vars.insert(name.clone(), qty.clone());
         }
@@ -158,32 +161,23 @@ impl<'a> Scope<'a> {
     }
 
     /// Check, plan and compile a retrieve-shaped statement. Every
-    /// expression of the statement is compiled here, once, under the
-    /// plan's single aggregate-id counter.
+    /// expression of the statement is checked here once, and compiled
+    /// once from what the checker resolved, by one compiler.
     fn plan(&self, stmt: &Stmt) -> DbResult<Planned> {
         let db = self.db;
         let ctx = self.sema();
-        // Statement-local ranges: session declarations plus this statement's
-        // from clauses (aggregate `over` resolution must see both).
-        let mut local = self.ranges.clone();
-        if let Stmt::Retrieve { from, .. } = stmt {
-            for fb in from {
-                local.declare(&fb.var, false, fb.path.clone());
-            }
-        }
         let checked = {
             let _span = db.span("sema", "");
-            Resolver::new(&ctx, &local).check_retrieve(stmt)?
+            ctx.check_retrieve(stmt)?
         };
         let _span = db.span("plan", "");
         let phys = excess_algebra::plan_retrieve_dop(
-            stmt,
             &checked,
             &ctx,
             excess_algebra::PlannerConfig::default(),
             db.worker_threads(),
         )?;
-        let node = prepare(&phys, &ctx, &local)?;
+        let node = prepare(&phys, &ctx)?;
         Ok(Planned {
             node,
             checked,
@@ -231,111 +225,51 @@ impl<'a> Scope<'a> {
 /// Read-authorization: the user needs `read` on every named object a
 /// query touches directly, and `execute` on every EXCESS function it
 /// calls (§4.2.3: schema types can be made abstract by granting access
-/// only through their functions).
-fn check_read(scope: &Scope<'_>, checked: &CheckedRetrieve, stmt: &Stmt) -> DbResult<()> {
-    let cat = scope.cat;
-    let mut names: Vec<String> = Vec::new();
-    let mut fns: Vec<String> = Vec::new();
-    for b in &checked.bindings {
-        match &b.root {
-            RootSource::Collection(o) | RootSource::Object(o) => names.push(o.name.clone()),
-            // System views surface operational state, not stored data:
-            // introspection needs no object privilege.
-            RootSource::Var(_) | RootSource::System(_) => {}
-        }
-    }
-    if let Stmt::Retrieve {
-        targets,
-        qual,
-        order_by,
-        ..
-    } = stmt
-    {
-        let exprs = targets
-            .iter()
-            .map(|t| &t.expr)
-            .chain(qual)
-            .chain(order_by.as_ref().map(|(e, _)| e));
-        for e in exprs {
-            names.extend(
-                excess_algebra::rules::free_vars(e)
-                    .into_iter()
-                    .filter(|v| cat.named.contains_key(v)),
-            );
-            collect_function_names(cat, e, &mut fns);
-        }
+/// only through their functions) — as the checker resolved them, so a
+/// range variable or an ADT function is never mistaken for a catalog
+/// name it shares.
+fn check_read(scope: &Scope<'_>, checked: &CheckedRetrieve) -> DbResult<()> {
+    let mut names: Vec<&str> = range_roots(&checked.bindings).collect();
+    let mut fns: Vec<&str> = Vec::new();
+    let exprs = checked
+        .targets
+        .iter()
+        .chain(&checked.conjuncts)
+        .chain(checked.order_by.as_ref().map(|(k, _)| k));
+    for e in exprs {
+        e.typed.walk(&mut |t| match &t.node {
+            Node::NamedSet(o) | Node::NamedRef(o) | Node::NamedValue(o) => names.push(&o.name),
+            Node::Call { def, .. } => fns.push(&def.name),
+            Node::Agg(a) => {
+                names.extend(range_roots(&a.over));
+                if let AggFn::Set(def) = &a.func {
+                    fns.push(&def.name);
+                }
+            }
+            _ => {}
+        });
     }
     names.sort();
     names.dedup();
     for n in names {
-        scope.allow(&n, Privilege::Read, "read")?;
+        scope.allow(n, Privilege::Read, "read")?;
     }
     fns.sort();
     fns.dedup();
     for f in fns {
-        scope.allow(&f, Privilege::Execute, "execute")?;
+        scope.allow(f, Privilege::Execute, "execute")?;
     }
     Ok(())
 }
 
-/// Collect names of EXCESS functions (not ADT functions) referenced by an
-/// expression.
-fn collect_function_names(cat: &Catalog, e: &Expr, out: &mut Vec<String>) {
-    use excess_lang::Aggregate;
-    match e {
-        Expr::Call { recv, name, args } => {
-            if cat.functions.iter().any(|f| &f.name == name) {
-                out.push(name.clone());
-            }
-            if let Some(r) = recv {
-                collect_function_names(cat, r, out);
-            }
-            for a in args {
-                collect_function_names(cat, a, out);
-            }
-        }
-        Expr::Agg(Aggregate {
-            func,
-            arg,
-            by,
-            qual,
-            ..
-        }) => {
-            if cat.functions.iter().any(|f| &f.name == func) {
-                out.push(func.clone());
-            }
-            if let Some(a) = arg {
-                collect_function_names(cat, a, out);
-            }
-            for b in by {
-                collect_function_names(cat, b, out);
-            }
-            if let Some(q) = qual {
-                collect_function_names(cat, q, out);
-            }
-        }
-        Expr::Path(b, _) => collect_function_names(cat, b, out),
-        Expr::Index(b, i) => {
-            collect_function_names(cat, b, out);
-            collect_function_names(cat, i, out);
-        }
-        Expr::Unary(_, a) => collect_function_names(cat, a, out),
-        Expr::Binary(_, a, b) => {
-            collect_function_names(cat, a, out);
-            collect_function_names(cat, b, out);
-        }
-        Expr::UserOp(_, args) | Expr::SetLit(args) => {
-            for a in args {
-                collect_function_names(cat, a, out);
-            }
-        }
-        Expr::TupleLit(fields) => {
-            for (_, v) in fields {
-                collect_function_names(cat, v, out);
-            }
-        }
-        Expr::Var(_) | Expr::Lit(_) => {}
-    }
+/// The named objects a list of ranges starts from.
+fn range_roots(bindings: &[ResolvedRange]) -> impl Iterator<Item = &str> {
+    bindings.iter().filter_map(|b| match &b.root {
+        RootSource::Collection(o) | RootSource::Object(o) => Some(o.name.as_str()),
+        // System views surface operational state, not stored data:
+        // introspection needs no object privilege.
+        RootSource::Var(_) | RootSource::System(_) => None,
+    })
 }
 
 /// Run one DML statement (`retrieve [into]`, `append`, `delete`,
@@ -413,7 +347,7 @@ pub(crate) fn retrieve(
     mut explain: Option<&mut ExplainSink>,
 ) -> DbResult<(QueryResult, CheckedRetrieve)> {
     let q = scope.plan(stmt)?;
-    check_read(scope, &q.checked, stmt)?;
+    check_read(scope, &q.checked)?;
     if !explain_planned(&mut explain, &q.phys) {
         return Ok((QueryResult::default(), q.checked));
     }
@@ -680,7 +614,7 @@ impl<'a> Scope<'a> {
         let elem = self.db.store.collection_elem(anchor)?;
         let ctx = self.sema();
         indexes
-            .map(|i| Ok((i, ctx.attr_pos(&elem, &i.attr)?)))
+            .map(|i| Ok((i, ctx.attr(&elem, &i.attr)?.0)))
             .collect()
     }
 
@@ -932,8 +866,8 @@ impl<'a> Scope<'a> {
                 path.clear();
                 value = db.store.value_of_at(oid, snap)?;
             }
-            let pos = ctx.attr_pos(&qty, s)?;
-            qty = ctx.attr_type(&qty, s)?;
+            let (pos, step_qty) = ctx.attr(&qty, s)?;
+            qty = step_qty;
             path.push(pos);
             value = match value {
                 Value::Tuple(mut fields) if pos < fields.len() => fields.swap_remove(pos),
@@ -1171,7 +1105,7 @@ fn append(scope: &Scope<'_>, stmt: &Stmt, explain: Option<&mut ExplainSink>) -> 
                 .target_type(&bound.checked, &root_var)
                 .ok_or_else(|| DbError::Catalog(format!("unknown update root '{root_var}'")))?;
             for s in &steps {
-                container = ctx.attr_type(&container, s)?;
+                container = ctx.attr(&container, s)?.1;
             }
             let Some(elem) = container.ty.element() else {
                 return Err(DbError::Catalog(format!(
@@ -1361,13 +1295,8 @@ fn replace(
     let ctx = scope.sema();
     let fields = assignments
         .iter()
-        .map(|(attr, _)| {
-            Ok((
-                ctx.attr_pos(&target_qty, attr)?,
-                ctx.attr_type(&target_qty, attr)?,
-            ))
-        })
-        .collect::<DbResult<Vec<_>>>()?;
+        .map(|(attr, _)| ctx.attr(&target_qty, attr))
+        .collect::<Result<Vec<_>, _>>()?;
 
     let staged = bound.stage(scope, |env, eval| {
         let mut updates = Vec::with_capacity(fields.len());

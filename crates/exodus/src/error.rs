@@ -196,7 +196,12 @@ impl From<ParseError> for DbError {
 
 impl From<SemaError> for DbError {
     fn from(e: SemaError) -> Self {
-        DbError::Sema(e)
+        match e {
+            // A data-model failure met while checking (an ADT literal its
+            // type rejects) keeps its data-model code.
+            SemaError::Model(e) => DbError::Model(e),
+            other => DbError::Sema(other),
+        }
     }
 }
 

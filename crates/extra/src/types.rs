@@ -88,11 +88,6 @@ impl BaseType {
     pub fn is_float(&self) -> bool {
         matches!(self, BaseType::Float4 | BaseType::Float8)
     }
-
-    /// Whether this is any string type.
-    pub fn is_string(&self) -> bool {
-        matches!(self, BaseType::Char(_) | BaseType::Varchar)
-    }
 }
 
 impl fmt::Display for BaseType {
@@ -260,8 +255,6 @@ mod tests {
         assert!(BaseType::Int4.is_integer());
         assert!(!BaseType::Float4.is_integer());
         assert!(BaseType::Float8.is_float());
-        assert!(BaseType::Varchar.is_string());
-        assert!(BaseType::Char(10).is_string());
     }
 
     #[test]

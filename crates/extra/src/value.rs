@@ -163,17 +163,6 @@ impl Value {
         }
     }
 
-    /// Set membership.
-    pub fn set_contains(&self, v: &Value) -> ModelResult<bool> {
-        match self {
-            Value::Set(members) => Ok(members.contains(v)),
-            other => Err(ModelError::TypeMismatch {
-                expected: "set".into(),
-                got: other.kind().into(),
-            }),
-        }
-    }
-
     /// Set union (dedup preserved).
     pub fn set_union(&self, other: &Value) -> ModelResult<Value> {
         match (self, other) {
@@ -549,7 +538,6 @@ mod tests {
         assert!(s.set_insert(Value::Int(1)).unwrap());
         assert!(s.set_insert(Value::Int(2)).unwrap());
         assert!(!s.set_insert(Value::Int(1)).unwrap(), "duplicate rejected");
-        assert!(s.set_contains(&Value::Int(2)).unwrap());
         let t = Value::Set(vec![Value::Int(2), Value::Int(3)]);
         assert_eq!(
             s.set_union(&t).unwrap(),

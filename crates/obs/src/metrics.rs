@@ -141,23 +141,6 @@ impl Histogram {
         self.sum.load(Ordering::Relaxed)
     }
 
-    /// Bucket-resolution estimate of the `q`-quantile (`0.0 < q <=
-    /// 1.0`): the smallest bucket upper bound whose cumulative count
-    /// covers `q` of all observations, or `None` with no observations.
-    /// Resolution is the bucket grid — good enough for load governors
-    /// (is p99 past a threshold?), not for reporting exact latencies.
-    pub fn estimate_quantile(&self, q: f64) -> Option<u64> {
-        let count = self.count();
-        if count == 0 {
-            return None;
-        }
-        let rank = (q * count as f64).ceil().max(1.0) as u64;
-        self.cumulative()
-            .into_iter()
-            .find(|(_, cum)| *cum >= rank)
-            .map(|(bound, _)| bound)
-    }
-
     /// Cumulative `(upper bound, count ≤ bound)` pairs; the final pair
     /// uses `u64::MAX` as the `+Inf` bound and equals [`Histogram::count`].
     pub fn cumulative(&self) -> Vec<(u64, u64)> {
@@ -929,19 +912,6 @@ mod tests {
         assert_eq!(cum.last().copied(), Some((u64::MAX, 4)));
         assert_eq!(h.count(), 4);
         assert_eq!(h.sum(), 10_006);
-    }
-
-    #[test]
-    fn quantile_estimates_track_the_bucket_grid() {
-        let h = Histogram::new(COUNT_BUCKETS);
-        assert_eq!(h.estimate_quantile(0.99), None, "no observations");
-        for _ in 0..99 {
-            h.observe(1);
-        }
-        h.observe(10_000); // one +Inf outlier
-        assert_eq!(h.estimate_quantile(0.5), Some(1));
-        assert_eq!(h.estimate_quantile(0.99), Some(1));
-        assert_eq!(h.estimate_quantile(1.0), Some(u64::MAX));
     }
 
     fn sample_registry() -> (MetricsRegistry, Arc<Counter>) {

@@ -3,7 +3,10 @@
 //! Semantic analysis for EXCESS: name resolution, type checking, range
 //! resolution, and function/procedure signature checking.
 //!
-//! The analyzer enforces the paper's semantic rules:
+//! A statement is typed once: [`SemaCtx::check_retrieve`] returns each
+//! expression as a [`Checked`] pair — the source beside its resolved
+//! [`Typed`] tree — which the planner and the executor's compiler take
+//! as given. The analyzer enforces the paper's semantic rules:
 //!
 //! * **Uniform own/ref/own-ref treatment**: attribute paths step through
 //!   references transparently (`E.dept.floor` works whether `dept` is
@@ -16,17 +19,20 @@
 //!   nested-set path (`Employees.kids` — iterating employees implicitly),
 //!   or another variable's set-valued attribute (`E.kids`), yielding
 //!   dependent bindings; `all` marks universal quantification.
-//! * **Aggregate scoping**: `over` must name visible range variables; the
-//!   aggregate consumes them (they do not escape); `by` partitions.
+//! * **Aggregate scoping**: `over` must name range variables; the
+//!   aggregate consumes them (they do not escape), iterates them with the
+//!   parents not bound outside it, and correlates through the rest; `by`
+//!   partitions.
 //! * **Function resolution through the type lattice**: an EXCESS function
 //!   defined for `Person` applies to `Employee` receivers; the most
 //!   specific applicable definition wins. ADT functions resolve by the
-//!   receiver's ADT in both call syntaxes (`x.Add(y)` / `Add(x, y)`).
+//!   receiver's ADT in both call syntaxes (`x.Add(y)` / `Add(x, y)`) and
+//!   through registered operators, all by one dispatch.
 
 #![deny(rustdoc::broken_intra_doc_links)]
 pub mod catalog;
+pub mod check;
 pub mod error;
-pub mod infer;
 pub mod lower;
 pub mod resolve;
 
@@ -34,8 +40,8 @@ pub use catalog::{
     AttrStats, CatalogLookup, CollectionStats, FunctionDef, IndexInfo, NamedObject, ProcedureDef,
     StatOp, SystemViewDef, HISTOGRAM_BUCKETS,
 };
+pub use check::{AggFn, Checked, Node, SemaCtx, Typed, TypedAgg};
 pub use error::{SemaError, SemaResult};
-pub use infer::SemaCtx;
 pub use resolve::{CheckedRetrieve, RangeEnv, ResolvedRange, RootSource};
 
 /// Validate a procedure body at definition time: transaction control

@@ -17,8 +17,8 @@ use excess_lang::{Aggregate, Expr, FromBinding, Stmt};
 use extra_model::{QualType, Type};
 
 use crate::catalog::NamedObject;
+use crate::check::{is_boolean, Checked, SemaCtx};
 use crate::error::{SemaError, SemaResult};
-use crate::infer::SemaCtx;
 
 /// Where a range variable's iteration starts.
 #[derive(Debug, Clone)]
@@ -45,6 +45,8 @@ pub struct ResolvedRange {
     pub root: RootSource,
     /// Attribute steps from the root to the iterated set.
     pub steps: Vec<String>,
+    /// The tuple position of each of `steps`.
+    pub positions: Vec<usize>,
     /// Element type each iteration binds.
     pub elem: QualType,
 }
@@ -80,14 +82,20 @@ impl RangeEnv {
     }
 }
 
-/// A fully checked retrieve: dependency-ordered bindings plus the output
-/// schema.
+/// A fully checked retrieve: dependency-ordered bindings, the output
+/// schema, and every expression checked once.
 #[derive(Debug, Clone)]
 pub struct CheckedRetrieve {
     /// Bindings in evaluation (dependency) order.
     pub bindings: Vec<ResolvedRange>,
     /// Output column names and types.
     pub output: Vec<(String, QualType)>,
+    /// The targets, in `output` order.
+    pub targets: Vec<Checked>,
+    /// The top-level conjuncts of the qualification.
+    pub conjuncts: Vec<Checked>,
+    /// The sort key and whether it ascends.
+    pub order_by: Option<(Checked, bool)>,
 }
 
 /// Flatten a range path to `(root name, attribute steps)`.
@@ -105,51 +113,21 @@ fn flatten_path(e: &Expr) -> SemaResult<(String, Vec<String>)> {
     }
 }
 
-/// Walk an expression, calling `on_var` for every bare variable reference
-/// and `on_agg` for aggregates.
+/// An aggregate's own expressions: its argument, `by` list and `where`.
+pub(crate) fn agg_exprs(a: &Aggregate) -> impl Iterator<Item = &Expr> {
+    a.arg
+        .as_deref()
+        .into_iter()
+        .chain(&a.by)
+        .chain(a.qual.as_deref())
+}
+
+/// Call `f` on `e` and every expression under it.
 fn walk_expr(e: &Expr, f: &mut impl FnMut(&Expr)) {
     f(e);
     match e {
-        Expr::Path(b, _) => walk_expr(b, f),
-        Expr::Index(b, i) => {
-            walk_expr(b, f);
-            walk_expr(i, f);
-        }
-        Expr::Call { recv, args, .. } => {
-            if let Some(r) = recv {
-                walk_expr(r, f);
-            }
-            for a in args {
-                walk_expr(a, f);
-            }
-        }
-        Expr::Unary(_, a) => walk_expr(a, f),
-        Expr::Binary(_, a, b) => {
-            walk_expr(a, f);
-            walk_expr(b, f);
-        }
-        Expr::UserOp(_, args) | Expr::SetLit(args) => {
-            for a in args {
-                walk_expr(a, f);
-            }
-        }
-        Expr::Agg(Aggregate { arg, by, qual, .. }) => {
-            if let Some(a) = arg {
-                walk_expr(a, f);
-            }
-            for b in by {
-                walk_expr(b, f);
-            }
-            if let Some(q) = qual {
-                walk_expr(q, f);
-            }
-        }
-        Expr::TupleLit(fields) => {
-            for (_, v) in fields {
-                walk_expr(v, f);
-            }
-        }
-        Expr::Var(_) | Expr::Lit(_) => {}
+        Expr::Agg(a) => agg_exprs(a).for_each(|x| walk_expr(x, f)),
+        other => walk_children(other, &mut |c| walk_expr(c, f)),
     }
 }
 
@@ -168,24 +146,10 @@ fn collect_free(e: &Expr, out: &mut HashSet<String>) {
         Expr::Var(n) => {
             out.insert(n.clone());
         }
-        Expr::Agg(Aggregate {
-            arg,
-            over,
-            by,
-            qual,
-            ..
-        }) => {
+        Expr::Agg(a) => {
             let mut inner = HashSet::new();
-            if let Some(a) = arg {
-                collect_free(a, &mut inner);
-            }
-            for b in by {
-                collect_free(b, &mut inner);
-            }
-            if let Some(q) = qual {
-                collect_free(q, &mut inner);
-            }
-            for v in over {
+            agg_exprs(a).for_each(|x| collect_free(x, &mut inner));
+            for v in &a.over {
                 inner.remove(v);
             }
             out.extend(inner);
@@ -194,6 +158,7 @@ fn collect_free(e: &Expr, out: &mut HashSet<String>) {
     }
 }
 
+/// Call `f` on each direct child of a non-aggregate expression.
 fn walk_children(e: &Expr, f: &mut impl FnMut(&Expr)) {
     match e {
         Expr::Path(b, _) => f(b),
@@ -228,35 +193,13 @@ fn walk_children(e: &Expr, f: &mut impl FnMut(&Expr)) {
     }
 }
 
-/// Collect every name referenced freely in variable position (candidates
-/// for session ranges and implicit collection bindings).
-fn referenced_names(exprs: &[&Expr]) -> HashSet<String> {
-    let mut names = HashSet::new();
-    for e in exprs {
-        names.extend(free_names(e));
-    }
-    names
-}
-
-/// The resolver: builds bindings for a statement's expressions.
-pub struct Resolver<'a> {
-    ctx: &'a SemaCtx<'a>,
-    env: &'a RangeEnv,
-}
-
-impl<'a> Resolver<'a> {
-    /// New resolver over a context and session ranges.
-    pub fn new(ctx: &'a SemaCtx<'a>, env: &'a RangeEnv) -> Self {
-        Resolver { ctx, env }
-    }
-
-    /// Resolve one range declaration into a binding. `known` maps already
-    /// visible variables to their element types (for `range of C is
-    /// E.kids` style dependencies).
+impl SemaCtx<'_> {
     /// Resolve one range declaration. Multi-level set paths
     /// (`Roots.mids.leaves`) produce synthetic intermediate bindings
     /// (named `var#0`, `var#1`, ...) preceding the final one — the paper's
-    /// "path syntax for handling deeply nested queries".
+    /// "path syntax for handling deeply nested queries". `known` maps
+    /// already visible variables to their element types (for `range of C
+    /// is E.kids` style dependencies).
     fn resolve_range(
         &self,
         var: &str,
@@ -265,17 +208,25 @@ impl<'a> Resolver<'a> {
         known: &HashMap<String, QualType>,
     ) -> SemaResult<Vec<ResolvedRange>> {
         let (root_name, steps) = flatten_path(path)?;
+        let range = |root, steps, positions, elem| ResolvedRange {
+            var: var.into(),
+            universal,
+            root,
+            steps,
+            positions,
+            elem,
+        };
         // `sys.<view>` ranges over a virtual system collection — but only
         // when nothing shadows `sys` (a variable or catalog object named
         // `sys` keeps its ordinary meaning) and the catalog actually
         // provides system views (so minimal test catalogs are unaffected).
         if root_name == "sys"
             && !known.contains_key("sys")
-            && !self.ctx.vars.contains_key("sys")
-            && self.ctx.catalog.named("sys").is_none()
+            && !self.vars.contains_key("sys")
+            && self.catalog.named("sys").is_none()
         {
             if let Some(first) = steps.first() {
-                if let Some(def) = self.ctx.catalog.system_view(first) {
+                if let Some(def) = self.catalog.system_view(first) {
                     if steps.len() > 1 {
                         return Err(SemaError::Other(format!(
                             "cannot range over 'sys.{first}.{}': system views \
@@ -283,16 +234,10 @@ impl<'a> Resolver<'a> {
                             steps[1..].join(".")
                         )));
                     }
-                    return Ok(vec![ResolvedRange {
-                        var: var.into(),
-                        universal,
-                        root: RootSource::System(first.clone()),
-                        steps: Vec::new(),
-                        elem: def.elem,
-                    }]);
+                    let root = RootSource::System(first.clone());
+                    return Ok(vec![range(root, Vec::new(), Vec::new(), def.elem)]);
                 }
                 let mut views: Vec<String> = self
-                    .ctx
                     .catalog
                     .system_views()
                     .into_iter()
@@ -307,58 +252,41 @@ impl<'a> Resolver<'a> {
                 }
             }
         }
+        let collection_elem = |obj: &NamedObject| match &obj.qty.ty {
+            Type::Set(e) => Ok((**e).clone()),
+            other => Err(SemaError::Other(format!(
+                "collection '{root_name}' has non-set type {}",
+                self.types.display_type(other)
+            ))),
+        };
         // A stepless range over a collection name iterates that collection
         // directly — even when an implicit member binding of the same name
         // exists (`range of E is Employees` alongside `Employees.kids`).
         // With steps, a known variable (including the shared implicit
         // member) takes precedence, giving the paper's shared-parent
         // semantics for `range of C is Employees.kids`.
-        let collection = self
-            .ctx
-            .catalog
-            .named(&root_name)
-            .filter(|o| o.is_collection);
-        if steps.is_empty() {
-            if let Some(obj) = collection {
-                let elem = match &obj.qty.ty {
-                    Type::Set(e) => (**e).clone(),
-                    other => {
-                        return Err(SemaError::Other(format!(
-                            "collection '{root_name}' has non-set type {}",
-                            self.ctx.types.display_type(other)
-                        )))
-                    }
-                };
-                return Ok(vec![ResolvedRange {
-                    var: var.into(),
-                    universal,
-                    root: RootSource::Collection(obj),
-                    steps,
-                    elem,
-                }]);
-            }
+        let collection = self.catalog.named(&root_name).filter(|o| o.is_collection);
+        if let (true, Some(obj)) = (steps.is_empty(), collection) {
+            let elem = collection_elem(&obj)?;
+            return Ok(vec![range(
+                RootSource::Collection(obj),
+                steps,
+                Vec::new(),
+                elem,
+            )]);
         }
         // Root: another declared variable, or an outer-scope variable
         // (function/procedure parameter)?
         let (root, mut cur, iterate_root): (RootSource, QualType, bool) =
-            if let Some(q) = known.get(&root_name) {
+            if let Some(q) = known.get(&root_name).or_else(|| self.vars.get(&root_name)) {
                 (RootSource::Var(root_name.clone()), q.clone(), false)
-            } else if let Some(q) = self.ctx.vars.get(&root_name) {
-                (RootSource::Var(root_name.clone()), q.clone(), false)
-            } else if let Some(obj) = self.ctx.catalog.named(&root_name) {
+            } else if let Some(obj) = self.catalog.named(&root_name) {
                 if obj.is_collection {
-                    let elem = match &obj.qty.ty {
-                        Type::Set(e) => (**e).clone(),
-                        other => {
-                            return Err(SemaError::Other(format!(
-                                "collection '{root_name}' has non-set type {}",
-                                self.ctx.types.display_type(other)
-                            )))
-                        }
-                    };
+                    let elem = collection_elem(&obj)?;
                     (RootSource::Collection(obj), elem, true)
                 } else {
-                    (RootSource::Object(obj.clone()), obj.qty.clone(), false)
+                    let qty = obj.qty.clone();
+                    (RootSource::Object(obj), qty, false)
                 }
             } else {
                 return Err(SemaError::UnknownName(root_name));
@@ -366,13 +294,7 @@ impl<'a> Resolver<'a> {
 
         if steps.is_empty() {
             if iterate_root {
-                return Ok(vec![ResolvedRange {
-                    var: var.into(),
-                    universal,
-                    root,
-                    steps,
-                    elem: cur,
-                }]);
+                return Ok(vec![range(root, steps, Vec::new(), cur)]);
             }
             // A named set/array object (`range of X is TopTen`) or a
             // set-valued variable (a set-typed function parameter)
@@ -380,13 +302,7 @@ impl<'a> Resolver<'a> {
             if let (RootSource::Object(_) | RootSource::Var(_), Some(e)) = (&root, cur.ty.element())
             {
                 let elem = e.clone();
-                return Ok(vec![ResolvedRange {
-                    var: var.into(),
-                    universal,
-                    root,
-                    steps,
-                    elem,
-                }]);
+                return Ok(vec![range(root, steps, Vec::new(), elem)]);
             }
             return Err(SemaError::NotIterable(format!("{path}")));
         }
@@ -396,33 +312,30 @@ impl<'a> Resolver<'a> {
         let mut out: Vec<ResolvedRange> = Vec::new();
         let mut seg_root = root;
         let mut seg_steps: Vec<String> = Vec::new();
-        let mut synth = 0usize;
+        let mut seg_positions: Vec<usize> = Vec::new();
         for (i, st) in steps.iter().enumerate() {
-            cur = self.ctx.attr_type(&cur, st)?;
+            let (pos, qty) = self.attr(&cur, st)?;
+            cur = qty;
             seg_steps.push(st.clone());
+            seg_positions.push(pos);
             let last = i + 1 == steps.len();
             match (&cur.ty, last) {
                 (Type::Set(e) | Type::Array(_, e), true) => {
                     let elem = (**e).clone();
-                    out.push(ResolvedRange {
-                        var: var.into(),
-                        universal,
-                        root: seg_root,
-                        steps: seg_steps,
-                        elem,
-                    });
+                    out.push(range(seg_root, seg_steps, seg_positions, elem));
                     return Ok(out);
                 }
                 (Type::Set(e) | Type::Array(_, e), false) => {
                     let elem = (**e).clone();
-                    let name = format!("{var}#{synth}");
-                    synth += 1;
+                    let name = format!("{var}#{}", out.len());
                     out.push(ResolvedRange {
                         var: name.clone(),
-                        universal,
-                        root: seg_root,
-                        steps: std::mem::take(&mut seg_steps),
-                        elem: elem.clone(),
+                        ..range(
+                            seg_root,
+                            std::mem::take(&mut seg_steps),
+                            std::mem::take(&mut seg_positions),
+                            elem.clone(),
+                        )
                     });
                     seg_root = RootSource::Var(name);
                     cur = elem;
@@ -436,12 +349,12 @@ impl<'a> Resolver<'a> {
 
     /// Build the dependency-ordered binding list for a set of expressions
     /// plus explicit from-clauses.
-    pub fn bindings_for(
+    pub(crate) fn bindings_for(
         &self,
         exprs: &[&Expr],
         from: &[FromBinding],
     ) -> SemaResult<Vec<ResolvedRange>> {
-        let referenced = referenced_names(exprs);
+        let referenced: HashSet<String> = exprs.iter().flat_map(|e| free_names(e)).collect();
 
         // Candidate declarations: from-clauses and session ranges (when
         // the variable occurs free — a variable consumed entirely by
@@ -453,7 +366,7 @@ impl<'a> Resolver<'a> {
                 decls.push((fb.var.clone(), false, fb.path.clone()));
             }
         }
-        for (v, u, p) in &self.env.ranges {
+        for (v, u, p) in &self.ranges.ranges {
             if referenced.contains(v) && !decls.iter().any(|(dv, _, _)| dv == v) {
                 decls.push((v.clone(), *u, p.clone()));
             }
@@ -471,12 +384,12 @@ impl<'a> Resolver<'a> {
                 continue;
             }
             seen.insert(name.clone());
-            if let Some((v, u, p)) = self.env.get(&name) {
+            if let Some((v, u, p)) = self.ranges.get(&name) {
                 if let Ok((root, _)) = flatten_path(p) {
                     queue.push(root);
                 }
                 decls.push((v.clone(), *u, p.clone()));
-            } else if let Some(obj) = self.ctx.catalog.named(&name) {
+            } else if let Some(obj) = self.catalog.named(&name) {
                 if obj.is_collection && self.is_used_as_member(&name, exprs, &decls) {
                     // Implicit range over the collection's members.
                     decls.push((name.clone(), false, Expr::Var(name.clone())));
@@ -561,7 +474,8 @@ impl<'a> Resolver<'a> {
         used
     }
 
-    /// Check a retrieve statement, producing bindings and output schema.
+    /// Check a retrieve statement: its bindings, its output schema, and
+    /// each of its expressions.
     pub fn check_retrieve(&self, stmt: &Stmt) -> SemaResult<CheckedRetrieve> {
         let Stmt::Retrieve {
             targets,
@@ -574,61 +488,61 @@ impl<'a> Resolver<'a> {
             return Err(SemaError::Other("not a retrieve statement".into()));
         };
         let mut exprs: Vec<&Expr> = targets.iter().map(|t| &t.expr).collect();
-        if let Some(q) = qual {
-            exprs.push(q);
-        }
-        if let Some((e, _)) = order_by {
-            exprs.push(e);
-        }
-        let bindings = self.bindings_for(&exprs, from)?;
+        exprs.extend(qual);
+        exprs.extend(order_by.as_ref().map(|(e, _)| e));
 
-        // Type-check with all bindings in scope, plus the types of
-        // aggregate `over` variables (consumed inside aggregates, so not
-        // necessarily outer bindings).
-        let mut ctx = SemaCtx::new(self.ctx.types, self.ctx.adts, self.ctx.catalog);
-        ctx.vars = self.ctx.vars.clone();
-        for b in &bindings {
-            ctx.vars.insert(b.var.clone(), b.elem.clone());
+        // The statement's from clauses join the declared ranges, which
+        // aggregate `over` clauses resolve against too.
+        let mut ranges = self.ranges.clone();
+        for fb in from {
+            ranges.declare(&fb.var, false, fb.path.clone());
         }
-        let mut over_vars: HashSet<String> = HashSet::new();
-        for e in &exprs {
-            walk_expr(e, &mut |x| {
-                if let Expr::Agg(a) = x {
-                    over_vars.extend(a.over.iter().cloned());
-                }
-            });
-        }
-        over_vars.retain(|v| !ctx.vars.contains_key(v));
-        if !over_vars.is_empty() {
-            let pseudo: Vec<Expr> = over_vars.iter().map(|v| Expr::Var(v.clone())).collect();
-            let refs: Vec<&Expr> = pseudo.iter().collect();
-            let extra = self.bindings_for(&refs, from)?;
-            for b in extra {
-                ctx.vars.entry(b.var).or_insert(b.elem);
-            }
-        }
+        let mut ctx = SemaCtx {
+            ranges: &ranges,
+            ..self.scoped([])
+        };
+        let bindings = ctx.bindings_for(&exprs, from)?;
+        ctx.vars
+            .extend(bindings.iter().map(|b| (b.var.clone(), b.elem.clone())));
+        let checked = |e: &Expr| -> SemaResult<Checked> {
+            Ok(Checked {
+                src: e.clone(),
+                typed: ctx.check(e)?,
+            })
+        };
+
         let mut output = Vec::with_capacity(targets.len());
+        let mut targets_checked = Vec::with_capacity(targets.len());
         for (i, t) in targets.iter().enumerate() {
-            let qty = ctx.infer(&t.expr)?;
+            let c = checked(&t.expr)?;
             let name = t.name.clone().unwrap_or_else(|| derive_name(&t.expr, i));
-            output.push((name, qty));
+            output.push((name, c.typed.qty.clone()));
+            targets_checked.push(c);
         }
-        if let Some(q) = qual {
-            let qt = ctx.infer(q)?;
-            if !matches!(
-                qt.ty,
-                Type::Base(extra_model::BaseType::Boolean) | Type::Unknown
-            ) {
-                return Err(SemaError::TypeMismatch {
-                    expected: "boolean qualification".into(),
-                    got: self.ctx.types.display_qual(&qt),
-                });
+        let conjuncts = match qual {
+            Some(q) => {
+                let q = checked(q)?;
+                if !is_boolean(&q.typed.qty.ty) {
+                    return Err(SemaError::TypeMismatch {
+                        expected: "boolean qualification".into(),
+                        got: self.types.display_qual(&q.typed.qty),
+                    });
+                }
+                q.conjuncts()
             }
-        }
-        if let Some((e, _)) = order_by {
-            ctx.infer(e)?;
-        }
-        Ok(CheckedRetrieve { bindings, output })
+            None => Vec::new(),
+        };
+        let order_by = match order_by {
+            Some((e, asc)) => Some((checked(e)?, *asc)),
+            None => None,
+        };
+        Ok(CheckedRetrieve {
+            bindings,
+            output,
+            targets: targets_checked,
+            conjuncts,
+            order_by,
+        })
     }
 }
 

@@ -3,7 +3,6 @@
 use std::collections::HashMap;
 
 use excess_lang::{parse_statement, OperatorTable, Stmt};
-use excess_sema::resolve::Resolver;
 use excess_sema::{
     CatalogLookup, FunctionDef, IndexInfo, NamedObject, RangeEnv, RootSource, SemaCtx, SemaError,
 };
@@ -156,7 +155,6 @@ fn check_with_ranges(
     ranges: &[(&str, bool, &str)],
 ) -> Result<excess_sema::CheckedRetrieve, SemaError> {
     let f = fixture();
-    let ctx = SemaCtx::new(&f.types, &f.adts, &f.catalog);
     let mut env = RangeEnv::default();
     for (v, u, p) in ranges {
         let stmt = parse_statement(
@@ -174,7 +172,9 @@ fn check_with_ranges(
         }
     }
     let stmt = parse_statement(src, &OperatorTable::new()).unwrap();
-    Resolver::new(&ctx, &env).check_retrieve(&stmt)
+    let mut ctx = SemaCtx::new(&f.types, &f.adts, &f.catalog);
+    ctx.ranges = &env;
+    ctx.check_retrieve(&stmt)
 }
 
 #[test]
@@ -409,4 +409,43 @@ fn universal_quantification_flag() {
 fn range_over_non_set_rejected() {
     let err = check_with_ranges("retrieve (X.name)", &[("X", false, "StarEmployee")]).unwrap_err();
     assert!(matches!(err, SemaError::NotIterable(_)), "{err}");
+}
+
+#[test]
+fn conjuncts_split_and_conjoin_both_halves() {
+    let checked = check_with_ranges(
+        "retrieve (E.name) where E.age = 1 and E.salary = 2.0 and (E.age = 3 or E.age = 4)",
+        &[("E", false, "Employees")],
+    )
+    .unwrap();
+    let cs = checked.conjuncts;
+    assert_eq!(cs.len(), 3);
+    // `or` is not split, in either half.
+    assert!(matches!(
+        cs[2].src,
+        excess_lang::Expr::Binary(excess_lang::BinOp::Or, _, _)
+    ));
+    assert!(matches!(
+        cs[2].typed.node,
+        excess_sema::Node::Binary(excess_lang::BinOp::Or, _, _)
+    ));
+    let back = excess_sema::Checked::conjoin(cs).unwrap();
+    assert_eq!(back.typed.qty, QualType::own(Type::boolean()));
+    assert_eq!(back.conjuncts().len(), 3);
+}
+
+#[test]
+fn free_names_see_through_paths_not_over() {
+    let stmt = parse_statement(
+        "retrieve (x) where E.dept.floor = 2 and count(C over C where C.age > K.age) > 0",
+        &OperatorTable::new(),
+    )
+    .unwrap();
+    let Stmt::Retrieve { qual: Some(q), .. } = stmt else {
+        unreachable!()
+    };
+    let names = excess_sema::resolve::free_names(&q);
+    assert!(names.contains("E"));
+    assert!(names.contains("K"), "free inside the aggregate");
+    assert!(!names.contains("C"), "consumed by over");
 }

@@ -562,6 +562,30 @@ fn f10_authorization() {
         1,
         "procedure mutated what bob could not touch directly"
     );
+
+    // Privileges follow what a name resolves to, not how it is spelled.
+    // An EXCESS function named `Year` does not gate the Date ADT's `Year`.
+    s.run("define function Year (e: Employee) returns int4 as retrieve (e.ssnum)")
+        .unwrap();
+    let ann_year = "retrieve (E.birthday.Year()) from E in Employees where E.name = \"ann\"";
+    assert_eq!(
+        alice.query(ann_year).unwrap().rows,
+        vec![vec![Value::Int(1953)]]
+    );
+    // A range variable shadows a named object of the same name: ranging
+    // over Employees as `Today` reads Employees, not the object `Today`.
+    s.run("create Date Today").unwrap();
+    let shadowed = "retrieve (Today.name) from Today in Employees";
+    assert_eq!(
+        alice.query(shadowed).unwrap().rows,
+        s.query(shadowed).unwrap().rows
+    );
+    // An aggregate reads the ranges it iterates: bob, who cannot read
+    // Employees, cannot count them either.
+    let err = bobs
+        .query("retrieve (count(E over E)) from E in Employees")
+        .unwrap_err();
+    assert!(matches!(err, DbError::Auth(_)), "{err}");
 }
 
 // ---------------------------------------------------------------------------

@@ -36,6 +36,74 @@ fn recursive_function_rejected() {
 }
 
 #[test]
+fn mutual_recursion_through_redefinition_rejected() {
+    let (_db, mut s) = base();
+    // Dropping and redefining can close a cycle the definition-time
+    // check never sees; compiling a call must refuse it, not recurse.
+    s.run(
+        "define function Ping (p: Person) returns int4 as retrieve (p.age); \
+         define function Pong (p: Person) returns int4 as retrieve (p.Ping()); \
+         drop function Ping; \
+         define function Ping (p: Person) returns int4 as retrieve (p.Pong())",
+    )
+    .unwrap();
+    let err = s.query("retrieve (P.Ping()) from P in People").unwrap_err();
+    assert_eq!(err.code(), 1006, "{err}");
+    assert!(
+        err.to_string().contains("recursive EXCESS function 'Ping'"),
+        "{err}"
+    );
+}
+
+#[test]
+fn same_named_functions_on_different_receivers_call_each_other() {
+    let (_db, mut s) = base();
+    // `Name` on `Emp` calls `Name` on `Dept`: two definitions sharing a
+    // name, so no recursion.
+    s.run(
+        r#"
+        define type Dept (dname: varchar);
+        define type Emp (ename: varchar, dept: ref Dept);
+        create { own ref Dept } Depts;
+        create { own ref Emp } Emps;
+        append to Depts (dname = "toys");
+        append to Emps (ename = "e");
+        range of E is Emps; range of D is Depts;
+        replace E (dept = D) where D.dname = "toys";
+        define function Name (d: Dept) returns varchar as retrieve (d.dname);
+        define function Name (e: Emp) returns varchar as retrieve (e.dept.Name())
+    "#,
+    )
+    .unwrap();
+    let r = s.query("retrieve (E.Name()) from E in Emps").unwrap();
+    assert_eq!(r.rows, vec![vec![Value::str("toys")]]);
+}
+
+#[test]
+fn override_calls_supertype_version_on_another_object() {
+    let (_db, mut s) = base();
+    s.run(
+        r#"
+        define type Guide (name: varchar, mentor: ref Guide);
+        define type Senior inherits Guide (rank: int4);
+        create { own ref Guide } Guides;
+        create { own ref Senior } Seniors;
+        append to Guides (name = "g");
+        append to Seniors (name = "s", rank = 1);
+        range of S is Seniors; range of G is Guides;
+        replace S (mentor = G) where G.name = "g";
+        define function Describe (g: Guide) returns varchar as retrieve (g.name);
+        define function Describe (s: Senior) returns varchar as retrieve (s.mentor.Describe())
+    "#,
+    )
+    .unwrap();
+    let r = s
+        .query("retrieve (S.Describe()) from S in Seniors")
+        .unwrap();
+    assert_eq!(r.rows, vec![vec![Value::str("g")]]);
+}
+
+#[test]
 fn procedure_recursion_depth_guard() {
     let (_db, mut s) = base();
     s.run("define procedure Spin (x: int4) as execute Spin(x) end")

@@ -444,6 +444,15 @@ fn runtime_faults() {
 }
 
 #[test]
+fn aggregate_over_a_collection_name() {
+    let (_db, mut s) = small_db();
+    // Inside an aggregate, as in a path, a collection's name ranges over
+    // its members.
+    let r = s.query("retrieve (sum(Items.qty over Items))").unwrap();
+    assert_eq!(r.rows, vec![vec![Value::Int(13)]]);
+}
+
+#[test]
 fn each_aggregate_of_an_update_keeps_its_own_value() {
     // Every expression of an update statement is compiled once, under
     // one aggregate-id counter: two uncorrelated `over` aggregates in
@@ -486,4 +495,434 @@ fn each_aggregate_of_an_update_keeps_its_own_value() {
     s.run("execute Record(count(D over D), sum(D.budget over D))")
         .unwrap();
     assert_eq!(summaries(&mut s), vec![three_sixty.clone(), three_sixty]);
+}
+
+// ---------------------------------------------------------------------------
+// Front-end golden corpus
+// ---------------------------------------------------------------------------
+
+/// The figures schema, widened so that one session reaches every front-end
+/// path: `Date`, `Complex` and `Polygon` attributes, own, ref, own-ref and
+/// anonymous-tuple attributes, named objects, an attached function called
+/// on a subtype, a user set function, an `all` range, a `Date` index, and
+/// an analyzed collection with an index for equi joins.
+fn corpus_session() -> extra_excess::Session {
+    let db = Database::in_memory();
+    let mut s = db.session();
+    s.run(
+        r#"
+        define type Person (name: varchar, ssnum: int4, birthday: Date, kids: { own ref Person });
+        define type Office (room: int4, phase: Complex, zone: Polygon);
+        define type Department (dname: varchar, floor: int4, budget: float8, office: own ref Office);
+        define type Employee inherits Person (
+            salary: float8, dept: ref Department, home: (city: varchar, zip: int4)
+        );
+        create { own ref Department } Departments;
+        create { own ref Employee } Employees;
+        create { own ref Person } People;
+        create { own ref Office } Offices;
+        create Employee Star;
+        create [3] float8 Readings;
+        append to Departments (dname = "toy", floor = 2, budget = 100000.0);
+        append to Departments (dname = "shoe", floor = 1, budget = 50000.0);
+        append to Employees (name = "ann", ssnum = 1, birthday = Date("8/29/1953"), salary = 45000.0);
+        append to Employees (name = "bob", ssnum = 2, birthday = Date("1/2/1961"), salary = 52000.0);
+        range of E is Employees;
+        define index emp_birthday on Employees (birthday);
+        define function Label (p: Person) returns varchar as retrieve (p.name);
+        define function Spread (xs: { int4 }) returns int8
+            as retrieve (max(x over x) - min(x over x)) from x in xs;
+        create Person Pat;
+        define procedure Tally (p: Person) as retrieve (count(p over p)) end;
+        create { own ref Person } Temps;
+        define function Census (p: Person) returns int8 as retrieve (count(T over T)) from T in Temps;
+        destroy Temps;
+        range of X is all Employees
+    "#,
+    )
+    .unwrap();
+    for i in 0..40 {
+        s.run(&format!(
+            "append to Departments (dname = \"d{i}\", floor = {i}, budget = 1.0)"
+        ))
+        .unwrap();
+    }
+    s.run("analyze Departments; define index dept_floor on Departments (floor)")
+        .unwrap();
+    s
+}
+
+/// The `explain` text of each statement: paths of depth 1 to 3, ADT `+`,
+/// a user operator, both call syntaxes, inherited dispatch, `over` and
+/// `by` aggregates (correlated or not), `unique`, a set function, an
+/// `all` range, an index scan on a `Date` key, equi joins after
+/// `analyze`, and an update.
+const CORPUS_PLANS: &[(&str, &str)] = &[
+    (
+        "retrieve (E.name) from E in Employees",
+        "Project [name = E.name]\n  SeqScan E over Employees\n",
+    ),
+    (
+        "retrieve (E.dept.dname) from E in Employees where E.dept.floor = 2",
+        "Project [dname = E.dept.dname]\n  Filter (E.dept.floor = 2)\n    SeqScan E over Employees\n",
+    ),
+    (
+        "retrieve (E.dept.office.room) from E in Employees",
+        "Project [room = E.dept.office.room]\n  SeqScan E over Employees\n",
+    ),
+    (
+        "retrieve (E.home.city, Star.dept.office.zone) from E in Employees",
+        "Project [city = E.home.city, zone = Star.dept.office.zone]\n  SeqScan E over Employees\n",
+    ),
+    (
+        "retrieve (O.phase + Complex(\"(1, 1)\")) from O in Offices",
+        "Project [expr1 = (O.phase + Complex(\"(1, 1)\"))]\n  SeqScan O over Offices\n",
+    ),
+    (
+        "retrieve (O.room) from O in Offices where O.zone &&& Polygon(\"((0 0) (2 0) (2 2))\")",
+        "Project [room = O.room]\n  Filter (O.zone &&& Polygon(\"((0 0) (2 0) (2 2))\"))\n    SeqScan O over Offices\n",
+    ),
+    (
+        "retrieve (E.birthday.Year(), Year(E.birthday)) from E in Employees",
+        "Project [Year = E.birthday.Year(), Year = Year(E.birthday)]\n  SeqScan E over Employees\n",
+    ),
+    (
+        "retrieve (E.Label(), Label(E)) from E in Employees",
+        "Project [Label = E.Label(), Label = Label(E)]\n  SeqScan E over Employees\n",
+    ),
+    (
+        "retrieve (D.dname, avg(E.salary over E)) from D in Departments, E in Employees",
+        "Project [dname = D.dname, avg = avg(E.salary over E)]\n  SeqScan D over Departments\n",
+    ),
+    (
+        "retrieve (D.dname, count(E over E where E.dept is D)) from D in Departments, E in Employees",
+        "Project [dname = D.dname, count = count(E over E where (E.dept is D))]\n  SeqScan D over Departments\n",
+    ),
+    (
+        "retrieve (E.dept.dname, avg(E.salary over E by E.dept.dname)) from E in Employees",
+        "Project [dname = E.dept.dname, avg = avg(E.salary over E by E.dept.dname)]\n  SeqScan E over Employees\n",
+    ),
+    (
+        "retrieve (unique(E.dept.floor over E)) from E in Employees",
+        "Project [unique = unique(E.dept.floor over E)]\n  Unit\n",
+    ),
+    (
+        "retrieve (Spread(E.ssnum over E)) from E in Employees",
+        "Project [Spread = Spread(E.ssnum over E)]\n  Unit\n",
+    ),
+    (
+        "retrieve (E.name, count(E.kids)) from E in Employees",
+        "Project [name = E.name, count = count(E.kids)]\n  SeqScan E over Employees\n",
+    ),
+    (
+        "retrieve (D.dname) from D in Departments where X.salary < D.budget",
+        "Project [dname = D.dname]\n  UniversalFilter forall X : (X.salary < D.budget)\n    SeqScan D over Departments\n",
+    ),
+    (
+        "retrieve (E.name) from E in Employees where E.birthday < Date(\"1/1/1960\")",
+        "Project [name = E.name]\n  IndexScan E over Employees using emp_birthday (birthday < adt#0(4 bytes))\n",
+    ),
+    (
+        "retrieve (D.dname, F.dname) from D in Departments, F in Departments where D.floor = F.floor and F.budget > D.budget",
+        "Project [dname = D.dname, dname = F.dname]\n  Filter (F.budget > D.budget)\n    HashJoin F over Departments on floor = D.floor\n      SeqScan D over Departments\n",
+    ),
+    (
+        "retrieve (E.name, F.dname) from E in Employees, F in Departments where E.ssnum = F.floor",
+        "Project [name = E.name, dname = F.dname]\n  IndexJoin F over Departments using dept_floor on floor = E.ssnum\n    SeqScan E over Employees\n",
+    ),
+    (
+        "retrieve (C.name) from C in Employees.kids where Employees.dept.floor = 2",
+        "Project [name = C.name]\n  Unnest C over Employees.kids\n    Filter (Employees.dept.floor = 2)\n      SeqScan Employees over Employees\n",
+    ),
+    (
+        "retrieve (Star.name, Readings[1], Readings)",
+        "Project [name = Star.name, Readings = Readings[1], Readings = Readings]\n  Unit\n",
+    ),
+    (
+        "retrieve (E.name) from E in Employees where E.salary > 1.0 order by E.salary desc",
+        "Project [name = E.name]\n  Sort by E.salary desc\n    Filter (E.salary > 1.0)\n      SeqScan E over Employees\n",
+    ),
+    (
+        "replace E (salary = E.salary * 1.1) where E.dept.floor = 2 and E.name != \"x\"",
+        "Project [E = E, expr2 = (E.salary * 1.1)]\n  Filter (E.dept.floor = 2)\n    Filter (E.name != \"x\")\n      SeqScan E over Employees\n",
+    ),
+    (
+        "retrieve (E.name, D.dname) from E in Employees, D in Departments where E.name = \"a\" and (D.floor = 2 and E.dept is D)",
+        "Project [name = E.name, dname = D.dname]\n  Filter (E.dept is D)\n    NestedLoop\n      Filter (E.name = \"a\")\n        SeqScan E over Employees\n      IndexScan D over Departments using dept_floor (floor = 2)\n",
+    ),
+];
+
+/// `(code, Display)` of each failing statement: every error the checker
+/// and the expression compiler raise that a statement can reach.
+const CORPUS_ERRORS: &[(&str, u16, &str)] = &[
+    (
+        "retrieve (E.nope) from E in Employees",
+        1002,
+        "semantic error: type 'Employee' has no attribute 'nope'",
+    ),
+    (
+        "retrieve (E.home.nope) from E in Employees",
+        1002,
+        "semantic error: type '(city: varchar, zip: int4)' has no attribute 'nope'",
+    ),
+    (
+        "retrieve (E.kids.name) from E in Employees",
+        1002,
+        "semantic error: cannot take attribute 'name' of a collection; bind a range variable over it first",
+    ),
+    (
+        "retrieve (E.name.first) from E in Employees",
+        1002,
+        "semantic error: type 'varchar' has no attribute 'first'",
+    ),
+    (
+        "retrieve (null.x)",
+        1002,
+        "semantic error: type 'unknown' has no attribute 'x'",
+    ),
+    (
+        "retrieve ({1, \"a\"})",
+        1002,
+        "semantic error: type mismatch: expected int8, got varchar",
+    ),
+    (
+        "retrieve (Readings[\"a\"])",
+        1002,
+        "semantic error: type mismatch: expected integer index, got varchar",
+    ),
+    (
+        "retrieve (E.name[1]) from E in Employees",
+        1002,
+        "semantic error: type mismatch: expected an array, got varchar",
+    ),
+    (
+        "retrieve (not 1)",
+        1002,
+        "semantic error: type mismatch: expected boolean, got int8",
+    ),
+    (
+        "retrieve (-\"a\")",
+        1002,
+        "semantic error: type mismatch: expected a number, got varchar",
+    ),
+    (
+        "retrieve (1 &&& 2)",
+        1002,
+        "semantic error: function error: operator '&&&' requires an ADT-typed operand",
+    ),
+    (
+        "retrieve (Date(\"1/1/1990\") &&& Date(\"1/1/1990\"))",
+        1002,
+        "semantic error: function error: operator '&&&' is not defined for Date",
+    ),
+    (
+        "retrieve (O.zone &&& O.nope) from O in Offices",
+        1002,
+        "semantic error: type 'Office' has no attribute 'nope'",
+    ),
+    (
+        "retrieve (E.birthday.Wobble()) from E in Employees",
+        1002,
+        "semantic error: function error: ADT 'Date' has no function 'Wobble'",
+    ),
+    (
+        "retrieve (E.birthday.Year(1)) from E in Employees",
+        1002,
+        "semantic error: function error: 'Year' takes 1 arguments, got 2",
+    ),
+    (
+        "retrieve (Nope(1))",
+        1002,
+        "semantic error: function error: unknown function 'Nope'",
+    ),
+    (
+        "retrieve (D.Label()) from D in Departments",
+        1002,
+        "semantic error: function error: no definition of 'Label' applies to these arguments",
+    ),
+    (
+        "retrieve (Label(1))",
+        1002,
+        "semantic error: function error: no definition of 'Label' applies to these arguments",
+    ),
+    (
+        "retrieve (1 and true)",
+        1002,
+        "semantic error: type mismatch: expected boolean, got int8",
+    ),
+    (
+        "retrieve (Date(\"1/1/1990\") + 1)",
+        1002,
+        "semantic error: function error: operator '+' is not defined for Date",
+    ),
+    (
+        "retrieve (\"a\" + 1)",
+        1002,
+        "semantic error: type mismatch: expected a number, got varchar",
+    ),
+    (
+        "retrieve (1.5 % 2)",
+        1002,
+        "semantic error: type mismatch: expected integers for %, got float8 % int8",
+    ),
+    (
+        "retrieve (E.name) from E in Employees where E.dept = E.dept",
+        1002,
+        "semantic error: '=' cannot be applied to references; use 'is' or 'isnot' (the only comparisons applicable to references)",
+    ),
+    (
+        "retrieve (E.name) from E in Employees where E.name = 1",
+        1002,
+        "semantic error: type mismatch: expected varchar, got int8",
+    ),
+    (
+        "retrieve (E.name) from E in Employees where E.dept < E.dept",
+        1002,
+        "semantic error: '<' cannot be applied to references; use 'is' or 'isnot' (the only comparisons applicable to references)",
+    ),
+    (
+        "retrieve (E.name) from E in Employees where E.name < 1",
+        1002,
+        "semantic error: type mismatch: expected varchar, got int8",
+    ),
+    (
+        "retrieve (O.room) from O in Offices where O.phase < O.phase",
+        1002,
+        "semantic error: type mismatch: expected an ordered type, got adt#1",
+    ),
+    (
+        "retrieve (E.name) from E in Employees where E.ssnum is 1",
+        1002,
+        "semantic error: 'is'/'isnot' compare object identity; operands are int4, not references",
+    ),
+    (
+        "retrieve (E.name) from E in Employees where 1 in E.kids",
+        1002,
+        "semantic error: type mismatch: expected a reference (the set holds objects), got int8",
+    ),
+    (
+        "retrieve (E.name) from E in Employees where \"a\" in {1, 2}",
+        1002,
+        "semantic error: type mismatch: expected int8, got varchar",
+    ),
+    (
+        "retrieve (1 in 2)",
+        1002,
+        "semantic error: type mismatch: expected a set, got int8",
+    ),
+    (
+        "retrieve (1 union 2)",
+        1002,
+        "semantic error: type mismatch: expected sets, got int8 union int8",
+    ),
+    (
+        "retrieve ({1} union {\"a\"})",
+        1002,
+        "semantic error: type mismatch: expected int8, got varchar",
+    ),
+    (
+        "retrieve (sum(P.ssnum over Q)) from P in People",
+        1002,
+        "semantic error: aggregate error: 'over Q': no such range variable in scope",
+    ),
+    (
+        "retrieve (count(P over P where P.ssnum)) from P in People",
+        1002,
+        "semantic error: aggregate error: aggregate 'where' must be boolean",
+    ),
+    (
+        "retrieve (sum(P.name over P)) from P in People",
+        1002,
+        "semantic error: aggregate error: sum requires a numeric argument, got varchar",
+    ),
+    (
+        "retrieve (min(P.kids over P)) from P in People",
+        1002,
+        "semantic error: aggregate error: min requires an ordered argument, got { own ref Person }",
+    ),
+    (
+        "retrieve (Nope(P.ssnum over P)) from P in People",
+        1002,
+        "semantic error: function error: unknown function 'Nope'",
+    ),
+    (
+        "retrieve (Spread(P.name over P)) from P in People",
+        1002,
+        "semantic error: aggregate error: set function 'Spread' parameter 'xs' expects { int4 }, got { varchar }",
+    ),
+    (
+        "retrieve (count(P.ssnum)) from P in People",
+        1002,
+        "semantic error: aggregate error: aggregate 'count' without an 'over' clause needs a set-valued argument (e.g. count(E.kids))",
+    ),
+    (
+        "retrieve (count(P.kids by P.name)) from P in People",
+        1002,
+        "semantic error: aggregate error: 'by'/'where' inside an aggregate require an 'over' clause",
+    ),
+    (
+        "retrieve (count(P.kids where P.ssnum > 1)) from P in People",
+        1002,
+        "semantic error: aggregate error: 'by'/'where' inside an aggregate require an 'over' clause",
+    ),
+    (
+        "execute Tally(Pat)",
+        1002,
+        "semantic error: aggregate error: 'over p': no such range variable in scope",
+    ),
+    (
+        "retrieve (P.Census()) from P in People",
+        1006,
+        "'Temps' is not a range variable, parameter or named object",
+    ),
+    (
+        "retrieve (Date(\"garbage\"))",
+        1006,
+        "ADT error: bad Date literal 'garbage'",
+    ),
+    (
+        "retrieve (P.name) from P in People where P.birthday > Date(\"13/45/1950\")",
+        1006,
+        "ADT error: invalid date 13/45/1950",
+    ),
+    (
+        "retrieve (P.name) from P in People where P.ssnum + 1",
+        1002,
+        "semantic error: type mismatch: expected boolean qualification, got int8",
+    ),
+    (
+        "retrieve (Nobody.name)",
+        1002,
+        "semantic error: 'Nobody' is not a range variable, parameter or named object",
+    ),
+    (
+        "retrieve (S.name) from S in Star",
+        1002,
+        "semantic error: 'Star' is not a set or array; range variables need a collection",
+    ),
+];
+
+#[test]
+fn front_end_golden_corpus() {
+    let mut s = corpus_session();
+    let mut diffs = Vec::new();
+    for (stmt, want) in CORPUS_PLANS {
+        let got = match s.explain(stmt) {
+            Ok(e) => e.plan,
+            Err(e) => format!("error: {e}"),
+        };
+        if got != *want {
+            diffs.push(format!("{stmt}\n  want {want:?}\n  got  {got:?}"));
+        }
+    }
+    for (stmt, code, want) in CORPUS_ERRORS {
+        let got = match s.run(stmt) {
+            Ok(_) => (0, "ok".to_string()),
+            Err(e) => (e.code(), e.to_string()),
+        };
+        if got != (*code, want.to_string()) {
+            diffs.push(format!("{stmt}\n  want {:?}\n  got  {got:?}", (code, want)));
+        }
+    }
+    assert!(diffs.is_empty(), "{}", diffs.join("\n"));
 }
