@@ -1,16 +1,26 @@
 //! The database catalog: named objects, functions, procedures, indexes,
-//! and the authorization tables.
+//! statistics and the authorization tables — and the catalog image, its
+//! one persistent form (DESIGN.md §14).
 
 use std::collections::{HashMap, HashSet};
 
-use excess_lang::Privilege;
+use excess_lang::{parse_program, OperatorTable, Privilege, Stmt};
 use excess_sema::{
-    CatalogLookup, CollectionStats, FunctionDef, IndexInfo, NamedObject, ProcedureDef,
+    AttrStats, CatalogLookup, CollectionStats, FunctionDef, IndexInfo, NamedObject, ProcedureDef,
     SystemViewDef,
 };
-use extra_model::{AdtRegistry, TypeRegistry, Value};
+use exodus_storage::crc::crc32;
+use exodus_storage::encoding::{ByteReader, ByteWriter};
+use exodus_storage::lob::{Lob, LobId};
+use exodus_storage::page::PAGE_SIZE;
+use exodus_storage::{Oid, StorageError, StorageManager};
+use extra_model::typeio::{read_qty, write_qty};
+use extra_model::{
+    AdtId, AdtRegistry, ObjectStore, QualType, StoreRoots, TypeId, TypeRegistry, Value,
+};
 
-use crate::database::Database;
+use crate::database::{sync_operators, Database};
+use crate::error::{DbError, DbResult};
 
 /// The built-in group every user belongs to (paper: "a special
 /// 'all-users' group").
@@ -100,88 +110,64 @@ impl Auth {
             .unwrap_or(false)
     }
 
-    /// Serialize the authorization state for a replication catalog
-    /// image (`docs/REPLICATION.md`). Sorted for determinism.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        fn put_str(out: &mut Vec<u8>, s: &str) {
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
-        let mut out = Vec::new();
+    /// Append the authorization state to a catalog image, sorted for
+    /// determinism.
+    fn encode(&self, w: &mut ByteWriter) {
         let mut users: Vec<&String> = self.users.iter().collect();
         users.sort();
-        out.extend_from_slice(&(users.len() as u32).to_le_bytes());
+        w.put_varint(users.len() as u64);
         for u in users {
-            put_str(&mut out, u);
+            w.put_str(u);
         }
         let mut groups: Vec<(&String, &HashSet<String>)> = self.groups.iter().collect();
         groups.sort_by_key(|(g, _)| g.as_str());
-        out.extend_from_slice(&(groups.len() as u32).to_le_bytes());
+        w.put_varint(groups.len() as u64);
         for (g, members) in groups {
-            put_str(&mut out, g);
+            w.put_str(g);
             let mut ms: Vec<&String> = members.iter().collect();
             ms.sort();
-            out.extend_from_slice(&(ms.len() as u32).to_le_bytes());
+            w.put_varint(ms.len() as u64);
             for m in ms {
-                put_str(&mut out, m);
+                w.put_str(m);
             }
         }
         let mut grants: Vec<(&(String, String), &HashSet<Privilege>)> =
             self.grants.iter().collect();
         grants.sort_by_key(|((o, g), _)| (o.as_str(), g.as_str()));
-        out.extend_from_slice(&(grants.len() as u32).to_le_bytes());
+        w.put_varint(grants.len() as u64);
         for ((object, grantee), privs) in grants {
-            put_str(&mut out, object);
-            put_str(&mut out, grantee);
+            w.put_str(object);
+            w.put_str(grantee);
             let mut ps: Vec<u8> = privs.iter().map(|p| privilege_tag(*p)).collect();
             ps.sort_unstable();
-            out.extend_from_slice(&(ps.len() as u32).to_le_bytes());
-            out.extend_from_slice(&ps);
+            w.put_bytes(&ps);
         }
-        out
     }
 
-    /// Rebuild authorization state from [`Auth::to_bytes`] output.
-    /// Returns `None` on a malformed image.
-    pub fn from_bytes(buf: &[u8]) -> Option<Auth> {
-        fn get_u32(buf: &[u8], pos: &mut usize) -> Option<u32> {
-            let end = pos.checked_add(4).filter(|&e| e <= buf.len())?;
-            let v = u32::from_le_bytes(buf[*pos..end].try_into().ok()?);
-            *pos = end;
-            Some(v)
-        }
-        fn get_str(buf: &[u8], pos: &mut usize) -> Option<String> {
-            let len = get_u32(buf, pos)? as usize;
-            let end = pos.checked_add(len).filter(|&e| e <= buf.len())?;
-            let s = std::str::from_utf8(&buf[*pos..end]).ok()?.to_string();
-            *pos = end;
-            Some(s)
-        }
+    /// Rebuild authorization state from [`Auth::encode`] output.
+    fn decode(r: &mut ByteReader<'_>) -> DbResult<Auth> {
         let mut a = Auth::default();
-        let mut pos = 0;
-        for _ in 0..get_u32(buf, &mut pos)? {
-            a.users.insert(get_str(buf, &mut pos)?);
+        for _ in 0..r.get_count()? {
+            a.users.insert(r.get_str()?.to_string());
         }
-        for _ in 0..get_u32(buf, &mut pos)? {
-            let g = get_str(buf, &mut pos)?;
-            let mut members = HashSet::new();
-            for _ in 0..get_u32(buf, &mut pos)? {
-                members.insert(get_str(buf, &mut pos)?);
-            }
+        for _ in 0..r.get_count()? {
+            let g = r.get_str()?.to_string();
+            let members = (0..r.get_count()?)
+                .map(|_| Ok(r.get_str()?.to_string()))
+                .collect::<DbResult<_>>()?;
             a.groups.insert(g, members);
         }
-        for _ in 0..get_u32(buf, &mut pos)? {
-            let object = get_str(buf, &mut pos)?;
-            let grantee = get_str(buf, &mut pos)?;
-            let mut privs = HashSet::new();
-            for _ in 0..get_u32(buf, &mut pos)? {
-                let tag = *buf.get(pos)?;
-                pos += 1;
-                privs.insert(privilege_from_tag(tag)?);
-            }
+        for _ in 0..r.get_count()? {
+            let object = r.get_str()?.to_string();
+            let grantee = r.get_str()?.to_string();
+            let privs = r
+                .get_bytes()?
+                .iter()
+                .map(|&t| privilege_from_tag(t))
+                .collect::<DbResult<_>>()?;
             a.grants.insert((object, grantee), privs);
         }
-        Some(a)
+        Ok(a)
     }
 
     /// Whether `user` holds `privilege` on `object` (directly, through a
@@ -213,15 +199,15 @@ fn privilege_tag(p: Privilege) -> u8 {
     }
 }
 
-fn privilege_from_tag(t: u8) -> Option<Privilege> {
-    Some(match t {
+fn privilege_from_tag(t: u8) -> DbResult<Privilege> {
+    Ok(match t {
         0 => Privilege::Read,
         1 => Privilege::Append,
         2 => Privilege::Delete,
         3 => Privilege::Replace,
         4 => Privilege::Execute,
         5 => Privilege::All,
-        _ => return None,
+        _ => return Err(corrupt(format!("unknown privilege tag {t}"))),
     })
 }
 
@@ -242,24 +228,10 @@ pub struct Catalog {
     /// Secondary indexes.
     pub indexes: Vec<IndexInfo>,
     /// Optimizer statistics recorded by `analyze <collection>`, keyed by
-    /// collection name (format and durability notes: DESIGN.md §14).
-    pub stats: HashMap<String, StatsEntry>,
-    /// Heap file holding serialized statistics payloads (created by the
-    /// first `analyze`).
-    pub stats_file: Option<exodus_storage::FileId>,
+    /// collection name (DESIGN.md §14).
+    pub stats: HashMap<String, CollectionStats>,
     /// Authorization state.
     pub auth: Auth,
-}
-
-/// One analyzed collection's statistics plus its durable location.
-#[derive(Debug, Clone)]
-pub struct StatsEntry {
-    /// The decoded statistics the planner consults.
-    pub stats: CollectionStats,
-    /// Heap record holding the serialized payload (written inside the
-    /// analyzing statement's logged transaction; updated in place on
-    /// re-analyze).
-    pub record: exodus_storage::RecordId,
 }
 
 impl Catalog {
@@ -273,10 +245,320 @@ impl Catalog {
             procedures: HashMap::new(),
             indexes: Vec::new(),
             stats: HashMap::new(),
-            stats_file: None,
             auth: Auth::default(),
         }
     }
+
+    /// Serialize the whole catalog as image number `generation`,
+    /// together with the object store's roots and tables and the ADT
+    /// table its types are numbered against. Deterministic (maps are
+    /// emitted sorted); function and procedure bodies are kept as EXCESS
+    /// source and re-parsed on read. A CRC of everything before it
+    /// closes the image, so a torn or corrupted one is refused.
+    pub(crate) fn to_image(&self, store: &ObjectStore, generation: u64) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_u32(IMAGE_VERSION);
+        w.put_u64(generation);
+        let roots = store.roots();
+        for root in [
+            roots.table_root,
+            roots.backrefs_root,
+            roots.children_root,
+            roots.file,
+        ] {
+            w.put_u64(root);
+        }
+        w.put_bytes(&store.export_image());
+        // Types and stored values name ADTs by id: record what each id
+        // means so a reader can refuse a registry that disagrees.
+        let adts: Vec<&str> = (0..)
+            .map_while(|id| self.adts.get(AdtId(id)).ok())
+            .map(|adt| adt.name())
+            .collect();
+        w.put_varint(adts.len() as u64);
+        for name in adts {
+            w.put_str(name);
+        }
+        self.types.encode(&mut w);
+
+        let mut named: Vec<&NamedObject> = self.named.values().collect();
+        named.sort_by(|a, b| a.name.cmp(&b.name));
+        w.put_varint(named.len() as u64);
+        for o in named {
+            w.put_str(&o.name);
+            w.put_u64(o.oid.0);
+            write_qty(&o.qty, &mut w);
+            w.put_u8(o.is_collection as u8);
+        }
+        w.put_varint(self.functions.len() as u64);
+        for f in &self.functions {
+            w.put_str(&f.name);
+            write_params(&f.params, &mut w);
+            write_qty(&f.returns, &mut w);
+            w.put_str(&f.body.to_string());
+            match f.attached_to {
+                Some(t) => {
+                    w.put_u8(1);
+                    w.put_u32(t.0);
+                }
+                None => w.put_u8(0),
+            }
+        }
+        let mut procs: Vec<&ProcedureDef> = self.procedures.values().collect();
+        procs.sort_by(|a, b| a.name.cmp(&b.name));
+        w.put_varint(procs.len() as u64);
+        for p in procs {
+            w.put_str(&p.name);
+            write_params(&p.params, &mut w);
+            w.put_varint(p.body.len() as u64);
+            for s in &p.body {
+                w.put_str(&s.to_string());
+            }
+        }
+        w.put_varint(self.indexes.len() as u64);
+        for i in &self.indexes {
+            w.put_str(&i.name);
+            w.put_str(&i.collection);
+            w.put_str(&i.attr);
+            w.put_u64(i.root);
+            w.put_u8(i.unique as u8);
+        }
+        let mut stats: Vec<(&String, &CollectionStats)> = self.stats.iter().collect();
+        stats.sort_by_key(|(name, _)| name.as_str());
+        w.put_varint(stats.len() as u64);
+        for (name, s) in stats {
+            w.put_str(name);
+            w.put_u64(s.row_count);
+            w.put_varint(s.attrs.len() as u64);
+            for a in &s.attrs {
+                w.put_str(&a.attr);
+                w.put_u64(a.distinct);
+                w.put_f64(a.null_frac);
+                w.put_varint(a.bounds.len() as u64);
+                for b in &a.bounds {
+                    w.put_f64(*b);
+                }
+            }
+        }
+        self.auth.encode(&mut w);
+        let mut image = w.into_bytes();
+        let crc = crc32(&image);
+        image.extend_from_slice(&crc.to_le_bytes());
+        image
+    }
+}
+
+/// Serialization version of the catalog image. An image of another
+/// version is refused at open, never guessed at.
+const IMAGE_VERSION: u32 = 3;
+
+/// First page of the catalog image's large object: genesis allocates it
+/// before anything else, so every volume keeps its catalog here.
+pub(crate) const CATALOG_PAGE: u64 = 1;
+
+/// A catalog image read back from its pages: its generation, the object
+/// store's roots and tables (for [`ObjectStore::attach`] and
+/// [`ObjectStore::import_image`]), and the rebuilt [`Catalog`] (built-in
+/// ADTs only — an image whose ADT table says otherwise is refused with
+/// [`DbError::AdtMismatch`]).
+pub(crate) struct CatalogImage {
+    pub(crate) generation: u64,
+    pub(crate) roots: StoreRoots,
+    pub(crate) store_image: Vec<u8>,
+    pub(crate) catalog: Catalog,
+}
+
+impl CatalogImage {
+    /// Read and decode the image on `sm`'s pages.
+    pub(crate) fn read(sm: &StorageManager) -> DbResult<CatalogImage> {
+        let pool = sm.pool();
+        let lob = Lob::open(LobId(CATALOG_PAGE));
+        let len = lob.len(pool)?;
+        // The length comes off a page too: refuse one the volume cannot
+        // hold before allocating for it.
+        if len > pool.volume_pages() * PAGE_SIZE as u64 {
+            return Err(corrupt(format!(
+                "claims {len} bytes, more than the volume holds"
+            )));
+        }
+        Self::decode(&lob.read(pool, 0, len as usize)?)
+    }
+
+    /// The generation of the image on `sm`'s pages, read from its
+    /// header alone.
+    pub(crate) fn generation(sm: &StorageManager) -> DbResult<u64> {
+        let head = Lob::open(LobId(CATALOG_PAGE)).read(sm.pool(), 4, 8)?;
+        Ok(ByteReader::new(&head).get_u64()?)
+    }
+
+    fn decode(buf: &[u8]) -> DbResult<CatalogImage> {
+        let version = ByteReader::new(buf).get_u32()?;
+        if version != IMAGE_VERSION {
+            return Err(corrupt(format!(
+                "version {version}, but this build reads version {IMAGE_VERSION}"
+            )));
+        }
+        let (body, crc) = buf.split_at(buf.len() - 4);
+        if crc32(body).to_le_bytes() != crc {
+            return Err(corrupt("checksum mismatch (torn or corrupted)".into()));
+        }
+        let mut r = ByteReader::new(body);
+        r.get_u32()?;
+        let generation = r.get_u64()?;
+        let roots = StoreRoots {
+            table_root: r.get_u64()?,
+            backrefs_root: r.get_u64()?,
+            children_root: r.get_u64()?,
+            file: r.get_u64()?,
+        };
+        let store_image = r.get_bytes()?.to_vec();
+
+        let mut cat = Catalog::new();
+        for id in 0..r.get_count()? as u32 {
+            let name = r.get_str()?;
+            let here = cat.adts.lookup(name).ok();
+            if here != Some(AdtId(id)) {
+                let here = here.map_or("missing".into(), |h| h.to_string());
+                return Err(DbError::AdtMismatch(format!(
+                    "ADT '{name}' is {} in the catalog image but {here} in this node's \
+                     registry; a catalog is loaded against the built-in ADTs only",
+                    AdtId(id)
+                )));
+            }
+        }
+        cat.types = TypeRegistry::decode(&mut r)?;
+
+        for _ in 0..r.get_count()? {
+            let name = r.get_str()?.to_string();
+            let oid = Oid(r.get_u64()?);
+            let qty = read_qty(&mut r)?;
+            let is_collection = r.get_u8()? != 0;
+            cat.named.insert(
+                name.clone(),
+                NamedObject {
+                    name,
+                    oid,
+                    qty,
+                    is_collection,
+                },
+            );
+        }
+
+        // Bodies re-parse against the built-in ADTs' operator table.
+        let mut ops = OperatorTable::new();
+        sync_operators(&mut ops, &cat.adts);
+        let parse_one = |src: &str| -> DbResult<Stmt> {
+            parse_program(src, &ops)?
+                .into_iter()
+                .next()
+                .ok_or_else(|| corrupt("empty statement body".into()))
+        };
+        for _ in 0..r.get_count()? {
+            let name = r.get_str()?.to_string();
+            let params = read_params(&mut r)?;
+            let returns = read_qty(&mut r)?;
+            let body = parse_one(r.get_str()?)?;
+            let attached_to = match r.get_u8()? {
+                0 => None,
+                _ => Some(TypeId(r.get_u32()?)),
+            };
+            cat.functions.push(FunctionDef {
+                name,
+                params,
+                returns,
+                body,
+                attached_to,
+            });
+        }
+        for _ in 0..r.get_count()? {
+            let name = r.get_str()?.to_string();
+            let params = read_params(&mut r)?;
+            let body = (0..r.get_count()?)
+                .map(|_| parse_one(r.get_str()?))
+                .collect::<DbResult<_>>()?;
+            cat.procedures
+                .insert(name.clone(), ProcedureDef { name, params, body });
+        }
+        for _ in 0..r.get_count()? {
+            cat.indexes.push(IndexInfo {
+                name: r.get_str()?.to_string(),
+                collection: r.get_str()?.to_string(),
+                attr: r.get_str()?.to_string(),
+                root: r.get_u64()?,
+                unique: r.get_u8()? != 0,
+            });
+        }
+        for _ in 0..r.get_count()? {
+            let name = r.get_str()?.to_string();
+            let row_count = r.get_u64()?;
+            let mut attrs = Vec::new();
+            for _ in 0..r.get_count()? {
+                attrs.push(AttrStats {
+                    attr: r.get_str()?.to_string(),
+                    distinct: r.get_u64()?,
+                    null_frac: r.get_f64()?,
+                    bounds: (0..r.get_count()?)
+                        .map(|_| r.get_f64())
+                        .collect::<Result<_, _>>()?,
+                });
+            }
+            cat.stats.insert(name, CollectionStats { row_count, attrs });
+        }
+        cat.auth = Auth::decode(&mut r)?;
+        if r.remaining() != 0 {
+            return Err(corrupt(format!("{} trailing bytes", r.remaining())));
+        }
+        Ok(CatalogImage {
+            generation,
+            roots,
+            store_image,
+            catalog: cat,
+        })
+    }
+}
+
+fn write_params(params: &[(String, QualType)], w: &mut ByteWriter) {
+    w.put_varint(params.len() as u64);
+    for (name, q) in params {
+        w.put_str(name);
+        write_qty(q, w);
+    }
+}
+
+fn read_params(r: &mut ByteReader<'_>) -> DbResult<Vec<(String, QualType)>> {
+    (0..r.get_count()?)
+        .map(|_| Ok((r.get_str()?.to_string(), read_qty(r)?)))
+        .collect()
+}
+
+/// The stable error for an image that cannot be read: `1006`, the code
+/// of every storage-level corruption.
+fn corrupt(what: String) -> DbError {
+    StorageError::Corrupt(format!("catalog image: {what}")).into()
+}
+
+/// Write `image` over the catalog's large object. Called only inside a
+/// write transaction (or genesis's logged unit), so the new image
+/// commits — or vanishes — with the statement that changed the catalog.
+pub(crate) fn write_image(sm: &StorageManager, image: &[u8]) -> DbResult<()> {
+    let lob = Lob::open(LobId(CATALOG_PAGE));
+    lob.write(sm.pool(), 0, image)?;
+    lob.truncate(sm.pool(), image.len() as u64)?;
+    Ok(())
+}
+
+/// Genesis on a fresh volume, in one logged unit so a replica replaying
+/// from LSN 1 reproduces it (a no-op without a log): the catalog's large
+/// object takes [`CATALOG_PAGE`], the object store its roots, and an
+/// empty catalog image names them.
+pub(crate) fn genesis(sm: &StorageManager) -> DbResult<()> {
+    let unit = sm.begin_unit()?;
+    let page = Lob::create(sm.pool())?.id();
+    assert_eq!(page, LobId(CATALOG_PAGE), "genesis allocates first");
+    let store = ObjectStore::new(sm.clone())?;
+    write_image(sm, &Catalog::new().to_image(&store, 0))?;
+    unit.commit()?;
+    Ok(())
 }
 
 impl Default for Catalog {
@@ -336,7 +618,7 @@ impl CatalogLookup for CatalogView<'_> {
     }
 
     fn stats_for(&self, collection: &str) -> Option<CollectionStats> {
-        self.cat.stats.get(collection).map(|e| e.stats.clone())
+        self.cat.stats.get(collection).cloned()
     }
 
     fn collections(&self) -> Vec<NamedObject> {

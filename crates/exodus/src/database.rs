@@ -2,6 +2,7 @@
 
 use std::fmt;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -19,12 +20,14 @@ use exodus_obs::{
     TraceConfig,
 };
 use exodus_storage::btree::BTree;
-use exodus_storage::{Durability, Oid, RecoveryReport, StorageManager};
+use exodus_storage::{Durability, Oid, RecoveryReport, StorageManager, WriteTxn};
 use extra_model::adt::Assoc;
 use extra_model::schema::InheritSpec;
 use extra_model::{AdtType, Attribute, ObjectStore, Ownership, QualType, Type, Value};
 
-use crate::catalog::{Catalog, CatalogView, ADMIN};
+use crate::catalog::{
+    genesis, write_image, Catalog, CatalogImage, CatalogView, ADMIN, CATALOG_PAGE,
+};
 use crate::dml::{self, ExplainSink, Params, Scope};
 use crate::error::{DbError, DbResult};
 use crate::observe::{verb_index, DbMetrics};
@@ -130,11 +133,14 @@ pub struct Database {
     pub(crate) metrics: Option<DbMetrics>,
     pub(crate) tracer: Option<Arc<RingTracer>>,
     pub(crate) slow_log: Option<Arc<SlowQueryLog<QueryProfile>>>,
-    /// Bumped on every successful catalog mutation (DDL, grants,
-    /// analyze...); replication subscribers re-fetch the catalog image
-    /// when their epoch trails this (`docs/REPLICATION.md`). Starts at
-    /// 1 so a subscriber's initial epoch of 0 always fetches.
-    pub(crate) catalog_epoch: std::sync::atomic::AtomicU64,
+    /// The generation of the catalog image on the pages: bumped by
+    /// every image [`Database::commit`] writes, adopted from the image
+    /// on open, and compared by a replica after each replayed batch.
+    pub(crate) catalog_epoch: AtomicU64,
+    /// The object store's [`ObjectStore::image_shape`] as of the last
+    /// committed catalog image: a writer that finds the store's tables
+    /// grew or shrank since then rewrites the image.
+    image_shape: parking_lot::Mutex<(usize, usize)>,
     /// The shared replication source, created on first
     /// [`Database::replication_source`] call and kept alive by its
     /// subscribers.
@@ -297,7 +303,7 @@ impl DatabaseBuilder {
                 (sm, None)
             }
         };
-        let mut db = Database::assemble(sm, recovery, self.metrics.unwrap_or(true), self.trace);
+        let mut db = Database::open(sm, recovery, None, self.metrics.unwrap_or(true), self.trace)?;
         if let Some(n) = self.batch_size {
             db.batch_size = n.max(1);
         }
@@ -319,54 +325,63 @@ impl Database {
 
     /// An in-memory database with the built-in ADTs registered.
     pub fn in_memory() -> Arc<Database> {
-        Arc::new(Self::assemble(
-            StorageManager::in_memory(4096),
-            None,
-            true,
-            None,
-        ))
+        let sm = StorageManager::in_memory(4096);
+        Arc::new(Self::open(sm, None, None, true, None).expect("in-memory genesis"))
+    }
+
+    /// Open a database over `sm` through the one catalog path: genesis
+    /// on a fresh volume (never on a replica, whose pages come from its
+    /// primary), then — on every volume — the catalog image is read back
+    /// from its pages and installed.
+    pub(crate) fn open(
+        sm: StorageManager,
+        recovery: Option<RecoveryReport>,
+        replica: Option<Arc<crate::replication::ReplicaState>>,
+        metrics_on: bool,
+        trace: Option<TraceConfig>,
+    ) -> DbResult<Database> {
+        if replica.is_none() && sm.pool().volume_pages() <= CATALOG_PAGE {
+            genesis(&sm)?;
+        }
+        let image = CatalogImage::read(&sm)?;
+        let store = ObjectStore::attach(sm, &image.roots);
+        let db = Self::assemble(store, recovery, replica, metrics_on, trace);
+        db.install(image)?;
+        Ok(db)
+    }
+
+    /// The one catalog install path, for open and replica refresh
+    /// alike: load the store's tables from the image, swap its catalog
+    /// in, and adopt its generation.
+    pub(crate) fn install(&self, image: CatalogImage) -> DbResult<()> {
+        self.store.import_image(&image.store_image)?;
+        *self.catalog.write() = image.catalog;
+        self.catalog_epoch.store(image.generation, Ordering::SeqCst);
+        *self.image_shape.lock() = self.store.image_shape();
+        Ok(())
+    }
+
+    /// Commit a write transaction — the one place a catalog image is
+    /// written. When `catalog_changed` (the statement was DDL, a grant,
+    /// `analyze`...) or the store's tables changed since the last image
+    /// committed (a nested `append` interned a new type), the image is
+    /// rewritten inside the transaction first, so catalog and pages
+    /// commit — or vanish — as one unit. The caller holds the writer
+    /// gate and no catalog lock.
+    fn commit(&self, txn: WriteTxn, catalog_changed: bool) -> DbResult<u64> {
+        let shape = self.store.image_shape();
+        if catalog_changed || shape != *self.image_shape.lock() {
+            let generation = self.catalog_epoch.fetch_add(1, Ordering::SeqCst) + 1;
+            let image = self.catalog.read().to_image(&self.store, generation);
+            write_image(self.store.storage(), &image)?;
+        }
+        let ts = txn.commit()?;
+        *self.image_shape.lock() = shape;
+        Ok(ts)
     }
 
     fn assemble(
-        sm: StorageManager,
-        recovery: Option<RecoveryReport>,
-        metrics_on: bool,
-        trace: Option<TraceConfig>,
-    ) -> Database {
-        // Genesis runs inside a logged unit so the store's root pages
-        // appear in the WAL from LSN 1: a replica bootstrapping by
-        // replaying the whole log reproduces them (a no-op without a
-        // WAL).
-        let genesis = sm.begin_unit().expect("genesis unit");
-        let store = ObjectStore::new(sm).expect("fresh store");
-        genesis.commit().expect("genesis commit");
-        Self::assemble_with(store, Catalog::new(), recovery, None, metrics_on, trace)
-    }
-
-    /// Assemble a read replica over a store attached to shipped roots
-    /// and a catalog decoded from the primary's image
-    /// (`crate::replication::Replica::connect`).
-    pub(crate) fn assemble_replica(
         store: ObjectStore,
-        catalog: Catalog,
-        recovery: Option<RecoveryReport>,
-        state: Arc<crate::replication::ReplicaState>,
-        metrics_on: bool,
-        trace: Option<TraceConfig>,
-    ) -> Arc<Database> {
-        Arc::new(Self::assemble_with(
-            store,
-            catalog,
-            recovery,
-            Some(state),
-            metrics_on,
-            trace,
-        ))
-    }
-
-    fn assemble_with(
-        store: ObjectStore,
-        catalog: Catalog,
         recovery: Option<RecoveryReport>,
         replica: Option<Arc<crate::replication::ReplicaState>>,
         metrics_on: bool,
@@ -405,6 +420,7 @@ impl Database {
             }
             None => (None, None),
         };
+        let catalog = Catalog::new();
         let mut ops = OperatorTable::new();
         sync_operators(&mut ops, &catalog.adts);
         Database {
@@ -418,7 +434,8 @@ impl Database {
             metrics,
             tracer,
             slow_log,
-            catalog_epoch: std::sync::atomic::AtomicU64::new(1),
+            catalog_epoch: AtomicU64::new(0),
+            image_shape: parking_lot::Mutex::new((0, 0)),
             repl: parking_lot::Mutex::new(crate::replication::SourceSlot::default()),
             replica,
             sysviews: RwLock::new(crate::sysview::builtin_views()),
@@ -509,7 +526,7 @@ impl Database {
             scope.insert_member(&indexes, obj.oid, m)?;
         }
         drop(cat);
-        txn.commit()?;
+        self.commit(txn, false)?;
         Ok(oids)
     }
 
@@ -597,12 +614,15 @@ impl Database {
                     .into(),
             ));
         }
-        let mut cat = self.catalog.write();
-        cat.adts.register(adt)?;
-        self.catalog_epoch
-            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        let mut ops = self.ops.write();
-        sync_operators(&mut ops, &cat.adts);
+        // A write transaction of its own, so the image records the new
+        // ADT id (a later open without the ADT then fails 1008).
+        let txn = self.store.storage().begin_txn()?;
+        {
+            let mut cat = self.catalog.write();
+            cat.adts.register(adt)?;
+            sync_operators(&mut self.ops.write(), &cat.adts);
+        }
+        self.commit(txn, true)?;
         Ok(())
     }
 
@@ -924,7 +944,7 @@ impl Session {
         let txn = self.acquire_write_txn(db)?;
         let response = self.write(db, stmt);
         let _commit_span = db.span("wal_commit", "");
-        txn.commit()?;
+        db.commit(txn, stmt_bumps_epoch(stmt))?;
         let _ = db.store.vacuum();
         response
     }
@@ -942,22 +962,14 @@ impl Session {
     /// caller holds the writer gate.
     fn write(&mut self, db: &Database, stmt: &Stmt) -> DbResult<Response> {
         let mut cat = db.catalog.write();
-        let response = exec_statement(
+        exec_statement(
             db,
             &mut cat,
             &mut self.ranges,
             &self.user,
             stmt,
             &Params::default(),
-        );
-        // The epoch bumps while the exclusive catalog lock is still
-        // held, so a replication poll can never capture the new
-        // catalog under the old epoch.
-        if response.is_ok() && stmt_bumps_epoch(stmt) {
-            db.catalog_epoch
-                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        }
-        response
+        )
     }
 
     /// The replica statement path: `retrieve` (without `into`) runs
@@ -1028,7 +1040,7 @@ impl Session {
             .take()
             .ok_or_else(|| DbError::Txn("no transaction is open; use begin first".into()))?;
         let _span = db.span("txn", "commit");
-        let ts = txn.commit()?;
+        let ts = db.commit(txn, false)?;
         let _ = db.store.vacuum();
         Ok(Response::Done(format!("committed at timestamp {ts}")))
     }
@@ -1073,10 +1085,12 @@ fn txn_permits(stmt: &Stmt) -> Result<(), String> {
     }
 }
 
-/// Whether a successful statement mutated catalog state a replica
-/// needs re-shipped (DDL, grants, analyze, `retrieve into`...). DML
-/// never does: B+-tree roots are fixed pages, so inserts and splits
-/// never move anything the catalog points at.
+/// Whether a statement may mutate catalog state the image must record
+/// (DDL, grants, analyze, `retrieve into`...) — even when it fails: a
+/// grant to two users of which the second does not exist has granted to
+/// the first, and the image must say so. DML never does: B+-tree roots
+/// are fixed pages, so inserts and splits never move anything the
+/// catalog points at.
 fn stmt_bumps_epoch(stmt: &Stmt) -> bool {
     match stmt {
         Stmt::Retrieve { into, .. } => into.is_some(),
@@ -1686,11 +1700,10 @@ fn distinct_key(v: &Value) -> u64 {
 
 /// `analyze <collection>`: scan the members once and record per-attribute
 /// optimizer statistics — row count, distinct-count estimate, equi-depth
-/// histogram, null fraction. The serialized payload is persisted through
-/// a heap record inside the statement's logged transaction, so a crash
-/// either keeps the whole analyze or none of it. Runs as an implicit
-/// write transaction (holding the writer gate), so the scan sees exactly
-/// the committed state it stamps statistics for.
+/// histogram, null fraction — in the catalog, whose image the statement's
+/// commit rewrites, so a crash either keeps the whole analyze or none of
+/// it. Runs as an implicit write transaction (holding the writer gate),
+/// so the scan sees exactly the committed state it stamps statistics for.
 fn analyze_collection(db: &Database, cat: &mut Catalog, collection: &str) -> DbResult<Response> {
     let obj = cat
         .named
@@ -1797,29 +1810,8 @@ fn analyze_collection(db: &Database, cat: &mut Catalog, collection: &str) -> DbR
         })
         .collect();
     let stats = CollectionStats { row_count, attrs };
-
-    // Persist the payload inside this statement's logged transaction:
-    // the heap pages dirtied here are logged (and fsynced) by the
-    // enclosing commit, so recovery replays the analyze atomically.
-    let sm = db.store.storage();
-    let file = match cat.stats_file {
-        Some(f) => f,
-        None => {
-            let f = sm.create_file()?;
-            cat.stats_file = Some(f);
-            f
-        }
-    };
-    let bytes = stats.to_bytes();
-    let record = match cat.stats.get(collection) {
-        Some(entry) => sm.update(file, entry.record, &bytes)?,
-        None => sm.insert(file, &bytes)?,
-    };
     let n_attrs = stats.attrs.len();
-    cat.stats.insert(
-        collection.to_string(),
-        crate::catalog::StatsEntry { stats, record },
-    );
+    cat.stats.insert(collection.to_string(), stats);
     Ok(Response::Done(format!(
         "analyzed {collection}: {row_count} rows, {n_attrs} attributes"
     )))

@@ -344,7 +344,7 @@ impl SystemView for CollectionsView {
                 let members = cx.db.store.member_count(obj.oid).unwrap_or(0) as i64;
                 let stats = cx.cat.stats.get(name);
                 let (analyzed, rows, attrs) = match stats {
-                    Some(e) => (true, e.stats.row_count as i64, e.stats.attrs.len() as i64),
+                    Some(s) => (true, s.row_count as i64, s.attrs.len() as i64),
                     None => (false, 0, 0),
                 };
                 Value::Tuple(vec![

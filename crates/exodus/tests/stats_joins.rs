@@ -18,6 +18,12 @@ use exodus_db::{Database, Value};
 /// department `(31 i) % n_depts`.
 fn university(n_depts: usize, n_emps: usize, workers: usize) -> Arc<Database> {
     let db = Database::builder().worker_threads(workers).build().unwrap();
+    load_university(&db, n_depts, n_emps);
+    db
+}
+
+/// The schema and members of [`university`], loaded into `db`.
+fn load_university(db: &Arc<Database>, n_depts: usize, n_emps: usize) {
     db.run(
         r#"
         define type Department (dname: varchar, floor: int4, budget: float8);
@@ -48,7 +54,6 @@ fn university(n_depts: usize, n_emps: usize, workers: usize) -> Arc<Database> {
         })
         .collect();
     db.bulk_append("Employees", emps).unwrap();
-    db
 }
 
 /// Page pins one execution of the three-path query in
@@ -324,55 +329,37 @@ fn plans_stable_without_analyze_and_deterministic_across_dop() {
 }
 
 #[test]
-fn analyze_survives_restart_at_storage_level() {
-    // The catalog is rebuilt per process, but the durable half of
-    // `analyze` — the serialized payload in the stats heap — must
-    // survive a restart byte-identical (crash-interrupted analyzes are
-    // covered by the storage kill-at-every-point harness).
+fn analyze_survives_a_reopen() {
+    // Statistics live in the catalog image, which `analyze` rewrites
+    // inside its own transaction: a reopened database plans the analyzed
+    // equi join as before without being analyzed again.
     let dir = std::env::temp_dir().join(format!("exodus-stats-dur-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let (bytes_before, file, record) = {
-        let db = Database::builder()
+    let open = || {
+        Database::builder()
             .path(dir.join("db.vol"))
             .durability(exodus_db::Durability::Fsync)
             .build()
-            .unwrap();
-        db.run(
-            r#"
-            define type Department (dname: varchar, floor: int4);
-            create { own ref Department } Departments;
-            append to Departments (dname = "toy", floor = 2);
-            append to Departments (dname = "shoe", floor = 1);
-            analyze Departments;
-        "#,
-        )
-        .unwrap();
-        let cat = db.read_catalog();
-        let entry = cat.stats.get("Departments").expect("stats recorded");
-        assert_eq!(entry.stats.row_count, 2);
-        (
-            entry.stats.to_bytes(),
-            cat.stats_file.expect("stats file created"),
-            entry.record,
-        )
+            .unwrap()
     };
-    let db = Database::builder()
-        .path(dir.join("db.vol"))
-        .durability(exodus_db::Durability::Fsync)
-        .build()
-        .unwrap();
-    let pool = db.store().storage().pool().clone();
-    let recovered = exodus_storage::heap::HeapFile::open(file)
-        .scan(pool)
-        .map(|r| r.expect("stats heap scans after recovery"))
-        .find(|(rid, _)| *rid == record)
-        .map(|(_, bytes)| bytes)
-        .expect("stats record survived restart");
-    assert_eq!(recovered, bytes_before);
-    let decoded =
-        excess_sema::CollectionStats::from_bytes(&recovered).expect("recovered payload decodes");
-    assert_eq!(decoded.row_count, 2);
+    let q = "retrieve (E.name, D.dname) from E in Employees, D in Departments \
+             where E.level = D.floor and E.salary > 90000.0";
+    let (plan, rows) = {
+        let db = open();
+        load_university(&db, 40, 600);
+        let mut s = db.session();
+        s.run("analyze Departments; analyze Employees").unwrap();
+        let plan = s.explain(q).unwrap().plan;
+        assert!(plan.contains("HashJoin"), "{plan}");
+        (plan, sorted(s.query(q).unwrap().rows))
+    };
+    let db = open();
+    assert_eq!(db.read_catalog().stats["Departments"].row_count, 40);
+    let mut s = db.session();
+    assert_eq!(s.explain(q).unwrap().plan, plan);
+    assert_eq!(sorted(s.query(q).unwrap().rows), rows);
+    drop(s);
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }

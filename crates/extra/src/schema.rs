@@ -15,7 +15,10 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use exodus_storage::encoding::{ByteReader, ByteWriter};
+
 use crate::error::{ModelError, ModelResult};
+use crate::typeio::{read_attribute, write_attribute};
 use crate::types::{Attribute, Ownership, QualType, Type};
 
 /// Identifies a schema type in the registry.
@@ -387,66 +390,55 @@ impl TypeRegistry {
         }
     }
 
-    /// Serialize the registry's full state for a replication catalog
-    /// image (see `docs/REPLICATION.md`). Everything round-trips —
-    /// renames, specializations, undefined-but-allocated slots — because
-    /// the flattened attribute lists are shipped as-is rather than
-    /// rebuilt by replaying DDL.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        use crate::typeio::{put_str, put_u32, write_attribute};
-        let mut out = Vec::new();
-        put_u32(&mut out, self.types.len() as u32);
+    /// Serialize the registry's full state into a catalog image (see
+    /// DESIGN.md §14). Everything round-trips — renames,
+    /// specializations, undefined-but-allocated slots — because the
+    /// flattened attribute lists are stored as-is rather than rebuilt by
+    /// replaying DDL.
+    pub fn encode(&self, w: &mut ByteWriter) {
+        w.put_varint(self.types.len() as u64);
         for t in &self.types {
-            put_u32(&mut out, t.id.0);
-            put_str(&mut out, &t.name);
-            put_u32(&mut out, t.supertypes.len() as u32);
+            w.put_u32(t.id.0);
+            w.put_str(&t.name);
+            w.put_varint(t.supertypes.len() as u64);
             for s in &t.supertypes {
-                put_u32(&mut out, s.0);
+                w.put_u32(s.0);
             }
-            put_u32(&mut out, t.local_attrs.len() as u32);
+            w.put_varint(t.local_attrs.len() as u64);
             for a in &t.local_attrs {
-                write_attribute(a, &mut out);
+                write_attribute(a, w);
             }
-            put_u32(&mut out, t.flat.len() as u32);
+            w.put_varint(t.flat.len() as u64);
             for f in &t.flat {
-                write_attribute(&f.attr, &mut out);
-                put_u32(&mut out, f.origin.declared_in.0);
-                put_str(&mut out, &f.origin.original_name);
+                write_attribute(&f.attr, w);
+                w.put_u32(f.origin.declared_in.0);
+                w.put_str(&f.origin.original_name);
             }
         }
-        put_u32(&mut out, self.by_name.len() as u32);
+        w.put_varint(self.by_name.len() as u64);
         for (name, id) in &self.by_name {
-            put_str(&mut out, name);
-            put_u32(&mut out, id.0);
+            w.put_str(name);
+            w.put_u32(id.0);
         }
-        out
     }
 
-    /// Rebuild a registry from [`TypeRegistry::to_bytes`] output.
-    pub fn from_bytes(buf: &[u8]) -> ModelResult<TypeRegistry> {
-        use crate::typeio::{get_str, get_u32, read_attribute};
-        let mut pos = 0;
-        let n = get_u32(buf, &mut pos)?;
-        let mut types = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let id = TypeId(get_u32(buf, &mut pos)?);
-            let name = get_str(buf, &mut pos)?;
-            let ns = get_u32(buf, &mut pos)?;
-            let mut supertypes = Vec::with_capacity(ns as usize);
-            for _ in 0..ns {
-                supertypes.push(TypeId(get_u32(buf, &mut pos)?));
-            }
-            let nl = get_u32(buf, &mut pos)?;
-            let mut local_attrs = Vec::with_capacity(nl as usize);
-            for _ in 0..nl {
-                local_attrs.push(read_attribute(buf, &mut pos)?);
-            }
-            let nf = get_u32(buf, &mut pos)?;
-            let mut flat = Vec::with_capacity(nf as usize);
-            for _ in 0..nf {
-                let attr = read_attribute(buf, &mut pos)?;
-                let declared_in = TypeId(get_u32(buf, &mut pos)?);
-                let original_name = get_str(buf, &mut pos)?;
+    /// Rebuild a registry from [`TypeRegistry::encode`] output.
+    pub fn decode(r: &mut ByteReader<'_>) -> ModelResult<TypeRegistry> {
+        let mut types = Vec::new();
+        for _ in 0..r.get_count()? {
+            let id = TypeId(r.get_u32()?);
+            let name = r.get_str()?.to_string();
+            let supertypes = (0..r.get_count()?)
+                .map(|_| Ok(TypeId(r.get_u32()?)))
+                .collect::<ModelResult<_>>()?;
+            let local_attrs = (0..r.get_count()?)
+                .map(|_| read_attribute(r))
+                .collect::<ModelResult<_>>()?;
+            let mut flat = Vec::new();
+            for _ in 0..r.get_count()? {
+                let attr = read_attribute(r)?;
+                let declared_in = TypeId(r.get_u32()?);
+                let original_name = r.get_str()?.to_string();
                 flat.push(FlatAttr {
                     attr,
                     origin: Origin {
@@ -463,11 +455,10 @@ impl TypeRegistry {
                 flat,
             });
         }
-        let nb = get_u32(buf, &mut pos)?;
-        let mut by_name = HashMap::with_capacity(nb as usize);
-        for _ in 0..nb {
-            let name = get_str(buf, &mut pos)?;
-            by_name.insert(name, TypeId(get_u32(buf, &mut pos)?));
+        let mut by_name = HashMap::new();
+        for _ in 0..r.get_count()? {
+            let name = r.get_str()?.to_string();
+            by_name.insert(name, TypeId(r.get_u32()?));
         }
         Ok(TypeRegistry { types, by_name })
     }

@@ -35,6 +35,7 @@ use parking_lot::RwLock;
 
 use exodus_storage::btree::BTree;
 use exodus_storage::buffer::BufferPool;
+use exodus_storage::encoding::{ByteReader, ByteWriter};
 use exodus_storage::heap::{self, HeapFile};
 use exodus_storage::lob::{Lob, LobId};
 use exodus_storage::object::ObjectTable;
@@ -43,6 +44,7 @@ use exodus_storage::{FileId, Oid, RecordId, StorageManager};
 
 use crate::error::{ModelError, ModelResult};
 use crate::schema::{TypeId, TypeRegistry};
+use crate::typeio::{read_qty, write_qty};
 use crate::types::{Ownership, QualType, Type};
 use crate::value::Value;
 use crate::valueio;
@@ -56,7 +58,7 @@ const BK_OBJECT: u8 = 0;
 const BK_MEMBER: u8 = 1;
 
 /// The page-level anchors of an [`ObjectStore`], as plain numbers: what
-/// a replica needs (besides the replicated pages themselves) to
+/// a reopened or replicated volume needs (besides its pages) to
 /// re-attach via [`ObjectStore::attach`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreRoots {
@@ -189,12 +191,11 @@ impl ObjectStore {
         }
     }
 
-    /// Attach to an existing store's pages — the replica-side
-    /// counterpart of [`ObjectStore::new`]. The volume must already hold
-    /// the structures the roots point at (it does on a replica, whose
-    /// pages are physical copies of the primary's); the in-memory halves
-    /// (interned types, collection map) arrive separately via
-    /// [`ObjectStore::import_image`].
+    /// Attach to an existing store's pages — the counterpart of
+    /// [`ObjectStore::new`] when a volume is reopened (or replicated).
+    /// The volume must already hold the structures the roots point at;
+    /// the in-memory halves (interned types, collection map) arrive
+    /// separately via [`ObjectStore::import_image`].
     pub fn attach(sm: StorageManager, roots: &StoreRoots) -> ObjectStore {
         ObjectStore {
             sm,
@@ -208,48 +209,50 @@ impl ObjectStore {
     }
 
     /// Serialize the store's in-memory state (interned qualified types
-    /// and the collection map) for a replication catalog image.
+    /// and the collection map) for the catalog image.
     pub fn export_image(&self) -> Vec<u8> {
-        use crate::typeio::{put_u32, put_u64, write_qty};
-        let mut out = Vec::new();
+        let mut w = ByteWriter::new();
         let types = self.types.read();
-        put_u32(&mut out, types.len() as u32);
+        w.put_varint(types.len() as u64);
         for q in types.iter() {
-            write_qty(q, &mut out);
+            write_qty(q, &mut w);
         }
         drop(types);
         let cols = self.collections.read();
-        put_u32(&mut out, cols.len() as u32);
+        w.put_varint(cols.len() as u64);
         for (oid, info) in cols.iter() {
-            put_u64(&mut out, oid.0);
-            put_u64(&mut out, info.file.0);
-            put_u32(&mut out, info.elem);
+            w.put_u64(oid.0);
+            w.put_u64(info.file.0);
+            w.put_u32(info.elem);
         }
-        out
+        w.into_bytes()
     }
 
     /// Replace the store's in-memory state with an exported image.
     /// Interned type ids are positional, so the vector must be swapped
     /// wholesale — never merged.
     pub fn import_image(&self, buf: &[u8]) -> ModelResult<()> {
-        use crate::typeio::{get_u32, get_u64, read_qty};
-        let mut pos = 0;
-        let n = get_u32(buf, &mut pos)?;
-        let mut types = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            types.push(read_qty(buf, &mut pos)?);
-        }
-        let nc = get_u32(buf, &mut pos)?;
-        let mut cols = HashMap::with_capacity(nc as usize);
-        for _ in 0..nc {
-            let oid = Oid(get_u64(buf, &mut pos)?);
-            let file = FileId(get_u64(buf, &mut pos)?);
-            let elem = get_u32(buf, &mut pos)?;
+        let mut r = ByteReader::new(buf);
+        let types = (0..r.get_count()?)
+            .map(|_| read_qty(&mut r))
+            .collect::<ModelResult<_>>()?;
+        let mut cols = HashMap::new();
+        for _ in 0..r.get_count()? {
+            let oid = Oid(r.get_u64()?);
+            let file = FileId(r.get_u64()?);
+            let elem = r.get_u32()?;
             cols.insert(oid, CollectionInfo { file, elem });
         }
         *self.types.write() = types;
         *self.collections.write() = cols;
         Ok(())
+    }
+
+    /// The sizes of the two tables [`ObjectStore::export_image`]
+    /// serializes. Only writers change them, so a writer that sees them
+    /// differ from the last image it committed knows that image is stale.
+    pub fn image_shape(&self) -> (usize, usize) {
+        (self.types.read().len(), self.collections.read().len())
     }
 
     /// The underlying storage manager.

@@ -1,87 +1,32 @@
-//! Byte serialization of EXTRA types, for replication catalog images.
+//! Byte serialization of EXTRA types, for the catalog image.
 //!
-//! A replica cannot re-run the DDL that built the primary's catalog (it
-//! refuses writes), so the primary ships its catalog as a versioned
-//! image instead — see `docs/REPLICATION.md`. This module gives the
-//! image a stable binary form for [`crate::types`] values; the registry
-//! and store halves live next to their (private) state in
-//! [`crate::schema`] and [`crate::store`].
+//! The database persists its catalog as one versioned image (see
+//! DESIGN.md §14); this module gives that image a stable binary form
+//! for [`crate::types`] values. The registry and store halves live next
+//! to their (private) state in [`crate::schema`] and [`crate::store`].
 //!
-//! The encoding is tag-byte + little-endian lengths throughout, the same
-//! dialect as [`crate::valueio`]. It is an internal wire format between
-//! identically versioned binaries, not an archival format.
+//! Everything goes through the storage layer's
+//! [`ByteWriter`]/[`ByteReader`] cursor, the same one
+//! [`crate::valueio`] uses: tag bytes, varint counts and lengths,
+//! little-endian fixed-width ids.
+
+use exodus_storage::encoding::{ByteReader, ByteWriter};
 
 use crate::adt::AdtId;
 use crate::error::{ModelError, ModelResult};
 use crate::schema::TypeId;
 use crate::types::{Attribute, BaseType, Ownership, QualType, Type};
 
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-pub(crate) fn get_u32(buf: &[u8], pos: &mut usize) -> ModelResult<u32> {
-    let end = pos
-        .checked_add(4)
-        .filter(|&e| e <= buf.len())
-        .ok_or_else(|| ModelError::Integrity("truncated catalog image".into()))?;
-    let v = u32::from_le_bytes(buf[*pos..end].try_into().unwrap());
-    *pos = end;
-    Ok(v)
-}
-
-pub(crate) fn get_u64(buf: &[u8], pos: &mut usize) -> ModelResult<u64> {
-    let end = pos
-        .checked_add(8)
-        .filter(|&e| e <= buf.len())
-        .ok_or_else(|| ModelError::Integrity("truncated catalog image".into()))?;
-    let v = u64::from_le_bytes(buf[*pos..end].try_into().unwrap());
-    *pos = end;
-    Ok(v)
-}
-
-pub(crate) fn get_u8(buf: &[u8], pos: &mut usize) -> ModelResult<u8> {
-    let b = *buf
-        .get(*pos)
-        .ok_or_else(|| ModelError::Integrity("truncated catalog image".into()))?;
-    *pos += 1;
-    Ok(b)
-}
-
-pub(crate) fn get_str(buf: &[u8], pos: &mut usize) -> ModelResult<String> {
-    let len = get_u32(buf, pos)? as usize;
-    let end = pos
-        .checked_add(len)
-        .filter(|&e| e <= buf.len())
-        .ok_or_else(|| ModelError::Integrity("truncated catalog image".into()))?;
-    let s = std::str::from_utf8(&buf[*pos..end])
-        .map_err(|_| ModelError::Integrity("catalog image holds invalid utf-8".into()))?
-        .to_string();
-    *pos = end;
-    Ok(s)
-}
-
-/// Append the encoding of an ownership mode.
-pub fn write_ownership(m: Ownership, out: &mut Vec<u8>) {
-    out.push(match m {
+fn write_ownership(m: Ownership, w: &mut ByteWriter) {
+    w.put_u8(match m {
         Ownership::Own => 0,
         Ownership::Ref => 1,
         Ownership::OwnRef => 2,
     });
 }
 
-/// Decode an ownership mode.
-pub fn read_ownership(buf: &[u8], pos: &mut usize) -> ModelResult<Ownership> {
-    Ok(match get_u8(buf, pos)? {
+fn read_ownership(r: &mut ByteReader<'_>) -> ModelResult<Ownership> {
+    Ok(match r.get_u8()? {
         0 => Ownership::Own,
         1 => Ownership::Ref,
         2 => Ownership::OwnRef,
@@ -89,32 +34,32 @@ pub fn read_ownership(buf: &[u8], pos: &mut usize) -> ModelResult<Ownership> {
     })
 }
 
-fn write_base(b: &BaseType, out: &mut Vec<u8>) {
+fn write_base(b: &BaseType, w: &mut ByteWriter) {
     match b {
-        BaseType::Int1 => out.push(0),
-        BaseType::Int2 => out.push(1),
-        BaseType::Int4 => out.push(2),
-        BaseType::Int8 => out.push(3),
-        BaseType::Float4 => out.push(4),
-        BaseType::Float8 => out.push(5),
-        BaseType::Boolean => out.push(6),
+        BaseType::Int1 => w.put_u8(0),
+        BaseType::Int2 => w.put_u8(1),
+        BaseType::Int4 => w.put_u8(2),
+        BaseType::Int8 => w.put_u8(3),
+        BaseType::Float4 => w.put_u8(4),
+        BaseType::Float8 => w.put_u8(5),
+        BaseType::Boolean => w.put_u8(6),
         BaseType::Char(n) => {
-            out.push(7);
-            put_u64(out, *n as u64);
+            w.put_u8(7);
+            w.put_varint(*n as u64);
         }
-        BaseType::Varchar => out.push(8),
+        BaseType::Varchar => w.put_u8(8),
         BaseType::Enum(syms) => {
-            out.push(9);
-            put_u32(out, syms.len() as u32);
+            w.put_u8(9);
+            w.put_varint(syms.len() as u64);
             for s in syms {
-                put_str(out, s);
+                w.put_str(s);
             }
         }
     }
 }
 
-fn read_base(buf: &[u8], pos: &mut usize) -> ModelResult<BaseType> {
-    Ok(match get_u8(buf, pos)? {
+fn read_base(r: &mut ByteReader<'_>) -> ModelResult<BaseType> {
+    Ok(match r.get_u8()? {
         0 => BaseType::Int1,
         1 => BaseType::Int2,
         2 => BaseType::Int4,
@@ -122,83 +67,84 @@ fn read_base(buf: &[u8], pos: &mut usize) -> ModelResult<BaseType> {
         4 => BaseType::Float4,
         5 => BaseType::Float8,
         6 => BaseType::Boolean,
-        7 => BaseType::Char(get_u64(buf, pos)? as usize),
+        7 => BaseType::Char(r.get_varint()? as usize),
         8 => BaseType::Varchar,
-        9 => {
-            let n = get_u32(buf, pos)?;
-            let mut syms = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                syms.push(get_str(buf, pos)?);
-            }
-            BaseType::Enum(syms)
-        }
+        9 => BaseType::Enum(
+            (0..r.get_count()?)
+                .map(|_| Ok(r.get_str()?.to_string()))
+                .collect::<ModelResult<_>>()?,
+        ),
         t => return Err(ModelError::Integrity(format!("bad base-type tag {t}"))),
     })
 }
 
-/// Append the encoding of a type.
-pub fn write_type(ty: &Type, out: &mut Vec<u8>) {
+fn write_type(ty: &Type, w: &mut ByteWriter) {
     match ty {
         Type::Base(b) => {
-            out.push(0);
-            write_base(b, out);
+            w.put_u8(0);
+            write_base(b, w);
         }
         Type::Adt(id) => {
-            out.push(1);
-            put_u32(out, id.0);
+            w.put_u8(1);
+            w.put_u32(id.0);
         }
         Type::Schema(id) => {
-            out.push(2);
-            put_u32(out, id.0);
+            w.put_u8(2);
+            w.put_u32(id.0);
         }
         Type::Tuple(attrs) => {
-            out.push(3);
-            put_u32(out, attrs.len() as u32);
+            w.put_u8(3);
+            w.put_varint(attrs.len() as u64);
             for a in attrs {
-                write_attribute(a, out);
+                write_attribute(a, w);
             }
         }
         Type::Set(e) => {
-            out.push(4);
-            write_qty(e, out);
+            w.put_u8(4);
+            write_qty(e, w);
         }
         Type::Array(n, e) => {
-            out.push(5);
+            w.put_u8(5);
             match n {
                 Some(n) => {
-                    out.push(1);
-                    put_u64(out, *n as u64);
+                    w.put_u8(1);
+                    w.put_varint(*n as u64);
                 }
-                None => out.push(0),
+                None => w.put_u8(0),
             }
-            write_qty(e, out);
+            write_qty(e, w);
         }
-        Type::Unknown => out.push(6),
+        Type::Unknown => w.put_u8(6),
     }
 }
 
-/// Decode a type.
-pub fn read_type(buf: &[u8], pos: &mut usize) -> ModelResult<Type> {
-    Ok(match get_u8(buf, pos)? {
-        0 => Type::Base(read_base(buf, pos)?),
-        1 => Type::Adt(AdtId(get_u32(buf, pos)?)),
-        2 => Type::Schema(TypeId(get_u32(buf, pos)?)),
-        3 => {
-            let n = get_u32(buf, pos)?;
-            let mut attrs = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                attrs.push(read_attribute(buf, pos)?);
-            }
-            Type::Tuple(attrs)
-        }
-        4 => Type::Set(Box::new(read_qty(buf, pos)?)),
+/// Types nest (sets of tuples of arrays...); a hostile image must not
+/// turn that recursion into a stack overflow.
+const MAX_TYPE_DEPTH: usize = 64;
+
+fn read_type(r: &mut ByteReader<'_>, depth: usize) -> ModelResult<Type> {
+    if depth > MAX_TYPE_DEPTH {
+        return Err(ModelError::Integrity(format!(
+            "type nested deeper than {MAX_TYPE_DEPTH} levels"
+        )));
+    }
+    Ok(match r.get_u8()? {
+        0 => Type::Base(read_base(r)?),
+        1 => Type::Adt(AdtId(r.get_u32()?)),
+        2 => Type::Schema(TypeId(r.get_u32()?)),
+        3 => Type::Tuple(
+            (0..r.get_count()?)
+                .map(|_| read_attribute_at(r, depth + 1))
+                .collect::<ModelResult<_>>()?,
+        ),
+        4 => Type::Set(Box::new(read_qty_at(r, depth + 1)?)),
         5 => {
-            let n = match get_u8(buf, pos)? {
+            let n = match r.get_u8()? {
                 0 => None,
-                1 => Some(get_u64(buf, pos)? as usize),
+                1 => Some(r.get_varint()? as usize),
                 t => return Err(ModelError::Integrity(format!("bad array-len tag {t}"))),
             };
-            Type::Array(n, Box::new(read_qty(buf, pos)?))
+            Type::Array(n, Box::new(read_qty_at(r, depth + 1)?))
         }
         6 => Type::Unknown,
         t => return Err(ModelError::Integrity(format!("bad type tag {t}"))),
@@ -206,29 +152,37 @@ pub fn read_type(buf: &[u8], pos: &mut usize) -> ModelResult<Type> {
 }
 
 /// Append the encoding of a qualified type.
-pub fn write_qty(q: &QualType, out: &mut Vec<u8>) {
-    write_ownership(q.mode, out);
-    write_type(&q.ty, out);
+pub fn write_qty(q: &QualType, w: &mut ByteWriter) {
+    write_ownership(q.mode, w);
+    write_type(&q.ty, w);
 }
 
 /// Decode a qualified type.
-pub fn read_qty(buf: &[u8], pos: &mut usize) -> ModelResult<QualType> {
+pub fn read_qty(r: &mut ByteReader<'_>) -> ModelResult<QualType> {
+    read_qty_at(r, 0)
+}
+
+fn read_qty_at(r: &mut ByteReader<'_>, depth: usize) -> ModelResult<QualType> {
     Ok(QualType {
-        mode: read_ownership(buf, pos)?,
-        ty: read_type(buf, pos)?,
+        mode: read_ownership(r)?,
+        ty: read_type(r, depth)?,
     })
 }
 
 /// Append the encoding of a named attribute.
-pub fn write_attribute(a: &Attribute, out: &mut Vec<u8>) {
-    put_str(out, &a.name);
-    write_qty(&a.qty, out);
+pub fn write_attribute(a: &Attribute, w: &mut ByteWriter) {
+    w.put_str(&a.name);
+    write_qty(&a.qty, w);
 }
 
 /// Decode a named attribute.
-pub fn read_attribute(buf: &[u8], pos: &mut usize) -> ModelResult<Attribute> {
-    let name = get_str(buf, pos)?;
-    let qty = read_qty(buf, pos)?;
+pub fn read_attribute(r: &mut ByteReader<'_>) -> ModelResult<Attribute> {
+    read_attribute_at(r, 0)
+}
+
+fn read_attribute_at(r: &mut ByteReader<'_>, depth: usize) -> ModelResult<Attribute> {
+    let name = r.get_str()?.to_string();
+    let qty = read_qty_at(r, depth)?;
     Ok(Attribute { name, qty })
 }
 
@@ -263,25 +217,28 @@ mod tests {
             QualType::own(Type::Unknown),
         ];
         for q in &samples {
-            let mut buf = Vec::new();
-            write_qty(q, &mut buf);
-            let mut pos = 0;
-            let back = read_qty(&buf, &mut pos).unwrap();
-            assert_eq!(&back, q);
-            assert_eq!(pos, buf.len(), "trailing bytes for {q:?}");
+            let mut w = ByteWriter::new();
+            write_qty(q, &mut w);
+            let buf = w.into_bytes();
+            let mut r = ByteReader::new(&buf);
+            assert_eq!(&read_qty(&mut r).unwrap(), q);
+            assert_eq!(r.remaining(), 0, "trailing bytes for {q:?}");
         }
     }
 
     #[test]
-    fn truncation_is_an_error_not_a_panic() {
-        let mut buf = Vec::new();
+    fn truncation_and_deep_nesting_are_errors_not_panics() {
+        let mut w = ByteWriter::new();
         write_qty(
             &QualType::own(Type::Base(BaseType::Enum(vec!["a".into(), "b".into()]))),
-            &mut buf,
+            &mut w,
         );
+        let buf = w.into_bytes();
         for cut in 0..buf.len() {
-            let mut pos = 0;
-            assert!(read_qty(&buf[..cut], &mut pos).is_err());
+            assert!(read_qty(&mut ByteReader::new(&buf[..cut])).is_err());
         }
+        // `own {own {own ...}}`, far past the depth bound.
+        let nested: Vec<u8> = [0u8, 4].repeat(10_000);
+        assert!(read_qty(&mut ByteReader::new(&nested)).is_err());
     }
 }

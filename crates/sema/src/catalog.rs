@@ -175,78 +175,6 @@ impl CollectionStats {
     pub fn attr(&self, name: &str) -> Option<&AttrStats> {
         self.attrs.iter().find(|a| a.attr == name)
     }
-
-    /// Serialize to a self-describing byte payload (persisted through a
-    /// logged unit so recovery covers it). Format: `row_count:u64`,
-    /// `n_attrs:u32`, then per attribute `name_len:u32 name_bytes
-    /// distinct:u64 null_frac:f64 n_bounds:u32 bounds:f64*`.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&self.row_count.to_le_bytes());
-        out.extend_from_slice(&(self.attrs.len() as u32).to_le_bytes());
-        for a in &self.attrs {
-            out.extend_from_slice(&(a.attr.len() as u32).to_le_bytes());
-            out.extend_from_slice(a.attr.as_bytes());
-            out.extend_from_slice(&a.distinct.to_le_bytes());
-            out.extend_from_slice(&a.null_frac.to_le_bytes());
-            out.extend_from_slice(&(a.bounds.len() as u32).to_le_bytes());
-            for b in &a.bounds {
-                out.extend_from_slice(&b.to_le_bytes());
-            }
-        }
-        out
-    }
-
-    /// Decode a payload produced by [`CollectionStats::to_bytes`].
-    /// Returns `None` on any framing violation (truncation, overlong
-    /// counts) rather than panicking — recovery feeds us raw bytes.
-    pub fn from_bytes(data: &[u8]) -> Option<CollectionStats> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Option<&[u8]> {
-            let s = data.get(*pos..*pos + n)?;
-            *pos += n;
-            Some(s)
-        };
-        let u64_at = |pos: &mut usize| -> Option<u64> {
-            Some(u64::from_le_bytes(take(pos, 8)?.try_into().ok()?))
-        };
-        let u32_at = |pos: &mut usize| -> Option<u32> {
-            Some(u32::from_le_bytes(take(pos, 4)?.try_into().ok()?))
-        };
-        let f64_at = |pos: &mut usize| -> Option<f64> {
-            Some(f64::from_le_bytes(take(pos, 8)?.try_into().ok()?))
-        };
-        let row_count = u64_at(&mut pos)?;
-        let n_attrs = u32_at(&mut pos)? as usize;
-        if n_attrs > data.len() {
-            return None;
-        }
-        let mut attrs = Vec::with_capacity(n_attrs);
-        for _ in 0..n_attrs {
-            let name_len = u32_at(&mut pos)? as usize;
-            let attr = String::from_utf8(take(&mut pos, name_len)?.to_vec()).ok()?;
-            let distinct = u64_at(&mut pos)?;
-            let null_frac = f64_at(&mut pos)?;
-            let n_bounds = u32_at(&mut pos)? as usize;
-            if n_bounds > data.len() {
-                return None;
-            }
-            let mut bounds = Vec::with_capacity(n_bounds);
-            for _ in 0..n_bounds {
-                bounds.push(f64_at(&mut pos)?);
-            }
-            attrs.push(AttrStats {
-                attr,
-                distinct,
-                null_frac,
-                bounds,
-            });
-        }
-        if pos != data.len() {
-            return None;
-        }
-        Some(CollectionStats { row_count, attrs })
-    }
 }
 
 /// A read-only virtual collection in the reserved `sys` schema,

@@ -106,9 +106,6 @@ pub enum Frame {
     ReplPoll {
         /// The replica's local log frontier (its replay cursor).
         after_lsn: u64,
-        /// The catalog-image epoch the replica already holds (0 for
-        /// none); a differing primary epoch ships a fresh image.
-        have_epoch: u64,
         /// Cap on WAL records in the reply.
         max_records: u32,
     },
@@ -120,8 +117,8 @@ pub enum Frame {
         session_id: u64,
     },
     /// Primary → replica: one replication batch — the
-    /// `exodus_db::Batch` encoding (epoch, durable frontier, optional
-    /// catalog image, raw WAL frames) carried opaquely.
+    /// `exodus_db::Batch` encoding (durable frontier, raw WAL frames)
+    /// carried opaquely.
     ReplBatch {
         /// `Batch::to_bytes` payload, decoded with `Batch::from_bytes`.
         payload: Vec<u8>,
@@ -271,12 +268,10 @@ fn encode_frame(w: &mut ByteWriter, frame: &Frame) {
         }
         Frame::ReplPoll {
             after_lsn,
-            have_epoch,
             max_records,
         } => {
             w.put_u8(T_REPL_POLL);
             w.put_u64(*after_lsn);
-            w.put_u64(*have_epoch);
             w.put_u32(*max_records);
         }
         Frame::ReplWelcome {
@@ -398,7 +393,6 @@ fn decode_frame(r: &mut ByteReader<'_>) -> DbResult<Frame> {
         },
         T_REPL_POLL => Frame::ReplPoll {
             after_lsn: r.get_u64().map_err(bad)?,
-            have_epoch: r.get_u64().map_err(bad)?,
             max_records: r.get_u32().map_err(bad)?,
         },
         T_REPL_WELCOME => Frame::ReplWelcome {
@@ -627,7 +621,6 @@ mod tests {
         round_trip(Frame::ReplSubscribe { version: VERSION });
         round_trip(Frame::ReplPoll {
             after_lsn: 99,
-            have_epoch: 3,
             max_records: 512,
         });
         round_trip(Frame::ReplWelcome {

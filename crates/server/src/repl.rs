@@ -27,8 +27,8 @@ use crate::protocol::{read_frame, write_frame, Frame, PREAMBLE, VERSION};
 ///
 /// Transport failures mark the stream broken; the next
 /// [`ReplStream::poll`] transparently reconnects and re-subscribes
-/// (the protocol is a stateless poll loop — the cursor and epoch
-/// travel in every request, so a fresh connection resumes exactly).
+/// (the protocol is a stateless poll loop — the cursor travels in
+/// every request, so a fresh connection resumes exactly).
 pub struct RemoteStream {
     addr: String,
     conn: Option<Subscription>,
@@ -92,12 +92,11 @@ impl Subscription {
             .ok_or_else(|| DbError::Net("primary closed the subscription".into()))
     }
 
-    fn poll(&mut self, after_lsn: u64, have_epoch: u64, max_records: usize) -> DbResult<Batch> {
+    fn poll(&mut self, after_lsn: u64, max_records: usize) -> DbResult<Batch> {
         write_frame(
             &mut self.writer,
             &Frame::ReplPoll {
                 after_lsn,
-                have_epoch,
                 max_records: u32::try_from(max_records).unwrap_or(u32::MAX),
             },
         )?;
@@ -115,12 +114,12 @@ impl Subscription {
 }
 
 impl ReplStream for RemoteStream {
-    fn poll(&mut self, after_lsn: u64, have_epoch: u64, max_records: usize) -> DbResult<Batch> {
+    fn poll(&mut self, after_lsn: u64, max_records: usize) -> DbResult<Batch> {
         if self.conn.is_none() {
             self.conn = Some(Subscription::open(&self.addr)?);
         }
         let sub = self.conn.as_mut().expect("just reconnected");
-        let result = sub.poll(after_lsn, have_epoch, max_records);
+        let result = sub.poll(after_lsn, max_records);
         if let Err(e) = &result {
             // A relayed statement-level error leaves the stream in a
             // known state; anything else means the request/response

@@ -477,9 +477,8 @@ fn serve_replication(conn: &mut dyn Conn, db: &Arc<Database>, stop: &AtomicBool,
         let reply = match frame {
             Frame::ReplPoll {
                 after_lsn,
-                have_epoch,
                 max_records,
-            } => match source.poll(after_lsn, have_epoch, max_records as usize) {
+            } => match source.poll(after_lsn, max_records as usize) {
                 Ok(batch) => Frame::ReplBatch {
                     payload: batch.to_bytes(),
                 },

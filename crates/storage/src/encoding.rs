@@ -187,6 +187,20 @@ impl<'a> ByteReader<'a> {
         }
     }
 
+    /// Read a varint element count, refusing one larger than the bytes
+    /// left: every element takes at least a byte, so a hostile count
+    /// can never size an allocation past the buffer.
+    pub fn get_count(&mut self) -> StorageResult<usize> {
+        let n = self.get_varint()?;
+        if n > self.remaining() as u64 {
+            return Err(StorageError::Corrupt(format!(
+                "count {n} exceeds the {} bytes left",
+                self.remaining()
+            )));
+        }
+        Ok(n as usize)
+    }
+
     /// Read a length-prefixed byte string.
     pub fn get_bytes(&mut self) -> StorageResult<&'a [u8]> {
         let n = self.get_varint()? as usize;

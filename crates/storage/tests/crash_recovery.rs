@@ -30,9 +30,8 @@ use exodus_storage::{Durability, FileId, StorageManager, StorageResult};
 const HEAP_PAGE: u64 = 1;
 const BTREE_ROOT: u64 = 2;
 const LOB_FIRST: u64 = 3;
-/// Dedicated statistics heap, mirroring the catalog's `analyze` payload
-/// file: opaque serialized records, inserted once and updated in place
-/// (with a size change, forcing relocation) on re-analyze.
+/// A second heap of opaque statistics-style records: inserted once and
+/// updated in place (with a size change, forcing relocation) later.
 const STATS_PAGE: u64 = 4;
 
 const N_UNITS: usize = 6;

@@ -1,9 +1,10 @@
 //! Write-ahead logging and crash recovery, end to end.
 //!
 //! Part 1 opens a file-backed database through the builder, runs logged
-//! statements, and checkpoints. Part 2 drops to the storage layer and
-//! simulates a crash — committed units survive a reopen with *no* flush,
-//! restored purely from the log's after-images.
+//! statements, checkpoints, and reopens it: the catalog is a logged
+//! record like any other, so `People` is still there. Part 2 drops to
+//! the storage layer and simulates a crash — committed units survive a
+//! reopen with *no* flush, restored purely from the log's after-images.
 //!
 //! ```console
 //! cargo run --example durability
@@ -17,10 +18,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     std::fs::create_dir_all(&dir)?;
 
     // ---- Part 1: the database surface --------------------------------
-    let db = Database::builder()
-        .path(dir.join("univ.db"))
-        .durability(Durability::Fsync)
-        .build()?;
+    let open = || {
+        Database::builder()
+            .path(dir.join("univ.db"))
+            .durability(Durability::Fsync)
+            .build()
+    };
+    let db = open()?;
     let report = db.recovery().expect("file-backed open runs recovery");
     println!("opened univ.db: clean={} ({report:?})", report.was_clean());
 
@@ -39,6 +43,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // bounds recovery work and prunes the log.
     db.checkpoint()?;
     println!("checkpointed; durability = {:?}", db.durability());
+    session.run(r#"append to People (name = "cey", age = 52)"#)?;
+    drop(session);
+    drop(db);
+
+    // Reopen: recovery replays the append the checkpoint did not cover,
+    // and the catalog image names `People` again.
+    let db = open()?;
+    let rows = db.query("retrieve (P.name) from P in People order by P.name asc")?;
+    println!("people after reopen: {:?}", rows.rows);
+    assert_eq!(
+        rows.rows.len(),
+        3,
+        "the reopened database keeps its catalog"
+    );
     drop(db);
 
     // ---- Part 2: crash simulation at the storage layer ---------------

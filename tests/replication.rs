@@ -1,6 +1,6 @@
 //! WAL-shipping read replicas, end to end (`docs/REPLICATION.md`):
 //! in-process pairs serving reads at the replay horizon, the read-only
-//! refusal codes, catalog propagation through epoch-versioned images,
+//! refusal codes, catalog propagation through the replayed catalog image,
 //! lag shedding, replica restart, and the `repl_*` metric families.
 
 use std::path::PathBuf;
@@ -9,7 +9,7 @@ use std::sync::Arc;
 use exodus_server::{
     AdmissionConfig, RemoteSession, RemoteStream, Server, TcpTransport, WireReplica,
 };
-use extra_excess::db::replication::{Replica, ReplicaOptions};
+use extra_excess::db::replication::{Batch, ReplStream, Replica, ReplicaOptions};
 use extra_excess::db::validate_exposition;
 use extra_excess::db::Client;
 use extra_excess::{Database, DbError, Durability, Value};
@@ -141,7 +141,7 @@ fn replica_matches_primary_snapshot_at_same_horizon() {
 }
 
 /// Catalog changes — new types, collections, users, grants — propagate
-/// through a fresh epoch-versioned image on the next pump.
+/// through the catalog image replayed (and installed) on the next pump.
 #[test]
 fn catalog_changes_propagate_through_epoch_images() {
     let dir = temp_dir("epoch");
@@ -326,6 +326,34 @@ fn replica_restart_resumes_from_local_log() {
     let mut rs = replica.database().session();
     let r = rs.query("retrieve (P.name) from P in People").unwrap();
     assert_eq!(r.rows.len(), 4);
+}
+
+/// A replica's catalog is on its own pages: restarted while its primary
+/// is unreachable, it serves what it last replayed.
+#[test]
+fn a_replica_restarted_without_its_primary_serves_its_last_catalog() {
+    struct Unreachable;
+    impl ReplStream for Unreachable {
+        fn poll(&mut self, _: u64, _: usize) -> extra_excess::DbResult<Batch> {
+            Err(DbError::Net("connection refused".into()))
+        }
+    }
+    let dir = temp_dir("orphan");
+    let p = primary(&dir);
+    seed(&p);
+    let rpath = dir.join("replica.vol");
+    {
+        let mut replica = Replica::in_process(&p, &rpath, ReplicaOptions::default()).unwrap();
+        replica.pump_until_caught_up().unwrap();
+    }
+    let mut replica =
+        Replica::connect(&rpath, Box::new(Unreachable), ReplicaOptions::default()).unwrap();
+    let mut rs = replica.database().session();
+    let r = rs
+        .query("retrieve (Doubled(P)) from P in People where P.age > 35")
+        .unwrap();
+    assert_eq!(row_set(&r), ["[Int(104)]", "[Int(82)]"]);
+    assert_eq!(replica.pump().unwrap_err().code(), 3001);
 }
 
 /// The `repl_*` families are present in both expositions: shipped
