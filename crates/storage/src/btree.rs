@@ -25,7 +25,6 @@ use std::sync::Arc;
 use crate::buffer::BufferPool;
 use crate::error::{StorageError, StorageResult};
 use crate::page::{PageKind, PageView, SlottedPage, NO_PAGE, PAGE_SIZE};
-use crate::wal::WalRecord;
 
 /// Maximum key length accepted by the tree (must leave room for several
 /// entries per node).
@@ -218,10 +217,7 @@ impl BTree {
         if let Some((sep, right)) = self.insert_rec(pool, self.root, key, val)? {
             self.split_root(pool, sep, right)?;
         }
-        pool.log_op(&WalRecord::BTreeInsert {
-            root: self.root,
-            key_len: key.len() as u32,
-        })
+        Ok(())
     }
 
     fn insert_rec(
@@ -269,11 +265,6 @@ impl BTree {
                     p.set_next(right_no);
                     encode_leaf(&leaf, p.body_mut());
                 });
-                pool.log_op(&WalRecord::BTreeSplit {
-                    root: self.root,
-                    left: page_no,
-                    right: right_no,
-                })?;
                 Ok(Some((sep, right_no)))
             }
             Node::Internal(mut node) => {
@@ -309,11 +300,6 @@ impl BTree {
                 });
                 let page = pool.pin(page_no)?;
                 page.with_write(|buf| encode_internal(&node, SlottedPage::new(buf).body_mut()));
-                pool.log_op(&WalRecord::BTreeSplit {
-                    root: self.root,
-                    left: page_no,
-                    right: right_no,
-                })?;
                 Ok(Some((up_key, right_no)))
             }
         }
@@ -352,11 +338,7 @@ impl BTree {
                 p.body_mut(),
             );
         });
-        pool.log_op(&WalRecord::BTreeSplit {
-            root: self.root,
-            left: left_no,
-            right,
-        })
+        Ok(())
     }
 
     /// Page number of the leftmost leaf whose range may contain `key`.
@@ -426,10 +408,6 @@ impl BTree {
                 leaf.entries.remove(pos);
                 let page = pool.pin(page_no)?;
                 page.with_write(|buf| encode_leaf(&leaf, SlottedPage::new(buf).body_mut()));
-                pool.log_op(&WalRecord::BTreeDelete {
-                    root: self.root,
-                    key_len: key.len() as u32,
-                })?;
                 return Ok(true);
             }
             // Stop once entries exceed the key.

@@ -15,7 +15,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::error::{StorageError, StorageResult};
 use crate::page::{self, PAGE_SIZE};
 use crate::volume::Volume;
-use crate::wal::Wal;
+use crate::wal::{page_record, Lsn, Wal, WalRecord};
 
 struct Frame {
     page_no: u64,
@@ -34,17 +34,25 @@ struct PoolState {
     hand: usize,
 }
 
-/// Before-image capture for transaction abort. While `capturing` is set
-/// (one writer transaction at a time — the transaction manager's writer
-/// gate guarantees this), the first exclusive write to each page squirrels
-/// away a copy of its pre-write bytes; [`BufferPool::rollback_undo`]
-/// writes them back. This is a purely in-memory undo: the WAL never sees
-/// uncommitted images (rollback by omission covers the crash case), so
-/// abort works identically with or without a log.
+/// Before-image capture for abort and for commit-time deltas. While
+/// `capturing` is set (one writer at a time — the writer gate or, with a
+/// log, the unit slot guarantees this), the first exclusive write to each
+/// page squirrels away a copy of its pre-write bytes.
+/// [`BufferPool::rollback_undo`] writes them back; the commit path logs
+/// each page as its difference from them. The WAL never sees uncommitted
+/// bytes (rollback by omission covers the crash case), so abort works
+/// identically with or without a log.
 #[derive(Default)]
 struct UndoState {
     capturing: AtomicBool,
-    images: Mutex<HashMap<u64, Box<[u8; PAGE_SIZE]>>>,
+    images: Mutex<HashMap<u64, BeforeImage>>,
+}
+
+/// A page as it was before the writer's first write to it.
+struct BeforeImage {
+    bytes: Box<[u8; PAGE_SIZE]>,
+    /// Whether the frame was dirty then (rollback restores the flag).
+    dirty: bool,
 }
 
 /// Monotonic counters describing pool behaviour.
@@ -142,15 +150,6 @@ impl BufferPool {
         self.wal.as_ref()
     }
 
-    /// Append a descriptive operation record under the active logged unit.
-    /// A no-op without a WAL — structure code calls this unconditionally.
-    pub(crate) fn log_op(&self, rec: &crate::wal::WalRecord) -> StorageResult<()> {
-        if let Some(wal) = &self.wal {
-            wal.log_op(rec)?;
-        }
-        Ok(())
-    }
-
     /// The structure-modification lock for the structure rooted at
     /// `root_page`. Chain/tree shape changes must hold this lock so
     /// concurrent writers cannot orphan pages.
@@ -182,9 +181,9 @@ impl BufferPool {
         }
     }
 
-    /// Start capturing page before-images for a writer transaction.
-    /// Callers must hold the transaction manager's writer gate (capture
-    /// state is global to the pool).
+    /// Start capturing page before-images for a writer. Callers must hold
+    /// the transaction manager's writer gate or the log's unit slot
+    /// (capture state is global to the pool).
     pub(crate) fn begin_undo_capture(&self) {
         self.undo.images.lock().clear();
         self.undo.capturing.store(true, Ordering::Release);
@@ -197,40 +196,76 @@ impl BufferPool {
     }
 
     /// Stop capturing and write every captured before-image back over its
-    /// page (abort path). Pages that were evicted since capture are
-    /// faulted back in and overwritten; restored frames are left dirty so
-    /// normal write-back re-persists the pre-transaction bytes. Cached
-    /// heap-page chains are dropped wholesale: an aborted chain extension
-    /// leaves stale cached page lists, and chains are cheap to rebuild.
-    /// Returns the number of pages restored.
+    /// page (abort path), with the page's LSN and dirty flag as they were.
+    /// Cached heap-page chains are dropped wholesale: an aborted chain
+    /// extension leaves stale cached page lists, and chains are cheap to
+    /// rebuild. Returns the number of pages restored.
     pub(crate) fn rollback_undo(self: &Arc<Self>) -> StorageResult<usize> {
         self.undo.capturing.store(false, Ordering::Release);
-        let images: Vec<(u64, Box<[u8; PAGE_SIZE]>)> = self.undo.images.lock().drain().collect();
+        let images: Vec<(u64, BeforeImage)> = self.undo.images.lock().drain().collect();
         let restored = images.len();
-        for (page_no, image) in images {
+        for (page_no, before) in images {
             let page = self.pin(page_no)?;
             page.frame
                 .lsn
-                .store(page::page_lsn(&image[..]), Ordering::Release);
-            let mut data = page.frame.data.write();
-            data.copy_from_slice(&image[..]);
-            page.frame.dirty.store(true, Ordering::Relaxed);
+                .store(page::page_lsn(&before.bytes[..]), Ordering::Release);
+            page.frame.data.write().copy_from_slice(&before.bytes[..]);
+            // With a log the page was gated since capture, so a page clean
+            // then still matches the volume — and writing it back could
+            // tear a page no redo record covers. Without one it may have
+            // been written back since, so it must be rewritten.
+            let dirty = before.dirty || self.wal.is_none();
+            page.frame.dirty.store(dirty, Ordering::Relaxed);
         }
         self.chains.lock().clear();
         Ok(restored)
     }
 
     /// Record `data` as `page_no`'s before-image if capture is on and this
-    /// is the transaction's first write to the page.
-    fn capture_undo(&self, page_no: u64, data: &[u8; PAGE_SIZE]) {
+    /// is the writer's first write to the page.
+    fn capture_undo(&self, page_no: u64, data: &[u8; PAGE_SIZE], dirty: bool) {
         if !self.undo.capturing.load(Ordering::Acquire) {
             return;
         }
-        self.undo.images.lock().entry(page_no).or_insert_with(|| {
-            let mut image = Box::new([0u8; PAGE_SIZE]);
-            image.copy_from_slice(&data[..]);
-            image
-        });
+        self.undo
+            .images
+            .lock()
+            .entry(page_no)
+            .or_insert_with(|| BeforeImage {
+                bytes: Box::new(*data),
+                dirty,
+            });
+    }
+
+    /// Log the active unit's commit: for each page it dirtied, the redo
+    /// record [`crate::wal`] builds against the page's before-image — a
+    /// delta, an image, or nothing for unchanged bytes — stamped into the
+    /// page as its LSN; then the commit record carrying `ts`. Returns the
+    /// commit record's LSN. The one commit path of transactions and bare
+    /// units; on error the caller rolls the unit back.
+    pub(crate) fn log_commit(
+        self: &Arc<Self>,
+        wal: &Wal,
+        unit: u64,
+        ts: u64,
+    ) -> StorageResult<Lsn> {
+        let mut redone = Vec::new();
+        for (page_no, prior) in wal.unit_dirty_pages(unit) {
+            let page = self.pin(page_no)?;
+            let rec = page.with_read(|after| {
+                let undo = self.undo.images.lock();
+                let before = undo.get(&page_no).map(|b| &b.bytes[..]);
+                page_record(page_no, before, after, prior)
+            });
+            let Some(rec) = rec else { continue };
+            let lsn = wal.append(unit, &rec)?;
+            page.frame.lsn.store(lsn, Ordering::Release);
+            page::set_page_lsn(&mut page.frame.data.write()[..], lsn);
+            redone.push(page_no);
+        }
+        let lsn = wal.append(unit, &WalRecord::Commit { ts })?;
+        wal.note_redone(redone);
+        Ok(lsn)
     }
 
     /// Snapshot of the pool counters.
@@ -283,7 +318,7 @@ impl BufferPool {
         if self.wal.is_some() && !page::verify_page_checksum(&data[..]) {
             return Err(StorageError::Corrupt(format!(
                 "page {page_no} failed its checksum (torn write?); \
-                 recovery restores such pages from full-page images"
+                 recovery rebuilds such pages from the log"
             )));
         }
         let frame = Arc::new(Frame {
@@ -425,65 +460,23 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Page numbers of every dirty resident page, sorted (checkpoint
-    /// collection order).
-    pub fn dirty_page_numbers(&self) -> Vec<u64> {
-        let state = self.state.read();
-        let mut pages: Vec<u64> = state
-            .frames
-            .iter()
-            .flatten()
-            .filter(|f| f.dirty.load(Ordering::Relaxed))
-            .map(|f| f.page_no)
-            .collect();
-        pages.sort_unstable();
-        pages
-    }
-
-    /// Copy of a page's current bytes (the commit path reads after-images
-    /// with this).
-    pub fn page_image(self: &Arc<Self>, page_no: u64) -> StorageResult<Vec<u8>> {
-        let page = self.pin(page_no)?;
-        Ok(page.with_read(|buf| buf.to_vec()))
-    }
-
-    /// Stamp `lsn` into a page's header and frame (see
-    /// [`crate::page::page_lsn`]). Called by the commit path right after
-    /// the page's after-image is appended to the log.
-    pub fn stamp_page_lsn(self: &Arc<Self>, page_no: u64, lsn: u64) -> StorageResult<()> {
-        let page = self.pin(page_no)?;
-        page.frame.lsn.store(lsn, Ordering::Release);
-        let mut data = page.frame.data.write();
-        page::set_page_lsn(&mut data[..], lsn);
-        page.frame.dirty.store(true, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Overwrite `page_no` with a full-page image whose effects end at
-    /// `lsn` (replication replay — the live twin of recovery's
-    /// image-install). The volume is extended with zeroed pages as
-    /// needed; the frame is left dirty so normal write-back persists it,
-    /// subject to the flush rule against the *local* log.
-    pub fn install_page(
-        self: &Arc<Self>,
-        page_no: u64,
-        image: &[u8],
-        lsn: u64,
-    ) -> StorageResult<()> {
-        if image.len() != PAGE_SIZE {
-            return Err(StorageError::Corrupt(format!(
-                "page image for {page_no} is {} bytes, want {PAGE_SIZE}",
-                image.len()
-            )));
-        }
+    /// Redo a page record at `lsn` onto the pool's copy of its page
+    /// ([`WalRecord::redo`] — replication replay, the live twin of
+    /// recovery). The replica's page is exactly what the stream's earlier
+    /// records made it, so a prior-based delta applies over it. The volume
+    /// is extended with zeroed pages as needed; the frame is left dirty so
+    /// normal write-back persists it, subject to the flush rule against
+    /// the *local* log.
+    pub fn redo_page(self: &Arc<Self>, rec: &WalRecord, lsn: Lsn) -> StorageResult<()> {
+        let page_no = rec
+            .page_no()
+            .ok_or_else(|| StorageError::Corrupt("redo of a record with no page".into()))?;
         while self.volume.page_count() <= page_no {
             self.volume.allocate_page()?;
         }
         let page = self.pin(page_no)?;
+        rec.redo(&mut page.frame.data.write()[..], lsn, true)?;
         page.frame.lsn.store(lsn, Ordering::Release);
-        let mut data = page.frame.data.write();
-        data.copy_from_slice(image);
-        page::set_page_lsn(&mut data[..], lsn);
         page.frame.dirty.store(true, Ordering::Relaxed);
         Ok(())
     }
@@ -520,7 +513,7 @@ impl PinnedPage {
 
     /// Run `f` with exclusive access to the page bytes; marks the page
     /// dirty and, when the pool is recoverable, registers the page with
-    /// the active logged unit (its after-image is captured at commit).
+    /// the active logged unit (its change is logged at commit).
     pub fn with_write<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
         if let Some(wal) = &self.pool.wal {
             wal.note_write(self.frame.page_no);
@@ -528,8 +521,8 @@ impl PinnedPage {
         let mut data = self.frame.data.write();
         // Before-image capture must see the pre-write bytes, so it runs
         // after the exclusive latch is held but before `f` mutates.
-        self.pool.capture_undo(self.frame.page_no, &data);
-        self.frame.dirty.store(true, Ordering::Relaxed);
+        let dirty = self.frame.dirty.swap(true, Ordering::Relaxed);
+        self.pool.capture_undo(self.frame.page_no, &data, dirty);
         f(&mut data[..])
     }
 }

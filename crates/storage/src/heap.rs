@@ -29,7 +29,6 @@ use crate::buffer::BufferPool;
 use crate::error::{StorageError, StorageResult};
 use crate::page::{PageKind, PageView, SlottedPage, NO_PAGE};
 use crate::txn::{visible, TS_INF, TS_LATEST};
-use crate::wal::WalRecord;
 
 /// Identifies a heap file by its header page number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -175,7 +174,6 @@ impl HeapFile {
 
     /// Insert pre-stamped record bytes (version header already attached).
     fn insert_raw(&self, pool: &Arc<BufferPool>, raw: &[u8]) -> StorageResult<RecordId> {
-        let len = (raw.len() - VERSION_HEADER) as u32;
         let lock = pool.smo_lock(self.id.0);
         let _guard = lock.lock();
         let header = pool.pin(self.id.0)?;
@@ -193,16 +191,10 @@ impl HeapFile {
             if let Some(slot) = slot {
                 drop(header);
                 self.bump_count(pool, 1)?;
-                let rid = RecordId {
+                return Ok(RecordId {
                     page: last,
                     slot: slot?,
-                };
-                pool.log_op(&WalRecord::HeapInsert {
-                    file: self.id.0,
-                    rid: rid.pack(),
-                    len,
-                })?;
-                return Ok(rid);
+                });
             }
         }
         // Append a new data page to the chain.
@@ -228,13 +220,7 @@ impl HeapFile {
         pool.chain_append(self.id.0, new_no);
         drop(header);
         self.bump_count(pool, 1)?;
-        let rid = RecordId { page: new_no, slot };
-        pool.log_op(&WalRecord::HeapInsert {
-            file: self.id.0,
-            rid: rid.pack(),
-            len,
-        })?;
-        Ok(rid)
+        Ok(RecordId { page: new_no, slot })
     }
 
     /// Update a record in place, carrying its version stamps over. If the
@@ -258,25 +244,12 @@ impl HeapFile {
         let raw = with_header(begin, end, data);
         let fit = page.with_write(|buf| SlottedPage::new(buf).update(rid.page, rid.slot, &raw))?;
         if fit {
-            pool.log_op(&WalRecord::HeapUpdate {
-                file: self.id.0,
-                old_rid: rid.pack(),
-                new_rid: rid.pack(),
-                len: data.len() as u32,
-            })?;
             return Ok(rid);
         }
         page.with_write(|buf| SlottedPage::new(buf).delete(rid.page, rid.slot))?;
         drop(page);
         self.bump_count(pool, -1)?;
-        let new_rid = self.insert_raw(pool, &raw)?;
-        pool.log_op(&WalRecord::HeapUpdate {
-            file: self.id.0,
-            old_rid: rid.pack(),
-            new_rid: new_rid.pack(),
-            len: data.len() as u32,
-        })?;
-        Ok(new_rid)
+        self.insert_raw(pool, &raw)
     }
 
     /// Physically delete a record.
@@ -284,11 +257,7 @@ impl HeapFile {
         let page = pool.pin(rid.page)?;
         page.with_write(|buf| SlottedPage::new(buf).delete(rid.page, rid.slot))?;
         drop(page);
-        self.bump_count(pool, -1)?;
-        pool.log_op(&WalRecord::HeapDelete {
-            file: self.id.0,
-            rid: rid.pack(),
-        })
+        self.bump_count(pool, -1)
     }
 
     /// Logically delete: end-stamp the record's version at `end_ts` and
@@ -302,11 +271,7 @@ impl HeapFile {
         end_ts: u64,
     ) -> StorageResult<()> {
         set_record_end(pool, rid, end_ts)?;
-        self.bump_count(pool, -1)?;
-        pool.log_op(&WalRecord::HeapDelete {
-            file: self.id.0,
-            rid: rid.pack(),
-        })
+        self.bump_count(pool, -1)
     }
 
     /// First data page of the chain, if any.
@@ -481,16 +446,11 @@ pub fn set_record_end(pool: &Arc<BufferPool>, rid: RecordId, end_ts: u64) -> Sto
 }
 
 /// Delete one record by id without touching the file's record counter.
-/// Prefer [`HeapFile::delete`] when the file is known (the log record then
-/// names the file instead of `u64::MAX`).
+/// Prefer [`HeapFile::delete`] when the file is known (it keeps the
+/// file's live-record count).
 pub fn delete_record(pool: &Arc<BufferPool>, rid: RecordId) -> StorageResult<()> {
     let page = pool.pin(rid.page)?;
-    page.with_write(|buf| SlottedPage::new(buf).delete(rid.page, rid.slot))?;
-    drop(page);
-    pool.log_op(&WalRecord::HeapDelete {
-        file: u64::MAX,
-        rid: rid.pack(),
-    })
+    page.with_write(|buf| SlottedPage::new(buf).delete(rid.page, rid.slot))
 }
 
 /// A batch of records packed into one contiguous byte arena.

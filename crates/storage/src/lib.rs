@@ -61,7 +61,7 @@
 //! let unit = sm.begin_unit().unwrap();
 //! let file = sm.create_file().unwrap();
 //! sm.insert(file, b"durable").unwrap();
-//! unit.commit().unwrap(); // after-images + commit record hit the log
+//! unit.commit().unwrap(); // page changes + commit record hit the log
 //! sm.checkpoint().unwrap();
 //! ```
 
@@ -89,7 +89,7 @@ pub use object::Oid;
 pub use recovery::RecoveryReport;
 pub use repl::{ApplierCounters, ApplyStats, ReplicaApplier, ReplicationSource};
 pub use txn::{visible, ReclaimOp, Snapshot, TxnManager, WriteTxn, TS_INF, TS_LATEST};
-pub use wal::{Durability, Lsn, Wal, WalEntry, WalRecord};
+pub use wal::{DeltaBase, Durability, Lsn, Wal, WalEntry, WalRecord};
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -202,16 +202,23 @@ impl StorageManager {
     }
 
     /// Open a logged unit: every page dirtied until [`Unit::commit`] is
-    /// pinned in the pool (no-steal) and after-imaged to the log at
-    /// commit, so a crash anywhere inside the unit rolls the whole unit
-    /// back on recovery. One unit is active at a time; this blocks until
-    /// the slot frees. Without a WAL the guard is a no-op.
+    /// pinned in the pool (no-steal), its before-image captured, and its
+    /// change logged at commit, so a crash anywhere inside the unit rolls
+    /// the whole unit back on recovery. One unit is active at a time;
+    /// this blocks until the slot frees. Without a WAL the guard is a
+    /// no-op.
     ///
     /// Note the buffer pool must have room for the unit's whole write set
     /// — gated pages cannot be evicted.
     pub fn begin_unit(&self) -> StorageResult<Unit> {
         let id = match self.pool.wal() {
-            Some(wal) => wal.begin_unit()?,
+            Some(wal) => {
+                let id = wal.begin_unit()?;
+                // The unit slot serializes capture with every other
+                // logged writer, transactions included.
+                self.pool.begin_undo_capture();
+                id
+            }
             None => 0,
         };
         Ok(Unit {
@@ -225,9 +232,9 @@ impl StorageManager {
     /// prune log segments that can never be replayed again.
     ///
     /// Protocol (with a WAL attached): pause new units, flush the log,
-    /// append unit-0 after-images of every dirty page (covering
-    /// out-of-unit mutations), flush again, write all dirty pages back,
-    /// sync the volume, append [`WalRecord::Checkpoint`], flush it, then
+    /// write all dirty pages back (every change they hold is logged),
+    /// sync the volume, append [`WalRecord::Checkpoint`] — after which
+    /// each page's next change logs a full image again — flush it, then
     /// delete dead segments. If a crash lands anywhere inside, recovery
     /// replays from the *previous* checkpoint — the new record only
     /// becomes the cutoff once durable. Without a WAL this degrades to
@@ -240,20 +247,9 @@ impl StorageManager {
         };
         let _pause = wal.pause_units();
         wal.flush()?;
-        for page_no in self.pool.dirty_page_numbers() {
-            let image = self.pool.page_image(page_no)?;
-            let lsn = wal.append(0, &WalRecord::PageImage { page_no, image })?;
-            self.pool.stamp_page_lsn(page_no, lsn)?;
-        }
-        wal.flush()?;
         self.pool.flush_all()?;
         self.pool.sync_volume()?;
-        let cp_lsn = wal.append(
-            0,
-            &WalRecord::Checkpoint {
-                clock: self.txn.clock(),
-            },
-        )?;
+        let cp_lsn = wal.append_checkpoint(self.txn.clock())?;
         wal.flush()?;
         wal.gc_segments(cp_lsn)?;
         Ok(())
@@ -452,9 +448,9 @@ impl StorageManager {
 /// alive either all survive a crash (after [`Unit::commit`] returns) or
 /// all disappear on recovery.
 ///
-/// Dropping the guard commits too (swallowing errors): rollback in this
-/// redo-only design happens *only* via crash recovery, by omission of the
-/// commit record — there is no runtime abort.
+/// Dropping the guard commits too (swallowing errors). There is no
+/// runtime abort: a unit whose commit record cannot be appended is rolled
+/// back in memory, as recovery would roll it back by omission.
 #[must_use = "dropping a Unit commits it with errors swallowed; call commit()"]
 pub struct Unit {
     pool: Arc<BufferPool>,
@@ -469,9 +465,10 @@ impl Unit {
         self.id
     }
 
-    /// Commit: append an after-image of every page the unit dirtied, then
-    /// the commit record, then flush the log per the durability level.
-    /// The unit's pages become evictable again afterwards.
+    /// Commit: log every page the unit dirtied as its change against the
+    /// before-image (or a full image where needed), then the commit
+    /// record, then flush the log per the durability level. The unit's
+    /// pages become evictable again afterwards.
     pub fn commit(mut self) -> StorageResult<()> {
         self.finish()
     }
@@ -484,17 +481,15 @@ impl Unit {
         let Some(wal) = self.pool.wal().cloned() else {
             return Ok(());
         };
-        let result = (|| {
-            for page_no in wal.unit_dirty_pages(self.id) {
-                let image = self.pool.page_image(page_no)?;
-                let lsn = wal.append(self.id, &WalRecord::PageImage { page_no, image })?;
-                self.pool.stamp_page_lsn(page_no, lsn)?;
+        let result = match self.pool.log_commit(&wal, self.id, 0) {
+            Ok(_) => {
+                self.pool.end_undo_capture();
+                wal.flush()
             }
-            wal.append(self.id, &WalRecord::Commit { ts: 0 })?;
-            wal.flush()
-        })();
-        // Success or not, release the slot: after an append error the
-        // commit record is absent, so recovery rolls the unit back.
+            // The commit record is absent, so recovery would roll the
+            // unit back: do the same in memory, before its pages ungate.
+            Err(e) => self.pool.rollback_undo().and(Err(e)),
+        };
         wal.end_unit(self.id);
         result
     }

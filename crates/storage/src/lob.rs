@@ -18,7 +18,6 @@ use std::sync::Arc;
 use crate::buffer::BufferPool;
 use crate::error::{StorageError, StorageResult};
 use crate::page::{PageKind, PageView, SlottedPage, NO_PAGE, PAGE_SIZE};
-use crate::wal::WalRecord;
 
 const BODY: usize = PAGE_SIZE - crate::page::HEADER_SIZE;
 /// Data capacity of the first page (length header uses 8 bytes).
@@ -204,11 +203,7 @@ impl Lob {
         if new_end > total {
             self.set_len(pool, new_end)?;
         }
-        pool.log_op(&WalRecord::LobWrite {
-            first: self.id.0,
-            offset,
-            len: data.len() as u64,
-        })
+        Ok(())
     }
 
     /// Append `data` at the end.
@@ -222,10 +217,6 @@ impl Lob {
         let total = self.len(pool)?;
         if len < total {
             self.set_len(pool, len)?;
-            pool.log_op(&WalRecord::LobTruncate {
-                first: self.id.0,
-                len,
-            })?;
         }
         Ok(())
     }

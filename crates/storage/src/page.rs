@@ -46,6 +46,9 @@ const H_LSN: usize = 24;
 const H_CKSUM: usize = 32;
 /// First byte past the fixed header; the slot directory starts here.
 pub const HEADER_SIZE: usize = 40;
+/// The header bytes no redo record carries: the page LSN (stamped by
+/// whoever applies a record) and the checksum (stamped at write-back).
+pub(crate) const UNLOGGED: std::ops::Range<usize> = H_LSN..H_CKSUM + 4;
 const SLOT_SIZE: usize = 4;
 
 /// The LSN of the last WAL record whose effects this page contains.

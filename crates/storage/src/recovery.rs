@@ -14,16 +14,20 @@
 //!    truncation. Within the prefix, find the last
 //!    [`WalRecord::Checkpoint`] and collect, after it: the set of
 //!    committed units (those whose [`WalRecord::Commit`] made it into the
-//!    valid prefix) and every [`WalRecord::PageImage`].
-//! 2. **Redo.** Replay the page images of committed units (and unit-0
-//!    images, which checkpoints log outside any unit) in LSN order,
-//!    rewriting whole pages. Each restored page gets its image's LSN and a
-//!    fresh checksum stamped, so a *torn page* — half-written by a crash
-//!    mid-write-back — is simply overwritten; per-page checksums exist to
-//!    *detect* such pages on later reads, full-page images are what
-//!    repair them. Uncommitted units contribute nothing: that is the
-//!    statement rollback. The volume file is padded to a whole number of
-//!    pages first (a torn `allocate_page` can leave a ragged tail).
+//!    valid prefix) and their page records ([`WalRecord::PageImage`],
+//!    [`WalRecord::PageDelta`]).
+//! 2. **Redo.** Rebuild each page those records name by redoing them in
+//!    LSN order through [`WalRecord::redo`], page by page, then write it
+//!    once with the last record's LSN and a fresh checksum. The first
+//!    record after the checkpoint for every page is an image or a
+//!    zero-based delta, so a page is rebuilt without reading the volume:
+//!    a *torn page* — half-written by a crash mid-write-back — is simply
+//!    overwritten (per-page checksums exist to *detect* such pages on
+//!    later reads). A prior-based delta with no earlier record for its
+//!    page is refused as corrupt, never laid over volume bytes.
+//!    Uncommitted units contribute nothing: that is the statement
+//!    rollback. The volume file is padded to a whole number of pages
+//!    first (a torn `allocate_page` can leave a ragged tail).
 //! 3. **Truncate.** Physically truncate the torn tail and delete any
 //!    segments past it, then fsync, so the next [`crate::wal::Wal::open`]
 //!    appends from a clean end.
@@ -39,7 +43,7 @@ use std::path::Path;
 use crate::error::{StorageError, StorageResult};
 use crate::failpoint::{self, WriteAction};
 use crate::page::{self, PAGE_SIZE};
-use crate::wal::{self, WalRecord};
+use crate::wal::{self, WalEntry, WalRecord};
 
 /// What a recovery pass did. Returned by [`recover`] and surfaced through
 /// [`crate::StorageManager::open`].
@@ -52,7 +56,7 @@ pub struct RecoveryReport {
     pub units_replayed: u64,
     /// Units that had begun but not committed — rolled back by omission.
     pub units_rolled_back: u64,
-    /// Page images written to the volume.
+    /// Pages rebuilt from the log and written to the volume.
     pub pages_restored: u64,
     /// Whether the log ended in a torn/corrupt record.
     pub torn_tail: bool,
@@ -96,7 +100,7 @@ impl RecoveryReport {
             ),
             (
                 "storage_recovery_pages_restored",
-                "Page images written to the volume by the last recovery pass.",
+                "Pages rebuilt from the log and written to the volume by the last recovery pass.",
                 self.pages_restored,
             ),
             (
@@ -137,7 +141,7 @@ pub fn recover(wal_dir: &Path, volume_path: &Path) -> StorageResult<RecoveryRepo
         .max()
         .unwrap_or(0);
 
-    // Analysis: committed units and images after the last checkpoint.
+    // Analysis: the units begun and committed after the last checkpoint.
     let after_checkpoint = entries
         .iter()
         .rposition(|e| matches!(e.rec, WalRecord::Checkpoint { .. }))
@@ -159,19 +163,15 @@ pub fn recover(wal_dir: &Path, volume_path: &Path) -> StorageResult<RecoveryRepo
     report.units_replayed = committed.len() as u64;
     report.units_rolled_back = begun.difference(&committed).count() as u64;
 
-    // Redo: committed (or checkpoint-time unit-0) page images, LSN order.
-    let images: Vec<_> = live
+    // Redo: committed units' page records, grouped by page (a stable sort
+    // keeps each page's records in LSN order).
+    let mut redo: Vec<(u64, &WalEntry)> = live
         .iter()
-        .filter_map(|e| match &e.rec {
-            WalRecord::PageImage { page_no, image }
-                if e.unit == 0 || committed.contains(&e.unit) =>
-            {
-                Some((e.lsn, *page_no, image))
-            }
-            _ => None,
-        })
+        .filter(|e| committed.contains(&e.unit))
+        .filter_map(|e| Some((e.rec.page_no()?, e)))
         .collect();
-    if !images.is_empty() || volume_path.exists() {
+    redo.sort_by_key(|&(page_no, _)| page_no);
+    if !redo.is_empty() || volume_path.exists() {
         let mut vol = OpenOptions::new()
             .read(true)
             .write(true)
@@ -187,15 +187,11 @@ pub fn recover(wal_dir: &Path, volume_path: &Path) -> StorageResult<RecoveryRepo
             vol.sync_data()?;
         }
         let mut buf = vec![0u8; PAGE_SIZE];
-        for (lsn, page_no, image) in images {
-            if image.len() != PAGE_SIZE {
-                return Err(StorageError::Corrupt(format!(
-                    "page image for page {page_no} has {} bytes",
-                    image.len()
-                )));
+        for records in redo.chunk_by(|a, b| a.0 == b.0) {
+            for (i, (_, e)) in records.iter().enumerate() {
+                e.rec.redo(&mut buf, e.lsn, i > 0)?;
             }
-            buf.copy_from_slice(image);
-            page::set_page_lsn(&mut buf, lsn);
+            let page_no = records[0].0;
             page::stamp_page_checksum(&mut buf);
             match failpoint::check_write("recovery.write_page", PAGE_SIZE)? {
                 WriteAction::Full => {

@@ -1,25 +1,28 @@
 //! WAL-shipping replication, storage half.
 //!
 //! The segmented, CRC-framed write-ahead log already *is* a replication
-//! stream: every committed unit travels as physical page images that the
-//! redo-only recovery pass knows how to apply idempotently. This module
-//! adds the two endpoints:
+//! stream: every committed unit travels as physical page records — byte
+//! runs against the page's previous state, or full images — that the
+//! redo-only recovery pass applies. This module adds the two endpoints:
 //!
 //! * [`ReplicationSource`] — reads committed entries straight out of the
-//!   primary's segment files (tail-following; the OS page cache makes
-//!   freshly appended bytes visible) and pins segment GC so a checkpoint
-//!   can never prune history a subscriber still needs. Shipping stops at
-//!   the *durable* boundary — under [`crate::Durability::Fsync`] only
-//!   fsynced records leave the primary, so a replica can never get ahead
-//!   of what a primary crash would preserve.
+//!   primary's segment files a frame at a time (tail-following; the OS
+//!   page cache makes freshly appended bytes visible) and pins segment GC
+//!   so a checkpoint can never prune history a subscriber still needs.
+//!   Shipping stops at the *durable* boundary — under
+//!   [`crate::Durability::Fsync`] only fsynced records leave the primary,
+//!   so a replica can never get ahead of what a primary crash would
+//!   preserve.
 //! * [`ReplicaApplier`] — appends received entries to the replica's own
 //!   log (byte-identical frames at identical LSNs, so replica restart is
 //!   ordinary [`crate::recovery::recover`]), then replays committed
-//!   units into the buffer pool through [`crate::buffer::BufferPool::install_page`].
-//!   Entries of a still-open unit wait in a pending buffer — exactly
-//!   mirroring recovery's rule that only committed units redo — and a
-//!   shipped `Checkpoint` becomes a real local checkpoint: flush
-//!   everything, then prune the local log.
+//!   units into the buffer pool through
+//!   [`crate::buffer::BufferPool::redo_page`] — recovery's redo function
+//!   over the pool's page, which holds exactly what the stream's earlier
+//!   records made it. Entries of a still-open unit wait in a pending
+//!   buffer — exactly mirroring recovery's rule that only committed units
+//!   redo — and a shipped `Checkpoint` becomes a real local checkpoint:
+//!   flush everything, then prune the local log.
 //!
 //! Bootstrap requires the primary's log to reach back to LSN 1 (genesis
 //! pages only ever appear there); a [`ReplicationSource`] therefore pins
@@ -31,7 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::error::{StorageError, StorageResult};
-use crate::wal::{read_log, Wal, WalEntry, WalRecord};
+use crate::wal::{scan_log, Wal, WalEntry, WalRecord};
 use crate::{Lsn, StorageManager};
 
 /// The primary-side endpoint: hand out committed log entries after a
@@ -70,12 +73,10 @@ impl ReplicationSource {
     /// lag denominator). An empty batch means the subscriber is caught
     /// up.
     pub fn fetch(&self, after_lsn: Lsn, max_records: usize) -> StorageResult<(Vec<WalEntry>, Lsn)> {
-        let entries = self.wal.read_entries_after(after_lsn, max_records)?;
+        let (entries, bytes) = self.wal.read_entries_after(after_lsn, max_records)?;
         self.shipped_records
             .fetch_add(entries.len() as u64, Ordering::Relaxed);
-        let bytes: usize = entries.iter().map(frame_cost).sum();
-        self.shipped_bytes
-            .fetch_add(bytes as u64, Ordering::Relaxed);
+        self.shipped_bytes.fetch_add(bytes, Ordering::Relaxed);
         Ok((entries, self.wal.durable_lsn()))
     }
 
@@ -109,22 +110,14 @@ impl Drop for ReplicationSource {
     }
 }
 
-/// Approximate frame cost of an entry (header + lsn + unit + record
-/// body), for the shipped-bytes counter without re-encoding.
-fn frame_cost(e: &WalEntry) -> usize {
-    let mut out = Vec::new();
-    crate::wal::encode_frame(e, &mut out);
-    out.len()
-}
-
 /// Counters describing one [`ReplicaApplier::ingest`] call.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ApplyStats {
     /// Entries appended to the local log.
     pub records: u64,
-    /// Committed units whose page images were installed.
+    /// Committed units whose page records were redone.
     pub units: u64,
-    /// Full-page images installed into the pool.
+    /// Page records redone into the pool.
     pub pages: u64,
     /// Shipped checkpoints executed locally (flush + local log GC).
     pub checkpoints: u64,
@@ -172,19 +165,13 @@ impl ReplicaApplier {
         // Preload: entries of the unit left open at the log's tail.
         // Units are serialized on the primary, so the open unit's
         // entries are exactly the suffix from its Begin record.
-        let (entries, _) = read_log(wal.dir())?;
-        let mut open_at: Option<usize> = None;
-        for (i, e) in entries.iter().enumerate() {
-            match e.rec {
-                WalRecord::Begin => open_at = Some(i),
-                WalRecord::Commit { .. } => open_at = None,
-                _ => {}
-            }
-        }
-        let pending = match open_at {
-            Some(i) => entries[i..].to_vec(),
-            None => Vec::new(),
-        };
+        let mut pending = Vec::new();
+        scan_log(wal.dir(), |e| match e.rec {
+            WalRecord::Begin => pending = vec![e],
+            WalRecord::Commit { .. } => pending.clear(),
+            _ if !pending.is_empty() => pending.push(e),
+            _ => {}
+        })?;
         Ok(ReplicaApplier {
             sm,
             wal,
@@ -273,15 +260,9 @@ impl ReplicaApplier {
                     let lsn = self.wal.append(e.unit, rec)?;
                     debug_assert_eq!(lsn, e.lsn, "local log diverged from the stream");
                     stats.records += 1;
-                    if e.unit == 0 {
-                        // Outside any unit: checkpoint-written images
-                        // apply unconditionally (recovery's `unit == 0`
-                        // arm); descriptive records are informational.
-                        if let WalRecord::PageImage { page_no, image } = &e.rec {
-                            self.sm.pool().install_page(*page_no, image, e.lsn)?;
-                            stats.pages += 1;
-                        }
-                    } else {
+                    // Outside a unit nothing is redone; a unit's records
+                    // wait for its commit.
+                    if e.unit != 0 {
                         self.pending.push(e.clone());
                         if let WalRecord::Commit { ts } = e.rec {
                             self.apply_commit(e.unit, &mut stats)?;
@@ -308,18 +289,15 @@ impl ReplicaApplier {
         Ok(stats)
     }
 
-    /// A unit's commit arrived: replay its buffered page images. The
-    /// commit's timestamp becomes the horizon only at the caller's
-    /// batch-end flush — visibility must never run ahead of the local
-    /// log's durability.
+    /// A unit's commit arrived: redo its buffered page records in LSN
+    /// order. The commit's timestamp becomes the horizon only at the
+    /// caller's batch-end flush — visibility must never run ahead of the
+    /// local log's durability.
     fn apply_commit(&mut self, unit: u64, stats: &mut ApplyStats) -> StorageResult<()> {
         let pool = self.sm.pool();
         for e in &self.pending {
-            if e.unit != unit {
-                continue;
-            }
-            if let WalRecord::PageImage { page_no, image } = &e.rec {
-                pool.install_page(*page_no, image, e.lsn)?;
+            if e.unit == unit && e.rec.page_no().is_some() {
+                pool.redo_page(&e.rec, e.lsn)?;
                 stats.pages += 1;
             }
         }
@@ -344,7 +322,7 @@ impl ReplicaApplier {
         self.wal.flush()?;
         pool.flush_all()?;
         pool.sync_volume()?;
-        let lsn = self.wal.append(0, &e.rec)?;
+        let lsn = self.wal.append_checkpoint(clock)?;
         debug_assert_eq!(lsn, e.lsn, "local log diverged from the stream");
         self.wal.flush()?;
         self.wal.gc_segments(lsn)?;
@@ -393,7 +371,9 @@ mod tests {
     fn ships_and_replays_committed_units() {
         let dir = temp_dir("ship");
         let (sm, _) = StorageManager::open(&dir.join("p.vol"), 128, Durability::Fsync).unwrap();
+        let unit = sm.begin_unit().unwrap();
         let file = sm.create_file().unwrap();
+        unit.commit().unwrap();
         let mut rids = Vec::new();
         for i in 0..20u8 {
             let unit = sm.begin_unit().unwrap();
@@ -418,8 +398,10 @@ mod tests {
         let dir = temp_dir("ckpt");
         let (sm, _) = StorageManager::open(&dir.join("p.vol"), 128, Durability::Fsync).unwrap();
         let src = ReplicationSource::new(sm.pool().wal().unwrap().clone()).unwrap();
+        let unit = sm.begin_unit().unwrap();
         let file = sm.create_file().unwrap();
         let rid_a = sm.insert(file, b"before checkpoint").unwrap();
+        unit.commit().unwrap();
         sm.checkpoint().unwrap();
         let unit = sm.begin_unit().unwrap();
         let rid_b = sm.insert(file, b"after checkpoint").unwrap();
@@ -450,9 +432,13 @@ mod tests {
             StorageManager::open_with_config(&dir.join("p.vol"), 128, Durability::Fsync, 4096)
                 .unwrap();
         let src = ReplicationSource::new(sm.pool().wal().unwrap().clone()).unwrap();
+        let unit = sm.begin_unit().unwrap();
         let file = sm.create_file().unwrap();
+        unit.commit().unwrap();
         for i in 0..10u8 {
+            let unit = sm.begin_unit().unwrap();
             sm.insert(file, &[i; 1000]).unwrap();
+            unit.commit().unwrap();
             sm.checkpoint().unwrap();
         }
         // With the source alive, history back to LSN 1 is still there.
@@ -474,17 +460,22 @@ mod tests {
     fn frame_codec_round_trips() {
         let dir = temp_dir("codec");
         let (sm, _) = StorageManager::open(&dir.join("p.vol"), 128, Durability::Fsync).unwrap();
-        let file = sm.create_file().unwrap();
         let unit = sm.begin_unit().unwrap();
+        let file = sm.create_file().unwrap();
         sm.insert(file, b"payload").unwrap();
         unit.commit().unwrap();
         let wal = sm.pool().wal().unwrap();
-        let entries = wal.read_entries_after(0, 1024).unwrap();
+        let (entries, frame_bytes) = wal.read_entries_after(0, 1024).unwrap();
         assert!(!entries.is_empty());
         let mut bytes = Vec::new();
         for e in &entries {
             crate::wal::encode_frame(e, &mut bytes);
         }
+        assert_eq!(
+            bytes.len() as u64,
+            frame_bytes,
+            "frame lengths count the bytes shipped"
+        );
         let decoded = crate::wal::decode_frames(&bytes).unwrap();
         assert_eq!(decoded.len(), entries.len());
         for (a, b) in entries.iter().zip(&decoded) {

@@ -24,7 +24,9 @@
 //!   serialized. Readers take snapshots at the *published* clock, so an
 //!   in-flight (or committed-but-not-yet-durable) writer's versions are
 //!   invisible to everyone but itself.
-//! * **Commit.** Append the unit's page after-images, then
+//! * **Commit.** Append a redo record for each page the unit dirtied —
+//!   its byte runs that differ from the captured before-image, or a full
+//!   image where a delta cannot stand alone (see [`crate::wal`]) — then
 //!   [`crate::wal::WalRecord::Commit`]`{ ts }` — the commit point — then
 //!   *release the writer gate before flushing*: the next writer appends
 //!   its records while this one waits on the fsync, and committers
@@ -552,18 +554,7 @@ impl WriteTxn {
                 .observe(start.elapsed().as_nanos() as u64);
             return Ok(ts);
         };
-        let appended: StorageResult<crate::wal::Lsn> = (|| {
-            for page_no in wal.unit_dirty_pages(self.unit) {
-                let image = self.pool.page_image(page_no)?;
-                let lsn = wal.append(
-                    self.unit,
-                    &crate::wal::WalRecord::PageImage { page_no, image },
-                )?;
-                self.pool.stamp_page_lsn(page_no, lsn)?;
-            }
-            wal.append(self.unit, &crate::wal::WalRecord::Commit { ts })
-        })();
-        let commit_lsn = match appended {
+        let commit_lsn = match self.pool.log_commit(&wal, self.unit, ts) {
             Ok(lsn) => lsn,
             Err(e) => {
                 // The commit record is absent: roll the transaction back

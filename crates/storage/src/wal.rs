@@ -22,28 +22,33 @@
 //! 1. [`Wal::begin_unit`] appends [`WalRecord::Begin`]. One unit is active
 //!    at a time; pages it dirties are registered by the buffer pool and may
 //!    **not** be written back to the volume while the unit is open (the
-//!    no-steal rule — uncommitted bytes never reach the volume).
-//! 2. Structure operations append descriptive records (heap/B+-tree/LOB
-//!    insert/update/delete/split) as they execute. These document *what*
-//!    happened — the record catalogue recovery diagnostics print — while
-//!    the redo payload travels in full-page images.
-//! 3. At commit, a [`WalRecord::PageImage`] after-image of every page the
-//!    unit dirtied is appended, then [`WalRecord::Commit`], then the log is
-//!    flushed per the [`Durability`] level.
+//!    no-steal rule — uncommitted bytes never reach the volume). The pool
+//!    keeps each page's before-image from the unit's first write to it.
+//! 2. At commit, every page the unit dirtied is logged as the byte runs
+//!    that differ from its before-image ([`WalRecord::PageDelta`]), or as
+//!    a full [`WalRecord::PageImage`] where a delta cannot stand alone:
+//!    the page's first change since the last checkpoint (torn-write
+//!    protection — recovery never builds on volume bytes) or a page with
+//!    no before-image. A page whose bytes did not change logs nothing.
+//!    Then [`WalRecord::Commit`], then the log is flushed per the
+//!    [`Durability`] level.
 //!
-//! Recovery ([`crate::recovery`]) replays the page images of committed
-//! units in LSN order; uncommitted units contribute nothing, which is
+//! Recovery ([`crate::recovery`]) and replicas ([`crate::repl`]) redo the
+//! page records of committed units in LSN order through one function,
+//! [`WalRecord::redo`]; uncommitted units contribute nothing, which is
 //! exactly statement rollback. [`WalRecord::Checkpoint`] marks a point
 //! where the volume held everything earlier; segments wholly before it are
 //! deleted.
 //!
-//! The flush rule ("no dirty page leaves the pool ahead of its log
-//! record") is enforced by the buffer pool calling [`Wal::flush_up_to`]
-//! with the page's LSN before any volume write.
+//! A delta is right only if its before-image is the page's last logged
+//! state, so every page write happens inside a unit ([`Wal::note_write`]
+//! asserts it). The flush rule ("no dirty page leaves the pool ahead of
+//! its log record") is enforced by the buffer pool calling
+//! [`Wal::flush_up_to`] with the page's LSN before any volume write.
 
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, Write};
+use std::io::{BufReader, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
@@ -55,7 +60,7 @@ use parking_lot::Mutex;
 use crate::crc::crc32;
 use crate::error::{StorageError, StorageResult};
 use crate::failpoint::{self, WriteAction};
-use crate::page::PAGE_SIZE;
+use crate::page::{self, PAGE_SIZE, UNLOGGED};
 
 /// A log sequence number. Records are numbered contiguously from 1; 0
 /// means "no record" (e.g. the page LSN of a never-logged page).
@@ -80,20 +85,29 @@ pub enum Durability {
     Fsync,
 }
 
+/// What the runs of a [`WalRecord::PageDelta`] are laid over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DeltaBase {
+    /// A page of zeros: the before-image was all zeros (a fresh page), so
+    /// redo needs no earlier state of the page.
+    Zero = 0,
+    /// The page as its previous redo record left it.
+    Prior = 1,
+}
+
 /// One log record. The frame envelope (LSN + unit id) travels outside the
 /// record, so variants only carry operation payloads.
 ///
-/// `PageImage` is the redo payload; the structure-level records are
-/// descriptive (they let recovery diagnostics narrate what a unit did, and
-/// give tests a catalogue to assert against).
+/// `PageImage` and `PageDelta` are the redo payload ([`WalRecord::redo`]);
+/// the others delimit units and checkpoints.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalRecord {
     /// A logged unit opened.
     Begin,
-    /// A logged unit committed; its page images precede this record. `ts`
-    /// is the transaction commit timestamp the unit published (0 for
-    /// legacy units outside the transaction manager), so recovery can
-    /// restore the commit clock.
+    /// A logged unit committed; its page records precede this record.
+    /// `ts` is the transaction commit timestamp the unit published (0 for
+    /// units outside the transaction manager), so recovery can restore
+    /// the commit clock.
     Commit {
         /// Commit timestamp published by this unit (0 = non-transactional).
         ts: u64,
@@ -111,7 +125,19 @@ pub enum WalRecord {
         /// Exactly [`PAGE_SIZE`] bytes.
         image: Vec<u8>,
     },
-    /// A heap-file record was inserted.
+    /// The bytes of one page a unit changed: `runs` of `(offset, bytes)`
+    /// laid over `base`, ascending, never overlapping, and outside the
+    /// page's LSN and checksum fields.
+    PageDelta {
+        /// The page the runs belong to.
+        page_no: u64,
+        /// What the runs are laid over.
+        base: DeltaBase,
+        /// `(offset, bytes)` pairs, in page order.
+        runs: Vec<(u16, Vec<u8>)>,
+    },
+    /// A heap-file record was inserted. Descriptive only: nothing redoes
+    /// it, and the engine no longer writes it.
     HeapInsert {
         /// Header page of the heap file.
         file: u64,
@@ -120,64 +146,6 @@ pub enum WalRecord {
         /// Record length in bytes.
         len: u32,
     },
-    /// A heap-file record was overwritten (it may have moved).
-    HeapUpdate {
-        /// Header page of the heap file.
-        file: u64,
-        /// Packed record id before the update.
-        old_rid: u64,
-        /// Packed record id after the update.
-        new_rid: u64,
-        /// New record length in bytes.
-        len: u32,
-    },
-    /// A heap-file record was deleted. `file` is `u64::MAX` when the
-    /// deletion went through the file-independent path.
-    HeapDelete {
-        /// Header page of the heap file, or `u64::MAX` if unknown.
-        file: u64,
-        /// Packed record id.
-        rid: u64,
-    },
-    /// A key/value pair entered a B+-tree.
-    BTreeInsert {
-        /// Root page of the tree.
-        root: u64,
-        /// Encoded key length in bytes.
-        key_len: u32,
-    },
-    /// A key/value pair left a B+-tree.
-    BTreeDelete {
-        /// Root page of the tree.
-        root: u64,
-        /// Encoded key length in bytes.
-        key_len: u32,
-    },
-    /// A B+-tree node split into two.
-    BTreeSplit {
-        /// Root page of the tree.
-        root: u64,
-        /// Page that was split.
-        left: u64,
-        /// Newly allocated right sibling.
-        right: u64,
-    },
-    /// A byte range of a large object was written or appended.
-    LobWrite {
-        /// First page of the LOB chain.
-        first: u64,
-        /// Byte offset of the write.
-        offset: u64,
-        /// Bytes written.
-        len: u64,
-    },
-    /// A large object was truncated.
-    LobTruncate {
-        /// First page of the LOB chain.
-        first: u64,
-        /// New length in bytes.
-        len: u64,
-    },
 }
 
 const TAG_BEGIN: u8 = 1;
@@ -185,13 +153,18 @@ const TAG_COMMIT: u8 = 2;
 const TAG_CHECKPOINT: u8 = 3;
 const TAG_PAGE_IMAGE: u8 = 4;
 const TAG_HEAP_INSERT: u8 = 5;
-const TAG_HEAP_UPDATE: u8 = 6;
-const TAG_HEAP_DELETE: u8 = 7;
-const TAG_BTREE_INSERT: u8 = 8;
-const TAG_BTREE_DELETE: u8 = 9;
-const TAG_BTREE_SPLIT: u8 = 10;
-const TAG_LOB_WRITE: u8 = 11;
-const TAG_LOB_TRUNCATE: u8 = 12;
+const TAG_PAGE_DELTA: u8 = 6;
+
+/// Bytes of a delta run's `offset: u16 | len: u16` header.
+const RUN_HEADER: usize = 4;
+/// The largest page number whose byte offset in a volume file fits a u64.
+const MAX_PAGE_NO: u64 = u64::MAX / PAGE_SIZE as u64;
+
+fn le_u64(b: &[u8]) -> u64 {
+    let mut a = [0u8; 8];
+    a.copy_from_slice(&b[..8]);
+    u64::from_le_bytes(a)
+}
 
 impl WalRecord {
     fn encode_into(&self, out: &mut Vec<u8>) {
@@ -210,128 +183,214 @@ impl WalRecord {
                 u64s(TAG_PAGE_IMAGE, &[*page_no]);
                 out.extend_from_slice(image);
             }
+            WalRecord::PageDelta {
+                page_no,
+                base,
+                runs,
+            } => {
+                u64s(TAG_PAGE_DELTA, &[*page_no]);
+                out.push(*base as u8);
+                for (offset, bytes) in runs {
+                    out.extend_from_slice(&offset.to_le_bytes());
+                    out.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
+                    out.extend_from_slice(bytes);
+                }
+            }
             WalRecord::HeapInsert { file, rid, len } => {
                 u64s(TAG_HEAP_INSERT, &[*file, *rid, *len as u64])
             }
-            WalRecord::HeapUpdate {
-                file,
-                old_rid,
-                new_rid,
-                len,
-            } => u64s(TAG_HEAP_UPDATE, &[*file, *old_rid, *new_rid, *len as u64]),
-            WalRecord::HeapDelete { file, rid } => u64s(TAG_HEAP_DELETE, &[*file, *rid]),
-            WalRecord::BTreeInsert { root, key_len } => {
-                u64s(TAG_BTREE_INSERT, &[*root, *key_len as u64])
-            }
-            WalRecord::BTreeDelete { root, key_len } => {
-                u64s(TAG_BTREE_DELETE, &[*root, *key_len as u64])
-            }
-            WalRecord::BTreeSplit { root, left, right } => {
-                u64s(TAG_BTREE_SPLIT, &[*root, *left, *right])
-            }
-            WalRecord::LobWrite { first, offset, len } => {
-                u64s(TAG_LOB_WRITE, &[*first, *offset, *len])
-            }
-            WalRecord::LobTruncate { first, len } => u64s(TAG_LOB_TRUNCATE, &[*first, *len]),
         }
     }
 
     fn decode(buf: &[u8]) -> Option<WalRecord> {
         let (&tag, rest) = buf.split_first()?;
-        let mut fields = rest.chunks_exact(8).map(|c| {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(c);
-            u64::from_le_bytes(b)
-        });
-        let n = rest.len() / 8;
-        let mut take = |want: usize| -> Option<Vec<u64>> {
-            (n == want && rest.len() == want * 8).then(|| fields.by_ref().take(want).collect())
+        let u64s = |want: usize| -> Option<Vec<u64>> {
+            (rest.len() == want * 8).then(|| rest.chunks_exact(8).map(le_u64).collect())
         };
+        let page_no = || Some(le_u64(rest.get(..8)?)).filter(|&p| p <= MAX_PAGE_NO);
         Some(match tag {
             TAG_BEGIN if rest.is_empty() => WalRecord::Begin,
-            TAG_COMMIT => {
-                let v = take(1)?;
-                WalRecord::Commit { ts: v[0] }
-            }
-            TAG_CHECKPOINT => {
-                let v = take(1)?;
-                WalRecord::Checkpoint { clock: v[0] }
-            }
-            TAG_PAGE_IMAGE => {
-                if rest.len() != 8 + PAGE_SIZE {
-                    return None;
-                }
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&rest[..8]);
-                WalRecord::PageImage {
-                    page_no: u64::from_le_bytes(b),
-                    image: rest[8..].to_vec(),
-                }
-            }
+            TAG_COMMIT => WalRecord::Commit { ts: u64s(1)?[0] },
+            TAG_CHECKPOINT => WalRecord::Checkpoint { clock: u64s(1)?[0] },
+            TAG_PAGE_IMAGE if rest.len() == 8 + PAGE_SIZE => WalRecord::PageImage {
+                page_no: page_no()?,
+                image: rest[8..].to_vec(),
+            },
+            TAG_PAGE_DELTA => WalRecord::PageDelta {
+                page_no: page_no()?,
+                base: match *rest.get(8)? {
+                    0 => DeltaBase::Zero,
+                    1 => DeltaBase::Prior,
+                    _ => return None,
+                },
+                runs: decode_runs(&rest[9..])?,
+            },
             TAG_HEAP_INSERT => {
-                let v = take(3)?;
+                let v = u64s(3)?;
                 WalRecord::HeapInsert {
                     file: v[0],
                     rid: v[1],
                     len: v[2] as u32,
                 }
             }
-            TAG_HEAP_UPDATE => {
-                let v = take(4)?;
-                WalRecord::HeapUpdate {
-                    file: v[0],
-                    old_rid: v[1],
-                    new_rid: v[2],
-                    len: v[3] as u32,
-                }
-            }
-            TAG_HEAP_DELETE => {
-                let v = take(2)?;
-                WalRecord::HeapDelete {
-                    file: v[0],
-                    rid: v[1],
-                }
-            }
-            TAG_BTREE_INSERT => {
-                let v = take(2)?;
-                WalRecord::BTreeInsert {
-                    root: v[0],
-                    key_len: v[1] as u32,
-                }
-            }
-            TAG_BTREE_DELETE => {
-                let v = take(2)?;
-                WalRecord::BTreeDelete {
-                    root: v[0],
-                    key_len: v[1] as u32,
-                }
-            }
-            TAG_BTREE_SPLIT => {
-                let v = take(3)?;
-                WalRecord::BTreeSplit {
-                    root: v[0],
-                    left: v[1],
-                    right: v[2],
-                }
-            }
-            TAG_LOB_WRITE => {
-                let v = take(3)?;
-                WalRecord::LobWrite {
-                    first: v[0],
-                    offset: v[1],
-                    len: v[2],
-                }
-            }
-            TAG_LOB_TRUNCATE => {
-                let v = take(2)?;
-                WalRecord::LobTruncate {
-                    first: v[0],
-                    len: v[1],
-                }
-            }
             _ => return None,
         })
     }
+
+    /// The page a redo record rebuilds; `None` for records that carry no
+    /// page bytes.
+    pub fn page_no(&self) -> Option<u64> {
+        match self {
+            WalRecord::PageImage { page_no, .. } | WalRecord::PageDelta { page_no, .. } => {
+                Some(*page_no)
+            }
+            _ => None,
+        }
+    }
+
+    /// Redo this page record onto `page` and stamp `lsn` as its page LSN —
+    /// the one redo path of recovery and replicas.
+    ///
+    /// `prior` says whether `page` holds the page as its previous redo
+    /// record left it. When it does not (volume bytes, a fresh buffer),
+    /// only an image or a [`DeltaBase::Zero`] delta can rebuild the page: a
+    /// [`DeltaBase::Prior`] delta is refused as corrupt rather than laid
+    /// over bytes nothing vouches for.
+    pub fn redo(&self, page: &mut [u8], lsn: Lsn, prior: bool) -> StorageResult<()> {
+        match self {
+            WalRecord::PageImage { image, .. } => page.copy_from_slice(image),
+            WalRecord::PageDelta {
+                page_no,
+                base,
+                runs,
+            } => {
+                match base {
+                    DeltaBase::Zero => page.fill(0),
+                    DeltaBase::Prior if !prior => {
+                        return Err(StorageError::Corrupt(format!(
+                            "page {page_no}: a delta with no earlier record for the page \
+                             since the last checkpoint"
+                        )))
+                    }
+                    DeltaBase::Prior => {}
+                }
+                for (offset, bytes) in runs {
+                    let at = *offset as usize;
+                    page[at..at + bytes.len()].copy_from_slice(bytes);
+                }
+            }
+            _ => {
+                return Err(StorageError::Corrupt(
+                    "redo of a record with no page".into(),
+                ))
+            }
+        }
+        page::set_page_lsn(page, lsn);
+        Ok(())
+    }
+}
+
+/// Decode delta runs, refusing any that is empty, out of page order, past
+/// [`PAGE_SIZE`], or into the page's LSN and checksum fields.
+fn decode_runs(mut rest: &[u8]) -> Option<Vec<(u16, Vec<u8>)>> {
+    let mut runs = Vec::new();
+    let mut floor = 0;
+    while !rest.is_empty() {
+        let (header, tail) = rest.split_at_checked(RUN_HEADER)?;
+        let at = u16::from_le_bytes([header[0], header[1]]) as usize;
+        let len = u16::from_le_bytes([header[2], header[3]]) as usize;
+        let end = at + len;
+        if len == 0 || at < floor || end > PAGE_SIZE || (at < UNLOGGED.end && end > UNLOGGED.start)
+        {
+            return None;
+        }
+        let (bytes, tail) = tail.split_at_checked(len)?;
+        runs.push((at as u16, bytes.to_vec()));
+        floor = end;
+        rest = tail;
+    }
+    Some(runs)
+}
+
+/// The redo record for one page a unit dirtied, or `None` when its bytes
+/// did not change. `before` is the page's before-image from the unit's
+/// first write to it; `prior` says whether the page has a committed redo
+/// record since the last checkpoint, which a [`DeltaBase::Prior`] delta
+/// builds on. Where a delta cannot stand alone the full image is logged.
+///
+/// A delta is always smaller than the image: runs closer than a run
+/// header are merged, so headers never cost more than the equal bytes
+/// between runs, and the twelve unlogged header bytes pay for the rest.
+pub(crate) fn page_record(
+    page_no: u64,
+    before: Option<&[u8]>,
+    after: &[u8],
+    prior: bool,
+) -> Option<WalRecord> {
+    let image = || WalRecord::PageImage {
+        page_no,
+        image: after.to_vec(),
+    };
+    let Some(before) = before else {
+        return Some(image());
+    };
+    let runs = diff_runs(before, after);
+    if runs.is_empty() {
+        return None;
+    }
+    let zero = [0..UNLOGGED.start, UNLOGGED.end..PAGE_SIZE]
+        .into_iter()
+        .all(|r| before[r].iter().all(|&b| b == 0));
+    let base = match (zero, prior) {
+        (true, _) => DeltaBase::Zero,
+        (false, true) => DeltaBase::Prior,
+        (false, false) => return Some(image()),
+    };
+    Some(WalRecord::PageDelta {
+        page_no,
+        base,
+        runs,
+    })
+}
+
+/// The byte runs where `after` differs from `before`, outside the page's
+/// LSN and checksum fields. Runs no more than a run header apart are
+/// merged: the equal bytes between them cost no more than a second header.
+fn diff_runs(before: &[u8], after: &[u8]) -> Vec<(u16, Vec<u8>)> {
+    let mut runs = Vec::new();
+    for region in [0..UNLOGGED.start, UNLOGGED.end..PAGE_SIZE] {
+        let mut at = region.start;
+        while let Some(start) =
+            first_diff(&before[at..region.end], &after[at..region.end]).map(|d| at + d)
+        {
+            let mut end = start + 1;
+            let mut probe = end;
+            while probe < region.end && probe - end <= RUN_HEADER {
+                if before[probe] != after[probe] {
+                    end = probe + 1;
+                }
+                probe += 1;
+            }
+            runs.push((start as u16, after[start..end].to_vec()));
+            at = probe;
+        }
+    }
+    runs
+}
+
+/// Offset of the first byte where `a` and `b` differ. Compares 64-byte
+/// blocks as slices (a memcmp) before looking at single bytes.
+fn first_diff(a: &[u8], b: &[u8]) -> Option<usize> {
+    const BLOCK: usize = 64;
+    let mut at = 0;
+    while at < a.len() {
+        let end = (at + BLOCK).min(a.len());
+        if a[at..end] != b[at..end] {
+            return (at..end).find(|&i| a[i] != b[i]);
+        }
+        at = end;
+    }
+    None
 }
 
 /// Magic bytes opening every segment file.
@@ -343,20 +402,29 @@ const SEG_MAGIC: [u8; 4] = *b"XWAL";
 /// * **v2** — MVCC: `Commit { ts }` / `Checkpoint { clock }` carry a
 ///   u64 timestamp, and every heap record travels with a 16-byte
 ///   `(begin_ts, end_ts)` header (which also changes the page images).
+/// * **v3** — page deltas: commits log `PageDelta` runs against the
+///   before-image, and recovery needs each page's first record after a
+///   checkpoint to be an image or a zero-based delta. The descriptive
+///   heap/B+-tree/LOB records of v2 are gone.
 ///
-/// A version-1 log cannot be read by this build (old zero-payload
-/// commit records fail decode and would read as a torn tail, silently
-/// truncating committed data), so [`read_log`] refuses a mismatched
-/// segment with [`StorageError::UnsupportedLogVersion`] instead of
-/// treating it as torn. There is no migration; the volume carries no
-/// separate stamp, so the WAL segment header is the format gate.
-const SEG_VERSION: u32 = 2;
+/// An older log cannot be read by this build (its records fail decode and
+/// would read as a torn tail, silently truncating committed data), so a
+/// segment with another version is refused with
+/// [`StorageError::UnsupportedLogVersion`] instead of treated as torn.
+/// There is no migration; the volume carries no separate stamp, so the
+/// WAL segment header is the format gate.
+const SEG_VERSION: u32 = 3;
 /// Bytes of the segment header: magic, version, first LSN.
 pub(crate) const SEG_HEADER: usize = 16;
 /// Default segment size before rollover.
 pub const DEFAULT_SEGMENT_BYTES: u64 = 4 * 1024 * 1024;
 /// Bytes of the frame header (`len` + `crc`).
 const FRAME_HEADER: usize = 8;
+/// Bytes of a frame body before its record: `lsn | unit`.
+const FRAME_ENVELOPE: usize = 16;
+/// The largest frame body a reader accepts: the envelope plus the largest
+/// record, a page image (a delta is logged only when smaller).
+const MAX_FRAME_BODY: usize = FRAME_ENVELOPE + 1 + 8 + PAGE_SIZE;
 
 fn segment_path(dir: &Path, seq: u64) -> PathBuf {
     dir.join(format!("wal-{seq:010}.seg"))
@@ -395,6 +463,116 @@ pub struct WalEntry {
     pub rec: WalRecord,
 }
 
+/// Append `lsn | unit | rec` to `out` as one frame: `len | crc | body`.
+fn put_frame(lsn: Lsn, unit: u64, rec: &WalRecord, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER]);
+    out.extend_from_slice(&lsn.to_le_bytes());
+    out.extend_from_slice(&unit.to_le_bytes());
+    rec.encode_into(out);
+    let body = start + FRAME_HEADER;
+    let len = (out.len() - body) as u32;
+    let crc = crc32(&out[body..]);
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..body].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// One step of a [`FrameReader`].
+enum Frame<'a> {
+    /// A frame whose length and CRC check out; `bytes` is its size on disk
+    /// or on the wire.
+    Valid {
+        lsn: Lsn,
+        unit: u64,
+        rec: &'a [u8],
+        bytes: u64,
+    },
+    /// The stream ended exactly at a frame boundary.
+    End,
+    /// Why the next frame is unreadable: a short header or body, an
+    /// impossible length, or a CRC mismatch.
+    Bad(&'static str),
+}
+
+/// Reads frames one at a time from a byte stream into one reused body
+/// buffer — the one frame parser behind log scans, replication reads and
+/// wire batches. Callers decide what a [`Frame::Bad`] means: a torn tail
+/// to stop at, or an error.
+struct FrameReader<R> {
+    src: R,
+    body: Vec<u8>,
+}
+
+impl<R: Read> FrameReader<R> {
+    fn new(src: R) -> Self {
+        FrameReader {
+            src,
+            body: Vec::new(),
+        }
+    }
+
+    fn next(&mut self) -> StorageResult<Frame<'_>> {
+        self.body.clear();
+        match (&mut self.src)
+            .take(FRAME_HEADER as u64)
+            .read_to_end(&mut self.body)?
+        {
+            0 => return Ok(Frame::End),
+            FRAME_HEADER => {}
+            _ => return Ok(Frame::Bad("short frame header")),
+        }
+        // `len: u32 | crc: u32`, both little-endian: one u64.
+        let header = le_u64(&self.body);
+        let (len, crc) = ((header & 0xFFFF_FFFF) as usize, (header >> 32) as u32);
+        if !(FRAME_ENVELOPE + 1..=MAX_FRAME_BODY).contains(&len) {
+            return Ok(Frame::Bad("frame length out of range"));
+        }
+        self.body.clear();
+        if (&mut self.src)
+            .take(len as u64)
+            .read_to_end(&mut self.body)?
+            < len
+        {
+            return Ok(Frame::Bad("short frame body"));
+        }
+        if crc32(&self.body) != crc {
+            return Ok(Frame::Bad("frame failed its CRC"));
+        }
+        let (envelope, rec) = self.body.split_at(FRAME_ENVELOPE);
+        Ok(Frame::Valid {
+            lsn: le_u64(envelope),
+            unit: le_u64(&envelope[8..]),
+            rec,
+            bytes: (FRAME_HEADER + len) as u64,
+        })
+    }
+}
+
+/// Open segment `path` for reading: its first LSN (`None` when the header
+/// is torn) and a frame reader positioned just past the header. A segment
+/// of another log-format version is refused.
+fn open_segment(path: &Path) -> StorageResult<(Option<Lsn>, FrameReader<BufReader<File>>)> {
+    let mut src = BufReader::new(File::open(path)?);
+    let mut header = Vec::with_capacity(SEG_HEADER);
+    (&mut src)
+        .take(SEG_HEADER as u64)
+        .read_to_end(&mut header)?;
+    let intact = header.len() == SEG_HEADER && header[..4] == SEG_MAGIC;
+    if intact {
+        // An intact magic with the wrong version is old data, not a torn
+        // header: refuse it loudly rather than truncate-and-recover past
+        // committed work written by another format.
+        let version = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
+        if version != SEG_VERSION {
+            return Err(StorageError::UnsupportedLogVersion {
+                found: version,
+                expected: SEG_VERSION,
+            });
+        }
+    }
+    Ok((intact.then(|| le_u64(&header[8..])), FrameReader::new(src)))
+}
+
 /// Where a log scan stopped.
 #[derive(Debug, Default)]
 pub(crate) struct LogTail {
@@ -409,93 +587,60 @@ pub(crate) struct LogTail {
     pub torn_bytes: u64,
 }
 
-/// Scan every segment, yielding valid entries in order and the position
-/// where validity ends. Stops at the first torn frame; later segments are
-/// counted as torn bytes wholesale.
-pub(crate) fn read_log(dir: &Path) -> StorageResult<(Vec<WalEntry>, LogTail)> {
-    let mut entries = Vec::new();
+/// Scan every segment, handing each valid entry to `visit` in order, and
+/// report where validity ends. Stops at the first torn frame; later
+/// segments are counted as torn bytes wholesale.
+pub(crate) fn scan_log(dir: &Path, mut visit: impl FnMut(WalEntry)) -> StorageResult<LogTail> {
     let mut tail = LogTail::default();
     let mut expect_lsn: Lsn = 0; // 0 = take the first segment's word for it
     for (seq, path) in list_segments(dir)? {
+        let seg_len = std::fs::metadata(&path)?.len();
         if tail.torn {
-            tail.torn_bytes += std::fs::metadata(&path)?.len();
-            continue;
-        }
-        let mut bytes = Vec::new();
-        File::open(&path)?.read_to_end(&mut bytes)?;
-        let seg_len = bytes.len() as u64;
-        let header_ok = bytes.len() >= SEG_HEADER && bytes[..4] == SEG_MAGIC;
-        if header_ok {
-            // An intact magic with the wrong version is old data, not a
-            // torn header: refuse it loudly rather than truncate-and-
-            // recover past committed work written by another format.
-            let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-            if version != SEG_VERSION {
-                return Err(StorageError::UnsupportedLogVersion {
-                    found: version,
-                    expected: SEG_VERSION,
-                });
-            }
-        }
-        let first_lsn = if header_ok {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&bytes[8..16]);
-            u64::from_le_bytes(b)
-        } else {
-            0
-        };
-        if !header_ok || (expect_lsn != 0 && first_lsn != expect_lsn) {
-            // A segment created moments before the crash (header torn), or
-            // one that does not continue the chain: end of the valid log.
-            tail.torn = true;
             tail.torn_bytes += seg_len;
             continue;
         }
-        if expect_lsn == 0 {
-            expect_lsn = first_lsn;
-        }
-        let mut pos = SEG_HEADER;
-        tail.valid_end = Some((seq, pos as u64));
-        while pos + FRAME_HEADER <= bytes.len() {
-            let len =
-                u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]])
-                    as usize;
-            let crc = u32::from_le_bytes([
-                bytes[pos + 4],
-                bytes[pos + 5],
-                bytes[pos + 6],
-                bytes[pos + 7],
-            ]);
-            let body_start = pos + FRAME_HEADER;
-            if len < 17 || body_start + len > bytes.len() {
-                break; // incomplete frame: torn tail
-            }
-            let body = &bytes[body_start..body_start + len];
-            if crc32(body) != crc {
-                break;
-            }
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&body[..8]);
-            let lsn = u64::from_le_bytes(b);
-            b.copy_from_slice(&body[8..16]);
-            let unit = u64::from_le_bytes(b);
+        let (first, mut frames) = open_segment(&path)?;
+        // A segment created moments before the crash (header torn), or one
+        // that does not continue the chain: end of the valid log.
+        let Some(first) = first.filter(|&f| expect_lsn == 0 || f == expect_lsn) else {
+            tail.torn = true;
+            tail.torn_bytes += seg_len;
+            continue;
+        };
+        expect_lsn = first;
+        let mut pos = SEG_HEADER as u64;
+        tail.valid_end = Some((seq, pos));
+        while let Frame::Valid {
+            lsn,
+            unit,
+            rec,
+            bytes,
+        } = frames.next()?
+        {
             if lsn != expect_lsn {
                 break;
             }
-            let Some(rec) = WalRecord::decode(&body[16..]) else {
+            let Some(rec) = WalRecord::decode(rec) else {
                 break;
             };
-            entries.push(WalEntry { lsn, unit, rec });
+            visit(WalEntry { lsn, unit, rec });
             tail.last_lsn = lsn;
             expect_lsn += 1;
-            pos = body_start + len;
-            tail.valid_end = Some((seq, pos as u64));
+            pos += bytes;
+            tail.valid_end = Some((seq, pos));
         }
-        if (pos as u64) < seg_len {
+        if pos < seg_len {
             tail.torn = true;
-            tail.torn_bytes += seg_len - pos as u64;
+            tail.torn_bytes += seg_len - pos;
         }
     }
+    Ok(tail)
+}
+
+/// [`scan_log`], collecting the entries.
+pub(crate) fn read_log(dir: &Path) -> StorageResult<(Vec<WalEntry>, LogTail)> {
+    let mut entries = Vec::new();
+    let tail = scan_log(dir, |e| entries.push(e))?;
     Ok((entries, tail))
 }
 
@@ -505,72 +650,49 @@ pub(crate) fn read_log(dir: &Path) -> StorageResult<(Vec<WalEntry>, LogTail)> {
 /// verify the CRC chain it receives and a wire batch is just a slice of
 /// the log.
 pub fn encode_frame(entry: &WalEntry, out: &mut Vec<u8>) {
-    let mut body = Vec::with_capacity(64);
-    body.extend_from_slice(&entry.lsn.to_le_bytes());
-    body.extend_from_slice(&entry.unit.to_le_bytes());
-    entry.rec.encode_into(&mut body);
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out.extend_from_slice(&body);
+    put_frame(entry.lsn, entry.unit, &entry.rec, out);
 }
 
-/// Decode a concatenation of [`encode_frame`] frames. Strict, unlike the
-/// scan in `read_log`: a short frame, CRC mismatch or undecodable record
-/// is an error, not a tail — a replication batch is never torn.
+/// Decode a concatenation of [`encode_frame`] frames. Strict, unlike a
+/// log scan: a short frame, CRC mismatch or undecodable record is an
+/// error, not a tail — a replication batch is never torn.
 pub fn decode_frames(bytes: &[u8]) -> StorageResult<Vec<WalEntry>> {
+    let mut frames = FrameReader::new(bytes);
     let mut entries = Vec::new();
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        if pos + FRAME_HEADER > bytes.len() {
-            return Err(StorageError::Corrupt("short replication frame".into()));
+    loop {
+        match frames.next()? {
+            Frame::Valid { lsn, unit, rec, .. } => {
+                let rec = WalRecord::decode(rec).ok_or_else(|| {
+                    StorageError::Corrupt(format!("undecodable replication record at lsn {lsn}"))
+                })?;
+                entries.push(WalEntry { lsn, unit, rec });
+            }
+            Frame::End => return Ok(entries),
+            Frame::Bad(why) => {
+                return Err(StorageError::Corrupt(format!("replication batch: {why}")))
+            }
         }
-        let len = u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]])
-            as usize;
-        let crc = u32::from_le_bytes([
-            bytes[pos + 4],
-            bytes[pos + 5],
-            bytes[pos + 6],
-            bytes[pos + 7],
-        ]);
-        let body_start = pos + FRAME_HEADER;
-        if len < 17 || body_start + len > bytes.len() {
-            return Err(StorageError::Corrupt("short replication frame".into()));
-        }
-        let body = &bytes[body_start..body_start + len];
-        if crc32(body) != crc {
-            return Err(StorageError::Corrupt(
-                "replication frame failed its CRC".into(),
-            ));
-        }
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&body[..8]);
-        let lsn = u64::from_le_bytes(b);
-        b.copy_from_slice(&body[8..16]);
-        let unit = u64::from_le_bytes(b);
-        let rec = WalRecord::decode(&body[16..]).ok_or_else(|| {
-            StorageError::Corrupt(format!("undecodable replication record at lsn {lsn}"))
-        })?;
-        entries.push(WalEntry { lsn, unit, rec });
-        pos = body_start + len;
     }
-    Ok(entries)
 }
 
 impl Wal {
     /// Read up to `max_records` committed-to-durability entries with LSNs
     /// strictly after `after_lsn`, straight from the segment files (the
-    /// OS page cache makes freshly appended bytes visible). Returns an
-    /// empty vector when `after_lsn` is already the durable frontier, and
-    /// an error naming the pruned history when `after_lsn + 1` predates
-    /// the earliest surviving segment (the subscriber must re-seed).
+    /// OS page cache makes freshly appended bytes visible), a frame at a
+    /// time. Returns the entries and their frame bytes: nothing when
+    /// `after_lsn` is already the durable frontier, and an error naming
+    /// the pruned history when `after_lsn + 1` predates the earliest
+    /// surviving segment (the subscriber must re-seed).
     pub fn read_entries_after(
         &self,
         after_lsn: Lsn,
         max_records: usize,
-    ) -> StorageResult<Vec<WalEntry>> {
+    ) -> StorageResult<(Vec<WalEntry>, u64)> {
         let durable = self.durable_lsn();
+        let mut out = Vec::new();
+        let mut frame_bytes = 0;
         if after_lsn >= durable || max_records == 0 {
-            return Ok(Vec::new());
+            return Ok((out, frame_bytes));
         }
         let segs = list_segments(&self.dir)?;
         match segs.first().and_then(|(_, p)| segment_first_lsn(p)) {
@@ -587,7 +709,6 @@ impl Wal {
                 ))
             }
         }
-        let mut out = Vec::new();
         for window in 0..segs.len() {
             // Skip segments wholly before the cursor: dead if the next
             // segment starts at or before it (same test as GC).
@@ -596,49 +717,28 @@ impl Wal {
                     continue;
                 }
             }
-            let (_, path) = &segs[window];
-            let mut bytes = Vec::new();
-            File::open(path)?.read_to_end(&mut bytes)?;
-            let mut pos = SEG_HEADER;
-            while pos + FRAME_HEADER <= bytes.len() {
-                let len = u32::from_le_bytes([
-                    bytes[pos],
-                    bytes[pos + 1],
-                    bytes[pos + 2],
-                    bytes[pos + 3],
-                ]) as usize;
-                let crc = u32::from_le_bytes([
-                    bytes[pos + 4],
-                    bytes[pos + 5],
-                    bytes[pos + 6],
-                    bytes[pos + 7],
-                ]);
-                let body_start = pos + FRAME_HEADER;
-                if len < 17 || body_start + len > bytes.len() {
-                    break; // in-flight append: stop at the ragged tail
-                }
-                let body = &bytes[body_start..body_start + len];
-                if crc32(body) != crc {
-                    break;
-                }
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&body[..8]);
-                let lsn = u64::from_le_bytes(b);
+            let (_, mut frames) = open_segment(&segs[window].1)?;
+            // A bad frame is an in-flight append: stop at the ragged tail.
+            while let Frame::Valid {
+                lsn,
+                unit,
+                rec,
+                bytes,
+            } = frames.next()?
+            {
                 if lsn > durable || out.len() >= max_records {
-                    return Ok(out);
+                    return Ok((out, frame_bytes));
                 }
                 if lsn > after_lsn {
-                    b.copy_from_slice(&body[8..16]);
-                    let unit = u64::from_le_bytes(b);
-                    let rec = WalRecord::decode(&body[16..]).ok_or_else(|| {
+                    let rec = WalRecord::decode(rec).ok_or_else(|| {
                         StorageError::Corrupt(format!("undecodable log record at lsn {lsn}"))
                     })?;
                     out.push(WalEntry { lsn, unit, rec });
+                    frame_bytes += bytes;
                 }
-                pos = body_start + len;
             }
         }
-        Ok(out)
+        Ok((out, frame_bytes))
     }
 }
 
@@ -655,6 +755,11 @@ struct WalInner {
 struct UnitSlot {
     active: Option<ActiveUnit>,
     next_id: u64,
+    /// Pages with a committed redo record since the last checkpoint: their
+    /// next change may be logged as a [`DeltaBase::Prior`] delta. Starts
+    /// empty at open, so each page's first change after a restart logs an
+    /// image too.
+    redone: HashSet<u64>,
 }
 
 struct ActiveUnit {
@@ -726,7 +831,7 @@ impl Wal {
             "Durability::None means no WAL is constructed"
         );
         std::fs::create_dir_all(dir)?;
-        let (_, tail) = read_log(dir)?;
+        let tail = scan_log(dir, |_| {})?;
         let (file, seg_seq, seg_len) = match tail.valid_end {
             Some((seq, off)) => {
                 let mut file = OpenOptions::new()
@@ -757,6 +862,7 @@ impl Wal {
             unit: StdMutex::new(UnitSlot {
                 active: None,
                 next_id: 1,
+                redone: HashSet::new(),
             }),
             unit_cv: Condvar::new(),
             appended: AtomicU64::new(tail.last_lsn),
@@ -798,14 +904,8 @@ impl Wal {
     pub fn append(&self, unit: u64, rec: &WalRecord) -> StorageResult<Lsn> {
         let mut inner = self.inner.lock();
         let lsn = inner.appended_lsn + 1;
-        let mut body = Vec::with_capacity(64);
-        body.extend_from_slice(&lsn.to_le_bytes());
-        body.extend_from_slice(&unit.to_le_bytes());
-        rec.encode_into(&mut body);
-        let mut frame = Vec::with_capacity(FRAME_HEADER + body.len());
-        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&body).to_le_bytes());
-        frame.extend_from_slice(&body);
+        let mut frame = Vec::with_capacity(64);
+        put_frame(lsn, unit, rec, &mut frame);
         match failpoint::check_write("wal.append", frame.len())? {
             WriteAction::Full => inner.file.write_all(&frame)?,
             WriteAction::Torn(n) => {
@@ -834,6 +934,15 @@ impl Wal {
             inner.seg_seq += 1;
             inner.seg_len = len;
         }
+        Ok(lsn)
+    }
+
+    /// Append a [`WalRecord::Checkpoint`]: from here on every page's next
+    /// change logs a full image again, so recovery from this checkpoint
+    /// never builds on volume bytes. Returns its LSN.
+    pub fn append_checkpoint(&self, clock: u64) -> StorageResult<Lsn> {
+        let lsn = self.append(0, &WalRecord::Checkpoint { clock })?;
+        self.unit.lock().expect("unit slot").redone.clear();
         Ok(lsn)
     }
 
@@ -872,7 +981,7 @@ impl Wal {
         self.inner.lock().seg_seq
     }
 
-    /// The log directory (replication preload scans it via `read_log`).
+    /// The log directory (replication preload scans it via `scan_log`).
     pub(crate) fn dir(&self) -> &Path {
         &self.dir
     }
@@ -967,10 +1076,18 @@ impl Wal {
     }
 
     /// Record that the active unit dirtied `page_no` (called by the
-    /// buffer pool on every exclusive page access). A no-op outside a
-    /// unit.
+    /// buffer pool on every exclusive page access).
+    ///
+    /// Every page write happens inside a unit: a delta is right only if
+    /// the page's last logged state is its before-image, and a write
+    /// outside a unit would change the page without logging it.
     pub fn note_write(&self, page_no: u64) {
         let mut slot = self.unit.lock().expect("unit slot");
+        debug_assert!(
+            slot.active.as_ref().is_some_and(|a| a.id != PAUSE_UNIT),
+            "page {page_no} written outside a logged unit: its next delta would not \
+             apply over its last logged state"
+        );
         if let Some(active) = slot.active.as_mut() {
             active.dirty.insert(page_no);
         }
@@ -985,18 +1102,30 @@ impl Wal {
             .is_some_and(|a| a.dirty.contains(&page_no))
     }
 
-    /// The pages the unit has dirtied so far, sorted (deterministic
-    /// commit image order). The set stays gated until [`Wal::end_unit`].
-    pub fn unit_dirty_pages(&self, unit: u64) -> Vec<u64> {
+    /// The pages the unit has dirtied so far, sorted (deterministic commit
+    /// order), each with whether it has a committed redo record since the
+    /// last checkpoint. The set stays gated until [`Wal::end_unit`].
+    pub fn unit_dirty_pages(&self, unit: u64) -> Vec<(u64, bool)> {
         let slot = self.unit.lock().expect("unit slot");
-        let mut pages: Vec<u64> = slot
+        let mut pages: Vec<(u64, bool)> = slot
             .active
             .as_ref()
             .filter(|a| a.id == unit)
-            .map(|a| a.dirty.iter().copied().collect())
+            .map(|a| {
+                a.dirty
+                    .iter()
+                    .map(|&p| (p, slot.redone.contains(&p)))
+                    .collect()
+            })
             .unwrap_or_default();
         pages.sort_unstable();
         pages
+    }
+
+    /// Note that `pages` now have a committed redo record (their unit's
+    /// commit record is in the log), so their next change may be a delta.
+    pub(crate) fn note_redone(&self, pages: impl IntoIterator<Item = u64>) {
+        self.unit.lock().expect("unit slot").redone.extend(pages);
     }
 
     /// Close the unit (after `Commit` was appended — or on abandonment),
@@ -1008,19 +1137,6 @@ impl Wal {
         }
         drop(slot);
         self.unit_cv.notify_one();
-    }
-
-    /// The id of the active unit, or 0. Structure code logs descriptive
-    /// records under this id.
-    pub fn current_unit(&self) -> u64 {
-        let slot = self.unit.lock().expect("unit slot");
-        slot.active.as_ref().map_or(0, |a| a.id)
-    }
-
-    /// Append a descriptive operation record under the active unit (or
-    /// unit 0 when none is open).
-    pub fn log_op(&self, rec: &WalRecord) -> StorageResult<Lsn> {
-        self.append(self.current_unit(), rec)
     }
 
     /// Hold the unit slot without opening a logged unit: blocks until no
@@ -1077,14 +1193,7 @@ impl Drop for UnitPause<'_> {
 
 /// Read the `first_lsn` field of a segment header, if it is intact.
 fn segment_first_lsn(path: &Path) -> Option<Lsn> {
-    let mut header = [0u8; SEG_HEADER];
-    let mut file = File::open(path).ok()?;
-    file.read_exact(&mut header).ok()?;
-    (header[..4] == SEG_MAGIC).then(|| {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&header[8..16]);
-        u64::from_le_bytes(b)
-    })
+    open_segment(path).ok()?.0
 }
 
 /// Create segment file `seq`, writing its header.
@@ -1131,37 +1240,21 @@ mod tests {
                 page_no: 7,
                 image: vec![0xA5; PAGE_SIZE],
             },
+            WalRecord::PageDelta {
+                page_no: 7,
+                base: DeltaBase::Prior,
+                runs: vec![(16, vec![1, 2]), (UNLOGGED.end as u16, vec![3])],
+            },
+            WalRecord::PageDelta {
+                page_no: 8,
+                base: DeltaBase::Zero,
+                runs: vec![(PAGE_SIZE as u16 - 1, vec![9])],
+            },
             WalRecord::HeapInsert {
                 file: 1,
                 rid: 99,
                 len: 128,
             },
-            WalRecord::HeapUpdate {
-                file: 1,
-                old_rid: 99,
-                new_rid: 100,
-                len: 4,
-            },
-            WalRecord::HeapDelete { file: 1, rid: 100 },
-            WalRecord::BTreeInsert {
-                root: 2,
-                key_len: 16,
-            },
-            WalRecord::BTreeDelete {
-                root: 2,
-                key_len: 16,
-            },
-            WalRecord::BTreeSplit {
-                root: 2,
-                left: 3,
-                right: 4,
-            },
-            WalRecord::LobWrite {
-                first: 5,
-                offset: 0,
-                len: 1000,
-            },
-            WalRecord::LobTruncate { first: 5, len: 10 },
         ]
     }
 
@@ -1283,7 +1376,9 @@ mod tests {
         wal.note_write(42);
         assert!(wal.page_gated(42));
         assert!(!wal.page_gated(43));
-        assert_eq!(wal.unit_dirty_pages(u1), vec![42]);
+        assert_eq!(wal.unit_dirty_pages(u1), vec![(42, false)]);
+        wal.note_redone([42]);
+        assert_eq!(wal.unit_dirty_pages(u1), vec![(42, true)]);
         // A second unit waits until the first ends.
         let w2 = wal.clone();
         let t = std::thread::spawn(move || {
@@ -1296,6 +1391,12 @@ mod tests {
         let u2 = t.join().unwrap();
         assert!(u2 > u1);
         assert!(!wal.page_gated(42));
+        // A checkpoint forgets which pages have redo records.
+        wal.append_checkpoint(0).unwrap();
+        let u3 = wal.begin_unit().unwrap();
+        wal.note_write(42);
+        assert_eq!(wal.unit_dirty_pages(u3), vec![(42, false)]);
+        wal.end_unit(u3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

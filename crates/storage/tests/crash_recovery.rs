@@ -297,7 +297,7 @@ fn kill_at_every_point() {
 fn crash_during_recovery_is_idempotent() {
     let _x = failpoint::exclusive();
     // Set up a database that crashed mid-workload (torn, so recovery has
-    // real page images to replay).
+    // real page records to replay).
     let dir = temp_dir("double");
     let (sm, _) = open(&dir);
     failpoint::arm(CrashPlan {
@@ -488,6 +488,85 @@ fn interleaved_txn_commits_are_atomic() {
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
+}
+
+/// Torn-write protection for page deltas: checkpoint; change page P and
+/// commit (P's first change since the checkpoint, so a full image); write
+/// P back torn; change P again and commit (a delta over the first
+/// change); crash and reopen. Recovery must rebuild P from the image and
+/// the delta alone — had the first change been logged as a delta, the
+/// only base for it would be the torn volume page, which recovery refuses
+/// as corrupt instead.
+#[test]
+fn torn_write_back_after_checkpoint_is_repaired_by_the_first_image() {
+    use exodus_storage::page::{verify_page_checksum, PAGE_SIZE};
+    use exodus_storage::wal::{DeltaBase, WalRecord};
+    let _x = failpoint::exclusive();
+    let dir = temp_dir("torn-writeback");
+    let (sm, _) = open(&dir);
+    let page_no = {
+        let unit = sm.begin_unit().unwrap();
+        let page = sm.pool().allocate().unwrap();
+        page.with_write(|buf| buf[100..200].fill(0x11));
+        unit.commit().unwrap();
+        page.page_no()
+    };
+    sm.checkpoint().unwrap();
+    let wal = sm.pool().wal().unwrap().clone();
+    let after_checkpoint = wal.appended_lsn();
+    let change = |at: usize, byte: u8| {
+        let unit = sm.begin_unit().unwrap();
+        sm.pool()
+            .pin(page_no)
+            .unwrap()
+            .with_write(|buf| buf[at] = byte);
+        unit.commit().unwrap();
+    };
+    change(6_000, 0xA1);
+
+    // Write P back torn — its first half reaches the volume, not the
+    // second with the change — and let the process go on.
+    failpoint::arm(CrashPlan {
+        after_writes: 0,
+        torn: true,
+    });
+    assert!(sm.flush().is_err(), "the write-back must tear");
+    assert!(failpoint::crashed());
+    failpoint::disarm();
+
+    change(1_000, 0xB2);
+    let (entries, _) = wal.read_entries_after(after_checkpoint, 100).unwrap();
+    let shapes: Vec<&str> = entries
+        .iter()
+        .filter(|e| e.rec.page_no() == Some(page_no))
+        .map(|e| match e.rec {
+            WalRecord::PageImage { .. } => "image",
+            WalRecord::PageDelta {
+                base: DeltaBase::Prior,
+                ..
+            } => "delta",
+            _ => "other",
+        })
+        .collect();
+    assert_eq!(shapes, ["image", "delta"], "the log this test is about");
+    drop(sm); // crash: the pool's copy of P dies; the volume's is torn
+    let volume = std::fs::read(dir.join("vol.db")).unwrap();
+    let at = page_no as usize * PAGE_SIZE;
+    assert!(
+        !verify_page_checksum(&volume[at..at + PAGE_SIZE]),
+        "the volume's copy of P must be torn for this test to mean anything"
+    );
+
+    let (sm, report) = open(&dir);
+    assert!(report.pages_restored > 0, "{report:?}");
+    let bytes = sm
+        .pool()
+        .pin(page_no)
+        .expect("recovery rebuilt the torn page")
+        .with_read(|buf| (buf[150], buf[6_000], buf[1_000]));
+    assert_eq!(bytes, (0x11, 0xA1, 0xB2), "both changes survive");
+    drop(sm);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Random single-op units with a random crash point: the survivors must be

@@ -4,7 +4,9 @@
 
 use std::path::{Path, PathBuf};
 
-use exodus_storage::{Durability, StorageManager, StorageResult};
+use exodus_storage::heap::HeapFile;
+use exodus_storage::wal::{DeltaBase, WalRecord};
+use exodus_storage::{Durability, StorageError, StorageManager, StorageResult};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("exodus-rb-{tag}-{}", std::process::id()));
@@ -74,21 +76,34 @@ fn old_log_format_version_is_refused_loudly() {
     let (sm, _) = StorageManager::open(&path, 32, Durability::Fsync).unwrap();
     put_units(&sm, 0, 5).unwrap();
     drop(sm);
-    // Stamp the first segment as log-format v1 (bytes 4..8 of the
-    // header). Opening must fail with an explicit version error, not
-    // treat the segment as a torn tail and silently recover nothing.
+    // Stamp the first segment as log-format v1, then v2 — the image-only
+    // format before page deltas (bytes 4..8 of the header). Opening must
+    // fail with an explicit version error, not treat the segment as a
+    // torn tail and truncate it.
     let seg = wal_segments(&dir).into_iter().next().expect("a segment");
-    let mut bytes = std::fs::read(&seg).unwrap();
-    bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-    std::fs::write(&seg, bytes).unwrap();
-    let err = StorageManager::open(&path, 32, Durability::Fsync)
-        .err()
-        .expect("old-format log must refuse to open");
-    let msg = err.to_string();
-    assert!(
-        msg.contains("log-format version 1"),
-        "unexpected error: {msg}"
-    );
+    for old in [1u32, 2] {
+        let mut bytes = std::fs::read(&seg).unwrap();
+        bytes[4..8].copy_from_slice(&old.to_le_bytes());
+        std::fs::write(&seg, &bytes).unwrap();
+        let err = StorageManager::open(&path, 32, Durability::Fsync)
+            .err()
+            .expect("old-format log must refuse to open");
+        assert!(
+            matches!(
+                err,
+                StorageError::UnsupportedLogVersion { found, expected: 3 } if found == old
+            ),
+            "unexpected error: {err}"
+        );
+        assert!(err
+            .to_string()
+            .contains(&format!("log-format version {old}")));
+        assert_eq!(
+            std::fs::read(&seg).unwrap(),
+            bytes,
+            "a refused v{old} segment is left untouched, not truncated as torn"
+        );
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -100,7 +115,7 @@ fn committed_units_survive_reopen_without_flush() {
         let (sm, _) = StorageManager::open(&path, 32, durability).unwrap();
         let file = put_units(&sm, 0, 20).unwrap();
         // No flush, no checkpoint: dirty pages die with the pool. The
-        // committed after-images in the log are the only durable copy.
+        // committed page records in the log are the only durable copy.
         drop(sm);
         let (sm, report) = StorageManager::open(&path, 32, durability).unwrap();
         assert!(report.pages_restored > 0, "log must have done the work");
@@ -113,9 +128,8 @@ fn committed_units_survive_reopen_without_flush() {
 fn segment_rollover_across_reopen() {
     let dir = temp_dir("rollover");
     let path = dir.join("vol.db");
-    // Tiny segments: every page image rolls the log over.
-    let (sm, _) =
-        StorageManager::open_with_config(&path, 32, Durability::Fsync, 16 * 1024).unwrap();
+    // Tiny segments: a few units' page deltas roll the log over.
+    let (sm, _) = StorageManager::open_with_config(&path, 32, Durability::Fsync, 1024).unwrap();
     let file = put_units(&sm, 0, 30).unwrap();
     drop(sm);
     assert!(
@@ -123,8 +137,7 @@ fn segment_rollover_across_reopen() {
         "expected several segments: {:?}",
         wal_segments(&dir)
     );
-    let (sm, _) =
-        StorageManager::open_with_config(&path, 32, Durability::Fsync, 16 * 1024).unwrap();
+    let (sm, _) = StorageManager::open_with_config(&path, 32, Durability::Fsync, 1024).unwrap();
     assert_eq!(read_all(&sm, file), expect(0, 30));
     // Keep writing across the reopened segment boundary, then reopen again.
     for i in 30..40 {
@@ -142,8 +155,7 @@ fn segment_rollover_across_reopen() {
 fn checkpoint_prunes_segments() {
     let dir = temp_dir("gc");
     let path = dir.join("vol.db");
-    let (sm, _) =
-        StorageManager::open_with_config(&path, 64, Durability::Fsync, 16 * 1024).unwrap();
+    let (sm, _) = StorageManager::open_with_config(&path, 64, Durability::Fsync, 1024).unwrap();
     let file = put_units(&sm, 0, 30).unwrap();
     let before = wal_segments(&dir).len();
     assert!(before > 3, "fixture needs several segments: {before}");
@@ -187,6 +199,61 @@ fn durability_none_recovers_then_drops_the_log() {
     let (sm, report) = StorageManager::open(&path, 32, Durability::None).unwrap();
     assert!(report.was_clean());
     assert_eq!(read_all(&sm, file), expect(0, 11));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Abort restores a page's before-image; the next commit on that page
+/// logs a delta over the restored bytes (the aborted transaction logged
+/// nothing but its `Begin`), and recovery rebuilds exactly the committed
+/// rows from the log alone.
+#[test]
+fn abort_then_commit_on_the_same_page() {
+    let dir = temp_dir("abortcommit");
+    let path = dir.join("vol.db");
+    let (sm, _) = StorageManager::open(&path, 32, Durability::Fsync).unwrap();
+    let txn = sm.begin_txn().unwrap();
+    let heap = HeapFile::open(HeapFile::create(sm.pool()).unwrap());
+    let kept = heap.insert_at(sm.pool(), b"kept", txn.ts()).unwrap();
+    txn.commit().unwrap();
+    let page_bytes = || sm.pool().pin(kept.page).unwrap().with_read(|b| b.to_vec());
+    let committed_page = page_bytes();
+    let wal = sm.pool().wal().unwrap().clone();
+    let before_abort = wal.appended_lsn();
+
+    let txn = sm.begin_txn().unwrap();
+    heap.insert_at(sm.pool(), b"aborted", txn.ts()).unwrap();
+    txn.abort().unwrap();
+    assert_eq!(page_bytes(), committed_page, "abort restores the page");
+
+    let txn = sm.begin_txn().unwrap();
+    let rid = heap.insert_at(sm.pool(), b"committed", txn.ts()).unwrap();
+    assert_eq!(
+        rid.page, kept.page,
+        "the fixture commits on the aborted page"
+    );
+    txn.commit().unwrap();
+
+    let (entries, _) = wal.read_entries_after(before_abort, 100).unwrap();
+    let aborted_unit = entries[0].unit;
+    assert!(matches!(entries[0].rec, WalRecord::Begin));
+    assert!(
+        entries[1..].iter().all(|e| e.unit != aborted_unit),
+        "an aborted transaction logs no page: {entries:?}"
+    );
+    assert!(
+        entries.iter().any(|e| matches!(
+            e.rec,
+            WalRecord::PageDelta { page_no, base: DeltaBase::Prior, .. } if page_no == kept.page
+        )),
+        "the commit after the abort logs a delta on the page: {entries:?}"
+    );
+    drop(sm); // crash: nothing written back
+
+    let (sm, _) = StorageManager::open(&path, 32, Durability::Fsync).unwrap();
+    assert_eq!(
+        read_all(&sm, heap.id()),
+        vec!["committed".to_string(), "kept".to_string()]
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -4,7 +4,8 @@
 //! statements, checkpoints, and reopens it: the catalog is a logged
 //! record like any other, so `People` is still there. Part 2 drops to
 //! the storage layer and simulates a crash — committed units survive a
-//! reopen with *no* flush, restored purely from the log's after-images.
+//! reopen with *no* flush, rebuilt purely from the log's page records
+//! (a full image on each page's first change, byte-run deltas after).
 //!
 //! ```console
 //! cargo run --example durability
