@@ -19,7 +19,7 @@ use excess_lang::{BinOp, Expr, Lit, UnOp};
 use excess_sema::{AttrStats, CatalogLookup, ResolvedRange, RootSource, StatOp};
 use extra_model::Value;
 
-use crate::plan::{join_attr, Physical};
+use crate::plan::{join_attr, Physical, PlanExpr};
 
 /// Default members per nested set when no statistics exist.
 pub const DEFAULT_FANOUT: f64 = 4.0;
@@ -44,10 +44,10 @@ pub fn batch_overhead(rows: f64) -> f64 {
     (rows / BATCH_ROWS).ceil().max(1.0) * COST_PER_BATCH
 }
 
-/// Minimum estimated rows at the leftmost scan before the planner
-/// considers fanning a pipeline out to worker threads. Mirrored by the
-/// executor's runtime gate, since aggregate `over` sub-plans bypass the
-/// planner.
+/// Minimum rows at the leftmost scan before a pipeline fans out to
+/// worker threads: the planner's gate on its estimate, and the
+/// executor's on the actual member count (aggregate `over` plans are not
+/// cost-planned).
 pub const PARALLEL_MIN_ROWS: f64 = 4096.0;
 /// Per-worker startup/teardown charge (thread spawn, per-worker context,
 /// partition bookkeeping) in row-cost units.
@@ -83,18 +83,16 @@ fn fixed_conjunct_selectivity(c: &Expr) -> f64 {
 
 /// Map each range variable of `plan` to the collection it scans (bare
 /// collection bindings only — the shapes statistics describe).
-pub fn scan_collections(plan: &Physical, out: &mut HashMap<String, String>) {
+pub fn scan_collections<E>(plan: &Physical<E>, out: &mut HashMap<String, String>) {
     let mut add = |b: &ResolvedRange| {
         if let RootSource::Collection(obj) = &b.root {
-            if b.steps.is_empty() {
-                out.insert(b.var.clone(), obj.name.clone());
-            }
+            out.insert(b.var.clone(), obj.name.clone());
         }
     };
     match plan {
         Physical::Unit | Physical::SystemScan { .. } => {}
         Physical::SeqScan { binding } | Physical::IndexScan { binding, .. } => add(binding),
-        Physical::Unnest { input, binding }
+        Physical::Unnest { input, binding, .. }
         | Physical::HashJoin { input, binding, .. }
         | Physical::IndexJoin { input, binding, .. } => {
             add(binding);
@@ -215,7 +213,7 @@ pub fn selectivity_with(
 /// Collection a bare collection binding scans, if that is its shape.
 pub(crate) fn binding_collection(b: &ResolvedRange) -> Option<&str> {
     match &b.root {
-        RootSource::Collection(obj) if b.steps.is_empty() => Some(&obj.name),
+        RootSource::Collection(obj) => Some(&obj.name),
         _ => None,
     }
 }
@@ -232,19 +230,11 @@ fn eq_join_selectivity(b: &ResolvedRange, attr: &str, catalog: &dyn CatalogLooku
 /// Estimated members produced by iterating a binding once.
 pub fn binding_cardinality(b: &ResolvedRange, catalog: &dyn CatalogLookup) -> f64 {
     match &b.root {
-        RootSource::Collection(obj) => {
-            let base = catalog
-                .collection_size(&obj.name)
-                .map(|n| n as f64)
-                .or_else(|| catalog.stats_for(&obj.name).map(|s| s.row_count as f64))
-                .unwrap_or(DEFAULT_SIZE);
-            // Steps beyond the collection unnest one nested set.
-            if b.steps.is_empty() {
-                base
-            } else {
-                base * DEFAULT_FANOUT
-            }
-        }
+        RootSource::Collection(obj) => catalog
+            .collection_size(&obj.name)
+            .map(|n| n as f64)
+            .or_else(|| catalog.stats_for(&obj.name).map(|s| s.row_count as f64))
+            .unwrap_or(DEFAULT_SIZE),
         RootSource::Object(_) => {
             if b.steps.is_empty() {
                 1.0
@@ -258,7 +248,7 @@ pub fn binding_cardinality(b: &ResolvedRange, catalog: &dyn CatalogLookup) -> f6
 }
 
 /// Estimated output cardinality of a physical plan.
-pub fn cardinality(plan: &Physical, catalog: &dyn CatalogLookup) -> f64 {
+pub fn cardinality<E: PlanExpr>(plan: &Physical<E>, catalog: &dyn CatalogLookup) -> f64 {
     match plan {
         Physical::Unit => 1.0,
         Physical::SeqScan { binding } | Physical::SystemScan { binding, .. } => {
@@ -283,7 +273,7 @@ pub fn cardinality(plan: &Physical, catalog: &dyn CatalogLookup) -> f64 {
             });
             (base * sel).max(1.0)
         }
-        Physical::Unnest { input, binding } => {
+        Physical::Unnest { input, binding, .. } => {
             cardinality(input, catalog) * binding_cardinality(binding, catalog)
         }
         Physical::NestedLoop { outer, inner } => {
@@ -292,14 +282,14 @@ pub fn cardinality(plan: &Physical, catalog: &dyn CatalogLookup) -> f64 {
         Physical::Filter { input, pred } => {
             let mut sources = HashMap::new();
             scan_collections(input, &mut sources);
-            (cardinality(input, catalog) * selectivity_with(&pred.src, &sources, catalog)).max(1.0)
+            (cardinality(input, catalog) * selectivity_with(pred.src(), &sources, catalog)).max(1.0)
         }
         Physical::HashJoin {
             input, binding, on, ..
         } => {
             let n = cardinality(input, catalog);
             let t = binding_cardinality(binding, catalog);
-            (n * t * eq_join_selectivity(binding, join_attr(on), catalog)).max(1.0)
+            (n * t * eq_join_selectivity(binding, join_attr(&**on), catalog)).max(1.0)
         }
         Physical::IndexJoin {
             input,
@@ -320,39 +310,6 @@ pub fn cardinality(plan: &Physical, catalog: &dyn CatalogLookup) -> f64 {
     }
 }
 
-/// Pre-order `(label, estimated rows)` annotations for every node of a
-/// physical plan, in the same order the executor's profiler indexes its
-/// compiled tree: node first, then children — `NestedLoop` outer before
-/// inner, `UniversalFilter` descending only into its input (the
-/// universal bindings have no cursor of their own). Used to pair
-/// estimated-vs-actual rows in `EXPLAIN ANALYZE` output.
-pub fn annotate_preorder(plan: &Physical, catalog: &dyn CatalogLookup) -> Vec<(String, f64)> {
-    fn walk(node: &Physical, catalog: &dyn CatalogLookup, out: &mut Vec<(String, f64)>) {
-        out.push((node.label(), cardinality(node, catalog)));
-        match node {
-            Physical::Unit
-            | Physical::SeqScan { .. }
-            | Physical::SystemScan { .. }
-            | Physical::IndexScan { .. } => {}
-            Physical::NestedLoop { outer, inner } => {
-                walk(outer, catalog, out);
-                walk(inner, catalog, out);
-            }
-            Physical::Unnest { input, .. }
-            | Physical::Filter { input, .. }
-            | Physical::UniversalFilter { input, .. }
-            | Physical::Project { input, .. }
-            | Physical::Sort { input, .. }
-            | Physical::HashJoin { input, .. }
-            | Physical::IndexJoin { input, .. }
-            | Physical::Parallel { input, .. } => walk(input, catalog, out),
-        }
-    }
-    let mut out = Vec::new();
-    walk(plan, catalog, &mut out);
-    out
-}
-
 /// Estimated cost (abstract units ≈ member visits). Each operator pays
 /// its per-row work plus [`batch_overhead`] for the batches it emits.
 pub fn cost(plan: &Physical, catalog: &dyn CatalogLookup) -> f64 {
@@ -367,7 +324,7 @@ pub fn cost(plan: &Physical, catalog: &dyn CatalogLookup) -> f64 {
             let out = cardinality(plan, catalog);
             n.log2() + out + batch_overhead(out)
         }
-        Physical::Unnest { input, binding } => {
+        Physical::Unnest { input, binding, .. } => {
             let out = cardinality(input, catalog) * binding_cardinality(binding, catalog);
             cost(input, catalog) + out + batch_overhead(out)
         }
@@ -382,12 +339,9 @@ pub fn cost(plan: &Physical, catalog: &dyn CatalogLookup) -> f64 {
             cost(input, catalog) + n + batch_overhead(n)
         }
         Physical::UniversalFilter {
-            input, bindings, ..
+            input, universe, ..
         } => {
-            let universe: f64 = bindings
-                .iter()
-                .map(|b| binding_cardinality(b, catalog))
-                .product();
+            let universe = cardinality(universe, catalog);
             let n = cardinality(input, catalog);
             cost(input, catalog) + n * universe + batch_overhead(n)
         }

@@ -29,9 +29,14 @@ fn map_inputs(plan: Physical, f: &mut dyn FnMut(Physical) -> Physical) -> Physic
         | Physical::SeqScan { .. }
         | Physical::SystemScan { .. }
         | Physical::IndexScan { .. } => plan,
-        Physical::Unnest { input, binding } => Physical::Unnest {
+        Physical::Unnest {
+            input,
+            binding,
+            source,
+        } => Physical::Unnest {
             input: Box::new(f(*input)),
             binding,
+            source,
         },
         Physical::NestedLoop { outer, inner } => Physical::NestedLoop {
             outer: Box::new(f(*outer)),
@@ -43,11 +48,11 @@ fn map_inputs(plan: Physical, f: &mut dyn FnMut(Physical) -> Physical) -> Physic
         },
         Physical::UniversalFilter {
             input,
-            bindings,
+            universe,
             pred,
         } => Physical::UniversalFilter {
             input: Box::new(f(*input)),
-            bindings,
+            universe,
             pred,
         },
         Physical::Project { input, targets } => Physical::Project {
@@ -171,7 +176,7 @@ fn try_equi_join(outer: Physical, inner: Physical, pred: Checked, ctx: &SemaCtx<
         None => joined,
     };
     let mut candidates = vec![original(outer.clone(), inner.clone(), pred.clone())];
-    let index = ctx.catalog.index_on(collection, join_attr(&on));
+    let index = ctx.catalog.index_on(collection, join_attr(&*on));
     let key_ty = on.typed.qty.ty.clone();
     candidates.push(wrap(Physical::HashJoin {
         input: Box::new(outer.clone()),

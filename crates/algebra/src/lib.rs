@@ -13,9 +13,9 @@
 //! * [`plan`] — the physical operator tree, with `EXPLAIN` rendering;
 //!   a checked `retrieve` is planned straight into it (range bindings
 //!   become scans/unnests; universal bindings become a universal
-//!   selection). Its expressions are the checker's `Checked` pairs:
-//!   rules read their source, labels print it, and the executor compiles
-//!   their typed half;
+//!   selection). It is the one plan a statement has: built with the
+//!   checker's `Checked` pairs — rules read their source, labels print
+//!   it — and run by the executor once it has compiled their typed half;
 //! * [`rules`] — rewrite rules: constant folding and index predicates;
 //! * [`cost`] — cardinality/cost estimation from catalog statistics and
 //!   `analyze` histograms;
@@ -33,5 +33,5 @@ pub mod physical;
 pub mod plan;
 pub mod rules;
 
-pub use physical::{plan_retrieve, plan_retrieve_dop, PlannerConfig};
-pub use plan::Physical;
+pub use physical::{plan_bindings, plan_retrieve, plan_retrieve_dop, PlannerConfig};
+pub use plan::{Physical, PlanExpr};

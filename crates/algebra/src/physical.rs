@@ -104,10 +104,7 @@ pub fn plan_retrieve_dop(
             children.get(root.var.as_str()).cloned().unwrap_or_default();
         stack.reverse();
         while let Some(b) = stack.pop() {
-            plan = Physical::Unnest {
-                input: Box::new(plan),
-                binding: b.clone(),
-            };
+            plan = Physical::unnest(plan, b.clone());
             let mut kids = children.get(b.var.as_str()).cloned().unwrap_or_default();
             kids.reverse();
             stack.extend(kids);
@@ -177,7 +174,7 @@ pub fn plan_retrieve_dop(
         if let Some(p) = Checked::conjoin(universal_conjuncts.into_iter().cloned().collect()) {
             plan = Physical::UniversalFilter {
                 input: Box::new(plan),
-                bindings: universal,
+                universe: Box::new(plan_bindings(&universal)),
                 pred: p,
             };
         }
@@ -213,10 +210,10 @@ fn maybe_parallelize(plan: Physical, ctx: &SemaCtx<'_>, dop: usize) -> Physical 
     if dop < 2 {
         return plan;
     }
-    let Some(scan_rows) = leftmost_scan_rows(&plan, ctx) else {
+    let Some(scan) = plan.leftmost_scan() else {
         return plan;
     };
-    if scan_rows < crate::cost::PARALLEL_MIN_ROWS {
+    if cardinality(scan, ctx.catalog) < crate::cost::PARALLEL_MIN_ROWS {
         return plan;
     }
     let serial = crate::cost::cost(&plan, ctx.catalog);
@@ -230,28 +227,28 @@ fn maybe_parallelize(plan: Physical, ctx: &SemaCtx<'_>, dop: usize) -> Physical 
     }
 }
 
-/// Estimated rows of the leftmost scan of a parallel-safe pipeline, or
-/// `None` when the pipeline bottoms out in something unpartitionable
-/// (`Unit`, or operators that must stay in the serial tail).
-fn leftmost_scan_rows(plan: &Physical, ctx: &SemaCtx<'_>) -> Option<f64> {
-    match plan {
-        Physical::SeqScan { .. } | Physical::IndexScan { .. } => {
-            Some(cardinality(plan, ctx.catalog))
+/// The plan enumerating the joint environments of `bindings`, in their
+/// dependency order: a universal filter's universe, and the rows an
+/// aggregate's `over` ranges iterate. A scan joins what came before it by
+/// a nested loop; every other range unnests from what it depends on.
+pub fn plan_bindings(bindings: &[ResolvedRange]) -> Physical {
+    bindings.iter().fold(Physical::Unit, |plan, b| {
+        let scan = match &b.root {
+            RootSource::Collection(_) => Physical::SeqScan { binding: b.clone() },
+            RootSource::System(view) => Physical::SystemScan {
+                binding: b.clone(),
+                view: view.clone(),
+            },
+            RootSource::Var(_) | RootSource::Object(_) => return Physical::unnest(plan, b.clone()),
+        };
+        match plan {
+            Physical::Unit => scan,
+            outer => Physical::NestedLoop {
+                outer: Box::new(outer),
+                inner: Box::new(scan),
+            },
         }
-        Physical::Unnest { input, .. }
-        | Physical::Filter { input, .. }
-        | Physical::Project { input, .. }
-        | Physical::HashJoin { input, .. }
-        | Physical::IndexJoin { input, .. }
-        | Physical::Parallel { input, .. } => leftmost_scan_rows(input, ctx),
-        Physical::NestedLoop { outer, .. } => leftmost_scan_rows(outer, ctx),
-        // System scans are snapshot-at-open and tiny: never partitioned,
-        // so sys.* plans are identical at every DOP by construction.
-        Physical::Unit
-        | Physical::SystemScan { .. }
-        | Physical::UniversalFilter { .. }
-        | Physical::Sort { .. } => None,
-    }
+    })
 }
 
 /// Exhaustively pick the nested-loop order with the lowest estimated
@@ -320,13 +317,9 @@ fn plan_root(
     }
     let RootSource::Collection(obj) = &root.root else {
         // Object-rooted ranges unnest straight off the named object.
-        return Ok(Physical::Unnest {
-            input: Box::new(Physical::Unit),
-            binding: root.clone(),
-        });
+        return Ok(Physical::unnest(Physical::Unit, root.clone()));
     };
-    // Only a direct member iteration can use a member-attribute index.
-    if config.use_indexes && root.steps.is_empty() {
+    if config.use_indexes {
         for (i, c) in remaining.iter().enumerate() {
             let Some(p) = indexable_pred(&c.src, &root.var, ctx.adts) else {
                 continue;
@@ -359,30 +352,9 @@ fn plan_root(
             });
         }
     }
-    if root.steps.is_empty() {
-        Ok(Physical::SeqScan {
-            binding: root.clone(),
-        })
-    } else {
-        // A collection-with-steps root should not occur (the resolver
-        // introduces an implicit member binding), but plan it as scan +
-        // self-unnest defensively.
-        let base = ResolvedRange {
-            var: format!("${}", obj.name),
-            universal: false,
-            root: root.root.clone(),
-            steps: Vec::new(),
-            positions: Vec::new(),
-            elem: root.elem.clone(),
-        };
-        let scan = Physical::SeqScan { binding: base };
-        let mut dep = root.clone();
-        dep.root = RootSource::Var(format!("${}", obj.name));
-        Ok(Physical::Unnest {
-            input: Box::new(scan),
-            binding: dep,
-        })
-    }
+    Ok(Physical::SeqScan {
+        binding: root.clone(),
+    })
 }
 
 fn coerce(v: &Value, ty: &Type) -> Value {
@@ -402,15 +374,24 @@ fn attach_filter(plan: Physical, pred: &Checked, vars: &[String]) -> Physical {
         vars.iter().all(|v| bound.contains(v))
     };
     match plan {
-        Physical::Unnest { input, binding } => {
+        Physical::Unnest {
+            input,
+            binding,
+            source,
+        } => {
             if covered(&input) {
                 Physical::Unnest {
                     input: Box::new(attach_filter(*input, pred, vars)),
                     binding,
+                    source,
                 }
             } else {
                 Physical::Filter {
-                    input: Box::new(Physical::Unnest { input, binding }),
+                    input: Box::new(Physical::Unnest {
+                        input,
+                        binding,
+                        source,
+                    }),
                     pred: pred.clone(),
                 }
             }

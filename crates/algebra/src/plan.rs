@@ -1,4 +1,6 @@
-//! The physical operator tree.
+//! The physical operator tree: the one plan a statement has. The planner
+//! builds and costs it with checked expressions; the executor prepares
+//! the same tree with its expressions compiled and runs that.
 
 use std::fmt;
 use std::ops::Bound;
@@ -7,9 +9,23 @@ use excess_lang::Expr;
 use excess_sema::{Checked, IndexInfo, ResolvedRange};
 use extra_model::Type;
 
-/// A physical plan node, directly executable by `excess-exec`.
+/// What a plan node's expressions are: [`Checked`] while the planner
+/// builds and costs the plan, the executor's compiled form once it is
+/// prepared. Labels and estimates read only the source.
+pub trait PlanExpr {
+    /// The expression as written.
+    fn src(&self) -> &Expr;
+}
+
+impl PlanExpr for Checked {
+    fn src(&self) -> &Expr {
+        &self.src
+    }
+}
+
+/// A physical plan node; `E` is the form of its expressions.
 #[derive(Debug, Clone)]
-pub enum Physical {
+pub enum Physical<E = Checked> {
     /// One empty environment.
     Unit,
     /// Sequential scan of a collection, binding `binding.var`.
@@ -45,48 +61,52 @@ pub enum Physical {
     /// extending each input environment.
     Unnest {
         /// Input.
-        input: Box<Physical>,
+        input: Box<Physical<E>>,
         /// The dependent binding.
         binding: ResolvedRange,
+        /// The set or array iterated, evaluated per input row.
+        source: E,
     },
     /// Cross product: re-run `inner` for every outer environment
     /// (predicates have been pushed into the inputs).
     NestedLoop {
         /// Outer side.
-        outer: Box<Physical>,
+        outer: Box<Physical<E>>,
         /// Inner side (independent of the outer).
-        inner: Box<Physical>,
+        inner: Box<Physical<E>>,
     },
     /// Filter.
     Filter {
         /// Input.
-        input: Box<Physical>,
+        input: Box<Physical<E>>,
         /// Predicate.
-        pred: Checked,
+        pred: E,
     },
     /// Universal-quantification filter: keep input environments for which
-    /// `pred` holds under *every* joint binding of `bindings`.
+    /// `pred` holds under *every* environment `universe` extends them to.
     UniversalFilter {
         /// Input.
-        input: Box<Physical>,
-        /// Universal bindings (dependency order).
-        bindings: Vec<ResolvedRange>,
+        input: Box<Physical<E>>,
+        /// Enumerates the universal bindings
+        /// ([`crate::physical::plan_bindings`]). It re-opens per input
+        /// row, so it is neither printed nor profiled.
+        universe: Box<Physical<E>>,
         /// Predicate.
-        pred: Checked,
+        pred: E,
     },
     /// Projection.
     Project {
         /// Input.
-        input: Box<Physical>,
+        input: Box<Physical<E>>,
         /// `(column name, expression)` pairs.
-        targets: Vec<(String, Checked)>,
+        targets: Vec<(String, E)>,
     },
     /// Sort.
     Sort {
         /// Input.
-        input: Box<Physical>,
+        input: Box<Physical<E>>,
         /// Sort key.
-        key: Checked,
+        key: E,
         /// Ascending?
         asc: bool,
     },
@@ -99,13 +119,13 @@ pub enum Physical {
     /// exactly like the `NestedLoop` + `Filter` it replaces.
     HashJoin {
         /// Probe side (the existing pipeline).
-        input: Box<Physical>,
+        input: Box<Physical<E>>,
         /// The build-side binding (root must be a collection).
         binding: ResolvedRange,
         /// Probe key, evaluated against each input row.
-        key: Box<Checked>,
+        key: Box<E>,
         /// The build side's `W.attr`, which the table is keyed on.
-        on: Box<Checked>,
+        on: Box<E>,
     },
     /// Index nested-loop join: for each input row, probe a secondary
     /// index on `index.attr` with the value of `key` (equality only) and
@@ -113,13 +133,13 @@ pub enum Physical {
     /// matching member.
     IndexJoin {
         /// Probe side (the existing pipeline).
-        input: Box<Physical>,
+        input: Box<Physical<E>>,
         /// The matched binding (root must be a collection).
         binding: ResolvedRange,
         /// The index probed.
         index: IndexInfo,
         /// Probe key, evaluated against each input row.
-        key: Box<Checked>,
+        key: Box<E>,
         /// The type of `index.attr`, which probe keys take.
         key_ty: Type,
     },
@@ -129,7 +149,7 @@ pub enum Physical {
     /// above the exchange stays single-threaded.
     Parallel {
         /// The pipeline to parallelize (scan → unnest/filter prefix).
-        input: Box<Physical>,
+        input: Box<Physical<E>>,
         /// Degree of parallelism (worker thread count).
         dop: usize,
     },
@@ -158,14 +178,30 @@ pub fn range_source(b: &ResolvedRange) -> String {
 }
 
 /// The member attribute a join's build side (`W.attr`) names.
-pub(crate) fn join_attr(on: &Checked) -> &str {
-    match &on.src {
+pub(crate) fn join_attr<E: PlanExpr>(on: &E) -> &str {
+    match on.src() {
         Expr::Path(_, attr) => attr,
         _ => unreachable!("join rules build `on` from a member attribute"),
     }
 }
 
 impl Physical {
+    /// Unnest `binding` — a range that starts from a variable or a named
+    /// object — over `input`.
+    pub fn unnest(input: Physical, binding: ResolvedRange) -> Physical {
+        let source = binding
+            .source
+            .clone()
+            .expect("a range that is not a scan has a source");
+        Physical::Unnest {
+            input: Box::new(input),
+            binding,
+            source,
+        }
+    }
+}
+
+impl<E: PlanExpr> Physical<E> {
     /// One-line operator label, shared by [`fmt::Display`] and the
     /// profiler's annotated plan tree.
     pub fn label(&self) -> String {
@@ -198,21 +234,22 @@ impl Physical {
                 format!("Unnest {} over {}", binding.var, range_source(binding))
             }
             Physical::NestedLoop { .. } => "NestedLoop".into(),
-            Physical::Filter { pred, .. } => format!("Filter {}", pred.src),
-            Physical::UniversalFilter { bindings, pred, .. } => {
-                let vars: Vec<&str> = bindings.iter().map(|b| b.var.as_str()).collect();
-                format!("UniversalFilter forall {} : {}", vars.join(", "), pred.src)
-            }
+            Physical::Filter { pred, .. } => format!("Filter {}", pred.src()),
+            Physical::UniversalFilter { universe, pred, .. } => format!(
+                "UniversalFilter forall {} : {}",
+                universe.bound_vars().join(", "),
+                pred.src()
+            ),
             Physical::Project { targets, .. } => {
                 let cols: Vec<String> = targets
                     .iter()
-                    .map(|(n, e)| format!("{n} = {}", e.src))
+                    .map(|(n, e)| format!("{n} = {}", e.src()))
                     .collect();
                 format!("Project [{}]", cols.join(", "))
             }
             Physical::Sort { key, asc, .. } => {
                 let order = if *asc { "asc" } else { "desc" };
-                format!("Sort by {} {order}", key.src)
+                format!("Sort by {} {order}", key.src())
             }
             Physical::HashJoin {
                 binding, key, on, ..
@@ -220,8 +257,8 @@ impl Physical {
                 "HashJoin {} over {} on {} = {}",
                 binding.var,
                 range_source(binding),
-                join_attr(on),
-                key.src
+                join_attr(&**on),
+                key.src()
             ),
             Physical::IndexJoin {
                 binding,
@@ -234,7 +271,7 @@ impl Physical {
                 range_source(binding),
                 index.name,
                 index.attr,
-                key.src
+                key.src()
             ),
             Physical::Parallel { dop, .. } => format!("Parallel dop={dop}"),
         }
@@ -272,7 +309,7 @@ impl Physical {
             | Physical::IndexScan { binding, .. } => {
                 vec![binding.var.clone()]
             }
-            Physical::Unnest { input, binding }
+            Physical::Unnest { input, binding, .. }
             | Physical::HashJoin { input, binding, .. }
             | Physical::IndexJoin { input, binding, .. } => {
                 let mut v = input.bound_vars();
@@ -291,9 +328,35 @@ impl Physical {
             | Physical::Parallel { input, .. } => input.bound_vars(),
         }
     }
+
+    /// The leftmost storage scan of a parallel-safe pipeline — the leaf
+    /// a parallel exchange partitions into morsels — or `None` when the
+    /// pipeline bottoms out in something unpartitionable. Only row-local
+    /// operators may sit above the leaf: filter, unnest, projection
+    /// pass-through, a join's probe side (each worker builds its own hash
+    /// table or probes the shared index), the outer side of a nested
+    /// loop. Sort and universal quantification stay in the serial tail;
+    /// system scans are snapshots of in-memory state, never partitioned,
+    /// so `sys.*` plans are identical at every degree of parallelism.
+    pub fn leftmost_scan(&self) -> Option<&Physical<E>> {
+        match self {
+            Physical::SeqScan { .. } | Physical::IndexScan { .. } => Some(self),
+            Physical::Unnest { input, .. }
+            | Physical::Filter { input, .. }
+            | Physical::Project { input, .. }
+            | Physical::HashJoin { input, .. }
+            | Physical::IndexJoin { input, .. }
+            | Physical::Parallel { input, .. } => input.leftmost_scan(),
+            Physical::NestedLoop { outer, .. } => outer.leftmost_scan(),
+            Physical::Unit
+            | Physical::SystemScan { .. }
+            | Physical::UniversalFilter { .. }
+            | Physical::Sort { .. } => None,
+        }
+    }
 }
 
-impl fmt::Display for Physical {
+impl<E: PlanExpr> fmt::Display for Physical<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.fmt_at(f, 0)
     }

@@ -10,13 +10,14 @@
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
-use excess_lang::{BinOp, UnOp};
-use excess_sema::{AggFn, FunctionDef, Node, SemaCtx, Typed, TypedAgg};
+use excess_algebra::PlanExpr;
+use excess_lang::{BinOp, Expr, UnOp};
+use excess_sema::{AggFn, Checked, FunctionDef, Node, SemaCtx, Typed, TypedAgg};
 use exodus_storage::Oid;
 use extra_model::{AdtId, ModelError, ModelResult, Type, TypeId, Value};
 
 use crate::paths::{PathBase, Paths};
-use crate::plan::{prepare_bindings, prepare_node, ExecNode};
+use crate::plan::{prepare_node, Plan};
 
 /// Maximum EXCESS-function call depth at runtime.
 pub const MAX_CALL_DEPTH: u32 = 64;
@@ -28,7 +29,7 @@ pub struct CompiledFunction {
     /// Parameter names, bound positionally at call time.
     pub params: Vec<String>,
     /// The body plan (a `Project` at the top).
-    pub plan: ExecNode,
+    pub plan: Plan,
     /// Whether the declared return type is a set (collect all rows) or a
     /// scalar (first row).
     pub returns_set: bool,
@@ -63,7 +64,7 @@ pub enum AggFunc {
 #[derive(Debug)]
 pub enum AggSource {
     /// Fresh iteration of resolved `over` ranges.
-    Ranges(ExecNode),
+    Ranges(Box<Plan>),
     /// The members of the (set-valued) argument itself, e.g.
     /// `count(E.kids)`.
     SetArg,
@@ -145,6 +146,25 @@ pub enum CExpr {
     TupleLit(Vec<CExpr>),
 }
 
+/// An expression of a prepared plan node: the executable tree, beside
+/// the source the plan's labels and estimates read.
+#[derive(Debug)]
+pub struct Compiled {
+    /// The executable tree.
+    pub expr: CExpr,
+    /// The path slots the node resolves per batch for `expr` (one table
+    /// serves all of a projection's targets, which resolve together).
+    pub paths: Arc<Paths>,
+    /// The expression as written.
+    pub src: Expr,
+}
+
+impl PlanExpr for Compiled {
+    fn src(&self) -> &Expr {
+        &self.src
+    }
+}
+
 /// Compilation driver for one statement: every expression of its plan,
 /// and of the EXCESS function bodies those call, compiles through one
 /// compiler, so aggregate ids are unique per statement and a function
@@ -157,8 +177,8 @@ pub struct Compiler<'a> {
     /// The EXCESS functions whose bodies are being compiled, by name and
     /// receiver type (same-named functions on other types are others).
     fn_stack: RefCell<Vec<(String, Option<TypeId>)>>,
-    /// Path slots of the expressions compiled since the last
-    /// [`Compiler::take_paths`].
+    /// Path slots of the expressions compiled since the current plan
+    /// node's table was last taken.
     paths: RefCell<Paths>,
 }
 
@@ -177,16 +197,40 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    /// The path slots of everything compiled since the last call: the
-    /// table the operator evaluating those expressions resolves per
-    /// batch.
-    pub(crate) fn take_paths(&self) -> Paths {
-        self.paths.take()
+    /// Compile one expression a plan node evaluates, with a table of the
+    /// path slots it takes for itself.
+    pub(crate) fn plan_expr(&self, e: Checked) -> ModelResult<Compiled> {
+        let expr = self.compile(&e.typed)?;
+        Ok(Compiled {
+            expr,
+            paths: Arc::new(self.paths.take()),
+            src: e.src,
+        })
+    }
+
+    /// Compile a projection's targets over one shared table of path
+    /// slots.
+    pub(crate) fn plan_targets(
+        &self,
+        targets: Vec<(String, Checked)>,
+    ) -> ModelResult<Vec<(String, Compiled)>> {
+        let compiled = targets
+            .into_iter()
+            .map(|(n, e)| Ok((n, self.compile(&e.typed)?, e.src)))
+            .collect::<ModelResult<Vec<_>>>()?;
+        let paths = Arc::new(self.paths.take());
+        Ok(compiled
+            .into_iter()
+            .map(|(n, expr, src)| {
+                let paths = paths.clone();
+                (n, Compiled { expr, paths, src })
+            })
+            .collect())
     }
 
     /// Field `pos` of `base`. A step from a variable, a named object or
     /// another such path gets a slot.
-    pub(crate) fn attr(&self, base: CExpr, pos: usize) -> CExpr {
+    fn attr(&self, base: CExpr, pos: usize) -> CExpr {
         let from = match &base {
             CExpr::Var(n) => Some(PathBase::Var(n.clone())),
             CExpr::NamedRef(oid) => Some(PathBase::Object(Value::Ref(*oid))),
@@ -264,7 +308,7 @@ impl<'a> Compiler<'a> {
         Ok(Arc::new(CompiledFunction {
             name: def.name.clone(),
             params: def.params.iter().map(|(p, _)| p.clone()).collect(),
-            plan: prepare_node(&plan, self)?,
+            plan: prepare_node(plan, self)?,
             returns_set: matches!(def.returns.ty, Type::Set(_)),
         }))
     }
@@ -299,7 +343,10 @@ impl<'a> Compiler<'a> {
         // The `over` ranges become a sub-plan; the inner expressions
         // resolve their paths per batch of its rows.
         let outer = self.paths.take();
-        let source = prepare_bindings(&agg.over, self)?;
+        let source = Box::new(prepare_node(
+            excess_algebra::plan_bindings(&agg.over),
+            self,
+        )?);
         let arg = compile_opt(&agg.arg)?;
         let by = agg
             .by

@@ -1,5 +1,5 @@
-//! Pull-based batch cursors: the execution protocol over
-//! [`ExecNode`] plans.
+//! Pull-based batch cursors: the execution protocol over prepared
+//! [`Plan`]s.
 //!
 //! Every operator is a *batch transformer*: it consumes batches of input
 //! rows and produces batches of output rows (the input rows extended
@@ -19,33 +19,29 @@
 //! materializes, sorts a row-index permutation, and re-batches.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 use std::vec::IntoIter;
 
+use excess_algebra::Physical;
+use excess_sema::{ResolvedRange, RootSource};
 use exodus_storage::btree::{BTree, BTreeScan};
 use exodus_storage::{Oid, RecordId};
 use extra_model::{MemberScan, ModelError, ModelResult, Value};
 
 use crate::batch::RowBatch;
-use crate::cexpr::CExpr;
+use crate::cexpr::Compiled;
 use crate::env::MemberId;
 use crate::eval::{deref, eval, truthy, ExecCtx};
-use crate::paths::{Paths, Resolved};
-use crate::plan::{ExecNode, USource};
+use crate::paths::Resolved;
+use crate::plan::{anchor, Plan};
 use crate::profile::PlanIndex;
 
-impl ExecNode {
-    /// Open a batch cursor over this plan, seeded with one batch of
-    /// pre-bound rows (typically a single row of parameters).
-    pub fn cursor(&self, seed: RowBatch) -> Cursor<'_> {
-        open(self, Cursor::Seed(Some(seed)), None)
-    }
-
-    /// Like [`ExecNode::cursor`], but resolves each cursor's metric slot
-    /// against `index` so pulls are profiled (see [`crate::profile`]).
-    /// The index must have been built over this same plan tree.
-    pub fn cursor_profiled<'p>(&'p self, seed: RowBatch, index: Option<&PlanIndex>) -> Cursor<'p> {
-        open(self, Cursor::Seed(Some(seed)), index)
-    }
+/// Open a batch cursor over `plan`, seeded with one batch of pre-bound
+/// rows (typically a single row of parameters). With `index` — built
+/// over this same plan — each cursor resolves its metric slot, so pulls
+/// are profiled (see [`crate::profile`]).
+pub fn open<'p>(plan: &'p Plan, seed: RowBatch, index: Option<&PlanIndex>) -> Cursor<'p> {
+    open_sub(plan, None, Cursor::Seed(Some(seed)), index)
 }
 
 /// A batch iterator over a plan subtree.
@@ -61,9 +57,7 @@ pub enum Cursor<'p> {
         /// Input cursor.
         input: Box<Cursor<'p>>,
         /// Compiled predicate.
-        pred: &'p CExpr,
-        /// Path slots of `pred`.
-        paths: &'p Paths,
+        pred: &'p Compiled,
         /// Metric slot when profiling.
         slot: Option<u32>,
     },
@@ -72,11 +66,9 @@ pub enum Cursor<'p> {
         /// Input cursor.
         input: Box<Cursor<'p>>,
         /// Sub-plan enumerating the universal bindings.
-        universe: &'p ExecNode,
+        universe: &'p Plan,
         /// Predicate that must hold for every universal binding.
-        pred: &'p CExpr,
-        /// Path slots of `pred`.
-        paths: &'p Paths,
+        pred: &'p Compiled,
         /// Metric slot when profiling.
         slot: Option<u32>,
     },
@@ -85,9 +77,7 @@ pub enum Cursor<'p> {
         /// Input cursor.
         input: Box<Cursor<'p>>,
         /// Compiled key.
-        key: &'p CExpr,
-        /// Path slots of `key`.
-        paths: &'p Paths,
+        key: &'p Compiled,
         /// Ascending?
         asc: bool,
         /// Sorted output, re-batched (filled on first pull).
@@ -106,10 +96,6 @@ pub enum Cursor<'p> {
     Parallel(ParallelCursor<'p>),
 }
 
-fn open<'p>(node: &'p ExecNode, input: Cursor<'p>, index: Option<&PlanIndex>) -> Cursor<'p> {
-    open_sub(node, None, input, index)
-}
-
 /// Open a cursor over `node`, except that the node identical to `leaf`
 /// (by address) is replaced by `input` instead of opening normally —
 /// parallel workers use this to splice morsel batches in for the
@@ -117,8 +103,8 @@ fn open<'p>(node: &'p ExecNode, input: Cursor<'p>, index: Option<&PlanIndex>) ->
 /// resolves its profiling slot (nodes absent from the index — aggregate
 /// sub-plans, universe plans — simply stay unprofiled).
 pub(crate) fn open_sub<'p>(
-    node: &'p ExecNode,
-    leaf: Option<&'p ExecNode>,
+    node: &'p Plan,
+    leaf: Option<&'p Plan>,
     input: Cursor<'p>,
     index: Option<&PlanIndex>,
 ) -> Cursor<'p> {
@@ -127,126 +113,118 @@ pub(crate) fn open_sub<'p>(
     }
     let slot = index.and_then(|ix| ix.slot_of(node));
     match node {
-        ExecNode::Unit => input,
-        ExecNode::SeqScan { var, anchor } => {
-            ScanCursor::open(input, var, ScanKind::Heap { anchor: *anchor }, slot)
+        Physical::Unit => input,
+        Physical::SeqScan { binding } => {
+            ScanCursor::open(input, &binding.var, ScanKind::Heap { binding }, slot)
         }
-        ExecNode::SystemScan { var, view } => {
-            ScanCursor::open(input, var, ScanKind::System { view }, slot)
+        Physical::SystemScan { binding, view } => {
+            ScanCursor::open(input, &binding.var, ScanKind::System { view }, slot)
         }
-        ExecNode::IndexScan {
-            var,
-            anchor,
-            root,
+        Physical::IndexScan {
+            binding,
+            index: ix,
             lower,
             upper,
+            ..
         } => {
             let kind = ScanKind::Index {
-                anchor: *anchor,
-                root: *root,
+                binding,
+                root: ix.root,
                 lower,
                 upper,
             };
-            ScanCursor::open(input, var, kind, slot)
+            ScanCursor::open(input, &binding.var, kind, slot)
         }
-        ExecNode::Unnest {
+        Physical::Unnest {
             input: child,
-            var,
+            binding,
             source,
         } => Cursor::Unnest(UnnestCursor {
             input: Box::new(open_sub(child, leaf, input, index)),
-            var,
+            var: &binding.var,
             source,
+            container: container(binding),
             in_batch: None,
             in_row: 0,
             items: None,
             slot,
         }),
         // Batch streams compose: the outer's output is the inner's input.
-        ExecNode::NestedLoop { outer, inner } => {
+        Physical::NestedLoop { outer, inner } => {
             open_sub(inner, leaf, open_sub(outer, leaf, input, index), index)
         }
-        ExecNode::Filter {
-            input: child,
-            pred,
-            paths,
-        } => Cursor::Filter {
+        Physical::Filter { input: child, pred } => Cursor::Filter {
             input: Box::new(open_sub(child, leaf, input, index)),
             pred,
-            paths,
             slot,
         },
-        ExecNode::UniversalFilter {
+        Physical::UniversalFilter {
             input: child,
             universe,
             pred,
-            paths,
         } => Cursor::Universal {
             input: Box::new(open_sub(child, leaf, input, index)),
             universe,
             pred,
-            paths,
             slot,
         },
         // A mid-tree projection only narrows the output list, which is
         // applied by the plan runner; rows pass through.
-        ExecNode::Project { input: child, .. } => open_sub(child, leaf, input, index),
-        ExecNode::Sort {
+        Physical::Project { input: child, .. } => open_sub(child, leaf, input, index),
+        Physical::Sort {
             input: child,
             key,
-            paths,
             asc,
         } => Cursor::Sort {
             input: Box::new(open_sub(child, leaf, input, index)),
             key,
-            paths,
             asc: *asc,
             out: None,
             slot,
         },
-        ExecNode::HashJoin {
+        Physical::HashJoin {
             input: child,
-            var,
-            anchor,
+            binding,
             key,
-            paths,
             on,
-            on_paths,
         } => Cursor::HashJoin(HashJoinCursor {
             input: Box::new(open_sub(child, leaf, input, index)),
-            var,
-            anchor: *anchor,
+            binding,
             key,
-            paths,
             on,
-            on_paths,
             table: None,
             slot,
         }),
-        ExecNode::IndexJoin {
+        Physical::IndexJoin {
             input: child,
-            var,
-            anchor,
-            root,
+            binding,
+            index: ix,
             key,
-            paths,
             key_ty,
         } => Cursor::IndexJoin(IndexJoinCursor {
             input: Box::new(open_sub(child, leaf, input, index)),
-            var,
-            anchor: *anchor,
-            root: *root,
+            binding,
+            root: ix.root,
             key,
-            paths,
             key_ty,
             slot,
         }),
-        ExecNode::Parallel { input: child, .. } => Cursor::Parallel(ParallelCursor {
+        Physical::Parallel { input: child, .. } => Cursor::Parallel(ParallelCursor {
             plan: child,
             input: Box::new(input),
             state: None,
             slot,
         }),
+    }
+}
+
+/// The update identity of the items an unnest of `b` binds: the
+/// variable its source starts from and the attribute steps from it to
+/// the collection; `None` when the source starts from a named object.
+fn container(b: &ResolvedRange) -> Option<Arc<(String, Vec<String>)>> {
+    match &b.root {
+        RootSource::Var(parent) => Some(Arc::new((parent.clone(), b.steps.clone()))),
+        _ => None,
     }
 }
 
@@ -293,20 +271,15 @@ impl Cursor<'_> {
             Cursor::Seed(seed) => Ok(seed.take()),
             Cursor::Scan(scan) => scan.next(ctx),
             Cursor::Unnest(unnest) => unnest.next(ctx),
-            Cursor::Filter {
-                input,
-                pred,
-                paths,
-                slot,
-            } => loop {
+            Cursor::Filter { input, pred, slot } => loop {
                 let Some(batch) = input.next(ctx)? else {
                     return Ok(None);
                 };
                 ctx.prof_in(*slot, batch.len());
-                let resolved = paths.resolve(ctx, &batch)?;
+                let resolved = pred.paths.resolve(ctx, &batch)?;
                 let mut sel: Vec<usize> = Vec::new();
                 for r in 0..batch.len() {
-                    if truthy(&eval(pred, ctx, &resolved.row(&batch, r))?)? {
+                    if truthy(&eval(&pred.expr, ctx, &resolved.row(&batch, r))?)? {
                         sel.push(r);
                     }
                 }
@@ -322,7 +295,6 @@ impl Cursor<'_> {
                 input,
                 universe,
                 pred,
-                paths,
                 slot,
             } => loop {
                 let Some(batch) = input.next(ctx)? else {
@@ -332,12 +304,12 @@ impl Cursor<'_> {
                 let mut sel: Vec<usize> = Vec::new();
                 for r in 0..batch.len() {
                     let seed = RowBatch::single(&batch.row(r));
-                    let mut ucur = universe.cursor(seed);
+                    let mut ucur = open(universe, seed, None);
                     let mut holds = true; // vacuously true on empty universes
                     'univ: while let Some(ub) = ucur.next(ctx)? {
-                        let resolved = paths.resolve(ctx, &ub)?;
+                        let resolved = pred.paths.resolve(ctx, &ub)?;
                         for u in 0..ub.len() {
-                            if !truthy(&eval(pred, ctx, &resolved.row(&ub, u))?)? {
+                            if !truthy(&eval(&pred.expr, ctx, &resolved.row(&ub, u))?)? {
                                 holds = false;
                                 break 'univ; // stop pulling on first failure
                             }
@@ -358,7 +330,6 @@ impl Cursor<'_> {
             Cursor::Sort {
                 input,
                 key,
-                paths,
                 asc,
                 out,
                 slot,
@@ -369,7 +340,7 @@ impl Cursor<'_> {
                         ctx.prof_in(*slot, b.len());
                         all.append(b);
                     }
-                    let keys = eval_column(key, paths, ctx, &all)?;
+                    let keys = eval_column(key, ctx, &all)?;
                     let mut idx: Vec<usize> = (0..all.len()).collect();
                     // Stable: ties keep input order.
                     idx.sort_by(|&a, &b| {
@@ -419,15 +390,10 @@ fn join_key(v: &Value) -> Vec<u8> {
 
 /// `e` for every row of `batch`, its paths resolved for the whole batch
 /// first.
-fn eval_column(
-    e: &CExpr,
-    paths: &Paths,
-    ctx: &ExecCtx<'_>,
-    batch: &RowBatch,
-) -> ModelResult<Vec<Value>> {
-    let resolved = paths.resolve(ctx, batch)?;
+fn eval_column(e: &Compiled, ctx: &ExecCtx<'_>, batch: &RowBatch) -> ModelResult<Vec<Value>> {
+    let resolved = e.paths.resolve(ctx, batch)?;
     (0..batch.len())
-        .map(|r| eval(e, ctx, &resolved.row(batch, r)))
+        .map(|r| eval(&e.expr, ctx, &resolved.row(batch, r)))
         .collect()
 }
 
@@ -441,13 +407,11 @@ type JoinTable = std::collections::HashMap<Vec<u8>, Vec<(Value, MemberId)>>;
 /// then probed once per input row.
 pub struct HashJoinCursor<'p> {
     input: Box<Cursor<'p>>,
-    var: &'p str,
-    anchor: Oid,
-    key: &'p CExpr,
-    paths: &'p Paths,
-    /// The build key, over `var`.
-    on: &'p CExpr,
-    on_paths: &'p Paths,
+    /// The build side.
+    binding: &'p ResolvedRange,
+    key: &'p Compiled,
+    /// The build key, over the build side's variable.
+    on: &'p Compiled,
     table: Option<JoinTable>,
     /// Metric slot when profiling.
     slot: Option<u32>,
@@ -456,16 +420,17 @@ pub struct HashJoinCursor<'p> {
 impl HashJoinCursor<'_> {
     fn build(&self, ctx: &ExecCtx<'_>) -> ModelResult<JoinTable> {
         let mut map = JoinTable::new();
-        let mut members = MemberSource::heap(ctx, self.anchor)?;
+        let anchor = anchor(self.binding)?;
+        let mut members = MemberSource::heap(ctx, anchor)?;
         let unit = RowBatch::single(&crate::env::Env::new());
         loop {
-            let chunk = members.next_chunk(ctx, self.anchor)?;
+            let chunk = members.next_chunk(ctx, anchor)?;
             if chunk.0.is_empty() {
                 return Ok(map);
             }
-            // Build keys come off a batch binding only `var`.
-            let batch = RowBatch::broadcast(&unit, 0, self.var, chunk.clone());
-            let keys = eval_column(self.on, self.on_paths, ctx, &batch)?;
+            // Build keys come off a batch binding only the build variable.
+            let batch = RowBatch::broadcast(&unit, 0, &self.binding.var, chunk.clone());
+            let keys = eval_column(self.on, ctx, &batch)?;
             for ((value, id), keyv) in chunk.0.into_iter().zip(chunk.1).zip(keys) {
                 // Null keys match nothing, as in the nested loop this
                 // join replaces.
@@ -489,8 +454,8 @@ impl HashJoinCursor<'_> {
                 self.table = Some(self.build(ctx)?);
             }
             let map = self.table.as_ref().expect("just built");
-            let (mut out, vc) = RowBatch::extending(&batch, self.var);
-            let keys = eval_column(self.key, self.paths, ctx, &batch)?;
+            let (mut out, vc) = RowBatch::extending(&batch, &self.binding.var);
+            let keys = eval_column(self.key, ctx, &batch)?;
             for (r, kv) in keys.into_iter().enumerate() {
                 if kv.is_null() {
                     continue;
@@ -512,11 +477,11 @@ impl HashJoinCursor<'_> {
 /// input row and emits one output row per visible match.
 pub struct IndexJoinCursor<'p> {
     input: Box<Cursor<'p>>,
-    var: &'p str,
-    anchor: Oid,
+    /// The matched side.
+    binding: &'p ResolvedRange,
+    /// The probed index's root page.
     root: u64,
-    key: &'p CExpr,
-    paths: &'p Paths,
+    key: &'p Compiled,
     key_ty: &'p extra_model::Type,
     /// Metric slot when profiling.
     slot: Option<u32>,
@@ -546,8 +511,9 @@ impl IndexJoinCursor<'_> {
                 continue;
             }
             ctx.prof_in(self.slot, batch.len());
-            let (mut out, vc) = RowBatch::extending(&batch, self.var);
-            let keys = eval_column(self.key, self.paths, ctx, &batch)?;
+            let anchor = anchor(self.binding)?;
+            let (mut out, vc) = RowBatch::extending(&batch, &self.binding.var);
+            let keys = eval_column(self.key, ctx, &batch)?;
             for (r, kv) in keys.into_iter().enumerate() {
                 if kv.is_null() {
                     continue;
@@ -559,7 +525,7 @@ impl IndexJoinCursor<'_> {
                 let key = std::ops::Bound::Included(kb);
                 let mut matches = MemberSource::index(ctx, self.root, key.clone(), key);
                 loop {
-                    let (values, ids) = matches.next_chunk(ctx, self.anchor)?;
+                    let (values, ids) = matches.next_chunk(ctx, anchor)?;
                     if values.is_empty() {
                         break;
                     }
@@ -581,7 +547,7 @@ impl IndexJoinCursor<'_> {
 /// worker, multi-row seed) the pipeline runs serially in place.
 pub struct ParallelCursor<'p> {
     /// The pipeline below the exchange.
-    plan: &'p ExecNode,
+    plan: &'p Plan,
     /// Upstream cursor producing the seed rows.
     input: Box<Cursor<'p>>,
     /// Filled on first pull.
@@ -644,10 +610,10 @@ impl<'p> ParallelCursor<'p> {
 /// How a scan fetches its members.
 enum ScanKind<'p> {
     Heap {
-        anchor: Oid,
+        binding: &'p ResolvedRange,
     },
     Index {
-        anchor: Oid,
+        binding: &'p ResolvedRange,
         root: u64,
         lower: &'p std::ops::Bound<Vec<u8>>,
         upper: &'p std::ops::Bound<Vec<u8>>,
@@ -774,15 +740,21 @@ impl<'p> ScanCursor<'p> {
     /// this scan will ever see.
     fn members(&self, ctx: &ExecCtx<'_>, stream: bool) -> ModelResult<Members> {
         let (mut source, anchor) = match &self.kind {
-            ScanKind::Heap { anchor } => (MemberSource::heap(ctx, *anchor)?, *anchor),
+            ScanKind::Heap { binding } => {
+                let anchor = anchor(binding)?;
+                (MemberSource::heap(ctx, anchor)?, anchor)
+            }
             ScanKind::Index {
-                anchor,
+                binding,
                 root,
                 lower,
                 upper,
             } => {
                 let (lower, upper) = ((*lower).clone(), (*upper).clone());
-                (MemberSource::index(ctx, *root, lower, upper), *anchor)
+                (
+                    MemberSource::index(ctx, *root, lower, upper),
+                    anchor(binding)?,
+                )
             }
             ScanKind::System { view } => {
                 let rows = ctx
@@ -868,7 +840,9 @@ impl<'p> ScanCursor<'p> {
 pub struct UnnestCursor<'p> {
     input: Box<Cursor<'p>>,
     var: &'p str,
-    source: &'p USource,
+    source: &'p Compiled,
+    /// The items' update identity (see [`container`]).
+    container: Option<Arc<(String, Vec<String>)>>,
     /// The current input batch, with the source's paths resolved for it.
     in_batch: Option<(RowBatch, Resolved)>,
     in_row: usize,
@@ -907,7 +881,7 @@ impl UnnestCursor<'_> {
 
     fn next(&mut self, ctx: &ExecCtx<'_>) -> ModelResult<Option<RowBatch>> {
         let cap = ctx.batch_size.max(1);
-        let container = &self.source.container;
+        let container = &self.container;
         let mut out: Option<(RowBatch, usize)> = None;
         loop {
             if self.in_batch.is_none() {

@@ -86,8 +86,8 @@ impl<'a> ExecCtx<'a> {
     }
 
     /// Install a per-operator profiler; cursors opened through
-    /// [`crate::plan::ExecNode::cursor_profiled`] will bump its counters
-    /// and sample wall time per pull.
+    /// [`crate::cursor::open`] with its index will bump its counters and
+    /// sample wall time per pull.
     pub fn with_profiler(mut self, profiler: PlanProfiler) -> Self {
         self.profiler = Some(profiler);
         self
@@ -715,8 +715,8 @@ fn eval_agg(agg: &CAgg, ctx: &ExecCtx<'_>, env: &dyn Bindings) -> ModelResult<Va
                         // batch-at-a-time, seeded with the current
                         // bindings (correlation through free outer
                         // variables).
-                        let mut cur =
-                            plan.cursor_profiled(seed, ctx.profiler.as_ref().map(|p| p.index()));
+                        let index = ctx.profiler.as_ref().map(|p| p.index());
+                        let mut cur = crate::cursor::open(plan, seed, index);
                         while let Some(batch) = cur.next(ctx)? {
                             groups.fold(rows_of(ctx, batch)?, ctx)?;
                         }

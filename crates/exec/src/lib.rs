@@ -6,10 +6,13 @@
 //!
 //! The physical plans produced by `excess-algebra` carry the checker's
 //! resolved expressions (attribute positions, bound ADT functions and
-//! operators, aggregate ranges); [`plan::prepare`] translates them into
-//! an executable form ([`cexpr::CExpr`]) with path slots, EXCESS
-//! functions pre-planned (the paper's "functions and operators treated
-//! uniformly"), and aggregate `over` ranges turned into sub-plans.
+//! operators, aggregate ranges); [`plan::prepare`] compiles them in place
+//! — the same tree, node for node — into an executable form
+//! ([`cexpr::CExpr`]) with path slots, EXCESS functions pre-planned (the
+//! paper's "functions and operators treated uniformly"), and aggregate
+//! `over` ranges planned into sub-plans by the planner's own
+//! `plan_bindings`. The cursors, the morsel driver and the profiler all
+//! run that one tree.
 //!
 //! Evaluation semantics follow the paper:
 //!
@@ -39,14 +42,12 @@ pub mod profile;
 pub mod run;
 
 pub use batch::{BatchRow, Bindings, RowBatch, DEFAULT_BATCH_SIZE};
-pub use cexpr::{CAgg, CExpr, CompiledFunction, Compiler};
+pub use cexpr::{CAgg, CExpr, Compiled, CompiledFunction, Compiler};
 pub use cursor::Cursor;
 pub use env::{Env, MemberId};
 pub use eval::ExecCtx;
 pub use metrics::ExecMetrics;
 pub use paths::Paths;
-pub use plan::{prepare, ExecNode};
-pub use profile::{
-    BufferDelta, NodeAnnot, OpProfile, PlanIndex, PlanProfiler, QueryProfile, WorkerStats,
-};
+pub use plan::{prepare, Plan};
+pub use profile::{BufferDelta, OpProfile, PlanIndex, PlanProfiler, QueryProfile, WorkerStats};
 pub use run::{run_plan, FromValue, QueryResult, Row};

@@ -25,6 +25,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::sync_channel;
 use std::sync::Mutex;
 
+use excess_algebra::cost::PARALLEL_MIN_ROWS;
+use excess_algebra::Physical;
 use exodus_storage::btree::BTree;
 use exodus_storage::Oid;
 use extra_model::{ModelError, ModelResult};
@@ -32,14 +34,9 @@ use extra_model::{ModelError, ModelResult};
 use crate::batch::RowBatch;
 use crate::cursor::{open_sub, Cursor, MemberSource};
 use crate::eval::ExecCtx;
-use crate::plan::ExecNode;
+use crate::plan::{anchor, Plan};
 use crate::profile::{PlanProfiler, WorkerStats};
 
-/// Member count below which fan-out is never attempted. Mirrors the
-/// planner's cost-model gate (`excess-algebra`'s `PARALLEL_MIN_ROWS`);
-/// re-checked here with the *actual* collection count because aggregate
-/// `over` plans reach the executor without passing through the planner.
-pub(crate) const PARALLEL_MIN_ROWS: u64 = 4096;
 /// Morsels handed out per worker: enough slack for work stealing to
 /// even out skew, few enough that claim overhead stays negligible.
 const MORSELS_PER_WORKER: usize = 4;
@@ -47,63 +44,34 @@ const MORSELS_PER_WORKER: usize = 4;
 /// serial tail).
 const CHANNEL_SLACK: usize = 2;
 
-/// The leftmost storage scan of a parallel-safe pipeline prefix. Only
-/// row-local operators may sit between the exchange and the leaf
-/// (filter, unnest, projection pass-through, the outer side of a nested
-/// loop); sort and universal quantification force the serial path.
-fn leftmost_scan(node: &ExecNode) -> Option<&ExecNode> {
-    match node {
-        ExecNode::SeqScan { .. } | ExecNode::IndexScan { .. } => Some(node),
-        ExecNode::Unnest { input, .. }
-        | ExecNode::Filter { input, .. }
-        | ExecNode::Project { input, .. }
-        | ExecNode::Parallel { input, .. } => leftmost_scan(input),
-        // Joins are row-local on their probe side: each worker lazily
-        // builds its own hash table / probes the shared index.
-        ExecNode::HashJoin { input, .. } | ExecNode::IndexJoin { input, .. } => {
-            leftmost_scan(input)
-        }
-        ExecNode::NestedLoop { outer, .. } => leftmost_scan(outer),
-        // System scans are snapshot-at-open over in-memory provider
-        // state: never partitioned, so sys.* rows are DOP-invariant.
-        ExecNode::Unit
-        | ExecNode::SystemScan { .. }
-        | ExecNode::UniversalFilter { .. }
-        | ExecNode::Sort { .. } => None,
-    }
-}
-
-/// Build the morsel queue for the pipeline's leaf, or `None` when the
-/// leaf's collection is below [`PARALLEL_MIN_ROWS`].
+/// Build the morsel queue for the pipeline's leaf — a scan of the
+/// collection at `anchor` — or `None` when the collection is below
+/// [`PARALLEL_MIN_ROWS`]. The planner gated on its estimate; this gate
+/// counts, since aggregate `over` plans are not cost-planned.
 fn morsels_for(
     ctx: &ExecCtx<'_>,
-    leaf: &ExecNode,
+    leaf: &Plan,
+    anchor: Oid,
     k: usize,
 ) -> ModelResult<Option<Vec<MemberSource>>> {
+    if (ctx.store.member_count(anchor)? as f64) < PARALLEL_MIN_ROWS {
+        return Ok(None);
+    }
     match leaf {
-        ExecNode::SeqScan { anchor, .. } => {
-            if ctx.store.member_count(*anchor)? < PARALLEL_MIN_ROWS {
-                return Ok(None);
-            }
-            Ok(Some(
-                ctx.store
-                    .scan_members_partitions_at(*anchor, k, ctx.snapshot)?
-                    .into_iter()
-                    .map(MemberSource::Heap)
-                    .collect(),
-            ))
-        }
-        ExecNode::IndexScan {
-            anchor,
-            root,
+        Physical::SeqScan { .. } => Ok(Some(
+            ctx.store
+                .scan_members_partitions_at(anchor, k, ctx.snapshot)?
+                .into_iter()
+                .map(MemberSource::Heap)
+                .collect(),
+        )),
+        Physical::IndexScan {
+            index,
             lower,
             upper,
             ..
         } => {
-            if ctx.store.member_count(*anchor)? < PARALLEL_MIN_ROWS {
-                return Ok(None);
-            }
-            let scans = BTree::open(*root).partitions(
+            let scans = BTree::open(index.root).partitions(
                 ctx.store.storage().pool(),
                 k,
                 lower.clone(),
@@ -182,7 +150,7 @@ fn morsel_batches(
 /// exchange operator's slot when one exists, or the aggregate `over`
 /// plan's own root — such plans have no exchange node.
 pub(crate) fn try_parallel_slotted<T, F>(
-    plan: &ExecNode,
+    plan: &Plan,
     ctx: &ExecCtx<'_>,
     seed: &RowBatch,
     exch_slot: Option<u32>,
@@ -195,16 +163,14 @@ where
     if ctx.workers < 2 || seed.len() != 1 {
         return Ok(None);
     }
-    let Some(leaf) = leftmost_scan(plan) else {
+    let Some(leaf) = plan.leftmost_scan() else {
         return Ok(None);
     };
-    let (var, anchor) = match leaf {
-        ExecNode::SeqScan { var, anchor } | ExecNode::IndexScan { var, anchor, .. } => {
-            (var.as_str(), *anchor)
-        }
-        _ => unreachable!("leftmost_scan returns scans only"),
+    let (Physical::SeqScan { binding } | Physical::IndexScan { binding, .. }) = leaf else {
+        unreachable!("leftmost_scan returns scans only")
     };
-    let Some(morsels) = morsels_for(ctx, leaf, ctx.workers * MORSELS_PER_WORKER)? else {
+    let (var, anchor) = (binding.var.as_str(), anchor(binding)?);
+    let Some(morsels) = morsels_for(ctx, leaf, anchor, ctx.workers * MORSELS_PER_WORKER)? else {
         return Ok(None);
     };
     if morsels.is_empty() {
@@ -367,7 +333,7 @@ mod tests {
         assert_send::<crate::batch::RowBatch>();
         assert_send::<extra_model::Value>();
         assert_send::<crate::cursor::MemberSource>();
-        assert_sync::<crate::plan::ExecNode>();
+        assert_sync::<crate::plan::Plan>();
         assert_sync::<crate::cexpr::CExpr>();
         assert_sync::<extra_model::ObjectStore>();
     }

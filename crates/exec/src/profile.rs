@@ -1,8 +1,9 @@
 //! Per-operator query profiling (EXPLAIN ANALYZE).
 //!
-//! A [`PlanIndex`] assigns every node of an [`ExecNode`] tree a slot in
-//! pre-order and carries per-node display labels and the planner's
-//! estimated output rows. A [`PlanProfiler`] pairs the index with
+//! A [`PlanIndex`] assigns every node of a prepared plan a slot in
+//! pre-order, labelled as `explain` prints the node and estimated by the
+//! cost model — the tree it indexes is the planner's own, so there is
+//! nothing to pair. A [`PlanProfiler`] pairs the index with
 //! `Cell`-based counters that cursors bump as batches flow — one add per
 //! batch, never per row, and wall-clock sampling only happens when a
 //! profiler is installed on the [`crate::eval::ExecCtx`], so the
@@ -20,8 +21,12 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
+use excess_algebra::cost::cardinality;
+use excess_algebra::Physical;
+use excess_sema::CatalogLookup;
+
 use crate::cexpr::{AggSource, CExpr};
-use crate::plan::ExecNode;
+use crate::plan::Plan;
 
 /// Immutable per-plan metadata: node address → pre-order slot, plus each
 /// slot's label/estimate. Shared (via `Arc`) between the driving profiler
@@ -37,131 +42,114 @@ pub struct NodeMeta {
     pub depth: u16,
     /// One-line operator description.
     pub label: String,
-    /// Planner-estimated output rows, when available.
-    pub est_rows: Option<f64>,
+    /// Planner-estimated output rows.
+    pub est_rows: f64,
 }
 
-/// A plan-node annotation supplied by the planner: `(label, estimated
-/// output rows)` in the same pre-order as [`PlanIndex::new`] walks the
-/// compiled plan (`UniversalFilter` universe sub-plans are not walked —
-/// they re-open per input row and have no physical counterpart).
-pub type NodeAnnot = (String, f64);
-
 impl PlanIndex {
-    /// Index `root` in pre-order. `annot`, when given, supplies pretty
-    /// labels and row estimates from the physical plan (same pre-order);
-    /// otherwise labels are derived from the executable nodes.
-    pub fn new(root: &ExecNode, annot: Option<&[NodeAnnot]>) -> PlanIndex {
+    /// Index `root` in pre-order, each node labelled as `explain` prints
+    /// it and estimated by the cost model over `catalog`.
+    pub fn new(root: &Plan, catalog: &dyn CatalogLookup) -> PlanIndex {
         let mut idx = PlanIndex {
             by_addr: HashMap::new(),
             meta: Vec::new(),
         };
-        let mut pos = 0;
-        idx.walk(root, 0, annot, &mut pos);
+        idx.walk(root, 0, catalog);
         idx
     }
 
-    /// Index `node` and its subtree. `pos` tracks the position in
-    /// `annot`, which covers only the operator tree the planner printed —
-    /// aggregate `over` plans embedded in expressions are indexed too
-    /// (with derived labels and no estimate) but never consume an
-    /// annotation entry.
-    fn walk(&mut self, node: &ExecNode, depth: u16, annot: Option<&[NodeAnnot]>, pos: &mut usize) {
+    /// Index `node` and its subtree.
+    fn walk(&mut self, node: &Plan, depth: u16, catalog: &dyn CatalogLookup) {
         let slot = self.meta.len() as u32;
-        self.by_addr.insert(node as *const ExecNode as usize, slot);
-        let (label, est_rows) = match annot.and_then(|a| a.get(*pos)) {
-            Some((label, est)) => (label.clone(), Some(*est)),
-            None => (fallback_label(node), None),
-        };
-        *pos += 1;
+        self.by_addr.insert(node as *const Plan as usize, slot);
         self.meta.push(NodeMeta {
             depth,
-            label,
-            est_rows,
+            label: node.label(),
+            est_rows: cardinality(node, catalog),
         });
         // Aggregate `over` plans live inside this node's compiled
         // expressions; index them as extra children so their cursors (and
         // the morsel driver) report per-operator metrics too.
-        self.walk_node_exprs(node, depth + 1);
+        self.walk_node_exprs(node, depth + 1, catalog);
         match node {
-            ExecNode::Unit
-            | ExecNode::SeqScan { .. }
-            | ExecNode::SystemScan { .. }
-            | ExecNode::IndexScan { .. } => {}
-            ExecNode::NestedLoop { outer, inner } => {
-                self.walk(outer, depth + 1, annot, pos);
-                self.walk(inner, depth + 1, annot, pos);
+            Physical::Unit
+            | Physical::SeqScan { .. }
+            | Physical::SystemScan { .. }
+            | Physical::IndexScan { .. } => {}
+            Physical::NestedLoop { outer, inner } => {
+                self.walk(outer, depth + 1, catalog);
+                self.walk(inner, depth + 1, catalog);
             }
-            ExecNode::Unnest { input, .. }
-            | ExecNode::Filter { input, .. }
+            Physical::Unnest { input, .. }
+            | Physical::Filter { input, .. }
             // The universe sub-plan re-opens per input row; profiling it
             // would double-count arbitrarily, so only the input is walked
-            // (matching the physical plan, which has no universe subtree).
-            | ExecNode::UniversalFilter { input, .. }
-            | ExecNode::Project { input, .. }
-            | ExecNode::Sort { input, .. }
-            | ExecNode::HashJoin { input, .. }
-            | ExecNode::IndexJoin { input, .. }
-            | ExecNode::Parallel { input, .. } => self.walk(input, depth + 1, annot, pos),
+            // (as `explain` prints only the input).
+            | Physical::UniversalFilter { input, .. }
+            | Physical::Project { input, .. }
+            | Physical::Sort { input, .. }
+            | Physical::HashJoin { input, .. }
+            | Physical::IndexJoin { input, .. }
+            | Physical::Parallel { input, .. } => self.walk(input, depth + 1, catalog),
         }
     }
 
     /// Walk the expressions attached to `node` looking for aggregate
     /// `over` plans to index.
-    fn walk_node_exprs(&mut self, node: &ExecNode, depth: u16) {
+    fn walk_node_exprs(&mut self, node: &Plan, depth: u16, catalog: &dyn CatalogLookup) {
         match node {
-            ExecNode::Filter { pred, .. } | ExecNode::UniversalFilter { pred, .. } => {
-                self.walk_expr(pred, depth);
+            Physical::Filter { pred, .. } | Physical::UniversalFilter { pred, .. } => {
+                self.walk_expr(&pred.expr, depth, catalog);
             }
-            ExecNode::Project { targets, .. } => {
+            Physical::Project { targets, .. } => {
                 for (_, e) in targets {
-                    self.walk_expr(e, depth);
+                    self.walk_expr(&e.expr, depth, catalog);
                 }
             }
-            ExecNode::Sort { key, .. }
-            | ExecNode::HashJoin { key, .. }
-            | ExecNode::IndexJoin { key, .. } => self.walk_expr(key, depth),
+            Physical::Sort { key, .. } => self.walk_expr(&key.expr, depth, catalog),
+            Physical::HashJoin { key, .. } | Physical::IndexJoin { key, .. } => {
+                self.walk_expr(&key.expr, depth, catalog)
+            }
             _ => {}
         }
     }
 
     /// Recurse an expression tree; every aggregate's `over` plan becomes
-    /// an indexed subtree with derived labels. EXCESS function bodies are
-    /// skipped — they re-plan per call site and re-open per row, so their
-    /// counters would not correspond to any one plan node.
-    fn walk_expr(&mut self, e: &CExpr, depth: u16) {
+    /// an indexed subtree. EXCESS function bodies are skipped — they
+    /// re-plan per call site and re-open per row, so their counters would
+    /// not correspond to any one plan node.
+    fn walk_expr(&mut self, e: &CExpr, depth: u16, catalog: &dyn CatalogLookup) {
         match e {
             CExpr::Agg(agg) => {
                 if let AggSource::Ranges(plan) = &agg.source {
-                    let mut pos = 0;
-                    self.walk(plan, depth, None, &mut pos);
+                    self.walk(plan, depth, catalog);
                 }
                 if let Some(a) = &agg.arg {
-                    self.walk_expr(a, depth);
+                    self.walk_expr(a, depth, catalog);
                 }
                 if let Some(q) = &agg.qual {
-                    self.walk_expr(q, depth);
+                    self.walk_expr(q, depth, catalog);
                 }
                 for b in &agg.by {
-                    self.walk_expr(b, depth);
+                    self.walk_expr(b, depth, catalog);
                 }
             }
             CExpr::Attr(inner, _)
             | CExpr::Path(_, inner)
             | CExpr::Not(inner)
-            | CExpr::Neg(inner) => self.walk_expr(inner, depth),
+            | CExpr::Neg(inner) => self.walk_expr(inner, depth, catalog),
             CExpr::Idx(a, b) | CExpr::Bin(_, a, b) => {
-                self.walk_expr(a, depth);
-                self.walk_expr(b, depth);
+                self.walk_expr(a, depth, catalog);
+                self.walk_expr(b, depth, catalog);
             }
             CExpr::AdtCall { args, .. } | CExpr::FunCall { args, .. } => {
                 for a in args {
-                    self.walk_expr(a, depth);
+                    self.walk_expr(a, depth, catalog);
                 }
             }
             CExpr::SetLit(items) | CExpr::TupleLit(items) => {
                 for i in items {
-                    self.walk_expr(i, depth);
+                    self.walk_expr(i, depth, catalog);
                 }
             }
             CExpr::Const(_)
@@ -173,10 +161,8 @@ impl PlanIndex {
     }
 
     /// The slot assigned to `node`, if it belongs to this plan.
-    pub fn slot_of(&self, node: &ExecNode) -> Option<u32> {
-        self.by_addr
-            .get(&(node as *const ExecNode as usize))
-            .copied()
+    pub fn slot_of(&self, node: &Plan) -> Option<u32> {
+        self.by_addr.get(&(node as *const Plan as usize)).copied()
     }
 
     /// Number of indexed nodes.
@@ -187,25 +173,6 @@ impl PlanIndex {
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
         self.meta.is_empty()
-    }
-}
-
-/// Label for a node when no planner annotation is available.
-fn fallback_label(node: &ExecNode) -> String {
-    match node {
-        ExecNode::Unit => "Unit".into(),
-        ExecNode::SeqScan { var, .. } => format!("SeqScan {var}"),
-        ExecNode::SystemScan { var, view } => format!("SystemScan {var} over sys.{view}"),
-        ExecNode::IndexScan { var, .. } => format!("IndexScan {var}"),
-        ExecNode::Unnest { var, .. } => format!("Unnest {var}"),
-        ExecNode::NestedLoop { .. } => "NestedLoop".into(),
-        ExecNode::Filter { .. } => "Filter".into(),
-        ExecNode::UniversalFilter { .. } => "UniversalFilter".into(),
-        ExecNode::Project { .. } => "Project".into(),
-        ExecNode::Sort { .. } => "Sort".into(),
-        ExecNode::HashJoin { var, .. } => format!("HashJoin {var}"),
-        ExecNode::IndexJoin { var, .. } => format!("IndexJoin {var}"),
-        ExecNode::Parallel { dop, .. } => format!("Parallel dop={dop}"),
     }
 }
 
@@ -349,7 +316,7 @@ impl PlanProfiler {
                 OpProfile {
                     depth: meta.depth,
                     label: meta.label.clone(),
-                    est_rows: meta.est_rows,
+                    est_rows: Some(meta.est_rows),
                     rows_in: c.rows_in.get(),
                     rows_out: c.rows_out.get(),
                     batches_in: c.batches_in.get(),

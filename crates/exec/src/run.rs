@@ -2,11 +2,12 @@
 
 use std::fmt;
 
+use excess_algebra::Physical;
 use extra_model::{AdtRegistry, ModelError, ModelResult, Value};
 
 use crate::batch::{Bindings, RowBatch};
 use crate::eval::{eval, ExecCtx};
-use crate::plan::ExecNode;
+use crate::plan::Plan;
 use crate::profile::QueryProfile;
 
 /// A query result: column names plus rows of values.
@@ -196,28 +197,24 @@ impl fmt::Display for DisplayRows<'_> {
 /// Execute a plan whose top is a `Project`, collecting all rows. `env`
 /// supplies pre-bound variables (function parameters, procedure
 /// arguments).
-pub fn run_plan(
-    plan: &ExecNode,
-    ctx: &ExecCtx<'_>,
-    env: &dyn Bindings,
-) -> ModelResult<QueryResult> {
-    let ExecNode::Project {
-        input,
-        targets,
-        paths,
-    } = plan
-    else {
+pub fn run_plan(plan: &Plan, ctx: &ExecCtx<'_>, env: &dyn Bindings) -> ModelResult<QueryResult> {
+    let Physical::Project { input, targets } = plan else {
         return Err(ModelError::Semantic(
             "plan has no projection at the top".into(),
         ));
     };
     let columns: Vec<String> = targets.iter().map(|(n, _)| n.clone()).collect();
+    // The targets share one table of path slots, resolved once per batch.
+    let paths = targets
+        .first()
+        .map(|(_, t)| t.paths.clone())
+        .unwrap_or_default();
     // The Project node itself has no cursor; account for it here so the
     // profile covers the whole tree.
     let index = ctx.profiler.as_ref().map(|p| p.index());
     let proj_slot = index.and_then(|ix| ix.slot_of(plan));
     let mut rows = Vec::new();
-    let mut cur = input.cursor_profiled(RowBatch::single(env), index);
+    let mut cur = crate::cursor::open(input, RowBatch::single(env), index);
     let t0 = proj_slot.map(|_| std::time::Instant::now());
     while let Some(batch) = cur.next(ctx)? {
         ctx.prof_in(proj_slot, batch.len());
@@ -230,7 +227,7 @@ pub fn run_plan(
             let row = resolved.row(&batch, r);
             let out: Vec<Value> = targets
                 .iter()
-                .map(|(_, e)| eval(e, ctx, &row))
+                .map(|(_, e)| eval(&e.expr, ctx, &row))
                 .collect::<ModelResult<_>>()?;
             rows.push(out);
         }

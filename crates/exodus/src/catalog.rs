@@ -384,6 +384,24 @@ impl CatalogImage {
         Self::decode(&lob.read(pool, 0, len as usize)?)
     }
 
+    /// Whether no catalog image ever committed on `sm`'s volume: every
+    /// page past the metadata page is blank. A genesis that died before
+    /// its unit committed leaves only blank pages behind (no uncommitted
+    /// page reaches a logged volume), while any committed state — and so
+    /// any image since damaged — leaves some page written.
+    pub(crate) fn never_written(sm: &StorageManager) -> DbResult<bool> {
+        let pool = sm.pool();
+        for page_no in CATALOG_PAGE..pool.volume_pages() {
+            if pool
+                .pin(page_no)?
+                .with_read(|buf| buf.iter().any(|&b| b != 0))
+            {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
     /// The generation of the image on `sm`'s pages, read from its
     /// header alone.
     pub(crate) fn generation(sm: &StorageManager) -> DbResult<u64> {
@@ -550,11 +568,17 @@ pub(crate) fn write_image(sm: &StorageManager, image: &[u8]) -> DbResult<()> {
 /// Genesis on a fresh volume, in one logged unit so a replica replaying
 /// from LSN 1 reproduces it (a no-op without a log): the catalog's large
 /// object takes [`CATALOG_PAGE`], the object store its roots, and an
-/// empty catalog image names them.
+/// empty catalog image names them. A genesis that died before its unit
+/// committed left [`CATALOG_PAGE`] allocated but blank; this one formats
+/// it where it lies.
 pub(crate) fn genesis(sm: &StorageManager) -> DbResult<()> {
     let unit = sm.begin_unit()?;
-    let page = Lob::create(sm.pool())?.id();
-    assert_eq!(page, LobId(CATALOG_PAGE), "genesis allocates first");
+    let page = if sm.pool().volume_pages() > CATALOG_PAGE {
+        Lob::create_at(sm.pool(), CATALOG_PAGE)?
+    } else {
+        Lob::create(sm.pool())?
+    };
+    assert_eq!(page.id(), LobId(CATALOG_PAGE), "genesis allocates first");
     let store = ObjectStore::new(sm.clone())?;
     write_image(sm, &Catalog::new().to_image(&store, 0))?;
     unit.commit()?;

@@ -25,9 +25,7 @@ use extra_model::adt::Assoc;
 use extra_model::schema::InheritSpec;
 use extra_model::{AdtType, Attribute, ObjectStore, Ownership, QualType, Type, Value};
 
-use crate::catalog::{
-    genesis, write_image, Catalog, CatalogImage, CatalogView, ADMIN, CATALOG_PAGE,
-};
+use crate::catalog::{genesis, write_image, Catalog, CatalogImage, CatalogView, ADMIN};
 use crate::dml::{self, ExplainSink, Params, Scope};
 use crate::error::{DbError, DbResult};
 use crate::observe::{verb_index, DbMetrics};
@@ -330,9 +328,10 @@ impl Database {
     }
 
     /// Open a database over `sm` through the one catalog path: genesis
-    /// on a fresh volume (never on a replica, whose pages come from its
-    /// primary), then — on every volume — the catalog image is read back
-    /// from its pages and installed.
+    /// on a volume no catalog image ever committed on (never on a
+    /// replica, whose pages come from its primary), then — on every
+    /// volume — the catalog image is read back from its pages and
+    /// installed.
     pub(crate) fn open(
         sm: StorageManager,
         recovery: Option<RecoveryReport>,
@@ -340,7 +339,7 @@ impl Database {
         metrics_on: bool,
         trace: Option<TraceConfig>,
     ) -> DbResult<Database> {
-        if replica.is_none() && sm.pool().volume_pages() <= CATALOG_PAGE {
+        if replica.is_none() && CatalogImage::never_written(&sm)? {
             genesis(&sm)?;
         }
         let image = CatalogImage::read(&sm)?;

@@ -10,8 +10,8 @@ use std::time::Instant;
 use excess_algebra::Physical;
 use excess_exec::eval::eval;
 use excess_exec::{
-    prepare, run_plan, BatchRow, Bindings, BufferDelta, CExpr, Env, ExecCtx, ExecNode, MemberId,
-    PlanIndex, PlanProfiler, QueryProfile, QueryResult, RowBatch,
+    cursor, prepare, run_plan, BatchRow, Bindings, BufferDelta, CExpr, Env, ExecCtx, MemberId,
+    Plan, PlanIndex, PlanProfiler, QueryProfile, QueryResult, RowBatch,
 };
 use excess_lang::{AppendValue, Expr, FromBinding, Privilege, Stmt, Target};
 use excess_sema::{
@@ -67,10 +67,10 @@ pub(crate) struct ExplainSink {
 
 /// Hand the plan to the sink, if there is one; whether the statement
 /// should go on to run (always, unless this is a plan-only `explain`).
-fn explain_planned(explain: &mut Option<&mut ExplainSink>, phys: &Physical) -> bool {
+fn explain_planned(explain: &mut Option<&mut ExplainSink>, plan: &Plan) -> bool {
     match explain {
         Some(sink) => {
-            sink.plan = Some(phys.to_string());
+            sink.plan = Some(plan.to_string());
             sink.analyze
         }
         None => true,
@@ -97,9 +97,8 @@ pub(crate) struct Scope<'a> {
 
 /// A checked, planned and compiled retrieve-shaped statement.
 struct Planned {
-    node: ExecNode,
+    plan: Plan,
     checked: CheckedRetrieve,
-    phys: Physical,
 }
 
 impl<'a> Scope<'a> {
@@ -177,19 +176,17 @@ impl<'a> Scope<'a> {
             excess_algebra::PlannerConfig::default(),
             db.worker_threads(),
         )?;
-        let node = prepare(&phys, &ctx)?;
         Ok(Planned {
-            node,
+            plan: prepare(phys, &ctx)?,
             checked,
-            phys,
         })
     }
 
     /// Run a planned query: `pull` drains it under one fresh executor
     /// context and reports its row count. With `profile`, the context
-    /// carries a per-operator profiler (annotated with the physical
-    /// plan's labels and row estimates) and the finished profile comes
-    /// back beside the result.
+    /// carries a per-operator profiler (labelled and estimated from the
+    /// plan itself) and the finished profile comes back beside the
+    /// result.
     fn run_query<T>(
         &self,
         q: &Planned,
@@ -201,8 +198,7 @@ impl<'a> Scope<'a> {
         let mut ctx = self.exec();
         let before = profile.then(|| pool.stats());
         if profile {
-            let annot = excess_algebra::cost::annotate_preorder(&q.phys, &self.view);
-            ctx = ctx.with_profiler(PlanProfiler::new(PlanIndex::new(&q.node, Some(&annot))));
+            ctx = ctx.with_profiler(PlanProfiler::new(PlanIndex::new(&q.plan, &self.view)));
         }
         let env = base_env(self.params);
         let t0 = Instant::now();
@@ -348,12 +344,12 @@ pub(crate) fn retrieve(
 ) -> DbResult<(QueryResult, CheckedRetrieve)> {
     let q = scope.plan(stmt)?;
     check_read(scope, &q.checked)?;
-    if !explain_planned(&mut explain, &q.phys) {
+    if !explain_planned(&mut explain, &q.plan) {
         return Ok((QueryResult::default(), q.checked));
     }
     let profile = explain.is_some() || scope.db.profiling();
     let (mut result, profile) = scope.run_query(&q, profile, |ctx, env| {
-        let result = run_plan(&q.node, ctx, env)?;
+        let result = run_plan(&q.plan, ctx, env)?;
         let rows = result.len();
         Ok((result, rows))
     })?;
@@ -460,14 +456,14 @@ impl Scope<'_> {
             qual: qual.cloned(),
             order_by: None,
         })?;
-        if !explain_planned(&mut explain, &q.phys) {
+        if !explain_planned(&mut explain, &q.plan) {
             return Ok(Bound {
                 rows: RowBatch::new(),
                 checked: q.checked,
                 exprs: Vec::new(),
             });
         }
-        let ExecNode::Project { input, .. } = &q.node else {
+        let Physical::Project { input, .. } = &q.plan else {
             return Err(DbError::Catalog("update plan has no projection".into()));
         };
         // Pull the projection's input, not the projection: the update
@@ -475,10 +471,10 @@ impl Scope<'_> {
         // evaluates the targets itself while staging.
         let (rows, profile) = self.run_query(&q, explain.is_some(), |ctx, env| {
             let index = ctx.profiler.as_ref().map(|p| p.index());
-            let slot = index.and_then(|ix| ix.slot_of(&q.node));
+            let slot = index.and_then(|ix| ix.slot_of(&q.plan));
             let t0 = Instant::now();
             let mut all = RowBatch::new();
-            let mut cur = input.cursor_profiled(RowBatch::single(env), index);
+            let mut cur = cursor::open(input, RowBatch::single(env), index);
             while let Some(batch) = cur.next(ctx)? {
                 ctx.prof_in(slot, batch.len());
                 if let (Some(p), Some(slot)) = (&ctx.profiler, slot) {
@@ -495,13 +491,13 @@ impl Scope<'_> {
         if let Some(sink) = explain {
             sink.profile = profile;
         }
-        let ExecNode::Project { targets, .. } = q.node else {
+        let Physical::Project { targets, .. } = q.plan else {
             unreachable!("matched above")
         };
         Ok(Bound {
             rows,
             checked: q.checked,
-            exprs: targets.into_iter().map(|(_, e)| e).collect(),
+            exprs: targets.into_iter().map(|(_, e)| e.expr).collect(),
         })
     }
 }

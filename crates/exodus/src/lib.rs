@@ -50,7 +50,7 @@ pub use catalog::{Auth, Catalog, CatalogView};
 pub use client::Client;
 pub use database::{Database, DatabaseBuilder, Explanation, Observation, Response, Session};
 pub use error::{DbError, DbResult, CODE_TABLE};
-pub use replication::{Batch, InProcessStream, ReplStream, Replica, ReplicaOptions, Source};
+pub use replication::{Batch, ReplStream, Replica, ReplicaOptions};
 pub use sysview::{SessionInfo, SysCtx, SystemView};
 
 // Re-exports so downstream users need only this crate.

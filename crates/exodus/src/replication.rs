@@ -83,8 +83,9 @@ impl Batch {
 }
 
 /// A subscriber's view of the primary: one poll returns one [`Batch`].
-/// Implemented in-process by [`InProcessStream`] and over the wire by
-/// the server crate's replication client.
+/// Implemented in-process by the primary's shared
+/// [`ReplicationSource`] ([`Database::replication_source`]) and over the
+/// wire by the server crate's replication client.
 pub trait ReplStream: Send {
     /// Fetch committed entries with LSNs after `after_lsn` (at most
     /// `max_records`).
@@ -95,41 +96,15 @@ pub trait ReplStream: Send {
 // The primary side.
 // ---------------------------------------------------------------------------
 
-/// The primary-side endpoint: wraps the storage-level
-/// [`ReplicationSource`] (which pins log GC). One source is shared by
-/// every subscriber of a database ([`Database::replication_source`]).
-pub struct Source {
-    inner: ReplicationSource,
-}
-
-impl Source {
-    /// Serve one poll.
-    pub fn poll(&self, after_lsn: u64, max_records: usize) -> DbResult<Batch> {
-        let (entries, durable_lsn) = self.inner.fetch(after_lsn, max_records)?;
+/// The primary side: the storage-level source (which pins log GC) is
+/// itself the stream an in-process subscriber polls.
+impl ReplStream for Arc<ReplicationSource> {
+    fn poll(&mut self, after_lsn: u64, max_records: usize) -> DbResult<Batch> {
+        let (entries, durable_lsn) = self.fetch(after_lsn, max_records)?;
         Ok(Batch {
             entries,
             durable_lsn,
         })
-    }
-
-    /// The primary's durable log frontier.
-    pub fn durable_lsn(&self) -> u64 {
-        self.inner.durable_lsn()
-    }
-
-    /// Records shipped through this source (`repl_shipped_records_total`).
-    pub fn shipped_records(&self) -> u64 {
-        self.inner.shipped_records()
-    }
-
-    /// Frame bytes shipped through this source (`repl_shipped_bytes_total`).
-    pub fn shipped_bytes(&self) -> u64 {
-        self.inner.shipped_bytes()
-    }
-
-    /// Sequence number of the segment currently being shipped from.
-    pub fn segment_seq(&self) -> u64 {
-        self.inner.segment_seq()
     }
 }
 
@@ -137,7 +112,7 @@ impl Source {
 /// the `repl_shipped_*` metric family.
 #[derive(Default)]
 pub(crate) struct SourceSlot {
-    pub(crate) source: Weak<Source>,
+    pub(crate) source: Weak<ReplicationSource>,
     pub(crate) metrics_registered: bool,
 }
 
@@ -148,7 +123,7 @@ impl Database {
     /// pruning the log. Requires a WAL-backed database; fails on a
     /// primary whose pre-subscription history was already pruned (see
     /// `docs/REPLICATION.md` on bootstrap).
-    pub fn replication_source(self: &Arc<Self>) -> DbResult<Arc<Source>> {
+    pub fn replication_source(self: &Arc<Self>) -> DbResult<Arc<ReplicationSource>> {
         if self.replica.is_some() {
             return Err(DbError::ReadOnly(
                 "cascading replication is not supported; subscribe to the primary".into(),
@@ -166,9 +141,7 @@ impl Database {
             if let Some(src) = slot.source.upgrade() {
                 return Ok(src);
             }
-            let src = Arc::new(Source {
-                inner: ReplicationSource::new(wal.clone())?,
-            });
+            let src = Arc::new(ReplicationSource::new(wal.clone())?);
             slot.source = Arc::downgrade(&src);
             let register = !slot.metrics_registered;
             slot.metrics_registered = true;
@@ -209,26 +182,6 @@ impl Database {
             }
         }
         Ok(src)
-    }
-}
-
-/// A [`ReplStream`] over an in-process primary: the replica and the
-/// primary share an address space (the "in-process pair" of
-/// `docs/REPLICATION.md`).
-pub struct InProcessStream {
-    source: Arc<Source>,
-}
-
-impl InProcessStream {
-    /// Subscribe to a primary.
-    pub fn new(source: Arc<Source>) -> InProcessStream {
-        InProcessStream { source }
-    }
-}
-
-impl ReplStream for InProcessStream {
-    fn poll(&mut self, after_lsn: u64, max_records: usize) -> DbResult<Batch> {
-        self.source.poll(after_lsn, max_records)
     }
 }
 
@@ -310,8 +263,7 @@ impl Replica {
         path: impl Into<PathBuf>,
         opts: ReplicaOptions,
     ) -> DbResult<Replica> {
-        let source = primary.replication_source()?;
-        Replica::connect(path, Box::new(InProcessStream::new(source)), opts)
+        Replica::connect(path, Box::new(primary.replication_source()?), opts)
     }
 
     /// Open (or re-open) the replica volume at `path`, run ordinary

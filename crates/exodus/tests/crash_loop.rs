@@ -9,7 +9,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use exodus_db::{Database, DbResult, Durability, Response};
+use exodus_db::{Database, DbResult, Durability, Response, Value};
 use exodus_storage::failpoint::{self, CrashPlan};
 
 /// DDL, DML, statistics and an index; a checkpoint follows `analyze`.
@@ -127,6 +127,60 @@ fn kill_at_every_write_reopens_to_the_committed_prefix() {
             );
             drop(db);
             let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+/// Genesis killed at every durable write, clean and torn, under a log
+/// and without one: every reopen opens an empty database, which then
+/// takes DDL and DML like any other.
+#[test]
+fn kill_during_genesis_reopens_an_empty_database() {
+    let _x = failpoint::exclusive();
+    for durability in [Durability::Fsync, Durability::None] {
+        let open = |path: &Path| {
+            Database::builder()
+                .path(path)
+                .durability(durability)
+                .pool_pages(256)
+                .metrics(false)
+                .build()
+        };
+        let dir = temp_dir();
+        failpoint::start_counting();
+        let db = open(&dir.join("db.vol")).unwrap();
+        let total = failpoint::writes_observed();
+        failpoint::disarm();
+        drop(db);
+        assert!(total > 0, "{durability:?}: genesis wrote nothing");
+
+        for after_writes in 0..total {
+            for torn in [false, true] {
+                let plan = CrashPlan { after_writes, torn };
+                let dir = temp_dir();
+                let path = dir.join("db.vol");
+                failpoint::arm(plan);
+                let first = open(&path);
+                let fired = failpoint::crashed();
+                failpoint::disarm();
+                assert!(fired, "{durability:?} {plan:?}: no write was killed");
+                drop(first);
+
+                let db = open(&path)
+                    .unwrap_or_else(|e| panic!("{durability:?} {plan:?}: reopen failed: {e}"));
+                let what = |db: &Arc<Database>, q: &str| match db.run(q).map(|mut r| r.pop()) {
+                    Ok(Some(Response::Rows(r))) => r.rows,
+                    other => panic!("{durability:?} {plan:?}: {q}: {other:?}"),
+                };
+                let names = "retrieve (c.name) from c in sys.collections";
+                assert!(what(&db, names).is_empty(), "{durability:?} {plan:?}");
+                db.run("define type T (k: int4); create { own T } Ts; append to Ts (k = 7)")
+                    .unwrap_or_else(|e| panic!("{durability:?} {plan:?}: {e}"));
+                let ks = what(&db, "retrieve (t.k) from t in Ts");
+                assert_eq!(ks, vec![vec![Value::Int(7)]], "{durability:?} {plan:?}");
+                drop(db);
+                let _ = std::fs::remove_dir_all(&dir);
+            }
         }
     }
 }

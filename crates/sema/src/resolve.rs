@@ -17,7 +17,7 @@ use excess_lang::{Aggregate, Expr, FromBinding, Stmt};
 use extra_model::{QualType, Type};
 
 use crate::catalog::NamedObject;
-use crate::check::{is_boolean, Checked, SemaCtx};
+use crate::check::{is_boolean, Checked, Node, SemaCtx, Typed};
 use crate::error::{SemaError, SemaResult};
 
 /// Where a range variable's iteration starts.
@@ -45,8 +45,10 @@ pub struct ResolvedRange {
     pub root: RootSource,
     /// Attribute steps from the root to the iterated set.
     pub steps: Vec<String>,
-    /// The tuple position of each of `steps`.
-    pub positions: Vec<usize>,
+    /// The set or array an unnest iterates, checked here once: the root,
+    /// then each of `steps`. `None` for a scan of a collection's members
+    /// or of a system view's rows.
+    pub source: Option<Checked>,
     /// Element type each iteration binds.
     pub elem: QualType,
 }
@@ -96,6 +98,17 @@ pub struct CheckedRetrieve {
     pub conjuncts: Vec<Checked>,
     /// The sort key and whether it ascends.
     pub order_by: Option<(Checked, bool)>,
+}
+
+/// The checked expression naming variable `name` of type `qty`.
+fn var_source(name: &str, qty: QualType) -> Checked {
+    Checked {
+        src: Expr::Var(name.into()),
+        typed: Typed {
+            qty,
+            node: Node::Var(name.into()),
+        },
+    }
 }
 
 /// Flatten a range path to `(root name, attribute steps)`.
@@ -208,12 +221,12 @@ impl SemaCtx<'_> {
         known: &HashMap<String, QualType>,
     ) -> SemaResult<Vec<ResolvedRange>> {
         let (root_name, steps) = flatten_path(path)?;
-        let range = |root, steps, positions, elem| ResolvedRange {
+        let range = |root, steps, source, elem| ResolvedRange {
             var: var.into(),
             universal,
             root,
             steps,
-            positions,
+            source,
             elem,
         };
         // `sys.<view>` ranges over a virtual system collection — but only
@@ -235,7 +248,7 @@ impl SemaCtx<'_> {
                         )));
                     }
                     let root = RootSource::System(first.clone());
-                    return Ok(vec![range(root, Vec::new(), Vec::new(), def.elem)]);
+                    return Ok(vec![range(root, Vec::new(), None, def.elem)]);
                 }
                 let mut views: Vec<String> = self
                     .catalog
@@ -268,61 +281,72 @@ impl SemaCtx<'_> {
         let collection = self.catalog.named(&root_name).filter(|o| o.is_collection);
         if let (true, Some(obj)) = (steps.is_empty(), collection) {
             let elem = collection_elem(&obj)?;
-            return Ok(vec![range(
-                RootSource::Collection(obj),
-                steps,
-                Vec::new(),
-                elem,
-            )]);
+            return Ok(vec![range(RootSource::Collection(obj), steps, None, elem)]);
         }
-        // Root: another declared variable, or an outer-scope variable
-        // (function/procedure parameter)?
-        let (root, mut cur, iterate_root): (RootSource, QualType, bool) =
+        // Root: another declared variable, an outer-scope variable
+        // (function/procedure parameter) or a named object. A collection
+        // name with steps gets a member binding of its own (`$Name`) to
+        // unnest from.
+        let mut out: Vec<ResolvedRange> = Vec::new();
+        let (root, mut src, mut cur): (RootSource, Checked, QualType) =
             if let Some(q) = known.get(&root_name).or_else(|| self.vars.get(&root_name)) {
-                (RootSource::Var(root_name.clone()), q.clone(), false)
+                let src = var_source(&root_name, q.clone());
+                (RootSource::Var(root_name.clone()), src, q.clone())
             } else if let Some(obj) = self.catalog.named(&root_name) {
                 if obj.is_collection {
                     let elem = collection_elem(&obj)?;
-                    (RootSource::Collection(obj), elem, true)
+                    let member = format!("${root_name}");
+                    out.push(ResolvedRange {
+                        var: member.clone(),
+                        ..range(RootSource::Collection(obj), Vec::new(), None, elem.clone())
+                    });
+                    let src = var_source(&member, elem.clone());
+                    (RootSource::Var(member), src, elem)
                 } else {
                     let qty = obj.qty.clone();
-                    (RootSource::Object(obj), qty, false)
+                    let src = Checked {
+                        src: Expr::Var(root_name.clone()),
+                        typed: Typed {
+                            qty: qty.clone(),
+                            node: Node::NamedRef(obj.clone()),
+                        },
+                    };
+                    (RootSource::Object(obj), src, qty)
                 }
             } else {
                 return Err(SemaError::UnknownName(root_name));
             };
 
         if steps.is_empty() {
-            if iterate_root {
-                return Ok(vec![range(root, steps, Vec::new(), cur)]);
-            }
             // A named set/array object (`range of X is TopTen`) or a
             // set-valued variable (a set-typed function parameter)
             // iterates its elements.
-            if let (RootSource::Object(_) | RootSource::Var(_), Some(e)) = (&root, cur.ty.element())
-            {
-                let elem = e.clone();
-                return Ok(vec![range(root, steps, Vec::new(), elem)]);
-            }
-            return Err(SemaError::NotIterable(format!("{path}")));
+            let Some(elem) = cur.ty.element().cloned() else {
+                return Err(SemaError::NotIterable(format!("{path}")));
+            };
+            return Ok(vec![range(root, steps, Some(src), elem)]);
         }
         // Walk attribute steps. The final step must land on a set/array;
         // each *intermediate* set/array becomes a synthetic binding the
         // final one depends on.
-        let mut out: Vec<ResolvedRange> = Vec::new();
         let mut seg_root = root;
         let mut seg_steps: Vec<String> = Vec::new();
-        let mut seg_positions: Vec<usize> = Vec::new();
         for (i, st) in steps.iter().enumerate() {
             let (pos, qty) = self.attr(&cur, st)?;
             cur = qty;
             seg_steps.push(st.clone());
-            seg_positions.push(pos);
+            src = Checked {
+                src: Expr::Path(Box::new(src.src), st.clone()),
+                typed: Typed {
+                    qty: cur.clone(),
+                    node: Node::Attr(Box::new(src.typed), pos),
+                },
+            };
             let last = i + 1 == steps.len();
             match (&cur.ty, last) {
                 (Type::Set(e) | Type::Array(_, e), true) => {
                     let elem = (**e).clone();
-                    out.push(range(seg_root, seg_steps, seg_positions, elem));
+                    out.push(range(seg_root, seg_steps, Some(src), elem));
                     return Ok(out);
                 }
                 (Type::Set(e) | Type::Array(_, e), false) => {
@@ -333,10 +357,11 @@ impl SemaCtx<'_> {
                         ..range(
                             seg_root,
                             std::mem::take(&mut seg_steps),
-                            std::mem::take(&mut seg_positions),
+                            Some(src),
                             elem.clone(),
                         )
                     });
+                    src = var_source(&name, elem.clone());
                     seg_root = RootSource::Var(name);
                     cur = elem;
                 }

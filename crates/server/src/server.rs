@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use exodus_db::{Database, DbError, DbResult, Response};
+use exodus_db::{Database, DbError, DbResult, ReplStream, Response};
 
 use crate::admission::{Admission, AdmissionConfig};
 use crate::protocol::{
@@ -440,12 +440,12 @@ fn version_mismatch(conn: &mut dyn Conn, got: u16) -> DbResult<()> {
 }
 
 /// Serve a replication subscription: answer each [`Frame::ReplPoll`]
-/// with one [`Frame::ReplBatch`] from the database's shared
-/// [`exodus_db::Source`]. Runs outside statement admission — shipping
+/// with one [`Frame::ReplBatch`] from the database's shared replication
+/// source ([`Database::replication_source`]). Runs outside statement admission — shipping
 /// the log is how replicas *relieve* primary load, so it must not be
 /// shed with it — but still honors the server's stop flag.
 fn serve_replication(conn: &mut dyn Conn, db: &Arc<Database>, stop: &AtomicBool, session_id: u64) {
-    let source = match db.replication_source() {
+    let mut source = match db.replication_source() {
         Ok(s) => s,
         Err(e) => {
             let _ = write_frame(

@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use crate::buffer::BufferPool;
+use crate::buffer::{BufferPool, PinnedPage};
 use crate::error::{StorageError, StorageResult};
 use crate::page::{PageKind, PageView, SlottedPage, NO_PAGE, PAGE_SIZE};
 
@@ -38,14 +38,23 @@ pub struct Lob {
 impl Lob {
     /// Create an empty large object.
     pub fn create(pool: &Arc<BufferPool>) -> StorageResult<Lob> {
-        let page = pool.allocate()?;
+        Ok(Self::format(&pool.allocate()?))
+    }
+
+    /// Make `page_no`, an allocated page that holds nothing, an empty
+    /// large object.
+    pub fn create_at(pool: &Arc<BufferPool>, page_no: u64) -> StorageResult<Lob> {
+        Ok(Self::format(&pool.pin(page_no)?))
+    }
+
+    fn format(page: &PinnedPage) -> Lob {
         page.with_write(|buf| {
             let mut p = SlottedPage::format(buf, PageKind::Lob);
             p.body_mut()[..8].copy_from_slice(&0u64.to_le_bytes());
         });
-        Ok(Lob {
+        Lob {
             id: LobId(page.page_no()),
-        })
+        }
     }
 
     /// Open an existing large object.

@@ -164,8 +164,8 @@ fn counters_identical_across_dop() {
 ///   across all morsels (cached partitions pin nothing; each 3-page
 ///   morsel holds under 1024 rows, so no chunk-boundary re-pins), and
 ///   4 planner pins — costing the parallel candidate re-reads the
-///   collection count from the header via `leftmost_scan_rows`,
-///   `cost`, and `cardinality`.
+///   collection count from the header via the leftmost scan's
+///   `cardinality`, then the pipeline's `cost` and `cardinality`.
 #[test]
 fn pool_counters_pinned_at_dop_1_and_4() {
     let d1 = workload_deltas(1);

@@ -336,3 +336,119 @@ fn query_result_typed_rows() {
     let only = resp.into_iter().next().unwrap();
     assert!(matches!(only, Response::Rows(_)));
 }
+
+/// `explain analyze` profiles the tree `explain` prints: the profile's
+/// operator rows carry the plan lines' labels and depths, in order, for
+/// every operator at DOP 1 and 4. An aggregate's `over` plan adds rows
+/// under the operator whose expression holds it, labelled as the
+/// planner labels that plan.
+#[test]
+fn explain_analyze_rows_are_the_explained_plan() {
+    // (statement, rows the aggregate's `over` plan adds after line 1)
+    let cases: &[(&str, &[&str])] = &[
+        ("retrieve (E.name) from E in Emps", &[]),
+        ("retrieve (s.id) from s in sys.sessions", &[]),
+        ("retrieve (E.name) from E in Emps where E.level = 3", &[]),
+        (
+            "retrieve (K.kname) from K in Emps.kids where K.age > 2",
+            &[],
+        ),
+        (
+            "retrieve (F.name, D.dname) from F in Few, D in Depts where F.level > D.floor",
+            &[],
+        ),
+        (
+            "retrieve (F.name) from F in Few where F.level < A.floor + 100",
+            &[],
+        ),
+        ("retrieve (F.name) from F in Few order by F.name desc", &[]),
+        (
+            "retrieve (E.name, D.dname) from E in Emps, D in Depts where E.name = D.dname",
+            &[],
+        ),
+        (
+            "retrieve (F.name, E.name) from F in Few, E in Emps where E.level = F.level",
+            &[],
+        ),
+        (
+            "retrieve (n = count(D over D where D.floor > 3))",
+            &["  SeqScan D over Depts"],
+        ),
+        ("retrieve (F.name, up = Up(F)) from F in Few", &[]),
+    ];
+    let mut seen: Vec<String> = Vec::new();
+    for workers in [1, 4] {
+        let db = Database::builder().worker_threads(workers).build().unwrap();
+        let mut s = db.session();
+        s.run(
+            r#"
+            define type Kid (kname: varchar, age: int4);
+            define type Emp (name: varchar, level: int4, kids: { own Kid });
+            define type Dept (dname: varchar, floor: int4);
+            create { own ref Emp } Emps;
+            create { own ref Emp } Few;
+            create { own ref Dept } Depts;
+            define index by_level on Emps (level);
+            define function Up (e: Emp) returns int4 as retrieve (e.level + 1);
+            range of A is all Depts;
+            range of D is Depts
+        "#,
+        )
+        .unwrap();
+        let emp = |i: usize, kids: usize| {
+            let kids = (0..kids)
+                .map(|k| Value::Tuple(vec![Value::Str(format!("k{k}")), Value::Int(k as i64)]))
+                .collect();
+            Value::Tuple(vec![
+                Value::Str(format!("e{i}")),
+                Value::Int((i % 7) as i64 + 1),
+                Value::Set(kids),
+            ])
+        };
+        let emps = (0..5_000).map(|i| emp(i, usize::from(i % 1_000 == 0) * 4));
+        db.bulk_append("Emps", emps.collect()).unwrap();
+        db.bulk_append("Few", (0..20).map(|i| emp(i, 0)).collect())
+            .unwrap();
+        let depts = (0..40).map(|i| {
+            Value::Tuple(vec![
+                Value::Str(format!("e{}", i * 100)),
+                Value::Int(i % 10 + 1),
+            ])
+        });
+        db.bulk_append("Depts", depts.collect()).unwrap();
+        s.run("analyze Emps; analyze Few; analyze Depts").unwrap();
+
+        for (q, over_rows) in cases {
+            let plan = s.explain(q).unwrap().plan;
+            let mut want: Vec<String> = plan.lines().map(String::from).collect();
+            want.splice(1..1, over_rows.iter().map(|r| r.to_string()));
+            let profile = s.explain_analyze(q).unwrap().profile.unwrap();
+            let got: Vec<String> = profile
+                .nodes
+                .iter()
+                .map(|n| format!("{}{}", "  ".repeat(n.depth.into()), n.label))
+                .collect();
+            assert_eq!(got, want, "DOP {workers}: {q}");
+            seen.extend(profile.nodes.iter().map(|n| n.label.clone()));
+        }
+    }
+    for op in [
+        "SeqScan",
+        "SystemScan",
+        "IndexScan",
+        "Unnest",
+        "NestedLoop",
+        "Filter",
+        "UniversalFilter",
+        "Project",
+        "Sort",
+        "HashJoin",
+        "IndexJoin",
+        "Parallel",
+    ] {
+        assert!(
+            seen.iter().any(|l| l.starts_with(op)),
+            "no case profiles a {op}"
+        );
+    }
+}
