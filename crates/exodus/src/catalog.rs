@@ -556,8 +556,8 @@ fn corrupt(what: String) -> DbError {
 }
 
 /// Write `image` over the catalog's large object. Called only inside a
-/// write transaction (or genesis's logged unit), so the new image
-/// commits — or vanishes — with the statement that changed the catalog.
+/// write transaction, so the new image commits — or vanishes — with the
+/// statement (or the genesis) that changed the catalog.
 pub(crate) fn write_image(sm: &StorageManager, image: &[u8]) -> DbResult<()> {
     let lob = Lob::open(LobId(CATALOG_PAGE));
     lob.write(sm.pool(), 0, image)?;
@@ -565,14 +565,14 @@ pub(crate) fn write_image(sm: &StorageManager, image: &[u8]) -> DbResult<()> {
     Ok(())
 }
 
-/// Genesis on a fresh volume, in one logged unit so a replica replaying
-/// from LSN 1 reproduces it (a no-op without a log): the catalog's large
-/// object takes [`CATALOG_PAGE`], the object store its roots, and an
-/// empty catalog image names them. A genesis that died before its unit
-/// committed left [`CATALOG_PAGE`] allocated but blank; this one formats
-/// it where it lies.
+/// Genesis on a fresh volume, in one write transaction so a replica
+/// replaying from LSN 1 reproduces it: the catalog's large object takes
+/// [`CATALOG_PAGE`], the object store its roots, and an empty catalog
+/// image names them. A genesis that died before it committed left
+/// [`CATALOG_PAGE`] allocated but blank; this one formats it where it
+/// lies.
 pub(crate) fn genesis(sm: &StorageManager) -> DbResult<()> {
-    let unit = sm.begin_unit()?;
+    let txn = sm.begin_txn()?;
     let page = if sm.pool().volume_pages() > CATALOG_PAGE {
         Lob::create_at(sm.pool(), CATALOG_PAGE)?
     } else {
@@ -581,7 +581,7 @@ pub(crate) fn genesis(sm: &StorageManager) -> DbResult<()> {
     assert_eq!(page.id(), LobId(CATALOG_PAGE), "genesis allocates first");
     let store = ObjectStore::new(sm.clone())?;
     write_image(sm, &Catalog::new().to_image(&store, 0))?;
-    unit.commit()?;
+    txn.commit()?;
     Ok(())
 }
 

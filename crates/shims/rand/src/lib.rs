@@ -7,17 +7,6 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 pub trait RngCore {
     fn next_u64(&mut self) -> u64;
-
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
 }
 
 pub trait SeedableRng: Sized {
@@ -39,37 +28,15 @@ macro_rules! impl_sample_range_int {
                 (self.start as i128 + v as i128) as $ty
             }
         }
-        impl SampleRange<$ty> for std::ops::RangeInclusive<$ty> {
-            fn sample_from(self, rng: &mut dyn FnMut() -> u64) -> $ty {
-                let (start, end) = (*self.start(), *self.end());
-                assert!(start <= end, "gen_range: empty range");
-                let span = (end as i128 - start as i128) as u128 + 1;
-                let v = (rng() as u128) % span;
-                (start as i128 + v as i128) as $ty
-            }
-        }
     )*};
 }
 
 impl_sample_range_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
-impl SampleRange<f64> for std::ops::Range<f64> {
-    fn sample_from(self, rng: &mut dyn FnMut() -> u64) -> f64 {
-        assert!(self.start < self.end, "gen_range: empty range");
-        let unit = (rng() >> 11) as f64 / (1u64 << 53) as f64;
-        self.start + unit * (self.end - self.start)
-    }
-}
-
 pub trait Rng: RngCore {
     fn gen_range<T, R: SampleRange<T>>(&mut self, range: R) -> T {
         let mut draw = || self.next_u64();
         range.sample_from(&mut draw)
-    }
-
-    fn gen_bool(&mut self, p: f64) -> bool {
-        let unit = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        unit < p
     }
 }
 
@@ -99,10 +66,6 @@ impl SeedableRng for StdRng {
 
 pub mod rngs {
     pub use super::StdRng;
-}
-
-pub mod prelude {
-    pub use super::{Rng, RngCore, SeedableRng, StdRng};
 }
 
 #[cfg(test)]

@@ -34,14 +34,15 @@ struct PoolState {
     hand: usize,
 }
 
-/// Before-image capture for abort and for commit-time deltas. While
-/// `capturing` is set (one writer at a time — the writer gate or, with a
-/// log, the unit slot guarantees this), the first exclusive write to each
-/// page squirrels away a copy of its pre-write bytes.
-/// [`BufferPool::rollback_undo`] writes them back; the commit path logs
-/// each page as its difference from them. The WAL never sees uncommitted
-/// bytes (rollback by omission covers the crash case), so abort works
-/// identically with or without a log.
+/// The open write transaction's write set. While `capturing` is set (one
+/// writer at a time — the transaction manager's writer gate guarantees
+/// this), a page the writer allocates or first writes joins `images` with
+/// a copy of its pre-write bytes. The set is the no-steal gate (with a log,
+/// its dirty pages stay in the pool), the commit's page list (each page is
+/// logged as its difference from the before-image) and the rollback list
+/// ([`BufferPool::rollback_undo`] writes the before-images back). The WAL
+/// never sees uncommitted bytes (rollback by omission covers the crash
+/// case), so abort works identically with or without a log.
 #[derive(Default)]
 struct UndoState {
     capturing: AtomicBool,
@@ -50,7 +51,9 @@ struct UndoState {
 
 /// A page as it was before the writer's first write to it.
 struct BeforeImage {
-    bytes: Box<[u8; PAGE_SIZE]>,
+    /// `None` for a page the writer allocated and has not written yet: it
+    /// is all zeros, and it has no before-image to log a delta against.
+    bytes: Option<Box<[u8; PAGE_SIZE]>>,
     /// Whether the frame was dirty then (rollback restores the flag).
     dirty: bool,
 }
@@ -110,11 +113,11 @@ impl BufferPool {
         Self::build(volume, capacity, None)
     }
 
-    /// Create a recoverable pool: exclusive page writes are registered
-    /// with `wal`'s active logged unit, pages a unit dirtied are gated
-    /// from eviction until it ends (no-steal), the log is flushed up to a
-    /// page's LSN before any write-back (the flush rule), and pages are
-    /// checksummed across the volume boundary.
+    /// Create a recoverable pool: every page write happens inside a write
+    /// transaction, pages in its write set are gated from eviction until it
+    /// ends (no-steal), the log is flushed up to a page's LSN before any
+    /// write-back (the flush rule), and pages are checksummed across the
+    /// volume boundary.
     pub fn with_wal(volume: Box<dyn Volume>, capacity: usize, wal: Arc<Wal>) -> Self {
         Self::build(volume, capacity, Some(wal))
     }
@@ -182,8 +185,8 @@ impl BufferPool {
     }
 
     /// Start capturing page before-images for a writer. Callers must hold
-    /// the transaction manager's writer gate or the log's unit slot
-    /// (capture state is global to the pool).
+    /// the transaction manager's writer gate (capture state is global to
+    /// the pool).
     pub(crate) fn begin_undo_capture(&self) {
         self.undo.images.lock().clear();
         self.undo.capturing.store(true, Ordering::Release);
@@ -196,53 +199,84 @@ impl BufferPool {
     }
 
     /// Stop capturing and write every captured before-image back over its
-    /// page (abort path), with the page's LSN and dirty flag as they were.
-    /// Cached heap-page chains are dropped wholesale: an aborted chain
-    /// extension leaves stale cached page lists, and chains are cheap to
-    /// rebuild. Returns the number of pages restored.
-    pub(crate) fn rollback_undo(self: &Arc<Self>) -> StorageResult<usize> {
+    /// page (abort path), with the page's LSN and dirty flag as they were;
+    /// then empty the write set. Each page stays gated until its
+    /// before-image is back. Cached heap-page chains are dropped wholesale:
+    /// an aborted chain extension leaves stale cached page lists, and
+    /// chains are cheap to rebuild.
+    pub(crate) fn rollback_undo(self: &Arc<Self>) -> StorageResult<()> {
         self.undo.capturing.store(false, Ordering::Release);
-        let images: Vec<(u64, BeforeImage)> = self.undo.images.lock().drain().collect();
-        let restored = images.len();
-        for (page_no, before) in images {
+        let restored = self.write_set().into_iter().try_for_each(|page_no| {
+            // Not under the write set's lock: a pin miss takes it.
             let page = self.pin(page_no)?;
+            let mut data = page.frame.data.write();
+            let undo = self.undo.images.lock();
+            let Some(BeforeImage {
+                bytes: Some(bytes),
+                dirty,
+            }) = undo.get(&page_no)
+            else {
+                return Ok(()); // allocated, never written: still zeros
+            };
+            data.copy_from_slice(&bytes[..]);
             page.frame
                 .lsn
-                .store(page::page_lsn(&before.bytes[..]), Ordering::Release);
-            page.frame.data.write().copy_from_slice(&before.bytes[..]);
+                .store(page::page_lsn(&bytes[..]), Ordering::Release);
             // With a log the page was gated since capture, so a page clean
             // then still matches the volume — and writing it back could
             // tear a page no redo record covers. Without one it may have
             // been written back since, so it must be rewritten.
-            let dirty = before.dirty || self.wal.is_none();
+            let dirty = *dirty || self.wal.is_none();
             page.frame.dirty.store(dirty, Ordering::Relaxed);
-        }
+            Ok(())
+        });
+        self.undo.images.lock().clear();
         self.chains.lock().clear();
-        Ok(restored)
+        restored
     }
 
-    /// Record `data` as `page_no`'s before-image if capture is on and this
-    /// is the writer's first write to the page.
-    fn capture_undo(&self, page_no: u64, data: &[u8; PAGE_SIZE], dirty: bool) {
+    /// The open transaction's write set, in page order.
+    fn write_set(&self) -> Vec<u64> {
+        let mut pages: Vec<u64> = self.undo.images.lock().keys().copied().collect();
+        pages.sort_unstable();
+        pages
+    }
+
+    /// Add `page_no` to the write set if capture is on and this is the
+    /// writer's first touch of the page, with `before` as its before-image
+    /// (`None` for a page just allocated). With a log attached, every page
+    /// write happens inside a write transaction: a delta is right only if
+    /// the page's last logged state is its before-image.
+    fn capture_undo(&self, page_no: u64, before: Option<&[u8; PAGE_SIZE]>, dirty: bool) {
         if !self.undo.capturing.load(Ordering::Acquire) {
+            debug_assert!(
+                self.wal.is_none(),
+                "page {page_no} written outside a write transaction: its next delta \
+                 would not apply over its last logged state"
+            );
             return;
         }
-        self.undo
-            .images
-            .lock()
+        let mut undo = self.undo.images.lock();
+        let image = undo
             .entry(page_no)
-            .or_insert_with(|| BeforeImage {
-                bytes: Box::new(*data),
-                dirty,
-            });
+            .or_insert(BeforeImage { bytes: None, dirty });
+        if image.bytes.is_none() {
+            image.bytes = before.map(|b| Box::new(*b));
+        }
     }
 
-    /// Log the active unit's commit: for each page it dirtied, the redo
-    /// record [`crate::wal`] builds against the page's before-image — a
-    /// delta, an image, or nothing for unchanged bytes — stamped into the
-    /// page as its LSN; then the commit record carrying `ts`. Returns the
-    /// commit record's LSN. The one commit path of transactions and bare
-    /// units; on error the caller rolls the unit back.
+    /// The no-steal rule: with a log, a page in the open transaction's
+    /// write set must not reach the volume before its commit record.
+    fn gated(&self, page_no: u64) -> bool {
+        self.wal.is_some() && self.undo.images.lock().contains_key(&page_no)
+    }
+
+    /// Log the open transaction's commit: for each page in its write set,
+    /// the redo record [`crate::wal`] builds against the page's
+    /// before-image — a delta, an image, or nothing for unchanged bytes —
+    /// stamped into the page as its LSN; then the commit record carrying
+    /// `ts`. Returns the commit record's LSN. On error the caller rolls
+    /// the transaction back.
     pub(crate) fn log_commit(
         self: &Arc<Self>,
         wal: &Wal,
@@ -250,12 +284,13 @@ impl BufferPool {
         ts: u64,
     ) -> StorageResult<Lsn> {
         let mut redone = Vec::new();
-        for (page_no, prior) in wal.unit_dirty_pages(unit) {
+        for page_no in self.write_set() {
+            let prior = wal.has_redo_record(page_no);
             let page = self.pin(page_no)?;
             let rec = page.with_read(|after| {
                 let undo = self.undo.images.lock();
-                let before = undo.get(&page_no).map(|b| &b.bytes[..]);
-                page_record(page_no, before, after, prior)
+                let before = undo.get(&page_no).and_then(|b| b.bytes.as_deref());
+                page_record(page_no, before.map(|b| &b[..]), after, prior)
             });
             let Some(rec) = rec else { continue };
             let lsn = wal.append(unit, &rec)?;
@@ -353,11 +388,8 @@ impl BufferPool {
     /// Allocate a fresh page on the volume and pin it (contents zeroed).
     pub fn allocate(self: &Arc<Self>) -> StorageResult<PinnedPage> {
         let page_no = self.volume.allocate_page()?;
-        if let Some(wal) = &self.wal {
-            // The fresh (dirty, zeroed) page belongs to whatever unit is
-            // populating it.
-            wal.note_write(page_no);
-        }
+        // The fresh (dirty, zeroed) page joins the writer's write set.
+        self.capture_undo(page_no, None, true);
         let mut state = self.state.write();
         let idx = self.find_victim(&mut state)?;
         let frame = Arc::new(Frame {
@@ -395,14 +427,7 @@ impl BufferPool {
             if frame.referenced.swap(false, Ordering::Relaxed) {
                 continue;
             }
-            // The no-steal rule: a page dirtied by the active logged unit
-            // must not reach the volume before the unit's commit record.
-            if frame.dirty.load(Ordering::Relaxed)
-                && self
-                    .wal
-                    .as_ref()
-                    .is_some_and(|w| w.page_gated(frame.page_no))
-            {
+            if frame.dirty.load(Ordering::Relaxed) && self.gated(frame.page_no) {
                 continue;
             }
             // Victim found: write back if dirty, then drop.
@@ -440,20 +465,13 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Write back every dirty page. Pages gated by an active logged unit
-    /// are skipped (checkpoints run with no unit open, so they see
-    /// everything).
+    /// Write back every dirty page. Pages gated by an open write
+    /// transaction are skipped (checkpoints hold the writer gate, so they
+    /// see everything).
     pub fn flush_all(&self) -> StorageResult<()> {
         let state = self.state.read();
         for frame in state.frames.iter().flatten() {
-            if frame.dirty.load(Ordering::Relaxed) {
-                if self
-                    .wal
-                    .as_ref()
-                    .is_some_and(|w| w.page_gated(frame.page_no))
-                {
-                    continue;
-                }
+            if frame.dirty.load(Ordering::Relaxed) && !self.gated(frame.page_no) {
                 self.write_back(frame)?;
             }
         }
@@ -512,17 +530,15 @@ impl PinnedPage {
     }
 
     /// Run `f` with exclusive access to the page bytes; marks the page
-    /// dirty and, when the pool is recoverable, registers the page with
-    /// the active logged unit (its change is logged at commit).
+    /// dirty and adds it to the open write transaction's write set (its
+    /// change is logged at commit).
     pub fn with_write<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        if let Some(wal) = &self.pool.wal {
-            wal.note_write(self.frame.page_no);
-        }
         let mut data = self.frame.data.write();
         // Before-image capture must see the pre-write bytes, so it runs
         // after the exclusive latch is held but before `f` mutates.
         let dirty = self.frame.dirty.swap(true, Ordering::Relaxed);
-        self.pool.capture_undo(self.frame.page_no, &data, dirty);
+        self.pool
+            .capture_undo(self.frame.page_no, Some(&data), dirty);
         f(&mut data[..])
     }
 }

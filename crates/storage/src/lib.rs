@@ -22,8 +22,8 @@
 //! * [`lob`] — large storage objects (EXODUS's hallmark): byte sequences
 //!   spanning many pages with positional read/write.
 //! * [`encoding`] — order-preserving key encoding for composite keys.
-//! * [`wal`] — a segmented, CRC-checksummed write-ahead log with logged
-//!   units as the unit of atomicity.
+//! * [`wal`] — a segmented, CRC-checksummed write-ahead log with write
+//!   transactions, one logged unit each, as the unit of atomicity.
 //! * [`recovery`] — the analysis/redo pass that brings a volume back to a
 //!   consistent state after a crash.
 //! * [`txn`] — snapshot-isolated transactions: a commit-timestamp clock,
@@ -47,7 +47,7 @@
 //!
 //! A file-backed manager opened with [`StorageManager::open`] and a
 //! [`Durability`] other than [`Durability::None`] is crash-consistent:
-//! mutations grouped under a [`Unit`] either survive a crash entirely or
+//! mutations grouped under a [`WriteTxn`] either survive a crash entirely or
 //! disappear entirely, and opening the database again runs recovery
 //! automatically. See [`wal`] for the protocol and DESIGN.md §11 for the
 //! guarantees per level.
@@ -58,10 +58,10 @@
 //! let path = std::path::Path::new("/tmp/example.vol");
 //! let (sm, report) = StorageManager::open(path, 1024, Durability::Fsync).unwrap();
 //! assert!(report.was_clean());
-//! let unit = sm.begin_unit().unwrap();
+//! let txn = sm.begin_txn().unwrap();
 //! let file = sm.create_file().unwrap();
 //! sm.insert(file, b"durable").unwrap();
-//! unit.commit().unwrap(); // page changes + commit record hit the log
+//! txn.commit().unwrap(); // page changes + commit record hit the log
 //! sm.checkpoint().unwrap();
 //! ```
 
@@ -201,37 +201,10 @@ impl StorageManager {
         self.pool.wal().map_or(Durability::None, |w| w.durability())
     }
 
-    /// Open a logged unit: every page dirtied until [`Unit::commit`] is
-    /// pinned in the pool (no-steal), its before-image captured, and its
-    /// change logged at commit, so a crash anywhere inside the unit rolls
-    /// the whole unit back on recovery. One unit is active at a time;
-    /// this blocks until the slot frees. Without a WAL the guard is a
-    /// no-op.
-    ///
-    /// Note the buffer pool must have room for the unit's whole write set
-    /// — gated pages cannot be evicted.
-    pub fn begin_unit(&self) -> StorageResult<Unit> {
-        let id = match self.pool.wal() {
-            Some(wal) => {
-                let id = wal.begin_unit()?;
-                // The unit slot serializes capture with every other
-                // logged writer, transactions included.
-                self.pool.begin_undo_capture();
-                id
-            }
-            None => 0,
-        };
-        Ok(Unit {
-            pool: self.pool.clone(),
-            id,
-            open: true,
-        })
-    }
-
     /// Take a checkpoint: bring the volume up to date with the log and
     /// prune log segments that can never be replayed again.
     ///
-    /// Protocol (with a WAL attached): pause new units, flush the log,
+    /// Protocol (with a WAL attached): hold the writer gate, flush the log,
     /// write all dirty pages back (every change they hold is logged),
     /// sync the volume, append [`WalRecord::Checkpoint`] — after which
     /// each page's next change logs a full image again — flush it, then
@@ -245,7 +218,7 @@ impl StorageManager {
             self.pool.flush_all()?;
             return self.pool.sync_volume();
         };
-        let _pause = wal.pause_units();
+        let _hold = self.txn.hold_writers();
         wal.flush()?;
         self.pool.flush_all()?;
         self.pool.sync_volume()?;
@@ -273,36 +246,43 @@ impl StorageManager {
 
     /// Begin a write transaction: claim the writer gate (blocking until
     /// it frees), open a logged unit, and start before-image capture so
-    /// the transaction can abort at runtime. Mutations made through the
-    /// returned guard are stamped with its provisional timestamp by the
-    /// versioned heap APIs.
+    /// the transaction can abort at runtime. Every page dirtied until
+    /// [`WriteTxn::commit`] stays in the pool (no-steal) and its change is
+    /// logged at commit, so a crash anywhere inside rolls the whole
+    /// transaction back on recovery; the pool must have room for the
+    /// write set. Mutations made through the returned guard are stamped
+    /// with its provisional timestamp by the versioned heap APIs.
     pub fn begin_txn(&self) -> StorageResult<WriteTxn> {
-        let ts = self.txn.acquire_writer();
-        self.begin_txn_with(ts)
+        self.begin_txn_with(true)
+            .map(|txn| txn.expect("a waiting claim takes the gate"))
     }
 
-    /// [`StorageManager::begin_txn`], but give up immediately when a
-    /// writer is already active (vacuum's politeness).
+    /// [`StorageManager::begin_txn`], but give up immediately when the
+    /// writer gate is held — by a writer or a checkpoint (vacuum's
+    /// politeness, and a session's lock timeout).
     pub fn try_begin_txn(&self) -> StorageResult<Option<WriteTxn>> {
-        match self.txn.try_acquire_writer() {
-            Some(ts) => self.begin_txn_with(ts).map(Some),
-            None => Ok(None),
-        }
+        self.begin_txn_with(false)
     }
 
-    fn begin_txn_with(&self, ts: u64) -> StorageResult<WriteTxn> {
-        let unit = match self.pool.wal() {
-            Some(wal) => match wal.begin_unit() {
-                Ok(unit) => unit,
-                Err(e) => {
-                    self.txn.release_writer(ts, false);
-                    return Err(e);
-                }
-            },
+    fn begin_txn_with(&self, wait: bool) -> StorageResult<Option<WriteTxn>> {
+        let Some(ts) = self.txn.acquire_writer(wait) else {
+            return Ok(None);
+        };
+        let unit = match self.pool.wal().map(|wal| wal.append_begin()) {
+            Some(Err(e)) => {
+                self.txn.release_writer(ts, false);
+                return Err(e);
+            }
+            Some(Ok(unit)) => unit,
             None => 0,
         };
         self.pool.begin_undo_capture();
-        Ok(WriteTxn::new(self.txn.clone(), self.pool.clone(), ts, unit))
+        Ok(Some(WriteTxn::new(
+            self.txn.clone(),
+            self.pool.clone(),
+            ts,
+            unit,
+        )))
     }
 
     /// Register this manager's instruments on `reg` under the `storage_`
@@ -443,64 +423,6 @@ impl StorageManager {
     }
 }
 
-/// A logged unit: the storage-level unit of atomicity (see
-/// [`StorageManager::begin_unit`]). Mutations made while the guard is
-/// alive either all survive a crash (after [`Unit::commit`] returns) or
-/// all disappear on recovery.
-///
-/// Dropping the guard commits too (swallowing errors). There is no
-/// runtime abort: a unit whose commit record cannot be appended is rolled
-/// back in memory, as recovery would roll it back by omission.
-#[must_use = "dropping a Unit commits it with errors swallowed; call commit()"]
-pub struct Unit {
-    pool: Arc<BufferPool>,
-    id: u64,
-    open: bool,
-}
-
-impl Unit {
-    /// The unit's id as it appears in the log (0 for a no-op unit without
-    /// a WAL).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Commit: log every page the unit dirtied as its change against the
-    /// before-image (or a full image where needed), then the commit
-    /// record, then flush the log per the durability level. The unit's
-    /// pages become evictable again afterwards.
-    pub fn commit(mut self) -> StorageResult<()> {
-        self.finish()
-    }
-
-    fn finish(&mut self) -> StorageResult<()> {
-        if !self.open {
-            return Ok(());
-        }
-        self.open = false;
-        let Some(wal) = self.pool.wal().cloned() else {
-            return Ok(());
-        };
-        let result = match self.pool.log_commit(&wal, self.id, 0) {
-            Ok(_) => {
-                self.pool.end_undo_capture();
-                wal.flush()
-            }
-            // The commit record is absent, so recovery would roll the
-            // unit back: do the same in memory, before its pages ungate.
-            Err(e) => self.pool.rollback_undo().and(Err(e)),
-        };
-        wal.end_unit(self.id);
-        result
-    }
-}
-
-impl Drop for Unit {
-    fn drop(&mut self) {
-        let _ = self.finish();
-    }
-}
-
 /// The log directory for a volume at `path`: a sibling named
 /// `<path>.wal`.
 fn wal_dir_for(path: &Path) -> std::path::PathBuf {
@@ -549,6 +471,36 @@ mod tests {
         assert_eq!(seen.len(), 1);
         assert_eq!(seen[0].0, keep);
         assert!(sm.read(kill).is_err());
+    }
+
+    /// A checkpoint keeps writers out through the writer gate, and a
+    /// writer that will not wait gets `None` at once instead of waiting
+    /// the checkpoint out. The hold itself is neither a commit nor an
+    /// abort.
+    #[test]
+    fn try_begin_txn_returns_at_once_while_a_checkpoint_holds_the_gate() {
+        let dir = std::env::temp_dir().join(format!("exodus-sm-gate-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (sm, _) = StorageManager::open(&dir.join("vol.db"), 32, Durability::Buffered).unwrap();
+        let hold = sm.txn.hold_writers();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let sm2 = sm.clone();
+        let t = std::thread::spawn(move || tx.send(sm2.try_begin_txn().unwrap().is_some()));
+        let got = rx.recv_timeout(std::time::Duration::from_millis(100));
+        drop(hold);
+        t.join().unwrap().ok();
+        assert_eq!(got, Ok(false), "try_begin_txn waited for the checkpoint");
+        let txn = &sm.txn;
+        assert_eq!(
+            (txn.committed_total(), txn.aborted_total(), txn.clock()),
+            (0, 0, 0)
+        );
+        assert!(
+            sm.try_begin_txn().unwrap().is_some(),
+            "the gate is free again"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -263,6 +263,11 @@ impl ReplicaApplier {
                     // Outside a unit nothing is redone; a unit's records
                     // wait for its commit.
                     if e.unit != 0 {
+                        if e.rec == WalRecord::Begin {
+                            // Units never interleave in the log: whatever
+                            // is pending belongs to a unit that died.
+                            self.pending.clear();
+                        }
                         self.pending.push(e.clone());
                         if let WalRecord::Commit { ts } = e.rec {
                             self.apply_commit(e.unit, &mut stats)?;
@@ -371,14 +376,14 @@ mod tests {
     fn ships_and_replays_committed_units() {
         let dir = temp_dir("ship");
         let (sm, _) = StorageManager::open(&dir.join("p.vol"), 128, Durability::Fsync).unwrap();
-        let unit = sm.begin_unit().unwrap();
+        let txn = sm.begin_txn().unwrap();
         let file = sm.create_file().unwrap();
-        unit.commit().unwrap();
+        txn.commit().unwrap();
         let mut rids = Vec::new();
         for i in 0..20u8 {
-            let unit = sm.begin_unit().unwrap();
+            let txn = sm.begin_txn().unwrap();
             rids.push(sm.insert(file, &[i; 100]).unwrap());
-            unit.commit().unwrap();
+            txn.commit().unwrap();
         }
         let src = ReplicationSource::new(sm.pool().wal().unwrap().clone()).unwrap();
 
@@ -398,14 +403,14 @@ mod tests {
         let dir = temp_dir("ckpt");
         let (sm, _) = StorageManager::open(&dir.join("p.vol"), 128, Durability::Fsync).unwrap();
         let src = ReplicationSource::new(sm.pool().wal().unwrap().clone()).unwrap();
-        let unit = sm.begin_unit().unwrap();
+        let txn = sm.begin_txn().unwrap();
         let file = sm.create_file().unwrap();
         let rid_a = sm.insert(file, b"before checkpoint").unwrap();
-        unit.commit().unwrap();
+        txn.commit().unwrap();
         sm.checkpoint().unwrap();
-        let unit = sm.begin_unit().unwrap();
+        let txn = sm.begin_txn().unwrap();
         let rid_b = sm.insert(file, b"after checkpoint").unwrap();
-        unit.commit().unwrap();
+        txn.commit().unwrap();
 
         let (rsm, _) = StorageManager::open(&dir.join("r.vol"), 128, Durability::Fsync).unwrap();
         let mut app = ReplicaApplier::new(rsm.clone()).unwrap();
@@ -432,13 +437,13 @@ mod tests {
             StorageManager::open_with_config(&dir.join("p.vol"), 128, Durability::Fsync, 4096)
                 .unwrap();
         let src = ReplicationSource::new(sm.pool().wal().unwrap().clone()).unwrap();
-        let unit = sm.begin_unit().unwrap();
+        let txn = sm.begin_txn().unwrap();
         let file = sm.create_file().unwrap();
-        unit.commit().unwrap();
+        txn.commit().unwrap();
         for i in 0..10u8 {
-            let unit = sm.begin_unit().unwrap();
+            let txn = sm.begin_txn().unwrap();
             sm.insert(file, &[i; 1000]).unwrap();
-            unit.commit().unwrap();
+            txn.commit().unwrap();
             sm.checkpoint().unwrap();
         }
         // With the source alive, history back to LSN 1 is still there.
@@ -460,10 +465,10 @@ mod tests {
     fn frame_codec_round_trips() {
         let dir = temp_dir("codec");
         let (sm, _) = StorageManager::open(&dir.join("p.vol"), 128, Durability::Fsync).unwrap();
-        let unit = sm.begin_unit().unwrap();
+        let txn = sm.begin_txn().unwrap();
         let file = sm.create_file().unwrap();
         sm.insert(file, b"payload").unwrap();
-        unit.commit().unwrap();
+        txn.commit().unwrap();
         let wal = sm.pool().wal().unwrap();
         let (entries, frame_bytes) = wal.read_entries_after(0, 1024).unwrap();
         assert!(!entries.is_empty());

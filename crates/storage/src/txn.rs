@@ -1,11 +1,11 @@
 //! Multi-version concurrency control: snapshot-isolated transactions.
 //!
-//! This module adds a transaction layer over the logged-unit machinery of
-//! [`crate::wal`]: a [`TxnManager`] issuing monotonic commit timestamps, a
+//! This module is the storage layer's one write scope: a [`TxnManager`]
+//! issuing monotonic commit timestamps and owning the writer gate, a
 //! [`Snapshot`] guard giving readers a frozen, consistent view that never
-//! blocks (or is blocked by) the writer, and a [`WriteTxn`] guard wrapping
-//! a logged unit with in-memory rollback so `abort` works at runtime, not
-//! just across a crash.
+//! blocks (or is blocked by) the writer, and a [`WriteTxn`] guard — one
+//! logged unit of [`crate::wal`], with in-memory rollback so `abort` works
+//! at runtime, not just across a crash.
 //!
 //! # The protocol
 //!
@@ -17,14 +17,14 @@
 //!   version chains ([`TxnManager::note_chain`]) until vacuum reclaims
 //!   them.
 //! * **Single writer, many readers.** One write transaction runs at a
-//!   time, serialized by the writer gate (this matches the one-active-unit
-//!   rule the WAL already imposes). Its provisional timestamp — drawn
-//!   from a dedicated `next_ts` counter, always above the clock — is
-//!   also its commit timestamp, valid precisely because writers are
+//!   time, serialized by the writer gate — the only thing that serializes
+//!   writers; a checkpoint holds the same gate. Its provisional timestamp
+//!   — drawn from a dedicated `next_ts` counter, always above the clock —
+//!   is also its commit timestamp, valid precisely because writers are
 //!   serialized. Readers take snapshots at the *published* clock, so an
 //!   in-flight (or committed-but-not-yet-durable) writer's versions are
 //!   invisible to everyone but itself.
-//! * **Commit.** Append a redo record for each page the unit dirtied —
+//! * **Commit.** Append a redo record for each page in the write set —
 //!   its byte runs that differ from the captured before-image, or a full
 //!   image where a delta cannot stand alone (see [`crate::wal`]) — then
 //!   [`crate::wal::WalRecord::Commit`]`{ ts }` — the commit point — then
@@ -37,8 +37,8 @@
 //!   recovery rolls the whole transaction back by omission.
 //! * **Abort.** Restore the buffer pool's captured before-images
 //!   ([`crate::buffer`]'s undo capture), drop the version-chain and
-//!   reclaim bookkeeping the transaction accumulated, and end the unit
-//!   *without* a commit record. Pages the transaction allocated leak
+//!   reclaim bookkeeping the transaction accumulated, and release the
+//!   gate *without* a commit record. Pages the transaction allocated leak
 //!   (zeroed) — the volume allocator is append-only and a leaked free
 //!   page is harmless.
 //! * **Vacuum.** Structural garbage — dead record versions, object-table
@@ -127,13 +127,6 @@ struct Scratch {
     reclaims: Vec<ReclaimOp>,
 }
 
-/// The writer gate: at most one write transaction holds it.
-#[derive(Default)]
-struct WriterSlot {
-    /// Provisional timestamp of the active writer, if any.
-    active: Option<u64>,
-}
-
 /// Issues commit timestamps, tracks active snapshots, serializes writers,
 /// and buffers deferred reclamation. One per [`crate::StorageManager`]
 /// (shared across clones).
@@ -145,12 +138,13 @@ pub struct TxnManager {
     /// its commit fsync returns (group commit): the next writer needs a
     /// fresh timestamp while the previous one is still unpublished.
     next_ts: AtomicU64,
-    /// Provisional timestamp of the in-flight writer (0 = none). A
-    /// lock-free mirror of the writer slot for `current_write_ts`.
+    /// Provisional timestamp of the in-flight writer (0 = none).
     write_ts: AtomicU64,
     /// Active snapshot timestamps → refcount.
     snapshots: Mutex<BTreeMap<u64, u64>>,
-    writer: StdMutex<WriterSlot>,
+    /// The writer gate: held by at most one write transaction or
+    /// checkpoint.
+    writer: StdMutex<bool>,
     writer_cv: Condvar,
     /// In-memory version chains: object → record ids of superseded
     /// versions (oldest first). Rebuilt empty on restart — no snapshot
@@ -176,7 +170,7 @@ impl TxnManager {
             next_ts: AtomicU64::new(0),
             write_ts: AtomicU64::new(0),
             snapshots: Mutex::new(BTreeMap::new()),
-            writer: StdMutex::new(WriterSlot::default()),
+            writer: StdMutex::new(false),
             writer_cv: Condvar::new(),
             chains: Mutex::new(HashMap::new()),
             scratch: Mutex::new(Scratch::default()),
@@ -242,33 +236,48 @@ impl TxnManager {
         }
     }
 
-    /// Block until the writer gate is free, claim it, and return the new
-    /// writer's provisional timestamp (the next unissued one — always
-    /// above both the clock and every earlier writer's timestamp).
-    pub(crate) fn acquire_writer(&self) -> u64 {
-        let mut slot = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        while slot.active.is_some() {
-            slot = self.writer_cv.wait(slot).unwrap_or_else(|e| e.into_inner());
+    /// Claim the writer gate: wait for it to free when `wait`, else give
+    /// up at once when it is held. Returns whether it was claimed. The one
+    /// claim of write transactions and checkpoints.
+    fn claim_gate(&self, wait: bool) -> bool {
+        let mut held = self.writer.lock().unwrap_or_else(|e| e.into_inner());
+        while *held {
+            if !wait {
+                return false;
+            }
+            held = self.writer_cv.wait(held).unwrap_or_else(|e| e.into_inner());
         }
-        let ts = self.next_ts.fetch_add(1, Ordering::AcqRel) + 1;
-        slot.active = Some(ts);
-        self.write_ts.store(ts, Ordering::Release);
-        *self.scratch.lock() = Scratch::default();
-        ts
+        *held = true;
+        true
     }
 
-    /// Claim the writer gate only if it is free right now (vacuum uses
-    /// this — reclamation never waits behind real work).
-    pub(crate) fn try_acquire_writer(&self) -> Option<u64> {
-        let mut slot = self.writer.try_lock().ok()?;
-        if slot.active.is_some() {
+    fn free_gate(&self) {
+        *self.writer.lock().unwrap_or_else(|e| e.into_inner()) = false;
+        self.writer_cv.notify_one();
+    }
+
+    /// Claim the writer gate (see [`TxnManager::claim_gate`]; vacuum does
+    /// not wait — reclamation never waits behind real work) and return
+    /// the new writer's provisional timestamp: the next unissued one,
+    /// always above both the clock and every earlier writer's timestamp.
+    pub(crate) fn acquire_writer(&self, wait: bool) -> Option<u64> {
+        if !self.claim_gate(wait) {
             return None;
         }
         let ts = self.next_ts.fetch_add(1, Ordering::AcqRel) + 1;
-        slot.active = Some(ts);
         self.write_ts.store(ts, Ordering::Release);
         *self.scratch.lock() = Scratch::default();
         Some(ts)
+    }
+
+    /// Hold the writer gate without opening a transaction, until the guard
+    /// drops: waits out the active writer and keeps new ones out. Issues
+    /// no timestamp and publishes nothing. Checkpoints use it so no
+    /// transaction's uncommitted pages are mid-flight while the volume is
+    /// brought up to date.
+    pub(crate) fn hold_writers(&self) -> WriterHold<'_> {
+        self.claim_gate(true);
+        WriterHold(self)
     }
 
     /// Free the writer gate and take the transaction's scratch, without
@@ -278,12 +287,9 @@ impl TxnManager {
     /// [`TxnManager::publish_commit`] once durable.
     fn detach_writer(&self, ts: u64) -> Scratch {
         let scratch = std::mem::take(&mut *self.scratch.lock());
-        self.write_ts.store(0, Ordering::Release);
-        let mut slot = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        debug_assert_eq!(slot.active, Some(ts));
-        slot.active = None;
-        drop(slot);
-        self.writer_cv.notify_one();
+        let active = self.write_ts.swap(0, Ordering::AcqRel);
+        debug_assert_eq!(active, ts);
+        self.free_gate();
         scratch
     }
 
@@ -467,6 +473,15 @@ impl Default for TxnManager {
     }
 }
 
+/// The writer gate held by a checkpoint (see [`TxnManager::hold_writers`]).
+pub(crate) struct WriterHold<'a>(&'a TxnManager);
+
+impl Drop for WriterHold<'_> {
+    fn drop(&mut self) {
+        self.0.free_gate();
+    }
+}
+
 /// A registered read snapshot (see [`TxnManager::begin_snapshot`]).
 /// Copyable by timestamp ([`Snapshot::ts`]); the guard itself pins the
 /// reclaim watermark until dropped.
@@ -491,9 +506,10 @@ impl Drop for Snapshot {
     }
 }
 
-/// A write transaction: the writer gate, a logged unit, and undo capture,
-/// bundled. Obtained from [`crate::StorageManager::begin_txn`]; dropped
-/// without an explicit [`WriteTxn::commit`] it aborts.
+/// A write transaction: the writer gate, a logged unit (with a log), and
+/// the buffer pool's write set, bundled. Obtained from
+/// [`crate::StorageManager::begin_txn`]; dropped without an explicit
+/// [`WriteTxn::commit`] it aborts.
 pub struct WriteTxn {
     mgr: Arc<TxnManager>,
     pool: Arc<crate::buffer::BufferPool>,
@@ -527,10 +543,10 @@ impl WriteTxn {
     /// gate, flush, then publish the clock. Returns the commit
     /// timestamp.
     ///
-    /// The gates (undo capture, unit slot, writer gate) are released
-    /// *before* the commit fsync: once the commit record is appended the
-    /// transaction can no longer abort, so the next writer may start
-    /// appending its own records while this one waits on the disk.
+    /// The write set and the writer gate are released *before* the commit
+    /// fsync: once the commit record is appended the transaction can no
+    /// longer abort, so the next writer may start appending its own
+    /// records while this one waits on the disk.
     /// Concurrent committers queued behind the same fsync then share it
     /// ([`crate::wal::Wal::flush_up_to`]'s group commit). The clock is
     /// published only once the record is durable, so readers never see a
@@ -561,7 +577,6 @@ impl WriteTxn {
                 // in memory so the running process agrees with what
                 // recovery would decide.
                 let rollback = self.pool.rollback_undo();
-                wal.end_unit(self.unit);
                 self.mgr.release_writer(ts, false);
                 rollback?;
                 return Err(e);
@@ -570,7 +585,6 @@ impl WriteTxn {
         // Commit point passed. Release the gates so the next writer
         // overlaps with our fsync wait, then make the record durable.
         self.pool.end_undo_capture();
-        wal.end_unit(self.unit);
         let scratch = self.mgr.detach_writer(ts);
         if let Err(e) = wal.flush_up_to(commit_lsn) {
             self.mgr.park_unflushed(ts, scratch);
@@ -589,22 +603,20 @@ impl WriteTxn {
         Ok(ts)
     }
 
-    /// Abort: restore captured before-images, end the logged unit without
-    /// a commit record, revert the transaction's chain/reclaim scratch.
+    /// Abort: restore captured before-images, release the writer gate
+    /// without a commit record, revert the transaction's chain/reclaim
+    /// scratch.
     pub fn abort(mut self) -> StorageResult<()> {
         self.done = true;
         self.abort_inner()
     }
 
     fn abort_inner(&mut self) -> StorageResult<()> {
-        // Restore *before* ending the unit: gated pages cannot be evicted,
-        // so no uncommitted byte can reach the volume while we rewind.
+        // The write set stays gated until its before-images are back, so
+        // no uncommitted byte can reach the volume while we rewind.
         let rollback = self.pool.rollback_undo();
-        if let Some(wal) = self.pool.wal() {
-            wal.end_unit(self.unit);
-        }
         self.mgr.release_writer(self.ts, false);
-        rollback.map(|_| ())
+        rollback
     }
 }
 
@@ -669,16 +681,16 @@ mod tests {
     #[test]
     fn writer_gate_is_exclusive() {
         let mgr = Arc::new(TxnManager::new());
-        let ts = mgr.acquire_writer();
+        let ts = mgr.acquire_writer(true).unwrap();
         assert_eq!(ts, 1);
         assert_eq!(mgr.current_write_ts(), Some(1));
-        assert!(mgr.try_acquire_writer().is_none());
+        assert!(mgr.acquire_writer(false).is_none());
         mgr.release_writer(ts, true);
         assert_eq!(mgr.clock(), 1);
         assert_eq!(mgr.current_write_ts(), None);
         assert_eq!(mgr.committed_total(), 1);
         // The next writer sees the published clock.
-        let ts2 = mgr.try_acquire_writer().unwrap();
+        let ts2 = mgr.acquire_writer(false).unwrap();
         assert_eq!(ts2, 2);
         mgr.release_writer(ts2, false);
         assert_eq!(mgr.clock(), 1, "aborted writer publishes nothing");
@@ -688,7 +700,7 @@ mod tests {
     #[test]
     fn abort_reverts_chains_and_reclaims() {
         let mgr = Arc::new(TxnManager::new());
-        let ts = mgr.acquire_writer();
+        let ts = mgr.acquire_writer(true).unwrap();
         let rid = RecordId { page: 9, slot: 3 };
         mgr.note_chain(Oid(7), rid);
         mgr.defer_reclaim(ReclaimOp::Record { rid });
@@ -702,7 +714,7 @@ mod tests {
     fn reclaims_ripen_at_watermark() {
         let mgr = Arc::new(TxnManager::new());
         let snap = mgr.begin_snapshot(); // ts 0 pins the watermark
-        let ts = mgr.acquire_writer();
+        let ts = mgr.acquire_writer(true).unwrap();
         mgr.defer_reclaim(ReclaimOp::ObjectSlot { oid: Oid(3) });
         mgr.release_writer(ts, true);
         assert_eq!(mgr.pending_reclaims(), 1);
@@ -718,7 +730,7 @@ mod tests {
     #[test]
     fn parked_commit_is_counted_but_never_published() {
         let mgr = Arc::new(TxnManager::new());
-        let ts = mgr.acquire_writer();
+        let ts = mgr.acquire_writer(true).unwrap();
         mgr.defer_reclaim(ReclaimOp::ObjectSlot { oid: Oid(1) });
         let scratch = mgr.detach_writer(ts);
         mgr.park_unflushed(ts, scratch);
@@ -740,7 +752,7 @@ mod tests {
             let mgr = mgr.clone();
             handles.push(std::thread::spawn(move || {
                 for _ in 0..50 {
-                    let ts = mgr.acquire_writer();
+                    let ts = mgr.acquire_writer(true).unwrap();
                     mgr.release_writer(ts, true);
                 }
             }));

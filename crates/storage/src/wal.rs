@@ -16,14 +16,16 @@
 //!
 //! # The recovery protocol (redo-only, no-steal)
 //!
-//! A *logged unit* is the storage-level unit of atomicity (the database
-//! layer wraps each DML statement in one). The protocol:
+//! A *logged unit* is one write transaction ([`crate::WriteTxn`]) as the
+//! log sees it: the storage-level unit of atomicity (the database layer
+//! wraps each DML statement in one). The protocol:
 //!
-//! 1. [`Wal::begin_unit`] appends [`WalRecord::Begin`]. One unit is active
-//!    at a time; pages it dirties are registered by the buffer pool and may
-//!    **not** be written back to the volume while the unit is open (the
-//!    no-steal rule — uncommitted bytes never reach the volume). The pool
-//!    keeps each page's before-image from the unit's first write to it.
+//! 1. [`crate::StorageManager::begin_txn`] claims the writer gate, so one
+//!    unit is open at a time, and appends the unit's [`WalRecord::Begin`]. The buffer pool keeps each page's
+//!    before-image from the transaction's first write to it; those pages
+//!    are its write set and may **not** be written back to the volume
+//!    while it is open (the no-steal rule — uncommitted bytes never reach
+//!    the volume).
 //! 2. At commit, every page the unit dirtied is logged as the byte runs
 //!    that differ from its before-image ([`WalRecord::PageDelta`]), or as
 //!    a full [`WalRecord::PageImage`] where a delta cannot stand alone:
@@ -41,9 +43,9 @@
 //! deleted.
 //!
 //! A delta is right only if its before-image is the page's last logged
-//! state, so every page write happens inside a unit ([`Wal::note_write`]
-//! asserts it). The flush rule ("no dirty page leaves the pool ahead of
-//! its log record") is enforced by the buffer pool calling
+//! state, so every page write happens inside a write transaction (the
+//! buffer pool asserts it). The flush rule ("no dirty page leaves the pool
+//! ahead of its log record") is enforced by the buffer pool calling
 //! [`Wal::flush_up_to`] with the page's LSN before any volume write.
 
 use std::collections::HashSet;
@@ -51,7 +53,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufReader, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use exodus_obs::{Histogram, COUNT_BUCKETS, LATENCY_BUCKETS_NS};
@@ -105,11 +107,10 @@ pub enum WalRecord {
     /// A logged unit opened.
     Begin,
     /// A logged unit committed; its page records precede this record.
-    /// `ts` is the transaction commit timestamp the unit published (0 for
-    /// units outside the transaction manager), so recovery can restore
-    /// the commit clock.
+    /// `ts` is the commit timestamp its transaction published, so recovery
+    /// can restore the commit clock.
     Commit {
-        /// Commit timestamp published by this unit (0 = non-transactional).
+        /// Commit timestamp published by this unit.
         ts: u64,
     },
     /// Everything with a smaller LSN is on the volume. `clock` snapshots
@@ -752,21 +753,6 @@ struct WalInner {
     synced_lsn: Lsn,
 }
 
-struct UnitSlot {
-    active: Option<ActiveUnit>,
-    next_id: u64,
-    /// Pages with a committed redo record since the last checkpoint: their
-    /// next change may be logged as a [`DeltaBase::Prior`] delta. Starts
-    /// empty at open, so each page's first change after a restart logs an
-    /// image too.
-    redone: HashSet<u64>,
-}
-
-struct ActiveUnit {
-    id: u64,
-    dirty: HashSet<u64>,
-}
-
 /// Process-local activity counters a [`Wal`] maintains on its hot paths.
 /// Plain relaxed atomics and owned histograms — the metrics registry
 /// reads them through callbacks at snapshot time (see `exodus-obs`).
@@ -806,8 +792,14 @@ pub struct Wal {
     /// already covered; *not* held while appending, so the next writer's
     /// records stream into the segment during the leader's disk wait.
     flush_lock: Mutex<()>,
-    unit: StdMutex<UnitSlot>,
-    unit_cv: Condvar,
+    /// The id the next unit gets: past every unit id in the log, so no
+    /// unit — committed or dead — shares its id with an earlier one.
+    next_unit: AtomicU64,
+    /// Pages with a committed redo record since the last checkpoint: their
+    /// next change may be logged as a [`DeltaBase::Prior`] delta. Starts
+    /// empty at open, so each page's first change after a restart logs an
+    /// image too.
+    redone: Mutex<HashSet<u64>>,
     /// Mirror of `inner.appended_lsn` readable without the append lock.
     appended: AtomicU64,
     /// Mirror of `inner.synced_lsn` readable without the append lock.
@@ -831,7 +823,8 @@ impl Wal {
             "Durability::None means no WAL is constructed"
         );
         std::fs::create_dir_all(dir)?;
-        let tail = scan_log(dir, |_| {})?;
+        let mut last_unit = 0;
+        let tail = scan_log(dir, |e| last_unit = last_unit.max(e.unit))?;
         let (file, seg_seq, seg_len) = match tail.valid_end {
             Some((seq, off)) => {
                 let mut file = OpenOptions::new()
@@ -859,12 +852,8 @@ impl Wal {
                 synced_lsn: tail.last_lsn,
             }),
             flush_lock: Mutex::new(()),
-            unit: StdMutex::new(UnitSlot {
-                active: None,
-                next_id: 1,
-                redone: HashSet::new(),
-            }),
-            unit_cv: Condvar::new(),
+            next_unit: AtomicU64::new(last_unit + 1),
+            redone: Mutex::new(HashSet::new()),
             appended: AtomicU64::new(tail.last_lsn),
             synced: AtomicU64::new(tail.last_lsn),
             gc_floor: AtomicU64::new(u64::MAX),
@@ -942,7 +931,7 @@ impl Wal {
     /// never builds on volume bytes. Returns its LSN.
     pub fn append_checkpoint(&self, clock: u64) -> StorageResult<Lsn> {
         let lsn = self.append(0, &WalRecord::Checkpoint { clock })?;
-        self.unit.lock().expect("unit slot").redone.clear();
+        self.redone.lock().clear();
         Ok(lsn)
     }
 
@@ -1052,107 +1041,25 @@ impl Wal {
         }
     }
 
-    /// Open a logged unit, blocking until no other unit is active, and
-    /// append its [`WalRecord::Begin`]. Returns the unit id.
-    pub fn begin_unit(&self) -> StorageResult<u64> {
-        let mut slot = self.unit.lock().expect("unit slot");
-        while slot.active.is_some() {
-            slot = self.unit_cv.wait(slot).expect("unit slot");
-        }
-        let id = slot.next_id;
-        slot.next_id += 1;
-        slot.active = Some(ActiveUnit {
-            id,
-            dirty: HashSet::new(),
-        });
-        drop(slot);
-        match self.append(id, &WalRecord::Begin) {
-            Ok(_) => Ok(id),
-            Err(e) => {
-                self.end_unit(id);
-                Err(e)
-            }
-        }
+    /// Open a logged unit: draw its id and append its
+    /// [`WalRecord::Begin`]. Returns the unit id. The caller holds the
+    /// writer gate, so units never interleave in the log.
+    pub(crate) fn append_begin(&self) -> StorageResult<u64> {
+        let id = self.next_unit.fetch_add(1, Ordering::Relaxed);
+        self.append(id, &WalRecord::Begin)?;
+        Ok(id)
     }
 
-    /// Record that the active unit dirtied `page_no` (called by the
-    /// buffer pool on every exclusive page access).
-    ///
-    /// Every page write happens inside a unit: a delta is right only if
-    /// the page's last logged state is its before-image, and a write
-    /// outside a unit would change the page without logging it.
-    pub fn note_write(&self, page_no: u64) {
-        let mut slot = self.unit.lock().expect("unit slot");
-        debug_assert!(
-            slot.active.as_ref().is_some_and(|a| a.id != PAUSE_UNIT),
-            "page {page_no} written outside a logged unit: its next delta would not \
-             apply over its last logged state"
-        );
-        if let Some(active) = slot.active.as_mut() {
-            active.dirty.insert(page_no);
-        }
-    }
-
-    /// Whether `page_no` is pinned down by the active unit (the no-steal
-    /// rule): such pages may not be written back to the volume.
-    pub fn page_gated(&self, page_no: u64) -> bool {
-        let slot = self.unit.lock().expect("unit slot");
-        slot.active
-            .as_ref()
-            .is_some_and(|a| a.dirty.contains(&page_no))
-    }
-
-    /// The pages the unit has dirtied so far, sorted (deterministic commit
-    /// order), each with whether it has a committed redo record since the
-    /// last checkpoint. The set stays gated until [`Wal::end_unit`].
-    pub fn unit_dirty_pages(&self, unit: u64) -> Vec<(u64, bool)> {
-        let slot = self.unit.lock().expect("unit slot");
-        let mut pages: Vec<(u64, bool)> = slot
-            .active
-            .as_ref()
-            .filter(|a| a.id == unit)
-            .map(|a| {
-                a.dirty
-                    .iter()
-                    .map(|&p| (p, slot.redone.contains(&p)))
-                    .collect()
-            })
-            .unwrap_or_default();
-        pages.sort_unstable();
-        pages
+    /// Whether `page_no` has a committed redo record since the last
+    /// checkpoint, so its next change may be a [`DeltaBase::Prior`] delta.
+    pub(crate) fn has_redo_record(&self, page_no: u64) -> bool {
+        self.redone.lock().contains(&page_no)
     }
 
     /// Note that `pages` now have a committed redo record (their unit's
     /// commit record is in the log), so their next change may be a delta.
     pub(crate) fn note_redone(&self, pages: impl IntoIterator<Item = u64>) {
-        self.unit.lock().expect("unit slot").redone.extend(pages);
-    }
-
-    /// Close the unit (after `Commit` was appended — or on abandonment),
-    /// releasing its pages for eviction and waking queued units.
-    pub fn end_unit(&self, unit: u64) {
-        let mut slot = self.unit.lock().expect("unit slot");
-        if slot.active.as_ref().is_some_and(|a| a.id == unit) {
-            slot.active = None;
-        }
-        drop(slot);
-        self.unit_cv.notify_one();
-    }
-
-    /// Hold the unit slot without opening a logged unit: blocks until no
-    /// unit is active, and blocks [`Wal::begin_unit`] until the returned
-    /// guard drops. Checkpoints use this so no unit's uncommitted pages
-    /// can be mid-flight while the volume is brought up to date.
-    pub fn pause_units(&self) -> UnitPause<'_> {
-        let mut slot = self.unit.lock().expect("unit slot");
-        while slot.active.is_some() {
-            slot = self.unit_cv.wait(slot).expect("unit slot");
-        }
-        slot.active = Some(ActiveUnit {
-            id: PAUSE_UNIT,
-            dirty: HashSet::new(),
-        });
-        UnitPause { wal: self }
+        self.redone.lock().extend(pages);
     }
 
     /// Delete segments that end strictly before `keep_lsn` (every record
@@ -1174,20 +1081,6 @@ impl Wal {
             }
         }
         Ok(())
-    }
-}
-
-/// The reserved pseudo-unit id [`Wal::pause_units`] parks in the slot.
-const PAUSE_UNIT: u64 = u64::MAX;
-
-/// Guard holding the unit slot closed (see [`Wal::pause_units`]).
-pub struct UnitPause<'a> {
-    wal: &'a Wal,
-}
-
-impl Drop for UnitPause<'_> {
-    fn drop(&mut self) {
-        self.wal.end_unit(PAUSE_UNIT);
     }
 }
 
@@ -1367,36 +1260,20 @@ mod tests {
     }
 
     #[test]
-    fn unit_slot_serializes_units() {
+    fn unit_ids_outlive_a_reopen_and_checkpoints_forget_redo_records() {
         let dir = temp_dir("units");
-        let wal = std::sync::Arc::new(
-            Wal::open(&dir, Durability::Buffered, DEFAULT_SEGMENT_BYTES).unwrap(),
-        );
-        let u1 = wal.begin_unit().unwrap();
-        wal.note_write(42);
-        assert!(wal.page_gated(42));
-        assert!(!wal.page_gated(43));
-        assert_eq!(wal.unit_dirty_pages(u1), vec![(42, false)]);
+        let wal = Wal::open(&dir, Durability::Buffered, DEFAULT_SEGMENT_BYTES).unwrap();
+        assert_eq!(wal.append_begin().unwrap(), 1);
+        assert_eq!(wal.append_begin().unwrap(), 2);
         wal.note_redone([42]);
-        assert_eq!(wal.unit_dirty_pages(u1), vec![(42, true)]);
-        // A second unit waits until the first ends.
-        let w2 = wal.clone();
-        let t = std::thread::spawn(move || {
-            let u2 = w2.begin_unit().unwrap();
-            w2.end_unit(u2);
-            u2
-        });
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        wal.end_unit(u1);
-        let u2 = t.join().unwrap();
-        assert!(u2 > u1);
-        assert!(!wal.page_gated(42));
-        // A checkpoint forgets which pages have redo records.
+        assert!(wal.has_redo_record(42));
+        assert!(!wal.has_redo_record(43));
         wal.append_checkpoint(0).unwrap();
-        let u3 = wal.begin_unit().unwrap();
-        wal.note_write(42);
-        assert_eq!(wal.unit_dirty_pages(u3), vec![(42, false)]);
-        wal.end_unit(u3);
+        assert!(!wal.has_redo_record(42));
+        drop(wal);
+        // A later life numbers its units past every id in the log.
+        let wal = Wal::open(&dir, Durability::Buffered, DEFAULT_SEGMENT_BYTES).unwrap();
+        assert_eq!(wal.append_begin().unwrap(), 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -194,16 +194,16 @@ fn snapshot(sm: &StorageManager) -> Model {
     }
 }
 
-/// Run the workload, one logged unit per `apply_unit`, stopping at the
+/// Run the workload, one write transaction per `apply_unit`, stopping at the
 /// first error (the injected crash). Returns how many units' commits
 /// returned `Ok` — with sequential execution those are exactly units
 /// `0..n` — and whether a further unit was in flight.
 fn run_workload(sm: &StorageManager) -> (usize, bool) {
     for i in 0..N_UNITS {
         let r = (|| -> StorageResult<()> {
-            let unit = sm.begin_unit()?;
+            let txn = sm.begin_txn()?;
             apply_unit(sm.pool(), i)?;
-            unit.commit()
+            txn.commit().map(|_| ())
         })();
         if r.is_err() {
             return (i, true);
@@ -505,22 +505,22 @@ fn torn_write_back_after_checkpoint_is_repaired_by_the_first_image() {
     let dir = temp_dir("torn-writeback");
     let (sm, _) = open(&dir);
     let page_no = {
-        let unit = sm.begin_unit().unwrap();
+        let txn = sm.begin_txn().unwrap();
         let page = sm.pool().allocate().unwrap();
         page.with_write(|buf| buf[100..200].fill(0x11));
-        unit.commit().unwrap();
+        txn.commit().unwrap();
         page.page_no()
     };
     sm.checkpoint().unwrap();
     let wal = sm.pool().wal().unwrap().clone();
     let after_checkpoint = wal.appended_lsn();
     let change = |at: usize, byte: u8| {
-        let unit = sm.begin_unit().unwrap();
+        let txn = sm.begin_txn().unwrap();
         sm.pool()
             .pin(page_no)
             .unwrap()
             .with_write(|buf| buf[at] = byte);
-        unit.commit().unwrap();
+        txn.commit().unwrap();
     };
     change(6_000, 0xA1);
 
@@ -594,12 +594,12 @@ fn prop_random_dml_random_crash() {
         let (sm, _) = open(&dir);
         // Setup unit: heap + btree at the usual deterministic pages.
         {
-            let unit = sm.begin_unit().unwrap();
+            let txn = sm.begin_txn().unwrap();
             let f = HeapFile::create(sm.pool()).unwrap();
             assert_eq!(f, FileId(HEAP_PAGE));
             let t = BTree::create(sm.pool()).unwrap();
             assert_eq!(t.root(), BTREE_ROOT);
-            unit.commit().unwrap();
+            txn.commit().unwrap();
         }
         failpoint::arm(CrashPlan {
             after_writes: crash_at,
@@ -615,7 +615,7 @@ fn prop_random_dml_random_crash() {
         for &(kind, k) in &ops {
             next = committed.clone();
             let r = (|| -> StorageResult<()> {
-                let unit = sm.begin_unit()?;
+                let txn = sm.begin_txn()?;
                 match kind {
                     0 | 1 => {
                         if let std::collections::btree_map::Entry::Vacant(e) = next.entry(k) {
@@ -636,7 +636,7 @@ fn prop_random_dml_random_crash() {
                         }
                     }
                 }
-                unit.commit()
+                txn.commit().map(|_| ())
             })();
             match r {
                 Ok(()) => committed = next.clone(),
@@ -687,4 +687,90 @@ fn prop_random_dml_random_crash() {
         drop(sm);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A unit that died mid-commit stays dead in every later life. Life 1
+/// creates heaps H and G, then unit 2 inserts `ghost` into G and is killed
+/// at its commit record: its `Begin` and page records are in the log,
+/// its `Commit` is not. Life 2 commits two units into H only. Neither a
+/// replica replaying from LSN 1 nor recovery after a crash may read
+/// `ghost` — which they did while every life numbered its units from 1,
+/// so life 2's second unit committed the dead unit's id.
+#[test]
+fn a_unit_killed_mid_commit_stays_dead_after_a_restart() {
+    use exodus_storage::wal::WalRecord;
+    use exodus_storage::{ReplicaApplier, ReplicationSource};
+    let _x = failpoint::exclusive();
+    let dir = temp_dir("unit-ids");
+    let rows = |sm: &StorageManager, file: FileId| -> Vec<Vec<u8>> {
+        sm.scan(file).map(|r| r.unwrap().1).collect()
+    };
+
+    // Life 1.
+    let (sm, _) = open(&dir);
+    let txn = sm.begin_txn().unwrap();
+    let (h, g) = (sm.create_file().unwrap(), sm.create_file().unwrap());
+    sm.insert(h, b"base-h").unwrap();
+    sm.insert(g, b"base-g").unwrap();
+    txn.commit().unwrap();
+    let wal = sm.pool().wal().unwrap().clone();
+    let before_ghost = wal.appended_lsn();
+    let txn = sm.begin_txn().unwrap();
+    sm.insert(g, b"ghost").unwrap();
+    // Let the page records through; kill the commit record.
+    failpoint::arm(CrashPlan {
+        after_writes: 2,
+        torn: false,
+    });
+    assert!(txn.commit().is_err(), "the commit append must be killed");
+    assert!(failpoint::crashed());
+    failpoint::disarm();
+    drop((wal, sm));
+
+    // Life 2: recovery rolls the dead unit back; two units write H only.
+    let (sm, report) = open(&dir);
+    assert_eq!(report.units_rolled_back, 1, "{report:?}");
+    let wal = sm.pool().wal().unwrap();
+    let (dead, _) = wal.read_entries_after(before_ghost, 100).unwrap();
+    let shapes: Vec<bool> = dead.iter().map(|e| e.rec.page_no().is_some()).collect();
+    assert_eq!(shapes, [false, true, true], "Begin and two page records");
+    assert!(matches!(dead[0].rec, WalRecord::Begin));
+    assert_eq!(rows(&sm, g), [b"base-g".to_vec()]);
+    for row in [b"h-1", b"h-2"] {
+        let txn = sm.begin_txn().unwrap();
+        sm.insert(h, row).unwrap();
+        txn.commit().unwrap();
+    }
+
+    // A replica bootstrapped from LSN 1 reads G as the primary does.
+    let src = ReplicationSource::new(sm.pool().wal().unwrap().clone()).unwrap();
+    let (rsm, _) = StorageManager::open(&dir.join("replica.db"), 64, Durability::Fsync).unwrap();
+    let mut app = ReplicaApplier::new(rsm.clone()).unwrap();
+    loop {
+        let (entries, _) = src.fetch(app.applied_lsn(), 512).unwrap();
+        if entries.is_empty() {
+            break;
+        }
+        app.ingest(&entries).unwrap();
+    }
+    assert_eq!(
+        rows(&rsm, g),
+        [b"base-g".to_vec()],
+        "the replica redid a dead unit"
+    );
+    assert_eq!(rows(&rsm, h).len(), 3);
+    drop((app, rsm, src));
+
+    // Crash without a checkpoint: recovery still rolls the dead unit back.
+    drop(sm);
+    let (sm, report) = open(&dir);
+    assert_eq!(report.units_rolled_back, 1, "{report:?}");
+    assert_eq!(
+        rows(&sm, g),
+        [b"base-g".to_vec()],
+        "recovery redid a dead unit"
+    );
+    assert_eq!(rows(&sm, h).len(), 3);
+    drop(sm);
+    let _ = std::fs::remove_dir_all(&dir);
 }

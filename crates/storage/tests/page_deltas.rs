@@ -41,13 +41,13 @@ fn logged_since(sm: &StorageManager, from: u64) -> Vec<String> {
         .collect()
 }
 
-/// Run `change` on page `page_no` in one logged unit; the page records
+/// Run `change` on page `page_no` in one write transaction; the page records
 /// its commit logged.
 fn commit(sm: &StorageManager, page_no: u64, change: impl FnOnce(&mut [u8])) -> Vec<String> {
     let from = sm.pool().wal().unwrap().appended_lsn();
-    let unit = sm.begin_unit().unwrap();
+    let txn = sm.begin_txn().unwrap();
     sm.pool().pin(page_no).unwrap().with_write(change);
-    unit.commit().unwrap();
+    txn.commit().unwrap();
     logged_since(sm, from)
 }
 
@@ -62,11 +62,11 @@ fn a_commit_logs_the_smallest_record_that_stands_alone() {
     let path = dir.join("vol.db");
     let (sm, _) = StorageManager::open(&path, 32, Durability::Fsync).unwrap();
     let from = sm.pool().wal().unwrap().appended_lsn();
-    let unit = sm.begin_unit().unwrap();
+    let txn = sm.begin_txn().unwrap();
     let fresh = sm.pool().allocate().unwrap();
     fresh.with_write(|p| p[4_000] = 1);
     let unwritten = sm.pool().allocate().unwrap();
-    unit.commit().unwrap();
+    txn.commit().unwrap();
     assert_eq!(
         logged_since(&sm, from),
         ["Zero delta x1", "image"],

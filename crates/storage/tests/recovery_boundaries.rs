@@ -28,15 +28,15 @@ fn wal_segments(dir: &Path) -> Vec<PathBuf> {
     v
 }
 
-/// Insert `n` records, each in its own logged unit.
+/// Insert `n` records, each in its own write transaction.
 fn put_units(sm: &StorageManager, from: usize, n: usize) -> StorageResult<exodus_storage::FileId> {
-    let unit = sm.begin_unit()?;
+    let txn = sm.begin_txn()?;
     let file = sm.create_file()?;
-    unit.commit()?;
+    txn.commit()?;
     for i in from..from + n {
-        let unit = sm.begin_unit()?;
+        let txn = sm.begin_txn()?;
         sm.insert(file, format!("rec-{i}").as_bytes())?;
-        unit.commit()?;
+        txn.commit()?;
     }
     Ok(file)
 }
@@ -141,9 +141,9 @@ fn segment_rollover_across_reopen() {
     assert_eq!(read_all(&sm, file), expect(0, 30));
     // Keep writing across the reopened segment boundary, then reopen again.
     for i in 30..40 {
-        let unit = sm.begin_unit().unwrap();
+        let txn = sm.begin_txn().unwrap();
         sm.insert(file, format!("rec-{i}").as_bytes()).unwrap();
-        unit.commit().unwrap();
+        txn.commit().unwrap();
     }
     drop(sm);
     let (sm, _) = StorageManager::open(&path, 32, Durability::Fsync).unwrap();
@@ -257,20 +257,90 @@ fn abort_then_commit_on_the_same_page() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A write transaction dropped without `commit` aborts: the running
+/// store and recovery both lose its rows.
 #[test]
-fn unit_drop_commits() {
-    let dir = temp_dir("dropcommit");
+fn txn_drop_aborts() {
+    let dir = temp_dir("dropabort");
     let path = dir.join("vol.db");
     let (sm, _) = StorageManager::open(&path, 32, Durability::Fsync).unwrap();
-    let file;
+    let file = put_units(&sm, 0, 1).unwrap();
     {
-        let _unit = sm.begin_unit().unwrap();
-        file = sm.create_file().unwrap();
-        sm.insert(file, b"kept").unwrap();
-        // Guard dropped here: commit-on-drop.
+        let _txn = sm.begin_txn().unwrap();
+        sm.insert(file, b"dropped").unwrap();
+        // Guard dropped here: abort-on-drop.
     }
+    assert_eq!(read_all(&sm, file), expect(0, 1));
     drop(sm);
     let (sm, _) = StorageManager::open(&path, 32, Durability::Fsync).unwrap();
-    assert_eq!(read_all(&sm, file), vec!["kept".to_string()]);
+    assert_eq!(read_all(&sm, file), expect(0, 1));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// No-steal: the pages an open write transaction changed never reach the
+/// volume before its commit record — not when a small pool evicts to make
+/// room, not on a flush, and not after the transaction aborts.
+#[test]
+fn no_steal_keeps_uncommitted_bytes_off_the_volume() {
+    use exodus_storage::page::PAGE_SIZE;
+    const MARK: [u8; 16] = [0xEE; 16];
+    let dir = temp_dir("nosteal");
+    let path = dir.join("vol.db");
+    let (sm, _) = StorageManager::open(&path, 8, Durability::Fsync).unwrap();
+    // Three pools' worth of committed pages, all on the volume.
+    let pages: Vec<u64> = (0..24)
+        .map(|_| {
+            let txn = sm.begin_txn().unwrap();
+            let page = sm.pool().allocate().unwrap();
+            page.with_write(|b| b[100] = 1);
+            txn.commit().unwrap();
+            page.page_no()
+        })
+        .collect();
+    sm.checkpoint().unwrap();
+    let (changed, others) = pages.split_at(4);
+    let marked_on_volume = || {
+        let volume = std::fs::read(&path).unwrap();
+        changed
+            .iter()
+            .filter(|&&p| {
+                let at = p as usize * PAGE_SIZE + 200;
+                volume[at..at + MARK.len()] == MARK
+            })
+            .count()
+    };
+    let read_others = || {
+        for &p in others {
+            sm.pool().pin(p).unwrap().with_read(|_| ());
+        }
+    };
+
+    let txn = sm.begin_txn().unwrap();
+    for &p in changed {
+        let page = sm.pool().pin(p).unwrap();
+        page.with_write(|b| b[200..200 + MARK.len()].copy_from_slice(&MARK));
+    }
+    let evictions = sm.pool().stats().evictions;
+    read_others();
+    assert!(
+        sm.pool().stats().evictions >= evictions + others.len() as u64,
+        "the reads must cycle the pool"
+    );
+    assert_eq!(marked_on_volume(), 0, "eviction stole an uncommitted page");
+    sm.flush().unwrap();
+    assert_eq!(marked_on_volume(), 0, "a flush stole an uncommitted page");
+
+    txn.abort().unwrap();
+    read_others();
+    sm.flush().unwrap();
+    assert_eq!(
+        marked_on_volume(),
+        0,
+        "the aborted bytes reached the volume"
+    );
+    for &p in changed {
+        let bytes = sm.pool().pin(p).unwrap().with_read(|b| (b[100], b[200]));
+        assert_eq!(bytes, (1, 0), "abort restored page {p}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }

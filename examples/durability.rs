@@ -3,15 +3,16 @@
 //! Part 1 opens a file-backed database through the builder, runs logged
 //! statements, checkpoints, and reopens it: the catalog is a logged
 //! record like any other, so `People` is still there. Part 2 drops to
-//! the storage layer and simulates a crash — committed units survive a
-//! reopen with *no* flush, rebuilt purely from the log's page records
-//! (a full image on each page's first change, byte-run deltas after).
+//! the storage layer and simulates a crash — committed write transactions
+//! survive a reopen with *no* flush, rebuilt purely from the log's page
+//! records (a full image on each page's first change, byte-run deltas
+//! after).
 //!
 //! ```console
 //! cargo run --example durability
 //! ```
 
-use extra_excess::storage::{StorageManager, Unit};
+use extra_excess::storage::{StorageManager, WriteTxn};
 use extra_excess::{Database, Durability};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -40,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     let rows = session.query("retrieve (P.name) from P in People order by P.name asc")?;
     println!("people: {:?}", rows.rows);
-    // Each statement above was one crash-atomic logged unit; checkpoint
+    // Each statement above was one crash-atomic write transaction; checkpoint
     // bounds recovery work and prunes the log.
     db.checkpoint()?;
     println!("checkpointed; durability = {:?}", db.durability());
@@ -63,13 +64,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- Part 2: crash simulation at the storage layer ---------------
     let vol = dir.join("crash.db");
     let (sm, _) = StorageManager::open(&vol, 64, Durability::Fsync)?;
-    let unit: Unit = sm.begin_unit()?;
+    let txn: WriteTxn = sm.begin_txn()?;
     let file = sm.create_file()?;
-    unit.commit()?;
+    txn.commit()?;
     for i in 0..5 {
-        let unit = sm.begin_unit()?;
+        let txn = sm.begin_txn()?;
         sm.insert(file, format!("record-{i}").as_bytes())?;
-        unit.commit()?;
+        txn.commit()?;
     }
     // "Crash": drop the manager without flushing a single page. The
     // dirty pages die with the process; only the log has the data.
@@ -85,7 +86,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|r| Ok::<_, Box<dyn std::error::Error>>(String::from_utf8(r?.1)?))
         .collect::<Result<_, _>>()?;
     println!("survived: {survived:?}");
-    assert_eq!(survived.len(), 5, "all committed units must survive");
+    assert_eq!(survived.len(), 5, "all committed transactions must survive");
 
     std::fs::remove_dir_all(&dir)?;
     Ok(())
