@@ -14,7 +14,7 @@
 //! the scope joins; counter sums are order-independent, so the merged
 //! profile is deterministic and agrees with a serial run of the same
 //! plan. The finished [`QueryProfile`] renders as an annotated plan tree
-//! (`Display`) or as JSON ([`QueryProfile::to_json`]).
+//! (`Display`).
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -473,61 +473,5 @@ impl fmt::Display for QueryProfile {
             )?;
         }
         Ok(())
-    }
-}
-
-impl QueryProfile {
-    /// Render the profile as a JSON object (no external dependencies —
-    /// the workspace is offline).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"total_ns\":");
-        s.push_str(&self.total_ns.to_string());
-        s.push_str(&format!(
-            ",\"result_rows\":{},\"dop\":{}",
-            self.result_rows, self.dop
-        ));
-        if let Some(b) = &self.buffer {
-            s.push_str(&format!(
-                ",\"buffer\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"writebacks\":{}}}",
-                b.hits, b.misses, b.evictions, b.writebacks
-            ));
-        }
-        s.push_str(",\"operators\":[");
-        for (i, n) in self.nodes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"depth\":{},\"op\":\"{}\"",
-                n.depth,
-                exodus_obs::json_escape(&n.label)
-            ));
-            if let Some(est) = n.est_rows {
-                s.push_str(&format!(",\"est_rows\":{est:.1}"));
-            }
-            s.push_str(&format!(
-                ",\"rows_in\":{},\"rows_out\":{},\"batches_in\":{},\"batches_out\":{},\"elapsed_ns\":{},\"peak_batch\":{}",
-                n.rows_in, n.rows_out, n.batches_in, n.batches_out, n.elapsed_ns, n.peak_batch
-            ));
-            if !n.workers.is_empty() {
-                s.push_str(&format!(
-                    ",\"merge_wait_ns\":{},\"workers\":[",
-                    n.merge_wait_ns
-                ));
-                for (j, w) in n.workers.iter().enumerate() {
-                    if j > 0 {
-                        s.push(',');
-                    }
-                    s.push_str(&format!(
-                        "{{\"morsels\":{},\"rows\":{}}}",
-                        w.morsels, w.rows
-                    ));
-                }
-                s.push(']');
-            }
-            s.push('}');
-        }
-        s.push_str("]}");
-        s
     }
 }

@@ -12,10 +12,10 @@ use crate::profile::QueryProfile;
 
 /// A query result: column names plus rows of values.
 ///
-/// When the originating session ran with profiling enabled, `profile`
-/// carries the per-operator [`QueryProfile`]; it is ignored by
-/// equality so profiled and unprofiled runs of the same query compare
-/// equal.
+/// When the statement ran under `explain analyze` or on a traced
+/// database, `profile` carries the per-operator [`QueryProfile`]; it is
+/// ignored by equality so profiled and unprofiled runs of the same query
+/// compare equal.
 #[derive(Debug, Clone, Default)]
 pub struct QueryResult {
     /// Output column names.

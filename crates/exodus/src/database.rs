@@ -126,7 +126,6 @@ pub struct Database {
     pub(crate) ops: RwLock<OperatorTable>,
     pub(crate) batch_size: usize,
     pub(crate) worker_threads: usize,
-    pub(crate) profiling: bool,
     pub(crate) recovery: Option<RecoveryReport>,
     pub(crate) metrics: Option<DbMetrics>,
     pub(crate) tracer: Option<Arc<RingTracer>>,
@@ -146,9 +145,6 @@ pub struct Database {
     /// Present iff this database is a read replica: the replay latch,
     /// horizon and lag the session layer consults on every statement.
     pub(crate) replica: Option<Arc<crate::replication::ReplicaState>>,
-    /// The `sys.*` virtual-collection providers (built-ins plus any an
-    /// embedder registered via [`Database::register_system_view`]).
-    pub(crate) sysviews: RwLock<Vec<Arc<dyn crate::sysview::SystemView>>>,
     /// Registry of open sessions, surfaced through `sys.sessions`.
     pub(crate) sessions: crate::sysview::SessionRegistry,
 }
@@ -163,7 +159,6 @@ pub struct DatabaseBuilder {
     pool_pages: Option<usize>,
     batch_size: Option<usize>,
     worker_threads: Option<usize>,
-    profiling: bool,
     metrics: Option<bool>,
     trace: Option<TraceConfig>,
 }
@@ -231,14 +226,6 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Profile every statement: per-operator metrics are attached to
-    /// each [`QueryResult`] (`result.profile`). Off by default — the
-    /// disabled path costs one pointer check per batch pull.
-    pub fn profiling(mut self, on: bool) -> Self {
-        self.profiling = on;
-        self
-    }
-
     /// System-wide metrics (the `exodus-obs` registry): WAL, buffer
     /// pool, recovery, executor and statement counters, readable via
     /// [`Database::metrics_snapshot`]. **On by default**; the enabled
@@ -251,9 +238,9 @@ impl DatabaseBuilder {
     }
 
     /// Enable structured tracing spans and the slow-query log (see
-    /// [`TraceConfig`]). Off by default. Implies
-    /// [`DatabaseBuilder::profiling`] so slow-query entries carry a
-    /// full [`QueryProfile`].
+    /// [`TraceConfig`]). Off by default. A traced database profiles
+    /// every statement, so each [`QueryResult`] (`result.profile`) and
+    /// each slow-query entry carries a full [`QueryProfile`].
     pub fn trace(mut self, config: TraceConfig) -> Self {
         self.trace = Some(config);
         self
@@ -308,9 +295,6 @@ impl DatabaseBuilder {
         if let Some(n) = self.worker_threads {
             db.worker_threads = n;
         }
-        // Tracing implies profiling: the slow-query log keeps each
-        // over-threshold statement's QueryProfile.
-        db.profiling = self.profiling || db.tracer.is_some();
         Ok(Arc::new(db))
     }
 }
@@ -428,7 +412,6 @@ impl Database {
             ops: RwLock::new(ops),
             batch_size: excess_exec::DEFAULT_BATCH_SIZE,
             worker_threads: 1,
-            profiling: false,
             recovery,
             metrics,
             tracer,
@@ -437,7 +420,6 @@ impl Database {
             image_shape: parking_lot::Mutex::new((0, 0)),
             repl: parking_lot::Mutex::new(crate::replication::SourceSlot::default()),
             replica,
-            sysviews: RwLock::new(crate::sysview::builtin_views()),
             sessions: crate::sysview::SessionRegistry::default(),
         }
     }
@@ -541,12 +523,6 @@ impl Database {
         self.worker_threads
     }
 
-    /// Whether every statement is profiled (set via
-    /// [`DatabaseBuilder::profiling`]).
-    pub fn profiling(&self) -> bool {
-        self.profiling
-    }
-
     /// The registry every layer registers its instruments into, for
     /// components that add their own metric families on top of the
     /// engine's (the wire-protocol server registers its `server_*`
@@ -557,19 +533,11 @@ impl Database {
         self.metrics.as_ref().map(|m| m.registry.clone())
     }
 
-    /// Open a tracing span on the database's tracer, if tracing is on
-    /// (for components layered above the session, e.g. the server's
-    /// connection handling). Bind the guard with a name
-    /// (`let _span = ...`) — `_` drops it immediately.
-    pub fn start_span(&self, name: &'static str, detail: impl Into<String>) -> Option<SpanGuard> {
-        self.span(name, detail)
-    }
-
     /// A point-in-time view of every registered metric — WAL, buffer
     /// pool, recovery, executor and statement instruments — in
     /// deterministic (name-sorted) order. `None` when the database was
     /// built with [`DatabaseBuilder::metrics`] off. Encode with
-    /// [`MetricsSnapshot::to_json`] or [`MetricsSnapshot::to_prometheus`].
+    /// [`MetricsSnapshot::to_prometheus`].
     pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
         self.metrics.as_ref().map(|m| m.registry.snapshot())
     }

@@ -334,9 +334,9 @@ pub(crate) fn run(
 }
 
 /// Execute a retrieve: plan, authorize, run. Per-operator metrics land
-/// on the result's `profile` field when the database profiles every
-/// statement or the statement is being explained; a plan-only `explain`
-/// stops after authorization, with an empty result.
+/// on the result's `profile` field when the database is traced or the
+/// statement is being explained; a plan-only `explain` stops after
+/// authorization, with an empty result.
 pub(crate) fn retrieve(
     scope: &Scope<'_>,
     stmt: &Stmt,
@@ -347,7 +347,7 @@ pub(crate) fn retrieve(
     if !explain_planned(&mut explain, &q.plan) {
         return Ok((QueryResult::default(), q.checked));
     }
-    let profile = explain.is_some() || scope.db.profiling();
+    let profile = explain.is_some() || scope.db.tracer.is_some();
     let (mut result, profile) = scope.run_query(&q, profile, |ctx, env| {
         let result = run_plan(&q.plan, ctx, env)?;
         let rows = result.len();

@@ -51,7 +51,7 @@ pub use client::Client;
 pub use database::{Database, DatabaseBuilder, Explanation, Observation, Response, Session};
 pub use error::{DbError, DbResult, CODE_TABLE};
 pub use replication::{Batch, ReplStream, Replica, ReplicaOptions};
-pub use sysview::{SessionInfo, SysCtx, SystemView};
+pub use sysview::SessionInfo;
 
 // Re-exports so downstream users need only this crate.
 pub use excess_exec as exec;

@@ -376,7 +376,7 @@ impl Replica {
         let batch = self
             .stream
             .poll(self.applier.applied_lsn(), self.batch_records)?;
-        let _span = self.db.start_span(
+        let _span = self.db.span(
             "repl",
             format!(
                 "{} records, durable lsn {}",

@@ -10,7 +10,7 @@
 //! retrieve (m in sys.metrics) where m.name = "db_statements_total"
 //! ```
 //!
-//! A [`SystemView`] is a row provider: it declares a tuple schema once
+//! A `SystemView` is a row provider: it declares a tuple schema once
 //! and produces a `Vec<Value>` of tuple rows when scanned. The planner
 //! compiles a range over `sys.<name>` into a dedicated `SystemScan`
 //! leaf whose cursor loads the provider's rows exactly once per open —
@@ -22,7 +22,7 @@
 //!
 //! * **No catalog re-entry.** A provider runs under the statement's
 //!   already-held shared catalog lock, so it receives the catalog by
-//!   reference in [`SysCtx`] and must never call `db.catalog.read()`
+//!   reference in `SysCtx` and must never call `db.catalog.read()`
 //!   itself (read-recursion on a `parking_lot` lock can deadlock
 //!   behind a queued writer).
 //! * **No blocking on foreign locks.** `sys.replication` peeks at the
@@ -34,7 +34,6 @@
 //!   and works on read replicas (introspection is never refused with
 //!   the replica's `ReadOnly` error).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -53,11 +52,11 @@ fn int8() -> Type {
 /// Per-scan context handed to a [`SystemView`]: the database and the
 /// catalog view the running statement already holds. Providers read
 /// `cat` instead of re-locking `db.catalog` (see the module docs).
-pub struct SysCtx<'a> {
+pub(crate) struct SysCtx<'a> {
     /// The database whose state is being introspected.
-    pub db: &'a Database,
+    pub(crate) db: &'a Database,
     /// The catalog as seen by the running statement.
-    pub cat: &'a Catalog,
+    pub(crate) cat: &'a Catalog,
 }
 
 /// A provider of one `sys.<name>` virtual collection: a fixed tuple
@@ -67,7 +66,7 @@ pub struct SysCtx<'a> {
 /// declaration order. Providers should return rows in a deterministic
 /// order (sorted by a natural key) so identical queries produce
 /// identical row orders at any degree of parallelism.
-pub trait SystemView: Send + Sync {
+pub(crate) trait SystemView: Send + Sync {
     /// The collection's name, without the `sys.` prefix.
     fn name(&self) -> &'static str;
     /// One-line description (surfaced in docs and error messages).
@@ -514,54 +513,36 @@ impl SystemView for ReplicationView {
 // Registry plumbing on Database.
 // ---------------------------------------------------------------------------
 
-/// The built-in providers, in registration order.
-pub(crate) fn builtin_views() -> Vec<Arc<dyn SystemView>> {
-    vec![
-        Arc::new(MetricsView),
-        Arc::new(SessionsView),
-        Arc::new(TransactionsView),
-        Arc::new(CollectionsView),
-        Arc::new(SlowQueriesView),
-        Arc::new(TraceSpansView),
-        Arc::new(ReplicationView),
-    ]
+/// Every `sys.*` provider, in declaration order.
+static SYSTEM_VIEWS: &[&dyn SystemView] = &[
+    &MetricsView,
+    &SessionsView,
+    &TransactionsView,
+    &CollectionsView,
+    &SlowQueriesView,
+    &TraceSpansView,
+    &ReplicationView,
+];
+
+fn system_view(name: &str) -> Option<&'static dyn SystemView> {
+    SYSTEM_VIEWS.iter().copied().find(|v| v.name() == name)
 }
 
 impl Database {
-    /// Register an additional `sys.<name>` virtual collection (layers
-    /// above the engine add their own — the wire server does not need
-    /// this, but embedders can). Fails if the name is taken.
-    pub fn register_system_view(&self, view: Arc<dyn SystemView>) -> crate::DbResult<()> {
-        let mut views = self.sysviews.write();
-        if views.iter().any(|v| v.name() == view.name()) {
-            return Err(crate::DbError::Catalog(format!(
-                "system view 'sys.{}' already exists",
-                view.name()
-            )));
-        }
-        views.push(view);
-        Ok(())
-    }
-
-    /// The definition of `sys.<name>`, if registered.
+    /// The definition of `sys.<name>`, if there is such a view.
     pub(crate) fn system_view_def(&self, name: &str) -> Option<SystemViewDef> {
-        self.sysviews
-            .read()
-            .iter()
-            .find(|v| v.name() == name)
-            .map(|v| v.def())
+        system_view(name).map(|v| v.def())
     }
 
-    /// Every registered system view's definition.
+    /// Every system view's definition.
     pub(crate) fn system_view_defs(&self) -> Vec<SystemViewDef> {
-        self.sysviews.read().iter().map(|v| v.def()).collect()
+        SYSTEM_VIEWS.iter().map(|v| v.def()).collect()
     }
 
-    /// Every registered system view's name, help line, and fields
-    /// (drives the documentation and the docs drift gate).
+    /// Every system view's name, help line, and fields (drives the
+    /// documentation and the docs drift gate).
     pub fn system_view_schemas(&self) -> Vec<(String, String, Vec<Attribute>)> {
-        self.sysviews
-            .read()
+        SYSTEM_VIEWS
             .iter()
             .map(|v| (v.name().to_string(), v.help().to_string(), v.fields()))
             .collect()
@@ -569,43 +550,30 @@ impl Database {
 
     /// Materialize `sys.<name>`'s rows against `cat` — one consistent
     /// snapshot per call (the scan cursor calls this exactly once per
-    /// open). Clones the provider handle out of the registry lock so
-    /// row materialization never holds it.
+    /// open).
     pub(crate) fn system_view_rows_with(&self, cat: &Catalog, name: &str) -> Option<Vec<Value>> {
-        let view = self
-            .sysviews
-            .read()
-            .iter()
-            .find(|v| v.name() == name)
-            .cloned()?;
         let cx = SysCtx { db: self, cat };
-        Some(view.rows(&cx))
+        system_view(name).map(|v| v.rows(&cx))
     }
 
-    /// Validate that every registered view's rows match its declared
-    /// schema arity (used by tests; cheap sanity net for embedders'
-    /// custom views).
+    /// Validate that every view's rows match its declared schema arity
+    /// (used by tests).
     #[doc(hidden)]
     pub fn check_system_views(self: &Arc<Self>) -> Result<(), String> {
         let cat = self.catalog.read();
-        let views: Vec<Arc<dyn SystemView>> = self.sysviews.read().clone();
-        let mut arities = HashMap::new();
-        for v in &views {
-            arities.insert(v.name(), v.fields().len());
-        }
-        for v in &views {
-            let cx = SysCtx {
-                db: self,
-                cat: &cat,
-            };
+        let cx = SysCtx {
+            db: self,
+            cat: &cat,
+        };
+        for v in SYSTEM_VIEWS {
+            let arity = v.fields().len();
             for row in v.rows(&cx) {
                 match row {
-                    Value::Tuple(fields) if fields.len() == arities[v.name()] => {}
+                    Value::Tuple(fields) if fields.len() == arity => {}
                     other => {
                         return Err(format!(
-                            "sys.{}: row {other:?} does not match the declared arity {}",
+                            "sys.{}: row {other:?} does not match the declared arity {arity}",
                             v.name(),
-                            arities[v.name()]
                         ))
                     }
                 }

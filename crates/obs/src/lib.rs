@@ -4,7 +4,7 @@
 //! This crate sits below every other engine crate (it depends on
 //! nothing), so storage, execution, and session layers can all register
 //! instruments on one [`MetricsRegistry`] and emit spans to one
-//! [`Tracer`] without dependency cycles.
+//! [`RingTracer`] without dependency cycles.
 //!
 //! Two design rules keep the enabled cost negligible and the disabled
 //! cost zero:
@@ -17,7 +17,7 @@
 //!    registry is only consulted at [`MetricsRegistry::snapshot`] time.
 //! 2. **Snapshots are deterministic.** Samples are sorted by metric
 //!    name, so two snapshots of identical workloads compare equal and
-//!    the JSON/Prometheus encodings are byte-stable.
+//!    the Prometheus exposition is byte-stable.
 //!
 //! The tracing half mirrors the same philosophy: [`RingTracer`] records
 //! completed [`Span`]s into a fixed-size ring under a mutex taken once
@@ -33,7 +33,7 @@ pub mod metrics;
 pub mod trace;
 
 pub use metrics::{
-    json_escape, validate_exposition, Counter, Gauge, Histogram, MetricSample, MetricsRegistry,
-    MetricsSnapshot, SampleValue, COUNT_BUCKETS, LATENCY_BUCKETS_NS,
+    validate_exposition, Counter, Gauge, Histogram, MetricSample, MetricsRegistry, MetricsSnapshot,
+    SampleValue, COUNT_BUCKETS, LATENCY_BUCKETS_NS,
 };
-pub use trace::{RingTracer, SlowQuery, SlowQueryLog, Span, SpanGuard, TraceConfig, Tracer};
+pub use trace::{RingTracer, SlowQuery, SlowQueryLog, Span, SpanGuard, TraceConfig};

@@ -1,6 +1,6 @@
 //! The metrics registry: lock-light counters, gauges, and fixed-bucket
-//! log-scaled histograms, with deterministic snapshots, a JSON encoding
-//! that round-trips, and Prometheus-style text exposition.
+//! log-scaled histograms, with deterministic snapshots and Prometheus-style
+//! text exposition.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -99,15 +99,16 @@ pub const COUNT_BUCKETS: &[u64] = &[
 
 /// A histogram over fixed, caller-chosen bucket upper bounds (see
 /// [`LATENCY_BUCKETS_NS`] and [`COUNT_BUCKETS`]). Each observation is
-/// three relaxed atomic adds; bucket counts are stored non-cumulative
-/// and accumulated at snapshot time.
+/// two relaxed atomic adds; bucket counts are stored non-cumulative
+/// and accumulated at snapshot time. The observation count is not kept
+/// apart: it is the `+Inf` bucket's cumulative total, so a snapshot taken
+/// while observers run never reports a `_count` that disagrees with it.
 #[derive(Debug)]
 pub struct Histogram {
     bounds: &'static [u64],
     /// One slot per bound plus the trailing `+Inf` slot.
     buckets: Vec<AtomicU64>,
     sum: AtomicU64,
-    count: AtomicU64,
 }
 
 impl Histogram {
@@ -118,7 +119,6 @@ impl Histogram {
             bounds,
             buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
             sum: AtomicU64::new(0),
-            count: AtomicU64::new(0),
         }
     }
 
@@ -128,12 +128,6 @@ impl Histogram {
         let i = self.bounds.partition_point(|&b| b < v);
         self.buckets[i].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
     }
 
     /// Sum of all observations.
@@ -142,7 +136,7 @@ impl Histogram {
     }
 
     /// Cumulative `(upper bound, count ≤ bound)` pairs; the final pair
-    /// uses `u64::MAX` as the `+Inf` bound and equals [`Histogram::count`].
+    /// uses `u64::MAX` as the `+Inf` bound and counts every observation.
     pub fn cumulative(&self) -> Vec<(u64, u64)> {
         let mut acc = 0;
         self.bounds
@@ -279,8 +273,8 @@ impl MetricsRegistry {
     }
 
     /// Sample every instrument. Samples are sorted by name, so snapshot
-    /// order — and the derived JSON and Prometheus encodings — is
-    /// deterministic regardless of registration order.
+    /// order — and the derived Prometheus exposition — is deterministic
+    /// regardless of registration order.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let entries = self.entries.lock().expect("metrics registry lock");
         let mut metrics: Vec<MetricSample> = entries
@@ -293,11 +287,15 @@ impl MetricsRegistry {
                     Source::CounterFn(f) => SampleValue::Counter(f()),
                     Source::Gauge(g) => SampleValue::Gauge(g.get()),
                     Source::GaugeFn(f) => SampleValue::Gauge(f()),
-                    Source::Histogram(h) => SampleValue::Histogram {
-                        buckets: h.cumulative(),
-                        sum: h.sum(),
-                        count: h.count(),
-                    },
+                    Source::Histogram(h) => {
+                        let buckets = h.cumulative();
+                        let count = buckets.last().map_or(0, |&(_, c)| c);
+                        SampleValue::Histogram {
+                            buckets,
+                            sum: h.sum(),
+                            count,
+                        }
+                    }
                 },
             })
             .collect();
@@ -396,116 +394,6 @@ impl MetricsSnapshot {
         Ok(())
     }
 
-    /// Render as a JSON object (no external dependencies — the
-    /// workspace is offline). Inverse of [`MetricsSnapshot::from_json`].
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"metrics\":[");
-        for (i, m) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"name\":\"{}\",\"help\":\"{}\"",
-                json_escape(&m.name),
-                json_escape(&m.help)
-            ));
-            match &m.value {
-                SampleValue::Counter(v) => {
-                    s.push_str(&format!(",\"type\":\"counter\",\"value\":{v}"))
-                }
-                SampleValue::Gauge(v) => s.push_str(&format!(",\"type\":\"gauge\",\"value\":{v}")),
-                SampleValue::Histogram {
-                    buckets,
-                    sum,
-                    count,
-                } => {
-                    s.push_str(",\"type\":\"histogram\",\"buckets\":[");
-                    for (j, (bound, c)) in buckets.iter().enumerate() {
-                        if j > 0 {
-                            s.push(',');
-                        }
-                        s.push_str(&format!("[{bound},{c}]"));
-                    }
-                    s.push_str(&format!("],\"sum\":{sum},\"count\":{count}"));
-                }
-            }
-            s.push('}');
-        }
-        s.push_str("]}");
-        s
-    }
-
-    /// Parse a snapshot back from its [`MetricsSnapshot::to_json`]
-    /// encoding.
-    pub fn from_json(text: &str) -> Result<MetricsSnapshot, String> {
-        let v = json::parse(text)?;
-        let arr = v
-            .key("metrics")
-            .and_then(|m| m.as_array())
-            .ok_or("missing 'metrics' array")?;
-        let mut metrics = Vec::with_capacity(arr.len());
-        for m in arr {
-            let name = m
-                .key("name")
-                .and_then(|v| v.as_str())
-                .ok_or("metric missing 'name'")?
-                .to_string();
-            let help = m
-                .key("help")
-                .and_then(|v| v.as_str())
-                .ok_or("metric missing 'help'")?
-                .to_string();
-            let ty = m
-                .key("type")
-                .and_then(|v| v.as_str())
-                .ok_or("metric missing 'type'")?;
-            let value = match ty {
-                "counter" => SampleValue::Counter(
-                    m.key("value")
-                        .and_then(|v| v.as_u64())
-                        .ok_or("counter missing 'value'")?,
-                ),
-                "gauge" => SampleValue::Gauge(
-                    m.key("value")
-                        .and_then(|v| v.as_i64())
-                        .ok_or("gauge missing 'value'")?,
-                ),
-                "histogram" => {
-                    let buckets = m
-                        .key("buckets")
-                        .and_then(|v| v.as_array())
-                        .ok_or("histogram missing 'buckets'")?
-                        .iter()
-                        .map(|pair| {
-                            let pair = pair.as_array().ok_or("bucket must be a pair")?;
-                            match (
-                                pair.first().and_then(|v| v.as_u64()),
-                                pair.get(1).and_then(|v| v.as_u64()),
-                            ) {
-                                (Some(bound), Some(count)) => Ok((bound, count)),
-                                _ => Err("bucket must be [bound, count]".to_string()),
-                            }
-                        })
-                        .collect::<Result<Vec<_>, String>>()?;
-                    SampleValue::Histogram {
-                        buckets,
-                        sum: m
-                            .key("sum")
-                            .and_then(|v| v.as_u64())
-                            .ok_or("histogram missing 'sum'")?,
-                        count: m
-                            .key("count")
-                            .and_then(|v| v.as_u64())
-                            .ok_or("histogram missing 'count'")?,
-                    }
-                }
-                other => return Err(format!("unknown metric type '{other}'")),
-            };
-            metrics.push(MetricSample { name, help, value });
-        }
-        Ok(MetricsSnapshot { metrics })
-    }
-
     /// Render in the Prometheus text exposition format (`# HELP` /
     /// `# TYPE` comments, `_bucket{le=...}` / `_sum` / `_count` series
     /// for histograms).
@@ -548,24 +436,6 @@ impl MetricsSnapshot {
 pub struct MetricsSnapshot {
     /// The samples, sorted by name.
     pub metrics: Vec<MetricSample>,
-}
-
-/// Escape `s` for embedding between the quotes of a JSON string
-/// literal — the one escaper every hand-rolled JSON encoder in the
-/// workspace shares.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Validate a Prometheus text exposition produced by
@@ -693,207 +563,6 @@ pub fn validate_exposition(text: &str) -> Result<usize, String> {
     Ok(blocks.len())
 }
 
-/// A minimal JSON reader covering the subset [`MetricsSnapshot::to_json`]
-/// emits (objects, arrays, strings, integers). Offline workspace — no
-/// serde.
-mod json {
-    /// Parsed JSON value.
-    pub enum Value {
-        Object(Vec<(String, Value)>),
-        Array(Vec<Value>),
-        Str(String),
-        Int(i64),
-        UInt(u64),
-    }
-
-    impl Value {
-        pub fn key(&self, k: &str) -> Option<&Value> {
-            match self {
-                Value::Object(fields) => fields.iter().find(|(n, _)| n == k).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-
-        pub fn as_array(&self) -> Option<&Vec<Value>> {
-            match self {
-                Value::Array(items) => Some(items),
-                _ => None,
-            }
-        }
-
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                Value::UInt(v) => Some(*v),
-                Value::Int(v) => u64::try_from(*v).ok(),
-                _ => None,
-            }
-        }
-
-        pub fn as_i64(&self) -> Option<i64> {
-            match self {
-                Value::Int(v) => Some(*v),
-                Value::UInt(v) => i64::try_from(*v).ok(),
-                _ => None,
-            }
-        }
-    }
-
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let v = value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing input at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while b.get(*pos).is_some_and(|c| c.is_ascii_whitespace()) {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&c) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {pos}", c as char))
-        }
-    }
-
-    fn value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => {
-                *pos += 1;
-                let mut fields = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                loop {
-                    skip_ws(b, pos);
-                    let k = string(b, pos)?;
-                    expect(b, pos, b':')?;
-                    fields.push((k, value(b, pos)?));
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Value::Object(fields));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *pos += 1;
-                let mut items = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                loop {
-                    items.push(value(b, pos)?);
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Value::Array(items));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'"') => Ok(Value::Str(string(b, pos)?)),
-            Some(c) if *c == b'-' || c.is_ascii_digit() => number(b, pos),
-            _ => Err(format!("unexpected input at byte {pos}")),
-        }
-    }
-
-    fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected string at byte {pos}"));
-        }
-        *pos += 1;
-        let mut out = String::new();
-        loop {
-            match b.get(*pos) {
-                Some(b'"') => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    *pos += 1;
-                    match b.get(*pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = b
-                                .get(*pos + 1..*pos + 5)
-                                .ok_or("truncated \\u escape".to_string())?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).ok_or("bad \\u escape".to_string())?);
-                            *pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {pos}")),
-                    }
-                    *pos += 1;
-                }
-                Some(_) => {
-                    // Advance one UTF-8 character.
-                    let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    *pos += c.len_utf8();
-                }
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        if b.get(*pos) == Some(&b'-') {
-            *pos += 1;
-        }
-        while b.get(*pos).is_some_and(|c| c.is_ascii_digit()) {
-            *pos += 1;
-        }
-        let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-        if text.starts_with('-') {
-            text.parse::<i64>()
-                .map(Value::Int)
-                .map_err(|e| e.to_string())
-        } else {
-            text.parse::<u64>()
-                .map(Value::UInt)
-                .map_err(|e| e.to_string())
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -910,7 +579,6 @@ mod tests {
         assert_eq!(cum[1], (2, 2));
         assert_eq!(cum[2], (4, 3));
         assert_eq!(cum.last().copied(), Some((u64::MAX, 4)));
-        assert_eq!(h.count(), 4);
         assert_eq!(h.sum(), 10_006);
     }
 
@@ -928,7 +596,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_sorted_and_json_round_trips() {
+    fn snapshot_is_sorted_and_reads_back_values() {
         let (reg, _c) = sample_registry();
         let snap = reg.snapshot();
         let names: Vec<&str> = snap.metrics.iter().map(|m| m.name.as_str()).collect();
@@ -938,8 +606,41 @@ mod tests {
         assert_eq!(snap.counter("demo_events_total"), Some(7));
         assert_eq!(snap.counter("demo_callback_total"), Some(42));
         assert_eq!(snap.gauge("demo_active"), Some(-3));
-        let round = MetricsSnapshot::from_json(&snap.to_json()).unwrap();
-        assert_eq!(round, snap);
+        let Some(SampleValue::Histogram {
+            buckets,
+            sum,
+            count,
+        }) = snap.get("demo_latency_ns").map(|m| &m.value)
+        else {
+            panic!("demo_latency_ns is a histogram");
+        };
+        assert_eq!((*sum, *count), (5_000_500, 2));
+        assert_eq!(buckets.last(), Some(&(u64::MAX, 2)));
+    }
+
+    /// Snapshots taken while other threads observe stay valid
+    /// expositions: each histogram's `+Inf` bucket equals its `_count`.
+    #[test]
+    fn snapshots_under_concurrent_observers_validate() {
+        let reg = MetricsRegistry::new();
+        let h = reg.histogram("demo_latency_ns", "Event latency.", LATENCY_BUCKETS_NS);
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let (h, stop) = (&h, &stop);
+                s.spawn(move || {
+                    let mut v = t;
+                    while !stop.load(Ordering::Relaxed) {
+                        v = (v + 7919) % (1 << 30);
+                        h.observe(v);
+                    }
+                });
+            }
+            let outcome = (0..2_000)
+                .try_for_each(|_| validate_exposition(&reg.snapshot().to_prometheus()).map(|_| ()));
+            stop.store(true, Ordering::Relaxed);
+            outcome.expect("a snapshot taken under observers validates");
+        });
     }
 
     #[test]

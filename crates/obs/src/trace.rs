@@ -29,18 +29,12 @@ pub struct Span {
     pub elapsed_ns: u64,
 }
 
-/// A sink for completed spans.
-pub trait Tracer: Send + Sync {
-    /// Record one completed span.
-    fn record(&self, span: Span);
-}
-
 thread_local! {
     /// Stack of open span ids on this thread (innermost last).
     static PARENTS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A [`Tracer`] that retains the most recent spans in a bounded ring
+/// A tracer that retains the most recent spans in a bounded ring
 /// buffer. Spans are recorded on completion (guard drop), so the ring
 /// holds finished work in completion order — children before parents.
 pub struct RingTracer {
@@ -92,12 +86,7 @@ impl RingTracer {
             .collect()
     }
 
-    fn epoch(&self) -> Instant {
-        self.epoch
-    }
-}
-
-impl Tracer for RingTracer {
+    /// Record one completed span (evicting the oldest at capacity).
     fn record(&self, span: Span) {
         let mut ring = self.ring.lock().expect("tracer lock");
         if ring.len() == self.capacity {
@@ -140,7 +129,7 @@ impl Drop for SpanGuard {
             parent: self.parent,
             name: self.name,
             detail: std::mem::take(&mut self.detail),
-            start_ns: self.started.duration_since(self.tracer.epoch()).as_nanos() as u64,
+            start_ns: self.started.duration_since(self.tracer.epoch).as_nanos() as u64,
             elapsed_ns: self.started.elapsed().as_nanos() as u64,
         };
         self.tracer.record(span);
@@ -212,11 +201,6 @@ impl<P> SlowQueryLog<P> {
     /// nothing.
     pub fn is_slow(&self, elapsed_ns: u64) -> bool {
         elapsed_ns >= self.threshold_ns
-    }
-
-    /// The configured threshold in nanoseconds.
-    pub fn threshold_ns(&self) -> u64 {
-        self.threshold_ns
     }
 
     /// Record one slow statement (evicting the oldest at capacity).

@@ -11,8 +11,8 @@
 //!
 //! * [`protocol`] — the EXOD/1 frame codec: length-prefixed frames,
 //!   values in the storage engine's own encoding, stable error codes.
-//! * [`transport`] — the [`Transport`]/[`Conn`] seam; the default is a
-//!   blocking TCP listener with a thread per connection.
+//! * [`transport`] — [`TcpTransport`], a blocking TCP listener served
+//!   with a thread per connection.
 //! * [`admission`] — connection limits, a bounded statement queue, and
 //!   a latency governor that sheds load (retryable code 2002) instead
 //!   of queueing without bound.
@@ -62,4 +62,4 @@ pub use client::RemoteSession;
 pub use protocol::{Frame, MAX_FRAME, PREAMBLE, VERSION, WIRE_BATCH_ROWS};
 pub use repl::{RemoteStream, WireReplica};
 pub use server::Server;
-pub use transport::{Conn, TcpTransport, Transport};
+pub use transport::TcpTransport;

@@ -16,6 +16,8 @@
 //! thread — after it returns, nothing in the process still touches
 //! the [`Database`].
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -27,7 +29,7 @@ use crate::protocol::{
     explanation_to_frame, response_to_frame, write_frame, Frame, MAX_FRAME, PREAMBLE, VERSION,
     WIRE_BATCH_ROWS,
 };
-use crate::transport::{Conn, Transport};
+use crate::transport::TcpTransport;
 
 /// How long a blocked service-thread read waits before re-checking the
 /// stop flag.
@@ -53,7 +55,7 @@ pub struct Server {
     /// `None` once shut down — dropping the last reference closes the
     /// listening socket, so post-shutdown connects are refused by the
     /// kernel instead of queueing in a dead backlog.
-    transport: Option<Arc<dyn Transport>>,
+    transport: Option<Arc<TcpTransport>>,
     admission: Arc<Admission>,
     acceptor: Option<std::thread::JoinHandle<()>>,
     workers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
@@ -64,13 +66,13 @@ impl Server {
     /// once the acceptor thread is running.
     pub fn spawn(
         db: Arc<Database>,
-        transport: impl Transport + 'static,
+        transport: TcpTransport,
         config: AdmissionConfig,
     ) -> DbResult<Server> {
         let addr = transport
             .local_addr()
             .map_err(|e| DbError::Net(format!("resolving listener address: {e}")))?;
-        let transport: Arc<dyn Transport> = Arc::new(transport);
+        let transport = Arc::new(transport);
         let registry = db
             .metrics_registry()
             .unwrap_or_else(|| Arc::new(exodus_obs::MetricsRegistry::new()));
@@ -209,7 +211,7 @@ impl Drop for WorkerSlot {
 /// Buffers outgoing frames and writes them to the connection in large
 /// chunks, flushing at request boundaries.
 struct FrameSink<'a> {
-    conn: &'a mut dyn Conn,
+    conn: &'a mut TcpStream,
     buf: Vec<u8>,
     frames_out: u64,
 }
@@ -217,7 +219,7 @@ struct FrameSink<'a> {
 impl<'a> FrameSink<'a> {
     const FLUSH_AT: usize = 256 << 10;
 
-    fn new(conn: &'a mut dyn Conn) -> FrameSink<'a> {
+    fn new(conn: &'a mut TcpStream) -> FrameSink<'a> {
         FrameSink {
             conn,
             buf: Vec::with_capacity(8 << 10),
@@ -255,7 +257,7 @@ impl<'a> FrameSink<'a> {
 /// exceeded deadline returns `Ok(false)` (orderly close); the same
 /// conditions mid-frame are errors, since the peer is mid-message.
 fn read_exact_interruptible(
-    conn: &mut dyn Conn,
+    conn: &mut TcpStream,
     buf: &mut [u8],
     stop: &AtomicBool,
     allow_idle_eof: bool,
@@ -300,7 +302,7 @@ fn read_exact_interruptible(
 /// frame, prefix and body both — it is how the handshake timeout
 /// covers the Hello frame, not just the preamble.
 fn read_frame_interruptible(
-    conn: &mut dyn Conn,
+    conn: &mut TcpStream,
     stop: &AtomicBool,
     deadline: Option<Instant>,
 ) -> DbResult<Option<Frame>> {
@@ -318,7 +320,7 @@ fn read_frame_interruptible(
 }
 
 fn serve_connection(
-    mut conn: Box<dyn Conn>,
+    mut conn: TcpStream,
     db: Arc<Database>,
     admission: Arc<Admission>,
     stop: Arc<AtomicBool>,
@@ -328,13 +330,13 @@ fn serve_connection(
     let handshake_deadline = Some(Instant::now() + HANDSHAKE_TIMEOUT);
     let mut preamble = [0u8; 4];
     if !matches!(
-        read_exact_interruptible(&mut *conn, &mut preamble, &stop, true, handshake_deadline),
+        read_exact_interruptible(&mut conn, &mut preamble, &stop, true, handshake_deadline),
         Ok(true)
     ) {
         return;
     }
     if preamble == *b"GET " {
-        serve_http_scrape(&mut *conn, &admission);
+        serve_http_scrape(&mut conn, &admission);
         return;
     }
     if preamble != PREAMBLE {
@@ -349,7 +351,7 @@ fn serve_connection(
     // (which announce themselves in this frame) never compete with
     // statement sessions for slots — a primary at its connection limit
     // must still feed its replicas.
-    let opening = match read_frame_interruptible(&mut *conn, &stop, handshake_deadline) {
+    let opening = match read_frame_interruptible(&mut conn, &stop, handshake_deadline) {
         Ok(Some(f)) => f,
         _ => return,
     };
@@ -357,16 +359,16 @@ fn serve_connection(
         Frame::Hello { version, user } => (version, user),
         Frame::ReplSubscribe { version } => {
             if version != VERSION {
-                let _ = version_mismatch(&mut *conn, version);
+                let _ = version_mismatch(&mut conn, version);
                 return;
             }
-            serve_replication(&mut *conn, &db, &stop, session_id);
+            serve_replication(&mut conn, &db, &stop, session_id);
             return;
         }
         _ => return,
     };
     if version != VERSION {
-        let _ = version_mismatch(&mut *conn, version);
+        let _ = version_mismatch(&mut conn, version);
         return;
     }
 
@@ -375,7 +377,7 @@ fn serve_connection(
         Ok(slot) => slot,
         Err(e) => {
             let _ = write_frame(
-                &mut WriteAdapter(&mut *conn),
+                &mut conn,
                 &Frame::Error {
                     code: e.code(),
                     message: e.to_string(),
@@ -390,13 +392,16 @@ fn serve_connection(
     // Annotate the session's `sys.sessions` row: the remote peer flips
     // its kind to `wire`, and the state records that this connection
     // passed connection admission.
-    session.set_peer(Some(conn.peer()));
+    let peer = conn
+        .peer_addr()
+        .map_or_else(|_| "<unknown>".into(), |a| a.to_string());
+    session.set_peer(Some(peer));
     session.set_session_state("admitted");
     let _ = conn.set_read_timeout(Some(POLL_INTERVAL));
 
     let metrics = admission.metrics();
     {
-        let mut sink = FrameSink::new(&mut *conn);
+        let mut sink = FrameSink::new(&mut conn);
         let welcome = Frame::Welcome {
             version: VERSION,
             session_id,
@@ -409,7 +414,7 @@ fn serve_connection(
     }
 
     loop {
-        let frame = match read_frame_interruptible(&mut *conn, &stop, None) {
+        let frame = match read_frame_interruptible(&mut conn, &stop, None) {
             Ok(Some(f)) => f,
             Ok(None) => break,
             Err(_) => break,
@@ -418,7 +423,7 @@ fn serve_connection(
         if matches!(frame, Frame::Goodbye) {
             break;
         }
-        let mut sink = FrameSink::new(&mut *conn);
+        let mut sink = FrameSink::new(&mut conn);
         let ok = serve_request(&mut session, &admission, frame, &mut sink);
         let flushed = sink.flush();
         metrics.frames_out_total.add(sink.frames_out);
@@ -429,9 +434,9 @@ fn serve_connection(
     drop(slot);
 }
 
-fn version_mismatch(conn: &mut dyn Conn, got: u16) -> DbResult<()> {
+fn version_mismatch(conn: &mut TcpStream, got: u16) -> DbResult<()> {
     write_frame(
-        &mut WriteAdapter(conn),
+        conn,
         &Frame::Error {
             code: 3001,
             message: format!("server speaks EXOD/{VERSION}, client sent {got}"),
@@ -444,12 +449,12 @@ fn version_mismatch(conn: &mut dyn Conn, got: u16) -> DbResult<()> {
 /// source ([`Database::replication_source`]). Runs outside statement admission — shipping
 /// the log is how replicas *relieve* primary load, so it must not be
 /// shed with it — but still honors the server's stop flag.
-fn serve_replication(conn: &mut dyn Conn, db: &Arc<Database>, stop: &AtomicBool, session_id: u64) {
+fn serve_replication(conn: &mut TcpStream, db: &Arc<Database>, stop: &AtomicBool, session_id: u64) {
     let mut source = match db.replication_source() {
         Ok(s) => s,
         Err(e) => {
             let _ = write_frame(
-                &mut WriteAdapter(conn),
+                conn,
                 &Frame::Error {
                     code: e.code(),
                     message: e.to_string(),
@@ -459,7 +464,7 @@ fn serve_replication(conn: &mut dyn Conn, db: &Arc<Database>, stop: &AtomicBool,
         }
     };
     if write_frame(
-        &mut WriteAdapter(conn),
+        conn,
         &Frame::ReplWelcome {
             version: VERSION,
             session_id,
@@ -493,7 +498,7 @@ fn serve_replication(conn: &mut dyn Conn, db: &Arc<Database>, stop: &AtomicBool,
             other => {
                 // Protocol violation: answer and hang up.
                 let _ = write_frame(
-                    &mut WriteAdapter(conn),
+                    conn,
                     &Frame::Error {
                         code: 3001,
                         message: format!(
@@ -504,7 +509,7 @@ fn serve_replication(conn: &mut dyn Conn, db: &Arc<Database>, stop: &AtomicBool,
                 return;
             }
         };
-        if write_frame(&mut WriteAdapter(conn), &reply).is_err() {
+        if write_frame(conn, &reply).is_err() {
             return;
         }
     }
@@ -594,25 +599,11 @@ fn fail(sink: &mut FrameSink<'_>, e: &DbError) -> DbResult<()> {
     })
 }
 
-/// `io::Write` over a `dyn Conn` borrow (for one-off unbuffered
-/// frames outside the sink's lifetime).
-struct WriteAdapter<'a>(&'a mut dyn Conn);
-
-impl std::io::Write for WriteAdapter<'_> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.write(buf)
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.0.flush()
-    }
-}
-
 /// Answer an HTTP scraper. The `GET ` preamble has already been
 /// consumed; read the rest of the request head, then respond with the
-/// Prometheus exposition (for `/metrics`), the same snapshot as JSON
-/// (for `/metrics.json`, or `/metrics` with `Accept: application/json`),
-/// or a 404, and close.
-fn serve_http_scrape(conn: &mut dyn Conn, admission: &Arc<Admission>) {
+/// Prometheus exposition (for `/metrics`, whatever the request's
+/// `Accept` header says) or a 404, and close.
+fn serve_http_scrape(conn: &mut TcpStream, admission: &Arc<Admission>) {
     let mut head = Vec::with_capacity(512);
     let mut byte = [0u8; 1];
     while head.len() < 8 << 10 && !head.ends_with(b"\r\n\r\n") {
@@ -623,44 +614,18 @@ fn serve_http_scrape(conn: &mut dyn Conn, admission: &Arc<Admission>) {
     }
     let request_head = String::from_utf8_lossy(&head);
     let path = request_head.split_whitespace().next().unwrap_or("");
-    let wants_json = path == "/metrics.json"
-        || path.starts_with("/metrics.json?")
-        || request_head.lines().any(|l| {
-            let l = l.to_ascii_lowercase();
-            l.starts_with("accept:") && l.contains("application/json")
-        });
-    let is_metrics = |p: &str| {
-        p == "/metrics"
-            || p.starts_with("/metrics?")
-            || p == "/metrics.json"
-            || p.starts_with("/metrics.json?")
-    };
-    let (status, content_type, body) = if is_metrics(path) {
+    let (status, body) = if path == "/metrics" || path.starts_with("/metrics?") {
         admission.metrics().metrics_scrapes_total.inc();
-        let snapshot = admission.metrics().registry.snapshot();
-        if wants_json {
-            (
-                "200 OK",
-                "application/json; charset=utf-8",
-                snapshot.to_json(),
-            )
-        } else {
-            (
-                "200 OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                snapshot.to_prometheus(),
-            )
-        }
-    } else {
         (
-            "404 Not Found",
-            "text/plain; version=0.0.4; charset=utf-8",
-            format!("no route for {path}\n"),
+            "200 OK",
+            admission.metrics().registry.snapshot().to_prometheus(),
         )
+    } else {
+        ("404 Not Found", format!("no route for {path}\n"))
     };
     let response = format!(
         "HTTP/1.1 {status}\r\n\
-         Content-Type: {content_type}\r\n\
+         Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
          Content-Length: {}\r\n\
          Connection: close\r\n\r\n{body}",
         body.len(),

@@ -1,42 +1,10 @@
-//! Connection transport, kept behind a trait so the serving loop never
-//! names a socket type.
-//!
-//! The default [`TcpTransport`] is a blocking `std::net` listener with
-//! one service thread per admitted connection — the classic
-//! process-per-connection Postgres shape, minus the fork. The trait is
-//! the seam where an epoll/thread-per-core reactor (or an in-process
-//! loopback for tests) slots in without touching the protocol or
-//! admission layers: a `Transport` yields [`Conn`]s, and everything
-//! above it only reads, writes, and sets read timeouts.
+//! The listening endpoint: a blocking `std::net` listener with one
+//! service thread per admitted connection — the classic
+//! process-per-connection Postgres shape, minus the fork.
 
-use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::time::Duration;
 
-/// One bidirectional byte stream between a client and the server.
-pub trait Conn: Read + Write + Send {
-    /// Bound blocking reads so service threads can notice shutdown;
-    /// `None` blocks forever.
-    fn set_read_timeout(&self, limit: Option<Duration>) -> std::io::Result<()>;
-
-    /// Peer description for diagnostics (address, or a synthetic name).
-    fn peer(&self) -> String;
-}
-
-/// A listening endpoint producing [`Conn`]s.
-pub trait Transport: Send + Sync {
-    /// Block until the next connection arrives.
-    fn accept(&self) -> std::io::Result<Box<dyn Conn>>;
-
-    /// The bound address, rendered (`host:port` for TCP).
-    fn local_addr(&self) -> std::io::Result<String>;
-
-    /// Open a throwaway connection to this endpoint from the local
-    /// process (used to wake a blocked `accept` during shutdown).
-    fn wake(&self) -> std::io::Result<()>;
-}
-
-/// The default transport: a blocking TCP listener.
+/// A blocking TCP listener.
 pub struct TcpTransport {
     listener: TcpListener,
 }
@@ -48,35 +16,25 @@ impl TcpTransport {
             listener: TcpListener::bind(addr)?,
         })
     }
-}
 
-impl Transport for TcpTransport {
-    fn accept(&self) -> std::io::Result<Box<dyn Conn>> {
+    /// Block until the next connection arrives.
+    pub(crate) fn accept(&self) -> std::io::Result<TcpStream> {
         let (stream, _) = self.listener.accept()?;
         // Frames are small and latency-sensitive; leaving Nagle on
         // costs a round trip per pipelined request.
         stream.set_nodelay(true)?;
-        Ok(Box::new(stream))
+        Ok(stream)
     }
 
-    fn local_addr(&self) -> std::io::Result<String> {
+    /// The bound address, rendered `host:port`.
+    pub(crate) fn local_addr(&self) -> std::io::Result<String> {
         self.listener.local_addr().map(|a| a.to_string())
     }
 
-    fn wake(&self) -> std::io::Result<()> {
+    /// Open a throwaway connection to this endpoint from the local
+    /// process (used to wake a blocked `accept` during shutdown).
+    pub(crate) fn wake(&self) -> std::io::Result<()> {
         let addr = self.listener.local_addr()?;
         TcpStream::connect(addr).map(|_| ())
-    }
-}
-
-impl Conn for TcpStream {
-    fn set_read_timeout(&self, limit: Option<Duration>) -> std::io::Result<()> {
-        TcpStream::set_read_timeout(self, limit)
-    }
-
-    fn peer(&self) -> String {
-        self.peer_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_else(|_| "<unknown>".into())
     }
 }

@@ -207,50 +207,81 @@ fn http_scrape_returns_valid_exposition_with_server_families() {
     assert!(response.starts_with("HTTP/1.1 404"), "{response}");
 }
 
-/// The same port serves the snapshot as JSON: `/metrics.json` by path,
-/// or `/metrics` content-negotiated with `Accept: application/json`.
-#[test]
-fn http_scrape_serves_json_by_path_and_accept_header() {
+/// `GET` the scrape port with `request` as the whole request; the
+/// response's head and body.
+fn http_get(addr: &str, request: &[u8]) -> (String, String) {
     use std::io::{Read, Write};
 
+    let mut http = std::net::TcpStream::connect(addr).unwrap();
+    http.write_all(request).unwrap();
+    let mut response = String::new();
+    http.read_to_string(&mut response).unwrap();
+    let (head, body) = response
+        .split_once("\r\n\r\n")
+        .expect("an HTTP head/body split");
+    (head.to_string(), body.to_string())
+}
+
+/// The port serves one exposition: `/metrics.json` is no route, and
+/// `/metrics` answers the Prometheus text whatever `Accept` asks for.
+#[test]
+fn http_scrape_serves_prometheus_text_only() {
     let server = serve(AdmissionConfig::default());
     let mut session = RemoteSession::connect(server.addr(), "admin").unwrap();
     session
-        .run(r#"append to Log (tag = "json", n = 1)"#)
+        .run(r#"append to Log (tag = "scrape", n = 1)"#)
         .unwrap();
 
-    let fetch = |request: &[u8]| {
-        let mut http = std::net::TcpStream::connect(server.addr()).unwrap();
-        http.write_all(request).unwrap();
-        let mut response = String::new();
-        http.read_to_string(&mut response).unwrap();
-        let (head, body) = response
-            .split_once("\r\n\r\n")
-            .map(|(h, b)| (h.to_string(), b.to_string()))
-            .expect("an HTTP head/body split");
-        (head, body)
-    };
+    let (head, _) = http_get(
+        server.addr(),
+        b"GET /metrics.json HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n",
+    );
+    assert!(head.starts_with("HTTP/1.1 404"), "{head}");
 
-    for request in [
-        b"GET /metrics.json HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n".as_slice(),
+    let (head, body) = http_get(
+        server.addr(),
         b"GET /metrics HTTP/1.1\r\nHost: test\r\nAccept: application/json\r\nConnection: close\r\n\r\n",
-    ] {
-        let (head, body) = fetch(request);
-        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
-        assert!(head.contains("application/json"), "{head}");
-        let snap = exodus_db::MetricsSnapshot::from_json(&body)
-            .expect("the JSON body parses back into a snapshot");
-        assert!(
-            snap.counter("server_statements_total").unwrap_or(0) > 0,
-            "server families missing from the JSON snapshot"
-        );
-        assert!(snap.counter("db_statements_total").unwrap_or(0) > 0);
-    }
-
-    // The plain scrape still answers the Prometheus exposition.
-    let (head, body) = fetch(b"GET /metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
+    );
     assert!(head.contains("text/plain; version=0.0.4"), "{head}");
     validate_exposition(&body).expect("a valid Prometheus exposition");
+    for counter in ["server_statements_total", "db_statements_total"] {
+        let value: u64 = body
+            .lines()
+            .find_map(|l| l.strip_prefix(counter)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("{counter} missing:\n{body}"));
+        assert!(value > 0, "{counter} is {value}");
+    }
+}
+
+/// Scrapes taken while two sessions run statements — so service
+/// threads observe `server_statement_ns` and `db_statement_ns` between
+/// a scrape's reads — are each a valid exposition.
+#[test]
+fn scrapes_under_concurrent_statements_validate() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let server = serve(AdmissionConfig::default());
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            let (addr, stop) = (server.addr(), &stop);
+            s.spawn(move || {
+                let mut session = RemoteSession::connect(addr, "admin").unwrap();
+                while !stop.load(Ordering::Relaxed) {
+                    session.query("retrieve (L.n) from L in Log").unwrap();
+                }
+            });
+        }
+        let outcome = (0..1_000).try_for_each(|_| {
+            let (_, body) = http_get(
+                server.addr(),
+                b"GET /metrics HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n",
+            );
+            validate_exposition(&body).map(|_| ())
+        });
+        stop.store(true, Ordering::Relaxed);
+        outcome.expect("a scrape taken under load validates");
+    });
 }
 
 /// One database can be served again after its server is gone: the

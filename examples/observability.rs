@@ -83,8 +83,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The full registry: every layer's counters in one snapshot. The
-    // same data encodes as JSON (`to_json`) and Prometheus exposition
-    // (`to_prometheus`).
+    // same data encodes as the Prometheus exposition (`to_prometheus`)
+    // and reads as rows of `sys.metrics`.
     let snap = db.metrics_snapshot().expect("metrics are on by default");
     println!("== metrics snapshot ==");
     for m in &snap.metrics {
