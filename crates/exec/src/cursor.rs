@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::vec::IntoIter;
 
 use excess_algebra::Physical;
-use excess_sema::{ResolvedRange, RootSource};
+use excess_sema::{IndexInfo, ResolvedRange, RootSource, SemaCtx};
 use exodus_storage::btree::{BTree, BTreeScan};
 use exodus_storage::{Oid, RecordId};
 use extra_model::{MemberScan, ModelError, ModelResult, Value};
@@ -129,7 +129,7 @@ pub(crate) fn open_sub<'p>(
         } => {
             let kind = ScanKind::Index {
                 binding,
-                root: ix.root,
+                index: ix,
                 lower,
                 upper,
             };
@@ -204,7 +204,7 @@ pub(crate) fn open_sub<'p>(
         } => Cursor::IndexJoin(IndexJoinCursor {
             input: Box::new(open_sub(child, leaf, input, index)),
             binding,
-            root: ix.root,
+            index: ix,
             key,
             key_ty,
             slot,
@@ -479,8 +479,8 @@ pub struct IndexJoinCursor<'p> {
     input: Box<Cursor<'p>>,
     /// The matched side.
     binding: &'p ResolvedRange,
-    /// The probed index's root page.
-    root: u64,
+    /// The probed index.
+    index: &'p IndexInfo,
     key: &'p Compiled,
     key_ty: &'p extra_model::Type,
     /// Metric slot when profiling.
@@ -512,6 +512,7 @@ impl IndexJoinCursor<'_> {
             }
             ctx.prof_in(self.slot, batch.len());
             let anchor = anchor(self.binding)?;
+            let attr = indexed_attr(ctx, self.binding, self.index)?;
             let (mut out, vc) = RowBatch::extending(&batch, &self.binding.var);
             let keys = eval_column(self.key, ctx, &batch)?;
             for (r, kv) in keys.into_iter().enumerate() {
@@ -523,7 +524,7 @@ impl IndexJoinCursor<'_> {
                     continue;
                 };
                 let key = std::ops::Bound::Included(kb);
-                let mut matches = MemberSource::index(ctx, self.root, key.clone(), key);
+                let mut matches = MemberSource::index(ctx, self.index, attr, key.clone(), key);
                 loop {
                     let (values, ids) = matches.next_chunk(ctx, anchor)?;
                     if values.is_empty() {
@@ -614,7 +615,7 @@ enum ScanKind<'p> {
     },
     Index {
         binding: &'p ResolvedRange,
-        root: u64,
+        index: &'p IndexInfo,
         lower: &'p std::ops::Bound<Vec<u8>>,
         upper: &'p std::ops::Bound<Vec<u8>>,
     },
@@ -633,7 +634,65 @@ enum ScanKind<'p> {
 /// probes.
 pub(crate) enum MemberSource {
     Heap(MemberScan),
-    Index(BTreeScan),
+    /// A key range of an index over the element attribute at `attr`.
+    Index {
+        scan: BTreeScan,
+        attr: usize,
+    },
+}
+
+/// The position of `index`'s attribute in the members `binding` scans,
+/// resolved as the writer resolves it when it maintains the index.
+pub(crate) fn indexed_attr(
+    ctx: &ExecCtx<'_>,
+    binding: &ResolvedRange,
+    index: &IndexInfo,
+) -> ModelResult<usize> {
+    SemaCtx::new(ctx.types, ctx.adts, ctx.catalog)
+        .attr(&binding.elem, &index.attr)
+        .map(|(pos, _)| pos)
+        .map_err(|e| ModelError::Semantic(e.to_string()))
+}
+
+/// The key each member shows for the indexed attribute at `attr` at the
+/// snapshot: a tuple member's own field, a reference member's object's
+/// field. `None` for a null attribute, which no index entry carries.
+fn indexed_keys(
+    ctx: &ExecCtx<'_>,
+    members: &[(RecordId, Value)],
+    attr: usize,
+) -> ModelResult<Vec<Option<Vec<u8>>>> {
+    let oids: Vec<Oid> = members
+        .iter()
+        .filter_map(|(_, v)| match v {
+            Value::Ref(o) => Some(*o),
+            _ => None,
+        })
+        .collect();
+    let mut fields = ctx
+        .store
+        .fields_of_many_at(&oids, &[attr], ctx.snapshot)?
+        .into_iter()
+        .zip(&oids);
+    let key = |f: Option<&Value>| {
+        f.filter(|f| !f.is_null())
+            .and_then(|f| f.key_encode(ctx.adts))
+    };
+    members
+        .iter()
+        .map(|(_, member)| match member {
+            Value::Tuple(fields) => Ok(key(fields.get(attr))),
+            Value::Ref(_) => {
+                let (field, &oid) = fields.next().expect("one field per reference");
+                let field = match field {
+                    Some(f) => Some(f),
+                    None => ctx.store.field_of_at(oid, attr, ctx.snapshot)?,
+                };
+                Ok(key(field.as_ref()))
+            }
+            _ => Ok(None),
+        })
+        .collect()
 }
 
 impl MemberSource {
@@ -642,14 +701,18 @@ impl MemberSource {
         Ok(MemberSource::Heap(scan))
     }
 
+    /// A scan of `index`, whose attribute sits at `attr`, within the
+    /// bounds.
     pub(crate) fn index(
         ctx: &ExecCtx<'_>,
-        root: u64,
+        index: &IndexInfo,
+        attr: usize,
         lower: std::ops::Bound<Vec<u8>>,
         upper: std::ops::Bound<Vec<u8>>,
     ) -> MemberSource {
         let pool = ctx.store.storage().pool().clone();
-        MemberSource::Index(BTree::open(root).scan(pool, lower, upper))
+        let scan = BTree::open(index.root).scan(pool, lower, upper);
+        MemberSource::Index { scan, attr }
     }
 
     /// The next members — up to a batch of them — as a column of values
@@ -670,26 +733,34 @@ impl MemberSource {
         };
         match self {
             MemberSource::Heap(scan) => Ok(scan.next_batch(cap)?.into_iter().map(bind).unzip()),
-            MemberSource::Index(scan) => loop {
+            MemberSource::Index { scan, attr } => loop {
                 let entries = scan.next_batch(cap)?;
                 if entries.is_empty() {
                     return Ok(Default::default());
                 }
-                let mut out: (Vec<Value>, Vec<MemberId>) = Default::default();
-                for (_, packed) in entries {
+                // Index entries are maintained synchronously by the
+                // writer, so they can point at versions outside the
+                // snapshot (uncommitted inserts, deleted members) ...
+                let pool = ctx.store.storage().pool();
+                let (mut keys, mut members) = (Vec::new(), Vec::new());
+                for (key, packed) in entries {
                     let rid = RecordId::unpack(packed);
-                    // Index entries are maintained synchronously by the
-                    // writer, so they can point at versions outside the
-                    // snapshot (uncommitted inserts, deleted members).
-                    let pool = ctx.store.storage().pool();
                     if let Some(bytes) =
                         exodus_storage::heap::read_record_visible(pool, rid, ctx.snapshot)?
                     {
-                        let (value, id) = bind((rid, extra_model::valueio::from_bytes(&bytes)?));
-                        out.0.push(value);
-                        out.1.push(id);
+                        keys.push(key);
+                        members.push((rid, extra_model::valueio::from_bytes(&bytes)?));
                     }
                 }
+                // ... or carry a key the visible version does not have
+                // (an uncommitted replace moves the entry at once).
+                let shown = indexed_keys(ctx, &members, *attr)?;
+                let out: (Vec<Value>, Vec<MemberId>) = members
+                    .into_iter()
+                    .zip(shown.into_iter().zip(keys))
+                    .filter(|(_, (shown, key))| shown.as_ref() == Some(key))
+                    .map(|(member, _)| bind(member))
+                    .unzip();
                 if !out.0.is_empty() {
                     return Ok(out);
                 }
@@ -746,13 +817,14 @@ impl<'p> ScanCursor<'p> {
             }
             ScanKind::Index {
                 binding,
-                root,
+                index,
                 lower,
                 upper,
             } => {
                 let (lower, upper) = ((*lower).clone(), (*upper).clone());
+                let attr = indexed_attr(ctx, binding, index)?;
                 (
-                    MemberSource::index(ctx, *root, lower, upper),
+                    MemberSource::index(ctx, index, attr, lower, upper),
                     anchor(binding)?,
                 )
             }

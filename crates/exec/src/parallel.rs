@@ -32,7 +32,7 @@ use exodus_storage::Oid;
 use extra_model::{ModelError, ModelResult};
 
 use crate::batch::RowBatch;
-use crate::cursor::{open_sub, Cursor, MemberSource};
+use crate::cursor::{indexed_attr, open_sub, Cursor, MemberSource};
 use crate::eval::ExecCtx;
 use crate::plan::{anchor, Plan};
 use crate::profile::{PlanProfiler, WorkerStats};
@@ -66,18 +66,25 @@ fn morsels_for(
                 .collect(),
         )),
         Physical::IndexScan {
+            binding,
             index,
             lower,
             upper,
             ..
         } => {
+            let attr = indexed_attr(ctx, binding, index)?;
             let scans = BTree::open(index.root).partitions(
                 ctx.store.storage().pool(),
                 k,
                 lower.clone(),
                 upper.clone(),
             )?;
-            Ok(Some(scans.into_iter().map(MemberSource::Index).collect()))
+            Ok(Some(
+                scans
+                    .into_iter()
+                    .map(|scan| MemberSource::Index { scan, attr })
+                    .collect(),
+            ))
         }
         _ => Ok(None),
     }

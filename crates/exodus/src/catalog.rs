@@ -349,8 +349,11 @@ impl Catalog {
 }
 
 /// Serialization version of the catalog image. An image of another
-/// version is refused at open, never guessed at.
-const IMAGE_VERSION: u32 = 3;
+/// version is refused at open, never guessed at. The image is also the
+/// one stamp a volume carries, so a change to the layout of any page the
+/// database keeps bumps it too (v4: B+-tree nodes are slotted pages),
+/// and a volume another build wrote is refused even without a log.
+const IMAGE_VERSION: u32 = 4;
 
 /// First page of the catalog image's large object: genesis allocates it
 /// before anything else, so every volume keeps its catalog here.

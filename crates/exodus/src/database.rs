@@ -886,7 +886,7 @@ impl Session {
             Stmt::Abort => return self.abort_txn(db),
             _ => {}
         }
-        let read_only = matches!(stmt, Stmt::Retrieve { into: None, .. });
+        let read_only = reads_only(stmt);
         if let Some(txn) = &self.txn {
             if let Err(m) = txn_permits(stmt) {
                 return Err(DbError::Txn(m));
@@ -916,13 +916,21 @@ impl Session {
         response
     }
 
-    /// A plain retrieve under the shared catalog lock, every storage
-    /// read resolving the record version visible at `snap`.
+    /// A plain retrieve — bare, explained or observed — under the
+    /// shared catalog lock, every storage read resolving the record
+    /// version visible at `snap`.
     fn read(&self, db: &Database, stmt: &Stmt, snap: u64) -> DbResult<Response> {
         let cat = db.catalog.read();
         let frame = Params::default();
         let scope = Scope::new(db, &cat, &self.ranges, &self.user, &frame, snap);
-        Ok(Response::Rows(dml::retrieve(&scope, stmt, None)?.0))
+        let retrieve = |stmt: &Stmt, sink: Option<&mut ExplainSink>| {
+            Ok(Response::Rows(dml::retrieve(&scope, stmt, sink)?.0))
+        };
+        match stmt {
+            Stmt::Explain { analyze, stmt } => explain(*analyze, |sink| retrieve(stmt, Some(sink))),
+            Stmt::Observe { stmt } => observe(db, || retrieve(stmt, None)),
+            _ => retrieve(stmt, None),
+        }
     }
 
     /// Any other statement, under the exclusive catalog lock; the
@@ -1022,6 +1030,17 @@ impl Session {
         txn.abort()?;
         let _ = db.store.vacuum();
         Ok(Response::Done("transaction aborted".into()))
+    }
+}
+
+/// Whether a statement only reads data: a plain retrieve, bare or
+/// directly under `explain` or `observe`.
+fn reads_only(stmt: &Stmt) -> bool {
+    match stmt {
+        Stmt::Explain { stmt, .. } | Stmt::Observe { stmt } => {
+            matches!(**stmt, Stmt::Retrieve { into: None, .. })
+        }
+        _ => matches!(stmt, Stmt::Retrieve { into: None, .. }),
     }
 }
 
@@ -1191,20 +1210,12 @@ pub(crate) fn exec_statement(
         // `analyze`, also execute the statement — exactly once — with
         // per-operator profiling. A plan-only explain mutates nothing
         // (the statement's query is planned but never run).
-        Stmt::Explain { analyze, stmt } => {
-            let mut sink = ExplainSink {
-                analyze: *analyze,
-                ..Default::default()
-            };
-            dml::run(db, cat, ranges, user, stmt, params, Some(&mut sink))?;
-            Ok(Response::Explained(Explanation {
-                plan: sink
-                    .plan
-                    .ok_or_else(|| DbError::Catalog("statement produced no plan".into()))?,
-                profile: sink.profile,
-            }))
+        Stmt::Explain { analyze, stmt } => explain(*analyze, |sink| {
+            dml::run(db, cat, ranges, user, stmt, params, Some(sink))
+        }),
+        Stmt::Observe { stmt } => {
+            observe(db, || exec_statement(db, cat, ranges, user, stmt, params))
         }
-        Stmt::Observe { stmt } => observe_stmt(db, cat, ranges, user, stmt, params),
         Stmt::Analyze { collection } => analyze_collection(db, cat, collection),
         Stmt::Grant {
             privileges,
@@ -1267,21 +1278,33 @@ pub(crate) fn exec_statement(
     }
 }
 
-/// `observe <stmt>`: execute the statement — exactly once — and report
+/// `explain [analyze] <stmt>`: `run` the statement against a sink that
+/// takes its plan and, under `analyze`, its profile.
+fn explain(
+    analyze: bool,
+    run: impl FnOnce(&mut ExplainSink) -> DbResult<Response>,
+) -> DbResult<Response> {
+    let mut sink = ExplainSink {
+        analyze,
+        ..Default::default()
+    };
+    run(&mut sink)?;
+    Ok(Response::Explained(Explanation {
+        plan: sink
+            .plan
+            .ok_or_else(|| DbError::Catalog("statement produced no plan".into()))?,
+        profile: sink.profile,
+    }))
+}
+
+/// `observe <stmt>`: `run` the statement — exactly once — and report
 /// the metric activity it caused: wall-clock time plus every counter
 /// delta (zeros dropped). With metrics disabled the statement still
 /// runs; the counter list is just empty.
-fn observe_stmt(
-    db: &Database,
-    cat: &mut Catalog,
-    ranges: &mut RangeEnv,
-    user: &str,
-    inner: &Stmt,
-    params: &Params,
-) -> DbResult<Response> {
+fn observe(db: &Database, run: impl FnOnce() -> DbResult<Response>) -> DbResult<Response> {
     let before = db.metrics_snapshot();
     let t0 = std::time::Instant::now();
-    let response = exec_statement(db, cat, ranges, user, inner, params)?;
+    let response = run()?;
     let elapsed_ns = t0.elapsed().as_nanos() as u64;
     let counters = match (before, db.metrics_snapshot()) {
         (Some(b), Some(a)) => MetricsSnapshot::counter_deltas(&b, &a),

@@ -168,3 +168,50 @@ fn parallel_index_scan_steps_over_invisible_entries() {
     assert_eq!(reader.query(q).unwrap().rows.len(), scale);
     writer.run("abort").unwrap();
 }
+
+/// An index scan checks each entry against the member version its
+/// snapshot sees. A writer's open `replace` moves the index entry to the
+/// new key at once, while the reader still sees the old version, which
+/// must not match the new key — with or without the index, the answer
+/// is the one the heap gives.
+#[test]
+fn index_scan_drops_entries_whose_visible_version_has_another_key() {
+    for elem in ["own ref Row", "own Row"] {
+        let db = Database::builder().build().unwrap();
+        db.run(&format!(
+            "define type Row (k: int4, tag: varchar); create {{ {elem} }} Rows;"
+        ))
+        .unwrap();
+        let rows = (0..50)
+            .map(|i| Value::Tuple(vec![Value::Int(i), Value::str("old")]))
+            .collect();
+        db.bulk_append("Rows", rows).unwrap();
+        db.run("define index rows_k on Rows (k)").unwrap();
+
+        let queries = [
+            "retrieve (R.k, R.tag) from R in Rows where R.k = 500",
+            "retrieve (R.k, R.tag) from R in Rows where R.k >= 400",
+        ];
+        let mut reader = db.session();
+        for q in queries {
+            let plan = reader.explain(q).unwrap().plan;
+            assert!(plan.contains("IndexScan"), "{elem}: {q}\n{plan}");
+        }
+        let mut writer = db.session();
+        writer.run("begin").unwrap();
+        writer
+            .run("range of R is Rows; replace R (k = 500) where R.k = 4")
+            .unwrap();
+        for q in queries {
+            let rows = reader.query(q).unwrap().rows;
+            assert_eq!(rows, Vec::<Vec<Value>>::new(), "{elem}: {q}");
+        }
+        writer.run("commit").unwrap();
+        let q = "retrieve (R.k, R.tag) from R in Rows where R.k = 500";
+        assert_eq!(
+            reader.query(q).unwrap().rows,
+            vec![vec![Value::Int(500), Value::str("old")]],
+            "{elem}"
+        );
+    }
+}

@@ -250,3 +250,52 @@ fn retrieve_into_is_refused_inside_a_transaction() {
     let snap = session.query("range of S is Snap; retrieve (S.n)").unwrap();
     assert_eq!(snap.rows, vec![vec![Value::Int(7)]]);
 }
+
+/// `explain`, `explain analyze` and `observe` of a plain retrieve read a
+/// snapshot like the bare retrieve does: none of them waits for another
+/// session's open write transaction, and `explain analyze` counts only
+/// committed rows. Every open append, replace or delete, with and
+/// without an index, against a reader opened before and after the
+/// writer.
+#[test]
+fn explain_and_observe_of_a_retrieve_never_wait_for_a_writer() {
+    const ROWS: i64 = 300;
+    let q = "retrieve (B.n) from B in Box where B.n >= 100";
+    let writes = [
+        r#"append to Box (tag = "open", n = 5000)"#,
+        "range of B is Box; replace B (n = 7000) where B.n = 3",
+        "range of B is Box; delete B where B.n = 50",
+    ];
+    for indexed in [false, true] {
+        for write in writes {
+            for reader_first in [true, false] {
+                let db = box_db(ROWS as usize, 1);
+                if indexed {
+                    db.run("define index box_n on Box (n)").unwrap();
+                }
+                let reader = reader_first.then(|| db.session());
+                let mut writer = db.session();
+                writer.run("begin").unwrap();
+                writer.run(write).unwrap();
+                let mut reader = reader.unwrap_or_else(|| db.session());
+                let (tx, rx) = std::sync::mpsc::channel();
+                let worker = std::thread::spawn(move || {
+                    let plan = reader.explain(q).unwrap().plan;
+                    let profile = reader.explain_analyze(q).unwrap().profile.unwrap();
+                    let observed = reader.observe(q).unwrap().response.rows().unwrap();
+                    tx.send((plan, profile.result_rows, observed.rows.len()))
+                        .unwrap();
+                });
+                let case = format!("index {indexed}, reader first {reader_first}: {write}");
+                let (plan, analyzed, observed) = rx
+                    .recv_timeout(std::time::Duration::from_secs(10))
+                    .unwrap_or_else(|_| panic!("blocked behind the open writer ({case})"));
+                worker.join().unwrap();
+                assert_eq!(plan.contains("IndexScan"), indexed, "{case}\n{plan}");
+                assert_eq!(analyzed, (ROWS - 100) as u64, "{case}");
+                assert_eq!(observed as i64, ROWS - 100, "{case}");
+                writer.run("abort").unwrap();
+            }
+        }
+    }
+}

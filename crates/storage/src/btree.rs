@@ -13,24 +13,41 @@
 //! splits relocating the old root's content so the root page number never
 //! changes.
 //!
-//! Node layout (within the page body, past the common header):
+//! Node layout: every node is a [`SlottedPage`] whose slot directory is
+//! kept dense and in key order, so a descent binary-searches it on the
+//! pinned page and an insert or delete shifts slot entries in place
+//! ([`SlottedPage::insert_at`], [`SlottedPage::remove_at`]). The key
+//! length is the slot length minus 8.
 //!
-//! * leaf: `count:u16` then `count` × (`klen:u16`, key bytes, `val:u64`)
-//! * internal: `count:u16` (number of separators), `child0:u64`, then
-//!   `count` × (`klen:u16`, key bytes, `child:u64`)
+//! * leaf: slot `i` holds `key ++ val:u64`.
+//! * internal: slot 0 holds `child0:u64` (an empty key); slot `i > 0`
+//!   holds `key ++ child:u64`, the child covering keys from that
+//!   separator up to the next one.
+//!
+//! A split moves the upper half of a node's slot bytes to a new right
+//! sibling. An insert past the last key of the rightmost leaf instead
+//! starts a new leaf holding only the new entry, so ascending loads leave
+//! full leaves behind them. Every slot read is bounds-checked: a malformed
+//! node is [`StorageError::Corrupt`], never a panic.
 
+use std::collections::VecDeque;
 use std::ops::Bound;
 use std::sync::Arc;
 
-use crate::buffer::BufferPool;
+use crate::buffer::{BufferPool, PinnedPage};
 use crate::error::{StorageError, StorageResult};
-use crate::page::{PageKind, PageView, SlottedPage, NO_PAGE, PAGE_SIZE};
+use crate::page::{PageKind, PageView, SlottedPage, NO_PAGE, UNLOGGED};
 
 /// Maximum key length accepted by the tree (must leave room for several
 /// entries per node).
 pub const MAX_KEY: usize = 1024;
 
-const BODY: usize = PAGE_SIZE - crate::page::HEADER_SIZE;
+/// Bytes of the `u64` that ends every slot record.
+const VAL: usize = 8;
+
+/// Deepest descent accepted: a longer one can only be a child-pointer
+/// cycle in a corrupt tree.
+const MAX_DEPTH: usize = 32;
 
 /// Handle to a B+-tree, identified by its root page number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,143 +55,164 @@ pub struct BTree {
     root: u64,
 }
 
-#[derive(Debug, Clone)]
-struct Leaf {
-    entries: Vec<(Vec<u8>, u64)>,
+/// A node read in place on a latched page.
+struct NodeView<'a> {
+    page: PageView<'a>,
+    page_no: u64,
+    leaf: bool,
+    n: u16,
 }
 
-#[derive(Debug, Clone)]
-struct Internal {
-    keys: Vec<Vec<u8>>,
-    children: Vec<u64>,
-}
-
-#[derive(Debug, Clone)]
-enum Node {
-    Leaf(Leaf),
-    Internal(Internal),
-}
-
-fn decode_node(kind: PageKind, body: &[u8]) -> StorageResult<Node> {
-    let mut pos = 0usize;
-    let take_u16 = |pos: &mut usize| -> StorageResult<u16> {
-        if *pos + 2 > body.len() {
-            return Err(StorageError::Corrupt("btree node truncated".into()));
-        }
-        let v = u16::from_le_bytes([body[*pos], body[*pos + 1]]);
-        *pos += 2;
-        Ok(v)
-    };
-    let take_u64 = |pos: &mut usize| -> StorageResult<u64> {
-        if *pos + 8 > body.len() {
-            return Err(StorageError::Corrupt("btree node truncated".into()));
-        }
-        let mut a = [0u8; 8];
-        a.copy_from_slice(&body[*pos..*pos + 8]);
-        *pos += 8;
-        Ok(u64::from_le_bytes(a))
-    };
-    let take_key = |pos: &mut usize| -> StorageResult<Vec<u8>> {
-        let klen = if *pos + 2 <= body.len() {
-            let v = u16::from_le_bytes([body[*pos], body[*pos + 1]]) as usize;
-            *pos += 2;
-            v
-        } else {
-            return Err(StorageError::Corrupt("btree key truncated".into()));
+impl<'a> NodeView<'a> {
+    fn new(buf: &'a [u8], page_no: u64) -> StorageResult<Self> {
+        let page = PageView::new(buf);
+        let leaf = match page.kind() {
+            PageKind::BTreeLeaf => true,
+            PageKind::BTreeInternal => false,
+            other => {
+                return Err(StorageError::Corrupt(format!(
+                    "page {page_no} is not a btree node (kind {other:?})"
+                )))
+            }
         };
-        if *pos + klen > body.len() {
-            return Err(StorageError::Corrupt("btree key truncated".into()));
+        let n = page.slot_count();
+        if !leaf && n == 0 {
+            return Err(StorageError::Corrupt(format!(
+                "btree internal node {page_no} has no child"
+            )));
         }
-        let k = body[*pos..*pos + klen].to_vec();
-        *pos += klen;
-        Ok(k)
-    };
-    match kind {
-        PageKind::BTreeLeaf => {
-            let count = take_u16(&mut pos)? as usize;
-            let mut entries = Vec::with_capacity(count);
-            for _ in 0..count {
-                let k = take_key(&mut pos)?;
-                let v = take_u64(&mut pos)?;
-                entries.push((k, v));
+        Ok(NodeView {
+            page,
+            page_no,
+            leaf,
+            n,
+        })
+    }
+
+    /// A node the leaf chain or a descent must have reached as a leaf.
+    fn leaf(buf: &'a [u8], page_no: u64) -> StorageResult<Self> {
+        let node = NodeView::new(buf, page_no)?;
+        if !node.leaf {
+            return Err(StorageError::Corrupt(format!(
+                "btree leaf chain reached internal node {page_no}"
+            )));
+        }
+        Ok(node)
+    }
+
+    /// Slot `i`'s record bytes.
+    fn record(&self, i: u16) -> StorageResult<&'a [u8]> {
+        let rec = self.page.read(self.page_no, i)?;
+        if rec.len() < VAL {
+            return Err(StorageError::Corrupt(format!(
+                "btree node {} slot {i} is shorter than its value",
+                self.page_no
+            )));
+        }
+        Ok(rec)
+    }
+
+    /// Slot `i`'s key and its value (a leaf) or child page (internal).
+    fn entry(&self, i: u16) -> StorageResult<(&'a [u8], u64)> {
+        let rec = self.record(i)?;
+        let (key, val) = rec.split_at(rec.len() - VAL);
+        let val = u64::from_le_bytes(val.try_into().expect("VAL bytes"));
+        Ok((key, val))
+    }
+
+    fn key(&self, i: u16) -> StorageResult<&'a [u8]> {
+        Ok(self.entry(i)?.0)
+    }
+
+    /// The first slot in `lo..n` whose key is not `before` the target
+    /// (keys ascend, so the slots that are form a prefix).
+    fn partition(&self, lo: u16, before: impl Fn(&[u8]) -> bool) -> StorageResult<u16> {
+        let (mut lo, mut hi) = (lo, self.n);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if before(self.key(mid)?) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
             }
-            Ok(Node::Leaf(Leaf { entries }))
         }
-        PageKind::BTreeInternal => {
-            let count = take_u16(&mut pos)? as usize;
-            let mut children = Vec::with_capacity(count + 1);
-            children.push(take_u64(&mut pos)?);
-            let mut keys = Vec::with_capacity(count);
-            for _ in 0..count {
-                keys.push(take_key(&mut pos)?);
-                children.push(take_u64(&mut pos)?);
-            }
-            Ok(Node::Internal(Internal { keys, children }))
+        Ok(lo)
+    }
+
+    /// The child slot a search takes: the last separator `<= key` when
+    /// `upper` (where an insert goes, after equal keys), else the last
+    /// `< key` (the leftmost leaf an equal key can sit in).
+    fn route(&self, key: &[u8], upper: bool) -> StorageResult<u16> {
+        Ok(self.partition(1, |k| if upper { k <= key } else { k < key })? - 1)
+    }
+
+    /// The first slot whose key is inside `lower`.
+    fn lower_pos(&self, lower: &Bound<Vec<u8>>) -> StorageResult<u16> {
+        match lower {
+            Bound::Unbounded => Ok(0),
+            Bound::Included(l) => self.partition(0, |k| k < l.as_slice()),
+            Bound::Excluded(l) => self.partition(0, |k| k <= l.as_slice()),
         }
-        other => Err(StorageError::Corrupt(format!(
-            "page is not a btree node (kind {other:?})"
-        ))),
+    }
+
+    /// The first slot from `lo` whose key is past `upper`.
+    fn upper_pos(&self, lo: u16, upper: &Bound<Vec<u8>>) -> StorageResult<u16> {
+        match upper {
+            Bound::Unbounded => Ok(self.n),
+            Bound::Included(u) => self.partition(lo, |k| k <= u.as_slice()),
+            Bound::Excluded(u) => self.partition(lo, |k| k < u.as_slice()),
+        }
     }
 }
 
-fn leaf_encoded_size(l: &Leaf) -> usize {
-    2 + l
-        .entries
-        .iter()
-        .map(|(k, _)| 2 + k.len() + 8)
-        .sum::<usize>()
+/// Run `f` on the node at `page_no` under its read latch.
+fn with_node<R>(
+    pool: &Arc<BufferPool>,
+    page_no: u64,
+    f: impl FnOnce(&NodeView<'_>) -> StorageResult<R>,
+) -> StorageResult<R> {
+    pool.pin(page_no)?
+        .with_read(|buf| f(&NodeView::new(buf, page_no)?))
 }
 
-fn internal_encoded_size(n: &Internal) -> usize {
-    2 + 8 + n.keys.iter().map(|k| 2 + k.len() + 8).sum::<usize>()
+/// Run `f` on the leaf at `page_no` under its read latch.
+fn with_leaf<R>(
+    pool: &Arc<BufferPool>,
+    page_no: u64,
+    f: impl FnOnce(&NodeView<'_>) -> StorageResult<R>,
+) -> StorageResult<R> {
+    pool.pin(page_no)?
+        .with_read(|buf| f(&NodeView::leaf(buf, page_no)?))
 }
 
-fn encode_leaf(l: &Leaf, body: &mut [u8]) {
-    let mut pos = 0usize;
-    body[pos..pos + 2].copy_from_slice(&(l.entries.len() as u16).to_le_bytes());
-    pos += 2;
-    for (k, v) in &l.entries {
-        body[pos..pos + 2].copy_from_slice(&(k.len() as u16).to_le_bytes());
-        pos += 2;
-        body[pos..pos + k.len()].copy_from_slice(k);
-        pos += k.len();
-        body[pos..pos + 8].copy_from_slice(&v.to_le_bytes());
-        pos += 8;
+/// `key ++ val`, a slot record.
+fn record(key: &[u8], val: u64) -> Vec<u8> {
+    let mut rec = Vec::with_capacity(key.len() + VAL);
+    rec.extend_from_slice(key);
+    rec.extend_from_slice(&val.to_le_bytes());
+    rec
+}
+
+/// Insert `rec` at slot `i` of a node that has room for it.
+fn insert_fitting(p: &mut SlottedPage<'_>, i: u16, rec: &[u8]) -> StorageResult<()> {
+    if p.insert_at(i, rec)? {
+        Ok(())
+    } else {
+        Err(StorageError::Corrupt(
+            "btree split left no room for the entry".into(),
+        ))
     }
 }
 
-fn encode_internal(n: &Internal, body: &mut [u8]) {
-    let mut pos = 0usize;
-    body[pos..pos + 2].copy_from_slice(&(n.keys.len() as u16).to_le_bytes());
-    pos += 2;
-    body[pos..pos + 8].copy_from_slice(&n.children[0].to_le_bytes());
-    pos += 8;
-    for (k, c) in n.keys.iter().zip(n.children.iter().skip(1)) {
-        body[pos..pos + 2].copy_from_slice(&(k.len() as u16).to_le_bytes());
-        pos += 2;
-        body[pos..pos + k.len()].copy_from_slice(k);
-        pos += k.len();
-        body[pos..pos + 8].copy_from_slice(&c.to_le_bytes());
-        pos += 8;
-    }
-}
-
-/// Result of inserting into a subtree: a split produces the separator key
-/// and the new right sibling's page number.
-type SplitResult = Option<(Vec<u8>, u64)>;
+/// A split's outcome: the separator key and the new right sibling.
+type Split = (Vec<u8>, u64);
 
 impl BTree {
     /// Create an empty tree.
     pub fn create(pool: &Arc<BufferPool>) -> StorageResult<BTree> {
         let root = pool.allocate()?;
         root.with_write(|buf| {
-            let mut p = SlottedPage::format(buf, PageKind::BTreeLeaf);
-            encode_leaf(
-                &Leaf {
-                    entries: Vec::new(),
-                },
-                p.body_mut(),
-            );
+            SlottedPage::format(buf, PageKind::BTreeLeaf);
         });
         Ok(BTree {
             root: root.page_no(),
@@ -191,12 +229,49 @@ impl BTree {
         self.root
     }
 
-    fn read_node(&self, pool: &Arc<BufferPool>, page_no: u64) -> StorageResult<Node> {
-        let page = pool.pin(page_no)?;
-        page.with_read(|buf| {
-            let v = PageView::new(buf);
-            decode_node(v.kind(), v.body())
-        })
+    /// Walk from the root to a leaf, taking the child slot `route` picks
+    /// in each internal node; `path` (when given) records each internal
+    /// page and the slot taken there.
+    fn descend(
+        &self,
+        pool: &Arc<BufferPool>,
+        route: impl Fn(&NodeView<'_>) -> StorageResult<u16>,
+        mut path: Option<&mut Vec<(u64, u16)>>,
+    ) -> StorageResult<u64> {
+        let mut page_no = self.root;
+        for _ in 0..MAX_DEPTH {
+            let step = with_node(pool, page_no, |node| {
+                if node.leaf {
+                    return Ok(None);
+                }
+                let slot = route(node)?;
+                Ok(Some((slot, node.entry(slot)?.1)))
+            })?;
+            let Some((slot, child)) = step else {
+                return Ok(page_no);
+            };
+            if let Some(path) = path.as_deref_mut() {
+                path.push((page_no, slot));
+            }
+            page_no = child;
+        }
+        Err(StorageError::Corrupt(format!(
+            "btree {} is deeper than {MAX_DEPTH} levels",
+            self.root
+        )))
+    }
+
+    /// The leftmost leaf an entry with `key` can sit in.
+    fn leftmost_for(&self, pool: &Arc<BufferPool>, key: &[u8]) -> StorageResult<u64> {
+        self.descend(pool, |n| n.route(key, false), None)
+    }
+
+    /// The first leaf a scan from `lower` visits.
+    fn first_leaf(&self, pool: &Arc<BufferPool>, lower: &Bound<Vec<u8>>) -> StorageResult<u64> {
+        match lower {
+            Bound::Unbounded => self.descend(pool, |_| Ok(0), None),
+            Bound::Included(key) | Bound::Excluded(key) => self.leftmost_for(pool, key),
+        }
     }
 
     /// Insert `(key, val)`. In unique mode an existing equal key is a
@@ -211,98 +286,38 @@ impl BTree {
         if key.len() > MAX_KEY {
             return Err(StorageError::RecordTooLarge(key.len()));
         }
-        if unique && !self.lookup(pool, key)?.is_empty() {
-            return Err(StorageError::DuplicateKey);
-        }
-        if let Some((sep, right)) = self.insert_rec(pool, self.root, key, val)? {
-            self.split_root(pool, sep, right)?;
-        }
-        Ok(())
-    }
-
-    fn insert_rec(
-        &self,
-        pool: &Arc<BufferPool>,
-        page_no: u64,
-        key: &[u8],
-        val: u64,
-    ) -> StorageResult<SplitResult> {
-        match self.read_node(pool, page_no)? {
-            Node::Leaf(mut leaf) => {
-                // Upper-bound position: after existing equal keys.
-                let pos = leaf.entries.partition_point(|(k, _)| k.as_slice() <= key);
-                leaf.entries.insert(pos, (key.to_vec(), val));
-                if leaf_encoded_size(&leaf) <= BODY {
-                    let page = pool.pin(page_no)?;
-                    page.with_write(|buf| encode_leaf(&leaf, SlottedPage::new(buf).body_mut()));
-                    return Ok(None);
-                }
-                // Split the leaf.
-                let mid = leaf.entries.len() / 2;
-                let right_entries = leaf.entries.split_off(mid);
-                let sep = right_entries[0].0.clone();
-                let page = pool.pin(page_no)?;
-                let old_next = page.with_read(|buf| PageView::new(buf).next());
-                let right_page = pool.allocate()?;
-                let right_no = right_page.page_no();
-                right_page.with_write(|buf| {
-                    let mut p = SlottedPage::format(buf, PageKind::BTreeLeaf);
-                    p.set_prev(page_no);
-                    p.set_next(old_next);
-                    encode_leaf(
-                        &Leaf {
-                            entries: right_entries,
-                        },
-                        p.body_mut(),
-                    );
-                });
-                if old_next != NO_PAGE {
-                    let nxt = pool.pin(old_next)?;
-                    nxt.with_write(|buf| SlottedPage::new(buf).set_prev(right_no));
-                }
-                page.with_write(|buf| {
-                    let mut p = SlottedPage::new(buf);
-                    p.set_next(right_no);
-                    encode_leaf(&leaf, p.body_mut());
-                });
-                Ok(Some((sep, right_no)))
+        let mut path = Vec::new();
+        let leaf_no = self.descend(pool, |n| n.route(key, true), Some(&mut path))?;
+        let leaf = pool.pin(leaf_no)?;
+        // The upper-bound slot: after existing equal keys. In a unique
+        // tree an equal key can only sit just before it, because
+        // separators route every key equal to one to its right.
+        let (pos, append) = leaf.with_read(|buf| {
+            let node = NodeView::leaf(buf, leaf_no)?;
+            let pos = node.partition(0, |k| k <= key)?;
+            if unique && pos > 0 && node.key(pos - 1)? == key {
+                return Err(StorageError::DuplicateKey);
             }
-            Node::Internal(mut node) => {
-                let idx = node.keys.partition_point(|k| k.as_slice() <= key);
-                let child = node.children[idx];
-                let Some((sep, right)) = self.insert_rec(pool, child, key, val)? else {
-                    return Ok(None);
-                };
-                node.keys.insert(idx, sep);
-                node.children.insert(idx + 1, right);
-                if internal_encoded_size(&node) <= BODY {
-                    let page = pool.pin(page_no)?;
-                    page.with_write(|buf| encode_internal(&node, SlottedPage::new(buf).body_mut()));
-                    return Ok(None);
-                }
-                // Split the internal node: middle key moves up.
-                let mid = node.keys.len() / 2;
-                let up_key = node.keys[mid].clone();
-                let right_keys = node.keys.split_off(mid + 1);
-                node.keys.pop(); // remove up_key from the left node
-                let right_children = node.children.split_off(mid + 1);
-                let right_page = pool.allocate()?;
-                let right_no = right_page.page_no();
-                right_page.with_write(|buf| {
-                    let mut p = SlottedPage::format(buf, PageKind::BTreeInternal);
-                    encode_internal(
-                        &Internal {
-                            keys: right_keys,
-                            children: right_children,
-                        },
-                        p.body_mut(),
-                    );
-                });
-                let page = pool.pin(page_no)?;
-                page.with_write(|buf| encode_internal(&node, SlottedPage::new(buf).body_mut()));
-                Ok(Some((up_key, right_no)))
-            }
+            Ok((pos, pos == node.n && node.page.next() == NO_PAGE))
+        })?;
+        let rec = record(key, val);
+        if leaf.with_write(|buf| SlottedPage::new(buf).insert_at(pos, &rec))? {
+            return Ok(());
         }
+        let (mut sep, mut right) = if append {
+            append_leaf(pool, &leaf, rec)?
+        } else {
+            split(pool, &leaf, pos, &rec)?
+        };
+        while let Some((parent_no, slot)) = path.pop() {
+            let parent = pool.pin(parent_no)?;
+            let rec = record(&sep, right);
+            if parent.with_write(|buf| SlottedPage::new(buf).insert_at(slot + 1, &rec))? {
+                return Ok(());
+            }
+            (sep, right) = split(pool, &parent, slot + 1, &rec)?;
+        }
+        self.split_root(pool, sep, right)
     }
 
     /// The root page split: move its content to a fresh page and turn the
@@ -310,117 +325,76 @@ impl BTree {
     /// stable root page number.
     fn split_root(&self, pool: &Arc<BufferPool>, sep: Vec<u8>, right: u64) -> StorageResult<()> {
         let root = pool.pin(self.root)?;
-        let (kind, body, next) = root.with_read(|buf| {
-            let v = PageView::new(buf);
-            (v.kind(), v.body().to_vec(), v.next())
+        let image = root.with_read(|buf| buf.to_vec());
+        let left = pool.allocate()?;
+        left.with_write(|buf| {
+            buf[..UNLOGGED.start].copy_from_slice(&image[..UNLOGGED.start]);
+            buf[UNLOGGED.end..].copy_from_slice(&image[UNLOGGED.end..]);
         });
-        let left_page = pool.allocate()?;
-        let left_no = left_page.page_no();
-        left_page.with_write(|buf| {
-            let mut p = SlottedPage::format(buf, kind);
-            p.body_mut().copy_from_slice(&body);
-            if kind == PageKind::BTreeLeaf {
-                p.set_next(next);
-            }
-        });
-        if kind == PageKind::BTreeLeaf && next != NO_PAGE {
-            // `next` is the right sibling produced by the leaf split.
-            let nxt = pool.pin(next)?;
-            nxt.with_write(|buf| SlottedPage::new(buf).set_prev(left_no));
+        if PageView::new(&image).kind() == PageKind::BTreeLeaf {
+            // `right` is the leaf split's new sibling.
+            pool.pin(right)?
+                .with_write(|buf| SlottedPage::new(buf).set_prev(left.page_no()));
         }
         root.with_write(|buf| {
             let mut p = SlottedPage::format(buf, PageKind::BTreeInternal);
-            encode_internal(
-                &Internal {
-                    keys: vec![sep],
-                    children: vec![left_no, right],
-                },
-                p.body_mut(),
-            );
-        });
+            p.insert(&left.page_no().to_le_bytes())?;
+            p.insert(&record(&sep, right))
+        })?;
         Ok(())
     }
 
-    /// Page number of the leftmost leaf whose range may contain `key`.
-    fn descend(&self, pool: &Arc<BufferPool>, key: &[u8]) -> StorageResult<u64> {
-        let mut page_no = self.root;
-        loop {
-            match self.read_node(pool, page_no)? {
-                Node::Leaf(_) => return Ok(page_no),
-                Node::Internal(node) => {
-                    let idx = node.keys.partition_point(|k| k.as_slice() < key);
-                    page_no = node.children[idx];
+    /// Walk the run of entries equal to `key`, calling `stop` on each
+    /// value in key-then-insertion order, until `stop` returns `true`:
+    /// the leaf page and slot where it did. Duplicate runs may spill
+    /// across leaves, so the walk follows the chain until a greater key
+    /// (or the chain end) is seen.
+    fn find_equal(
+        &self,
+        pool: &Arc<BufferPool>,
+        key: &[u8],
+        mut stop: impl FnMut(u64) -> bool,
+    ) -> StorageResult<Option<(u64, u16)>> {
+        let mut page_no = self.leftmost_for(pool, key)?;
+        while page_no != NO_PAGE {
+            let (hit, next) = with_leaf(pool, page_no, |leaf| {
+                for i in leaf.partition(0, |k| k < key)?..leaf.n {
+                    let (k, v) = leaf.entry(i)?;
+                    if k != key {
+                        return Ok((None, NO_PAGE));
+                    }
+                    if stop(v) {
+                        return Ok((Some(i), NO_PAGE));
+                    }
                 }
+                Ok((None, leaf.page.next()))
+            })?;
+            if let Some(slot) = hit {
+                return Ok(Some((page_no, slot)));
             }
+            page_no = next;
         }
-    }
-
-    /// Leftmost leaf of the whole tree.
-    fn leftmost_leaf(&self, pool: &Arc<BufferPool>) -> StorageResult<u64> {
-        let mut page_no = self.root;
-        loop {
-            match self.read_node(pool, page_no)? {
-                Node::Leaf(_) => return Ok(page_no),
-                Node::Internal(node) => page_no = node.children[0],
-            }
-        }
+        Ok(None)
     }
 
     /// All values stored under exactly `key`.
     pub fn lookup(&self, pool: &Arc<BufferPool>, key: &[u8]) -> StorageResult<Vec<u64>> {
         let mut out = Vec::new();
-        let mut page_no = self.descend(pool, key)?;
-        loop {
-            let Node::Leaf(leaf) = self.read_node(pool, page_no)? else {
-                return Err(StorageError::Corrupt("descend did not reach a leaf".into()));
-            };
-            // Collect matches; stop at the first key past the target.
-            // Duplicate runs may spill across leaves, so continue down the
-            // chain until a greater key (or the chain end) is seen.
-            for (k, v) in &leaf.entries {
-                match k.as_slice().cmp(key) {
-                    std::cmp::Ordering::Less => {}
-                    std::cmp::Ordering::Equal => out.push(*v),
-                    std::cmp::Ordering::Greater => return Ok(out),
-                }
-            }
-            let page = pool.pin(page_no)?;
-            let next = page.with_read(|buf| PageView::new(buf).next());
-            if next == NO_PAGE {
-                return Ok(out);
-            }
-            page_no = next;
-        }
+        self.find_equal(pool, key, |v| {
+            out.push(v);
+            false
+        })?;
+        Ok(out)
     }
 
     /// Delete one `(key, val)` pair; returns whether it was found.
     pub fn delete(&self, pool: &Arc<BufferPool>, key: &[u8], val: u64) -> StorageResult<bool> {
-        let mut page_no = self.descend(pool, key)?;
-        loop {
-            let Node::Leaf(mut leaf) = self.read_node(pool, page_no)? else {
-                return Err(StorageError::Corrupt("descend did not reach a leaf".into()));
-            };
-            if let Some(pos) = leaf
-                .entries
-                .iter()
-                .position(|(k, v)| k.as_slice() == key && *v == val)
-            {
-                leaf.entries.remove(pos);
-                let page = pool.pin(page_no)?;
-                page.with_write(|buf| encode_leaf(&leaf, SlottedPage::new(buf).body_mut()));
-                return Ok(true);
-            }
-            // Stop once entries exceed the key.
-            if leaf.entries.iter().any(|(k, _)| k.as_slice() > key) {
-                return Ok(false);
-            }
-            let page = pool.pin(page_no)?;
-            let next = page.with_read(|buf| PageView::new(buf).next());
-            if next == NO_PAGE {
-                return Ok(false);
-            }
-            page_no = next;
-        }
+        let Some((page_no, slot)) = self.find_equal(pool, key, |v| v == val)? else {
+            return Ok(false);
+        };
+        pool.pin(page_no)?
+            .with_write(|buf| SlottedPage::new(buf).remove_at(slot))?;
+        Ok(true)
     }
 
     /// Range scan over `[lower, upper]` bounds (byte-wise key order).
@@ -435,8 +409,8 @@ impl BTree {
             pool,
             lower,
             upper,
+            entries: VecDeque::new(),
             state: ScanState::NotStarted,
-            start_at: None,
             stop_after: None,
         }
     }
@@ -456,32 +430,15 @@ impl BTree {
         // Collect the leaf chain from the lower-bound leaf up to the
         // first leaf wholly past the upper bound.
         let mut leaves = Vec::new();
-        let mut page_no = match &lower {
-            Bound::Unbounded => self.leftmost_leaf(pool)?,
-            Bound::Included(key) | Bound::Excluded(key) => self.descend(pool, key)?,
-        };
-        loop {
-            let Node::Leaf(leaf) = self.read_node(pool, page_no)? else {
-                return Err(StorageError::Corrupt(
-                    "leaf chain reached a non-leaf".into(),
-                ));
-            };
-            let min_key = leaf.entries.first().map(|(k, _)| k.as_slice());
-            let wholly_past = match (&upper, min_key) {
-                (Bound::Included(u), Some(mk)) => mk > u.as_slice(),
-                (Bound::Excluded(u), Some(mk)) => mk >= u.as_slice(),
-                _ => false,
-            };
-            if wholly_past {
-                break;
-            }
-            leaves.push(page_no);
-            let page = pool.pin(page_no)?;
-            let next = page.with_read(|buf| PageView::new(buf).next());
-            if next == NO_PAGE {
-                break;
-            }
-            page_no = next;
+        let mut page_no = self.first_leaf(pool, &lower)?;
+        while page_no != NO_PAGE {
+            page_no = with_leaf(pool, page_no, |leaf| {
+                if leaf.n > 0 && leaf.upper_pos(0, &upper)? == 0 {
+                    return Ok(NO_PAGE);
+                }
+                leaves.push(page_no);
+                Ok(leaf.page.next())
+            })?;
         }
         if leaves.is_empty() {
             return Ok(Vec::new());
@@ -494,46 +451,107 @@ impl BTree {
                 pool: pool.clone(),
                 lower: lower.clone(),
                 upper: upper.clone(),
-                state: ScanState::NotStarted,
-                start_at: Some(run[0]),
-                stop_after: Some(*run.last().expect("chunks are non-empty")),
+                entries: VecDeque::new(),
+                state: ScanState::At(run[0]),
+                stop_after: run.last().copied(),
             })
             .collect())
     }
+}
 
-    /// Total number of entries (walks the leaf level).
-    pub fn len(&self, pool: &Arc<BufferPool>) -> StorageResult<usize> {
-        let mut n = 0usize;
-        let mut page_no = self.leftmost_leaf(pool)?;
-        loop {
-            let Node::Leaf(leaf) = self.read_node(pool, page_no)? else {
-                return Err(StorageError::Corrupt(
-                    "leaf chain reached a non-leaf".into(),
-                ));
-            };
-            n += leaf.entries.len();
-            let page = pool.pin(page_no)?;
-            let next = page.with_read(|buf| PageView::new(buf).next());
-            if next == NO_PAGE {
-                return Ok(n);
-            }
-            page_no = next;
+/// Start a new rightmost leaf holding only `rec`, which sorts past
+/// every key of the full rightmost leaf `leaf`.
+fn append_leaf(pool: &Arc<BufferPool>, leaf: &PinnedPage, rec: Vec<u8>) -> StorageResult<Split> {
+    let right = pool.allocate()?;
+    right.with_write(|buf| {
+        let mut p = SlottedPage::format(buf, PageKind::BTreeLeaf);
+        p.set_prev(leaf.page_no());
+        p.insert(&rec)
+    })?;
+    leaf.with_write(|buf| SlottedPage::new(buf).set_next(right.page_no()));
+    let mut sep = rec;
+    sep.truncate(sep.len() - VAL);
+    Ok((sep, right.page_no()))
+}
+
+/// Split the full node on `page` while inserting `rec` at slot `pos`:
+/// the upper half of its slot bytes moves to a new right sibling, and
+/// the separator to post in the parent comes back. An internal split
+/// moves the first right slot's key up and keeps its child as the new
+/// node's slot 0.
+fn split(pool: &Arc<BufferPool>, page: &PinnedPage, pos: u16, rec: &[u8]) -> StorageResult<Split> {
+    let page_no = page.page_no();
+    let image = page.with_read(|buf| buf.to_vec());
+    let node = NodeView::new(&image, page_no)?;
+    if node.n < 2 {
+        return Err(StorageError::Corrupt(format!(
+            "btree node {page_no} is full with {} slots",
+            node.n
+        )));
+    }
+    let mut total = 0;
+    for i in 0..node.n {
+        total += node.record(i)?.len();
+    }
+    // The first slot at which the lower part holds half the bytes.
+    let (mut mid, mut below) = (0, 0);
+    while mid < node.n && below * 2 < total {
+        below += node.record(mid)?.len();
+        mid += 1;
+    }
+    let mid = mid.clamp(1, node.n - 1);
+    let (kind, next) = (node.page.kind(), node.page.next());
+    let right = pool.allocate()?;
+    let right_no = right.page_no();
+    let mut sep = node.key(mid)?.to_vec();
+    let to_right = if node.leaf { pos >= mid } else { pos > mid };
+    right.with_write(|buf| -> StorageResult<()> {
+        let mut p = SlottedPage::format(buf, kind);
+        if node.leaf {
+            p.set_prev(page_no);
+            p.set_next(next);
         }
+        for i in mid..node.n {
+            if !node.leaf && i == mid {
+                p.insert(&node.entry(i)?.1.to_le_bytes())?;
+            } else {
+                p.insert(node.record(i)?)?;
+            }
+        }
+        if to_right {
+            insert_fitting(&mut p, pos - mid, rec)?;
+        }
+        Ok(())
+    })?;
+    if node.leaf && next != NO_PAGE {
+        pool.pin(next)?
+            .with_write(|buf| SlottedPage::new(buf).set_prev(right_no));
     }
-
-    /// Whether the tree holds no entries.
-    pub fn is_empty(&self, pool: &Arc<BufferPool>) -> StorageResult<bool> {
-        Ok(self.len(pool)? == 0)
+    page.with_write(|buf| -> StorageResult<()> {
+        let mut p = SlottedPage::new(buf);
+        for i in (mid..node.n).rev() {
+            p.remove_at(i)?;
+        }
+        p.compact();
+        if node.leaf {
+            p.set_next(right_no);
+        }
+        if !to_right {
+            insert_fitting(&mut p, pos, rec)?;
+        }
+        Ok(())
+    })?;
+    if node.leaf && to_right && pos == mid {
+        // The new entry leads the right leaf.
+        sep = rec[..rec.len() - VAL].to_vec();
     }
+    Ok((sep, right_no))
 }
 
 enum ScanState {
     NotStarted,
-    /// Buffered entries of the current leaf plus the next leaf's page no.
-    InLeaf {
-        entries: std::vec::IntoIter<(Vec<u8>, u64)>,
-        next: u64,
-    },
+    /// The next leaf to load.
+    At(u64),
     Done,
 }
 
@@ -543,115 +561,64 @@ pub struct BTreeScan {
     pool: Arc<BufferPool>,
     lower: Bound<Vec<u8>>,
     upper: Bound<Vec<u8>>,
+    /// The in-range entries of the last leaf loaded, not yet returned.
+    entries: VecDeque<(Vec<u8>, u64)>,
     state: ScanState,
-    /// Partitioned scans start at this leaf instead of descending.
-    start_at: Option<u64>,
     /// Partitioned scans stop following the chain after this leaf.
     stop_after: Option<u64>,
 }
 
 impl BTreeScan {
+    /// Copy the in-range entries of leaf `page_no` out under one read
+    /// latch, and note where the scan goes next.
     fn load_leaf(&mut self, page_no: u64) -> StorageResult<()> {
-        let Node::Leaf(leaf) = self.tree.read_node(&self.pool, page_no)? else {
-            return Err(StorageError::Corrupt("scan reached a non-leaf".into()));
-        };
-        let next = if self.stop_after == Some(page_no) {
-            NO_PAGE
+        let (entries, lower, upper) = (&mut self.entries, &self.lower, &self.upper);
+        let (past_upper, next) = with_leaf(&self.pool, page_no, |leaf| {
+            let start = leaf.lower_pos(lower)?;
+            let end = leaf.upper_pos(start, upper)?;
+            for i in start..end {
+                let (k, v) = leaf.entry(i)?;
+                entries.push_back((k.to_vec(), v));
+            }
+            Ok((end < leaf.n, leaf.page.next()))
+        })?;
+        self.state = if past_upper || self.stop_after == Some(page_no) || next == NO_PAGE {
+            ScanState::Done
         } else {
-            let page = self.pool.pin(page_no)?;
-            page.with_read(|buf| PageView::new(buf).next())
-        };
-        self.state = ScanState::InLeaf {
-            entries: leaf.entries.into_iter(),
-            next,
+            ScanState::At(next)
         };
         Ok(())
     }
 
-    fn start(&mut self) -> StorageResult<()> {
-        if let Some(first) = self.start_at {
-            return self.load_leaf(first);
-        }
-        let first = match &self.lower {
-            Bound::Unbounded => self.tree.leftmost_leaf(&self.pool)?,
-            Bound::Included(k) | Bound::Excluded(k) => {
-                let k = k.clone();
-                self.tree.descend(&self.pool, &k)?
+    /// Load leaves until an entry is buffered; `false` once exhausted.
+    fn fill(&mut self) -> StorageResult<bool> {
+        while self.entries.is_empty() {
+            let loaded = match self.state {
+                ScanState::Done => return Ok(false),
+                ScanState::NotStarted => self
+                    .tree
+                    .first_leaf(&self.pool, &self.lower)
+                    .and_then(|first| self.load_leaf(first)),
+                ScanState::At(page_no) => self.load_leaf(page_no),
+            };
+            if let Err(e) = loaded {
+                self.state = ScanState::Done;
+                self.entries.clear();
+                return Err(e);
             }
-        };
-        self.load_leaf(first)
-    }
-
-    fn below_lower(&self, key: &[u8]) -> bool {
-        match &self.lower {
-            Bound::Unbounded => false,
-            Bound::Included(l) => key < l.as_slice(),
-            Bound::Excluded(l) => key <= l.as_slice(),
         }
+        Ok(true)
     }
 
-    fn above_upper(&self, key: &[u8]) -> bool {
-        match &self.upper {
-            Bound::Unbounded => false,
-            Bound::Included(u) => key > u.as_slice(),
-            Bound::Excluded(u) => key >= u.as_slice(),
-        }
-    }
-}
-
-impl BTreeScan {
-    /// Drain up to `n` in-bounds entries into a batch, draining whole
-    /// buffered leaves at a time. Returns an empty vector when the scan
-    /// is exhausted.
+    /// Drain up to `n` in-bounds entries into a batch. Returns an empty
+    /// vector when the scan is exhausted.
     pub fn next_batch(&mut self, n: usize) -> StorageResult<Vec<(Vec<u8>, u64)>> {
-        let mut out: Vec<(Vec<u8>, u64)> = Vec::new();
-        if n == 0 {
-            return Ok(out);
+        let mut out = Vec::new();
+        while out.len() < n && self.fill()? {
+            let take = (n - out.len()).min(self.entries.len());
+            out.extend(self.entries.drain(..take));
         }
-        loop {
-            match &mut self.state {
-                ScanState::Done => return Ok(out),
-                ScanState::NotStarted => {
-                    if let Err(e) = self.start() {
-                        self.state = ScanState::Done;
-                        return Err(e);
-                    }
-                }
-                ScanState::InLeaf { entries, next } => {
-                    let next = *next;
-                    let mut past_upper = false;
-                    for (k, v) in entries.by_ref() {
-                        if match &self.lower {
-                            Bound::Unbounded => false,
-                            Bound::Included(l) => k < *l,
-                            Bound::Excluded(l) => k <= *l,
-                        } {
-                            continue;
-                        }
-                        if match &self.upper {
-                            Bound::Unbounded => false,
-                            Bound::Included(u) => k > *u,
-                            Bound::Excluded(u) => k >= *u,
-                        } {
-                            past_upper = true;
-                            break;
-                        }
-                        out.push((k, v));
-                        if out.len() == n {
-                            return Ok(out);
-                        }
-                    }
-                    if past_upper || next == NO_PAGE {
-                        self.state = ScanState::Done;
-                        return Ok(out);
-                    }
-                    if let Err(e) = self.load_leaf(next) {
-                        self.state = ScanState::Done;
-                        return Err(e);
-                    }
-                }
-            }
-        }
+        Ok(out)
     }
 }
 
@@ -659,312 +626,10 @@ impl Iterator for BTreeScan {
     type Item = StorageResult<(Vec<u8>, u64)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            match &mut self.state {
-                ScanState::Done => return None,
-                ScanState::NotStarted => {
-                    if let Err(e) = self.start() {
-                        self.state = ScanState::Done;
-                        return Some(Err(e));
-                    }
-                }
-                ScanState::InLeaf { entries, next } => {
-                    let next = *next;
-                    match entries.next() {
-                        Some((k, v)) => {
-                            if self.below_lower(&k) {
-                                continue;
-                            }
-                            if self.above_upper(&k) {
-                                self.state = ScanState::Done;
-                                return None;
-                            }
-                            return Some(Ok((k, v)));
-                        }
-                        None => {
-                            if next == NO_PAGE {
-                                self.state = ScanState::Done;
-                                return None;
-                            }
-                            if let Err(e) = self.load_leaf(next) {
-                                self.state = ScanState::Done;
-                                return Some(Err(e));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::encoding::KeyWriter;
-    use crate::volume::MemVolume;
-
-    fn pool() -> Arc<BufferPool> {
-        Arc::new(BufferPool::new(Box::new(MemVolume::new()), 256))
-    }
-
-    fn ikey(v: i64) -> Vec<u8> {
-        let mut k = KeyWriter::new();
-        k.put_i64(v);
-        k.into_bytes()
-    }
-
-    #[test]
-    fn insert_lookup_small() {
-        let pool = pool();
-        let t = BTree::create(&pool).unwrap();
-        for i in 0..50 {
-            t.insert(&pool, &ikey(i), i as u64 * 10, false).unwrap();
-        }
-        for i in 0..50 {
-            assert_eq!(t.lookup(&pool, &ikey(i)).unwrap(), vec![i as u64 * 10]);
-        }
-        assert!(t.lookup(&pool, &ikey(999)).unwrap().is_empty());
-        assert_eq!(t.len(&pool).unwrap(), 50);
-    }
-
-    #[test]
-    fn batch_scan_matches_iterator() {
-        let pool = pool();
-        let t = BTree::create(&pool).unwrap();
-        for i in 0..2000 {
-            t.insert(&pool, &ikey(i), i as u64, false).unwrap();
-        }
-        let bounds = [
-            (Bound::Unbounded, Bound::Unbounded),
-            (Bound::Included(ikey(100)), Bound::Excluded(ikey(1500))),
-            (Bound::Excluded(ikey(0)), Bound::Included(ikey(0))),
-        ];
-        for (lo, hi) in bounds {
-            let want: Vec<_> = t
-                .scan(pool.clone(), lo.clone(), hi.clone())
-                .map(|r| r.unwrap())
-                .collect();
-            for n in [1usize, 64, 4096] {
-                let mut s = t.scan(pool.clone(), lo.clone(), hi.clone());
-                let mut got = Vec::new();
-                loop {
-                    let b = s.next_batch(n).unwrap();
-                    if b.is_empty() {
-                        break;
-                    }
-                    assert!(b.len() <= n);
-                    got.extend(b);
-                }
-                assert_eq!(got, want, "batch size {n}");
-            }
-        }
-    }
-
-    #[test]
-    fn partitions_cover_range_in_order() {
-        let pool = pool();
-        let t = BTree::create(&pool).unwrap();
-        for i in 0..2000 {
-            t.insert(&pool, &ikey(i), i as u64, false).unwrap();
-        }
-        let bounds = [
-            (Bound::Unbounded, Bound::Unbounded),
-            (Bound::Included(ikey(100)), Bound::Excluded(ikey(1500))),
-            (Bound::Excluded(ikey(1999)), Bound::Unbounded),
-        ];
-        for (lo, hi) in bounds {
-            let want: Vec<_> = t
-                .scan(pool.clone(), lo.clone(), hi.clone())
-                .map(|r| r.unwrap())
-                .collect();
-            for k in [1usize, 3, 7, 1000] {
-                let parts = t.partitions(&pool, k, lo.clone(), hi.clone()).unwrap();
-                assert!(parts.len() <= k, "at most k partitions");
-                let mut got = Vec::new();
-                for mut part in parts {
-                    loop {
-                        let b = part.next_batch(64).unwrap();
-                        if b.is_empty() {
-                            break;
-                        }
-                        got.extend(b);
-                    }
-                }
-                assert_eq!(got, want, "k={k} bounds {lo:?}..{hi:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn partitions_empty_tree() {
-        let pool = pool();
-        let t = BTree::create(&pool).unwrap();
-        let parts = t
-            .partitions(&pool, 4, Bound::Unbounded, Bound::Unbounded)
-            .unwrap();
-        // The empty root leaf forms at most one partition, which yields
-        // no entries.
-        assert!(parts.len() <= 1);
-        for mut p in parts {
-            assert!(p.next_batch(16).unwrap().is_empty());
-        }
-    }
-
-    #[test]
-    fn many_inserts_force_splits_sorted_scan() {
-        let pool = pool();
-        let t = BTree::create(&pool).unwrap();
-        // Insert in a scrambled order; enough volume for multi-level splits.
-        let n: i64 = 5000;
-        let mut order: Vec<i64> = (0..n).collect();
-        // Deterministic shuffle.
-        for i in 0..order.len() {
-            let j = (i * 2654435761) % order.len();
-            order.swap(i, j);
-        }
-        for &i in &order {
-            t.insert(&pool, &ikey(i), i as u64, false).unwrap();
-        }
-        let got: Vec<i64> = t
-            .scan(pool.clone(), Bound::Unbounded, Bound::Unbounded)
-            .map(|r| r.unwrap().1 as i64)
-            .collect();
-        assert_eq!(got.len(), n as usize);
-        let expect: Vec<i64> = (0..n).collect();
-        assert_eq!(got, expect, "scan must be in key order after splits");
-    }
-
-    #[test]
-    fn duplicate_keys_all_returned() {
-        let pool = pool();
-        let t = BTree::create(&pool).unwrap();
-        for v in 0..200u64 {
-            t.insert(&pool, &ikey(7), v, false).unwrap();
-            t.insert(&pool, &ikey(8), v + 1000, false).unwrap();
-        }
-        let mut vals = t.lookup(&pool, &ikey(7)).unwrap();
-        vals.sort_unstable();
-        assert_eq!(vals, (0..200).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn unique_mode_rejects_duplicates() {
-        let pool = pool();
-        let t = BTree::create(&pool).unwrap();
-        t.insert(&pool, &ikey(1), 10, true).unwrap();
-        assert!(matches!(
-            t.insert(&pool, &ikey(1), 11, true),
-            Err(StorageError::DuplicateKey)
-        ));
-        // Different key still fine.
-        t.insert(&pool, &ikey(2), 20, true).unwrap();
-    }
-
-    #[test]
-    fn delete_specific_pair() {
-        let pool = pool();
-        let t = BTree::create(&pool).unwrap();
-        t.insert(&pool, &ikey(5), 50, false).unwrap();
-        t.insert(&pool, &ikey(5), 51, false).unwrap();
-        assert!(t.delete(&pool, &ikey(5), 50).unwrap());
-        assert_eq!(t.lookup(&pool, &ikey(5)).unwrap(), vec![51]);
-        assert!(!t.delete(&pool, &ikey(5), 50).unwrap(), "already gone");
-        assert!(!t.delete(&pool, &ikey(404), 1).unwrap());
-    }
-
-    #[test]
-    fn range_scan_bounds() {
-        let pool = pool();
-        let t = BTree::create(&pool).unwrap();
-        for i in 0..100 {
-            t.insert(&pool, &ikey(i), i as u64, false).unwrap();
-        }
-        let got: Vec<u64> = t
-            .scan(
-                pool.clone(),
-                Bound::Included(ikey(10)),
-                Bound::Excluded(ikey(20)),
-            )
-            .map(|r| r.unwrap().1)
-            .collect();
-        assert_eq!(got, (10..20).collect::<Vec<u64>>());
-        let got: Vec<u64> = t
-            .scan(pool.clone(), Bound::Excluded(ikey(95)), Bound::Unbounded)
-            .map(|r| r.unwrap().1)
-            .collect();
-        assert_eq!(got, (96..100).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn string_keys() {
-        let pool = pool();
-        let t = BTree::create(&pool).unwrap();
-        let names = ["mercury", "venus", "earth", "mars", "jupiter"];
-        for (i, n) in names.iter().enumerate() {
-            let mut k = KeyWriter::new();
-            k.put_str(n);
-            t.insert(&pool, &k.into_bytes(), i as u64, true).unwrap();
-        }
-        let got: Vec<u64> = t
-            .scan(pool.clone(), Bound::Unbounded, Bound::Unbounded)
-            .map(|r| r.unwrap().1)
-            .collect();
-        // Alphabetical: earth jupiter mars mercury venus.
-        assert_eq!(got, vec![2, 4, 3, 0, 1]);
-    }
-
-    #[test]
-    fn oversized_key_rejected() {
-        let pool = pool();
-        let t = BTree::create(&pool).unwrap();
-        assert!(t.insert(&pool, &vec![0u8; MAX_KEY + 1], 0, false).is_err());
-    }
-
-    #[test]
-    fn interleaved_insert_delete_stress() {
-        let pool = pool();
-        let t = BTree::create(&pool).unwrap();
-        let mut live = std::collections::BTreeMap::new();
-        for round in 0..3000i64 {
-            let k = round % 500;
-            if round % 3 == 2 {
-                let expect = live.remove(&k).is_some();
-                assert_eq!(t.delete(&pool, &ikey(k), k as u64).unwrap(), expect);
-            } else if let std::collections::btree_map::Entry::Vacant(e) = live.entry(k) {
-                t.insert(&pool, &ikey(k), k as u64, false).unwrap();
-                e.insert(());
-            }
-        }
-        let got: Vec<i64> = t
-            .scan(pool.clone(), Bound::Unbounded, Bound::Unbounded)
-            .map(|r| r.unwrap().1 as i64)
-            .collect();
-        let expect: Vec<i64> = live.keys().copied().collect();
-        assert_eq!(got, expect);
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
-        #[test]
-        fn prop_matches_btreemap(ops in proptest::collection::vec((0i64..200, proptest::bool::ANY), 1..400)) {
-            let pool = pool();
-            let t = BTree::create(&pool).unwrap();
-            let mut model: std::collections::BTreeMap<i64, u64> = Default::default();
-            for (k, is_insert) in ops {
-                if is_insert {
-                    if let std::collections::btree_map::Entry::Vacant(e) = model.entry(k) {
-                        t.insert(&pool, &ikey(k), k as u64, true).unwrap();
-                        e.insert(k as u64);
-                    }
-                } else if model.remove(&k).is_some() {
-                    proptest::prop_assert!(t.delete(&pool, &ikey(k), k as u64).unwrap());
-                }
-            }
-            let got: Vec<u64> = t.scan(pool.clone(), Bound::Unbounded, Bound::Unbounded)
-                .map(|r| r.unwrap().1).collect();
-            let expect: Vec<u64> = model.values().copied().collect();
-            proptest::prop_assert_eq!(got, expect);
+        match self.fill() {
+            Ok(true) => self.entries.pop_front().map(Ok),
+            Ok(false) => None,
+            Err(e) => Some(Err(e)),
         }
     }
 }

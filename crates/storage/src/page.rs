@@ -24,9 +24,11 @@
 //! | 32     | 4    | page checksum (stamped at write-back; 0 = never stamped) |
 //! | 36     | 4    | reserved |
 //!
-//! Each slot is 4 bytes: `offset: u16`, `len: u16`. A deleted slot has
-//! `offset == DEAD_SLOT`; slot ids are never reused within a page so record
-//! ids stay stable until compaction off-page.
+//! Each slot is 4 bytes: `offset: u16`, `len: u16`. On heap pages a
+//! deleted slot has `offset == DEAD_SLOT`; slot ids are never reused within
+//! a page so record ids stay stable until compaction off-page. B+-tree
+//! nodes, which no record id addresses, keep the directory dense and in
+//! key order instead ([`SlottedPage::insert_at`], [`SlottedPage::remove_at`]).
 
 use crate::error::{StorageError, StorageResult};
 
@@ -183,20 +185,7 @@ impl<'a> PageView<'a> {
 
     /// Read a record by slot id.
     pub fn read(&self, page_no: u64, slot: u16) -> StorageResult<&'a [u8]> {
-        if slot >= self.slot_count() {
-            return Err(StorageError::InvalidSlot {
-                page: page_no,
-                slot,
-            });
-        }
-        let (off, len) = self.slot(slot);
-        if off == DEAD_SLOT {
-            return Err(StorageError::InvalidSlot {
-                page: page_no,
-                slot,
-            });
-        }
-        Ok(&self.buf[off as usize..off as usize + len as usize])
+        read_record(self.buf, page_no, slot)
     }
 
     /// Raw access to the area past the header.
@@ -208,6 +197,40 @@ impl<'a> PageView<'a> {
     pub fn lsn(&self) -> u64 {
         page_lsn(self.buf)
     }
+}
+
+/// The bytes of record `slot`. A slot past the directory or a dead one
+/// is [`StorageError::InvalidSlot`]; a directory or record that runs
+/// outside the page is [`StorageError::Corrupt`], never a panic.
+fn read_record(buf: &[u8], page_no: u64, slot: u16) -> StorageResult<&[u8]> {
+    let n = get_u16(buf, H_NSLOTS);
+    if slot >= n {
+        return Err(StorageError::InvalidSlot {
+            page: page_no,
+            slot,
+        });
+    }
+    let dir_end = HEADER_SIZE + n as usize * SLOT_SIZE;
+    if dir_end > PAGE_SIZE {
+        return Err(StorageError::Corrupt(format!(
+            "page {page_no}: {n} slots overrun the page"
+        )));
+    }
+    let base = HEADER_SIZE + slot as usize * SLOT_SIZE;
+    let off = get_u16(buf, base);
+    if off == DEAD_SLOT {
+        return Err(StorageError::InvalidSlot {
+            page: page_no,
+            slot,
+        });
+    }
+    let (off, end) = (off as usize, off as usize + get_u16(buf, base + 2) as usize);
+    if off < dir_end || end > PAGE_SIZE {
+        return Err(StorageError::Corrupt(format!(
+            "page {page_no}: slot {slot} record {off}..{end} lies outside the record area"
+        )));
+    }
+    Ok(&buf[off..end])
 }
 
 fn get_u16(buf: &[u8], off: usize) -> u16 {
@@ -352,20 +375,7 @@ impl<'a> SlottedPage<'a> {
 
     /// Read a record by slot id.
     pub fn read(&self, page_no: u64, slot: u16) -> StorageResult<&[u8]> {
-        if slot >= self.slot_count() {
-            return Err(StorageError::InvalidSlot {
-                page: page_no,
-                slot,
-            });
-        }
-        let (off, len) = self.slot(slot);
-        if off == DEAD_SLOT {
-            return Err(StorageError::InvalidSlot {
-                page: page_no,
-                slot,
-            });
-        }
-        Ok(&self.buf[off as usize..off as usize + len as usize])
+        read_record(self.buf, page_no, slot)
     }
 
     /// Whether a slot holds a live record.
@@ -427,33 +437,75 @@ impl<'a> SlottedPage<'a> {
     /// Slide all live records to the end of the page, squeezing out dead
     /// space. Slot ids are preserved.
     pub fn compact(&mut self) {
-        let n = self.slot_count();
-        let mut live: Vec<(u16, u16, u16)> = Vec::with_capacity(n as usize);
-        for s in 0..n {
-            let (off, len) = self.slot(s);
-            if off != DEAD_SLOT {
-                live.push((s, off, len));
-            }
-        }
-        // Copy records out, then lay them back in from the top.
-        let mut scratch: Vec<(u16, Vec<u8>)> = live
-            .iter()
-            .map(|&(s, off, len)| (s, self.buf[off as usize..(off + len) as usize].to_vec()))
-            .collect();
+        let old = self.buf.to_vec();
         let mut free = PAGE_SIZE;
-        for (s, data) in scratch.drain(..) {
-            free -= data.len();
-            self.buf[free..free + data.len()].copy_from_slice(&data);
-            self.set_slot(s, free as u16, data.len() as u16);
+        for s in 0..self.slot_count() {
+            let (off, len) = self.slot(s);
+            if off == DEAD_SLOT {
+                // Zero-length, so reclaimable_space stays exact.
+                self.set_slot(s, DEAD_SLOT, 0);
+                continue;
+            }
+            let (off, len) = (off as usize, len as usize);
+            free -= len;
+            self.buf[free..free + len].copy_from_slice(&old[off..off + len]);
+            self.set_slot(s, free as u16, len as u16);
         }
         put_u16(self.buf, H_FREE, free as u16);
-        // Mark dead slots as zero-length so reclaimable_space stays exact.
-        for s in 0..n {
-            let (off, _) = self.slot(s);
-            if off == DEAD_SLOT {
-                self.set_slot(s, DEAD_SLOT, 0);
-            }
+    }
+
+    /// Insert `data` as slot `i` of a dense directory kept in order (a
+    /// B+-tree node), shifting slots `i..` up one place; compacts first
+    /// when only fragmented space would fit it. Returns `false`, changing
+    /// nothing, when the record does not fit.
+    pub fn insert_at(&mut self, i: u16, data: &[u8]) -> StorageResult<bool> {
+        let n = self.slot_count();
+        let dir_end = self.slot_dir_end();
+        if i > n || dir_end > self.free_ptr() as usize || self.free_ptr() as usize > PAGE_SIZE {
+            return Err(StorageError::Corrupt(format!(
+                "slot {i} of {n}: directory or free pointer outside the page"
+            )));
         }
+        let need = data.len() + SLOT_SIZE;
+        if self.free_space() < need {
+            let mut used = 0;
+            for s in 0..n {
+                used += read_record(self.buf, NO_PAGE, s)
+                    .map_err(|_| {
+                        StorageError::Corrupt(format!("slot {s}: record outside the page"))
+                    })?
+                    .len();
+            }
+            if dir_end + used + need > PAGE_SIZE {
+                return Ok(false);
+            }
+            self.compact();
+        }
+        let at = HEADER_SIZE + i as usize * SLOT_SIZE;
+        self.buf.copy_within(at..dir_end, at + SLOT_SIZE);
+        let off = self.free_ptr() as usize - data.len();
+        self.buf[off..off + data.len()].copy_from_slice(data);
+        put_u16(self.buf, H_FREE, off as u16);
+        put_u16(self.buf, H_NSLOTS, n + 1);
+        self.set_slot(i, off as u16, data.len() as u16);
+        Ok(true)
+    }
+
+    /// Remove slot `i` of a dense directory, shifting the slots after it
+    /// down one place; its record bytes are reclaimed by the next
+    /// compaction.
+    pub fn remove_at(&mut self, i: u16) -> StorageResult<()> {
+        let n = self.slot_count();
+        let dir_end = self.slot_dir_end();
+        if i >= n || dir_end > PAGE_SIZE {
+            return Err(StorageError::Corrupt(format!(
+                "slot {i} of {n}: directory outside the page"
+            )));
+        }
+        let at = HEADER_SIZE + i as usize * SLOT_SIZE;
+        self.buf.copy_within(at + SLOT_SIZE..dir_end, at);
+        put_u16(self.buf, H_NSLOTS, n - 1);
+        Ok(())
     }
 
     /// Count of live records on the page.
@@ -462,7 +514,7 @@ impl<'a> SlottedPage<'a> {
     }
 
     /// Raw access to the area past the header, for non-slotted page kinds
-    /// (B+-tree nodes, object directory, LOB pages manage their own layout).
+    /// (object directory and LOB pages manage their own layout).
     pub fn body(&self) -> &[u8] {
         &self.buf[HEADER_SIZE..]
     }
@@ -609,6 +661,70 @@ mod tests {
         assert_eq!(p.next(), 42);
         assert_eq!(p.prev(), 7);
         assert_eq!(p.kind(), PageKind::Heap);
+    }
+
+    /// A slot whose record runs outside the page, or a slot count whose
+    /// directory does, reads as `Corrupt` through both views.
+    #[test]
+    fn read_bounds_checks_the_slot() {
+        let mut buf = fresh();
+        let mut p = SlottedPage::format(&mut buf[..], PageKind::Heap);
+        let s = p.insert(b"record").unwrap();
+        let base = HEADER_SIZE + s as usize * SLOT_SIZE;
+        let hostile: [(usize, u16); 5] = [
+            (base, (PAGE_SIZE - 2) as u16), // offset: runs past the end
+            (base, HEADER_SIZE as u16),     // offset: into the directory
+            (base, u16::MAX - 1),           // offset: past the page
+            (base + 2, u16::MAX),           // length: past the page
+            (H_NSLOTS, (PAGE_SIZE / SLOT_SIZE) as u16), // directory past the page
+        ];
+        for (at, v) in hostile {
+            let mut bad = buf.clone();
+            put_u16(&mut bad[..], at, v);
+            let corrupt = |r: StorageResult<&[u8]>| matches!(r, Err(StorageError::Corrupt(_)));
+            assert!(corrupt(PageView::new(&bad[..]).read(0, s)), "{at}={v}");
+            assert!(
+                corrupt(SlottedPage::new(&mut bad[..]).read(0, s)),
+                "{at}={v}"
+            );
+        }
+        assert_eq!(PageView::new(&buf[..]).read(0, s).unwrap(), b"record");
+    }
+
+    /// `insert_at`/`remove_at` keep a dense directory in the order given,
+    /// reclaim removed records by compaction, and refuse a record that
+    /// cannot fit without changing the page.
+    #[test]
+    fn insert_at_and_remove_at_keep_order() {
+        let mut buf = fresh();
+        let mut p = SlottedPage::format(&mut buf[..], PageKind::BTreeLeaf);
+        let mut model: Vec<Vec<u8>> = Vec::new();
+        for i in 0..40u8 {
+            let at = (i as usize * 7) % (model.len() + 1);
+            let rec = vec![i; 150];
+            assert!(p.insert_at(at as u16, &rec).unwrap());
+            model.insert(at, rec);
+            if i % 3 == 0 {
+                p.remove_at(0).unwrap();
+                model.remove(0);
+            }
+        }
+        let read = |p: &SlottedPage<'_>| -> Vec<Vec<u8>> {
+            (0..p.slot_count())
+                .map(|s| p.read(0, s).unwrap().to_vec())
+                .collect()
+        };
+        assert_eq!(read(&p), model);
+        // Fits only once the removed records' bytes are compacted away.
+        let big = vec![0xAB; 3000];
+        assert!(p.free_space() < big.len() + SLOT_SIZE);
+        assert!(p.insert_at(1, &big).unwrap());
+        model.insert(1, big);
+        assert_eq!(read(&p), model);
+        let before = p.buf.to_vec();
+        assert!(!p.insert_at(0, &vec![9u8; PAGE_SIZE / 2]).unwrap());
+        assert_eq!(p.buf.to_vec(), before, "a refused insert changes nothing");
+        assert!(p.remove_at(p.slot_count()).is_err());
     }
 
     #[test]

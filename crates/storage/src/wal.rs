@@ -407,6 +407,9 @@ const SEG_MAGIC: [u8; 4] = *b"XWAL";
 ///   before-image, and recovery needs each page's first record after a
 ///   checkpoint to be an image or a zero-based delta. The descriptive
 ///   heap/B+-tree/LOB records of v2 are gone.
+/// * **v4** — B+-tree nodes are slotted pages (a dense, key-ordered slot
+///   directory in the page header, not a `count:u16` and entries in the
+///   body), which changes the page images and deltas a log carries.
 ///
 /// An older log cannot be read by this build (its records fail decode and
 /// would read as a torn tail, silently truncating committed data), so a
@@ -414,7 +417,7 @@ const SEG_MAGIC: [u8; 4] = *b"XWAL";
 /// [`StorageError::UnsupportedLogVersion`] instead of treated as torn.
 /// There is no migration; the volume carries no separate stamp, so the
 /// WAL segment header is the format gate.
-const SEG_VERSION: u32 = 3;
+const SEG_VERSION: u32 = 4;
 /// Bytes of the segment header: magic, version, first LSN.
 pub(crate) const SEG_HEADER: usize = 16;
 /// Default segment size before rollover.

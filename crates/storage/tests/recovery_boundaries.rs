@@ -76,12 +76,13 @@ fn old_log_format_version_is_refused_loudly() {
     let (sm, _) = StorageManager::open(&path, 32, Durability::Fsync).unwrap();
     put_units(&sm, 0, 5).unwrap();
     drop(sm);
-    // Stamp the first segment as log-format v1, then v2 — the image-only
-    // format before page deltas (bytes 4..8 of the header). Opening must
-    // fail with an explicit version error, not treat the segment as a
-    // torn tail and truncate it.
+    // Stamp the first segment as log-format v1, v2 — the image-only
+    // format before page deltas — then v3, whose B+-tree pages held
+    // their entries in the page body (bytes 4..8 of the header). Opening
+    // must fail with an explicit version error, not treat the segment as
+    // a torn tail and truncate it.
     let seg = wal_segments(&dir).into_iter().next().expect("a segment");
-    for old in [1u32, 2] {
+    for old in [1u32, 2, 3] {
         let mut bytes = std::fs::read(&seg).unwrap();
         bytes[4..8].copy_from_slice(&old.to_le_bytes());
         std::fs::write(&seg, &bytes).unwrap();
@@ -91,7 +92,7 @@ fn old_log_format_version_is_refused_loudly() {
         assert!(
             matches!(
                 err,
-                StorageError::UnsupportedLogVersion { found, expected: 3 } if found == old
+                StorageError::UnsupportedLogVersion { found, expected: 4 } if found == old
             ),
             "unexpected error: {err}"
         );

@@ -165,3 +165,91 @@ proptest! {
         prop_assert_eq!(!r.rows.is_empty(), expect);
     }
 }
+
+/// One committed write to `Rows(k, tag)`, plus the constant the probes
+/// after it compare `k` with.
+#[derive(Debug, Clone)]
+enum Step {
+    Append(i64, u8),
+    Replace(i64, i64),
+    Delete(i64),
+}
+
+fn step_strategy() -> impl Strategy<Value = (Step, i64)> {
+    let step = prop_oneof![
+        (0i64..12, 0u8..3).prop_map(|(k, t)| Step::Append(k, t)),
+        (0i64..12, 0u8..3).prop_map(|(k, t)| Step::Append(k, t)),
+        (0i64..12, 0i64..12).prop_map(|(from, to)| Step::Replace(from, to)),
+        (0i64..12).prop_map(Step::Delete),
+    ];
+    (step, -1i64..13)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Differential index-versus-heap check: after every committed
+    /// append, replace or delete, `=`, `<`, `<=`, `>` and `>=` probes on
+    /// `k` give the same multiset of rows with and without an index on
+    /// `k`, at batch sizes 1, 7 and 1024 — and the multiset the model
+    /// holds.
+    #[test]
+    fn index_scans_match_heap_scans(steps in prop::collection::vec(step_strategy(), 1..30)) {
+        let mut sessions = Vec::new();
+        for batch in [1, 7, 1024] {
+            for indexed in [false, true] {
+                let db = Database::builder().batch_size(batch).build().unwrap();
+                let mut s = db.session();
+                s.run("define type Row (k: int4, tag: varchar); create { own ref Row } Rows; range of R is Rows").unwrap();
+                if indexed {
+                    s.run("define index rows_k on Rows (k)").unwrap();
+                    let plan = s.explain("retrieve (R.tag) from R in Rows where R.k = 1").unwrap().plan;
+                    prop_assert!(plan.contains("IndexScan"), "{}", plan);
+                }
+                sessions.push((format!("batch {batch}, index {indexed}"), db, s));
+            }
+        }
+        let mut model: Vec<(i64, String)> = Vec::new();
+        for (step, c) in steps {
+            let src = match step {
+                Step::Append(k, t) => format!(r#"append to Rows (k = {k}, tag = "t{t}")"#),
+                Step::Replace(from, to) => format!("replace R (k = {to}) where R.k = {from}"),
+                Step::Delete(k) => format!("delete R where R.k = {k}"),
+            };
+            match step {
+                Step::Append(k, t) => model.push((k, format!("t{t}"))),
+                Step::Replace(from, to) => model.iter_mut().filter(|r| r.0 == from).for_each(|r| r.0 = to),
+                Step::Delete(k) => model.retain(|r| r.0 != k),
+            }
+            for (_, _, s) in &mut sessions {
+                s.run(&src).unwrap();
+            }
+            for (op, keep) in [
+                ("=", i64::eq as fn(&i64, &i64) -> bool),
+                ("<", i64::lt),
+                ("<=", i64::le),
+                (">", i64::gt),
+                (">=", i64::ge),
+            ] {
+                let q = format!("retrieve (R.k, R.tag) from R in Rows where R.k {op} {c}");
+                let mut want: Vec<String> = model
+                    .iter()
+                    .filter(|(k, _)| keep(k, &c))
+                    .map(|(k, tag)| format!("{k} {tag}"))
+                    .collect();
+                want.sort();
+                for (name, _, s) in &mut sessions {
+                    let mut got: Vec<String> = s
+                        .query(&q)
+                        .unwrap()
+                        .rows
+                        .iter()
+                        .map(|row| format!("{} {}", row[0], row[1].to_string().trim_matches('"')))
+                        .collect();
+                    got.sort();
+                    prop_assert_eq!(&got, &want, "{} after `{}`: {}", name, src, q);
+                }
+            }
+        }
+    }
+}
