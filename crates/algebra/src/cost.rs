@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 
 use excess_lang::{BinOp, Expr, Lit, UnOp};
-use excess_sema::{AttrStats, CatalogLookup, ResolvedRange, RootSource, StatOp};
+use excess_sema::{AttrStats, ResolvedRange, RootSource, SemaCtx, StatOp};
 use extra_model::Value;
 
 use crate::plan::{join_attr, Physical, PlanExpr};
@@ -136,12 +136,14 @@ fn flip_stat_op(op: StatOp) -> StatOp {
 }
 
 /// Numeric literal value of an expression, for histogram probes.
-fn lit_f64(e: &Expr) -> Option<f64> {
+fn lit_f64(e: &Expr, ctx: &SemaCtx<'_>) -> Option<f64> {
     match e {
-        Expr::Lit(Lit::Int(i)) => Some(*i as f64),
-        Expr::Lit(Lit::Float(f)) => Some(*f),
-        Expr::Unary(UnOp::Neg, inner) => Some(-lit_f64(inner)?),
-        _ => None,
+        Expr::Unary(UnOp::Neg, inner) => Some(-lit_f64(inner, ctx)?),
+        _ => match ctx.literal(e)? {
+            Lit::Int(i) => Some(*i as f64),
+            Lit::Float(f) => Some(*f),
+            _ => None,
+        },
     }
 }
 
@@ -157,11 +159,12 @@ pub(crate) fn value_f64(v: &Value) -> Option<f64> {
 /// Selectivity of a single comparison against one attribute's
 /// statistics. `None` when the statistics cannot answer it (no
 /// histogram and a non-equality operator, or no numeric constant).
-fn attr_selectivity(a: &AttrStats, op: StatOp, value: Option<f64>) -> Option<f64> {
+/// Only a range comparison reads the constant's `value`.
+fn attr_selectivity(a: &AttrStats, op: StatOp, value: impl FnOnce() -> Option<f64>) -> Option<f64> {
     match op {
         StatOp::Eq => Some(a.eq_selectivity()),
         StatOp::Ne => Some((1.0 - a.null_frac - a.eq_selectivity()).clamp(0.0, 1.0)),
-        _ => a.cmp_selectivity(op, value?),
+        _ => a.cmp_selectivity(op, value()?),
     }
 }
 
@@ -169,11 +172,7 @@ fn attr_selectivity(a: &AttrStats, op: StatOp, value: Option<f64>) -> Option<f64
 /// `V.attr <op> const` shapes over known scan sources and falling back
 /// to the fixed factors otherwise — so unanalyzed collections see
 /// exactly the constant-based estimates.
-fn conjunct_selectivity(
-    c: &Expr,
-    sources: &HashMap<String, String>,
-    catalog: &dyn CatalogLookup,
-) -> f64 {
+fn conjunct_selectivity(c: &Expr, sources: &HashMap<String, String>, ctx: &SemaCtx<'_>) -> f64 {
     if let Expr::Binary(op, lhs, rhs) = c {
         if let Some(sop) = stat_op(*op) {
             let sides = [(lhs, rhs, sop), (rhs, lhs, flip_stat_op(sop))];
@@ -182,11 +181,11 @@ fn conjunct_selectivity(
                     continue;
                 };
                 let Expr::Var(v) = &**base else { continue };
-                let Some(stats) = sources.get(v).and_then(|c| catalog.stats_for(c)) else {
+                let Some(stats) = sources.get(v).and_then(|c| ctx.catalog.stats_for(c)) else {
                     continue;
                 };
                 let Some(a) = stats.attr(attr) else { continue };
-                if let Some(sel) = attr_selectivity(a, sop, lit_f64(const_side)) {
+                if let Some(sel) = attr_selectivity(a, sop, || lit_f64(const_side, ctx)) {
                     return sel;
                 }
             }
@@ -197,16 +196,12 @@ fn conjunct_selectivity(
 
 /// Estimated selectivity of a predicate given the scan sources of the
 /// plan it filters: the product over its conjuncts.
-pub fn selectivity_with(
-    pred: &Expr,
-    sources: &HashMap<String, String>,
-    catalog: &dyn CatalogLookup,
-) -> f64 {
+pub fn selectivity_with(pred: &Expr, sources: &HashMap<String, String>, ctx: &SemaCtx<'_>) -> f64 {
     match pred {
         Expr::Binary(BinOp::And, a, b) => {
-            selectivity_with(a, sources, catalog) * selectivity_with(b, sources, catalog)
+            selectivity_with(a, sources, ctx) * selectivity_with(b, sources, ctx)
         }
-        c => conjunct_selectivity(c, sources, catalog),
+        c => conjunct_selectivity(c, sources, ctx),
     }
 }
 
@@ -220,20 +215,20 @@ pub(crate) fn binding_collection(b: &ResolvedRange) -> Option<&str> {
 
 /// Selectivity of an equi join probe against `binding`'s collection on
 /// `attr`: expected fraction of build members matching one probe key.
-fn eq_join_selectivity(b: &ResolvedRange, attr: &str, catalog: &dyn CatalogLookup) -> f64 {
+fn eq_join_selectivity(b: &ResolvedRange, attr: &str, ctx: &SemaCtx<'_>) -> f64 {
     binding_collection(b)
-        .and_then(|c| catalog.stats_for(c))
+        .and_then(|c| ctx.catalog.stats_for(c))
         .and_then(|s| s.attr(attr).map(AttrStats::eq_selectivity))
         .unwrap_or(SEL_EQ)
 }
 
 /// Estimated members produced by iterating a binding once.
-pub fn binding_cardinality(b: &ResolvedRange, catalog: &dyn CatalogLookup) -> f64 {
+pub fn binding_cardinality(b: &ResolvedRange, ctx: &SemaCtx<'_>) -> f64 {
     match &b.root {
-        RootSource::Collection(obj) => catalog
+        RootSource::Collection(obj) => ctx
             .collection_size(&obj.name)
             .map(|n| n as f64)
-            .or_else(|| catalog.stats_for(&obj.name).map(|s| s.row_count as f64))
+            .or_else(|| ctx.catalog.stats_for(&obj.name).map(|s| s.row_count as f64))
             .unwrap_or(DEFAULT_SIZE),
         RootSource::Object(_) => {
             if b.steps.is_empty() {
@@ -248,48 +243,50 @@ pub fn binding_cardinality(b: &ResolvedRange, catalog: &dyn CatalogLookup) -> f6
 }
 
 /// Estimated output cardinality of a physical plan.
-pub fn cardinality<E: PlanExpr>(plan: &Physical<E>, catalog: &dyn CatalogLookup) -> f64 {
+pub fn cardinality<E: PlanExpr>(plan: &Physical<E>, ctx: &SemaCtx<'_>) -> f64 {
     match plan {
         Physical::Unit => 1.0,
         Physical::SeqScan { binding } | Physical::SystemScan { binding, .. } => {
-            binding_cardinality(binding, catalog)
+            binding_cardinality(binding, ctx)
         }
         Physical::IndexScan {
             binding,
             index,
-            lower,
-            upper,
-            pred,
+            probe,
+            ..
         } => {
-            let base = binding_cardinality(binding, catalog);
-            let from_stats = pred.as_ref().and_then(|(op, v)| {
-                let sop = stat_op(*op)?;
-                let stats = catalog.stats_for(binding_collection(binding)?)?;
-                attr_selectivity(stats.attr(&index.attr)?, sop, value_f64(v))
-            });
-            let sel = from_stats.unwrap_or_else(|| match (lower, upper) {
-                (std::ops::Bound::Included(a), std::ops::Bound::Included(b)) if a == b => SEL_EQ,
+            let base = binding_cardinality(binding, ctx);
+            let from_stats = (|| {
+                let sop = stat_op(probe.op)?;
+                let stats = ctx.catalog.stats_for(binding_collection(binding)?)?;
+                attr_selectivity(stats.attr(&index.attr)?, sop, || {
+                    if let Some(slot) = probe.hole {
+                        ctx.read_hole(slot);
+                    }
+                    value_f64(&probe.value)
+                })
+            })();
+            let sel = from_stats.unwrap_or(match probe.op {
+                BinOp::Eq => SEL_EQ,
                 _ => SEL_RANGE,
             });
             (base * sel).max(1.0)
         }
         Physical::Unnest { input, binding, .. } => {
-            cardinality(input, catalog) * binding_cardinality(binding, catalog)
+            cardinality(input, ctx) * binding_cardinality(binding, ctx)
         }
-        Physical::NestedLoop { outer, inner } => {
-            cardinality(outer, catalog) * cardinality(inner, catalog)
-        }
+        Physical::NestedLoop { outer, inner } => cardinality(outer, ctx) * cardinality(inner, ctx),
         Physical::Filter { input, pred } => {
             let mut sources = HashMap::new();
             scan_collections(input, &mut sources);
-            (cardinality(input, catalog) * selectivity_with(pred.src(), &sources, catalog)).max(1.0)
+            (cardinality(input, ctx) * selectivity_with(pred.src(), &sources, ctx)).max(1.0)
         }
         Physical::HashJoin {
             input, binding, on, ..
         } => {
-            let n = cardinality(input, catalog);
-            let t = binding_cardinality(binding, catalog);
-            (n * t * eq_join_selectivity(binding, join_attr(&**on), catalog)).max(1.0)
+            let n = cardinality(input, ctx);
+            let t = binding_cardinality(binding, ctx);
+            (n * t * eq_join_selectivity(binding, join_attr(&**on), ctx)).max(1.0)
         }
         Physical::IndexJoin {
             input,
@@ -297,78 +294,74 @@ pub fn cardinality<E: PlanExpr>(plan: &Physical<E>, catalog: &dyn CatalogLookup)
             index,
             ..
         } => {
-            let n = cardinality(input, catalog);
-            let t = binding_cardinality(binding, catalog);
-            (n * t * eq_join_selectivity(binding, &index.attr, catalog)).max(1.0)
+            let n = cardinality(input, ctx);
+            let t = binding_cardinality(binding, ctx);
+            (n * t * eq_join_selectivity(binding, &index.attr, ctx)).max(1.0)
         }
-        Physical::UniversalFilter { input, .. } => {
-            (cardinality(input, catalog) * SEL_OTHER).max(1.0)
-        }
+        Physical::UniversalFilter { input, .. } => (cardinality(input, ctx) * SEL_OTHER).max(1.0),
         Physical::Project { input, .. }
         | Physical::Sort { input, .. }
-        | Physical::Parallel { input, .. } => cardinality(input, catalog),
+        | Physical::Parallel { input, .. } => cardinality(input, ctx),
     }
 }
 
 /// Estimated cost (abstract units ≈ member visits). Each operator pays
 /// its per-row work plus [`batch_overhead`] for the batches it emits.
-pub fn cost(plan: &Physical, catalog: &dyn CatalogLookup) -> f64 {
+pub fn cost(plan: &Physical, ctx: &SemaCtx<'_>) -> f64 {
     match plan {
         Physical::Unit => 0.0,
         Physical::SeqScan { binding } | Physical::SystemScan { binding, .. } => {
-            let n = binding_cardinality(binding, catalog);
+            let n = binding_cardinality(binding, ctx);
             n + batch_overhead(n)
         }
         Physical::IndexScan { binding, .. } => {
-            let n = binding_cardinality(binding, catalog).max(2.0);
-            let out = cardinality(plan, catalog);
+            let n = binding_cardinality(binding, ctx).max(2.0);
+            let out = cardinality(plan, ctx);
             n.log2() + out + batch_overhead(out)
         }
         Physical::Unnest { input, binding, .. } => {
-            let out = cardinality(input, catalog) * binding_cardinality(binding, catalog);
-            cost(input, catalog) + out + batch_overhead(out)
+            let out = cardinality(input, ctx) * binding_cardinality(binding, ctx);
+            cost(input, ctx) + out + batch_overhead(out)
         }
         Physical::NestedLoop { outer, inner } => {
-            let out = cardinality(plan, catalog);
-            cost(outer, catalog)
-                + cardinality(outer, catalog) * cost(inner, catalog)
-                + batch_overhead(out)
+            let out = cardinality(plan, ctx);
+            cost(outer, ctx) + cardinality(outer, ctx) * cost(inner, ctx) + batch_overhead(out)
         }
         Physical::Filter { input, .. } => {
-            let n = cardinality(input, catalog);
-            cost(input, catalog) + n + batch_overhead(n)
+            let n = cardinality(input, ctx);
+            cost(input, ctx) + n + batch_overhead(n)
         }
         Physical::UniversalFilter {
             input, universe, ..
         } => {
-            let universe = cardinality(universe, catalog);
-            let n = cardinality(input, catalog);
-            cost(input, catalog) + n * universe + batch_overhead(n)
+            let universe = cardinality(universe, ctx);
+            let n = cardinality(input, ctx);
+            cost(input, ctx) + n * universe + batch_overhead(n)
         }
         Physical::Project { input, .. } => {
-            let n = cardinality(input, catalog);
-            cost(input, catalog) + n + batch_overhead(n)
+            let n = cardinality(input, ctx);
+            cost(input, ctx) + n + batch_overhead(n)
         }
         Physical::Sort { input, .. } => {
-            let n = cardinality(input, catalog).max(2.0);
-            cost(input, catalog) + n * n.log2() + batch_overhead(n)
+            let n = cardinality(input, ctx).max(2.0);
+            cost(input, ctx) + n * n.log2() + batch_overhead(n)
         }
         Physical::HashJoin { input, binding, .. } => {
             // Build scans and dereferences every member once; probes are
             // then O(1) hash lookups, plus one emit per matching row.
-            let n = cardinality(input, catalog);
-            let t = binding_cardinality(binding, catalog);
-            let out = cardinality(plan, catalog);
-            cost(input, catalog) + 2.0 * t + n + out + batch_overhead(out)
+            let n = cardinality(input, ctx);
+            let t = binding_cardinality(binding, ctx);
+            let out = cardinality(plan, ctx);
+            cost(input, ctx) + 2.0 * t + n + out + batch_overhead(out)
         }
         Physical::IndexJoin { input, binding, .. } => {
-            let n = cardinality(input, catalog);
-            let t = binding_cardinality(binding, catalog).max(2.0);
-            let out = cardinality(plan, catalog);
-            cost(input, catalog) + n * t.log2() + out + batch_overhead(out)
+            let n = cardinality(input, ctx);
+            let t = binding_cardinality(binding, ctx).max(2.0);
+            let out = cardinality(plan, ctx);
+            cost(input, ctx) + n * t.log2() + out + batch_overhead(out)
         }
         Physical::Parallel { input, dop } => {
-            parallel_cost(cost(input, catalog), cardinality(input, catalog), *dop)
+            parallel_cost(cost(input, ctx), cardinality(input, ctx), *dop)
         }
     }
 }

@@ -195,7 +195,7 @@ fn try_equi_join(outer: Physical, inner: Physical, pred: Checked, ctx: &SemaCtx<
     }
     candidates
         .into_iter()
-        .map(|p| (cost(&p, ctx.catalog), p))
+        .map(|p| (cost(&p, ctx), p))
         .min_by(|(a, _), (b, _)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
         .expect("nonempty candidate set")
         .1

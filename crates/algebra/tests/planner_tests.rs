@@ -240,6 +240,25 @@ fn join_order_puts_small_collection_outer() {
     assert!(e_pos < d_pos, "declaration order preserved:\n{s}");
 }
 
+/// A join's search reads each member count many times; a cached plan
+/// checks each collection's once.
+#[test]
+fn join_search_records_each_collection_size_once() {
+    let f = fixture();
+    let ctx = SemaCtx::new(&f.types, &f.adts, &f.catalog);
+    let src = "retrieve (E.name, D.dname) from E in Employees, D in Departments \
+               where E.dept is D";
+    let stmt = parse_statement(src, &OperatorTable::new()).unwrap();
+    let checked = ctx.check_retrieve(&stmt).unwrap();
+    plan_retrieve(&checked, &ctx, PlannerConfig::default()).unwrap();
+    let mut read: Vec<_> = ctx.reads.borrow().sizes.clone();
+    read.sort();
+    assert_eq!(
+        read,
+        vec![("Departments".into(), 50), ("Employees".into(), 100_000)]
+    );
+}
+
 #[test]
 fn selective_filter_shrinks_estimated_outer() {
     let f = fixture();
@@ -331,4 +350,72 @@ fn constant_query_plans_to_unit() {
     let s = render(&p);
     assert!(s.contains("Unit"), "{s}");
     assert!(!s.contains("Scan"), "{s}");
+}
+
+fn qual(src: &str) -> excess_lang::Expr {
+    match parse_statement(&format!("retrieve (x) where {src}"), &OperatorTable::new()).unwrap() {
+        Stmt::Retrieve { qual: Some(q), .. } => q,
+        _ => unreachable!(),
+    }
+}
+
+#[test]
+fn const_eval_literals_and_adts() {
+    use excess_algebra::rules::const_eval;
+    use excess_lang::{Expr, Lit};
+    use extra_model::Value;
+    let (types, adts) = (TypeRegistry::new(), AdtRegistry::with_builtins());
+    let ctx = SemaCtx::new(&types, &adts, &excess_sema::catalog::EmptyCatalog);
+    assert_eq!(const_eval(&qual("x = 3").clone(), &ctx), None);
+    let three = Expr::Lit(Lit::Int(3));
+    assert_eq!(const_eval(&three, &ctx), Some(Value::Int(3)));
+    let neg = Expr::Unary(excess_lang::UnOp::Neg, Box::new(three));
+    assert_eq!(const_eval(&neg, &ctx), Some(Value::Int(-3)));
+    let date = Expr::Call {
+        recv: None,
+        name: "Date".into(),
+        args: vec![Expr::Lit(Lit::Str("1/2/1987".into()))],
+    };
+    assert!(matches!(const_eval(&date, &ctx), Some(Value::Adt(_, _))));
+    // A negated hole's value decides the constant, so it is read.
+    let neg_hole = Expr::Unary(excess_lang::UnOp::Neg, Box::new(Expr::Hole(4, Lit::Int(7))));
+    assert_eq!(const_eval(&neg_hole, &ctx), Some(Value::Int(-7)));
+    assert_eq!(ctx.reads.borrow().holes, vec![4]);
+}
+
+#[test]
+fn indexable_pred_extraction() {
+    use excess_algebra::rules::indexable_pred;
+    use excess_lang::BinOp;
+    use extra_model::Value;
+    let (types, adts) = (TypeRegistry::new(), AdtRegistry::with_builtins());
+    let ctx = SemaCtx::new(&types, &adts, &excess_sema::catalog::EmptyCatalog);
+    let p = indexable_pred(&qual("E.age >= 30"), "E", &ctx).unwrap();
+    assert_eq!(p.attr, "age");
+    assert_eq!(p.op, BinOp::Ge);
+    assert_eq!(p.value, Value::Int(30));
+    // Flipped side normalizes.
+    let p = indexable_pred(&qual("30 > E.age"), "E", &ctx).unwrap();
+    assert_eq!(p.op, BinOp::Lt);
+    // Wrong variable.
+    assert!(indexable_pred(&qual("D.age = 30"), "E", &ctx).is_none());
+    // Non-constant side.
+    assert!(indexable_pred(&qual("E.age = D.age"), "E", &ctx).is_none());
+    // Deep path is not single-attribute indexable.
+    assert!(indexable_pred(&qual("E.dept.floor = 2"), "E", &ctx).is_none());
+    // ADT constant.
+    let p = indexable_pred(&qual("E.birthday < Date(\"1/1/1960\")"), "E", &ctx).unwrap();
+    assert!(matches!(p.value, Value::Adt(_, _)));
+    // A bare hole stays a hole: its value is bound per execution.
+    let toks =
+        excess_lang::lexer::lex("retrieve (x) where E.age < 30", &OperatorTable::new()).unwrap();
+    let Stmt::Retrieve { qual: Some(q), .. } =
+        excess_lang::parse_template("retrieve (x) where E.age < 30", toks, &OperatorTable::new())
+            .unwrap()
+    else {
+        unreachable!()
+    };
+    let p = indexable_pred(&q, "E", &ctx).unwrap();
+    assert_eq!((p.hole, p.value), (Some(0), Value::Int(30)));
+    assert!(ctx.reads.borrow().holes.is_empty());
 }

@@ -180,6 +180,10 @@ pub struct Aggregate {
 pub enum Expr {
     /// Literal constant.
     Lit(Lit),
+    /// A literal parsed as a hole of a statement template: slot `.0` of
+    /// the statement's literals in source order, holding this
+    /// statement's value (see [`crate::parser::parse_template`]).
+    Hole(usize, Lit),
     /// Bare identifier: range variable or named database object (resolved
     /// in sema).
     Var(String),
@@ -216,6 +220,33 @@ impl Expr {
     /// Helper: `Var(name)`.
     pub fn var(name: &str) -> Expr {
         Expr::Var(name.into())
+    }
+
+    /// Give every hole the value of its slot in `lits`.
+    pub fn bind_holes(&mut self, lits: &[Lit]) {
+        let all = |es: &mut [Expr]| es.iter_mut().for_each(|e| e.bind_holes(lits));
+        match self {
+            Expr::Hole(slot, lit) => *lit = lits[*slot].clone(),
+            Expr::Lit(_) | Expr::Var(_) => {}
+            Expr::Path(e, _) | Expr::Unary(_, e) => e.bind_holes(lits),
+            Expr::Index(a, b) | Expr::Binary(_, a, b) => {
+                a.bind_holes(lits);
+                b.bind_holes(lits);
+            }
+            Expr::Call { recv, args, .. } => {
+                recv.iter_mut().for_each(|r| r.bind_holes(lits));
+                all(args);
+            }
+            Expr::UserOp(_, args) | Expr::SetLit(args) => all(args),
+            Expr::Agg(a) => {
+                a.arg
+                    .iter_mut()
+                    .chain(&mut a.qual)
+                    .for_each(|e| e.bind_holes(lits));
+                all(&mut a.by);
+            }
+            Expr::TupleLit(fields) => fields.iter_mut().for_each(|(_, e)| e.bind_holes(lits)),
+        }
     }
 
     /// Helper: path chain `base.a.b...`.

@@ -39,4 +39,4 @@ pub mod token;
 pub use ast::*;
 pub use error::{ParseError, ParseResult};
 pub use ops::OperatorTable;
-pub use parser::{parse_program, parse_statement, Parser};
+pub use parser::{parse_program, parse_statement, parse_template, parse_tokens, Parser};

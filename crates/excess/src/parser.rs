@@ -27,20 +27,43 @@ pub struct Parser<'a> {
     toks: Vec<Token>,
     pos: usize,
     ops: &'a OperatorTable,
+    /// In a template parse, the slot the next literal takes.
+    next_hole: Option<usize>,
 }
 
 /// Parse a single statement.
 pub fn parse_statement(src: &str, ops: &OperatorTable) -> ParseResult<Stmt> {
-    let mut p = Parser::new(src, ops)?;
-    let stmt = p.statement()?;
-    p.skip_semis();
-    p.expect_eof()?;
+    Parser::new(src, ops)?.only_statement()
+}
+
+/// Parse a single statement from the tokens [`crate::lexer::lex`] made of
+/// `src` as a template: each integer, float and string literal becomes an
+/// [`Expr::Hole`] whose slot is its position among the literal tokens.
+/// Fails when a literal token is not an expression.
+pub fn parse_template(src: &str, toks: Vec<Token>, ops: &OperatorTable) -> ParseResult<Stmt> {
+    let literals = toks.iter().filter(|t| is_literal(&t.tok)).count();
+    let mut p = Parser::from_tokens(src, toks, ops);
+    p.next_hole = Some(0);
+    let stmt = p.only_statement()?;
+    if p.next_hole != Some(literals) {
+        return p.err("a literal that is not an expression cannot be a hole");
+    }
     Ok(stmt)
+}
+
+/// Whether a token is a literal a statement template makes a hole of.
+fn is_literal(tok: &Tok) -> bool {
+    matches!(tok, Tok::Int(_) | Tok::Float(_) | Tok::Str(_))
 }
 
 /// Parse a whole program: statements separated by optional `;`.
 pub fn parse_program(src: &str, ops: &OperatorTable) -> ParseResult<Vec<Stmt>> {
-    let mut p = Parser::new(src, ops)?;
+    parse_tokens(src, lex(src, ops)?, ops)
+}
+
+/// [`parse_program`] over the tokens [`crate::lexer::lex`] made of `src`.
+pub fn parse_tokens(src: &str, toks: Vec<Token>, ops: &OperatorTable) -> ParseResult<Vec<Stmt>> {
+    let mut p = Parser::from_tokens(src, toks, ops);
     let mut stmts = Vec::new();
     loop {
         p.skip_semis();
@@ -54,12 +77,37 @@ pub fn parse_program(src: &str, ops: &OperatorTable) -> ParseResult<Vec<Stmt>> {
 impl<'a> Parser<'a> {
     /// Lex `src` and prepare to parse.
     pub fn new(src: &'a str, ops: &'a OperatorTable) -> ParseResult<Parser<'a>> {
-        Ok(Parser {
+        Ok(Self::from_tokens(src, lex(src, ops)?, ops))
+    }
+
+    fn from_tokens(src: &'a str, toks: Vec<Token>, ops: &'a OperatorTable) -> Parser<'a> {
+        Parser {
             src,
-            toks: lex(src, ops)?,
+            toks,
             pos: 0,
             ops,
-        })
+            next_hole: None,
+        }
+    }
+
+    /// One statement, then (after any `;`) the end of input.
+    fn only_statement(&mut self) -> ParseResult<Stmt> {
+        let stmt = self.statement()?;
+        self.skip_semis();
+        self.expect_eof()?;
+        Ok(stmt)
+    }
+
+    /// A literal atom: a hole in a template parse.
+    fn literal(&mut self, lit: Lit) -> Expr {
+        self.bump();
+        match &mut self.next_hole {
+            Some(slot) => {
+                *slot += 1;
+                Expr::Hole(*slot - 1, lit)
+            }
+            None => Expr::Lit(lit),
+        }
     }
 
     // -- token plumbing ----------------------------------------------------
@@ -864,18 +912,9 @@ impl<'a> Parser<'a> {
 
     fn atom(&mut self) -> ParseResult<Expr> {
         match self.peek().clone() {
-            Tok::Int(i) => {
-                self.bump();
-                Ok(Expr::Lit(Lit::Int(i)))
-            }
-            Tok::Float(f) => {
-                self.bump();
-                Ok(Expr::Lit(Lit::Float(f)))
-            }
-            Tok::Str(s) => {
-                self.bump();
-                Ok(Expr::Lit(Lit::Str(s)))
-            }
+            Tok::Int(i) => Ok(self.literal(Lit::Int(i))),
+            Tok::Float(f) => Ok(self.literal(Lit::Float(f))),
+            Tok::Str(s) => Ok(self.literal(Lit::Str(s))),
             Tok::Kw(Kw::True) => {
                 self.bump();
                 Ok(Expr::Lit(Lit::Bool(true)))

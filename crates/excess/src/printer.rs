@@ -116,7 +116,7 @@ impl fmt::Display for Lit {
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Expr::Lit(l) => write!(f, "{l}"),
+            Expr::Lit(l) | Expr::Hole(_, l) => write!(f, "{l}"),
             Expr::Var(v) => write!(f, "{v}"),
             Expr::Path(base, attr) => write!(f, "{base}.{attr}"),
             Expr::Index(base, idx) => write!(f, "{base}[{idx}]"),

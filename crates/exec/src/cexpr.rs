@@ -99,6 +99,8 @@ pub struct CAgg {
 pub enum CExpr {
     /// A constant (literals, parsed ADT literals).
     Const(Value),
+    /// A statement template's hole: the execution's literal in slot `.0`.
+    Hole(usize),
     /// A bound variable.
     Var(String),
     /// A named collection used as a whole-set value.
@@ -254,6 +256,7 @@ impl<'a> Compiler<'a> {
         let boxed = |t: &Typed| self.compile(t).map(Box::new);
         Ok(match &t.node {
             Node::Const(v) => CExpr::Const(v.clone()),
+            Node::Hole(slot) => CExpr::Hole(*slot),
             Node::Var(n) => CExpr::Var(n.clone()),
             Node::NamedSet(obj) => CExpr::NamedSet(obj.oid),
             Node::NamedRef(obj) => CExpr::NamedRef(obj.oid),

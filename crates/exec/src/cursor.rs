@@ -22,11 +22,12 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::vec::IntoIter;
 
+use excess_algebra::plan::{KeyRange, Probe};
 use excess_algebra::Physical;
 use excess_sema::{IndexInfo, ResolvedRange, RootSource, SemaCtx};
 use exodus_storage::btree::{BTree, BTreeScan};
 use exodus_storage::{Oid, RecordId};
-use extra_model::{MemberScan, ModelError, ModelResult, Value};
+use extra_model::{MemberScan, ModelError, ModelResult, Type, Value};
 
 use crate::batch::RowBatch;
 use crate::cexpr::Compiled;
@@ -123,15 +124,14 @@ pub(crate) fn open_sub<'p>(
         Physical::IndexScan {
             binding,
             index: ix,
-            lower,
-            upper,
-            ..
+            probe,
+            key_ty,
         } => {
             let kind = ScanKind::Index {
                 binding,
                 index: ix,
-                lower,
-                upper,
+                probe,
+                key_ty,
             };
             ScanCursor::open(input, &binding.var, kind, slot)
         }
@@ -616,8 +616,8 @@ enum ScanKind<'p> {
     Index {
         binding: &'p ResolvedRange,
         index: &'p IndexInfo,
-        lower: &'p std::ops::Bound<Vec<u8>>,
-        upper: &'p std::ops::Bound<Vec<u8>>,
+        probe: &'p Probe,
+        key_ty: &'p Type,
     },
     /// A `sys.<view>` virtual collection, materialized by the catalog's
     /// system-view provider. Members load once per cursor open — that
@@ -652,6 +652,17 @@ pub(crate) fn indexed_attr(
         .attr(&binding.elem, &index.attr)
         .map(|(pos, _)| pos)
         .map_err(|e| ModelError::Semantic(e.to_string()))
+}
+
+/// The key range an index scan's probe admits in this execution.
+pub(crate) fn index_bounds(
+    ctx: &ExecCtx<'_>,
+    probe: &Probe,
+    key_ty: &Type,
+) -> ModelResult<KeyRange> {
+    probe
+        .bounds(ctx.holes, key_ty, ctx.adts)
+        .ok_or_else(|| ModelError::Semantic(format!("no index key encodes {:?}", probe.value)))
 }
 
 /// The key each member shows for the indexed attribute at `attr` at the
@@ -818,10 +829,10 @@ impl<'p> ScanCursor<'p> {
             ScanKind::Index {
                 binding,
                 index,
-                lower,
-                upper,
+                probe,
+                key_ty,
             } => {
-                let (lower, upper) = ((*lower).clone(), (*upper).clone());
+                let (lower, upper) = index_bounds(ctx, probe, key_ty)?;
                 let attr = indexed_attr(ctx, binding, index)?;
                 (
                     MemberSource::index(ctx, index, attr, lower, upper),

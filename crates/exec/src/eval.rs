@@ -46,6 +46,9 @@ pub struct ExecCtx<'a> {
     /// Database-wide executor counters (see [`crate::ExecMetrics`]).
     /// `None` when the database was built with metrics disabled.
     pub metrics: Option<std::sync::Arc<crate::metrics::ExecMetrics>>,
+    /// The values of the statement's literals, which a plan made for its
+    /// template binds at its holes.
+    pub holes: &'a [Value],
 }
 
 impl<'a> ExecCtx<'a> {
@@ -70,7 +73,14 @@ impl<'a> ExecCtx<'a> {
             snapshot,
             profiler: None,
             metrics: None,
+            holes: &[],
         }
+    }
+
+    /// Bind a template plan's holes to `holes`.
+    pub fn with_holes(mut self, holes: &'a [Value]) -> Self {
+        self.holes = holes;
+        self
     }
 
     /// Override the execution batch size (clamped to at least 1).
@@ -182,6 +192,11 @@ pub fn truthy(v: &Value) -> ModelResult<bool> {
 pub fn eval(e: &CExpr, ctx: &ExecCtx<'_>, env: &dyn Bindings) -> ModelResult<Value> {
     match e {
         CExpr::Const(v) => Ok(v.clone()),
+        CExpr::Hole(slot) => ctx
+            .holes
+            .get(*slot)
+            .cloned()
+            .ok_or_else(|| ModelError::Semantic(format!("literal {slot} is not bound"))),
         CExpr::Var(n) => env
             .value(n)
             .cloned()

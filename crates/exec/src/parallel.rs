@@ -32,7 +32,7 @@ use exodus_storage::Oid;
 use extra_model::{ModelError, ModelResult};
 
 use crate::batch::RowBatch;
-use crate::cursor::{indexed_attr, open_sub, Cursor, MemberSource};
+use crate::cursor::{index_bounds, indexed_attr, open_sub, Cursor, MemberSource};
 use crate::eval::ExecCtx;
 use crate::plan::{anchor, Plan};
 use crate::profile::{PlanProfiler, WorkerStats};
@@ -68,17 +68,13 @@ fn morsels_for(
         Physical::IndexScan {
             binding,
             index,
-            lower,
-            upper,
-            ..
+            probe,
+            key_ty,
         } => {
             let attr = indexed_attr(ctx, binding, index)?;
-            let scans = BTree::open(index.root).partitions(
-                ctx.store.storage().pool(),
-                k,
-                lower.clone(),
-                upper.clone(),
-            )?;
+            let (lower, upper) = index_bounds(ctx, probe, key_ty)?;
+            let scans =
+                BTree::open(index.root).partitions(ctx.store.storage().pool(), k, lower, upper)?;
             Ok(Some(
                 scans
                     .into_iter()
@@ -205,7 +201,7 @@ where
     let finished: Mutex<Vec<(usize, PlanProfiler, WorkerStats)>> = Mutex::new(Vec::new());
     let (store, types, adts, catalog) = (ctx.store, ctx.types, ctx.adts, ctx.catalog);
     let batch_size = ctx.batch_size;
-    let snapshot = ctx.snapshot;
+    let (snapshot, holes) = (ctx.snapshot, ctx.holes);
     let metrics = ctx.metrics.clone();
     let (tx, rx) = sync_channel::<(usize, usize, ModelResult<T>)>(workers * CHANNEL_SLACK);
 
@@ -218,7 +214,8 @@ where
             s.spawn(move || {
                 let mut wctx = ExecCtx::new(store, types, adts, catalog, snapshot)
                     .with_batch_size(batch_size)
-                    .with_metrics(wmetrics);
+                    .with_metrics(wmetrics)
+                    .with_holes(holes);
                 if let Some(p) = wprof {
                     wctx = wctx.with_profiler(p);
                 }

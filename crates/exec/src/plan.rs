@@ -30,15 +30,13 @@ pub(crate) fn prepare_node(plan: Physical, c: &Compiler<'_>) -> ModelResult<Plan
         Physical::IndexScan {
             binding,
             index,
-            lower,
-            upper,
-            pred,
+            probe,
+            key_ty,
         } => Physical::IndexScan {
             binding,
             index,
-            lower,
-            upper,
-            pred,
+            probe,
+            key_ty,
         },
         Physical::Unnest {
             input: i,

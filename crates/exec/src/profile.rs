@@ -23,10 +23,18 @@ use std::sync::Arc;
 
 use excess_algebra::cost::cardinality;
 use excess_algebra::Physical;
-use excess_sema::CatalogLookup;
+use excess_lang::Lit;
+use excess_sema::SemaCtx;
 
 use crate::cexpr::{AggSource, CExpr};
 use crate::plan::Plan;
+
+/// What indexing a plan reads: the cost model's context and the
+/// literals of the statement running the plan.
+struct Walk<'c, 's> {
+    ctx: &'c SemaCtx<'s>,
+    holes: &'c [Lit],
+}
 
 /// Immutable per-plan metadata: node address → pre-order slot, plus each
 /// slot's label/estimate. Shared (via `Arc`) between the driving profiler
@@ -48,37 +56,38 @@ pub struct NodeMeta {
 
 impl PlanIndex {
     /// Index `root` in pre-order, each node labelled as `explain` prints
-    /// it and estimated by the cost model over `catalog`.
-    pub fn new(root: &Plan, catalog: &dyn CatalogLookup) -> PlanIndex {
+    /// it, with its holes showing `holes` (the literals of the statement
+    /// running it), and estimated by the cost model under `ctx`.
+    pub fn new(root: &Plan, ctx: &SemaCtx<'_>, holes: &[Lit]) -> PlanIndex {
         let mut idx = PlanIndex {
             by_addr: HashMap::new(),
             meta: Vec::new(),
         };
-        idx.walk(root, 0, catalog);
+        idx.walk(root, 0, &Walk { ctx, holes });
         idx
     }
 
     /// Index `node` and its subtree.
-    fn walk(&mut self, node: &Plan, depth: u16, catalog: &dyn CatalogLookup) {
+    fn walk(&mut self, node: &Plan, depth: u16, w: &Walk<'_, '_>) {
         let slot = self.meta.len() as u32;
         self.by_addr.insert(node as *const Plan as usize, slot);
         self.meta.push(NodeMeta {
             depth,
-            label: node.label(),
-            est_rows: cardinality(node, catalog),
+            label: node.label_with(w.holes),
+            est_rows: cardinality(node, w.ctx),
         });
         // Aggregate `over` plans live inside this node's compiled
         // expressions; index them as extra children so their cursors (and
         // the morsel driver) report per-operator metrics too.
-        self.walk_node_exprs(node, depth + 1, catalog);
+        self.walk_node_exprs(node, depth + 1, w);
         match node {
             Physical::Unit
             | Physical::SeqScan { .. }
             | Physical::SystemScan { .. }
             | Physical::IndexScan { .. } => {}
             Physical::NestedLoop { outer, inner } => {
-                self.walk(outer, depth + 1, catalog);
-                self.walk(inner, depth + 1, catalog);
+                self.walk(outer, depth + 1, w);
+                self.walk(inner, depth + 1, w);
             }
             Physical::Unnest { input, .. }
             | Physical::Filter { input, .. }
@@ -90,25 +99,25 @@ impl PlanIndex {
             | Physical::Sort { input, .. }
             | Physical::HashJoin { input, .. }
             | Physical::IndexJoin { input, .. }
-            | Physical::Parallel { input, .. } => self.walk(input, depth + 1, catalog),
+            | Physical::Parallel { input, .. } => self.walk(input, depth + 1, w),
         }
     }
 
     /// Walk the expressions attached to `node` looking for aggregate
     /// `over` plans to index.
-    fn walk_node_exprs(&mut self, node: &Plan, depth: u16, catalog: &dyn CatalogLookup) {
+    fn walk_node_exprs(&mut self, node: &Plan, depth: u16, w: &Walk<'_, '_>) {
         match node {
             Physical::Filter { pred, .. } | Physical::UniversalFilter { pred, .. } => {
-                self.walk_expr(&pred.expr, depth, catalog);
+                self.walk_expr(&pred.expr, depth, w);
             }
             Physical::Project { targets, .. } => {
                 for (_, e) in targets {
-                    self.walk_expr(&e.expr, depth, catalog);
+                    self.walk_expr(&e.expr, depth, w);
                 }
             }
-            Physical::Sort { key, .. } => self.walk_expr(&key.expr, depth, catalog),
+            Physical::Sort { key, .. } => self.walk_expr(&key.expr, depth, w),
             Physical::HashJoin { key, .. } | Physical::IndexJoin { key, .. } => {
-                self.walk_expr(&key.expr, depth, catalog)
+                self.walk_expr(&key.expr, depth, w)
             }
             _ => {}
         }
@@ -118,41 +127,42 @@ impl PlanIndex {
     /// an indexed subtree. EXCESS function bodies are skipped — they
     /// re-plan per call site and re-open per row, so their counters would
     /// not correspond to any one plan node.
-    fn walk_expr(&mut self, e: &CExpr, depth: u16, catalog: &dyn CatalogLookup) {
+    fn walk_expr(&mut self, e: &CExpr, depth: u16, w: &Walk<'_, '_>) {
         match e {
             CExpr::Agg(agg) => {
                 if let AggSource::Ranges(plan) = &agg.source {
-                    self.walk(plan, depth, catalog);
+                    self.walk(plan, depth, w);
                 }
                 if let Some(a) = &agg.arg {
-                    self.walk_expr(a, depth, catalog);
+                    self.walk_expr(a, depth, w);
                 }
                 if let Some(q) = &agg.qual {
-                    self.walk_expr(q, depth, catalog);
+                    self.walk_expr(q, depth, w);
                 }
                 for b in &agg.by {
-                    self.walk_expr(b, depth, catalog);
+                    self.walk_expr(b, depth, w);
                 }
             }
             CExpr::Attr(inner, _)
             | CExpr::Path(_, inner)
             | CExpr::Not(inner)
-            | CExpr::Neg(inner) => self.walk_expr(inner, depth, catalog),
+            | CExpr::Neg(inner) => self.walk_expr(inner, depth, w),
             CExpr::Idx(a, b) | CExpr::Bin(_, a, b) => {
-                self.walk_expr(a, depth, catalog);
-                self.walk_expr(b, depth, catalog);
+                self.walk_expr(a, depth, w);
+                self.walk_expr(b, depth, w);
             }
             CExpr::AdtCall { args, .. } | CExpr::FunCall { args, .. } => {
                 for a in args {
-                    self.walk_expr(a, depth, catalog);
+                    self.walk_expr(a, depth, w);
                 }
             }
             CExpr::SetLit(items) | CExpr::TupleLit(items) => {
                 for i in items {
-                    self.walk_expr(i, depth, catalog);
+                    self.walk_expr(i, depth, w);
                 }
             }
             CExpr::Const(_)
+            | CExpr::Hole(_)
             | CExpr::Var(_)
             | CExpr::NamedSet(_)
             | CExpr::NamedRef(_)

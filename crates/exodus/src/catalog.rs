@@ -232,6 +232,10 @@ pub struct Catalog {
     pub stats: HashMap<String, CollectionStats>,
     /// Authorization state.
     pub auth: Auth,
+    /// Bumped, under the catalog write lock, by every statement that
+    /// may change the catalog: a session's cached plans are valid only
+    /// at the stamp they were made at.
+    pub(crate) stamp: u64,
 }
 
 impl Catalog {
@@ -246,6 +250,7 @@ impl Catalog {
             indexes: Vec::new(),
             stats: HashMap::new(),
             auth: Auth::default(),
+            stamp: 0,
         }
     }
 

@@ -1,5 +1,6 @@
 //! The `Database` facade and `Session`s.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -8,8 +9,13 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use excess_exec::{QueryProfile, QueryResult};
+use excess_lang::lexer::lex;
 use excess_lang::ops::OpAssoc;
-use excess_lang::{parse_program, AttrDecl, InheritClause, OperatorTable, Param, Privilege, Stmt};
+use excess_lang::token::Token;
+use excess_lang::{
+    parse_program, parse_template, parse_tokens, AttrDecl, InheritClause, OperatorTable, Param,
+    Privilege, Stmt,
+};
 use excess_sema::lower::lower_qual;
 use excess_sema::{
     AttrStats, CollectionStats, FunctionDef, IndexInfo, NamedObject, ProcedureDef, RangeEnv,
@@ -29,6 +35,7 @@ use crate::catalog::{genesis, write_image, Catalog, CatalogImage, CatalogView, A
 use crate::dml::{self, ExplainSink, Params, Scope};
 use crate::error::{DbError, DbResult};
 use crate::observe::{verb_index, DbMetrics};
+use crate::stmt_cache::{Entry, Shape, StmtCache};
 
 /// Result of one statement.
 #[derive(Debug)]
@@ -338,7 +345,11 @@ impl Database {
     /// in, and adopt its generation.
     pub(crate) fn install(&self, image: CatalogImage) -> DbResult<()> {
         self.store.import_image(&image.store_image)?;
-        *self.catalog.write() = image.catalog;
+        let mut cat = self.catalog.write();
+        let stamp = cat.stamp + 1;
+        *cat = image.catalog;
+        cat.stamp = stamp;
+        drop(cat);
         self.catalog_epoch.store(image.generation, Ordering::SeqCst);
         *self.image_shape.lock() = self.store.image_shape();
         Ok(())
@@ -586,6 +597,7 @@ impl Database {
         let txn = self.store.storage().begin_txn()?;
         {
             let mut cat = self.catalog.write();
+            cat.stamp += 1;
             cat.adts.register(adt)?;
             sync_operators(&mut self.ops.write(), &cat.adts);
         }
@@ -611,6 +623,7 @@ impl Database {
             txn: None,
             lock_timeout: None,
             info,
+            cache: StmtCache::default(),
         }
     }
 
@@ -657,6 +670,8 @@ pub struct Session {
     /// This session's row in the database's session registry (feeds
     /// `sys.sessions`); unregistered on drop.
     info: Arc<crate::sysview::SessionInfo>,
+    /// The plans of the single retrieves this session ran, by shape.
+    cache: StmtCache,
 }
 
 impl Drop for Session {
@@ -718,13 +733,28 @@ impl Session {
         }
     }
 
-    /// Run one or more statements.
+    /// Run one or more statements. A program of one `retrieve` (without
+    /// `into`) runs through the session's statement cache: its shape is
+    /// checked, planned and compiled once, and each statement of that
+    /// shape binds its own literals into the plan.
     pub fn run(&mut self, src: &str) -> DbResult<Vec<Response>> {
-        let stmts = {
-            let _span = self.db.span("parse", src);
-            let ops = self.db.ops.read();
-            parse_program(src, &ops)?
-        };
+        let db = self.db.clone();
+        let parse_span = db.span("parse", src);
+        let tokens = lex(src, &db.ops.read())?;
+        if let Some(shape) = Shape::of(&tokens) {
+            let cached = self.cache.holds(&shape);
+            let template = match cached {
+                true => None,
+                false => parse_template(src, tokens.clone(), &db.ops.read()).ok(),
+            };
+            // A statement whose template does not parse runs as written.
+            if cached || template.is_some() {
+                drop(parse_span);
+                return Ok(vec![self.run_shape(src, &tokens, &shape, template)?]);
+            }
+        }
+        let stmts = parse_tokens(src, tokens, &db.ops.read())?;
+        drop(parse_span);
         let mut out = Vec::with_capacity(stmts.len());
         for stmt in stmts {
             out.push(self.execute(&stmt)?);
@@ -762,15 +792,7 @@ impl Session {
     /// activity it caused (`observe <stmt>`). The source may also
     /// carry an explicit `observe` prefix, which is not doubled.
     pub fn observe(&mut self, src: &str) -> DbResult<Observation> {
-        let stmts = {
-            let ops = self.db.ops.read();
-            parse_program(src, &ops)?
-        };
-        let stmt = stmts
-            .into_iter()
-            .next_back()
-            .ok_or_else(|| DbError::Catalog("nothing to observe".into()))?;
-        let stmt = match stmt {
+        let stmt = match self.last_statement(src, "observe")? {
             s @ Stmt::Observe { .. } => s,
             other => Stmt::Observe {
                 stmt: Box::new(other),
@@ -783,15 +805,7 @@ impl Session {
     }
 
     fn explain_inner(&mut self, src: &str, analyze: bool) -> DbResult<Explanation> {
-        let stmts = {
-            let ops = self.db.ops.read();
-            parse_program(src, &ops)?
-        };
-        let stmt = stmts
-            .into_iter()
-            .next_back()
-            .ok_or_else(|| DbError::Catalog("nothing to explain".into()))?;
-        let (analyze, inner) = match stmt {
+        let (analyze, inner) = match self.last_statement(src, "explain")? {
             Stmt::Explain { analyze: a, stmt } => (analyze || a, *stmt),
             other => (analyze, other),
         };
@@ -804,27 +818,86 @@ impl Session {
         }
     }
 
+    /// The statement an `explain` or `observe` of `src` reports on: its
+    /// last. The `range of` declarations before it apply to the session
+    /// as [`Session::run`] applies them; any other statement before it
+    /// is refused ([`DbError::Catalog`]) before anything runs. These
+    /// always plan afresh, not through the statement cache.
+    fn last_statement(&mut self, src: &str, what: &str) -> DbResult<Stmt> {
+        let mut stmts = parse_program(src, &self.db.ops.read())?;
+        let last = stmts
+            .pop()
+            .ok_or_else(|| DbError::Catalog(format!("nothing to {what}")))?;
+        if let Some(other) = stmts.iter().find(|s| !matches!(s, Stmt::RangeOf { .. })) {
+            return Err(DbError::Catalog(format!(
+                "{what} reports on one statement, which only range declarations may \
+                 precede; run '{}' on its own first",
+                verb_of(other)
+            )));
+        }
+        for stmt in &stmts {
+            self.execute(stmt)?;
+        }
+        Ok(last)
+    }
+
     /// Execute a single parsed statement. Plain retrieves run under a
     /// shared catalog lock (concurrent readers proceed in parallel);
     /// everything else takes the exclusive lock.
     pub fn execute(&mut self, stmt: &Stmt) -> DbResult<Response> {
+        let verb = (verb_index(stmt), verb_of(stmt));
+        self.instrumented(verb, || stmt.to_string(), |s, db| s.execute_inner(db, stmt))
+    }
+
+    /// Run `src`, one retrieve of a cacheable shape, through the
+    /// statement cache. `template` is its parse as a template when the
+    /// cache held no plan for the shape.
+    fn run_shape(
+        &mut self,
+        src: &str,
+        tokens: &[Token],
+        shape: &Shape,
+        template: Option<Stmt>,
+    ) -> DbResult<Response> {
+        let db = self.db.clone();
+        // A cached plan's statement is shown as parsed from its tokens,
+        // and only where an instrument keeps it.
+        let text = || match &template {
+            Some(t) => t.to_string(),
+            None => parse_tokens(src, tokens.to_vec(), &db.ops.read())
+                .map(|s| s[0].to_string())
+                .unwrap_or_default(),
+        };
+        self.instrumented((0, "retrieve"), text, |s, db| {
+            s.route_read(db, |s, snap| {
+                s.read_shape(db, snap, shape, template.as_ref(), src, tokens)
+            })
+        })
+    }
+
+    /// Run `run` under the statement instruments: the `statement` span
+    /// (rendering `text` only when a tracer keeps it), the statement
+    /// metrics of `verb` (its index and name) and the slow-query log.
+    fn instrumented(
+        &mut self,
+        verb: (usize, &'static str),
+        text: impl Fn() -> String,
+        run: impl FnOnce(&mut Self, &Arc<Database>) -> DbResult<Response>,
+    ) -> DbResult<Response> {
         let db = self.db.clone();
         self.info.bump_statements();
         if db.metrics.is_none() && db.tracer.is_none() {
             // Fully uninstrumented build: not even a clock read.
-            return self.execute_inner(&db, stmt);
+            return run(self, &db);
         }
         // Render the statement only when a tracer will keep it.
-        let _span = db
-            .tracer
-            .as_ref()
-            .map(|t| t.start("statement", stmt.to_string()));
+        let _span = db.tracer.as_ref().map(|t| t.start("statement", text()));
         let t0 = std::time::Instant::now();
-        let result = self.execute_inner(&db, stmt);
+        let result = run(self, &db);
         let elapsed_ns = t0.elapsed().as_nanos() as u64;
         if let Some(m) = &db.metrics {
             m.statements.inc();
-            m.statements_by_verb[verb_index(stmt)].inc();
+            m.statements_by_verb[verb.0].inc();
             if result.is_err() {
                 m.errors.inc();
             }
@@ -836,13 +909,7 @@ impl Session {
                     m.slow_queries.inc();
                 }
                 let profile = result.as_ref().ok().and_then(response_profile);
-                log.record(
-                    stmt.to_string(),
-                    elapsed_ns,
-                    self.info.id,
-                    verb_of(stmt),
-                    profile,
-                );
+                log.record(text(), elapsed_ns, self.info.id, verb.1, profile);
             }
         }
         result
@@ -877,8 +944,8 @@ impl Session {
         // A replica session routes through the read-only path before
         // any write machinery: even `begin` would append to the local
         // log and diverge it from the primary's stream.
-        if let Some(state) = db.replica.clone() {
-            return self.replica_execute(db, &state, stmt);
+        if db.replica.is_some() {
+            return self.replica_execute(db, stmt);
         }
         match stmt {
             Stmt::Begin => return self.begin_txn(db),
@@ -886,22 +953,12 @@ impl Session {
             Stmt::Abort => return self.abort_txn(db),
             _ => {}
         }
-        let read_only = reads_only(stmt);
-        if let Some(txn) = &self.txn {
-            if let Err(m) = txn_permits(stmt) {
-                return Err(DbError::Txn(m));
-            }
-            if read_only {
-                return self.read(db, stmt, txn.ts());
-            }
-            return self.write(db, stmt);
+        if reads_only(stmt) {
+            return self.route_read(db, |s, snap| s.read(db, stmt, snap));
         }
-        if read_only {
-            // Autocommit read: a registered snapshot (not `TS_LATEST`) so
-            // a concurrent writer's in-flight rows stay invisible and
-            // vacuum cannot reclaim versions this statement still needs.
-            let snap = db.store.storage().begin_snapshot();
-            return self.read(db, stmt, snap.ts());
+        if self.txn.is_some() {
+            txn_permits(stmt).map_err(DbError::Txn)?;
+            return self.write(db, stmt);
         }
         // Implicit single-statement transaction: acquire the writer slot
         // first, then the catalog lock. Commit happens even when the
@@ -914,6 +971,81 @@ impl Session {
         db.commit(txn, stmt_bumps_epoch(stmt))?;
         let _ = db.store.vacuum();
         response
+    }
+
+    /// Run `read` — a plain retrieve, bare, explained or observed — at
+    /// the snapshot its route gives it: inside an explicit transaction,
+    /// the transaction's own timestamp; on a replica, a snapshot at the
+    /// replay horizon taken under the replay latch, unless the replica
+    /// lags past its bound ([`DbError::Lagging`]); otherwise a registered
+    /// snapshot (not `TS_LATEST`), so a concurrent writer's in-flight
+    /// rows stay invisible and vacuum cannot reclaim versions the
+    /// statement still needs.
+    fn route_read<R>(
+        &mut self,
+        db: &Arc<Database>,
+        read: impl FnOnce(&mut Self, u64) -> DbResult<R>,
+    ) -> DbResult<R> {
+        if let Some(ts) = self.txn.as_ref().map(|t| t.ts()) {
+            return read(self, ts);
+        }
+        let _replay = match &db.replica {
+            Some(state) => {
+                if let Some(max) = state.max_lag {
+                    let lag = state.lag.load(std::sync::atomic::Ordering::Relaxed);
+                    if lag > max {
+                        return Err(DbError::Lagging(format!(
+                            "replay lag is {lag} records, over the configured bound of \
+                             {max}; retry after the replica catches up, or read the \
+                             primary"
+                        )));
+                    }
+                }
+                // Shared replay latch: the pump applies batches under
+                // the exclusive side, so this read never observes a
+                // half-applied page mutation.
+                Some(state.latch.read())
+            }
+            None => None,
+        };
+        let snap = db.store.storage().begin_snapshot();
+        read(self, snap.ts())
+    }
+
+    /// A retrieve of `shape` at `snap`, under the shared catalog lock:
+    /// the session's cached plan for it when that is still valid, else
+    /// `template` (parsed from `tokens` when absent) checked, planned,
+    /// compiled and cached.
+    fn read_shape(
+        &mut self,
+        db: &Database,
+        snap: u64,
+        shape: &Shape,
+        template: Option<&Stmt>,
+        src: &str,
+        tokens: &[Token],
+    ) -> DbResult<Response> {
+        let cat = db.catalog.read();
+        let frame = Params::default();
+        let scope = Scope::new(db, &cat, &self.ranges, &self.user, &frame, snap);
+        let cached = self.cache.lookup(shape, &scope);
+        if let Some(m) = &db.metrics {
+            match cached {
+                Some(_) => m.stmt_cache_hits.inc(),
+                None => m.stmt_cache_misses.inc(),
+            }
+        }
+        if let Some(q) = cached {
+            return dml::run_retrieve(&scope, q, &shape.lits, None).map(Response::Rows);
+        }
+        let template = match template {
+            Some(t) => Cow::Borrowed(t),
+            None => Cow::Owned(parse_template(src, tokens.to_vec(), &db.ops.read())?),
+        };
+        let (q, reads) = dml::plan_template(&scope, &template)?;
+        let result = dml::run_retrieve(&scope, &q, &shape.lits, None);
+        self.cache.insert(Entry::new(shape, &scope, reads, q));
+        result.map(Response::Rows)
     }
 
     /// A plain retrieve — bare, explained or observed — under the
@@ -937,6 +1069,9 @@ impl Session {
     /// caller holds the writer gate.
     fn write(&mut self, db: &Database, stmt: &Stmt) -> DbResult<Response> {
         let mut cat = db.catalog.write();
+        if stmt_bumps_epoch(stmt) {
+            cat.stamp += 1;
+        }
         exec_statement(
             db,
             &mut cat,
@@ -954,30 +1089,10 @@ impl Session {
     /// code (`range of`, pure session state, never gets here). When the
     /// replica trails the primary past its configured lag bound, reads
     /// are shed with the retryable [`DbError::Lagging`] code instead.
-    fn replica_execute(
-        &mut self,
-        db: &Arc<Database>,
-        state: &Arc<crate::replication::ReplicaState>,
-        stmt: &Stmt,
-    ) -> DbResult<Response> {
+    fn replica_execute(&mut self, db: &Arc<Database>, stmt: &Stmt) -> DbResult<Response> {
         match stmt {
             Stmt::Retrieve { into: None, .. } => {
-                if let Some(max) = state.max_lag {
-                    let lag = state.lag.load(std::sync::atomic::Ordering::Relaxed);
-                    if lag > max {
-                        return Err(DbError::Lagging(format!(
-                            "replay lag is {lag} records, over the configured bound of \
-                             {max}; retry after the replica catches up, or read the \
-                             primary"
-                        )));
-                    }
-                }
-                // Shared replay latch: the pump applies batches under
-                // the exclusive side, so this read never observes a
-                // half-applied page mutation.
-                let _replay = state.latch.read();
-                let snap = db.store.storage().begin_snapshot();
-                self.read(db, stmt, snap.ts())
+                self.route_read(db, |s, snap| s.read(db, stmt, snap))
             }
             Stmt::Retrieve { into: Some(_), .. } => Err(DbError::ReadOnly(
                 "retrieve ... into creates a named object; run it on the primary".into(),

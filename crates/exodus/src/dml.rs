@@ -13,9 +13,10 @@ use excess_exec::{
     cursor, prepare, run_plan, BatchRow, Bindings, BufferDelta, CExpr, Env, ExecCtx, MemberId,
     Plan, PlanIndex, PlanProfiler, QueryProfile, QueryResult, RowBatch,
 };
-use excess_lang::{AppendValue, Expr, FromBinding, Privilege, Stmt, Target};
+use excess_lang::{AppendValue, Expr, FromBinding, Lit, Privilege, Stmt, Target};
 use excess_sema::{
-    AggFn, CheckedRetrieve, IndexInfo, Node, RangeEnv, ResolvedRange, RootSource, SemaCtx,
+    lit_value, AggFn, CheckedRetrieve, IndexInfo, Node, RangeEnv, Reads, ResolvedRange, RootSource,
+    SemaCtx,
 };
 use exodus_storage::btree::BTree;
 use exodus_storage::{Oid, RecordId, StorageError};
@@ -96,7 +97,7 @@ pub(crate) struct Scope<'a> {
 }
 
 /// A checked, planned and compiled retrieve-shaped statement.
-struct Planned {
+pub(crate) struct Planned {
     plan: Plan,
     checked: CheckedRetrieve,
 }
@@ -163,6 +164,13 @@ impl<'a> Scope<'a> {
     /// expression of the statement is checked here once, and compiled
     /// once from what the checker resolved, by one compiler.
     fn plan(&self, stmt: &Stmt) -> DbResult<Planned> {
+        self.plan_reading(stmt).map(|(q, _)| q)
+    }
+
+    /// [`Scope::plan`], with what checking and planning read beyond the
+    /// statement's shape: what a plan made for a statement template
+    /// depends on.
+    pub(crate) fn plan_reading(&self, stmt: &Stmt) -> DbResult<(Planned, Reads)> {
         let db = self.db;
         let ctx = self.sema();
         let checked = {
@@ -176,29 +184,45 @@ impl<'a> Scope<'a> {
             excess_algebra::PlannerConfig::default(),
             db.worker_threads(),
         )?;
-        Ok(Planned {
+        let q = Planned {
             plan: prepare(phys, &ctx)?,
             checked,
-        })
+        };
+        Ok((q, ctx.reads.take()))
     }
 
-    /// Run a planned query: `pull` drains it under one fresh executor
-    /// context and reports its row count. With `profile`, the context
-    /// carries a per-operator profiler (labelled and estimated from the
-    /// plan itself) and the finished profile comes back beside the
-    /// result.
+    /// The catalog view the statement resolves against.
+    pub(crate) fn view(&self) -> &CatalogView<'a> {
+        &self.view
+    }
+
+    /// What a plan made in this scope holds for beyond its statement:
+    /// the catalog stamp, the generation of the range declarations and
+    /// the user whose privileges were checked.
+    pub(crate) fn made_under(&self) -> (u64, u64, &str) {
+        (self.cat.stamp, self.ranges.generation(), self.user)
+    }
+
+    /// Run a planned query, its holes bound to `holes`: `pull` drains
+    /// it under one fresh executor context and reports its row count.
+    /// With `profile`, the context carries a per-operator profiler
+    /// (labelled and estimated from the plan itself) and the finished
+    /// profile comes back beside the result.
     fn run_query<T>(
         &self,
         q: &Planned,
+        holes: &[Lit],
         profile: bool,
         pull: impl FnOnce(&ExecCtx<'_>, &Env) -> DbResult<(T, usize)>,
     ) -> DbResult<(T, Option<QueryProfile>)> {
         let db = self.db;
         let pool = db.store.storage().pool();
-        let mut ctx = self.exec();
+        let values: Vec<Value> = holes.iter().map(lit_value).collect();
+        let mut ctx = self.exec().with_holes(&values);
         let before = profile.then(|| pool.stats());
         if profile {
-            ctx = ctx.with_profiler(PlanProfiler::new(PlanIndex::new(&q.plan, &self.view)));
+            let index = PlanIndex::new(&q.plan, &self.sema(), holes);
+            ctx = ctx.with_profiler(PlanProfiler::new(index));
         }
         let env = base_env(self.params);
         let t0 = Instant::now();
@@ -347,8 +371,30 @@ pub(crate) fn retrieve(
     if !explain_planned(&mut explain, &q.plan) {
         return Ok((QueryResult::default(), q.checked));
     }
+    let result = run_retrieve(scope, &q, &[], explain)?;
+    Ok((result, q.checked))
+}
+
+/// Check, plan and compile a retrieve template once: the plan a
+/// session caches for the template's shape, with what it depends on
+/// beyond that shape. The session's user must be allowed to read it.
+pub(crate) fn plan_template(scope: &Scope<'_>, stmt: &Stmt) -> DbResult<(Planned, Reads)> {
+    let (q, reads) = scope.plan_reading(stmt)?;
+    check_read(scope, &q.checked)?;
+    Ok((q, reads))
+}
+
+/// Run a planned retrieve with its holes bound to `holes`. Per-operator
+/// metrics land on the result's `profile` field when the database is
+/// traced or the statement is being explained.
+pub(crate) fn run_retrieve(
+    scope: &Scope<'_>,
+    q: &Planned,
+    holes: &[Lit],
+    explain: Option<&mut ExplainSink>,
+) -> DbResult<QueryResult> {
     let profile = explain.is_some() || scope.db.tracer.is_some();
-    let (mut result, profile) = scope.run_query(&q, profile, |ctx, env| {
+    let (mut result, profile) = scope.run_query(q, holes, profile, |ctx, env| {
         let result = run_plan(&q.plan, ctx, env)?;
         let rows = result.len();
         Ok((result, rows))
@@ -357,7 +403,7 @@ pub(crate) fn retrieve(
         sink.profile = profile.clone();
     }
     result.profile = profile;
-    Ok((result, q.checked))
+    Ok(result)
 }
 
 /// `retrieve into`: materialize the result as a new named snapshot set.
@@ -469,7 +515,7 @@ impl Scope<'_> {
         // Pull the projection's input, not the projection: the update
         // needs the bindings (values plus update identities), and
         // evaluates the targets itself while staging.
-        let (rows, profile) = self.run_query(&q, explain.is_some(), |ctx, env| {
+        let (rows, profile) = self.run_query(&q, &[], explain.is_some(), |ctx, env| {
             let index = ctx.profiler.as_ref().map(|p| p.index());
             let slot = index.and_then(|ix| ix.slot_of(&q.plan));
             let t0 = Instant::now();

@@ -44,6 +44,7 @@ mod dml;
 pub mod error;
 mod observe;
 pub mod replication;
+mod stmt_cache;
 pub mod sysview;
 
 pub use catalog::{Auth, Catalog, CatalogView};

@@ -55,6 +55,10 @@ pub(crate) struct DbMetrics {
     pub(crate) statement_ns: Arc<Histogram>,
     /// Statements that entered the slow-query log.
     pub(crate) slow_queries: Arc<Counter>,
+    /// Cacheable retrieves that ran a session's cached plan.
+    pub(crate) stmt_cache_hits: Arc<Counter>,
+    /// Cacheable retrieves that were checked and planned afresh.
+    pub(crate) stmt_cache_misses: Arc<Counter>,
 }
 
 impl DbMetrics {
@@ -84,6 +88,14 @@ impl DbMetrics {
             slow_queries: registry.counter(
                 "db_slow_queries_total",
                 "Statements that entered the slow-query log.",
+            ),
+            stmt_cache_hits: registry.counter(
+                "db_statement_cache_hits_total",
+                "Single retrieves that ran the plan their session cached for their shape.",
+            ),
+            stmt_cache_misses: registry.counter(
+                "db_statement_cache_misses_total",
+                "Single retrieves whose shape their session checked and planned afresh.",
             ),
             exec,
             registry,

@@ -8,7 +8,9 @@
 //! EXCESS definition, and each aggregate's function, iterated ranges and
 //! correlation.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
 
 use excess_lang::{Aggregate, BinOp, Expr, Lit, UnOp};
 use extra_model::adt::AdtReturn;
@@ -16,7 +18,7 @@ use extra_model::{AdtId, AdtRegistry, BaseType, QualType, Type, TypeRegistry, Va
 
 use crate::catalog::{CatalogLookup, FunctionDef, NamedObject};
 use crate::error::{SemaError, SemaResult};
-use crate::resolve::{agg_exprs, free_names, RangeEnv, ResolvedRange};
+use crate::resolve::{agg_exprs, free_names, RangeEnv, ResolvedRange, NO_RANGES};
 
 /// The analysis context: registries, catalog, and the names in scope.
 pub struct SemaCtx<'a> {
@@ -31,10 +33,22 @@ pub struct SemaCtx<'a> {
     /// Declared ranges (`range of`, a statement's `from` clauses): what
     /// free names and aggregate `over` clauses resolve against.
     pub ranges: &'a RangeEnv,
+    /// What checking and planning read that a plan cached for a
+    /// statement template depends on; shared with scoped contexts.
+    pub reads: Rc<RefCell<Reads>>,
 }
 
-/// No declared ranges.
-const NO_RANGES: &RangeEnv = &RangeEnv { ranges: Vec::new() };
+/// What checking and planning a statement read beyond its shape: a plan
+/// made for a statement template answers for another statement of that
+/// shape only while these read the same.
+#[derive(Debug, Default)]
+pub struct Reads {
+    /// The holes whose values decided something: a check, an index
+    /// probe's constant, a statistics estimate.
+    pub holes: Vec<usize>,
+    /// The member counts the cost model estimated with.
+    pub sizes: Vec<(String, u64)>,
+}
 
 /// A checked expression, resolved: every node carries its type.
 #[derive(Debug, Clone)]
@@ -50,6 +64,9 @@ pub struct Typed {
 pub enum Node {
     /// A constant: a literal, or a parsed ADT literal.
     Const(Value),
+    /// A statement template's hole: the value of literal slot `.0`,
+    /// bound at each execution.
+    Hole(usize),
     /// A range variable or parameter.
     Var(String),
     /// A named collection used as a whole-set value.
@@ -137,6 +154,7 @@ impl Typed {
         f(self);
         match &self.node {
             Node::Const(_)
+            | Node::Hole(_)
             | Node::Var(_)
             | Node::NamedSet(_)
             | Node::NamedRef(_)
@@ -220,6 +238,17 @@ enum Callee<'s> {
     Operator(&'s str),
 }
 
+/// The value a literal denotes.
+pub fn lit_value(l: &Lit) -> Value {
+    match l {
+        Lit::Int(i) => Value::Int(*i),
+        Lit::Float(f) => Value::Float(*f),
+        Lit::Str(s) => Value::Str(s.clone()),
+        Lit::Bool(b) => Value::Bool(*b),
+        Lit::Null => Value::Null,
+    }
+}
+
 fn int8() -> QualType {
     QualType::own(Type::Base(BaseType::Int8))
 }
@@ -261,7 +290,39 @@ impl<'a> SemaCtx<'a> {
             catalog,
             vars: HashMap::new(),
             ranges: NO_RANGES,
+            reads: Rc::default(),
         }
+    }
+
+    /// The value of a literal or hole (`None` for any other expression);
+    /// a hole's slot is recorded as read.
+    pub fn literal<'e>(&self, e: &'e Expr) -> Option<&'e Lit> {
+        match e {
+            Expr::Lit(l) => Some(l),
+            Expr::Hole(slot, l) => {
+                self.read_hole(*slot);
+                Some(l)
+            }
+            _ => None,
+        }
+    }
+
+    /// Record that hole `slot`'s value decided something.
+    pub fn read_hole(&self, slot: usize) {
+        let holes = &mut self.reads.borrow_mut().holes;
+        if !holes.contains(&slot) {
+            holes.push(slot);
+        }
+    }
+
+    /// The member count of a named collection, recorded as read.
+    pub fn collection_size(&self, name: &str) -> Option<u64> {
+        let n = self.catalog.collection_size(name)?;
+        let sizes = &mut self.reads.borrow_mut().sizes;
+        if !sizes.iter().any(|(read, _)| read == name) {
+            sizes.push((name.to_string(), n));
+        }
+        Some(n)
     }
 
     /// This context with `vars` bound on top of its own.
@@ -272,6 +333,7 @@ impl<'a> SemaCtx<'a> {
             catalog: self.catalog,
             vars: self.vars.clone(),
             ranges: self.ranges,
+            reads: self.reads.clone(),
         };
         out.vars.extend(vars);
         out
@@ -447,16 +509,19 @@ impl<'a> SemaCtx<'a> {
     /// semantic error in it.
     pub fn check(&self, expr: &Expr) -> SemaResult<Typed> {
         let (qty, node) = match expr {
-            Expr::Lit(l) => match l {
-                Lit::Int(i) => (int8(), Node::Const(Value::Int(*i))),
-                Lit::Float(f) => (float8(), Node::Const(Value::Float(*f))),
-                Lit::Str(s) => (
-                    QualType::own(Type::varchar()),
-                    Node::Const(Value::Str(s.clone())),
-                ),
-                Lit::Bool(b) => (boolean(), Node::Const(Value::Bool(*b))),
-                Lit::Null => (unknown(), Node::Const(Value::Null)),
-            },
+            Expr::Lit(l) | Expr::Hole(_, l) => {
+                let qty = match l {
+                    Lit::Int(_) => int8(),
+                    Lit::Float(_) => float8(),
+                    Lit::Str(_) => QualType::own(Type::varchar()),
+                    Lit::Bool(_) => boolean(),
+                    Lit::Null => unknown(),
+                };
+                match expr {
+                    Expr::Hole(slot, _) => (qty, Node::Hole(*slot)),
+                    _ => (qty, Node::Const(lit_value(l))),
+                }
+            }
             Expr::Var(name) => self.check_name(name)?,
             Expr::Path(base, attr) => {
                 let base = self.check(base)?;
@@ -574,11 +639,13 @@ impl<'a> SemaCtx<'a> {
 
     fn check_call(&self, recv: Option<&Expr>, name: &str, args: &[Expr]) -> SemaResult<Typed> {
         // ADT literal constructor: Date("8/29/1988").
-        if let (None, Ok(id), [Expr::Lit(Lit::Str(s))]) = (recv, self.adts.lookup(name), args) {
-            return Ok(Typed {
-                qty: QualType::own(Type::Adt(id)),
-                node: Node::Const(self.adts.parse(id, s)?),
-            });
+        if let (None, Ok(id), [arg]) = (recv, self.adts.lookup(name), args) {
+            if let Some(Lit::Str(s)) = self.literal(arg) {
+                return Ok(Typed {
+                    qty: QualType::own(Type::Adt(id)),
+                    node: Node::Const(self.adts.parse(id, s)?),
+                });
+            }
         }
         // Effective argument list: receiver first (the paper's symmetric
         // syntax makes x.f(y) and f(x, y) identical).

@@ -40,7 +40,7 @@ pub use catalog::{
     AttrStats, CatalogLookup, CollectionStats, FunctionDef, IndexInfo, NamedObject, ProcedureDef,
     StatOp, SystemViewDef, HISTOGRAM_BUCKETS,
 };
-pub use check::{AggFn, Checked, Node, SemaCtx, Typed, TypedAgg};
+pub use check::{lit_value, AggFn, Checked, Node, Reads, SemaCtx, Typed, TypedAgg};
 pub use error::{SemaError, SemaResult};
 pub use resolve::{CheckedRetrieve, RangeEnv, ResolvedRange, RootSource};
 

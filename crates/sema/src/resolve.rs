@@ -63,12 +63,21 @@ impl ResolvedRange {
     }
 }
 
+/// No declared ranges.
+pub(crate) const NO_RANGES: &RangeEnv = &RangeEnv {
+    ranges: Vec::new(),
+    generation: 0,
+};
+
 /// Session-level range declarations (`range of V is ...`), in order.
 #[derive(Debug, Clone, Default)]
 pub struct RangeEnv {
     /// `(var, universal, path)` declarations; later declarations shadow
     /// earlier ones for the same variable.
-    pub ranges: Vec<(String, bool, Expr)>,
+    ranges: Vec<(String, bool, Expr)>,
+    /// How many declarations it has taken: what a plan made under these
+    /// declarations checks they still are.
+    generation: u64,
 }
 
 impl RangeEnv {
@@ -76,6 +85,12 @@ impl RangeEnv {
     pub fn declare(&mut self, var: &str, universal: bool, path: Expr) {
         self.ranges.retain(|(v, _, _)| v != var);
         self.ranges.push((var.into(), universal, path));
+        self.generation += 1;
+    }
+
+    /// Changes with every declaration, whatever statement made it.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Look up a declaration.
@@ -202,7 +217,7 @@ fn walk_children(e: &Expr, f: &mut impl FnMut(&Expr)) {
                 f(v);
             }
         }
-        Expr::Var(_) | Expr::Lit(_) | Expr::Agg(_) => {}
+        Expr::Var(_) | Expr::Lit(_) | Expr::Hole(..) | Expr::Agg(_) => {}
     }
 }
 

@@ -191,6 +191,43 @@ fn explain_plans_match() {
     });
 }
 
+/// `explain` and `observe` take the `range of` declarations before their
+/// statement as `run` does — they apply to the session — and refuse
+/// any other leading statement (code 1004) before anything runs,
+/// instead of dropping it.
+#[test]
+fn explain_and_observe_take_leading_range_declarations() {
+    conforms(|c| {
+        let explained = explain_outcome(
+            c,
+            "range of R is People; retrieve (R.name) where R.age = 30",
+        );
+        assert!(matches!(&explained, Outcome::Plan(p) if p.contains("SeqScan R over People")));
+        let observed = match c.observe("range of Q is People; retrieve (Q.name) where Q.age > 26") {
+            Ok(o) => Outcome::Ran(vec![render_response(&o.response)]),
+            Err(e) => Outcome::Failed(e.code(), e.is_retryable()),
+        };
+        assert!(matches!(&observed, Outcome::Ran(_)), "{observed:?}");
+        let refused = explain_outcome(
+            c,
+            r#"range of P is People; delete P where P.name = "ann"; retrieve (P.name)"#,
+        );
+        assert_eq!(refused, Outcome::Failed(1004, false));
+        vec![
+            explained,
+            observed,
+            refused,
+            // The declarations stay in the session; the refused
+            // program ran nothing, not even its own declaration.
+            query_outcome(
+                c,
+                "retrieve (R.name, Q.age) where R.name = \"ann\" and Q.age = R.age",
+            ),
+            query_outcome(c, "retrieve (P.name)"),
+        ]
+    });
+}
+
 #[test]
 fn explain_analyze_executes_exactly_once() {
     conforms(|c| {

@@ -253,3 +253,145 @@ proptest! {
         }
     }
 }
+
+/// One answer, comparable across sessions: columns and the rows as a
+/// sorted multiset (floats bit for bit, through their round-trip
+/// `Debug` form), or the error's stable code.
+fn answer(r: Result<extra_excess::QueryResult, extra_excess::DbError>) -> Result<String, u16> {
+    let r = r.map_err(|e| e.code())?;
+    let mut rows: Vec<String> = r.rows.iter().map(|row| format!("{row:?}")).collect();
+    rows.sort();
+    Ok(format!("{:?} {rows:?}", r.columns))
+}
+
+/// Retrieve shapes, each with `{}` where the generated literal goes.
+const CACHED_SHAPES: &[&str] = &[
+    "retrieve (R.k, R.s) from R in Rows where R.k = {}",
+    "retrieve (R.k) from R in Rows where R.k < {}",
+    "retrieve (R.k, R.f) from R in Rows where {} <= R.k",
+    "retrieve (R.k) from R in Rows where R.f > {}",
+    "retrieve (R.k, R.b) from R in Rows where R.f = {}",
+    "retrieve (R.s) from R in Rows where R.s = {}",
+    "retrieve (R.k) from R in Rows where R.b = {}",
+    "retrieve (x = R.k + {}) from R in Rows where R.k >= 2147483640",
+    "retrieve (count(R.k over R where R.k > {}))",
+    "retrieve (Nums[{}])",
+];
+
+fn cached_literal() -> impl Strategy<Value = String> {
+    prop_oneof![
+        prop::sample::select(vec![
+            -2147483649i64,
+            -2147483648,
+            -2147483647,
+            -1,
+            0,
+            1,
+            3,
+            4,
+            2147483646,
+            2147483647,
+            2147483648,
+        ])
+        .prop_map(|v| v.to_string()),
+        (-40i64..40).prop_map(|v| v.to_string()),
+        prop::sample::select(vec![
+            "2.0",
+            "2.5",
+            "-0.5",
+            "7.0",
+            "1e3",
+            "-3.25",
+            "2147483647.0"
+        ])
+        .prop_map(String::from),
+        prop::sample::select(vec![r#""a""#, r#""b7""#, r#""""#, r#""zz""#]).prop_map(String::from),
+        prop::sample::select(vec!["true", "false", "null"]).prop_map(String::from),
+    ]
+}
+
+/// One database per batch size (1, 7, 1024) and DOP (1, 4), each with a
+/// warm session, built once and shared by every case: 4,200 rows, enough
+/// that DOP 4 fans its scans out, keyed up to the ±2³¹ edges, in `Rows`
+/// (indexed on `k` and `f`) and again in `Plain` (no index).
+type Warm = Vec<(
+    String,
+    std::sync::Arc<extra_excess::db::Database>,
+    extra_excess::Session,
+)>;
+
+fn warm_sessions() -> std::sync::MutexGuard<'static, Warm> {
+    static WARM: std::sync::OnceLock<std::sync::Mutex<Warm>> = std::sync::OnceLock::new();
+    let warm = WARM.get_or_init(|| {
+        let mut dbs = Vec::new();
+        for batch in [1, 7, 1024] {
+            for dop in [1, 4] {
+                let db = Database::builder()
+                    .batch_size(batch)
+                    .worker_threads(dop)
+                    .build()
+                    .unwrap();
+                let mut s = db.session();
+                s.run(
+                    "define type Row (k: int4, f: float8, s: varchar, b: boolean); \
+                     create { own ref Row } Rows; create { own ref Row } Plain; \
+                     create [3] int4 Nums; \
+                     define index rows_k on Rows (k); define index rows_f on Rows (f)",
+                )
+                .unwrap();
+                let rows: Vec<Value> = (0..4200i64)
+                    .map(|i| {
+                        let k = match i % 7 {
+                            0 => i32::MIN as i64 + i / 7,
+                            1 => i32::MAX as i64 - i / 7,
+                            _ => i % 50 - 25,
+                        };
+                        Value::Tuple(vec![
+                            Value::Int(k),
+                            Value::Float(k as f64 / 2.0),
+                            Value::Str(["a", "b7", "", "zz"][i as usize % 4].into()),
+                            Value::Bool(i % 3 == 0),
+                        ])
+                    })
+                    .collect();
+                db.bulk_append("Rows", rows.clone()).unwrap();
+                db.bulk_append("Plain", rows).unwrap();
+                dbs.push((format!("batch {batch}, dop {dop}"), db, s));
+            }
+        }
+        std::sync::Mutex::new(dbs)
+    });
+    warm.lock().unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// A statement run through a warm session's statement cache answers
+    /// like the same statement in a fresh session and like the statement
+    /// executed as parsed (no template, no cache): the same columns, the
+    /// same rows as a multiset with floats bit for bit, or the same
+    /// error code — for every retrieve shape and literal kind, at batch
+    /// sizes 1, 7 and 1024 and at DOP 1 and 4. Over the unindexed copy
+    /// of the rows the same statement answers alike too, so an index
+    /// probe bound from a literal scans exactly the keys it admits.
+    #[test]
+    fn cached_statements_answer_like_fresh_sessions(
+        lits in prop::collection::vec(cached_literal(), 1..4)
+    ) {
+        for text in lits.iter().flat_map(|lit| CACHED_SHAPES.iter().map(move |s| s.replace("{}", lit))) {
+            for (name, db, warm) in warm_sessions().iter_mut() {
+                let cached = answer(warm.query(&text));
+                let fresh = answer(db.session().query(&text));
+                let parsed = match extra_excess::lang::parse_statement(&text, &extra_excess::lang::OperatorTable::new()) {
+                    Ok(stmt) => answer(db.session().execute(&stmt).map(|r| r.rows().unwrap())),
+                    Err(_) => fresh.clone(),
+                };
+                let scanned = answer(warm.query(&text.replace("Rows", "Plain")));
+                prop_assert_eq!(&cached, &fresh, "{}: `{}`", name, text);
+                prop_assert_eq!(&cached, &parsed, "{}: `{}`", name, text);
+                prop_assert_eq!(&cached, &scanned, "{}: `{}` over Plain", name, text);
+            }
+        }
+    }
+}
