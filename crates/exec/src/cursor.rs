@@ -32,7 +32,7 @@ use extra_model::{MemberScan, ModelError, ModelResult, Type, Value};
 use crate::batch::RowBatch;
 use crate::cexpr::Compiled;
 use crate::env::MemberId;
-use crate::eval::{deref, eval, truthy, ExecCtx};
+use crate::eval::{deref, eval, invariant, truthy, ExecCtx};
 use crate::paths::Resolved;
 use crate::plan::{anchor, Plan};
 use crate::profile::PlanIndex;
@@ -371,23 +371,6 @@ impl Cursor<'_> {
     }
 }
 
-/// Normalized hash key for equi-join matching: integral floats collapse
-/// to ints so `Int(2)` and `Float(2.0)` meet, mirroring `=` comparison
-/// semantics.
-fn join_key(v: &Value) -> Vec<u8> {
-    let norm = match v {
-        Value::Float(f)
-            if f.fract() == 0.0
-                && f.is_finite()
-                && (i64::MIN as f64..=i64::MAX as f64).contains(f) =>
-        {
-            Value::Int(*f as i64)
-        }
-        other => other.clone(),
-    };
-    extra_model::valueio::to_bytes(&norm)
-}
-
 /// `e` for every row of `batch`, its paths resolved for the whole batch
 /// first.
 fn eval_column(e: &Compiled, ctx: &ExecCtx<'_>, batch: &RowBatch) -> ModelResult<Vec<Value>> {
@@ -397,10 +380,11 @@ fn eval_column(e: &Compiled, ctx: &ExecCtx<'_>, batch: &RowBatch) -> ModelResult
         .collect()
 }
 
-/// A hash join's build side: normalized key bytes → matching members
-/// (original member value plus identity, exactly as a scan would bind
-/// them).
-type JoinTable = std::collections::HashMap<Vec<u8>, Vec<(Value, MemberId)>>;
+/// A hash join's build side: key hash → (key, matching member: original
+/// value plus identity, exactly as a scan would bind them). A probe
+/// confirms a key with `Value::member_eq`, the equality of `=`, so
+/// `Int(2)` and `Float(2.0)` match.
+type JoinTable = std::collections::HashMap<u64, Vec<(Value, Value, MemberId)>>;
 
 /// Hash join against a collection's members. The table is built lazily
 /// on the first input batch (one snapshot scan of the build collection),
@@ -435,7 +419,8 @@ impl HashJoinCursor<'_> {
                 // Null keys match nothing, as in the nested loop this
                 // join replaces.
                 if !keyv.is_null() {
-                    map.entry(join_key(&keyv)).or_default().push((value, id));
+                    let hash = keyv.member_hash();
+                    map.entry(hash).or_default().push((keyv, value, id));
                 }
             }
         }
@@ -460,10 +445,9 @@ impl HashJoinCursor<'_> {
                 if kv.is_null() {
                     continue;
                 }
-                if let Some(matches) = map.get(&join_key(&kv)) {
-                    for (value, id) in matches {
-                        out.push_extended(&batch, r, vc, value.clone(), id.clone());
-                    }
+                let matches = map.get(&kv.member_hash()).into_iter().flatten();
+                for (_, value, id) in matches.filter(|(k, ..)| k.member_eq(&kv)) {
+                    out.push_extended(&batch, r, vc, value.clone(), id.clone());
                 }
             }
             if !out.is_empty() {
@@ -948,12 +932,7 @@ impl UnnestCursor<'_> {
             Value::Set(ms) => ms,
             Value::Array(items) => items,
             Value::Null => Vec::new(),
-            other => {
-                return Err(ModelError::TypeMismatch {
-                    expected: "a set or array".into(),
-                    got: other.kind().into(),
-                })
-            }
+            _ => return Err(invariant("a range iterates a set or array")),
         };
         Ok(items
             .into_iter()

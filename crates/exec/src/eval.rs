@@ -148,20 +148,25 @@ pub(crate) fn attr_of(ctx: &ExecCtx<'_>, v: Value, pos: usize) -> ModelResult<Va
         other => other,
     };
     match v {
-        Value::Tuple(mut fields) => {
-            if pos >= fields.len() {
-                return Err(ModelError::Semantic(format!(
-                    "tuple has {} fields, wanted position {pos}",
-                    fields.len()
-                )));
-            }
-            Ok(fields.swap_remove(pos))
-        }
+        Value::Tuple(mut fields) if pos < fields.len() => Ok(fields.swap_remove(pos)),
         Value::Null => Ok(Value::Null),
-        other => Err(ModelError::TypeMismatch {
-            expected: "a tuple".into(),
-            got: other.kind().into(),
-        }),
+        _ => Err(invariant("an attribute step reads a tuple of its type")),
+    }
+}
+
+/// The error for a value the checker's typing rules out where it stands.
+/// Reaching one is a checker bug, reported rather than panicked on.
+pub(crate) fn invariant(what: &str) -> ModelError {
+    ModelError::Semantic(format!("internal invariant violated: {what}"))
+}
+
+/// Truth of a qualification: null is false (two-valued logic with null
+/// rejection, per QUEL lineage); the checker admits only booleans.
+pub(crate) fn truthy(v: &Value) -> ModelResult<bool> {
+    match v {
+        Value::Bool(b) => Ok(*b),
+        Value::Null => Ok(false),
+        _ => Err(invariant("a qualification is boolean")),
     }
 }
 
@@ -181,11 +186,6 @@ fn peek<'a>(e: &CExpr, env: &'a dyn Bindings) -> Option<&'a Value> {
         },
         _ => None,
     }
-}
-
-/// Truthiness of a qualification value.
-pub fn truthy(v: &Value) -> ModelResult<bool> {
-    v.truthy()
 }
 
 /// Evaluate a compiled expression.
@@ -223,29 +223,27 @@ pub fn eval(e: &CExpr, ctx: &ExecCtx<'_>, env: &dyn Bindings) -> ModelResult<Val
             Some(v) => Ok(v.clone()),
             None => attr_of(ctx, eval(base, ctx, env)?, *pos),
         },
-        CExpr::Idx(base, idx) => {
-            let b = deref(ctx, eval(base, ctx, env)?)?;
-            let i = eval(idx, ctx, env)?;
-            if b.is_null() || i.is_null() {
-                return Ok(Value::Null);
-            }
-            Ok(b.array_index(i.as_i64()?)?.clone())
-        }
-        CExpr::Not(a) => {
-            let v = eval(a, ctx, env)?;
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            Ok(Value::Bool(!v.truthy()?))
-        }
+        CExpr::Idx(base, idx) => match (deref(ctx, eval(base, ctx, env)?)?, eval(idx, ctx, env)?) {
+            // 1-based, as the paper writes `TopTen[1]`.
+            (Value::Array(mut items), Value::Int(i)) => match usize::try_from(i) {
+                Ok(at @ 1..) if at <= items.len() => Ok(items.swap_remove(at - 1)),
+                _ => Err(ModelError::IndexOutOfRange {
+                    index: i,
+                    len: items.len(),
+                }),
+            },
+            (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
+            _ => Err(invariant("an index applies an integer to an array")),
+        },
+        CExpr::Not(a) => match eval(a, ctx, env)? {
+            Value::Null => Ok(Value::Null),
+            v => Ok(Value::Bool(!truthy(&v)?)),
+        },
         CExpr::Neg(a) => match eval(a, ctx, env)? {
             Value::Null => Ok(Value::Null),
-            Value::Int(i) => Ok(Value::Int(-i)),
+            Value::Int(i) => Ok(Value::Int(i.wrapping_neg())),
             Value::Float(f) => Ok(Value::Float(-f)),
-            other => Err(ModelError::TypeMismatch {
-                expected: "a number".into(),
-                got: other.kind().into(),
-            }),
+            _ => Err(invariant("negation applies to a number")),
         },
         CExpr::Bin(op, a, b) => eval_bin(*op, a, b, ctx, env),
         CExpr::AdtCall { id, func, args } => {
@@ -253,8 +251,11 @@ pub fn eval(e: &CExpr, ctx: &ExecCtx<'_>, env: &dyn Bindings) -> ModelResult<Val
                 .iter()
                 .map(|a| eval(a, ctx, env))
                 .collect::<ModelResult<_>>()?;
-            let f = ctx.adts.function(*id, func)?;
-            (f.body)(&vals)
+            // A null argument yields null, as it does for `+`.
+            if vals.iter().any(Value::is_null) {
+                return Ok(Value::Null);
+            }
+            (ctx.adts.function(*id, func)?.body)(&vals)
         }
         CExpr::FunCall { func, args } => {
             let vals: Vec<Value> = args
@@ -265,12 +266,11 @@ pub fn eval(e: &CExpr, ctx: &ExecCtx<'_>, env: &dyn Bindings) -> ModelResult<Val
         }
         CExpr::Agg(agg) => eval_agg(agg, ctx, env),
         CExpr::SetLit(items) => {
-            let mut set = Value::empty_set();
+            let mut set = SetBuilder::default();
             for i in items {
-                let v = eval(i, ctx, env)?;
-                set.set_insert(v)?;
+                set.insert(eval(i, ctx, env)?);
             }
-            Ok(set)
+            Ok(set.finish())
         }
         CExpr::TupleLit(fields) => Ok(Value::Tuple(
             fields
@@ -281,7 +281,8 @@ pub fn eval(e: &CExpr, ctx: &ExecCtx<'_>, env: &dyn Bindings) -> ModelResult<Val
     }
 }
 
-/// Invoke a pre-planned EXCESS function.
+/// Invoke a pre-planned EXCESS function on as many arguments as it has
+/// parameters, which the checker's binding of the call ensures.
 pub fn call_function(
     func: &crate::cexpr::CompiledFunction,
     args: &[Value],
@@ -291,14 +292,6 @@ pub fn call_function(
         return Err(ModelError::Semantic(format!(
             "EXCESS function call depth exceeded in '{}'",
             func.name
-        )));
-    }
-    if args.len() != func.params.len() {
-        return Err(ModelError::Semantic(format!(
-            "'{}' takes {} arguments, got {}",
-            func.name,
-            func.params.len(),
-            args.len()
         )));
     }
     ctx.depth.set(ctx.depth.get() + 1);
@@ -344,19 +337,19 @@ fn eval_bin(
     match op {
         BinOp::And => {
             let va = eval(a, ctx, env)?;
-            if !va.is_null() && !va.truthy()? {
+            if !va.is_null() && !truthy(&va)? {
                 return Ok(Value::Bool(false));
             }
             let vb = eval(b, ctx, env)?;
-            return Ok(Value::Bool(va.truthy()? && vb.truthy()?));
+            return Ok(Value::Bool(truthy(&va)? && truthy(&vb)?));
         }
         BinOp::Or => {
             let va = eval(a, ctx, env)?;
-            if !va.is_null() && va.truthy()? {
+            if truthy(&va)? {
                 return Ok(Value::Bool(true));
             }
             let vb = eval(b, ctx, env)?;
-            return Ok(Value::Bool(va.truthy()? || vb.truthy()?));
+            return Ok(Value::Bool(truthy(&vb)?));
         }
         _ => {}
     }
@@ -376,10 +369,10 @@ fn eval_bin(
             if va.is_null() || vb.is_null() {
                 return Ok(Value::Bool(false));
             }
-            // Numeric cross-type equality via compare.
+            // An ordered ADT's values are equal when their keys are.
             let equal = match va.compare(&vb, ctx.adts) {
                 Some(ord) => ord == std::cmp::Ordering::Equal,
-                None => va == vb,
+                None => va.member_eq(&vb),
             };
             Ok(Value::Bool(if op == BinOp::Eq { equal } else { !equal }))
         }
@@ -387,35 +380,34 @@ fn eval_bin(
             if va.is_null() || vb.is_null() {
                 return Ok(Value::Bool(false));
             }
-            let ord = va
-                .compare(&vb, ctx.adts)
-                .ok_or_else(|| ModelError::TypeMismatch {
-                    expected: "comparable values".into(),
-                    got: format!("{} vs {}", va.kind(), vb.kind()),
-                })?;
-            let ok = match op {
+            // The checker admits ordered types only; NaN orders nowhere.
+            let ok = va.compare(&vb, ctx.adts).is_some_and(|ord| match op {
                 BinOp::Lt => ord.is_lt(),
                 BinOp::Le => ord.is_le(),
                 BinOp::Gt => ord.is_gt(),
-                BinOp::Ge => ord.is_ge(),
-                _ => unreachable!(),
-            };
+                _ => ord.is_ge(),
+            });
             Ok(Value::Bool(ok))
         }
-        BinOp::In => eval_membership(&va, &vb, ctx),
-        BinOp::Contains => eval_membership(&vb, &va, ctx),
-        BinOp::Union => {
-            let (sa, sb) = (deref(ctx, va)?, deref(ctx, vb)?);
-            sa.set_union(&sb)
-        }
-        BinOp::Intersect => {
-            let (sa, sb) = (deref(ctx, va)?, deref(ctx, vb)?);
-            sa.set_intersect(&sb)
-        }
-        BinOp::SetMinus => {
-            let (sa, sb) = (deref(ctx, va)?, deref(ctx, vb)?);
-            sa.set_minus(&sb)
-        }
+        BinOp::In => eval_membership(&va, &vb),
+        BinOp::Contains => eval_membership(&vb, &va),
+        BinOp::Union | BinOp::Intersect | BinOp::SetMinus => match (va, vb) {
+            (Value::Set(mut sa), Value::Set(sb)) => {
+                match op {
+                    BinOp::Union => sb.into_iter().for_each(|v| {
+                        if !has(&sa, &v) {
+                            sa.push(v)
+                        }
+                    }),
+                    BinOp::Intersect => sa.retain(|v| has(&sb, v)),
+                    _ => sa.retain(|v| !has(&sb, v)),
+                }
+                Ok(Value::Set(sa))
+            }
+            // A null operand yields null, as it does for `+`.
+            (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
+            _ => Err(invariant("set operators apply to sets")),
+        },
         BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
             if va.is_null() || vb.is_null() {
                 return Ok(Value::Null);
@@ -426,21 +418,19 @@ fn eval_bin(
     }
 }
 
-fn eval_membership(member: &Value, set: &Value, ctx: &ExecCtx<'_>) -> ModelResult<Value> {
-    if member.is_null() {
-        return Ok(Value::Bool(false));
-    }
-    let set = deref(ctx, set.clone())?;
+/// Whether `set` holds a member equal to `v`, by the equality of `=`.
+fn has(set: &[Value], v: &Value) -> bool {
+    set.iter().any(|m| m.member_eq(v))
+}
+
+fn eval_membership(member: &Value, set: &Value) -> ModelResult<Value> {
     match set {
+        _ if member.is_null() => Ok(Value::Bool(false)),
         // Ref-set members compare by identity, own members by value —
-        // both are plain equality on the member representation.
-        Value::Set(ms) => Ok(Value::Bool(ms.contains(member))),
-        Value::Array(items) => Ok(Value::Bool(items.contains(member))),
+        // both are `member_eq` on the member representation.
+        Value::Set(ms) => Ok(Value::Bool(has(ms, member))),
         Value::Null => Ok(Value::Bool(false)),
-        other => Err(ModelError::TypeMismatch {
-            expected: "a set".into(),
-            got: other.kind().into(),
-        }),
+        _ => Err(invariant("membership tests a set")),
     }
 }
 
@@ -454,33 +444,25 @@ fn arith(op: BinOp, a: &Value, b: &Value) -> ModelResult<Value> {
                 if *y == 0 {
                     Err(ModelError::Semantic("division by zero".into()))
                 } else {
-                    Ok(Value::Int(x / y))
+                    Ok(Value::Int(x.wrapping_div(*y)))
                 }
             }
             BinOp::Mod => {
                 if *y == 0 {
                     Err(ModelError::Semantic("division by zero".into()))
                 } else {
-                    Ok(Value::Int(x % y))
+                    Ok(Value::Int(x.wrapping_rem(*y)))
                 }
             }
             _ => unreachable!(),
         },
-        _ => {
-            let x = a.as_f64()?;
-            let y = b.as_f64()?;
-            match op {
-                BinOp::Add => Ok(Value::Float(x + y)),
-                BinOp::Sub => Ok(Value::Float(x - y)),
-                BinOp::Mul => Ok(Value::Float(x * y)),
-                BinOp::Div => Ok(Value::Float(x / y)),
-                BinOp::Mod => Err(ModelError::TypeMismatch {
-                    expected: "integers for %".into(),
-                    got: format!("{} % {}", a.kind(), b.kind()),
-                }),
-                _ => unreachable!(),
-            }
-        }
+        _ => match (a.as_f64(), b.as_f64(), op) {
+            (Some(x), Some(y), BinOp::Add) => Ok(Value::Float(x + y)),
+            (Some(x), Some(y), BinOp::Sub) => Ok(Value::Float(x - y)),
+            (Some(x), Some(y), BinOp::Mul) => Ok(Value::Float(x * y)),
+            (Some(x), Some(y), BinOp::Div) => Ok(Value::Float(x / y)),
+            _ => Err(invariant("arithmetic applies to numbers, % to integers")),
+        },
     }
 }
 
@@ -540,10 +522,6 @@ impl Acc {
     }
 
     fn push(&mut self, func: &AggFunc, v: Value, ctx: &ExecCtx<'_>) -> ModelResult<()> {
-        let not_a_number = |what: &str, v: &Value| ModelError::TypeMismatch {
-            expected: what.into(),
-            got: v.kind().into(),
-        };
         match self {
             Acc::Count(n) => *n += 1,
             Acc::Sum {
@@ -562,7 +540,7 @@ impl Acc {
                     *any = true;
                 }
                 Value::Null => {}
-                other => return Err(not_a_number("numbers for sum", &other)),
+                _ => return Err(invariant("sum folds numbers")),
             },
             Acc::Avg { sum, n } => match v {
                 Value::Int(i) => {
@@ -574,7 +552,7 @@ impl Acc {
                     *n += 1;
                 }
                 Value::Null => {}
-                other => return Err(not_a_number("numbers for avg", &other)),
+                _ => return Err(invariant("avg folds numbers")),
             },
             Acc::Best(best) => {
                 if v.is_null() {
@@ -665,12 +643,7 @@ fn eval_agg(agg: &CAgg, ctx: &ExecCtx<'_>, env: &dyn Bindings) -> ModelResult<Va
                 Value::Set(ms) => ms,
                 Value::Array(items) => items.into_iter().filter(|i| !i.is_null()).collect(),
                 Value::Null => Vec::new(),
-                other => {
-                    return Err(ModelError::TypeMismatch {
-                        expected: "a set".into(),
-                        got: other.kind().into(),
-                    })
-                }
+                _ => return Err(invariant("an aggregate without 'over' folds a set")),
             };
             let mut acc = Acc::new(&agg.func);
             for v in vals {

@@ -1774,33 +1774,9 @@ struct StatAcc {
     numeric: bool,
     nulls: u64,
     values: Vec<f64>,
+    /// Member hashes of the values seen: values `=` calls equal (`1`
+    /// and `1.0`) coincide.
     distinct: std::collections::HashSet<u64>,
-}
-
-/// A hash key identifying a scalar value for distinct counting.
-fn distinct_key(v: &Value) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    match v {
-        Value::Int(i) => (0u8, *i).hash(&mut h),
-        // Ints and floats share a key space so `1` and `1.0` coincide.
-        Value::Float(x) => {
-            if x.fract() == 0.0 && x.abs() < i64::MAX as f64 {
-                (0u8, *x as i64).hash(&mut h)
-            } else {
-                (1u8, x.to_bits()).hash(&mut h)
-            }
-        }
-        Value::Bool(b) => (2u8, *b).hash(&mut h),
-        Value::Str(s) => (3u8, s).hash(&mut h),
-        Value::Enum(ord, _) => (4u8, *ord).hash(&mut h),
-        Value::Adt(id, bytes) => (5u8, *id, bytes).hash(&mut h),
-        Value::Ref(oid) => (6u8, *oid).hash(&mut h),
-        // Structured values are not statted (their accumulators are never
-        // built); this arm only backstops schema evolution.
-        _ => 7u8.hash(&mut h),
-    }
-    h.finish()
 }
 
 /// `analyze <collection>`: scan the members once and record per-attribute
@@ -1874,7 +1850,7 @@ fn analyze_collection(db: &Database, cat: &mut Catalog, collection: &str) -> DbR
                 match fields.get(acc.pos) {
                     None | Some(Value::Null) => acc.nulls += 1,
                     Some(v) => {
-                        acc.distinct.insert(distinct_key(v));
+                        acc.distinct.insert(v.member_hash());
                         if acc.numeric {
                             match v {
                                 Value::Int(i) => acc.values.push(*i as f64),

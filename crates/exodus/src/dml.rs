@@ -16,7 +16,7 @@ use excess_exec::{
 use excess_lang::{AppendValue, Expr, FromBinding, Lit, Privilege, Stmt, Target};
 use excess_sema::{
     lit_value, AggFn, CheckedRetrieve, IndexInfo, Node, RangeEnv, Reads, ResolvedRange, RootSource,
-    SemaCtx,
+    SemaCtx, SemaError,
 };
 use exodus_storage::btree::BTree;
 use exodus_storage::{Oid, RecordId, StorageError};
@@ -1014,7 +1014,7 @@ fn member_from_assignments(
 fn insert_into(slot: &mut Value, member: Value) -> DbResult<()> {
     match slot {
         Value::Set(_) => {
-            slot.set_insert(member)?;
+            slot.set_insert(member);
         }
         Value::Array(items) => items.push(member),
         Value::Null => *slot = Value::Set(vec![member]),
@@ -1108,8 +1108,16 @@ fn append(scope: &Scope<'_>, stmt: &Stmt, explain: Option<&mut ExplainSink>) -> 
             };
             let exprs = vec![(**idx).clone(), vexpr.clone()];
             let bound = scope.bind(exprs, Vec::new(), qual.as_ref(), explain)?;
-            let staged = bound.stage(scope, |_, eval| Ok((eval(0)?.as_i64()?, eval(1)?)))?;
-            for (i, v) in staged {
+            let index = &bound.checked.output[0].1;
+            if !matches!(&index.ty, Type::Base(b) if b.is_integer()) && index.ty != Type::Unknown {
+                return Err(DbError::Sema(SemaError::TypeMismatch {
+                    expected: "integer index".into(),
+                    got: cat.types.display_qual(index),
+                }));
+            }
+            // A null index names no slot.
+            let staged = bound.stage(scope, |_, eval| Ok((eval(0)?.as_i64(), eval(1)?)))?;
+            for (i, v) in staged.into_iter().filter_map(|(i, v)| Some((i?, v))) {
                 scope.edit(&Site::object(obj.oid), |slot| match slot {
                     Value::Array(items) => {
                         if i < 1 || i as usize > items.len() {

@@ -141,7 +141,9 @@ impl AdtType for DateAdt {
                 returns: AdtReturn::SameAdt,
                 body: Arc::new(|args| {
                     let (y, m, d) = date_arg(&args[0])?;
-                    let n = args[1].as_i64()?;
+                    let n = args[1]
+                        .as_i64()
+                        .ok_or_else(|| ModelError::AdtError("AddDays takes an integer".into()))?;
                     let serial = days_from_civil(y as i64, m as i64, d as i64) + n;
                     let (y2, m2, d2) = civil_from_days(serial);
                     let id = match &args[0] {

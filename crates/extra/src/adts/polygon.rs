@@ -166,7 +166,9 @@ impl AdtType for PolygonAdt {
                 body: Arc::new(|args| {
                     // Ray casting: Contains(poly, x, y).
                     let pts = poly_arg(&args[0])?;
-                    let (px, py) = (args[1].as_f64()?, args[2].as_f64()?);
+                    let (Some(px), Some(py)) = (args[1].as_f64(), args[2].as_f64()) else {
+                        return Err(ModelError::AdtError("Contains takes two numbers".into()));
+                    };
                     let n = pts.len();
                     let mut inside = false;
                     let mut j = n - 1;

@@ -10,8 +10,12 @@
 //!
 //! Equality (`==`) on values is *structural*; two `Ref`s are equal iff
 //! they hold the same OID — which is precisely the `is` operator of
-//! EXCESS. Recursive value-equality in the sense of \[Banc86\] requires
-//! the store and lives in [`crate::store::ObjectStore::deep_eq`].
+//! EXCESS. The equality of EXCESS itself — `=`, `in`/`contains` and set
+//! deduplication — is [`Value::member_eq`]: structural too, except that
+//! numbers compare across int and float (`1 = 1.0`) and sets compare
+//! without regard to member order. Recursive value-equality in the sense
+//! of \[Banc86\] requires the store and lives in
+//! [`crate::store::ObjectStore::deep_eq`].
 
 use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
@@ -82,53 +86,33 @@ impl Value {
         matches!(self, Value::Null)
     }
 
-    /// Truth value for qualification clauses; non-boolean is an error.
-    /// Null is false (two-valued logic with null rejection, per QUEL
-    /// lineage).
-    pub fn truthy(&self) -> ModelResult<bool> {
+    /// A number as a float (`None` for anything else).
+    pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Value::Bool(b) => Ok(*b),
-            Value::Null => Ok(false),
-            other => Err(ModelError::TypeMismatch {
-                expected: "boolean".into(),
-                got: other.kind().into(),
-            }),
+            Value::Int(i) => Some(*i as f64),
+            Value::Float(f) => Some(*f),
+            _ => None,
         }
     }
 
-    /// Numeric coercion for arithmetic.
-    pub fn as_f64(&self) -> ModelResult<f64> {
+    /// An integer (`None` for anything else).
+    pub fn as_i64(&self) -> Option<i64> {
         match self {
-            Value::Int(i) => Ok(*i as f64),
-            Value::Float(f) => Ok(*f),
-            other => Err(ModelError::TypeMismatch {
-                expected: "number".into(),
-                got: other.kind().into(),
-            }),
-        }
-    }
-
-    /// Integer extraction.
-    pub fn as_i64(&self) -> ModelResult<i64> {
-        match self {
-            Value::Int(i) => Ok(*i),
-            other => Err(ModelError::TypeMismatch {
-                expected: "integer".into(),
-                got: other.kind().into(),
-            }),
+            Value::Int(i) => Some(*i),
+            _ => None,
         }
     }
 
     /// Ordering between two values, if they are comparable. Numeric types
-    /// cross-compare; strings, booleans, and enums compare naturally; ADT
-    /// values compare through their key encoding. References are *not*
-    /// comparable (the paper restricts them to `is`/`isnot`). Null
-    /// compares to nothing.
+    /// cross-compare exactly; strings, booleans, and enums compare
+    /// naturally; ADT values compare through their key encoding.
+    /// References are *not* comparable (the paper restricts them to
+    /// `is`/`isnot`). Null compares to nothing, nor does NaN.
     pub fn compare(&self, other: &Value, adts: &AdtRegistry) -> Option<Ordering> {
         match (self, other) {
             (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
-            (Value::Int(a), Value::Float(b)) => (*a as f64).partial_cmp(b),
-            (Value::Float(a), Value::Int(b)) => a.partial_cmp(&(*b as f64)),
+            (Value::Int(a), Value::Float(b)) => int_cmp_float(*a, *b),
+            (Value::Float(a), Value::Int(b)) => int_cmp_float(*b, *a).map(Ordering::reverse),
             (Value::Float(a), Value::Float(b)) => a.partial_cmp(b),
             (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
             (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
@@ -146,85 +130,14 @@ impl Value {
 
     /// Insert into a set, skipping values already present (sets have no
     /// duplicates; `Ref` members dedupe by OID — object semantics).
-    pub fn set_insert(&mut self, v: Value) -> ModelResult<bool> {
+    /// Whether it was new; a value that is not a set takes nothing.
+    pub fn set_insert(&mut self, v: Value) -> bool {
         match self {
-            Value::Set(members) => {
-                if members.contains(&v) {
-                    Ok(false)
-                } else {
-                    members.push(v);
-                    Ok(true)
-                }
+            Value::Set(members) if !members.iter().any(|m| m.member_eq(&v)) => {
+                members.push(v);
+                true
             }
-            other => Err(ModelError::TypeMismatch {
-                expected: "set".into(),
-                got: other.kind().into(),
-            }),
-        }
-    }
-
-    /// Set union (dedup preserved).
-    pub fn set_union(&self, other: &Value) -> ModelResult<Value> {
-        match (self, other) {
-            (Value::Set(a), Value::Set(b)) => {
-                let mut out = a.clone();
-                for v in b {
-                    if !out.contains(v) {
-                        out.push(v.clone());
-                    }
-                }
-                Ok(Value::Set(out))
-            }
-            _ => Err(ModelError::TypeMismatch {
-                expected: "set".into(),
-                got: format!("{} / {}", self.kind(), other.kind()),
-            }),
-        }
-    }
-
-    /// Set intersection.
-    pub fn set_intersect(&self, other: &Value) -> ModelResult<Value> {
-        match (self, other) {
-            (Value::Set(a), Value::Set(b)) => Ok(Value::Set(
-                a.iter().filter(|v| b.contains(v)).cloned().collect(),
-            )),
-            _ => Err(ModelError::TypeMismatch {
-                expected: "set".into(),
-                got: format!("{} / {}", self.kind(), other.kind()),
-            }),
-        }
-    }
-
-    /// Set difference (`minus`).
-    pub fn set_minus(&self, other: &Value) -> ModelResult<Value> {
-        match (self, other) {
-            (Value::Set(a), Value::Set(b)) => Ok(Value::Set(
-                a.iter().filter(|v| !b.contains(v)).cloned().collect(),
-            )),
-            _ => Err(ModelError::TypeMismatch {
-                expected: "set".into(),
-                got: format!("{} / {}", self.kind(), other.kind()),
-            }),
-        }
-    }
-
-    /// 1-based array indexing (the paper writes `TopTen[1]`).
-    pub fn array_index(&self, index: i64) -> ModelResult<&Value> {
-        match self {
-            Value::Array(items) => {
-                if index < 1 || index as usize > items.len() {
-                    Err(ModelError::IndexOutOfRange {
-                        index,
-                        len: items.len(),
-                    })
-                } else {
-                    Ok(&items[index as usize - 1])
-                }
-            }
-            other => Err(ModelError::TypeMismatch {
-                expected: "array".into(),
-                got: other.kind().into(),
-            }),
+            _ => false,
         }
     }
 
@@ -408,25 +321,84 @@ impl Value {
     }
 }
 
+/// `f` as the integer it equals exactly, if any.
+fn exact_int(f: f64) -> Option<i64> {
+    // -2^63 is i64::MIN; 2^63 is the first float past i64::MAX.
+    const LIMIT: f64 = -(i64::MIN as f64);
+    (f.fract() == 0.0 && (-LIMIT..LIMIT).contains(&f)).then_some(f as i64)
+}
+
+/// `i` against `f`, exactly: no rounding of `i` to a float.
+fn int_cmp_float(i: i64, f: f64) -> Option<Ordering> {
+    if f.is_nan() {
+        return None;
+    }
+    let t = f.trunc();
+    Some(match exact_int(t) {
+        Some(t) => i.cmp(&t).then(0.0.partial_cmp(&f.fract())?),
+        None if t > 0.0 => Ordering::Less,
+        None => Ordering::Greater,
+    })
+}
+
 impl Value {
-    /// Feed `h` a hash consistent with `==`: values that compare equal
-    /// hash alike. Floats are the one case where bits and equality
-    /// disagree — `-0.0 == 0.0`, so both hash as `0.0` (NaN equals
-    /// nothing, so its hash is free).
-    fn hash_into(&self, h: &mut DefaultHasher) {
+    /// The equality of EXCESS: what `=`, `in`/`contains`, set
+    /// deduplication and the hash join's key match all use. Structural,
+    /// except that numbers compare across int and float exactly (`1 =
+    /// 1.0`, no rounding past 2^53) and sets compare as sets: each member
+    /// of either is in the other, in any order. NaN equals nothing.
+    pub fn member_eq(&self, other: &Value) -> bool {
+        let pairwise = |a: &[Value], b: &[Value]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.member_eq(y))
+        };
+        let within = |a: &[Value], b: &[Value]| a.iter().all(|x| b.iter().any(|y| x.member_eq(y)));
+        match (self, other) {
+            (Value::Int(i), Value::Float(f)) | (Value::Float(f), Value::Int(i)) => {
+                exact_int(*f) == Some(*i)
+            }
+            (Value::Tuple(a), Value::Tuple(b)) | (Value::Array(a), Value::Array(b)) => {
+                pairwise(a, b)
+            }
+            (Value::Set(a), Value::Set(b)) => within(a, b) && within(b, a),
+            _ => self == other,
+        }
+    }
+
+    /// A hash consistent with [`Value::member_eq`]: values it calls equal
+    /// hash alike.
+    pub fn member_hash(&self) -> u64 {
+        let mut h = DefaultHasher::new();
+        self.member_hash_into(&mut h);
+        h.finish()
+    }
+
+    fn member_hash_into(&self, h: &mut DefaultHasher) {
+        // A float equal to an integer (`-0.0` too) hashes as that integer.
+        if let Value::Float(f) = self {
+            if let Some(i) = exact_int(*f) {
+                return Value::Int(i).member_hash_into(h);
+            }
+        }
         std::mem::discriminant(self).hash(h);
         match self {
             Value::Null => {}
             Value::Int(i) => i.hash(h),
-            Value::Float(f) => (if *f == 0.0 { 0.0 } else { *f }).to_bits().hash(h),
+            Value::Float(f) => f.to_bits().hash(h),
             Value::Bool(b) => b.hash(h),
             Value::Str(s) => s.hash(h),
             Value::Enum(ord, sym) => (ord, sym).hash(h),
             Value::Adt(id, bytes) => (id, bytes).hash(h),
-            Value::Tuple(items) | Value::Set(items) | Value::Array(items) => {
+            Value::Tuple(items) | Value::Array(items) => {
                 items.len().hash(h);
-                items.iter().for_each(|i| i.hash_into(h));
+                items.iter().for_each(|i| i.member_hash_into(h));
             }
+            // Blind to order and to repeats, as `member_eq` is: the least
+            // and greatest member hash.
+            Value::Set(items) => items
+                .iter()
+                .map(Value::member_hash)
+                .fold((u64::MAX, 0), |(lo, hi), m| (lo.min(m), hi.max(m)))
+                .hash(h),
             Value::Ref(oid) => oid.0.hash(h),
         }
     }
@@ -435,8 +407,8 @@ impl Value {
 /// Builds a [`Value::Set`] from a stream of values, keeping the first of
 /// every run of equal values in arrival order — what repeated
 /// [`Value::set_insert`] yields, without its scan of the members per
-/// insert: candidates are found through a hash consistent with `==` and
-/// confirmed with `==`, so the two agree by construction.
+/// insert: candidates are found through [`Value::member_hash`] and
+/// confirmed with [`Value::member_eq`], so the two agree by construction.
 #[derive(Debug, Default)]
 pub struct SetBuilder {
     members: Vec<Value>,
@@ -449,12 +421,10 @@ pub struct SetBuilder {
 impl SetBuilder {
     /// Insert `v` unless an equal member is present; whether it was new.
     pub fn insert(&mut self, v: Value) -> bool {
-        let mut h = DefaultHasher::new();
-        v.hash_into(&mut h);
-        let hash = h.finish();
+        let hash = v.member_hash();
         let mut at = self.heads.get(&hash).copied();
         while let Some(i) = at {
-            if self.members[i as usize] == v {
+            if self.members[i as usize].member_eq(&v) {
                 return false;
             }
             at = self.prev[i as usize];

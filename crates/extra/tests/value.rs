@@ -4,18 +4,10 @@ use std::cmp::Ordering;
 
 use exodus_storage::Oid;
 use extra_model::value::*;
-use extra_model::{AdtRegistry, Attribute, BaseType, ModelError, QualType, Type, TypeRegistry};
+use extra_model::{AdtRegistry, Attribute, BaseType, QualType, Type, TypeRegistry};
 
 fn regs() -> (TypeRegistry, AdtRegistry) {
     (TypeRegistry::new(), AdtRegistry::new())
-}
-
-#[test]
-fn truthiness() {
-    assert!(Value::Bool(true).truthy().unwrap());
-    assert!(!Value::Bool(false).truthy().unwrap());
-    assert!(!Value::Null.truthy().unwrap(), "null qualifies as false");
-    assert!(Value::Int(1).truthy().is_err());
 }
 
 #[test]
@@ -52,35 +44,80 @@ fn ref_equality_is_identity() {
 #[test]
 fn set_semantics_dedupe() {
     let mut s = Value::empty_set();
-    assert!(s.set_insert(Value::Int(1)).unwrap());
-    assert!(s.set_insert(Value::Int(2)).unwrap());
-    assert!(!s.set_insert(Value::Int(1)).unwrap(), "duplicate rejected");
-    let t = Value::Set(vec![Value::Int(2), Value::Int(3)]);
-    assert_eq!(
-        s.set_union(&t).unwrap(),
-        Value::Set(vec![Value::Int(1), Value::Int(2), Value::Int(3)])
-    );
-    assert_eq!(
-        s.set_intersect(&t).unwrap(),
-        Value::Set(vec![Value::Int(2)])
-    );
-    assert_eq!(s.set_minus(&t).unwrap(), Value::Set(vec![Value::Int(1)]));
-    assert!(Value::Int(1).set_insert(Value::Int(1)).is_err());
+    assert!(s.set_insert(Value::Int(1)));
+    assert!(s.set_insert(Value::Int(2)));
+    assert!(!s.set_insert(Value::Int(1)), "duplicate rejected");
+    assert!(!s.set_insert(Value::Float(1.0)), "1 = 1.0");
+    assert!(!Value::Int(1).set_insert(Value::Int(1)), "not a set");
 }
 
+/// One member equality: numbers across int and float, sets unordered
+/// (and blind to a repeated member), and a hash that agrees with it;
+/// `==` stays structural.
 #[test]
-fn one_based_array_indexing() {
-    let a = Value::Array(vec![Value::Int(10), Value::Int(20)]);
-    assert_eq!(a.array_index(1).unwrap(), &Value::Int(10));
-    assert_eq!(a.array_index(2).unwrap(), &Value::Int(20));
-    assert!(matches!(
-        a.array_index(0),
-        Err(ModelError::IndexOutOfRange { .. })
-    ));
-    assert!(matches!(
-        a.array_index(3),
-        Err(ModelError::IndexOutOfRange { .. })
-    ));
+fn member_equality_and_its_hash() {
+    let set = |xs: &[Value]| Value::Set(xs.to_vec());
+    let equal = [
+        (Value::Int(3), Value::Float(3.0)),
+        (Value::Int(0), Value::Float(-0.0)),
+        (
+            set(&[Value::Int(1), Value::Int(2)]),
+            set(&[Value::Int(2), Value::Float(1.0)]),
+        ),
+        (
+            Value::Tuple(vec![
+                Value::Int(1),
+                set(&[Value::str("a"), Value::str("b")]),
+            ]),
+            Value::Tuple(vec![
+                Value::Float(1.0),
+                set(&[Value::str("b"), Value::str("a")]),
+            ]),
+        ),
+        // An own collection stores one member per append, so a set value
+        // may repeat one; as a set it is still {7}.
+        (set(&[Value::Int(7), Value::Int(7)]), set(&[Value::Int(7)])),
+    ];
+    for (a, b) in &equal {
+        assert!(a.member_eq(b) && b.member_eq(a), "{a:?} = {b:?}");
+        assert_eq!(
+            a.member_hash(),
+            b.member_hash(),
+            "{a:?} and {b:?} hash alike"
+        );
+    }
+    let unequal = [
+        (Value::Int(3), Value::Float(3.5)),
+        // Exact, not rounded.
+        (Value::Int(i64::MAX), Value::Float(i64::MAX as f64)),
+        // Arrays keep their order.
+        (
+            Value::Array(vec![Value::Int(1), Value::Int(2)]),
+            Value::Array(vec![Value::Int(2), Value::Int(1)]),
+        ),
+        // Equal lengths, unequal sets.
+        (
+            set(&[Value::Int(7), Value::Int(7)]),
+            set(&[Value::Int(7), Value::Int(8)]),
+        ),
+        (Value::Float(f64::NAN), Value::Float(f64::NAN)),
+    ];
+    for (a, b) in &unequal {
+        assert!(!a.member_eq(b) && !b.member_eq(a), "{a:?} != {b:?}");
+    }
+    assert_ne!(Value::Int(3), Value::Float(3.0), "`==` is structural");
+    assert_ne!(
+        set(&[Value::Int(1), Value::Int(2)]),
+        set(&[Value::Int(2), Value::Int(1)]),
+        "`==` sees member order"
+    );
+    let adts = AdtRegistry::new();
+    assert_eq!(
+        Value::Int(i64::MAX).compare(&Value::Float(i64::MAX as f64), &adts),
+        Some(Ordering::Less),
+        "ordering agrees with equality past 2^53"
+    );
+    assert_eq!(Value::Float(f64::NAN).compare(&Value::Int(1), &adts), None);
 }
 
 #[test]

@@ -873,7 +873,12 @@ impl<'a> SemaCtx<'a> {
             ));
         }
         let arg = agg.arg.as_deref().map(|a| inner.check(a)).transpose()?;
-        let arg_ty = arg.as_ref().map(|a| a.qty.clone());
+        // Without `over`, the aggregate folds the elements of its
+        // set-valued argument, so they are what its function types.
+        let arg_ty = arg.as_ref().map(|a| match &a.qty.ty {
+            Type::Set(elem) | Type::Array(_, elem) if agg.over.is_empty() => (**elem).clone(),
+            _ => a.qty.clone(),
+        });
         let needs_arg = || SemaError::Aggregate(format!("{} needs an argument", agg.func));
         let (func, qty) = match agg.func.as_str() {
             "count" => (AggFn::Count, int8()),
@@ -947,8 +952,12 @@ impl<'a> SemaCtx<'a> {
                 ));
             }
         }
+        // Correlated through what it reads, or through a range it iterates
+        // that starts from a variable bound outside (`over x` of `x in xs`,
+        // `xs` a parameter).
         let correlated = agg_exprs(agg)
             .flat_map(free_names)
+            .chain(over.iter().filter_map(|b| b.depends_on().map(String::from)))
             .any(|v| !over.iter().any(|b| b.var == v) && self.vars.contains_key(&v));
         Ok(Typed {
             qty,

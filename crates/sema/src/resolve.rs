@@ -162,7 +162,8 @@ fn walk_expr(e: &Expr, f: &mut impl FnMut(&Expr)) {
 /// Free variable-position names of an expression. Aggregate `over`
 /// variables are *consumed* by the aggregate — they iterate inside it and
 /// are not free in the enclosing query (so `sum(E.salary over E ...)` as a
-/// target does not join `E` into the outer query).
+/// target does not join `E` into the outer query) — except in its `by`
+/// list, which the outer row's group is looked up by.
 pub fn free_names(e: &Expr) -> HashSet<String> {
     let mut out = HashSet::new();
     collect_free(e, &mut out);
@@ -181,6 +182,9 @@ fn collect_free(e: &Expr, out: &mut HashSet<String>) {
                 inner.remove(v);
             }
             out.extend(inner);
+            // `by` also picks the outer row's group, so it is evaluated
+            // outside the aggregate too: its ranges are bound there.
+            a.by.iter().for_each(|x| collect_free(x, out));
         }
         other => walk_children(other, &mut |c| collect_free(c, out)),
     }

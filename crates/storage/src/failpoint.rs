@@ -10,8 +10,13 @@
 //! never affected, so the test can reopen the database afterwards and drive
 //! recovery.
 //!
+//! The writer gate passes through a second hook, `note_gate_wait`, each
+//! time a writer starts to wait on it, so a test can act once a writer
+//! is queued rather than sleep and hope; production builds compile it
+//! to nothing.
+//!
 //! The control surface (`arm`, `disarm`, `crashed`, `start_counting`,
-//! `writes_observed`) is compiled only under `cfg(test)` or the
+//! `writes_observed`, `gate_waits`) is compiled only under `cfg(test)` or the
 //! `failpoints` cargo feature; production builds carry nothing but the
 //! disarmed fast path.
 //!
@@ -28,6 +33,13 @@ use crate::error::{StorageError, StorageResult};
 static ARMED: AtomicBool = AtomicBool::new(false);
 
 static STATE: Mutex<Option<State>> = Mutex::new(None);
+
+/// The writer-gate hook: a writer is about to wait for the gate to free.
+/// Counted only where the control surface can read the count.
+pub(crate) fn note_gate_wait() {
+    #[cfg(any(test, feature = "failpoints"))]
+    control::GATE_WAITS.fetch_add(1, Ordering::Relaxed);
+}
 
 struct State {
     mode: Mode,
@@ -106,7 +118,11 @@ pub(crate) fn check_write(site: &'static str, len: usize) -> StorageResult<Write
 #[cfg(any(test, feature = "failpoints"))]
 mod control {
     use super::*;
+    use std::sync::atomic::AtomicU64;
     use std::sync::MutexGuard;
+
+    /// Times a writer has started to wait on a held writer gate.
+    pub(super) static GATE_WAITS: AtomicU64 = AtomicU64::new(0);
 
     static EXCLUSIVE: Mutex<()> = Mutex::new(());
 
@@ -166,6 +182,14 @@ mod control {
             .map_or(0, |s| s.writes)
     }
 
+    /// Times a writer has started to wait on a held writer gate, in this
+    /// process. Counted under the gate's lock just before the wait
+    /// releases it, so once the count moves, the gate's holder cannot
+    /// free the gate before that writer is waiting.
+    pub fn gate_waits() -> u64 {
+        GATE_WAITS.load(Ordering::SeqCst)
+    }
+
     /// Distinct write sites observed since arming, with hit counts.
     pub fn sites_observed() -> Vec<(&'static str, u64)> {
         STATE
@@ -178,7 +202,7 @@ mod control {
 
 #[cfg(any(test, feature = "failpoints"))]
 pub use control::{
-    arm, crashed, disarm, exclusive, sites_observed, start_counting, writes_observed,
+    arm, crashed, disarm, exclusive, gate_waits, sites_observed, start_counting, writes_observed,
 };
 
 #[cfg(test)]

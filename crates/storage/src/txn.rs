@@ -245,6 +245,7 @@ impl TxnManager {
             if !wait {
                 return false;
             }
+            crate::failpoint::note_gate_wait();
             held = self.writer_cv.wait(held).unwrap_or_else(|e| e.into_inner());
         }
         *held = true;

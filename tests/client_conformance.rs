@@ -182,12 +182,16 @@ fn first_error_stops_the_batch_but_keeps_earlier_statements() {
 #[test]
 fn explain_plans_match() {
     conforms(|c| {
-        vec![
+        let mut outcomes = vec![
             explain_outcome(c, "retrieve (P.name) from P in People where P.age > 28"),
-            // Explain must not execute: People is unchanged after.
-            explain_outcome(c, r#"delete P from P in People where P.name = "ann""#),
-            query_outcome(c, "retrieve (P.name) from P in People"),
-        ]
+            explain_outcome(c, r#"range of P is People; delete P where P.name = "ann""#),
+        ];
+        for o in &outcomes {
+            assert!(matches!(o, Outcome::Plan(_)), "{o:?}");
+        }
+        // Explain must not execute: People is unchanged after.
+        outcomes.push(query_outcome(c, "retrieve (P.name) from P in People"));
+        outcomes
     });
 }
 

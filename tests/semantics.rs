@@ -900,6 +900,21 @@ const CORPUS_ERRORS: &[(&str, u16, &str)] = &[
         1002,
         "semantic error: 'Star' is not a set or array; range variables need a collection",
     ),
+    // Accepted, and run clean now: each used to fail at run time (1006)
+    // or be refused although it is well typed (1002).
+    ("retrieve (null union {1, 2}, {1} minus null)", 0, "ok"),
+    (
+        "retrieve (sum(Readings), min(Readings), 2.0 in unique(Readings))",
+        0,
+        "ok",
+    ),
+    ("retrieve (0.0 / 0.0 < 1.0)", 0, "ok"),
+    ("retrieve (count(E over E by E.dept))", 0, "ok"),
+    (
+        "append to Readings[\"a\"] 1.0",
+        1002,
+        "semantic error: type mismatch: expected integer index, got varchar",
+    ),
 ];
 
 #[test]
