@@ -23,7 +23,7 @@ use crate::cost::cost;
 use crate::plan::{join_attr, Physical};
 
 /// Rebuild a node around transformed children.
-fn map_inputs(plan: Physical, f: &mut dyn FnMut(Physical) -> Physical) -> Physical {
+pub(crate) fn map_inputs(plan: Physical, f: &mut dyn FnMut(Physical) -> Physical) -> Physical {
     match plan {
         Physical::Unit
         | Physical::SeqScan { .. }
@@ -33,10 +33,12 @@ fn map_inputs(plan: Physical, f: &mut dyn FnMut(Physical) -> Physical) -> Physic
             input,
             binding,
             source,
+            reads,
         } => Physical::Unnest {
             input: Box::new(f(*input)),
             binding,
             source,
+            reads,
         },
         Physical::NestedLoop { outer, inner } => Physical::NestedLoop {
             outer: Box::new(f(*outer)),

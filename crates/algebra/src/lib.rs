@@ -21,6 +21,8 @@
 //!   `analyze` histograms;
 //! * [`join`] — statistics-gated batch-join rewrites (hash / index
 //!   joins for explicit equi joins and implicit path dereferences);
+//! * [`reads`] — member read sets: the attributes of unnested members a
+//!   plan reads, which are all an unnest then binds of them;
 //! * [`physical`] — access-path selection (sequential vs B+-tree index
 //!   scan, consulting the ADT applicability table for ADT-typed keys),
 //!   greedy join ordering by estimated cardinality, and final plan
@@ -31,7 +33,9 @@ pub mod cost;
 pub mod join;
 pub mod physical;
 pub mod plan;
+pub mod reads;
 pub mod rules;
 
 pub use physical::{plan_bindings, plan_retrieve, plan_retrieve_dop, PlannerConfig};
 pub use plan::{Physical, PlanExpr};
+pub use reads::{read_sets, retrieve_read_sets};

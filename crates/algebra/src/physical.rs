@@ -362,24 +362,13 @@ fn attach_filter(plan: Physical, pred: &Checked, vars: &[String]) -> Physical {
             input,
             binding,
             source,
-        } => {
-            if covered(&input) {
-                Physical::Unnest {
-                    input: Box::new(attach_filter(*input, pred, vars)),
-                    binding,
-                    source,
-                }
-            } else {
-                Physical::Filter {
-                    input: Box::new(Physical::Unnest {
-                        input,
-                        binding,
-                        source,
-                    }),
-                    pred: pred.clone(),
-                }
-            }
-        }
+            reads,
+        } if covered(&input) => Physical::Unnest {
+            input: Box::new(attach_filter(*input, pred, vars)),
+            binding,
+            source,
+            reads,
+        },
         Physical::NestedLoop { outer, inner } => {
             if covered(&outer) {
                 Physical::NestedLoop {

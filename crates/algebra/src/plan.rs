@@ -63,6 +63,10 @@ pub enum Physical<E = Checked> {
         binding: ResolvedRange,
         /// The set or array iterated, evaluated per input row.
         source: E,
+        /// The member attributes the plan reads ([`crate::reads`]):
+        /// `Some` binds each member as just those attribute columns,
+        /// `None` binds it whole, with its identity.
+        reads: Option<Vec<usize>>,
     },
     /// Cross product: re-run `inner` for every outer environment
     /// (predicates have been pushed into the inputs).
@@ -260,6 +264,7 @@ impl Physical {
             input: Box::new(input),
             binding,
             source,
+            reads: None,
         }
     }
 }

@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use excess_algebra::{plan_retrieve, Physical, PlannerConfig};
+use excess_algebra::{plan_retrieve, retrieve_read_sets, Physical, PlannerConfig};
 use excess_lang::{parse_statement, OperatorTable, Stmt};
 use excess_sema::{
     CatalogLookup, FunctionDef, IndexInfo, NamedObject, ProcedureDef, RangeEnv, SemaCtx,
@@ -57,6 +57,16 @@ fn fixture() -> Fixture {
             ],
         )
         .unwrap();
+    let person = types
+        .define(
+            "Person",
+            vec![],
+            vec![
+                Attribute::own("name", Type::varchar()),
+                Attribute::own("age", Type::int4()),
+            ],
+        )
+        .unwrap();
     let emp = types
         .define(
             "Employee",
@@ -65,6 +75,10 @@ fn fixture() -> Fixture {
                 Attribute::own("name", Type::varchar()),
                 Attribute::own("salary", Type::float8()),
                 Attribute::reference("dept", Type::Schema(dept)),
+                Attribute::own(
+                    "kids",
+                    Type::Set(Box::new(QualType::own(Type::Schema(person)))),
+                ),
             ],
         )
         .unwrap();
@@ -418,4 +432,46 @@ fn indexable_pred_extraction() {
     let p = indexable_pred(&q, "E", &ctx).unwrap();
     assert_eq!((p.hole, p.value), (Some(0), Value::Int(30)));
     assert!(ctx.reads.borrow().holes.is_empty());
+}
+
+/// The read set of the unnest binding `var` in `p`, when one binds it.
+fn read_set_of(p: &Physical, var: &str) -> Option<Option<Vec<usize>>> {
+    match p {
+        Physical::Unnest { input, binding, .. } if binding.var != var => read_set_of(input, var),
+        Physical::Unnest { reads, .. } => Some(reads.clone()),
+        Physical::NestedLoop { outer, inner } => {
+            read_set_of(outer, var).or_else(|| read_set_of(inner, var))
+        }
+        Physical::Filter { input, .. }
+        | Physical::Project { input, .. }
+        | Physical::Sort { input, .. } => read_set_of(input, var),
+        _ => None,
+    }
+}
+
+#[test]
+fn unnests_bind_the_member_attributes_their_plan_reads() {
+    let f = fixture();
+    let reads = |src: &str| {
+        let ctx = SemaCtx::new(&f.types, &f.adts, &f.catalog);
+        let stmt = parse_statement(src, &OperatorTable::new()).unwrap();
+        let checked = ctx.check_retrieve(&stmt).unwrap();
+        let p = plan_retrieve(&checked, &ctx, PlannerConfig::default()).unwrap();
+        read_set_of(&retrieve_read_sets(p, &checked), "C").expect("an unnest binds C")
+    };
+    // Person (name 0, age 1): attribute steps in targets, quals and sort.
+    assert_eq!(
+        reads("retrieve (C.age) from C in Employees.kids where C.name = \"x\" order by C.age"),
+        Some(vec![0, 1])
+    );
+    // The member used whole, looked up by a `by` list under the outer
+    // row, or read by a correlated aggregate.
+    for whole in [
+        "retrieve (C) from C in Employees.kids",
+        "retrieve (C.age, count(C over C by C.age)) from C in Employees.kids",
+        "retrieve (C.name) from C in Employees.kids, E in Employees \
+         where C.age < count(E over E where E.salary > C.age)",
+    ] {
+        assert_eq!(reads(whole), None, "{whole}");
+    }
 }

@@ -8,7 +8,9 @@
 //! batches of up to [`ExecCtx::batch_size`](crate::eval::ExecCtx) rows
 //! between each other instead of pushing environments one at a time;
 //! filters evaluate their predicate across a batch into a selection
-//! vector and [`RowBatch::gather`] the survivors.
+//! vector and [`RowBatch::gather`] the survivors. A variable whose
+//! plan reads only some attributes of its members may be bound as just
+//! those, one [`attr_column`] each (see `excess_algebra::reads`).
 //!
 //! Expression evaluation is written against the [`Bindings`] trait so a
 //! single evaluator serves both a materialized [`Env`] (function
@@ -21,6 +23,12 @@ use crate::env::{Env, MemberId};
 
 /// Default number of rows per execution batch.
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
+
+/// The column attribute `pos` of `var`'s members is bound as when only
+/// some of their attributes are read: a name no variable can have.
+pub fn attr_column(var: &str, pos: usize) -> String {
+    format!("{var}.{pos}")
+}
 
 /// Read-only variable bindings: the evaluator's view of one row.
 pub trait Bindings {
@@ -144,6 +152,11 @@ impl RowBatch {
         self.vars.iter().position(|v| v == var)
     }
 
+    /// The values of column `c`.
+    pub fn col(&self, c: usize) -> &[Value] {
+        &self.cols[c]
+    }
+
     /// View of row `row`.
     pub fn row(&self, row: usize) -> BatchRow<'_> {
         debug_assert!(row < self.rows);
@@ -162,27 +175,36 @@ impl RowBatch {
 
     /// An empty batch laid out to bind `var` over input rows shaped like
     /// `src` — `src`'s columns in order, then `var` unless it shadows one
-    /// of them — plus `var`'s column position for
+    /// of them, or with `attrs`, one column per attribute of `var` — plus
+    /// the position of `var`'s first column for
     /// [`RowBatch::push_extended`].
-    pub fn extending(src: &RowBatch, var: &str) -> (RowBatch, usize) {
+    pub fn extending(src: &RowBatch, var: &str, attrs: Option<&[usize]>) -> (RowBatch, usize) {
         let mut vars = src.vars.clone();
-        let vc = src.col_of(var).unwrap_or_else(|| {
+        let vc = match attrs {
+            None => src.col_of(var),
+            Some(attrs) => {
+                vars.extend(attrs.iter().map(|&pos| attr_column(var, pos)));
+                Some(src.vars.len())
+            }
+        };
+        let vc = vc.unwrap_or_else(|| {
             vars.push(var.to_string());
             vars.len() - 1
         });
         (RowBatch::with_vars(vars), vc)
     }
 
-    /// Append a copy of `src`'s row `row` with column `vc` bound to
-    /// `(value, id)`. `self` must come from [`RowBatch::extending`] over
-    /// a batch laid out like `src`, so columns correspond by position
-    /// and nothing is looked up per row.
+    /// Append a copy of `src`'s row `row` with the columns from `vc` on
+    /// bound to `vals` — a member's value, or the attributes bound of
+    /// it — under identity `id`. `self` must come from
+    /// [`RowBatch::extending`] over a batch laid out like `src`, so
+    /// columns correspond by position and nothing is looked up per row.
     pub fn push_extended(
         &mut self,
         src: &RowBatch,
         row: usize,
         vc: usize,
-        value: Value,
+        vals: impl IntoIterator<Item = Value>,
         id: MemberId,
     ) {
         debug_assert!(src.vars.iter().zip(&self.vars).all(|(a, b)| a == b));
@@ -190,8 +212,10 @@ impl RowBatch {
             self.cols[c].push(src.cols[c][row].clone());
             self.ids[c].push(src.ids[c][row].clone());
         }
-        self.cols[vc].push(value);
-        self.ids[vc].push(id);
+        for (c, v) in (vc..).zip(vals) {
+            self.cols[c].push(v);
+            self.ids[c].push(id.clone());
+        }
         self.rows += 1;
     }
 
@@ -204,7 +228,7 @@ impl RowBatch {
         var: &str,
         members: (Vec<Value>, Vec<MemberId>),
     ) -> RowBatch {
-        let (mut out, vc) = RowBatch::extending(src, var);
+        let (mut out, vc) = RowBatch::extending(src, var, None);
         let n = members.0.len();
         for c in (0..src.cols.len()).filter(|&c| c != vc) {
             out.cols[c] = vec![src.cols[c][row].clone(); n];
@@ -286,10 +310,15 @@ pub struct BatchRow<'a> {
     row: usize,
 }
 
-impl BatchRow<'_> {
+impl<'a> BatchRow<'a> {
     /// The row's position within its batch.
     pub fn index(&self) -> usize {
         self.row
+    }
+
+    /// The row's value in column `c`.
+    pub fn at(&self, c: usize) -> &'a Value {
+        &self.batch.cols[c][self.row]
     }
 }
 
@@ -307,8 +336,11 @@ impl Bindings for BatchRow<'_> {
             .unwrap_or(MemberId::None)
     }
 
+    /// The variables, not the [`attr_column`]s: a row copied out of the
+    /// batch seeds plans that bind attributes of their own.
     fn bound_vars(&self) -> Vec<&str> {
-        self.batch.vars.iter().map(String::as_str).collect()
+        let vars = self.batch.vars.iter().map(String::as_str);
+        vars.filter(|v| !v.contains('.')).collect()
     }
 }
 
@@ -332,9 +364,9 @@ mod tests {
     #[test]
     fn extend_gather_append() {
         let seed = RowBatch::single(&Env::new());
-        let (mut b, vc) = RowBatch::extending(&seed, "v");
+        let (mut b, vc) = RowBatch::extending(&seed, "v", None);
         for i in 0..5 {
-            b.push_extended(&seed, 0, vc, Value::Int(i), MemberId::None);
+            b.push_extended(&seed, 0, vc, [Value::Int(i)], MemberId::None);
         }
         assert_eq!(b.len(), 5);
         let members = ((0..5).map(Value::Int).collect(), vec![MemberId::None; 5]);
@@ -359,13 +391,13 @@ mod tests {
         let mut env = Env::new();
         env.bind("v", Value::Int(7), MemberId::None);
         let seed = RowBatch::single(&env);
-        let (mut b, vc) = RowBatch::extending(&seed, "v");
+        let (mut b, vc) = RowBatch::extending(&seed, "v", None);
         assert_eq!(
             b.vars().len(),
             1,
             "shadowed var must not duplicate a column"
         );
-        b.push_extended(&seed, 0, vc, Value::Int(9), MemberId::None);
+        b.push_extended(&seed, 0, vc, [Value::Int(9)], MemberId::None);
         assert_eq!(b.row(0).value("v"), Some(&Value::Int(9)));
         let again = RowBatch::broadcast(&seed, 0, "v", (vec![Value::Int(9)], vec![MemberId::None]));
         assert_eq!(again.row(0).value("v"), Some(&Value::Int(9)));

@@ -203,11 +203,28 @@ impl<'a> Compiler<'a> {
     /// path slots it takes for itself.
     pub(crate) fn plan_expr(&self, e: Checked) -> ModelResult<Compiled> {
         let expr = self.compile(&e.typed)?;
-        Ok(Compiled {
+        Ok(self.compiled(expr, e.src))
+    }
+
+    /// Compile the source of an unnest that binds its members' attributes
+    /// only: a path's last slot is not fetched through references, so
+    /// the unnest reads the members' attributes off the owners' records
+    /// instead of having whole sets fetched.
+    pub(crate) fn member_source(&self, e: Checked) -> ModelResult<Compiled> {
+        let expr = self.compile(&e.typed)?;
+        if let CExpr::Path(slot, _) = &expr {
+            self.paths.borrow_mut().leave(*slot);
+        }
+        Ok(self.compiled(expr, e.src))
+    }
+
+    /// `expr`, with the path slots compiled since the last node's.
+    fn compiled(&self, expr: CExpr, src: Expr) -> Compiled {
+        Compiled {
             expr,
             paths: Arc::new(self.paths.take()),
-            src: e.src,
-        })
+            src,
+        }
     }
 
     /// Compile a projection's targets over one shared table of path
@@ -308,6 +325,7 @@ impl<'a> Compiler<'a> {
         let checked = fctx.check_retrieve(&def.body).map_err(sem)?;
         let config = excess_algebra::PlannerConfig::default();
         let plan = excess_algebra::plan_retrieve(&checked, &fctx, config).map_err(sem)?;
+        let plan = excess_algebra::retrieve_read_sets(plan, &checked);
         Ok(Arc::new(CompiledFunction {
             name: def.name.clone(),
             params: def.params.iter().map(|(p, _)| p.clone()).collect(),
@@ -346,10 +364,19 @@ impl<'a> Compiler<'a> {
         // The `over` ranges become a sub-plan; the inner expressions
         // resolve their paths per batch of its rows.
         let outer = self.paths.take();
-        let source = Box::new(prepare_node(
-            excess_algebra::plan_bindings(&agg.over),
-            self,
-        )?);
+        let sources = agg
+            .over
+            .iter()
+            .filter_map(|r| Some(&r.source.as_ref()?.typed));
+        let uses = agg
+            .arg
+            .iter()
+            .chain(&agg.by)
+            .chain(&agg.qual)
+            .chain(sources);
+        let plan = excess_algebra::plan_bindings(&agg.over);
+        let plan = excess_algebra::read_sets(plan, uses);
+        let source = Box::new(prepare_node(plan, self)?);
         let arg = compile_opt(&agg.arg)?;
         let by = agg
             .by

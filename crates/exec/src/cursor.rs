@@ -27,12 +27,12 @@ use excess_algebra::Physical;
 use excess_sema::{IndexInfo, ResolvedRange, RootSource, SemaCtx};
 use exodus_storage::btree::{BTree, BTreeScan};
 use exodus_storage::{Oid, RecordId};
-use extra_model::{MemberScan, ModelError, ModelResult, Type, Value};
+use extra_model::{MemberFields, MemberScan, ModelError, ModelResult, Type, Value};
 
 use crate::batch::RowBatch;
-use crate::cexpr::Compiled;
+use crate::cexpr::{CExpr, Compiled};
 use crate::env::MemberId;
-use crate::eval::{deref, eval, invariant, truthy, ExecCtx};
+use crate::eval::{deref, eval, invariant, peek, truthy, ExecCtx};
 use crate::paths::Resolved;
 use crate::plan::{anchor, Plan};
 use crate::profile::PlanIndex;
@@ -139,10 +139,12 @@ pub(crate) fn open_sub<'p>(
             input: child,
             binding,
             source,
+            reads,
         } => Cursor::Unnest(UnnestCursor {
             input: Box::new(open_sub(child, leaf, input, index)),
             var: &binding.var,
             source,
+            reads: reads.as_deref(),
             container: container(binding),
             in_batch: None,
             in_row: 0,
@@ -439,7 +441,7 @@ impl HashJoinCursor<'_> {
                 self.table = Some(self.build(ctx)?);
             }
             let map = self.table.as_ref().expect("just built");
-            let (mut out, vc) = RowBatch::extending(&batch, &self.binding.var);
+            let (mut out, vc) = RowBatch::extending(&batch, &self.binding.var, None);
             let keys = eval_column(self.key, ctx, &batch)?;
             for (r, kv) in keys.into_iter().enumerate() {
                 if kv.is_null() {
@@ -447,7 +449,7 @@ impl HashJoinCursor<'_> {
                 }
                 let matches = map.get(&kv.member_hash()).into_iter().flatten();
                 for (_, value, id) in matches.filter(|(k, ..)| k.member_eq(&kv)) {
-                    out.push_extended(&batch, r, vc, value.clone(), id.clone());
+                    out.push_extended(&batch, r, vc, [value.clone()], id.clone());
                 }
             }
             if !out.is_empty() {
@@ -497,7 +499,7 @@ impl IndexJoinCursor<'_> {
             ctx.prof_in(self.slot, batch.len());
             let anchor = anchor(self.binding)?;
             let attr = indexed_attr(ctx, self.binding, self.index)?;
-            let (mut out, vc) = RowBatch::extending(&batch, &self.binding.var);
+            let (mut out, vc) = RowBatch::extending(&batch, &self.binding.var, None);
             let keys = eval_column(self.key, ctx, &batch)?;
             for (r, kv) in keys.into_iter().enumerate() {
                 if kv.is_null() {
@@ -515,7 +517,7 @@ impl IndexJoinCursor<'_> {
                         break;
                     }
                     for (value, id) in values.into_iter().zip(ids) {
-                        out.push_extended(&batch, r, vc, value, id);
+                        out.push_extended(&batch, r, vc, [value], id);
                     }
                 }
             }
@@ -884,10 +886,10 @@ impl<'p> ScanCursor<'p> {
                 }
                 Members::Loaded(ms) => {
                     let (out_batch, vc) =
-                        out.get_or_insert_with(|| RowBatch::extending(src, self.var));
+                        out.get_or_insert_with(|| RowBatch::extending(src, self.var, None));
                     while self.pos < ms.len() && out_batch.len() < cap {
                         let (value, id) = &ms[self.pos];
-                        out_batch.push_extended(src, self.in_row, *vc, value.clone(), id.clone());
+                        out_batch.push_extended(src, self.in_row, *vc, [value.clone()], id.clone());
                         self.pos += 1;
                     }
                     if self.pos >= ms.len() {
@@ -903,78 +905,101 @@ impl<'p> ScanCursor<'p> {
     }
 }
 
-/// Unnests a nested set/array per input row.
+/// Unnests a nested set/array per input row, binding each non-null item
+/// whole, with its identity, or — given a read set
+/// ([`excess_algebra::reads`]) — as just the attributes its plan reads.
 pub struct UnnestCursor<'p> {
     input: Box<Cursor<'p>>,
     var: &'p str,
     source: &'p Compiled,
+    reads: Option<&'p [usize]>,
     /// The items' update identity (see [`container`]).
     container: Option<Arc<(String, Vec<String>)>>,
-    /// The current input batch, with the source's paths resolved for it.
-    in_batch: Option<(RowBatch, Resolved)>,
+    /// The current input batch, with the source's paths resolved and
+    /// the members read off their owners' records for it.
+    in_batch: Option<(RowBatch, Resolved, Vec<Option<MemberFields>>)>,
     in_row: usize,
-    /// Remaining `(original index, item)` pairs of the current row's
-    /// collection (nulls — unfilled array slots — already dropped).
-    items: Option<IntoIter<(usize, Value)>>,
+    /// The rest of the current row's items: the values bound for each,
+    /// and whole items' identities.
+    items: Option<(IntoIter<Value>, IntoIter<MemberId>, usize)>,
     /// Metric slot when profiling.
     slot: Option<u32>,
 }
 
 impl UnnestCursor<'_> {
+    /// For each row of `batch` whose source steps into an attribute of a
+    /// reference, its members' attributes read, in one page-grouped visit
+    /// of their owners ([`extra_model::ObjectStore::member_fields_of_many_at`]).
+    fn fetch(
+        &self,
+        ctx: &ExecCtx<'_>,
+        batch: &RowBatch,
+        paths: &Resolved,
+    ) -> ModelResult<Vec<Option<MemberFields>>> {
+        let (Some(reads), CExpr::Path(_, step)) = (self.reads, &self.source.expr) else {
+            return Ok(Vec::new());
+        };
+        let CExpr::Attr(base, pos) = &**step else {
+            return Err(invariant("a path steps into an attribute"));
+        };
+        let (rows, oids): (Vec<usize>, Vec<Oid>) = (0..batch.len())
+            .filter_map(|r| match (&**base, peek(base, &paths.row(batch, r))) {
+                (CExpr::NamedRef(oid), _) | (_, Some(Value::Ref(oid))) => Some((r, *oid)),
+                _ => None,
+            })
+            .unzip();
+        let members = ctx
+            .store
+            .member_fields_of_many_at(&oids, *pos, reads, ctx.snapshot)?;
+        let mut out = vec![None; batch.len()];
+        for (r, m) in rows.into_iter().zip(members) {
+            out[r] = m;
+        }
+        Ok(out)
+    }
+
+    /// The items of input row `row`: moved out of the members read for
+    /// it or out of its resolved source, else read off its source's
+    /// value.
     fn items_for(
         &self,
         ctx: &ExecCtx<'_>,
-        src: &RowBatch,
-        resolved: &Resolved,
-    ) -> ModelResult<Vec<(usize, Value)>> {
-        let row = resolved.row(src, self.in_row);
-        let items: Vec<Value> = match deref(ctx, eval(&self.source.expr, ctx, &row)?)? {
-            Value::Set(ms) => ms,
-            Value::Array(items) => items,
-            Value::Null => Vec::new(),
-            _ => return Err(invariant("a range iterates a set or array")),
-        };
-        Ok(items
-            .into_iter()
-            .enumerate()
-            .filter(|(_, item)| !item.is_null())
-            .collect())
-    }
-
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> ModelResult<Option<RowBatch>> {
-        let cap = ctx.batch_size.max(1);
-        let container = &self.container;
-        let mut out: Option<(RowBatch, usize)> = None;
-        loop {
-            if self.in_batch.is_none() {
-                match self.input.next(ctx)? {
-                    Some(b) if b.is_empty() => continue,
-                    Some(b) => {
-                        ctx.prof_in(self.slot, b.len());
-                        let resolved = self.source.paths.resolve(ctx, &b)?;
-                        self.in_batch = Some((b, resolved));
-                        self.in_row = 0;
-                        self.items = None;
-                    }
-                    None => return Ok(out.map(|(b, _)| b).filter(|b| !b.is_empty())),
-                }
+        (src, paths, members): &mut (RowBatch, Resolved, Vec<Option<MemberFields>>),
+        row: usize,
+    ) -> ModelResult<(IntoIter<Value>, IntoIter<MemberId>, usize)> {
+        let (n, vals, ids) = match self.reads {
+            Some(reads) => {
+                let fetched = members.get_mut(row).and_then(Option::take);
+                let (n, vals) = match (fetched, peek(&self.source.expr, &paths.row(src, row))) {
+                    (Some(fetched), _) => fetched,
+                    (None, Some(v)) if !matches!(v, Value::Ref(_)) => attrs_of(v, reads)?,
+                    (None, _) => attrs_of(
+                        &deref(ctx, eval(&self.source.expr, ctx, &paths.row(src, row))?)?,
+                        reads,
+                    )?,
+                };
+                (n, vals, Vec::new())
             }
-            let (src, resolved) = self.in_batch.as_ref().expect("checked");
-            if self.in_row >= src.len() {
-                self.in_batch = None;
-                continue;
-            }
-            if self.items.is_none() {
-                self.items = Some(self.items_for(ctx, src, resolved)?.into_iter());
-            }
-            let (src, _) = self.in_batch.as_ref().expect("checked");
-            let (out_batch, vc) = out.get_or_insert_with(|| RowBatch::extending(src, self.var));
-            let it = self.items.as_mut().expect("just filled");
-            let mut row_done = false;
-            while out_batch.len() < cap {
-                match it.next() {
-                    Some((i, item)) => {
-                        let id = match (&item, container) {
+            None => {
+                let taken = match &self.source.expr {
+                    CExpr::Path(slot, _) => paths.take(*slot, row),
+                    _ => None,
+                };
+                let v = match taken {
+                    Some(v) => v,
+                    None => eval(&self.source.expr, ctx, &paths.row(src, row))?,
+                };
+                let items = match deref(ctx, v)? {
+                    Value::Set(items) | Value::Array(items) => items,
+                    Value::Null => Vec::new(),
+                    _ => return Err(invariant("a range iterates a set or array")),
+                };
+                let (vals, ids): (Vec<Value>, Vec<MemberId>) = items
+                    .into_iter()
+                    .enumerate()
+                    .filter(|(_, item)| !item.is_null())
+                    .map(|(i, item)| {
+                        let id = match (&item, &self.container) {
                             (Value::Ref(o), _) => MemberId::Object(*o),
                             (_, Some(container)) => MemberId::Nested {
                                 container: container.clone(),
@@ -982,21 +1007,79 @@ impl UnnestCursor<'_> {
                             },
                             _ => MemberId::None,
                         };
-                        out_batch.push_extended(src, self.in_row, *vc, item, id);
+                        (item, id)
+                    })
+                    .unzip();
+                (vals.len(), vals, ids)
+            }
+        };
+        Ok((vals.into_iter(), ids.into_iter(), n))
+    }
+
+    fn next(&mut self, ctx: &ExecCtx<'_>) -> ModelResult<Option<RowBatch>> {
+        let cap = ctx.batch_size.max(1);
+        let width = self.reads.map_or(1, <[usize]>::len);
+        let mut out: Option<(RowBatch, usize)> = None;
+        loop {
+            if self.in_batch.is_none() {
+                match self.input.next(ctx)? {
+                    Some(b) if b.is_empty() => continue,
+                    Some(b) => {
+                        ctx.prof_in(self.slot, b.len());
+                        let paths = self.source.paths.resolve(ctx, &b)?;
+                        let members = self.fetch(ctx, &b, &paths)?;
+                        self.in_batch = Some((b, paths, members));
+                        self.in_row = 0;
+                        self.items = None;
                     }
-                    None => {
-                        row_done = true;
-                        break;
-                    }
+                    None => return Ok(out.map(|(b, _)| b).filter(|b| !b.is_empty())),
                 }
             }
-            if row_done {
+            let mut batch = self.in_batch.take().expect("checked");
+            if self.in_row >= batch.0.len() {
+                continue;
+            }
+            if self.items.is_none() {
+                self.items = Some(self.items_for(ctx, &mut batch, self.in_row)?);
+            }
+            let src = &batch.0;
+            let (out_batch, vc) =
+                out.get_or_insert_with(|| RowBatch::extending(src, self.var, self.reads));
+            let (vals, ids, left) = self.items.as_mut().expect("just filled");
+            while out_batch.len() < cap && *left > 0 {
+                *left -= 1;
+                let id = ids.next().unwrap_or(MemberId::None);
+                out_batch.push_extended(src, self.in_row, *vc, vals.by_ref().take(width), id);
+            }
+            if *left == 0 {
                 self.items = None;
                 self.in_row += 1;
             }
+            self.in_batch = Some(batch);
             if out_batch.len() == cap {
                 return Ok(out.map(|(b, _)| b));
             }
         }
     }
+}
+
+/// Attributes `reads` of each non-null item of the set or array `v`,
+/// item after item, with the number of items.
+fn attrs_of(v: &Value, reads: &[usize]) -> ModelResult<MemberFields> {
+    let items = match v {
+        Value::Set(items) | Value::Array(items) => items.as_slice(),
+        Value::Null => &[],
+        _ => return Err(invariant("a range iterates a set or array")),
+    };
+    let (mut n, mut vals) = (0, Vec::new());
+    for item in items.iter().filter(|i| !i.is_null()) {
+        n += 1;
+        for &pos in reads {
+            match item {
+                Value::Tuple(fields) if pos < fields.len() => vals.push(fields[pos].clone()),
+                _ => return Err(invariant("an attribute step reads a tuple of its type")),
+            }
+        }
+    }
+    Ok((n, vals))
 }

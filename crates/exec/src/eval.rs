@@ -175,7 +175,7 @@ pub(crate) static NULL: Value = Value::Null;
 /// Borrow the value of a variable, or of a path under one, when it can
 /// be had without a storage read: from a slot the operator resolved for
 /// the batch, or by stepping through bound tuples.
-fn peek<'a>(e: &CExpr, env: &'a dyn Bindings) -> Option<&'a Value> {
+pub(crate) fn peek<'a>(e: &CExpr, env: &'a dyn Bindings) -> Option<&'a Value> {
     match e {
         CExpr::Var(n) => env.value(n),
         CExpr::Path(slot, attr) => env.slot(*slot).or_else(|| peek(attr, env)),

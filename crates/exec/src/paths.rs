@@ -19,12 +19,13 @@
 //! the per-object path's text — only if the row evaluator actually gets
 //! to that expression. A base column holding no reference at all (own
 //! tuples) is left alone entirely: projecting a field out of a bound
-//! tuple needs no column of copies.
+//! tuple needs no column of copies. A step from a variable bound as
+//! attribute columns (an unnest's read set) is that batch column.
 
 use exodus_storage::Oid;
 use extra_model::{ModelResult, Value};
 
-use crate::batch::{BatchRow, Bindings, RowBatch};
+use crate::batch::{attr_column, BatchRow, Bindings, RowBatch};
 use crate::env::MemberId;
 use crate::eval::{attr_of, ExecCtx, NULL};
 
@@ -47,6 +48,10 @@ pub struct PathSlot {
     pub base: PathBase,
     /// Field position.
     pub pos: usize,
+    /// Whether [`Paths::resolve`] fetches it through references; an
+    /// unnest that reads its members' attributes off their owners'
+    /// records fetches its source itself.
+    pub fetch: bool,
 }
 
 /// The path slots of one operator's expressions, parents before
@@ -66,6 +71,14 @@ impl SlotCol {
         (self.failed.is_empty() || self.failed.binary_search(&row).is_err())
             .then(|| &self.vals[row])
     }
+}
+
+/// How a slot is resolved for a batch.
+enum Slot {
+    /// Fetched through references for this batch.
+    Fetched(SlotCol),
+    /// Batch column `.0`: an attribute its variable is bound as.
+    Column(usize),
 }
 
 /// Borrowed access to the base values of a slot group.
@@ -103,14 +116,23 @@ impl Paths {
     pub(crate) fn slot(&mut self, base: PathBase, pos: usize) -> usize {
         let found = self.0.iter().position(|s| s.base == base && s.pos == pos);
         found.unwrap_or_else(|| {
-            self.0.push(PathSlot { base, pos });
+            self.0.push(PathSlot {
+                base,
+                pos,
+                fetch: true,
+            });
             self.0.len() - 1
         })
     }
 
+    /// Leave slot `slot` to be resolved from a batch column only.
+    pub(crate) fn leave(&mut self, slot: usize) {
+        self.0[slot].fetch = false;
+    }
+
     fn access<'a>(
         &'a self,
-        cols: &'a [Option<SlotCol>],
+        cols: &'a [Option<Slot>],
         batch: &'a RowBatch,
         base: &'a PathBase,
     ) -> Access<'a> {
@@ -118,7 +140,8 @@ impl Paths {
             PathBase::Var(name) => batch.column(name).map_or(Access::Missing, Access::Col),
             PathBase::Object(v) => Access::One(v),
             PathBase::Slot(p) => match &cols[*p] {
-                Some(col) => Access::Slot(col),
+                Some(Slot::Fetched(col)) => Access::Slot(col),
+                Some(Slot::Column(c)) => Access::Col(batch.col(*c)),
                 None => {
                     let parent = &self.0[*p];
                     Access::Field(Box::new(self.access(cols, batch, &parent.base)), parent.pos)
@@ -130,23 +153,29 @@ impl Paths {
     /// Resolve every slot whose base column holds a reference, for all
     /// rows of `batch` at once.
     pub fn resolve(&self, ctx: &ExecCtx<'_>, batch: &RowBatch) -> ModelResult<Resolved> {
-        let mut cols: Vec<Option<SlotCol>> = Vec::new();
+        let mut cols: Vec<Option<Slot>> = Vec::new();
         cols.resize_with(self.0.len(), || None);
+        for (s, slot) in self.0.iter().enumerate() {
+            if let PathBase::Var(name) = &slot.base {
+                cols[s] = batch.col_of(&attr_column(name, slot.pos)).map(Slot::Column);
+            }
+        }
+        // Siblings (same base) resolve together, at the first of them:
+        // one visit of each referenced object yields all their fields.
+        let fetch: Vec<bool> = (cols.iter().zip(&self.0))
+            .map(|(c, s)| c.is_none() && s.fetch)
+            .collect();
+        let sibling = |s: usize, t: usize| fetch[t] && self.0[t].base == self.0[s].base;
         for (s, first) in self.0.iter().enumerate() {
-            // Siblings (same base) resolve together, at the first of
-            // them: one visit of each referenced object yields all their
-            // fields.
-            if self.0[..s].iter().any(|earlier| earlier.base == first.base) {
+            if !fetch[s] || (0..s).any(|t| sibling(s, t)) {
                 continue;
             }
-            let group: Vec<usize> = (s..self.0.len())
-                .filter(|&t| self.0[t].base == first.base)
-                .collect();
+            let group: Vec<usize> = (s..self.0.len()).filter(|&t| sibling(s, t)).collect();
             let positions: Vec<usize> = group.iter().map(|&t| self.0[t].pos).collect();
             let access = self.access(&cols, batch, &first.base);
             let resolved = fields_through_refs(ctx, &access, batch.len(), &positions)?;
             for (t, col) in group.into_iter().zip(resolved.into_iter().flatten()) {
-                cols[t] = Some(col);
+                cols[t] = Some(Slot::Fetched(col));
             }
         }
         Ok(Resolved(cols))
@@ -225,7 +254,7 @@ fn fields_through_refs(
 }
 
 /// The slots [`Paths::resolve`] resolved for one batch.
-pub struct Resolved(Vec<Option<SlotCol>>);
+pub struct Resolved(Vec<Option<Slot>>);
 
 impl Resolved {
     /// Row `row` of `batch` — the batch this was resolved for — with
@@ -236,13 +265,24 @@ impl Resolved {
             cols: &self.0,
         }
     }
+
+    /// Move row `row`'s value of slot `slot` out, when it was fetched
+    /// for this batch: for a consumer that reads it once.
+    pub fn take(&mut self, slot: usize, row: usize) -> Option<Value> {
+        match self.0.get_mut(slot)? {
+            Some(Slot::Fetched(col)) if col.get(row).is_some() => {
+                Some(std::mem::replace(&mut col.vals[row], Value::Null))
+            }
+            _ => None,
+        }
+    }
 }
 
 /// A batch row plus the path slots resolved for its batch.
 #[derive(Clone, Copy)]
 pub struct SlotRow<'a> {
     row: BatchRow<'a>,
-    cols: &'a [Option<SlotCol>],
+    cols: &'a [Option<Slot>],
 }
 
 impl Bindings for SlotRow<'_> {
@@ -259,7 +299,10 @@ impl Bindings for SlotRow<'_> {
     }
 
     fn slot(&self, slot: usize) -> Option<&Value> {
-        self.cols.get(slot)?.as_ref()?.get(self.row.index())
+        match self.cols.get(slot)?.as_ref()? {
+            Slot::Fetched(col) => col.get(self.row.index()),
+            Slot::Column(c) => Some(self.row.at(*c)),
+        }
     }
 }
 

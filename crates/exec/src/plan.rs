@@ -42,10 +42,15 @@ pub(crate) fn prepare_node(plan: Physical, c: &Compiler<'_>) -> ModelResult<Plan
             input: i,
             binding,
             source,
+            reads,
         } => Physical::Unnest {
             input: input(i)?,
             binding,
-            source: c.plan_expr(source)?,
+            source: match reads {
+                Some(_) => c.member_source(source)?,
+                None => c.plan_expr(source)?,
+            },
+            reads,
         },
         Physical::NestedLoop { outer, inner } => Physical::NestedLoop {
             outer: input(outer)?,

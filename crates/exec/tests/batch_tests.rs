@@ -155,7 +155,13 @@ fn updates_identical_across_batch_sizes() {
 /// * department 3's `blurb` is past the inline limit, so its record is
 ///   a LOB payload;
 /// * `dept.site` and `mentor.dept` make two- and three-hop paths;
-/// * every 50th employee has two kids (the unnest source).
+/// * every 50th employee has two kids (the unnest source), appended; ten
+///   employees later comes one loaded with two kids, one with a null
+///   name and one with two grandkids, one of them of null age; 25 later
+///   one whose `kids` is null; every other set is empty;
+/// * `slots`, a fixed array of own tuples, is full, partly or wholly
+///   unfilled (the unnest drops null items) or null, with null
+///   attributes here and there.
 const N_EMPS: usize = 4_200;
 const N_DEPTS: usize = 8;
 
@@ -172,7 +178,7 @@ fn company(batch_size: usize, workers: usize) -> Arc<Database> {
         define type Dept (dname: varchar, floor: int4, budget: float8, site: ref Site, blurb: varchar);
         define type Person (name: varchar, age: int4, kids: { own Person });
         define type Emp inherits Person rename name to ename
-            (id: int4, dept: ref Dept, salary: float8, mentor: ref Emp);
+            (id: int4, dept: ref Dept, salary: float8, mentor: ref Emp, slots: [3] Person);
         create { own ref Site } Sites;
         create { own ref Dept } Depts;
         create { own ref Emp } Emps;
@@ -212,20 +218,56 @@ fn company(batch_size: usize, workers: usize) -> Arc<Database> {
                 .collect(),
         )
         .unwrap();
+    let person =
+        |name: Value, age: Value, kids: Vec<Value>| Value::Tuple(vec![name, age, Value::Set(kids)]);
+    let slot = |i: usize, k: usize| {
+        let name = match k {
+            1 if i.is_multiple_of(3) => Value::Null,
+            _ => Value::Str(format!("s{i}_{k}")),
+        };
+        let age = if i.is_multiple_of(7) {
+            Value::Null
+        } else {
+            Value::Int(k as i64)
+        };
+        person(name, age, Vec::new())
+    };
     let emp = |i: usize, mentor: Value| {
         let dept = match i {
             _ if i % 11 == 10 => Value::Null,
             0..=1099 => Value::Ref(depts[0]),
             _ => Value::Ref(depts[(i * 7) % N_DEPTS]),
         };
+        let kids = match i % 50 {
+            10 => Value::Set(vec![
+                person(Value::Null, Value::Int(4), Vec::new()),
+                person(
+                    Value::Str(format!("bulk{i}")),
+                    Value::Int(3),
+                    vec![
+                        person(Value::Str(format!("g{i}_0")), Value::Int(2), Vec::new()),
+                        person(Value::Str(format!("g{i}_1")), Value::Null, Vec::new()),
+                    ],
+                ),
+            ]),
+            25 => Value::Null,
+            _ => Value::Set(Vec::new()),
+        };
+        let slots = match i % 5 {
+            0 => Value::Array(vec![slot(i, 0), Value::Null, slot(i, 2)]),
+            1 => Value::Array(vec![Value::Null; 3]),
+            2 => Value::Null,
+            _ => Value::Array((0..3).map(|k| slot(i, k)).collect()),
+        };
         Value::Tuple(vec![
             Value::Str(format!("emp{i:05}")),
             Value::Int(20 + (i % 40) as i64),
-            Value::Set(Vec::new()),
+            kids,
             Value::Int(i as i64),
             dept,
             Value::Float(100.25 + (i % 97) as f64 * 1.1),
             mentor,
+            slots,
         ])
     };
     // Mentors are earlier employees: load the first hundred, then the
@@ -266,6 +308,9 @@ const KIDS: usize = 2;
 const DEPT: usize = 4;
 const SALARY: usize = 5;
 const MENTOR: usize = 6;
+const SLOTS: usize = 7;
+const NAME: usize = 0;
+const AGE: usize = 1;
 const DNAME: usize = 0;
 const FLOOR: usize = 1;
 const BUDGET: usize = 2;
@@ -293,6 +338,17 @@ impl Naive<'_> {
         v
     }
 
+    /// The non-null items of the set or array `v.p1.p2…`.
+    fn items(&self, v: &Value, steps: &[usize]) -> Vec<Value> {
+        match self.path(v, steps) {
+            Value::Set(items) | Value::Array(items) => {
+                items.into_iter().filter(|i| !i.is_null()).collect()
+            }
+            Value::Null => Vec::new(),
+            other => panic!("items of {other:?}"),
+        }
+    }
+
     /// The members of a collection, in scan order.
     fn members(&self, db: &Database, name: &str) -> Vec<Value> {
         let anchor = db.read_catalog().named[name].oid;
@@ -317,8 +373,8 @@ fn multiset(mut rows: Vec<Vec<Value>>) -> Vec<String> {
 }
 
 /// Every path shape, against the naive evaluator, at the engine's
-/// current snapshot.
-fn check_against_naive(db: &Arc<Database>, what: &str) {
+/// current snapshot, over a company with `n_kids` kids.
+fn check_against_naive(db: &Arc<Database>, what: &str, n_kids: usize) {
     let guard = db.store().storage().begin_snapshot();
     let naive = Naive {
         store: db.store(),
@@ -417,10 +473,127 @@ fn check_against_naive(db: &Arc<Database>, what: &str) {
             }
         }
     }
-    assert_eq!(kid_rows.len(), 2 * N_EMPS.div_ceil(50));
+    assert_eq!(kid_rows.len(), n_kids);
     check(
         "retrieve (C.name, Emps.dept.floor) from C in Emps.kids",
         kid_rows,
+    );
+    check_nested(&mut check, &naive, &emps);
+}
+
+/// Unnests of own tuples against the naive full decode: shapes whose
+/// members are bound as the attributes read, and shapes that need them
+/// whole.
+fn check_nested(check: &mut dyn FnMut(&str, Vec<Vec<Value>>), naive: &Naive, emps: &[Value]) {
+    let kids: Vec<Value> = emps.iter().flat_map(|e| naive.items(e, &[KIDS])).collect();
+    let attrs = |v: &Value, pos: &[usize]| -> Vec<Value> {
+        pos.iter().map(|&p| naive.path(v, &[p])).collect()
+    };
+    let ages = |pred: &dyn Fn(&Value) -> bool| -> Vec<i64> {
+        let age = |k: &Value| match naive.path(k, &[AGE]) {
+            Value::Int(a) => Some(a),
+            _ => None,
+        };
+        kids.iter().filter(|k| pred(k)).filter_map(age).collect()
+    };
+    check(
+        "retrieve (C.name, C.age) from C in Emps.kids",
+        kids.iter().map(|k| attrs(k, &[NAME, AGE])).collect(),
+    );
+    let older = ages(&|k| matches!(naive.path(k, &[AGE]), Value::Int(a) if a > 2));
+    check(
+        "retrieve (count(C over C where C.age > 2), sum(C.age over C)) from C in Emps.kids",
+        vec![vec![
+            Value::Int(older.len() as i64),
+            Value::Int(ages(&|_| true).iter().sum()),
+        ]],
+    );
+    check(
+        "retrieve (C.name, G.name, G.age) from C in E.kids, G in C.kids",
+        (kids.iter())
+            .flat_map(|k| naive.items(k, &[KIDS]).into_iter().map(move |g| (k, g)))
+            .map(|(k, g)| {
+                vec![
+                    naive.path(k, &[NAME]),
+                    naive.path(&g, &[NAME]),
+                    naive.path(&g, &[AGE]),
+                ]
+            })
+            .collect(),
+    );
+    check(
+        "retrieve (E.ename, S.name, S.age) from S in E.slots",
+        (emps.iter())
+            .flat_map(|e| naive.items(e, &[SLOTS]).into_iter().map(move |s| (e, s)))
+            .map(|(e, s)| {
+                vec![
+                    naive.path(e, &[ENAME]),
+                    naive.path(&s, &[NAME]),
+                    naive.path(&s, &[AGE]),
+                ]
+            })
+            .collect(),
+    );
+    // The same attribute bound by the outer unnest and again inside an
+    // aggregate seeded with the outer row: each reads its own.
+    let mut siblings = Vec::new();
+    for e in emps {
+        let names: Vec<Value> = naive
+            .items(e, &[KIDS])
+            .iter()
+            .map(|k| naive.path(k, &[NAME]))
+            .collect();
+        let mut distinct: Vec<Value> = Vec::new();
+        for n in names.iter().filter(|n| !n.is_null()) {
+            if !distinct.contains(n) {
+                distinct.push(n.clone());
+            }
+        }
+        siblings.extend(
+            names
+                .into_iter()
+                .map(|n| vec![n, Value::Set(distinct.clone())]),
+        );
+    }
+    check(
+        "retrieve (C.name, unique(C.name over C)) from C in Emps.kids",
+        siblings,
+    );
+    // The whole-member route: the variable projected, read by a
+    // correlated aggregate, and looked up by a `by` list.
+    check(
+        "retrieve (C) from C in Emps.kids",
+        kids.iter().map(|k| vec![k.clone()]).collect(),
+    );
+    let below = |k: &Value| -> Value {
+        let n = naive.items(k, &[KIDS]).iter().filter(|g| {
+            matches!((naive.path(g, &[AGE]), naive.path(k, &[AGE])), (Value::Int(g), Value::Int(c)) if g < c)
+        }).count();
+        Value::Int(n as i64)
+    };
+    check(
+        "retrieve (C.name, count(G over G where G.age < C.age)) from C in Emps.kids, G in C.kids",
+        kids.iter()
+            .map(|k| vec![naive.path(k, &[NAME]), below(k)])
+            .collect(),
+    );
+    // The aggregate iterates the kids of the outer row's employee, whose
+    // `Emps` is bound outside it.
+    let mut by_age = Vec::new();
+    for e in emps {
+        let siblings = naive.items(e, &[KIDS]);
+        for k in &siblings {
+            let age = naive.path(k, &[AGE]);
+            let n = siblings
+                .iter()
+                .filter(|s| naive.path(s, &[AGE]) == age)
+                .count();
+            by_age.push(vec![age, Value::Int(n as i64)]);
+        }
+    }
+    check(
+        "retrieve (C.age, count(C over C by C.age)) from C in Emps.kids",
+        by_age,
     );
 }
 
@@ -430,7 +603,8 @@ fn paths_match_a_naive_evaluator_at_every_batch_size_and_dop() {
         for workers in [1, 4] {
             let what = format!("batch size {batch_size}, DOP {workers}");
             let db = company(batch_size, workers);
-            check_against_naive(&db, &what);
+            let kids = 4 * N_EMPS.div_ceil(50);
+            check_against_naive(&db, &what, kids);
 
             // Replace two departments inside a transaction left open:
             // every other reader — the engine's sessions and the naive
@@ -443,13 +617,22 @@ fn paths_match_a_naive_evaluator_at_every_batch_size_and_dop() {
             let before = db
                 .query("retrieve (sum(E.dept.budget over E)) from E in Emps")
                 .unwrap();
-            check_against_naive(&db, &format!("{what}, writer open"));
+            check_against_naive(&db, &format!("{what}, writer open"), kids);
             writer.run("commit").unwrap();
             let after = db
                 .query("retrieve (sum(E.dept.budget over E)) from E in Emps")
                 .unwrap();
             assert_ne!(before.rows, after.rows, "{what}: the commit must show");
-            check_against_naive(&db, &format!("{what}, writer committed"));
+            check_against_naive(&db, &format!("{what}, writer committed"), kids);
+
+            // Writes through an unnested member bind it whole.
+            let mut s = db.session();
+            s.run("range of C is Emps.kids; replace C (age = C.age + 100) where C.age = 1")
+                .unwrap();
+            check_against_naive(&db, &format!("{what}, kids replaced"), kids);
+            s.run("delete C where C.age > 100").unwrap();
+            let left = kids - N_EMPS.div_ceil(50);
+            check_against_naive(&db, &format!("{what}, kids deleted"), left);
         }
     }
 }

@@ -160,17 +160,18 @@ impl<'a> Scope<'a> {
         }
     }
 
-    /// Check, plan and compile a retrieve-shaped statement. Every
-    /// expression of the statement is checked here once, and compiled
-    /// once from what the checker resolved, by one compiler.
+    /// Check, plan and compile a retrieve. Every expression of the
+    /// statement is checked here once, and compiled once from what the
+    /// checker resolved, by one compiler.
     fn plan(&self, stmt: &Stmt) -> DbResult<Planned> {
-        self.plan_reading(stmt).map(|(q, _)| q)
+        self.plan_reading(stmt, true).map(|(q, _)| q)
     }
 
     /// [`Scope::plan`], with what checking and planning read beyond the
     /// statement's shape: what a plan made for a statement template
-    /// depends on.
-    pub(crate) fn plan_reading(&self, stmt: &Stmt) -> DbResult<(Planned, Reads)> {
+    /// depends on. Unless `projected`, the plan's rows are an update's
+    /// bindings, staged outside it, so its unnests bind members whole.
+    pub(crate) fn plan_reading(&self, stmt: &Stmt, projected: bool) -> DbResult<(Planned, Reads)> {
         let db = self.db;
         let ctx = self.sema();
         let checked = {
@@ -178,12 +179,15 @@ impl<'a> Scope<'a> {
             ctx.check_retrieve(stmt)?
         };
         let _span = db.span("plan", "");
-        let phys = excess_algebra::plan_retrieve_dop(
+        let mut phys = excess_algebra::plan_retrieve_dop(
             &checked,
             &ctx,
             excess_algebra::PlannerConfig::default(),
             db.worker_threads(),
         )?;
+        if projected {
+            phys = excess_algebra::retrieve_read_sets(phys, &checked);
+        }
         let q = Planned {
             plan: prepare(phys, &ctx)?,
             checked,
@@ -379,7 +383,7 @@ pub(crate) fn retrieve(
 /// session caches for the template's shape, with what it depends on
 /// beyond that shape. The session's user must be allowed to read it.
 pub(crate) fn plan_template(scope: &Scope<'_>, stmt: &Stmt) -> DbResult<(Planned, Reads)> {
-    let (q, reads) = scope.plan_reading(stmt)?;
+    let (q, reads) = scope.plan_reading(stmt, true)?;
     check_read(scope, &q.checked)?;
     Ok((q, reads))
 }
@@ -495,13 +499,14 @@ impl Scope<'_> {
                 expr: Expr::Lit(excess_lang::Lit::Int(1)),
             });
         }
-        let q = self.plan(&Stmt::Retrieve {
+        let stmt = Stmt::Retrieve {
             into: None,
             targets,
             from,
             qual: qual.cloned(),
             order_by: None,
-        })?;
+        };
+        let (q, _) = self.plan_reading(&stmt, false)?;
         if !explain_planned(&mut explain, &q.plan) {
             return Ok(Bound {
                 rows: RowBatch::new(),
@@ -1010,17 +1015,21 @@ fn member_from_assignments(
     Ok(tuple)
 }
 
-/// Insert `member` into the set or array at `slot`.
-fn insert_into(slot: &mut Value, member: Value) -> DbResult<()> {
+/// Insert `member` into the set or array of type `container` at `slot`.
+/// The grown container must conform like any other write: a
+/// fixed-length array has no room for another item.
+fn insert_into(slot: &mut Value, member: Value, container: &Type, cat: &Catalog) -> DbResult<()> {
     match slot {
         Value::Set(_) => {
             slot.set_insert(member);
         }
         Value::Array(items) => items.push(member),
+        Value::Null if matches!(container, Type::Array(..)) => *slot = Value::Array(vec![member]),
         Value::Null => *slot = Value::Set(vec![member]),
         other => return Err(not_a_container(other)),
     }
-    Ok(())
+    let container = QualType::own(container.clone());
+    Ok(slot.conforms(&container, &cat.types, &cat.adts)?)
 }
 
 /// `append [to] target (...) [where q]`.
@@ -1071,7 +1080,7 @@ fn append(scope: &Scope<'_>, stmt: &Stmt, explain: Option<&mut ExplainSink>) -> 
         }
         // append to <var-array object> <expr> — push.
         (Expr::Var(name), Some(obj)) if matches!(obj.qty.ty, Type::Array(None, _)) => {
-            let (AppendValue::Expr(_), Type::Array(_, elem)) = (value, &obj.qty.ty) else {
+            let AppendValue::Expr(_) = value else {
                 return Err(DbError::Catalog(
                     "arrays take a value expression, not assignments".into(),
                 ));
@@ -1081,8 +1090,9 @@ fn append(scope: &Scope<'_>, stmt: &Stmt, explain: Option<&mut ExplainSink>) -> 
             let staged = bound.stage(scope, |_, eval| eval(0))?;
             let n = staged.len();
             for v in staged {
-                v.conforms(elem, &cat.types, &cat.adts)?;
-                scope.edit(&Site::object(obj.oid), |slot| insert_into(slot, v))?;
+                scope.edit(&Site::object(obj.oid), |slot| {
+                    insert_into(slot, v, &obj.qty.ty, cat)
+                })?;
             }
             Ok(Response::Done(format!("appended {n} to {name}")))
         }
@@ -1176,7 +1186,7 @@ fn append(scope: &Scope<'_>, stmt: &Stmt, explain: Option<&mut ExplainSink>) -> 
                     AppendValue::Assignments(_) => scope.as_member(elem, v)?,
                     AppendValue::Expr(_) => v,
                 };
-                scope.edit(&site, |slot| insert_into(slot, member))?;
+                scope.edit(&site, |slot| insert_into(slot, member, &container.ty, cat))?;
             }
             Ok(Response::Done(format!("appended {n}")))
         }

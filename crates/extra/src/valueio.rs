@@ -181,16 +181,15 @@ fn encoded_len(b: &[u8]) -> Option<usize> {
     (body < b.len()).then_some(1 + body)
 }
 
-/// Decode only field `pos` of a top-level tuple, skipping its siblings.
-///
-/// The projected-attribute fast path (`E.dept.budget` derefs `E` for one
-/// field): fields before `pos` are stepped over tag-by-tag instead of
-/// decoded, so nothing is allocated or validated for them. Returns `None`
-/// when the bytes are not a tuple or `pos` is out of range — callers fall
-/// back to a full decode, which reproduces the ordinary error (or
-/// ref-chasing) behavior.
-pub fn tuple_field_from_bytes(bytes: &[u8], pos: usize) -> ModelResult<Option<Value>> {
-    let truncated = || ModelError::Storage(StorageError::Corrupt("record truncated".into()));
+fn truncated() -> ModelError {
+    ModelError::Storage(StorageError::Corrupt("record truncated".into()))
+}
+
+/// The encoding of field `pos` of the tuple at the head of `bytes` (and
+/// whatever follows it), the fields before it stepped over tag by tag
+/// instead of decoded. `None` when the bytes are not a tuple or `pos` is
+/// out of range.
+fn tuple_field_bytes(bytes: &[u8], pos: usize) -> ModelResult<Option<&[u8]>> {
     let Some((&T_TUPLE, rest)) = bytes.split_first() else {
         return Ok(None);
     };
@@ -201,8 +200,63 @@ pub fn tuple_field_from_bytes(bytes: &[u8], pos: usize) -> ModelResult<Option<Va
     for _ in 0..pos {
         at += rest.get(at..).and_then(encoded_len).ok_or_else(truncated)?;
     }
-    let field = rest.get(at..).ok_or_else(truncated)?;
-    Ok(Some(decode_value(&mut ByteReader::new(field))?))
+    rest.get(at..).map(Some).ok_or_else(truncated)
+}
+
+/// Decode only field `pos` of a top-level tuple, skipping its siblings.
+///
+/// The projected-attribute fast path (`E.dept.budget` derefs `E` for one
+/// field): fields before `pos` are stepped over tag-by-tag instead of
+/// decoded, so nothing is allocated or validated for them. Returns `None`
+/// when the bytes are not a tuple or `pos` is out of range — callers fall
+/// back to a full decode, which reproduces the ordinary error (or
+/// ref-chasing) behavior.
+pub fn tuple_field_from_bytes(bytes: &[u8], pos: usize) -> ModelResult<Option<Value>> {
+    tuple_field_bytes(bytes, pos)?
+        .map(|field| decode_value(&mut ByteReader::new(field)))
+        .transpose()
+}
+
+/// Decode only fields `attrs` of each member of the set or array in field
+/// `pos` of a top-level tuple, appending them to `out` member by member;
+/// the number of members read. Null members (unfilled array slots) are
+/// skipped and nothing else is decoded: what an unnest binds of members
+/// whose plan reads only those attributes. Returns `None` where
+/// [`tuple_field_from_bytes`] does, and when the field is not a set,
+/// array or null or a member lacks one of `attrs` — callers fall back to
+/// the whole field.
+pub fn member_fields_from_bytes(
+    bytes: &[u8],
+    pos: usize,
+    attrs: &[usize],
+    out: &mut Vec<Value>,
+) -> ModelResult<Option<usize>> {
+    let Some(field) = tuple_field_bytes(bytes, pos)? else {
+        return Ok(None);
+    };
+    let (n, mut at) = match field.split_first() {
+        None => return Err(truncated()),
+        Some((&T_NULL, _)) => return Ok(Some(0)),
+        Some((&(T_SET | T_ARRAY), rest)) => varint_at(rest).ok_or_else(truncated)?,
+        Some(_) => return Ok(None),
+    };
+    let (start, mut members) = (out.len(), 0);
+    for _ in 0..n {
+        let member = field.get(1 + at..).ok_or_else(truncated)?;
+        at += encoded_len(member).ok_or_else(truncated)?;
+        if member[0] == T_NULL {
+            continue;
+        }
+        for &a in attrs {
+            let Some(f) = tuple_field_bytes(member, a)? else {
+                out.truncate(start);
+                return Ok(None);
+            };
+            out.push(decode_value(&mut ByteReader::new(f))?);
+        }
+        members += 1;
+    }
+    Ok(Some(members))
 }
 
 /// Deserialize a value from bytes.

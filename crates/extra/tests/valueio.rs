@@ -94,6 +94,47 @@ fn projection_steps_over_every_kind_of_sibling() {
 }
 
 #[test]
+fn member_fields_read_only_the_attributes_asked_for() {
+    let kid = |name: &str, age: Value| Value::Tuple(vec![Value::str(name), age, Value::Null]);
+    let members = vec![kid("a", Value::Int(4)), Value::Null, kid("b", Value::Null)];
+    let owner = |kids: Value| to_bytes(&Value::Tuple(vec![Value::str("ann"), kids]));
+    let read = |bytes: &[u8], attrs: &[usize]| {
+        let mut out = Vec::new();
+        member_fields_from_bytes(bytes, 1, attrs, &mut out).map(|n| n.map(|n| (n, out)))
+    };
+    // Null members (unfilled array slots) are skipped, in either kind.
+    let want = (
+        2,
+        vec![Value::Int(4), Value::str("a"), Value::Null, Value::str("b")],
+    );
+    for kids in [Value::Set(members.clone()), Value::Array(members)] {
+        assert_eq!(
+            read(&owner(kids.clone()), &[1, 0]).unwrap(),
+            Some(want.clone())
+        );
+        assert_eq!(read(&owner(kids), &[]).unwrap(), Some((2, Vec::new())));
+    }
+    assert_eq!(
+        read(&owner(Value::Null), &[0]).unwrap(),
+        Some((0, Vec::new()))
+    );
+    // What the caller must read whole: a member without the attribute,
+    // a field that is no set or array, a position out of range.
+    let ints = owner(Value::Set(vec![Value::Int(1)]));
+    assert_eq!(read(&ints, &[0]).unwrap(), None);
+    assert_eq!(read(&owner(Value::Int(3)), &[0]).unwrap(), None);
+    let bytes = owner(Value::Set(vec![kid("c", Value::Int(1))]));
+    let mut out = Vec::new();
+    assert_eq!(
+        member_fields_from_bytes(&bytes, 2, &[0], &mut out).unwrap(),
+        None
+    );
+    for cut in 1..bytes.len() {
+        assert!(read(&bytes[..cut], &[1]).is_err(), "cut at {cut}");
+    }
+}
+
+#[test]
 fn trailing_garbage_rejected() {
     let mut bytes = to_bytes(&Value::Int(1));
     bytes.push(0xAA);

@@ -152,28 +152,26 @@ impl Typed {
     /// `by` and `where` included.
     pub fn walk<'t>(&'t self, f: &mut impl FnMut(&'t Typed)) {
         f(self);
+        self.children().into_iter().for_each(|c| c.walk(f));
+    }
+
+    /// The nodes directly under this one, aggregates' argument, `by` and
+    /// `where` included.
+    pub fn children(&self) -> Vec<&Typed> {
         match &self.node {
             Node::Const(_)
             | Node::Hole(_)
             | Node::Var(_)
             | Node::NamedSet(_)
             | Node::NamedRef(_)
-            | Node::NamedValue(_) => {}
-            Node::Attr(a, _) | Node::Unary(_, a) => a.walk(f),
-            Node::Index(a, b) | Node::Binary(_, a, b) => {
-                a.walk(f);
-                b.walk(f);
-            }
+            | Node::NamedValue(_) => Vec::new(),
+            Node::Attr(a, _) | Node::Unary(_, a) => vec![a],
+            Node::Index(a, b) | Node::Binary(_, a, b) => vec![a, b],
             Node::AdtCall { args, .. }
             | Node::Call { args, .. }
             | Node::SetLit(args)
-            | Node::TupleLit(args) => args.iter().for_each(|a| a.walk(f)),
-            Node::Agg(a) => a
-                .arg
-                .iter()
-                .chain(&a.by)
-                .chain(&a.qual)
-                .for_each(|e| e.walk(f)),
+            | Node::TupleLit(args) => args.iter().collect(),
+            Node::Agg(a) => a.arg.iter().chain(&a.by).chain(&a.qual).collect(),
         }
     }
 }
@@ -959,6 +957,11 @@ impl<'a> SemaCtx<'a> {
             .flat_map(free_names)
             .chain(over.iter().filter_map(|b| b.depends_on().map(String::from)))
             .any(|v| !over.iter().any(|b| b.var == v) && self.vars.contains_key(&v));
+        // `count` counts rows: a bare variable as its argument is never
+        // evaluated, so nothing reads that variable's value.
+        let arg = arg.filter(|a| {
+            !(matches!(func, AggFn::Count) && !over.is_empty() && matches!(a.node, Node::Var(_)))
+        });
         Ok(Typed {
             qty,
             node: Node::Agg(Box::new(TypedAgg {

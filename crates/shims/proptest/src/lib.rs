@@ -133,13 +133,6 @@ pub mod strategy {
         }
     }
 
-    impl<S: Strategy + ?Sized> Strategy for &S {
-        type Value = S::Value;
-        fn generate(&self, rng: &mut TestRng) -> S::Value {
-            (**self).generate(rng)
-        }
-    }
-
     pub struct Map<S, F> {
         pub(crate) inner: S,
         pub(crate) f: F,
@@ -210,7 +203,7 @@ pub mod strategy {
 
     /// `&str` acts as a generation pattern, supporting the regex subset the
     /// workspace uses: `.`, `[a-z0-9_]` classes, literal chars, and the
-    /// quantifiers `{m}`, `{m,n}`, `*`, `+`, `?`.
+    /// quantifiers `{m}` and `{m,n}`.
     impl Strategy for &str {
         type Value = String;
         fn generate(&self, rng: &mut TestRng) -> String {
@@ -263,10 +256,6 @@ pub mod strategy {
                     i += 1; // closing ']'
                     Atom::Class(ranges)
                 }
-                '\\' if i + 1 < chars.len() => {
-                    i += 2;
-                    Atom::Literal(chars[i - 1])
-                }
                 c => {
                     i += 1;
                     Atom::Literal(c)
@@ -287,14 +276,6 @@ pub mod strategy {
                         let m: usize = body.trim().parse().unwrap();
                         (m, m)
                     }
-                }
-            } else if i < chars.len() && (chars[i] == '*' || chars[i] == '+' || chars[i] == '?') {
-                let q = chars[i];
-                i += 1;
-                match q {
-                    '*' => (0, 8),
-                    '+' => (1, 8),
-                    _ => (0, 1),
                 }
             } else {
                 (1, 1)
@@ -339,8 +320,6 @@ pub mod strategy {
         (A, B)
         (A, B, C)
         (A, B, C, D)
-        (A, B, C, D, E)
-        (A, B, C, D, E, F)
     }
 }
 

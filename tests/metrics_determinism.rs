@@ -17,8 +17,21 @@ use std::sync::Arc;
 
 use extra_excess::storage::StorageManager;
 use extra_excess::{Database, MetricsSnapshot, Value};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+
+/// splitmix64 seeded with the raw seed, `range(lo, hi)` drawing
+/// `lo + next % (hi - lo)`: the draw order the counters below are pinned
+/// to.
+struct SplitMix64(u64);
+
+impl SplitMix64 {
+    fn range(&mut self, lo: u64, hi: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        lo + (z ^ (z >> 31)) % (hi - lo)
+    }
+}
 
 /// `n_emps` employees (no kids, `dept: ref Department`) over `n_depts`
 /// departments in a 64Ki-page in-memory pool, at `workers` worker
@@ -51,24 +64,24 @@ fn university(n_depts: usize, n_emps: usize, workers: usize) -> Arc<Database> {
         .collect();
     let dept_oids = db.bulk_append("Departments", depts).unwrap();
 
-    let mut rng = StdRng::seed_from_u64(0x0EC0DE5);
+    let mut rng = SplitMix64(0x0EC0DE5);
     let adts = extra_excess::model::AdtRegistry::with_builtins();
     let date_id = adts.lookup("Date").unwrap();
     let emps = (0..n_emps)
         .map(|i| {
-            let dept = dept_oids[rng.gen_range(0..n_depts)];
-            let year = 1950 + rng.gen_range(0..45u32);
-            let month = rng.gen_range(1..13u32);
-            let day = rng.gen_range(1..29u32);
+            let dept = dept_oids[rng.range(0, n_depts as u64) as usize];
+            let year = 1950 + rng.range(0, 45);
+            let month = rng.range(1, 13);
+            let day = rng.range(1, 29);
             let hired = adts
                 .parse(date_id, &format!("{month}/{day}/{year}"))
                 .unwrap();
             Value::Tuple(vec![
                 Value::Str(format!("emp{i:06}")),
-                Value::Int(rng.gen_range(20..65)),
+                Value::Int(rng.range(20, 65) as i64),
                 Value::Set(vec![]),
                 Value::Ref(dept),
-                Value::Float(20_000.0 + rng.gen_range(0..80_000) as f64),
+                Value::Float(20_000.0 + rng.range(0, 80_000) as f64),
                 hired,
             ])
         })

@@ -172,6 +172,31 @@ fn fixed_arrays_are_one_based_and_bounded() {
 }
 
 #[test]
+fn appending_to_a_fixed_length_array_is_refused() {
+    let db = Database::in_memory();
+    let mut s = db.session();
+    s.run(
+        r#"
+        define type Box (k: int4, arr: [3] int4, more: [] int4);
+        create { own Box } Boxes;
+        append to Boxes (k = 1);
+        range of X is Boxes;
+        append to X.more 4 where X.k = 1;
+        append to X.more 5 where X.k = 1;
+    "#,
+    )
+    .unwrap();
+    let err = s.run("append to X.arr 4 where X.k = 1").unwrap_err();
+    assert!(
+        matches!(err, DbError::Model(ModelError::TypeMismatch { .. })),
+        "{err}"
+    );
+    let r = s.query("retrieve (X.arr, X.more)").unwrap();
+    let more = Value::Array(vec![Value::Int(4), Value::Int(5)]);
+    assert_eq!(r.rows, vec![vec![Value::Array(vec![Value::Null; 3]), more]]);
+}
+
+#[test]
 fn char_length_enforced() {
     let db = Database::in_memory();
     let mut s = db.session();
