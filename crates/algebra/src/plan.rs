@@ -212,7 +212,7 @@ impl Probe {
 }
 
 /// A probe constant as the index stores keys of type `ty`.
-pub(crate) fn coerce(v: &Value, ty: &Type) -> Value {
+pub fn coerce(v: &Value, ty: &Type) -> Value {
     match (v, ty) {
         (Value::Int(i), Type::Base(b)) if b.is_float() => Value::Float(*i as f64),
         (Value::Float(f), Type::Base(b)) if b.is_integer() && f.fract() == 0.0 => {

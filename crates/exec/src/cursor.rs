@@ -22,17 +22,18 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::vec::IntoIter;
 
-use excess_algebra::plan::{KeyRange, Probe};
+use excess_algebra::plan::{coerce, KeyRange, Probe};
 use excess_algebra::Physical;
 use excess_sema::{IndexInfo, ResolvedRange, RootSource, SemaCtx};
 use exodus_storage::btree::{BTree, BTreeScan};
-use exodus_storage::{Oid, RecordId};
-use extra_model::{MemberFields, MemberScan, ModelError, ModelResult, Type, Value};
+use exodus_storage::txn::visible;
+use exodus_storage::{heap, Oid, RecordId};
+use extra_model::{valueio, MemberFields, MemberScan, ModelError, ModelResult, Type, Value};
 
 use crate::batch::RowBatch;
 use crate::cexpr::{CExpr, Compiled};
 use crate::env::MemberId;
-use crate::eval::{deref, eval, invariant, peek, truthy, ExecCtx};
+use crate::eval::{eval, invariant, peek, truthy, ExecCtx};
 use crate::paths::Resolved;
 use crate::plan::{anchor, Plan};
 use crate::profile::PlanIndex;
@@ -473,20 +474,6 @@ pub struct IndexJoinCursor<'p> {
     slot: Option<u32>,
 }
 
-/// Coerce a probe value to the indexed attribute's declared type so its
-/// key encoding matches the index entries (mirrors the planner's
-/// constant coercion for index scans).
-fn coerce_key(v: &Value, ty: &extra_model::Type) -> Value {
-    use extra_model::Type;
-    match (v, ty) {
-        (Value::Int(i), Type::Base(b)) if b.is_float() => Value::Float(*i as f64),
-        (Value::Float(f), Type::Base(b)) if b.is_integer() && f.fract() == 0.0 => {
-            Value::Int(*f as i64)
-        }
-        _ => v.clone(),
-    }
-}
-
 impl IndexJoinCursor<'_> {
     fn next(&mut self, ctx: &ExecCtx<'_>) -> ModelResult<Option<RowBatch>> {
         loop {
@@ -505,7 +492,7 @@ impl IndexJoinCursor<'_> {
                 if kv.is_null() {
                     continue;
                 }
-                let kv = coerce_key(&kv, self.key_ty);
+                let kv = coerce(&kv, self.key_ty);
                 let Some(kb) = kv.key_encode(ctx.adts) else {
                     continue;
                 };
@@ -669,8 +656,7 @@ fn indexed_keys(
     let mut fields = ctx
         .store
         .fields_of_many_at(&oids, &[attr], ctx.snapshot)?
-        .into_iter()
-        .zip(&oids);
+        .into_iter();
     let key = |f: Option<&Value>| {
         f.filter(|f| !f.is_null())
             .and_then(|f| f.key_encode(ctx.adts))
@@ -680,12 +666,8 @@ fn indexed_keys(
         .map(|(_, member)| match member {
             Value::Tuple(fields) => Ok(key(fields.get(attr))),
             Value::Ref(_) => {
-                let (field, &oid) = fields.next().expect("one field per reference");
-                let field = match field {
-                    Some(f) => Some(f),
-                    None => ctx.store.field_of_at(oid, attr, ctx.snapshot)?,
-                };
-                Ok(key(field.as_ref()))
+                let field = fields.next().expect("one field per reference")?;
+                Ok(key(field.first()))
             }
             _ => Ok(None),
         })
@@ -731,23 +713,27 @@ impl MemberSource {
         match self {
             MemberSource::Heap(scan) => Ok(scan.next_batch(cap)?.into_iter().map(bind).unzip()),
             MemberSource::Index { scan, attr } => loop {
-                let entries = scan.next_batch(cap)?;
+                let mut entries = scan.next_batch(cap)?;
                 if entries.is_empty() {
                     return Ok(Default::default());
                 }
                 // Index entries are maintained synchronously by the
                 // writer, so they can point at versions outside the
                 // snapshot (uncommitted inserts, deleted members) ...
+                let rids: Vec<RecordId> =
+                    entries.iter().map(|&(_, p)| RecordId::unpack(p)).collect();
+                let mut found = Vec::new();
                 let pool = ctx.store.storage().pool();
-                let (mut keys, mut members) = (Vec::new(), Vec::new());
-                for (key, packed) in entries {
-                    let rid = RecordId::unpack(packed);
-                    if let Some(bytes) =
-                        exodus_storage::heap::read_record_visible(pool, rid, ctx.snapshot)?
-                    {
-                        keys.push(key);
-                        members.push((rid, extra_model::valueio::from_bytes(&bytes)?));
+                heap::visit_records_versioned(pool, &rids, |k, begin, end, bytes| {
+                    if visible(begin, end, ctx.snapshot) {
+                        found.push((k, valueio::from_bytes(bytes)));
                     }
+                });
+                found.sort_unstable_by_key(|&(k, _)| k);
+                let (mut keys, mut members) = (Vec::new(), Vec::new());
+                for (k, member) in found {
+                    keys.push(std::mem::take(&mut entries[k].0));
+                    members.push((rids[k], member?));
                 }
                 // ... or carry a key the visible version does not have
                 // (an uncommitted replace moves the entry at once).
@@ -917,7 +903,7 @@ pub struct UnnestCursor<'p> {
     container: Option<Arc<(String, Vec<String>)>>,
     /// The current input batch, with the source's paths resolved and
     /// the members read off their owners' records for it.
-    in_batch: Option<(RowBatch, Resolved, Vec<Option<MemberFields>>)>,
+    in_batch: Option<(RowBatch, Resolved, Vec<Option<ModelResult<MemberFields>>>)>,
     in_row: usize,
     /// The rest of the current row's items: the values bound for each,
     /// and whole items' identities.
@@ -935,7 +921,7 @@ impl UnnestCursor<'_> {
         ctx: &ExecCtx<'_>,
         batch: &RowBatch,
         paths: &Resolved,
-    ) -> ModelResult<Vec<Option<MemberFields>>> {
+    ) -> ModelResult<Vec<Option<ModelResult<MemberFields>>>> {
         let (Some(reads), CExpr::Path(_, step)) = (self.reads, &self.source.expr) else {
             return Ok(Vec::new());
         };
@@ -951,9 +937,9 @@ impl UnnestCursor<'_> {
         let members = ctx
             .store
             .member_fields_of_many_at(&oids, *pos, reads, ctx.snapshot)?;
-        let mut out = vec![None; batch.len()];
+        let mut out: Vec<_> = (0..batch.len()).map(|_| None).collect();
         for (r, m) in rows.into_iter().zip(members) {
-            out[r] = m;
+            out[r] = Some(m);
         }
         Ok(out)
     }
@@ -964,19 +950,19 @@ impl UnnestCursor<'_> {
     fn items_for(
         &self,
         ctx: &ExecCtx<'_>,
-        (src, paths, members): &mut (RowBatch, Resolved, Vec<Option<MemberFields>>),
+        (src, paths, members): &mut (RowBatch, Resolved, Vec<Option<ModelResult<MemberFields>>>),
         row: usize,
     ) -> ModelResult<(IntoIter<Value>, IntoIter<MemberId>, usize)> {
         let (n, vals, ids) = match self.reads {
             Some(reads) => {
                 let fetched = members.get_mut(row).and_then(Option::take);
                 let (n, vals) = match (fetched, peek(&self.source.expr, &paths.row(src, row))) {
-                    (Some(fetched), _) => fetched,
+                    (Some(fetched), _) => fetched?,
                     (None, Some(v)) if !matches!(v, Value::Ref(_)) => attrs_of(v, reads)?,
-                    (None, _) => attrs_of(
-                        &deref(ctx, eval(&self.source.expr, ctx, &paths.row(src, row))?)?,
-                        reads,
-                    )?,
+                    (None, _) => {
+                        let v = eval(&self.source.expr, ctx, &paths.row(src, row))?;
+                        attrs_of(&ctx.store.deref(v, ctx.snapshot)?, reads)?
+                    }
                 };
                 (n, vals, Vec::new())
             }
@@ -989,7 +975,7 @@ impl UnnestCursor<'_> {
                     Some(v) => v,
                     None => eval(&self.source.expr, ctx, &paths.row(src, row))?,
                 };
-                let items = match deref(ctx, v)? {
+                let items = match ctx.store.deref(v, ctx.snapshot)? {
                     Value::Set(items) | Value::Array(items) => items,
                     Value::Null => Vec::new(),
                     _ => return Err(invariant("a range iterates a set or array")),

@@ -123,31 +123,14 @@ impl<'a> ExecCtx<'a> {
     }
 }
 
-/// Chase references until a non-reference value is reached, one object
-/// read per step. Paths over batches do not come here — their operator
-/// resolves them a batch at a time (see [`crate::paths`]).
-pub fn deref(ctx: &ExecCtx<'_>, mut v: Value) -> ModelResult<Value> {
-    while let Value::Ref(oid) = v {
-        v = ctx.store.value_of_at(oid, ctx.snapshot)?;
-    }
-    Ok(v)
-}
-
 /// Field `pos` of `v`, through references: the single-row form of what
-/// [`crate::paths`] does per batch, and its fallback for the objects and
-/// rows the batched read leaves alone.
+/// [`crate::paths`] does per batch.
 pub(crate) fn attr_of(ctx: &ExecCtx<'_>, v: Value, pos: usize) -> ModelResult<Value> {
-    let v = match v {
-        // Skip-decode just the wanted field off the stored record; a
-        // record that is not a plain tuple (ref chain, null) takes the
-        // full deref, which reproduces ordinary behavior.
-        Value::Ref(oid) => match ctx.store.field_of_at(oid, pos, ctx.snapshot)? {
-            Some(field) => return Ok(field),
-            None => deref(ctx, Value::Ref(oid))?,
-        },
-        other => other,
-    };
     match v {
+        Value::Ref(oid) => {
+            let mut fields = ctx.store.fields_of_many_at(&[oid], &[pos], ctx.snapshot)?;
+            Ok(fields.pop().expect("one answer per oid")?.swap_remove(0))
+        }
         Value::Tuple(mut fields) if pos < fields.len() => Ok(fields.swap_remove(pos)),
         Value::Null => Ok(Value::Null),
         _ => Err(invariant("an attribute step reads a tuple of its type")),
@@ -223,7 +206,10 @@ pub fn eval(e: &CExpr, ctx: &ExecCtx<'_>, env: &dyn Bindings) -> ModelResult<Val
             Some(v) => Ok(v.clone()),
             None => attr_of(ctx, eval(base, ctx, env)?, *pos),
         },
-        CExpr::Idx(base, idx) => match (deref(ctx, eval(base, ctx, env)?)?, eval(idx, ctx, env)?) {
+        CExpr::Idx(base, idx) => match (
+            ctx.store.deref(eval(base, ctx, env)?, ctx.snapshot)?,
+            eval(idx, ctx, env)?,
+        ) {
             // 1-based, as the paper writes `TopTen[1]`.
             (Value::Array(mut items), Value::Int(i)) => match usize::try_from(i) {
                 Ok(at @ 1..) if at <= items.len() => Ok(items.swap_remove(at - 1)),
@@ -638,7 +624,7 @@ fn eval_agg(agg: &CAgg, ctx: &ExecCtx<'_>, env: &dyn Bindings) -> ModelResult<Va
                 .arg
                 .as_ref()
                 .expect("SetArg aggregates carry their argument");
-            let v = deref(ctx, eval(arg, ctx, env)?)?;
+            let v = ctx.store.deref(eval(arg, ctx, env)?, ctx.snapshot)?;
             let vals = match v {
                 Value::Set(ms) => ms,
                 Value::Array(items) => items.into_iter().filter(|i| !i.is_null()).collect(),

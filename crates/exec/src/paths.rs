@@ -12,14 +12,12 @@
 //! and scatters the values back into a column the row evaluator reads
 //! by slot index.
 //!
-//! Resolution never raises what a row might not have evaluated: an
-//! object the batched read declines (invisible head version, LOB
-//! payload, non-tuple value) takes the per-object path, and a row whose
-//! path fails there is left unresolved, so the error surfaces — with
-//! the per-object path's text — only if the row evaluator actually gets
-//! to that expression. A base column holding no reference at all (own
-//! tuples) is left alone entirely: projecting a field out of a bound
-//! tuple needs no column of copies. A step from a variable bound as
+//! Resolution never raises what a row might not have evaluated: a row
+//! whose object the read answers with an error (no version visible at
+//! the snapshot) is left unresolved, so the error surfaces only if the
+//! row evaluator actually gets to that expression. A base column
+//! holding no reference at all (own tuples) is left alone entirely:
+//! projecting a field out of a bound tuple needs no column of copies. A step from a variable bound as
 //! attribute columns (an unnest's read set) is that batch column.
 
 use exodus_storage::Oid;
@@ -27,7 +25,7 @@ use extra_model::{ModelResult, Value};
 
 use crate::batch::{attr_column, BatchRow, Bindings, RowBatch};
 use crate::env::MemberId;
-use crate::eval::{attr_of, ExecCtx, NULL};
+use crate::eval::{ExecCtx, NULL};
 
 /// What a path slot steps from.
 #[derive(Debug, PartialEq)]
@@ -225,28 +223,25 @@ fn fields_through_refs(
     refs.sort_unstable();
     let mut oids: Vec<Oid> = refs.iter().map(|&(oid, _)| oid).collect();
     oids.dedup();
-    let mut fetched = ctx
+    let fetched = ctx
         .store
         .fields_of_many_at(&oids, positions, ctx.snapshot)?;
     let mut rest = refs.as_slice();
-    for (i, &oid) in oids.iter().enumerate() {
+    for (&oid, fields) in oids.iter().zip(fetched) {
         let n = rest.iter().take_while(|&&(o, _)| o == oid).count();
         let (sharers, tail) = rest.split_at(n);
         rest = tail;
-        for (j, (col, &pos)) in out.iter_mut().zip(positions).enumerate() {
-            let field = match fetched[i * positions.len() + j].take() {
-                Some(v) => Ok(v),
-                None => attr_of(ctx, Value::Ref(oid), pos),
-            };
-            match field {
-                Ok(v) => {
-                    for &(_, r) in &sharers[1..] {
-                        col.vals[r] = v.clone();
-                    }
-                    col.vals[sharers[0].1] = v;
-                }
-                Err(_) => col.failed.extend(sharers.iter().map(|&(_, r)| r)),
+        let Ok(fields) = fields else {
+            for col in out.iter_mut() {
+                col.failed.extend(sharers.iter().map(|&(_, r)| r));
             }
+            continue;
+        };
+        for (col, v) in out.iter_mut().zip(fields) {
+            for &(_, r) in &sharers[1..] {
+                col.vals[r] = v.clone();
+            }
+            col.vals[sharers[0].1] = v;
         }
     }
     out.iter_mut().for_each(|col| col.failed.sort_unstable());

@@ -165,6 +165,33 @@ fn updates_identical_across_batch_sizes() {
 const N_EMPS: usize = 4_200;
 const N_DEPTS: usize = 8;
 
+/// The department employee `i` is loaded with; `None` for a null one.
+fn dept_of(i: usize) -> Option<usize> {
+    match i {
+        _ if i % 11 == 10 => None,
+        0..=1099 => Some(0),
+        _ => Some((i * 7) % N_DEPTS),
+    }
+}
+
+/// Department `d`'s loaded budget; its `blurb` spills into a large
+/// object for `d = 3`.
+fn loaded_budget(d: usize) -> f64 {
+    1_000.5 + d as f64 * 0.1
+}
+
+fn loaded_blurb(d: usize) -> String {
+    if d == 3 {
+        "x".repeat(9_000)
+    } else {
+        format!("b{d}")
+    }
+}
+
+fn loaded_salary(i: usize) -> f64 {
+    100.25 + (i % 97) as f64 * 1.1
+}
+
 fn company(batch_size: usize, workers: usize) -> Arc<Database> {
     let db = Database::builder()
         .batch_size(batch_size)
@@ -198,21 +225,16 @@ fn company(batch_size: usize, workers: usize) -> Arc<Database> {
             "Depts",
             (0..N_DEPTS)
                 .map(|i| {
-                    let blurb = if i == 3 {
-                        "x".repeat(9_000)
-                    } else {
-                        format!("b{i}")
-                    };
                     Value::Tuple(vec![
                         Value::Str(format!("dept{i}")),
                         Value::Int(i as i64 % 3 + 1),
-                        Value::Float(1_000.5 + i as f64 * 0.1),
+                        Value::Float(loaded_budget(i)),
                         if i == 6 {
                             Value::Null
                         } else {
                             Value::Ref(sites[i % 3])
                         },
-                        Value::Str(blurb),
+                        Value::Str(loaded_blurb(i)),
                     ])
                 })
                 .collect(),
@@ -233,11 +255,7 @@ fn company(batch_size: usize, workers: usize) -> Arc<Database> {
         person(name, age, Vec::new())
     };
     let emp = |i: usize, mentor: Value| {
-        let dept = match i {
-            _ if i % 11 == 10 => Value::Null,
-            0..=1099 => Value::Ref(depts[0]),
-            _ => Value::Ref(depts[(i * 7) % N_DEPTS]),
-        };
+        let dept = dept_of(i).map_or(Value::Null, |d| Value::Ref(depts[d]));
         let kids = match i % 50 {
             10 => Value::Set(vec![
                 person(Value::Null, Value::Int(4), Vec::new()),
@@ -265,7 +283,7 @@ fn company(batch_size: usize, workers: usize) -> Arc<Database> {
             kids,
             Value::Int(i as i64),
             dept,
-            Value::Float(100.25 + (i % 97) as f64 * 1.1),
+            Value::Float(loaded_salary(i)),
             mentor,
             slots,
         ])
@@ -292,6 +310,7 @@ fn company(batch_size: usize, workers: usize) -> Arc<Database> {
         }
     }
     s.run(r#"delete D where D.dname = "dept5""#).unwrap();
+    s.run("define index emps_id on Emps (id)").unwrap();
     db
 }
 
@@ -315,6 +334,7 @@ const DNAME: usize = 0;
 const FLOOR: usize = 1;
 const BUDGET: usize = 2;
 const SITE: usize = 3;
+const BLURB: usize = 4;
 const CITY: usize = 0;
 
 impl Naive<'_> {
@@ -597,6 +617,125 @@ fn check_nested(check: &mut dyn FnMut(&str, Vec<Vec<Value>>), naive: &Naive, emp
     );
 }
 
+/// Paths, an unnest over reference owners, an index scan with its key
+/// re-check, a set aggregate and whole-object reads, against what the
+/// fixture loaded — literals, not reads through the store the naive
+/// evaluator shares with the engine. Until the writer of
+/// [`WRITER`] commits, every reader still sees the loaded versions, one
+/// step down their version chains; `committed` expects its writes.
+fn check_against_load(db: &Arc<Database>, what: &str, committed: bool) {
+    let replaced = |d: usize| committed && (d % 3 == 1 || d == 3);
+    let dept = |i: usize| match dept_of(i).filter(|&d| d != 5) {
+        None => vec![Value::Null; 3],
+        Some(d) => vec![
+            Value::Float(if replaced(d) {
+                loaded_budget(d) * 2.0
+            } else {
+                loaded_budget(d)
+            }),
+            Value::Int(if replaced(d) { 9 } else { d as i64 % 3 + 1 }),
+            Value::Str(loaded_blurb(d)),
+        ],
+    };
+    let salary = |i: usize| {
+        if committed && i == 10 {
+            1.5
+        } else {
+            loaded_salary(i)
+        }
+    };
+    let kids = |i: usize| {
+        let mut kids: Vec<(Value, i64)> = match i % 50 {
+            0 => (0..2)
+                .map(|k| (Value::Str(format!("kid{i}_{k}")), k))
+                .collect(),
+            10 => vec![(Value::Null, 4), (Value::Str(format!("bulk{i}")), 3)],
+            _ => Vec::new(),
+        };
+        if committed && i == 10 {
+            kids.push((Value::Str("late".into()), 9));
+        }
+        kids
+    };
+    let id = |i: usize| Value::Int(i as i64);
+    let mut s = db.session();
+    let check = |s: &mut exodus_db::Session, q: &str, expect: Vec<Vec<Value>>| {
+        let got = s.query(q).unwrap_or_else(|e| panic!("{what}: {q}: {e}"));
+        assert_eq!(multiset(got.rows), multiset(expect), "{what}: {q}");
+    };
+    check(
+        &mut s,
+        "retrieve (E.id, E.dept.budget, E.dept.floor, E.dept.blurb) from E in Emps",
+        (0..N_EMPS)
+            .map(|i| [vec![id(i)], dept(i)].concat())
+            .collect(),
+    );
+    check(
+        &mut s,
+        "retrieve (Emps.id, C.name, C.age) from C in Emps.kids",
+        (0..N_EMPS)
+            .flat_map(|i| {
+                kids(i)
+                    .into_iter()
+                    .map(move |(n, a)| vec![id(i), n, Value::Int(a)])
+            })
+            .collect(),
+    );
+    check(
+        &mut s,
+        "retrieve (E.id, count(E.kids)) from E in Emps",
+        (0..N_EMPS)
+            .map(|i| vec![id(i), Value::Int(kids(i).len() as i64)])
+            .collect(),
+    );
+    let q = "retrieve (E.id, E.ename, E.salary) from E in Emps where E.id < 60";
+    let plan = s.explain(q).unwrap().plan;
+    assert!(plan.contains("IndexScan"), "{what}: {plan}");
+    check(
+        &mut s,
+        q,
+        (0..60)
+            .map(|i| {
+                vec![
+                    id(i),
+                    Value::Str(format!("emp{i:05}")),
+                    Value::Float(salary(i)),
+                ]
+            })
+            .collect(),
+    );
+    // Whole objects: the employee and the large department the writer
+    // replaces.
+    let mut one = |q: &str| match &s.query(q).unwrap().rows[..] {
+        [row] => row[0].clone(),
+        rows => panic!("{what}: {q}: {rows:?}"),
+    };
+    let emp = one("retrieve (E) from E in Emps where E.id = 10");
+    let large = one("retrieve (E.dept) from E in Emps where E.id = 1101");
+    let guard = db.store().storage().begin_snapshot();
+    let whole = |v: Value| match db.store().deref(v, guard.ts()).unwrap() {
+        Value::Tuple(fields) => fields,
+        other => panic!("{what}: {other:?}"),
+    };
+    let emp = whole(emp);
+    let Value::Set(emp_kids) = &emp[KIDS] else {
+        panic!("{what}: {:?}", emp[KIDS])
+    };
+    assert_eq!(emp_kids.len(), kids(10).len(), "{what}");
+    assert_eq!(emp[SALARY], Value::Float(salary(10)), "{what}");
+    let large = whole(large);
+    let got = [BUDGET, FLOOR, BLURB].map(|pos| large[pos].clone());
+    assert_eq!(got[..], dept(1101), "{what}");
+}
+
+/// The transaction a second session holds open while readers check:
+/// it replaces three departments, among them the large one, and an
+/// employee with kids.
+const WRITER: &str = r#"begin; range of D is Depts;
+    replace D (budget = D.budget * 2.0, floor = 9) where D.floor = 2 or D.dname = "dept3";
+    range of E is Emps; replace E (salary = 1.5) where E.id = 10;
+    append to E.kids (name = "late", age = 9) where E.id = 10"#;
+
 #[test]
 fn paths_match_a_naive_evaluator_at_every_batch_size_and_dop() {
     for &batch_size in SIZES {
@@ -606,24 +745,26 @@ fn paths_match_a_naive_evaluator_at_every_batch_size_and_dop() {
             let kids = 4 * N_EMPS.div_ceil(50);
             check_against_naive(&db, &what, kids);
 
-            // Replace two departments inside a transaction left open:
-            // every other reader — the engine's sessions and the naive
-            // evaluator alike — still sees the old versions, now one
-            // step down the version chain.
+            // Replace departments and an employee inside a transaction
+            // left open: every other reader — the engine's sessions and
+            // the naive evaluator alike — still sees the old versions,
+            // now down the version chain.
+            check_against_load(&db, &what, false);
             let mut writer = db.session();
-            writer
-                .run("begin; range of D is Depts; replace D (budget = D.budget * 2.0, floor = 9) where D.floor = 2")
-                .unwrap();
+            writer.run(WRITER).unwrap();
             let before = db
                 .query("retrieve (sum(E.dept.budget over E)) from E in Emps")
                 .unwrap();
             check_against_naive(&db, &format!("{what}, writer open"), kids);
+            check_against_load(&db, &format!("{what}, writer open"), false);
             writer.run("commit").unwrap();
+            let kids = kids + 1;
             let after = db
                 .query("retrieve (sum(E.dept.budget over E)) from E in Emps")
                 .unwrap();
             assert_ne!(before.rows, after.rows, "{what}: the commit must show");
             check_against_naive(&db, &format!("{what}, writer committed"), kids);
+            check_against_load(&db, &format!("{what}, writer committed"), true);
 
             // Writes through an unnested member bind it whole.
             let mut s = db.session();

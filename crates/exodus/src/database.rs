@@ -1835,13 +1835,10 @@ fn analyze_collection(db: &Database, cat: &mut Catalog, collection: &str) -> DbR
             break;
         }
         row_count += batch.len() as u64;
-        for (_, member) in &batch {
+        for (_, member) in batch {
             // Collections of `{own ref T}` hand back references; chase
             // them to the tuple the statistics describe.
-            let mut member = member.clone();
-            while let Value::Ref(oid) = member {
-                member = db.store.value_of_at(oid, snap)?;
-            }
+            let member = db.store.deref(member, snap)?;
             let fields = match &member {
                 Value::Tuple(fs) => fs.as_slice(),
                 _ => &[],

@@ -14,6 +14,7 @@ use excess_exec::{
     Plan, PlanIndex, PlanProfiler, QueryProfile, QueryResult, RowBatch,
 };
 use excess_lang::{AppendValue, Expr, FromBinding, Lit, Privilege, Stmt, Target};
+use excess_sema::resolve::flatten_path;
 use excess_sema::{
     lit_value, AggFn, CheckedRetrieve, IndexInfo, Node, RangeEnv, Reads, ResolvedRange, RootSource,
     SemaCtx, SemaError,
@@ -623,11 +624,7 @@ pub(crate) fn member_attr_key(
     pos: usize,
     adts: &AdtRegistry,
 ) -> DbResult<Option<Vec<u8>>> {
-    let mut v = member.clone();
-    while let Value::Ref(oid) = v {
-        v = db.store.value_of_at(oid, db.store.current_snap())?;
-    }
-    let field = match v {
+    let field = match db.store.deref(member.clone(), db.store.current_snap())? {
         Value::Tuple(mut fields) if pos < fields.len() => fields.swap_remove(pos),
         _ => return Ok(None),
     };
@@ -730,10 +727,8 @@ impl<'a> Scope<'a> {
     pub fn as_member(&self, elem: &QualType, value: Value) -> DbResult<Value> {
         let (db, cat) = (self.db, self.cat);
         match (elem.mode, value) {
-            (Ownership::Own, mut v) => {
-                while let Value::Ref(oid) = v {
-                    v = db.store.value_of_at(oid, self.snap)?;
-                }
+            (Ownership::Own, v) => {
+                let v = db.store.deref(v, self.snap)?;
                 v.conforms(elem, &cat.types, &cat.adts)?;
                 Ok(v)
             }
@@ -871,34 +866,27 @@ impl<'a> Scope<'a> {
     ) -> DbResult<Site> {
         let (db, cat, snap) = (self.db, self.cat, self.snap);
         let ctx = self.sema();
-        // Starting point: the root variable's value + identity, or a named
+        // Starting point: the root variable's value and site, or a named
         // object.
-        let (mut owner, mut value, mut qty): (Owner, Value, QualType) = if let Some(v) =
-            env.value(root_var)
-        {
+        let (mut site, mut value, mut qty) = if let Some(v) = env.value(root_var) {
             let qty = checked
                 .bindings
                 .iter()
                 .find(|b| b.var == root_var)
                 .map(|b| b.elem.clone())
                 .ok_or_else(|| DbError::Catalog(format!("untyped update root '{root_var}'")))?;
-            match env.ident(root_var) {
-                MemberId::Object(oid) => {
-                    (Owner::Object(oid), db.store.value_of_at(oid, snap)?, qty)
-                }
-                MemberId::Record { anchor, rid } => (Owner::Member { anchor, rid }, v.clone(), qty),
-                MemberId::Nested { .. } | MemberId::None => {
-                    return Err(DbError::Catalog(format!(
-                        "cannot update through '{root_var}' (no stable identity)"
-                    )))
-                }
-            }
+            let site = self.site_of(env, root_var, checked)?.ok_or_else(|| {
+                DbError::Catalog(format!(
+                    "cannot update through '{root_var}' (no stable identity)"
+                ))
+            })?;
+            (site, v.clone(), qty)
         } else if let Some(obj) = cat.named.get(root_var) {
-            (
-                Owner::Object(obj.oid),
-                db.store.value_of_at(obj.oid, snap)?,
-                obj.qty.clone(),
-            )
+            let site = Site {
+                owner: Owner::Object(obj.oid),
+                path: Vec::new(),
+            };
+            (site, Value::Ref(obj.oid), obj.qty.clone())
         } else {
             return Err(DbError::Catalog(format!(
                 "unknown update root '{root_var}'"
@@ -906,16 +894,17 @@ impl<'a> Scope<'a> {
         };
 
         // Walk the steps; crossing a reference moves the owner.
-        let mut path: Vec<usize> = Vec::new();
         for s in steps {
             while let Value::Ref(oid) = value {
-                owner = Owner::Object(oid);
-                path.clear();
+                site = Site {
+                    owner: Owner::Object(oid),
+                    path: Vec::new(),
+                };
                 value = db.store.value_of_at(oid, snap)?;
             }
             let (pos, step_qty) = ctx.attr(&qty, s)?;
             qty = step_qty;
-            path.push(pos);
+            site.path.push(pos);
             value = match value {
                 Value::Tuple(mut fields) if pos < fields.len() => fields.swap_remove(pos),
                 Value::Null => {
@@ -931,7 +920,7 @@ impl<'a> Scope<'a> {
                 }
             };
         }
-        Ok(Site { owner, path })
+        Ok(site)
     }
 
     /// Static type of the update target `var`: a bound range variable,
@@ -1150,7 +1139,7 @@ fn append(scope: &Scope<'_>, stmt: &Stmt, explain: Option<&mut ExplainSink>) -> 
         }
         // append to <path>.<set attr> ... — nested set append.
         (Expr::Path(_, _), _) => {
-            let (root_var, steps) = flatten(target)?;
+            let (root_var, steps) = flatten_path(target)?;
             exprs.push(target.clone());
             let bound = scope.bind(exprs, Vec::new(), qual.as_ref(), explain)?;
             // Authorization: appending inside members of a collection.
@@ -1197,20 +1186,6 @@ fn append(scope: &Scope<'_>, stmt: &Stmt, explain: Option<&mut ExplainSink>) -> 
 // ---------------------------------------------------------------------------
 // Delete / Replace
 // ---------------------------------------------------------------------------
-
-fn flatten(e: &Expr) -> DbResult<(String, Vec<String>)> {
-    match e {
-        Expr::Var(n) => Ok((n.clone(), Vec::new())),
-        Expr::Path(b, a) => {
-            let (root, mut steps) = flatten(b)?;
-            steps.push(a.clone());
-            Ok((root, steps))
-        }
-        other => Err(DbError::Catalog(format!(
-            "unsupported update target {other}"
-        ))),
-    }
-}
 
 /// Force a binding when an update's target is a bare collection name.
 fn synth_from(scope: &Scope<'_>, var: &str) -> Vec<FromBinding> {

@@ -40,7 +40,7 @@ use exodus_storage::heap::{self, HeapFile};
 use exodus_storage::lob::{Lob, LobId};
 use exodus_storage::object::ObjectTable;
 use exodus_storage::txn::{visible, ReclaimOp, TS_LATEST};
-use exodus_storage::{FileId, Oid, RecordId, StorageManager};
+use exodus_storage::{FileId, Oid, RecordId, StorageError, StorageManager};
 
 use crate::error::{ModelError, ModelResult};
 use crate::schema::{TypeId, TypeRegistry};
@@ -55,6 +55,29 @@ const INLINE_LIMIT: usize = 7000;
 /// only some of their attributes: how many there are, and those
 /// attributes of each, member after member.
 pub type MemberFields = (usize, Vec<Value>);
+
+/// One object version as [`ObjectStore`]'s reader hands it over: its
+/// interned declared type, its owner ([`Oid::NULL`] for none) and its
+/// encoded value.
+struct Version<'a> {
+    type_id: u32,
+    owner: Oid,
+    body: &'a [u8],
+}
+
+impl<'a> Version<'a> {
+    /// The version stored as record `rec`, its value encoded as `body`.
+    fn of(type_id: u32, rec: &[u8], body: &'a [u8]) -> Version<'a> {
+        let owner = Oid(u64::from_le_bytes(
+            rec[..8].try_into().expect("eight bytes"),
+        ));
+        Version {
+            type_id,
+            owner,
+            body,
+        }
+    }
+}
 
 const TAG_INLINE: u8 = 0;
 const TAG_LOB: u8 = 1;
@@ -382,51 +405,25 @@ impl ObjectStore {
 
     /// Whether an OID names an object with a version visible at `snap`.
     pub fn exists_at(&self, oid: Oid, snap: u64) -> ModelResult<bool> {
-        if !self.table.exists(self.pool(), oid)? {
-            return Ok(false);
-        }
-        Ok(self.read_version(oid, snap)?.is_some())
-    }
-
-    /// Interned type and raw record bytes of the version of `oid` visible
-    /// at `snap`, or `None` when no version is visible (created after the
-    /// snapshot, deleted before it, or uncommitted by another
-    /// transaction). The head version is tried first; older versions are
-    /// resolved through the in-memory chain kept by the transaction
-    /// manager.
-    fn read_version(&self, oid: Oid, snap: u64) -> ModelResult<Option<(u32, Vec<u8>)>> {
-        let entry = self.table.get(self.pool(), oid)?;
-        if let Ok((begin, end, bytes)) = heap::read_record_versioned(self.pool(), entry.rid) {
-            if visible(begin, end, snap) {
-                return Ok(Some((entry.type_id, bytes)));
-            }
-        }
-        for rid in self.sm.txn().chain_rids(oid).into_iter().rev() {
-            if rid == entry.rid {
-                continue;
-            }
-            if let Ok((begin, end, bytes)) = heap::read_record_versioned(self.pool(), rid) {
-                if visible(begin, end, snap) {
-                    return Ok(Some((entry.type_id, bytes)));
-                }
-            }
-        }
-        Ok(None)
-    }
-
-    fn version_or_missing(&self, oid: Oid, snap: u64) -> ModelResult<(u32, Vec<u8>)> {
-        self.read_version(oid, snap)?.ok_or_else(|| {
-            ModelError::Semantic(format!("object {oid} is not visible at this snapshot"))
-        })
+        let mut seen = false;
+        self.visit_at(&[oid], snap, |_, version| {
+            seen = version.is_ok();
+            Ok(())
+        })?;
+        Ok(seen)
     }
 
     /// Fetch `(declared type, owner, value)` of the version of an object
     /// visible at `snap`.
     pub fn get_at(&self, oid: Oid, snap: u64) -> ModelResult<(QualType, Oid, Value)> {
-        let (type_id, rec) = self.version_or_missing(oid, snap)?;
-        let value = valueio::from_bytes(&self.payload_body(&rec)?)?;
-        let owner = u64::from_le_bytes(rec[..8].try_into().expect("eight bytes"));
-        Ok((self.qtype(type_id), Oid(owner), value))
+        let mut got = None;
+        self.visit_at(&[oid], snap, |_, version| {
+            let v = version?;
+            got = Some((v.type_id, v.owner, valueio::from_bytes(v.body)?));
+            Ok(())
+        })?;
+        let (type_id, owner, value) = got.expect("the visit answers every oid");
+        Ok((self.qtype(type_id), owner, value))
     }
 
     /// Fetch just the value of the version of an object visible at `snap`.
@@ -434,32 +431,52 @@ impl ObjectStore {
         Ok(self.get_at(oid, snap)?.2)
     }
 
-    /// Batched [`ObjectStore::field_of_at`]: decode the fields at
-    /// `positions` of many objects at once, pinning each directory and
-    /// heap page once per batch instead of three pages per object and
-    /// skip-decoding the wanted fields straight off the pinned page —
-    /// the one dereference path of batched execution. The result is
-    /// row-major: entry `i * positions.len() + j` is field
-    /// `positions[j]` of `oids[i]`. `None` entries are the cases the
-    /// single-object call handles specially (unknown OID, head version
-    /// invisible at `snap`, LOB payload, non-tuple record, position out
-    /// of range); callers fall back to the per-object path for those,
-    /// reproducing its exact semantics including version-chain walks
-    /// and errors.
+    /// `value` with its references chased: the value, visible at `snap`,
+    /// of the object it names, and so on until it is no reference.
+    pub fn deref(&self, mut value: Value, snap: u64) -> ModelResult<Value> {
+        while let Value::Ref(oid) = value {
+            value = self.value_of_at(oid, snap)?;
+        }
+        Ok(value)
+    }
+
+    /// The fields at `positions` of the values of many objects at once,
+    /// the one dereference path of batched execution: each directory and
+    /// heap page is pinned once per batch and the wanted fields are
+    /// skip-decoded straight off the pinned page. Entry `i` holds field
+    /// `positions[j]` of `oids[i]` at `j`, or the error reading that
+    /// object met (no version visible at `snap`, an unknown OID). An
+    /// object whose value is null has null fields; one whose value is a
+    /// reference answers for the object it names.
     pub fn fields_of_many_at(
         &self,
         oids: &[Oid],
         positions: &[usize],
         snap: u64,
-    ) -> ModelResult<Vec<Option<Value>>> {
-        let mut out = vec![None; oids.len() * positions.len()];
-        self.visit_inline_at(oids, snap, |i, body| {
-            for (j, &pos) in positions.iter().enumerate() {
-                out[i * positions.len() + j] = valueio::tuple_field_from_bytes(body, pos)?;
+    ) -> ModelResult<Vec<ModelResult<Vec<Value>>>> {
+        let null = || vec![Value::Null; positions.len()];
+        self.visit_chasing(oids, snap, &null, &mut |body| {
+            let mut fields = Vec::with_capacity(positions.len());
+            for &pos in positions {
+                match valueio::tuple_field_from_bytes(body, pos)? {
+                    Some(field) => fields.push(field),
+                    None => return Ok(None),
+                }
             }
-            Ok(())
-        })?;
-        Ok(out)
+            Ok(Some(fields))
+        })
+    }
+
+    /// [`ObjectStore::fields_of_many_at`] for one field position, `None`
+    /// for an object the read met an error on.
+    pub fn fields_of_batch_at(
+        &self,
+        oids: &[Oid],
+        pos: usize,
+        snap: u64,
+    ) -> ModelResult<Vec<Option<Value>>> {
+        let fields = self.fields_of_many_at(oids, &[pos], snap)?;
+        Ok(fields.into_iter().map(|f| f.ok()?.pop()).collect())
     }
 
     /// [`ObjectStore::fields_of_many_at`] one level down: for each of
@@ -467,36 +484,86 @@ impl ObjectStore {
     /// array in its field `pos`, member after member, with the number of
     /// members — decoded straight off the pinned page, building neither
     /// the set nor its member tuples
-    /// ([`valueio::member_fields_from_bytes`]). `None` entries are the
-    /// cases `fields_of_many_at` declines, and members that are not
-    /// tuples with those attributes; callers fall back to the whole
-    /// field.
+    /// ([`valueio::member_fields_from_bytes`]) — or the error reading that
+    /// object met.
     pub fn member_fields_of_many_at(
         &self,
         oids: &[Oid],
         pos: usize,
         attrs: &[usize],
         snap: u64,
-    ) -> ModelResult<Vec<Option<MemberFields>>> {
-        let mut out = vec![None; oids.len()];
-        self.visit_inline_at(oids, snap, |i, body| {
+    ) -> ModelResult<Vec<ModelResult<MemberFields>>> {
+        self.visit_chasing(oids, snap, &|| (0, Vec::new()), &mut |body| {
             let mut fields = Vec::new();
-            out[i] = valueio::member_fields_from_bytes(body, pos, attrs, &mut fields)?
-                .map(|members| (members, fields));
-            Ok(())
-        })?;
-        Ok(out)
+            let members = valueio::member_fields_from_bytes(body, pos, attrs, &mut fields)?;
+            Ok(members.map(|n| (n, fields)))
+        })
     }
 
-    /// The page-grouped visit under the batched reads: `read(i, body)`
-    /// for the encoded value of each `oids[i]` whose head version is
-    /// visible at `snap` and stored inline, each directory and heap page
-    /// pinned once. The first error stops the reads.
-    fn visit_inline_at(
+    /// `read(body)` of the value of each of `oids` visible at `snap`, or
+    /// that object's error. Where `read` finds no tuple of the shape it
+    /// reads, a null value answers `null()` and a reference answers for
+    /// the object it names.
+    fn visit_chasing<T>(
         &self,
         oids: &[Oid],
         snap: u64,
-        mut read: impl FnMut(usize, &[u8]) -> ModelResult<()>,
+        null: &dyn Fn() -> T,
+        read: &mut dyn FnMut(&[u8]) -> ModelResult<Option<T>>,
+    ) -> ModelResult<Vec<ModelResult<T>>> {
+        let mut out: Vec<Option<ModelResult<T>>> = (0..oids.len()).map(|_| None).collect();
+        let mut chased = Vec::new();
+        self.visit_at(oids, snap, |i, version| {
+            let body = match version {
+                Ok(v) => v.body,
+                Err(e) => {
+                    out[i] = Some(Err(e));
+                    return Ok(());
+                }
+            };
+            out[i] = match read(body)? {
+                Some(t) => Some(Ok(t)),
+                None => match valueio::from_bytes(body)? {
+                    Value::Null => Some(Ok(null())),
+                    Value::Ref(next) => {
+                        chased.push((i, next));
+                        None
+                    }
+                    _ => Some(Err(ModelError::Semantic(format!(
+                        "object {} does not hold a value of its type's shape",
+                        oids[i]
+                    )))),
+                },
+            };
+            Ok(())
+        })?;
+        if !chased.is_empty() {
+            let (at, next): (Vec<usize>, Vec<Oid>) = chased.into_iter().unzip();
+            for (i, t) in at
+                .into_iter()
+                .zip(self.visit_chasing(&next, snap, null, read)?)
+            {
+                out[i] = Some(t);
+            }
+        }
+        Ok(out
+            .into_iter()
+            .map(|t| t.expect("the visit answers every oid"))
+            .collect())
+    }
+
+    /// The one reader of object versions: `read(i, version)` for each
+    /// `oids[i]` with the version visible at `snap`, or the reason there
+    /// is none. Head versions stored inline are read first, each
+    /// directory and heap page pinned once; the rest — a head the
+    /// snapshot cannot see (the version chain is walked), a large-object
+    /// payload — after that pass, under no pinned page. The first error
+    /// `read` returns stops the visit.
+    fn visit_at(
+        &self,
+        oids: &[Oid],
+        snap: u64,
+        mut read: impl FnMut(usize, ModelResult<Version<'_>>) -> ModelResult<()>,
     ) -> ModelResult<()> {
         let entries = self.table.get_many(self.pool(), oids)?;
         let mut idxs = Vec::with_capacity(oids.len());
@@ -507,40 +574,50 @@ impl ObjectStore {
                 rids.push(e.rid);
             }
         }
+        let mut done = vec![false; oids.len()];
         let mut failed = None;
         heap::visit_records_versioned(self.pool(), &rids, |k, begin, end, rec| {
-            if failed.is_some()
-                || !visible(begin, end, snap)
-                || rec.len() < 9
-                || rec[8] != TAG_INLINE
-            {
+            let i = idxs[k];
+            if failed.is_some() || !visible(begin, end, snap) || rec.get(8) != Some(&TAG_INLINE) {
                 return;
             }
-            if let Err(e) = read(idxs[k], &rec[9..]) {
+            done[i] = true;
+            let type_id = entries[i].expect("a visited record has an entry").type_id;
+            if let Err(e) = read(i, Ok(Version::of(type_id, rec, &rec[9..]))) {
                 failed = Some(e);
             }
         });
-        failed.map_or(Ok(()), Err)
+        if let Some(e) = failed {
+            return Err(e);
+        }
+        for (i, &oid) in oids.iter().enumerate().filter(|&(i, _)| !done[i]) {
+            let Some(entry) = entries[i] else {
+                read(i, Err(StorageError::UnknownOid(oid.0).into()))?;
+                continue;
+            };
+            let rec = self.chained_record(oid, entry.rid, snap);
+            match rec.and_then(|rec| Ok((self.payload_body(&rec)?.into_owned(), rec))) {
+                Ok((body, rec)) => read(i, Ok(Version::of(entry.type_id, &rec, &body)))?,
+                Err(e) => read(i, Err(e))?,
+            }
+        }
+        Ok(())
     }
 
-    /// [`ObjectStore::fields_of_many_at`] for one field position.
-    pub fn fields_of_batch_at(
-        &self,
-        oids: &[Oid],
-        pos: usize,
-        snap: u64,
-    ) -> ModelResult<Vec<Option<Value>>> {
-        self.fields_of_many_at(oids, &[pos], snap)
-    }
-
-    /// Decode only field `pos` of the version of a tuple-valued object
-    /// visible at `snap`, skipping the other fields (no allocation for
-    /// them). Returns `None` when the stored value is not a tuple or
-    /// `pos` is out of range; callers fall back to
-    /// [`ObjectStore::value_of_at`] for those cases.
-    pub fn field_of_at(&self, oid: Oid, pos: usize, snap: u64) -> ModelResult<Option<Value>> {
-        let (_, rec) = self.version_or_missing(oid, snap)?;
-        valueio::tuple_field_from_bytes(&self.payload_body(&rec)?, pos)
+    /// The record of the version of `oid` visible at `snap`: the head at
+    /// `head`, else the newest visible one of its version chain.
+    fn chained_record(&self, oid: Oid, head: RecordId, snap: u64) -> ModelResult<Vec<u8>> {
+        let older = self.sm.txn().chain_rids(oid).into_iter().rev();
+        for rid in std::iter::once(head).chain(older.filter(|&rid| rid != head)) {
+            if let Ok((begin, end, rec)) = heap::read_record_versioned(self.pool(), rid) {
+                if visible(begin, end, snap) {
+                    return Ok(rec);
+                }
+            }
+        }
+        Err(ModelError::Semantic(format!(
+            "object {oid} is not visible at this snapshot"
+        )))
     }
 
     /// Give `oid` a new version: insert it, retire the old one, repoint

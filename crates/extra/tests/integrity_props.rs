@@ -301,7 +301,7 @@ proptest! {
         prop_assert_eq!(sm.txn().pending_reclaims(), 0);
         let table = ObjectTable::open(w.store.roots().table_root);
         for oid in &w.created {
-            prop_assert_eq!(table.exists(sm.pool(), *oid).unwrap(), w.live.contains(oid));
+            prop_assert_eq!(table.get(sm.pool(), *oid).is_ok(), w.live.contains(oid));
         }
         w.check();
     }

@@ -127,7 +127,7 @@ fn var_source(name: &str, qty: QualType) -> Checked {
 }
 
 /// Flatten a range path to `(root name, attribute steps)`.
-fn flatten_path(e: &Expr) -> SemaResult<(String, Vec<String>)> {
+pub fn flatten_path(e: &Expr) -> SemaResult<(String, Vec<String>)> {
     match e {
         Expr::Var(n) => Ok((n.clone(), Vec::new())),
         Expr::Path(base, attr) => {

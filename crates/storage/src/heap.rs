@@ -413,18 +413,6 @@ pub fn read_records_versioned(
     out
 }
 
-/// Read one record only if its version is visible to snapshot `snap`;
-/// `Ok(None)` when the version exists but is invisible (uncommitted, or
-/// deleted at or before the snapshot).
-pub fn read_record_visible(
-    pool: &Arc<BufferPool>,
-    rid: RecordId,
-    snap: u64,
-) -> StorageResult<Option<Vec<u8>>> {
-    let (begin, end, data) = read_record_versioned(pool, rid)?;
-    Ok(visible(begin, end, snap).then_some(data))
-}
-
 /// End-stamp a record version in place at `end_ts` (same-length update:
 /// the record never moves). Does not touch the file's record counter —
 /// use [`HeapFile::delete_versioned`] for a counted logical delete.

@@ -286,15 +286,6 @@ impl ObjectTable {
         Ok(out)
     }
 
-    /// Whether an OID names a live object.
-    pub fn exists(&self, pool: &Arc<BufferPool>, oid: Oid) -> StorageResult<bool> {
-        match self.get(pool, oid) {
-            Ok(_) => Ok(true),
-            Err(StorageError::UnknownOid(_)) => Ok(false),
-            Err(e) => Err(e),
-        }
-    }
-
     /// Point the OID at a new record id (the record moved).
     pub fn relocate(&self, pool: &Arc<BufferPool>, oid: Oid, rid: RecordId) -> StorageResult<()> {
         let entry = self.get(pool, oid)?; // validates liveness
@@ -371,7 +362,6 @@ mod tests {
             t.get(&pool, Oid(9999)),
             Err(StorageError::UnknownOid(9999))
         ));
-        assert!(!t.exists(&pool, Oid(9999)).unwrap());
     }
 
     #[test]
@@ -391,7 +381,7 @@ mod tests {
         let t = ObjectTable::create(&pool).unwrap();
         let a = t.allocate(&pool, rid(1, 0), 1).unwrap();
         t.free(&pool, a).unwrap();
-        assert!(!t.exists(&pool, a).unwrap());
+        assert!(matches!(t.get(&pool, a), Err(StorageError::UnknownOid(_))));
         let b = t.allocate(&pool, rid(2, 0), 1).unwrap();
         assert!(b.0 > a.0, "OIDs are never reused");
         // Double free is an error.

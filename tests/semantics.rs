@@ -197,6 +197,36 @@ fn appending_to_a_fixed_length_array_is_refused() {
 }
 
 #[test]
+fn a_nested_range_variable_roots_an_append() {
+    let db = Database::in_memory();
+    let mut s = db.session();
+    s.run(
+        r#"
+        define type Grandkid (name: varchar, age: int4);
+        define type Kid (name: varchar, age: int4, kids: { own Grandkid });
+        define type Employee (name: varchar, kids: { own Kid });
+        create { own Employee } Employees;
+        append to Employees (name = "ann");
+        range of E is Employees;
+        append to E.kids (name = "k1", age = 5) where E.name = "ann";
+        append to E.kids (name = "k2", age = 7) where E.name = "ann";
+        range of C is E.kids;
+        append to C.kids (name = "g1", age = 1) where C.name = "k1";
+    "#,
+    )
+    .unwrap();
+    let r = s
+        .query("retrieve (C.name, G.name, G.age) from C in Employees.kids, G in C.kids")
+        .unwrap();
+    let row = vec![
+        Value::Str("k1".into()),
+        Value::Str("g1".into()),
+        Value::Int(1),
+    ];
+    assert_eq!(r.rows, vec![row]);
+}
+
+#[test]
 fn char_length_enforced() {
     let db = Database::in_memory();
     let mut s = db.session();
