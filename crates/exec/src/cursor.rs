@@ -667,7 +667,7 @@ fn indexed_keys(
             Value::Tuple(fields) => Ok(key(fields.get(attr))),
             Value::Ref(_) => {
                 let field = fields.next().expect("one field per reference")?;
-                Ok(key(field.first()))
+                Ok(key(Some(&field)))
             }
             _ => Ok(None),
         })
@@ -891,6 +891,9 @@ impl<'p> ScanCursor<'p> {
     }
 }
 
+/// Per input row, what reading its owner's members met, if it was read.
+type Fetched = Vec<Option<ModelResult<MemberFields>>>;
+
 /// Unnests a nested set/array per input row, binding each non-null item
 /// whole, with its identity, or — given a read set
 /// ([`excess_algebra::reads`]) — as just the attributes its plan reads.
@@ -903,7 +906,7 @@ pub struct UnnestCursor<'p> {
     container: Option<Arc<(String, Vec<String>)>>,
     /// The current input batch, with the source's paths resolved and
     /// the members read off their owners' records for it.
-    in_batch: Option<(RowBatch, Resolved, Vec<Option<ModelResult<MemberFields>>>)>,
+    in_batch: Option<(RowBatch, Resolved, Fetched)>,
     in_row: usize,
     /// The rest of the current row's items: the values bound for each,
     /// and whole items' identities.
@@ -916,12 +919,7 @@ impl UnnestCursor<'_> {
     /// For each row of `batch` whose source steps into an attribute of a
     /// reference, its members' attributes read, in one page-grouped visit
     /// of their owners ([`extra_model::ObjectStore::member_fields_of_many_at`]).
-    fn fetch(
-        &self,
-        ctx: &ExecCtx<'_>,
-        batch: &RowBatch,
-        paths: &Resolved,
-    ) -> ModelResult<Vec<Option<ModelResult<MemberFields>>>> {
+    fn fetch(&self, ctx: &ExecCtx<'_>, batch: &RowBatch, paths: &Resolved) -> ModelResult<Fetched> {
         let (Some(reads), CExpr::Path(_, step)) = (self.reads, &self.source.expr) else {
             return Ok(Vec::new());
         };
@@ -950,7 +948,7 @@ impl UnnestCursor<'_> {
     fn items_for(
         &self,
         ctx: &ExecCtx<'_>,
-        (src, paths, members): &mut (RowBatch, Resolved, Vec<Option<ModelResult<MemberFields>>>),
+        (src, paths, members): &mut (RowBatch, Resolved, Fetched),
         row: usize,
     ) -> ModelResult<(IntoIter<Value>, IntoIter<MemberId>, usize)> {
         let (n, vals, ids) = match self.reads {

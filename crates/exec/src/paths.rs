@@ -223,25 +223,25 @@ fn fields_through_refs(
     refs.sort_unstable();
     let mut oids: Vec<Oid> = refs.iter().map(|&(oid, _)| oid).collect();
     oids.dedup();
-    let fetched = ctx
+    let mut fetched = ctx
         .store
-        .fields_of_many_at(&oids, positions, ctx.snapshot)?;
+        .fields_of_many_at(&oids, positions, ctx.snapshot)?
+        .into_iter();
     let mut rest = refs.as_slice();
-    for (&oid, fields) in oids.iter().zip(fetched) {
+    for &oid in &oids {
         let n = rest.iter().take_while(|&&(o, _)| o == oid).count();
         let (sharers, tail) = rest.split_at(n);
         rest = tail;
-        let Ok(fields) = fields else {
-            for col in out.iter_mut() {
-                col.failed.extend(sharers.iter().map(|&(_, r)| r));
+        for (col, field) in out.iter_mut().zip(fetched.by_ref().take(positions.len())) {
+            match field {
+                Ok(v) => {
+                    for &(_, r) in &sharers[1..] {
+                        col.vals[r] = v.clone();
+                    }
+                    col.vals[sharers[0].1] = v;
+                }
+                Err(_) => col.failed.extend(sharers.iter().map(|&(_, r)| r)),
             }
-            continue;
-        };
-        for (col, v) in out.iter_mut().zip(fields) {
-            for &(_, r) in &sharers[1..] {
-                col.vals[r] = v.clone();
-            }
-            col.vals[sharers[0].1] = v;
         }
     }
     out.iter_mut().for_each(|col| col.failed.sort_unstable());

@@ -26,7 +26,6 @@
 //! Values longer than a page spill into a large object ([`crate::store`]
 //! uses [`exodus_storage::lob`]), transparently.
 
-use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
 use std::sync::Arc;
@@ -57,27 +56,9 @@ const INLINE_LIMIT: usize = 7000;
 pub type MemberFields = (usize, Vec<Value>);
 
 /// One object version as [`ObjectStore`]'s reader hands it over: its
-/// interned declared type, its owner ([`Oid::NULL`] for none) and its
+/// interned declared type, its record (owner, tag, payload) and its
 /// encoded value.
-struct Version<'a> {
-    type_id: u32,
-    owner: Oid,
-    body: &'a [u8],
-}
-
-impl<'a> Version<'a> {
-    /// The version stored as record `rec`, its value encoded as `body`.
-    fn of(type_id: u32, rec: &[u8], body: &'a [u8]) -> Version<'a> {
-        let owner = Oid(u64::from_le_bytes(
-            rec[..8].try_into().expect("eight bytes"),
-        ));
-        Version {
-            type_id,
-            owner,
-            body,
-        }
-    }
-}
+type Version<'a> = (u32, &'a [u8], &'a [u8]);
 
 const TAG_INLINE: u8 = 0;
 const TAG_LOB: u8 = 1;
@@ -365,14 +346,14 @@ impl ObjectStore {
 
     /// The encoded value of an object record: inline after the owner
     /// and tag, or in the large object the record names.
-    fn payload_body<'a>(&self, rec: &'a [u8]) -> ModelResult<Cow<'a, [u8]>> {
+    fn payload_body(&self, rec: &[u8]) -> ModelResult<Vec<u8>> {
         let truncated = || ModelError::Semantic("truncated object record".into());
         match *rec.get(8).ok_or_else(truncated)? {
-            TAG_INLINE => Ok(Cow::Borrowed(&rec[9..])),
+            TAG_INLINE => Ok(rec[9..].to_vec()),
             TAG_LOB => {
                 let id = rec.get(9..17).ok_or_else(truncated)?;
                 let id = u64::from_le_bytes(id.try_into().expect("eight bytes"));
-                Ok(Cow::Owned(Lob::open(LobId(id)).read_all(self.pool())?))
+                Ok(Lob::open(LobId(id)).read_all(self.pool())?)
             }
             other => Err(ModelError::Semantic(format!("bad record tag {other}"))),
         }
@@ -416,19 +397,25 @@ impl ObjectStore {
     /// Fetch `(declared type, owner, value)` of the version of an object
     /// visible at `snap`.
     pub fn get_at(&self, oid: Oid, snap: u64) -> ModelResult<(QualType, Oid, Value)> {
-        let mut got = None;
-        self.visit_at(&[oid], snap, |_, version| {
-            let v = version?;
-            got = Some((v.type_id, v.owner, valueio::from_bytes(v.body)?));
-            Ok(())
-        })?;
-        let (type_id, owner, value) = got.expect("the visit answers every oid");
+        let (type_id, owner, value) = self.visit_one(oid, snap)?;
         Ok((self.qtype(type_id), owner, value))
     }
 
     /// Fetch just the value of the version of an object visible at `snap`.
     pub fn value_of_at(&self, oid: Oid, snap: u64) -> ModelResult<Value> {
-        Ok(self.get_at(oid, snap)?.2)
+        Ok(self.visit_one(oid, snap)?.2)
+    }
+
+    /// Interned type, owner and value of `oid`'s version visible at `snap`.
+    fn visit_one(&self, oid: Oid, snap: u64) -> ModelResult<(u32, Oid, Value)> {
+        let mut got = None;
+        self.visit_at(&[oid], snap, |_, version| {
+            let (type_id, rec, body) = version?;
+            let owner = u64::from_le_bytes(rec[..8].try_into().expect("eight bytes"));
+            got = Some((type_id, Oid(owner), valueio::from_bytes(body)?));
+            Ok(())
+        })?;
+        Ok(got.expect("the visit answers every oid"))
     }
 
     /// `value` with its references chased: the value, visible at `snap`,
@@ -443,28 +430,38 @@ impl ObjectStore {
     /// The fields at `positions` of the values of many objects at once,
     /// the one dereference path of batched execution: each directory and
     /// heap page is pinned once per batch and the wanted fields are
-    /// skip-decoded straight off the pinned page. Entry `i` holds field
-    /// `positions[j]` of `oids[i]` at `j`, or the error reading that
-    /// object met (no version visible at `snap`, an unknown OID). An
-    /// object whose value is null has null fields; one whose value is a
-    /// reference answers for the object it names.
+    /// skip-decoded straight off the pinned page. The result is
+    /// row-major: entry `i * positions.len() + j` is field `positions[j]`
+    /// of `oids[i]`, or the error reading that object met (no version
+    /// visible at `snap`, an unknown OID), which each of its entries
+    /// carries. An object whose value is null has null fields; one whose
+    /// value is a reference answers for the object it names.
     pub fn fields_of_many_at(
         &self,
         oids: &[Oid],
         positions: &[usize],
         snap: u64,
-    ) -> ModelResult<Vec<ModelResult<Vec<Value>>>> {
-        let null = || vec![Value::Null; positions.len()];
-        self.visit_chasing(oids, snap, &null, &mut |body| {
-            let mut fields = Vec::with_capacity(positions.len());
-            for &pos in positions {
+    ) -> ModelResult<Vec<ModelResult<Value>>> {
+        let width = positions.len();
+        let mut out: Vec<ModelResult<Value>> =
+            (0..oids.len() * width).map(|_| Ok(Value::Null)).collect();
+        let failed = self.visit_chasing(oids, snap, &mut |i, body| {
+            for (slot, &pos) in out[i * width..].iter_mut().zip(positions) {
                 match valueio::tuple_field_from_bytes(body, pos)? {
-                    Some(field) => fields.push(field),
-                    None => return Ok(None),
+                    Some(field) => *slot = Ok(field),
+                    None => return Ok(false),
                 }
             }
-            Ok(Some(fields))
-        })
+            Ok(true)
+        })?;
+        for (i, e) in failed {
+            let row = &mut out[i * width..(i + 1) * width];
+            row.fill_with(|| Err(ModelError::Semantic(e.to_string())));
+            if let Some(first) = row.first_mut() {
+                *first = Err(e);
+            }
+        }
+        Ok(out)
     }
 
     /// [`ObjectStore::fields_of_many_at`] for one field position, `None`
@@ -476,7 +473,7 @@ impl ObjectStore {
         snap: u64,
     ) -> ModelResult<Vec<Option<Value>>> {
         let fields = self.fields_of_many_at(oids, &[pos], snap)?;
-        Ok(fields.into_iter().map(|f| f.ok()?.pop()).collect())
+        Ok(fields.into_iter().map(Result::ok).collect())
     }
 
     /// [`ObjectStore::fields_of_many_at`] one level down: for each of
@@ -493,63 +490,63 @@ impl ObjectStore {
         attrs: &[usize],
         snap: u64,
     ) -> ModelResult<Vec<ModelResult<MemberFields>>> {
-        self.visit_chasing(oids, snap, &|| (0, Vec::new()), &mut |body| {
+        let mut out: Vec<ModelResult<MemberFields>> =
+            (0..oids.len()).map(|_| Ok((0, Vec::new()))).collect();
+        let failed = self.visit_chasing(oids, snap, &mut |i, body| {
             let mut fields = Vec::new();
             let members = valueio::member_fields_from_bytes(body, pos, attrs, &mut fields)?;
-            Ok(members.map(|n| (n, fields)))
-        })
+            if let Some(n) = members {
+                out[i] = Ok((n, fields));
+            }
+            Ok(members.is_some())
+        })?;
+        for (i, e) in failed {
+            out[i] = Err(e);
+        }
+        Ok(out)
     }
 
-    /// `read(body)` of the value of each of `oids` visible at `snap`, or
-    /// that object's error. Where `read` finds no tuple of the shape it
-    /// reads, a null value answers `null()` and a reference answers for
-    /// the object it names.
-    fn visit_chasing<T>(
+    /// `read(i, body)` of the value of each `oids[i]` visible at `snap`;
+    /// answers the objects the read met an error on, with their errors.
+    /// Where `read` finds no tuple of the shape it reads (answers
+    /// `false`), a null value is left to the caller's default and a
+    /// reference answers for the object it names.
+    fn visit_chasing(
         &self,
         oids: &[Oid],
         snap: u64,
-        null: &dyn Fn() -> T,
-        read: &mut dyn FnMut(&[u8]) -> ModelResult<Option<T>>,
-    ) -> ModelResult<Vec<ModelResult<T>>> {
-        let mut out: Vec<Option<ModelResult<T>>> = (0..oids.len()).map(|_| None).collect();
-        let mut chased = Vec::new();
+        read: &mut dyn FnMut(usize, &[u8]) -> ModelResult<bool>,
+    ) -> ModelResult<Vec<(usize, ModelError)>> {
+        let (mut failed, mut chased) = (Vec::new(), Vec::new());
         self.visit_at(oids, snap, |i, version| {
             let body = match version {
-                Ok(v) => v.body,
+                Ok((_, _, body)) => body,
                 Err(e) => {
-                    out[i] = Some(Err(e));
+                    failed.push((i, e));
                     return Ok(());
                 }
             };
-            out[i] = match read(body)? {
-                Some(t) => Some(Ok(t)),
-                None => match valueio::from_bytes(body)? {
-                    Value::Null => Some(Ok(null())),
-                    Value::Ref(next) => {
-                        chased.push((i, next));
-                        None
-                    }
-                    _ => Some(Err(ModelError::Semantic(format!(
-                        "object {} does not hold a value of its type's shape",
-                        oids[i]
-                    )))),
-                },
-            };
+            if !read(i, body)? {
+                match valueio::from_bytes(body)? {
+                    Value::Null => {}
+                    Value::Ref(next) => chased.push((i, next)),
+                    _ => failed.push((
+                        i,
+                        ModelError::Semantic(format!(
+                            "object {} does not hold a value of its type's shape",
+                            oids[i]
+                        )),
+                    )),
+                }
+            }
             Ok(())
         })?;
         if !chased.is_empty() {
             let (at, next): (Vec<usize>, Vec<Oid>) = chased.into_iter().unzip();
-            for (i, t) in at
-                .into_iter()
-                .zip(self.visit_chasing(&next, snap, null, read)?)
-            {
-                out[i] = Some(t);
-            }
+            let more = self.visit_chasing(&next, snap, &mut |k, body| read(at[k], body))?;
+            failed.extend(more.into_iter().map(|(k, e)| (at[k], e)));
         }
-        Ok(out
-            .into_iter()
-            .map(|t| t.expect("the visit answers every oid"))
-            .collect())
+        Ok(failed)
     }
 
     /// The one reader of object versions: `read(i, version)` for each
@@ -565,39 +562,36 @@ impl ObjectStore {
         snap: u64,
         mut read: impl FnMut(usize, ModelResult<Version<'_>>) -> ModelResult<()>,
     ) -> ModelResult<()> {
-        let entries = self.table.get_many(self.pool(), oids)?;
-        let mut idxs = Vec::with_capacity(oids.len());
-        let mut rids = Vec::with_capacity(oids.len());
-        for (i, entry) in entries.iter().enumerate() {
-            if let Some(e) = entry {
-                idxs.push(i);
-                rids.push(e.rid);
-            }
+        let mut entries = self.table.get_many(self.pool(), oids)?;
+        for i in (0..oids.len()).filter(|&i| entries[i].is_none()) {
+            read(i, Err(StorageError::UnknownOid(oids[i].0).into()))?;
         }
-        let mut done = vec![false; oids.len()];
+        let rids: Vec<RecordId> = entries.iter().flatten().map(|e| e.rid).collect();
+        // Record `k` of the visit is `oids[k]` unless some OID is unknown.
+        let mut idxs = Vec::new();
+        if rids.len() < oids.len() {
+            idxs.extend((0..oids.len()).filter(|&i| entries[i].is_some()));
+        }
         let mut failed = None;
         heap::visit_records_versioned(self.pool(), &rids, |k, begin, end, rec| {
-            let i = idxs[k];
+            let i = idxs.get(k).copied().unwrap_or(k);
             if failed.is_some() || !visible(begin, end, snap) || rec.get(8) != Some(&TAG_INLINE) {
                 return;
             }
-            done[i] = true;
-            let type_id = entries[i].expect("a visited record has an entry").type_id;
-            if let Err(e) = read(i, Ok(Version::of(type_id, rec, &rec[9..]))) {
+            let entry = entries[i].take().expect("a visited record has an entry");
+            if let Err(e) = read(i, Ok((entry.type_id, rec, &rec[9..]))) {
                 failed = Some(e);
             }
         });
         if let Some(e) = failed {
             return Err(e);
         }
-        for (i, &oid) in oids.iter().enumerate().filter(|&(i, _)| !done[i]) {
-            let Some(entry) = entries[i] else {
-                read(i, Err(StorageError::UnknownOid(oid.0).into()))?;
-                continue;
-            };
-            let rec = self.chained_record(oid, entry.rid, snap);
-            match rec.and_then(|rec| Ok((self.payload_body(&rec)?.into_owned(), rec))) {
-                Ok((body, rec)) => read(i, Ok(Version::of(entry.type_id, &rec, &body)))?,
+        // What the pass left: the entries it did not take.
+        for (i, entry) in entries.into_iter().enumerate() {
+            let Some(entry) = entry else { continue };
+            let rec = self.chained_record(oids[i], entry.rid, snap);
+            match rec.and_then(|rec| Ok((self.payload_body(&rec)?, rec))) {
+                Ok((body, rec)) => read(i, Ok((entry.type_id, &rec, &body)))?,
                 Err(e) => read(i, Err(e))?,
             }
         }

@@ -376,19 +376,24 @@ pub fn visit_records_versioned(
     rids: &[RecordId],
     mut visit: impl FnMut(usize, u64, u64, &[u8]),
 ) {
-    let mut order: Vec<usize> = (0..rids.len()).collect();
-    order.sort_unstable_by_key(|&i| (rids[i].page, rids[i].slot));
+    // Ids already in page order (one id, say) skip the sorted index.
+    let mut order = Vec::new();
+    if !rids.is_sorted_by_key(|r| (r.page, r.slot)) {
+        order = (0..rids.len()).collect();
+        order.sort_unstable_by_key(|&i| (rids[i].page, rids[i].slot));
+    }
+    let at = |k: usize| order.get(k).copied().unwrap_or(k);
     let mut i = 0;
-    while i < order.len() {
-        let page_no = rids[order[i]].page;
+    while i < rids.len() {
+        let page_no = rids[at(i)].page;
         let mut j = i;
-        while j < order.len() && rids[order[j]].page == page_no {
+        while j < rids.len() && rids[at(j)].page == page_no {
             j += 1;
         }
         if let Ok(page) = pool.pin(page_no) {
             page.with_read(|buf| {
                 let view = PageView::new(buf);
-                for &idx in &order[i..j] {
+                for idx in (i..j).map(at) {
                     if let Ok((b, e, d)) =
                         view.read(page_no, rids[idx].slot).and_then(split_version)
                     {

@@ -252,25 +252,30 @@ impl ObjectTable {
         pool: &Arc<BufferPool>,
         oids: &[Oid],
     ) -> StorageResult<Vec<Option<ObjectEntry>>> {
-        let mut order: Vec<usize> = (0..oids.len()).collect();
-        order.sort_unstable_by_key(|&i| oids[i].0);
+        // OIDs already in order (one, a deduplicated batch) skip the index.
+        let mut order = Vec::new();
+        if !oids.is_sorted() {
+            order = (0..oids.len()).collect();
+            order.sort_unstable_by_key(|&i| oids[i].0);
+        }
+        let at = |k: usize| order.get(k).copied().unwrap_or(k);
         let mut out: Vec<Option<ObjectEntry>> = vec![None; oids.len()];
         let mut i = 0;
-        while i < order.len() {
-            if oids[order[i]].is_null() {
+        while i < oids.len() {
+            if oids[at(i)].is_null() {
                 i += 1;
                 continue;
             }
-            let dir_no = oids[order[i]].0 / ENTRIES_PER_PAGE;
+            let dir_no = oids[at(i)].0 / ENTRIES_PER_PAGE;
             let mut j = i;
-            while j < order.len() && oids[order[j]].0 / ENTRIES_PER_PAGE == dir_no {
+            while j < oids.len() && oids[at(j)].0 / ENTRIES_PER_PAGE == dir_no {
                 j += 1;
             }
             if let Some(dir_page_no) = self.dir_page(pool, dir_no, false)? {
                 let dir = pool.pin(dir_page_no)?;
                 dir.with_read(|buf| {
                     let body = PageView::new(buf).body();
-                    for &idx in &order[i..j] {
+                    for idx in (i..j).map(at) {
                         let k = (oids[idx].0 % ENTRIES_PER_PAGE) as usize;
                         if body_get_u32(body, k * ENTRY_SIZE + 12) & FLAG_LIVE != 0 {
                             out[idx] = Some(ObjectEntry {
