@@ -17,8 +17,9 @@
 //! the snapshot) is left unresolved, so the error surfaces only if the
 //! row evaluator actually gets to that expression. A base column
 //! holding no reference at all (own tuples) is left alone entirely:
-//! projecting a field out of a bound tuple needs no column of copies. A step from a variable bound as
-//! attribute columns (an unnest's read set) is that batch column.
+//! projecting a field out of a bound tuple needs no column of copies.
+//! A step from a variable bound as attribute columns (an unnest's read
+//! set) is that batch column.
 
 use exodus_storage::Oid;
 use extra_model::{ModelResult, Value};

@@ -882,11 +882,7 @@ impl<'a> Scope<'a> {
             })?;
             (site, v.clone(), qty)
         } else if let Some(obj) = cat.named.get(root_var) {
-            let site = Site {
-                owner: Owner::Object(obj.oid),
-                path: Vec::new(),
-            };
-            (site, Value::Ref(obj.oid), obj.qty.clone())
+            (Site::object(obj.oid), Value::Ref(obj.oid), obj.qty.clone())
         } else {
             return Err(DbError::Catalog(format!(
                 "unknown update root '{root_var}'"
@@ -896,10 +892,7 @@ impl<'a> Scope<'a> {
         // Walk the steps; crossing a reference moves the owner.
         for s in steps {
             while let Value::Ref(oid) = value {
-                site = Site {
-                    owner: Owner::Object(oid),
-                    path: Vec::new(),
-                };
+                site = Site::object(oid);
                 value = db.store.value_of_at(oid, snap)?;
             }
             let (pos, step_qty) = ctx.attr(&qty, s)?;
