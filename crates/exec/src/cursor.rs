@@ -653,25 +653,23 @@ fn indexed_keys(
             _ => None,
         })
         .collect();
-    let mut fields = ctx
-        .store
-        .fields_of_many_at(&oids, &[attr], ctx.snapshot)?
-        .into_iter();
+    let (fields, failed) = ctx.store.fields_of_many_at(&oids, &[attr], ctx.snapshot)?;
+    if let Some((_, e)) = failed.into_iter().next() {
+        return Err(e);
+    }
+    let mut fields = fields.into_iter();
     let key = |f: Option<&Value>| {
         f.filter(|f| !f.is_null())
             .and_then(|f| f.key_encode(ctx.adts))
     };
-    members
+    Ok(members
         .iter()
         .map(|(_, member)| match member {
-            Value::Tuple(fields) => Ok(key(fields.get(attr))),
-            Value::Ref(_) => {
-                let field = fields.next().expect("one field per reference")?;
-                Ok(key(Some(&field)))
-            }
-            _ => Ok(None),
+            Value::Tuple(fields) => key(fields.get(attr)),
+            Value::Ref(_) => key(fields.next().as_ref()),
+            _ => None,
         })
-        .collect()
+        .collect())
 }
 
 impl MemberSource {
@@ -713,7 +711,7 @@ impl MemberSource {
         match self {
             MemberSource::Heap(scan) => Ok(scan.next_batch(cap)?.into_iter().map(bind).unzip()),
             MemberSource::Index { scan, attr } => loop {
-                let mut entries = scan.next_batch(cap)?;
+                let entries = scan.next_batch(cap)?;
                 if entries.is_empty() {
                     return Ok(Default::default());
                 }
@@ -722,18 +720,18 @@ impl MemberSource {
                 // snapshot (uncommitted inserts, deleted members) ...
                 let rids: Vec<RecordId> =
                     entries.iter().map(|&(_, p)| RecordId::unpack(p)).collect();
-                let mut found = Vec::new();
                 let pool = ctx.store.storage().pool();
-                heap::visit_records_versioned(pool, &rids, |k, begin, end, bytes| {
-                    if visible(begin, end, ctx.snapshot) {
-                        found.push((k, valueio::from_bytes(bytes)));
-                    }
-                });
-                found.sort_unstable_by_key(|&(k, _)| k);
+                let read = heap::read_records_versioned(pool, &rids);
                 let (mut keys, mut members) = (Vec::new(), Vec::new());
-                for (k, member) in found {
-                    keys.push(std::mem::take(&mut entries[k].0));
-                    members.push((rids[k], member?));
+                for (((key, _), rec), rid) in entries.into_iter().zip(read).zip(rids) {
+                    // One the grouped read skipped is read alone, so its
+                    // storage error (a page that will not pin) is met.
+                    let rec = rec.map_or_else(|| heap::read_record_versioned(pool, rid), Ok);
+                    let (begin, end, bytes) = rec?;
+                    if visible(begin, end, ctx.snapshot) {
+                        keys.push(key);
+                        members.push((rid, valueio::from_bytes(&bytes)?));
+                    }
                 }
                 // ... or carry a key the visible version does not have
                 // (an uncommitted replace moves the entry at once).

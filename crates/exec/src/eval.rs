@@ -128,8 +128,12 @@ impl<'a> ExecCtx<'a> {
 pub(crate) fn attr_of(ctx: &ExecCtx<'_>, v: Value, pos: usize) -> ModelResult<Value> {
     match v {
         Value::Ref(oid) => {
-            let mut field = ctx.store.fields_of_many_at(&[oid], &[pos], ctx.snapshot)?;
-            field.pop().expect("one field per oid")
+            let (mut field, mut failed) =
+                ctx.store.fields_of_many_at(&[oid], &[pos], ctx.snapshot)?;
+            match failed.pop() {
+                Some((_, e)) => Err(e),
+                None => Ok(field.pop().expect("one field per oid")),
+            }
         }
         Value::Tuple(mut fields) if pos < fields.len() => Ok(fields.swap_remove(pos)),
         Value::Null => Ok(Value::Null),

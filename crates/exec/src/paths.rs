@@ -224,25 +224,25 @@ fn fields_through_refs(
     refs.sort_unstable();
     let mut oids: Vec<Oid> = refs.iter().map(|&(oid, _)| oid).collect();
     oids.dedup();
-    let mut fetched = ctx
+    let (fetched, failed) = ctx
         .store
-        .fields_of_many_at(&oids, positions, ctx.snapshot)?
-        .into_iter();
+        .fields_of_many_at(&oids, positions, ctx.snapshot)?;
+    let (mut fetched, mut failed) = (fetched.into_iter(), failed.into_iter().peekable());
     let mut rest = refs.as_slice();
-    for &oid in &oids {
+    for (k, &oid) in oids.iter().enumerate() {
         let n = rest.iter().take_while(|&&(o, _)| o == oid).count();
         let (sharers, tail) = rest.split_at(n);
         rest = tail;
-        for (col, field) in out.iter_mut().zip(fetched.by_ref().take(positions.len())) {
-            match field {
-                Ok(v) => {
-                    for &(_, r) in &sharers[1..] {
-                        col.vals[r] = v.clone();
-                    }
-                    col.vals[sharers[0].1] = v;
-                }
-                Err(_) => col.failed.extend(sharers.iter().map(|&(_, r)| r)),
+        let bad = failed.next_if(|&(i, _)| i == k).is_some();
+        for (col, v) in out.iter_mut().zip(fetched.by_ref().take(positions.len())) {
+            if bad {
+                col.failed.extend(sharers.iter().map(|&(_, r)| r));
+                continue;
             }
+            for &(_, r) in &sharers[1..] {
+                col.vals[r] = v.clone();
+            }
+            col.vals[sharers[0].1] = v;
         }
     }
     out.iter_mut().for_each(|col| col.failed.sort_unstable());

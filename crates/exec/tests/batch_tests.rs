@@ -777,3 +777,38 @@ fn paths_match_a_naive_evaluator_at_every_batch_size_and_dop() {
         }
     }
 }
+
+/// An index entry naming a record that cannot be read fails the scan
+/// with the storage error instead of leaving the row out.
+#[test]
+fn an_unreadable_index_entry_fails_the_scan() {
+    use exodus_storage::btree::BTree;
+    use exodus_storage::RecordId;
+    use std::ops::Bound::Unbounded;
+
+    let db = Database::builder().build().unwrap();
+    let mut s = db.session();
+    s.run(
+        "define type P (k: int4); create { own P } Ps; define index ps_k on Ps (k);
+        append to Ps (k = 1); append to Ps (k = 2); range of P is Ps",
+    )
+    .unwrap();
+    let q = "retrieve (P.k) where P.k = 1";
+    assert!(s.explain(q).unwrap().plan.contains("IndexScan"));
+    assert_eq!(s.query(q).unwrap().rows, vec![vec![Value::Int(1)]]);
+
+    // A second entry for key 1 naming a slot its page does not have.
+    let root = db.read_catalog().indexes[0].root;
+    let pool = db.store().storage().pool();
+    let tree = BTree::open(root);
+    let (key, packed) = tree
+        .scan(pool.clone(), Unbounded, Unbounded)
+        .next()
+        .unwrap()
+        .unwrap();
+    let page = RecordId::unpack(packed).page;
+    let gone = RecordId { page, slot: 999 };
+    tree.insert(pool, &key, gone.pack(), false).unwrap();
+    let err = s.query(q).unwrap_err().to_string();
+    assert!(err.contains("slot 999"), "{err}");
+}

@@ -41,6 +41,6 @@ pub mod valueio;
 pub use adt::{AdtFunction, AdtId, AdtOperator, AdtRegistry, AdtType};
 pub use error::{ModelError, ModelResult};
 pub use schema::{SchemaType, TypeId, TypeRegistry};
-pub use store::{MemberFields, MemberScan, ObjectStore, StoreRoots};
+pub use store::{FailedReads, MemberFields, MemberScan, ObjectStore, StoreRoots};
 pub use types::{Attribute, BaseType, Ownership, QualType, Type};
 pub use value::{SetBuilder, Value};

@@ -55,6 +55,10 @@ const INLINE_LIMIT: usize = 7000;
 /// attributes of each, member after member.
 pub type MemberFields = (usize, Vec<Value>);
 
+/// The objects a batched read met an error on, by ascending index into
+/// the OIDs it was asked for, each with its error.
+pub type FailedReads = Vec<(usize, ModelError)>;
+
 /// One object version as [`ObjectStore`]'s reader hands it over: its
 /// interned declared type, its record (owner, tag, payload) and its
 /// encoded value.
@@ -138,6 +142,11 @@ pub struct ObjectStore {
     types: RwLock<Vec<QualType>>,
     /// Collection anchors.
     collections: RwLock<HashMap<Oid, CollectionInfo>>,
+}
+
+/// The error for an object with no version visible at a snapshot.
+fn not_visible(oid: Oid) -> ModelError {
+    ModelError::Semantic(format!("object {oid} is not visible at this snapshot"))
 }
 
 fn be(oid: Oid) -> [u8; 8] {
@@ -385,37 +394,47 @@ impl ObjectStore {
     }
 
     /// Whether an OID names an object with a version visible at `snap`.
+    /// The object's record answers: a large-object payload is not read.
     pub fn exists_at(&self, oid: Oid, snap: u64) -> ModelResult<bool> {
-        let mut seen = false;
-        self.visit_at(&[oid], snap, |_, version| {
-            seen = version.is_ok();
-            Ok(())
-        })?;
-        Ok(seen)
+        let entry = self.table.get_many(self.pool(), &[oid])?.pop().flatten();
+        Ok(entry.is_some_and(|e| self.chained_record(oid, e.rid, snap).is_some()))
     }
 
     /// Fetch `(declared type, owner, value)` of the version of an object
     /// visible at `snap`.
     pub fn get_at(&self, oid: Oid, snap: u64) -> ModelResult<(QualType, Oid, Value)> {
-        let (type_id, owner, value) = self.visit_one(oid, snap)?;
+        let (type_id, owner, value) = self.visit_one(oid, snap)?.ok_or_else(|| not_visible(oid))?;
         Ok((self.qtype(type_id), owner, value))
     }
 
     /// Fetch just the value of the version of an object visible at `snap`.
     pub fn value_of_at(&self, oid: Oid, snap: u64) -> ModelResult<Value> {
-        Ok(self.visit_one(oid, snap)?.2)
+        let (_, _, value) = self.visit_one(oid, snap)?.ok_or_else(|| not_visible(oid))?;
+        Ok(value)
     }
 
-    /// Interned type, owner and value of `oid`'s version visible at `snap`.
-    fn visit_one(&self, oid: Oid, snap: u64) -> ModelResult<(u32, Oid, Value)> {
+    /// [`ObjectStore::get_at`], `None` for an unknown OID or one with no
+    /// version visible at `snap`: an object a cascade may have deleted.
+    fn live_at(&self, oid: Oid, snap: u64) -> ModelResult<Option<(QualType, Oid, Value)>> {
+        match self.visit_one(oid, snap) {
+            Ok(got) => Ok(got.map(|(type_id, owner, value)| (self.qtype(type_id), owner, value))),
+            Err(ModelError::Storage(StorageError::UnknownOid(_))) => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Interned type, owner and value of `oid`'s version visible at
+    /// `snap`, `None` when no version is.
+    fn visit_one(&self, oid: Oid, snap: u64) -> ModelResult<Option<(u32, Oid, Value)>> {
         let mut got = None;
         self.visit_at(&[oid], snap, |_, version| {
-            let (type_id, rec, body) = version?;
-            let owner = u64::from_le_bytes(rec[..8].try_into().expect("eight bytes"));
-            got = Some((type_id, Oid(owner), valueio::from_bytes(body)?));
+            if let Some((type_id, rec, body)) = version? {
+                let owner = u64::from_le_bytes(rec[..8].try_into().expect("eight bytes"));
+                got = Some((type_id, Oid(owner), valueio::from_bytes(body)?));
+            }
             Ok(())
         })?;
-        Ok(got.expect("the visit answers every oid"))
+        Ok(got)
     }
 
     /// `value` with its references chased: the value, visible at `snap`,
@@ -430,38 +449,28 @@ impl ObjectStore {
     /// The fields at `positions` of the values of many objects at once,
     /// the one dereference path of batched execution: each directory and
     /// heap page is pinned once per batch and the wanted fields are
-    /// skip-decoded straight off the pinned page. The result is
-    /// row-major: entry `i * positions.len() + j` is field `positions[j]`
-    /// of `oids[i]`, or the error reading that object met (no version
-    /// visible at `snap`, an unknown OID), which each of its entries
-    /// carries. An object whose value is null has null fields; one whose
-    /// value is a reference answers for the object it names.
+    /// skip-decoded straight off the pinned page. Entry
+    /// `i * positions.len() + j` is field `positions[j]` of `oids[i]`: null
+    /// for a null value, the named object's for a reference. Beside them
+    /// come the objects the read met an error on; their fields are unset.
     pub fn fields_of_many_at(
         &self,
         oids: &[Oid],
         positions: &[usize],
         snap: u64,
-    ) -> ModelResult<Vec<ModelResult<Value>>> {
+    ) -> ModelResult<(Vec<Value>, FailedReads)> {
         let width = positions.len();
-        let mut out: Vec<ModelResult<Value>> =
-            (0..oids.len() * width).map(|_| Ok(Value::Null)).collect();
+        let mut out = vec![Value::Null; oids.len() * width];
         let failed = self.visit_chasing(oids, snap, &mut |i, body| {
             for (slot, &pos) in out[i * width..].iter_mut().zip(positions) {
                 match valueio::tuple_field_from_bytes(body, pos)? {
-                    Some(field) => *slot = Ok(field),
+                    Some(field) => *slot = field,
                     None => return Ok(false),
                 }
             }
             Ok(true)
         })?;
-        for (i, e) in failed {
-            let row = &mut out[i * width..(i + 1) * width];
-            row.fill_with(|| Err(ModelError::Semantic(e.to_string())));
-            if let Some(first) = row.first_mut() {
-                *first = Err(e);
-            }
-        }
-        Ok(out)
+        Ok((out, failed))
     }
 
     /// [`ObjectStore::fields_of_many_at`] for one field position, `None`
@@ -472,8 +481,10 @@ impl ObjectStore {
         pos: usize,
         snap: u64,
     ) -> ModelResult<Vec<Option<Value>>> {
-        let fields = self.fields_of_many_at(oids, &[pos], snap)?;
-        Ok(fields.into_iter().map(Result::ok).collect())
+        let (fields, failed) = self.fields_of_many_at(oids, &[pos], snap)?;
+        let mut out: Vec<Option<Value>> = fields.into_iter().map(Some).collect();
+        failed.into_iter().for_each(|(i, _)| out[i] = None);
+        Ok(out)
     }
 
     /// [`ObjectStore::fields_of_many_at`] one level down: for each of
@@ -500,26 +511,24 @@ impl ObjectStore {
             }
             Ok(members.is_some())
         })?;
-        for (i, e) in failed {
-            out[i] = Err(e);
-        }
+        failed.into_iter().for_each(|(i, e)| out[i] = Err(e));
         Ok(out)
     }
 
     /// `read(i, body)` of the value of each `oids[i]` visible at `snap`;
-    /// answers the objects the read met an error on, with their errors.
-    /// Where `read` finds no tuple of the shape it reads (answers
-    /// `false`), a null value is left to the caller's default and a
-    /// reference answers for the object it names.
+    /// answers the objects the read met an error on, by ascending `i`,
+    /// with their errors. Where `read` finds no tuple of the shape it
+    /// reads (answers `false`), a null value is left to the caller's
+    /// default and a reference answers for the object it names.
     fn visit_chasing(
         &self,
         oids: &[Oid],
         snap: u64,
         read: &mut dyn FnMut(usize, &[u8]) -> ModelResult<bool>,
-    ) -> ModelResult<Vec<(usize, ModelError)>> {
+    ) -> ModelResult<FailedReads> {
         let (mut failed, mut chased) = (Vec::new(), Vec::new());
         self.visit_at(oids, snap, |i, version| {
-            let body = match version {
+            let body = match version.and_then(|v| v.ok_or_else(|| not_visible(oids[i]))) {
                 Ok((_, _, body)) => body,
                 Err(e) => {
                     failed.push((i, e));
@@ -546,21 +555,22 @@ impl ObjectStore {
             let more = self.visit_chasing(&next, snap, &mut |k, body| read(at[k], body))?;
             failed.extend(more.into_iter().map(|(k, e)| (at[k], e)));
         }
+        failed.sort_unstable_by_key(|&(i, _)| i);
         Ok(failed)
     }
 
     /// The one reader of object versions: `read(i, version)` for each
-    /// `oids[i]` with the version visible at `snap`, or the reason there
-    /// is none. Head versions stored inline are read first, each
-    /// directory and heap page pinned once; the rest — a head the
-    /// snapshot cannot see (the version chain is walked), a large-object
-    /// payload — after that pass, under no pinned page. The first error
-    /// `read` returns stops the visit.
+    /// `oids[i]` with the version visible at `snap`, `None` when no
+    /// version is, or the error reading it met. Head versions stored
+    /// inline are read first, each directory and heap page pinned once;
+    /// the rest — a head the snapshot cannot see (the version chain is
+    /// walked), a large-object payload — after that pass, under no
+    /// pinned page. The first error `read` returns stops the visit.
     fn visit_at(
         &self,
         oids: &[Oid],
         snap: u64,
-        mut read: impl FnMut(usize, ModelResult<Version<'_>>) -> ModelResult<()>,
+        mut read: impl FnMut(usize, ModelResult<Option<Version<'_>>>) -> ModelResult<()>,
     ) -> ModelResult<()> {
         let mut entries = self.table.get_many(self.pool(), oids)?;
         for i in (0..oids.len()).filter(|&i| entries[i].is_none()) {
@@ -579,7 +589,7 @@ impl ObjectStore {
                 return;
             }
             let entry = entries[i].take().expect("a visited record has an entry");
-            if let Err(e) = read(i, Ok((entry.type_id, rec, &rec[9..]))) {
+            if let Err(e) = read(i, Ok(Some((entry.type_id, rec, &rec[9..])))) {
                 failed = Some(e);
             }
         });
@@ -589,29 +599,28 @@ impl ObjectStore {
         // What the pass left: the entries it did not take.
         for (i, entry) in entries.into_iter().enumerate() {
             let Some(entry) = entry else { continue };
-            let rec = self.chained_record(oids[i], entry.rid, snap);
-            match rec.and_then(|rec| Ok((self.payload_body(&rec)?, rec))) {
-                Ok((body, rec)) => read(i, Ok((entry.type_id, &rec, &body)))?,
+            let Some(rec) = self.chained_record(oids[i], entry.rid, snap) else {
+                read(i, Ok(None))?;
+                continue;
+            };
+            match self.payload_body(&rec) {
+                Ok(body) => read(i, Ok(Some((entry.type_id, &rec, &body))))?,
                 Err(e) => read(i, Err(e))?,
             }
         }
         Ok(())
     }
 
-    /// The record of the version of `oid` visible at `snap`: the head at
-    /// `head`, else the newest visible one of its version chain.
-    fn chained_record(&self, oid: Oid, head: RecordId, snap: u64) -> ModelResult<Vec<u8>> {
+    /// The record of `oid`'s version visible at `snap`, if any: the head
+    /// at `head`, else the newest visible one of its version chain, whose
+    /// records vacuum may already have freed (those are passed over).
+    fn chained_record(&self, oid: Oid, head: RecordId, snap: u64) -> Option<Vec<u8>> {
         let older = self.sm.txn().chain_rids(oid).into_iter().rev();
-        for rid in std::iter::once(head).chain(older.filter(|&rid| rid != head)) {
-            if let Ok((begin, end, rec)) = heap::read_record_versioned(self.pool(), rid) {
-                if visible(begin, end, snap) {
-                    return Ok(rec);
-                }
-            }
-        }
-        Err(ModelError::Semantic(format!(
-            "object {oid} is not visible at this snapshot"
-        )))
+        std::iter::once(head)
+            .chain(older.filter(|&rid| rid != head))
+            .filter_map(|rid| heap::read_record_versioned(self.pool(), rid).ok())
+            .find(|&(begin, end, _)| visible(begin, end, snap))
+            .map(|(_, _, rec)| rec)
     }
 
     /// Give `oid` a new version: insert it, retire the old one, repoint
@@ -673,10 +682,9 @@ impl ObjectStore {
             return Ok(());
         }
         let snap = self.write_ts()?;
-        if !self.exists_at(oid, snap)? {
+        let Some((qty, owner, value)) = self.live_at(oid, snap)? else {
             return Ok(()); // already cascaded away
-        }
-        let (qty, owner, value) = self.get_at(oid, snap)?;
+        };
 
         // 0. If this object is an own-ref component deleted directly,
         //    detach it from its owner's value first (unless the owner is
@@ -739,8 +747,7 @@ impl ObjectStore {
     /// GEM null-out: give `holder`, if it is still live, a version
     /// without its references to `target`.
     fn null_out_in(&self, holder: Oid, target: Oid, snap: u64) -> ModelResult<()> {
-        if self.exists_at(holder, snap)? {
-            let (_, owner, value) = self.get_at(holder, snap)?;
+        if let Some((_, owner, value)) = self.live_at(holder, snap)? {
             let cleaned = null_out(&value, target);
             if cleaned != value {
                 self.rewrite_record(holder, owner, &cleaned)?;
